@@ -91,6 +91,10 @@ pub struct CacheGeometry {
     line_bytes: usize,
     assoc: usize,
     addr_bits: u32,
+    // Field widths, fixed at construction so the per-access accessors
+    // below cost shifts, not divisions.
+    offset_bits: u32,
+    index_bits: u32,
 }
 
 /// Default simulated physical address width, matching the paper.
@@ -147,8 +151,10 @@ impl CacheGeometry {
             line_bytes,
             assoc,
             addr_bits,
+            offset_bits: log2_exact(line_bytes as u64),
+            index_bits: log2_exact((lines / assoc) as u64),
         };
-        let needed = geom.offset_bits() + geom.index_bits();
+        let needed = geom.offset_bits + geom.index_bits;
         if addr_bits > 64 || addr_bits < needed {
             return Err(GeometryError::AddrTooNarrow { addr_bits, needed });
         }
@@ -177,22 +183,22 @@ impl CacheGeometry {
 
     /// Total number of cache lines.
     pub const fn lines(&self) -> usize {
-        self.size_bytes / self.line_bytes
+        self.sets() * self.assoc
     }
 
     /// Number of sets (`lines / assoc`).
     pub const fn sets(&self) -> usize {
-        self.lines() / self.assoc
+        1 << self.index_bits
     }
 
     /// Width of the block-offset field.
     pub const fn offset_bits(&self) -> u32 {
-        log2_exact(self.line_bytes as u64)
+        self.offset_bits
     }
 
     /// Width of the set-index field.
     pub const fn index_bits(&self) -> u32 {
-        log2_exact(self.sets() as u64)
+        self.index_bits
     }
 
     /// Width of the tag field (`addr_bits - index - offset`).
@@ -213,8 +219,8 @@ impl CacheGeometry {
     }
 
     /// Precomputes the `tag | index | offset` field split as shift/mask
-    /// pairs, for hot loops that cannot afford the per-access field-width
-    /// recomputation of [`set_index`](Self::set_index) / [`tag`](Self::tag).
+    /// pairs, for hot loops that should not rebuild the field masks of
+    /// [`set_index`](Self::set_index) / [`tag`](Self::tag) per access.
     pub const fn split(&self) -> TagIndexSplit {
         TagIndexSplit {
             index_shift: self.offset_bits(),

@@ -106,6 +106,8 @@ impl Cpu {
         // Retire times of the last `window` instructions (ring buffer):
         // instruction i cannot dispatch before i - window retired.
         let mut rob = vec![0u64; cfg.window];
+        // Slot of instruction i, i.e. i % window, as a wrapping cursor.
+        let mut rob_slot = 0;
         // Completion times of recent instructions for dependences.
         const DEP_RING: usize = 8;
         let mut completions = [0u64; DEP_RING];
@@ -139,7 +141,7 @@ impl Cpu {
             let fetch_t = fetch_bw.slot(fetch_block_ready.max(redirect_until));
 
             // --- Dispatch: front-end depth + a free window slot ---
-            let rob_free = rob[i % cfg.window];
+            let rob_free = rob[rob_slot];
             let dispatch_t = (fetch_t + cfg.frontend_depth).max(rob_free);
 
             // --- Ready: wait for the synthetic producer ---
@@ -191,7 +193,11 @@ impl Cpu {
             // --- Retire: in order, bounded bandwidth ---
             let retire_t = retire_bw.slot(complete_t.max(last_retire));
             last_retire = retire_t;
-            rob[i % cfg.window] = retire_t;
+            rob[rob_slot] = retire_t;
+            rob_slot += 1;
+            if rob_slot == rob.len() {
+                rob_slot = 0;
+            }
 
             n += 1;
         }
@@ -239,6 +245,22 @@ mod tests {
                 op: Op::Alu,
             })
             .collect()
+    }
+
+    #[test]
+    fn window_sizes_pin_exact_cycles() {
+        // Pinned from the `i % window` formulation of the ROB ring, so
+        // the wrapping cursor must reproduce it cycle for cycle.
+        let gzip = trace_gen::profiles::by_name("gzip").unwrap();
+        for (window, cycles) in [(1, 44_259), (3, 30_504), (16, 27_084)] {
+            let config = CpuConfig {
+                window,
+                ..CpuConfig::default()
+            };
+            let report =
+                Cpu::new(config, dm_hierarchy()).run(trace_gen::Trace::new(&gzip, 1).take(20_000));
+            assert_eq!(report.cycles, cycles, "window {window}");
+        }
     }
 
     #[test]

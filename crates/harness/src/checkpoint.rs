@@ -13,8 +13,9 @@
 //! hex), never through decimal formatting — that is what makes a
 //! resumed sweep byte-identical to an uninterrupted one.
 //!
-//! Writes go through a temp-file-then-rename dance, so a crash mid-write
-//! leaves the previous consistent snapshot in place.
+//! Writes go through a temp file that is synced before it is renamed
+//! over the checkpoint, so a crash or power loss mid-write leaves the
+//! previous consistent snapshot in place.
 //!
 //! No serde: the format is a fixed two-field object per line, parsed
 //! with the same hand-rolled helpers the bench baseline reader uses.
@@ -22,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::run::{BCachePdOutcome, RunLength};
@@ -212,7 +213,8 @@ impl Checkpoint {
         self.flush()
     }
 
-    /// Atomically rewrites the checkpoint file (temp file + rename).
+    /// Atomically and durably rewrites the checkpoint file (temp file,
+    /// fsync, rename, fsync of the directory).
     pub fn flush(&mut self) -> io::Result<()> {
         let mut out = String::new();
         out.push_str(&format!(
@@ -223,8 +225,24 @@ impl Checkpoint {
             out.push_str(&format!("{{\"key\": \"{key}\", \"value\": \"{value}\"}}\n"));
         }
         let tmp = self.path.with_extension("tmp");
-        fs::write(&tmp, &out)?;
-        fs::rename(&tmp, &self.path)
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(out.as_bytes())?;
+        // The bytes reach the disk before the rename publishes them, so
+        // a power loss leaves the old snapshot or the new one, never an
+        // empty file.
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, &self.path)?;
+        // The rename is durable once the directory entry is.
+        #[cfg(unix)]
+        {
+            let dir = match self.path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Number of stored results.
@@ -349,6 +367,10 @@ mod tests {
         ckpt.put("fig3/gzip/mf8", &0.0421f64.encode()).unwrap();
         ckpt.put("fig3/gzip/mf16", &0.0399f64.encode()).unwrap();
         assert_eq!(ckpt.len(), 2);
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "flush renames its temp file away"
+        );
 
         let loaded = Checkpoint::resume(&path, meta()).unwrap();
         assert_eq!(loaded.len(), 2);

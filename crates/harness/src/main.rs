@@ -105,6 +105,7 @@
 //! summary in the `run`/`stats` reports.
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use harness::config::RunOptions;
@@ -114,6 +115,24 @@ use harness::{
     run, runcmd, sensitivity, statscmd, tables,
 };
 use telemetry::{tele_error, tele_info, tele_warn, EventRing, Recorder};
+
+/// `print!` for the report stream. A reader that closes the pipe early
+/// (`bcache-repro all | head -1`) has all the output it wants, so a
+/// broken pipe ends the process with exit code 0 instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn usage() -> ExitCode {
     tele_error!(
@@ -226,7 +245,7 @@ fn run_bench(args: &[String], tele: &TelemetryFlags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{}", bench::render_table(&rows));
+    out!("{}", bench::render_table(&rows));
     if let Err(e) = std::fs::write(&opts.out, bench::render_json(&rows)) {
         tele_error!("cannot write {}: {e}", opts.out);
         return ExitCode::FAILURE;
@@ -246,7 +265,7 @@ fn run_bench(args: &[String], tele: &TelemetryFlags) -> ExitCode {
             }
         };
         match bench::check_against_baseline(&rows, &baseline) {
-            Ok(verdict) => println!("{verdict}"),
+            Ok(verdict) => out!("{verdict}\n"),
             Err(e) => {
                 tele_error!("{e}");
                 return ExitCode::FAILURE;
@@ -285,7 +304,7 @@ fn main() -> ExitCode {
             Ok(out) => out,
             Err(code) => return code,
         };
-        print!("{}", out.report);
+        out!("{}", out.report);
         if let Some(path) = &tele.metrics {
             if !write_metrics_file(path, &out.metrics) {
                 return ExitCode::FAILURE;
@@ -316,7 +335,7 @@ fn main() -> ExitCode {
             Ok(out) => out,
             Err(code) => return code,
         };
-        print!("{}", out.report);
+        out!("{}", out.report);
         if let Some(path) = &tele.metrics {
             if !write_metrics_file(path, &out.metrics) {
                 return ExitCode::FAILURE;
@@ -336,7 +355,7 @@ fn main() -> ExitCode {
             }
         };
         let report = fuzz::run(&opts);
-        print!("{}", report.render());
+        out!("{}", report.render());
         if let Some(path) = &tele.metrics {
             let mut rec = Recorder::new();
             rec.counter("fuzz.cases", report.iters);
@@ -366,7 +385,7 @@ fn main() -> ExitCode {
             Ok(report) => report,
             Err(code) => return code,
         };
-        print!(
+        out!(
             "{}",
             if opts.csv {
                 report.render_csv()
@@ -411,7 +430,7 @@ fn main() -> ExitCode {
             Ok(out) => out,
             Err(code) => return code,
         };
-        print!("{}", out.report);
+        out!("{}", out.report);
         for (suffix, content) in [
             (".jsonl", &out.series_jsonl),
             (".csv", &out.series_csv),
@@ -448,7 +467,7 @@ fn main() -> ExitCode {
         };
         return match harness::serve::serve_cmd(opts) {
             Ok(report) => {
-                print!("{report}");
+                out!("{report}");
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -470,7 +489,7 @@ fn main() -> ExitCode {
         };
         return match harness::serve::run_loadgen(&opts) {
             Ok(report) => {
-                print!("{}", report.render(&opts));
+                out!("{}", report.render(&opts));
                 if let Some(path) = &opts.out {
                     if let Err(e) = std::fs::write(path, report.to_bench_json(&opts)) {
                         tele_error!("cannot write {path}: {e}");
@@ -528,7 +547,7 @@ fn main() -> ExitCode {
                 if tele.any() {
                     let mut rec = Recorder::new();
                     let (_, text) = fig3::figure3_recorded(&engine, len, &mut rec);
-                    print!("{text}");
+                    out!("{text}");
                     rec.merge(&engine.timing_snapshot());
                     rec.merge(&engine.failure_snapshot());
                     if let Some(path) = &tele.metrics {
@@ -554,48 +573,48 @@ fn main() -> ExitCode {
                         }
                     }
                 } else {
-                    print!("{}", fig3::figure3_with(&engine, len).1);
+                    out!("{}", fig3::figure3_with(&engine, len).1);
                 }
             }
             "fig4" => {
                 let (fp, int) = missrate::figure4_with(&engine, len);
                 if csv {
-                    print!("{}{}", fp.render_csv(), int.render_csv());
+                    out!("{}{}", fp.render_csv(), int.render_csv());
                 } else {
-                    print!("{}\n{}", fp.render(), int.render());
+                    out!("{}\n{}", fp.render(), int.render());
                 }
             }
             "fig5" => {
                 let fig = missrate::figure5_with(&engine, len);
-                print!("{}", if csv { fig.render_csv() } else { fig.render() });
+                out!("{}", if csv { fig.render_csv() } else { fig.render() });
             }
-            "fig8" => print!(
+            "fig8" => out!(
                 "{}",
                 perf::render_figure8(&perf::run_perf_with(&engine, len))
             ),
-            "fig9" => print!(
+            "fig9" => out!(
                 "{}",
                 perf::render_figure9(&perf::run_perf_with(&engine, len))
             ),
             "fig12" => {
                 for fig in missrate::figure12_with(&engine, len) {
                     if csv {
-                        print!("{}", fig.render_csv());
+                        out!("{}", fig.render_csv());
                     } else {
-                        println!("{}", fig.render());
+                        out!("{}\n", fig.render());
                     }
                 }
             }
-            "tab1" => print!("{}", tables::render_table1()),
-            "tab2" => print!("{}", tables::render_table2()),
-            "tab3" => print!("{}", tables::render_table3()),
-            "tab4" => print!("{}", tables::render_table4()),
+            "tab1" => out!("{}", tables::render_table1()),
+            "tab2" => out!("{}", tables::render_table2()),
+            "tab3" => out!("{}", tables::render_table3()),
+            "tab4" => out!("{}", tables::render_table4()),
             "tab5" | "tab6" => {
                 let grid = design_space::design_space_grid_with(&engine, len);
-                print!("{}", design_space::render_tables_5_and_6(&grid));
+                out!("{}", design_space::render_tables_5_and_6(&grid));
             }
             "tab7" => match balance::table7_with(&engine, len) {
-                Ok(rows) => print!("{}", balance::render_table7(&rows)),
+                Ok(rows) => out!("{}", balance::render_table7(&rows)),
                 Err(msg) => {
                     tele_error!("{msg}");
                     return ExitCode::FAILURE;
@@ -603,23 +622,23 @@ fn main() -> ExitCode {
             },
             "related" => {
                 let fig = missrate::related_work_with(&engine, len);
-                print!("{}", if csv { fig.render_csv() } else { fig.render() });
+                out!("{}", if csv { fig.render_csv() } else { fig.render() });
             }
             "sweep" => {
                 let points = sensitivity::victim_sweep_with(&engine, len, &[2, 4, 8, 16, 32, 64]);
-                print!("{}", sensitivity::render_victim_sweep(&points));
+                out!("{}", sensitivity::render_victim_sweep(&points));
                 let windows = sensitivity::cold_start("equake", 20_000, 8, len);
-                print!(
+                out!(
                     "{}",
                     sensitivity::render_cold_start("equake", &windows, 20_000)
                 );
-                print!(
+                out!(
                     "{}",
                     sensitivity::render_l2_bcache(&sensitivity::l2_bcache_with(&engine, len))
                 );
             }
             "kernels" => {
-                print!(
+                out!(
                     "{}",
                     kernels_exp::render_kernels(&kernels_exp::run_kernels_with(
                         &engine,
@@ -627,50 +646,50 @@ fn main() -> ExitCode {
                     ))
                 )
             }
-            "hac" => print!("{}", extensions::render_hac_comparison()),
+            "hac" => out!("{}", extensions::render_hac_comparison()),
             "drowsy" => match extensions::drowsy_analysis(len) {
-                Ok(rows) => print!("{}", extensions::render_drowsy(&rows)),
+                Ok(rows) => out!("{}", extensions::render_drowsy(&rows)),
                 Err(msg) => {
                     tele_error!("{msg}");
                     return ExitCode::FAILURE;
                 }
             },
-            "vp" => print!("{}", extensions::render_vp_analysis()),
+            "vp" => out!("{}", extensions::render_vp_analysis()),
             "all" => {
-                print!("{}", tables::render_table4());
+                out!("{}", tables::render_table4());
                 let (fp, int) = missrate::figure4_with(&engine, len);
-                print!("{}\n{}", fp.render(), int.render());
-                print!("{}", missrate::figure5_with(&engine, len).render());
-                print!("{}", fig3::figure3_with(&engine, len).1);
-                print!("{}", tables::render_table1());
-                print!("{}", tables::render_table2());
-                print!("{}", tables::render_table3());
+                out!("{}\n{}", fp.render(), int.render());
+                out!("{}", missrate::figure5_with(&engine, len).render());
+                out!("{}", fig3::figure3_with(&engine, len).1);
+                out!("{}", tables::render_table1());
+                out!("{}", tables::render_table2());
+                out!("{}", tables::render_table3());
                 let rows = perf::run_perf_with(&engine, len);
-                print!("{}", perf::render_figure8(&rows));
-                print!("{}", perf::render_figure9(&rows));
+                out!("{}", perf::render_figure8(&rows));
+                out!("{}", perf::render_figure9(&rows));
                 let grid = design_space::design_space_grid_with(&engine, len);
-                print!("{}", design_space::render_tables_5_and_6(&grid));
+                out!("{}", design_space::render_tables_5_and_6(&grid));
                 match balance::table7_with(&engine, len) {
-                    Ok(rows) => print!("{}", balance::render_table7(&rows)),
+                    Ok(rows) => out!("{}", balance::render_table7(&rows)),
                     Err(msg) => {
                         tele_error!("{msg}");
                         return ExitCode::FAILURE;
                     }
                 }
                 for fig in missrate::figure12_with(&engine, len) {
-                    println!("{}", fig.render());
+                    out!("{}\n", fig.render());
                 }
-                print!("{}", missrate::related_work_with(&engine, len).render());
-                print!("{}", extensions::render_hac_comparison());
+                out!("{}", missrate::related_work_with(&engine, len).render());
+                out!("{}", extensions::render_hac_comparison());
                 match extensions::drowsy_analysis(len) {
-                    Ok(rows) => print!("{}", extensions::render_drowsy(&rows)),
+                    Ok(rows) => out!("{}", extensions::render_drowsy(&rows)),
                     Err(msg) => {
                         tele_error!("{msg}");
                         return ExitCode::FAILURE;
                     }
                 }
-                print!("{}", extensions::render_vp_analysis());
-                print!(
+                out!("{}", extensions::render_vp_analysis());
+                out!(
                     "{}",
                     kernels_exp::render_kernels(&kernels_exp::run_kernels_with(
                         &engine,

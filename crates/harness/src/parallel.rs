@@ -130,9 +130,9 @@ pub fn job_seed(base: u64, benchmark: &str, side: Side) -> u64 {
 /// extracted [`SideTrace`] streams: the per-side filtering and
 /// instruction-block collapse run once per `(profile, len, side)`, so
 /// every config job of a sweep is pure model work. Traces are held as
-/// packed [`TraceBuffer`] columns (17 bytes/record instead of 24), so a
-/// full-length (2M-record) trace is ~34 MB and a whole 26-benchmark
-/// sweep holds under 1 GB — call [`TraceCache::clear`] between
+/// compact [`TraceBuffer`] columns (about 4 bytes/record instead of 24),
+/// so a full-length (2M-record) trace is ~8 MB and a whole 26-benchmark
+/// sweep holds about 210 MB — call [`TraceCache::clear`] between
 /// experiments if that matters.
 ///
 /// All lock accesses recover from poisoning: if a generation panics,

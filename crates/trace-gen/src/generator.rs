@@ -91,6 +91,7 @@ impl Trace {
     pub fn take_buffer(self, records: usize) -> TraceBuffer {
         let mut buf = TraceBuffer::with_capacity(records);
         buf.extend(self.take(records));
+        buf.shrink_to_fit();
         buf
     }
 

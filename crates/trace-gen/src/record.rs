@@ -47,15 +47,27 @@ impl Op {
     }
 }
 
-// SoA op tags: discriminant + payload-presence in one byte.
+// Op tags, in the low three bits of a buffer's op byte.
 const OP_ALU: u8 = 0;
 const OP_LONG: u8 = 1;
 const OP_LOAD: u8 = 2;
 const OP_STORE: u8 = 3;
 const OP_BRANCH: u8 = 4;
 const OP_BRANCH_MISPREDICT: u8 = 5;
+const TAG_MASK: u8 = 0b111;
+/// Op-byte flag: the record's PC is the previous record's PC + 4, so
+/// the PC column holds no entry for it.
+const SEQ_PC: u8 = 0b1000;
+
+/// Whether `tag` is [`OP_LOAD`] or [`OP_STORE`] (the tags that own an
+/// address-column entry).
+#[inline(always)]
+const fn is_mem_tag(tag: u8) -> bool {
+    tag >> 1 == OP_LOAD >> 1
+}
 
 impl Op {
+    #[inline(always)]
     const fn encode(self) -> (u8, u64) {
         match self {
             Op::Alu => (OP_ALU, 0),
@@ -67,6 +79,10 @@ impl Op {
         }
     }
 
+    /// Inverse of [`Op::encode`]. Total over `u8`, so decoding has no
+    /// panic path; [`TraceBuffer::push`] writes no tag above
+    /// [`OP_BRANCH_MISPREDICT`].
+    #[inline(always)]
     const fn decode(tag: u8, payload: u64) -> Op {
         match tag {
             OP_ALU => Op::Alu,
@@ -74,25 +90,62 @@ impl Op {
             OP_LOAD => Op::Load(payload),
             OP_STORE => Op::Store(payload),
             OP_BRANCH => Op::Branch { mispredict: false },
-            OP_BRANCH_MISPREDICT => Op::Branch { mispredict: true },
-            _ => panic!("corrupt op tag"),
+            OP_BRANCH_MISPREDICT..=u8::MAX => Op::Branch { mispredict: true },
         }
     }
 }
 
-/// A packed structure-of-arrays buffer of [`TraceRecord`]s.
+/// Entries a PC or address column grows by when it runs out of room.
+const BLOCK: usize = 1024;
+
+/// A compact column-wise buffer of [`TraceRecord`]s.
 ///
 /// The experiment engine materializes each generated trace once and
-/// replays it many times; storing the records column-wise (PCs, one-byte
-/// op tags, data payloads) drops the footprint from 24 to 17 bytes per
-/// record and keeps the replay loops walking dense arrays. Consumers
-/// read it through [`TraceBuffer::iter`], which re-assembles value-type
+/// replays it many times, so the encoding stores only what the stream
+/// carries:
+///
+/// - one op byte per record: the op tag, plus a flag set when the PC is
+///   the previous record's PC + 4 (over 99% of SPEC-profile records);
+/// - a PC column with an entry only for records without that flag;
+/// - an address column with an entry only for loads and stores (34–40%
+///   of records).
+///
+/// On the SPEC profiles that is about 4 bytes per record, against 24
+/// for a `Vec<TraceRecord>`. Consumers read it through
+/// [`TraceBuffer::iter`], which re-assembles value-type
 /// [`TraceRecord`]s on the fly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Neither the column writes of [`push`](Self::push) nor the
+/// iterator's reads branch on the op kind, which is unpredictable:
+/// every record writes (and reads back) one slot of each column and
+/// advances that column's cursor only if the record owns an entry
+/// there. The columns are therefore padded: their `Vec` length runs up
+/// to one block of 1024 entries past the entries in use, and the
+/// iterator relies on the invariant that every record's slot lies
+/// within it.
+#[derive(Clone, Default)]
 pub struct TraceBuffer {
-    pcs: Vec<u64>,
     ops: Vec<u8>,
-    payloads: Vec<u64>,
+    /// `pcs[..n_pcs]` are PCs; the rest is padding.
+    pcs: Vec<u64>,
+    n_pcs: usize,
+    /// `addrs[..n_addrs]` are data addresses; the rest is padding.
+    addrs: Vec<u64>,
+    n_addrs: usize,
+    /// PC of the last record pushed (0 before the first).
+    last_pc: u64,
+}
+
+/// Writes `value` to the slot after the `*used` entries of a padded
+/// column and keeps it only if `keep`: the caller's choice costs an add,
+/// not a branch.
+#[inline(always)]
+fn append(column: &mut Vec<u64>, used: &mut usize, value: u64, keep: bool) {
+    if *used == column.len() {
+        column.resize(*used + BLOCK, 0);
+    }
+    column[*used] = value;
+    *used += usize::from(keep);
 }
 
 impl TraceBuffer {
@@ -102,65 +155,92 @@ impl TraceBuffer {
     }
 
     /// Creates an empty buffer with room for `records` records.
+    ///
+    /// Only the op column is sized up front; the PC and address columns
+    /// grow with the records that need them.
     pub fn with_capacity(records: usize) -> Self {
         TraceBuffer {
-            pcs: Vec::with_capacity(records),
             ops: Vec::with_capacity(records),
-            payloads: Vec::with_capacity(records),
+            ..Self::default()
         }
     }
 
     /// Appends one record.
     #[inline]
     pub fn push(&mut self, rec: TraceRecord) {
-        let (tag, payload) = rec.op.encode();
-        self.pcs.push(rec.pc);
-        self.ops.push(tag);
-        self.payloads.push(payload);
+        let (tag, addr) = rec.op.encode();
+        let seq = rec.pc == self.last_pc.wrapping_add(4);
+        self.last_pc = rec.pc;
+        self.ops.push(tag | (u8::from(seq) * SEQ_PC));
+        append(&mut self.pcs, &mut self.n_pcs, rec.pc, !seq);
+        append(&mut self.addrs, &mut self.n_addrs, addr, is_mem_tag(tag));
+    }
+
+    /// Releases spare capacity once the buffer is complete (the padding
+    /// stays: the iterator reads it).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+        self.pcs.shrink_to_fit();
+        self.addrs.shrink_to_fit();
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.ops.len()
     }
 
     /// Whether the buffer holds no records.
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
-    }
-
-    /// The `i`-th record, re-assembled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize) -> TraceRecord {
-        TraceRecord {
-            pc: self.pcs[i],
-            op: Op::decode(self.ops[i], self.payloads[i]),
-        }
+        self.ops.is_empty()
     }
 
     /// Iterates over the records by value.
     pub fn iter(&self) -> TraceIter<'_> {
-        TraceIter { buf: self, next: 0 }
+        TraceIter {
+            ops: self.ops.iter(),
+            pcs: &self.pcs,
+            addrs: &self.addrs,
+            pc: 0,
+        }
+    }
+
+    /// Heap bytes held by the three columns, padding included.
+    #[cfg(test)]
+    fn column_bytes(&self) -> usize {
+        self.ops.capacity() + 8 * (self.pcs.capacity() + self.addrs.capacity())
+    }
+}
+
+impl PartialEq for TraceBuffer {
+    /// Record-wise equality (the padding is not compared).
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
+            && self.pcs[..self.n_pcs] == other.pcs[..other.n_pcs]
+            && self.addrs[..self.n_addrs] == other.addrs[..other.n_addrs]
+    }
+}
+
+impl Eq for TraceBuffer {}
+
+impl fmt::Debug for TraceBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl FromIterator<TraceRecord> for TraceBuffer {
     fn from_iter<I: IntoIterator<Item = TraceRecord>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut buf = TraceBuffer::with_capacity(iter.size_hint().0);
-        for rec in iter {
-            buf.push(rec);
-        }
+        let mut buf = TraceBuffer::new();
+        buf.extend(iter);
+        buf.shrink_to_fit();
         buf
     }
 }
 
 impl Extend<TraceRecord> for TraceBuffer {
     fn extend<I: IntoIterator<Item = TraceRecord>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.ops.reserve(iter.size_hint().0);
         for rec in iter {
             self.push(rec);
         }
@@ -177,10 +257,17 @@ impl<'a> IntoIterator for &'a TraceBuffer {
 }
 
 /// By-value iterator over a [`TraceBuffer`].
+///
+/// The PC and address cursors advance exactly as
+/// [`TraceBuffer::push`]'s column counts did, so each record's slot is
+/// the first of each cursor.
 #[derive(Clone, Debug)]
 pub struct TraceIter<'a> {
-    buf: &'a TraceBuffer,
-    next: usize,
+    ops: std::slice::Iter<'a, u8>,
+    pcs: &'a [u64],
+    addrs: &'a [u64],
+    /// PC of the last record yielded (0 before the first).
+    pc: u64,
 }
 
 impl Iterator for TraceIter<'_> {
@@ -188,18 +275,37 @@ impl Iterator for TraceIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
-        if self.next < self.buf.len() {
-            let rec = self.buf.get(self.next);
-            self.next += 1;
-            Some(rec)
+        let op = *self.ops.next()?;
+        let seq = op & SEQ_PC != 0;
+        let tag = op & TAG_MASK;
+        debug_assert!(!self.pcs.is_empty() && !self.addrs.is_empty());
+        // SAFETY: `push` wrote this record's value to the slot after the
+        // entries of each column kept before it, and grew the column to
+        // hold that slot first; the cursors have skipped exactly those
+        // entries, and the padding is never truncated. So both cursors
+        // are non-empty here.
+        let (pc_entry, addr) =
+            unsafe { (*self.pcs.get_unchecked(0), *self.addrs.get_unchecked(0)) };
+        let pc = if seq {
+            self.pc.wrapping_add(4)
         } else {
-            None
+            pc_entry
+        };
+        self.pc = pc;
+        // SAFETY: each cursor is non-empty (above), so skipping at most
+        // one entry stays in bounds.
+        unsafe {
+            self.pcs = self.pcs.get_unchecked(usize::from(!seq)..);
+            self.addrs = self.addrs.get_unchecked(usize::from(is_mem_tag(tag))..);
         }
+        Some(TraceRecord {
+            pc,
+            op: Op::decode(tag, addr),
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.buf.len() - self.next;
-        (left, Some(left))
+        self.ops.size_hint()
     }
 }
 
@@ -265,9 +371,6 @@ mod tests {
         let buf: TraceBuffer = records.iter().copied().collect();
         assert_eq!(buf.len(), records.len());
         assert!(!buf.is_empty());
-        for (i, &rec) in records.iter().enumerate() {
-            assert_eq!(buf.get(i), rec);
-        }
         let back: Vec<TraceRecord> = buf.iter().collect();
         assert_eq!(back, records);
         assert_eq!(buf.iter().len(), records.len());
@@ -291,6 +394,35 @@ mod tests {
         let collected: TraceBuffer = records.iter().copied().collect();
         assert_eq!(pushed, extended);
         assert_eq!(pushed, collected);
+    }
+
+    #[test]
+    fn columns_cross_block_boundaries() {
+        // Runs of sequential and non-memory records leave the PC and
+        // address cursors parked on padding across several blocks.
+        let records: Vec<TraceRecord> = (0..5 * BLOCK as u64)
+            .map(|i| TraceRecord {
+                pc: if i % 700 == 0 {
+                    i << 20
+                } else {
+                    0x40_0000 + 4 * i
+                },
+                op: if i % 3 == 0 { Op::Store(i) } else { Op::Alu },
+            })
+            .collect();
+        let buf: TraceBuffer = records.iter().copied().collect();
+        assert!(buf.iter().eq(records.iter().copied()));
+        assert_eq!(buf.iter().len(), records.len());
+    }
+
+    #[test]
+    fn spec_profiles_fit_in_five_bytes_per_record() {
+        const RECORDS: usize = 100_000;
+        for p in crate::profiles::all() {
+            let buf = crate::Trace::new(&p, 1).take_buffer(RECORDS);
+            let per_record = buf.column_bytes() as f64 / RECORDS as f64;
+            assert!(per_record <= 5.0, "{}: {per_record:.2} B/record", p.name);
+        }
     }
 
     #[test]
