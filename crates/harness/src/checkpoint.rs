@@ -13,16 +13,20 @@
 //! hex), never through decimal formatting — that is what makes a
 //! resumed sweep byte-identical to an uninterrupted one.
 //!
-//! Writes go through a temp file that is synced before it is renamed
-//! over the checkpoint, so a crash or power loss mid-write leaves the
-//! previous consistent snapshot in place.
+//! Each completed job appends one line and fsyncs it, so a sweep writes
+//! O(n) bytes. A crash mid-append can leave a cut-off final line, which
+//! [`Checkpoint::resume`] drops (that job simply re-runs). The log is
+//! compacted — rewritten with one line per live key through a temp file
+//! that is synced before it is renamed over the checkpoint — when it
+//! holds more than twice the live entries, and on [`Checkpoint::flush`].
+//! A failed append is followed by a rewrite, never by another append.
 //!
 //! No serde: the format is a fixed two-field object per line, parsed
 //! with the same hand-rolled helpers the bench baseline reader uses.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -121,6 +125,11 @@ pub struct Checkpoint {
     path: PathBuf,
     meta: CheckpointMeta,
     entries: BTreeMap<String, String>,
+    /// Entry lines in the file, superseded ones included.
+    logged: usize,
+    /// Append handle on the file, present only while the file ends on a
+    /// complete line; without one the next `put` rewrites the file.
+    log: Option<File>,
 }
 
 impl Checkpoint {
@@ -131,6 +140,8 @@ impl Checkpoint {
             path: path.to_path_buf(),
             meta,
             entries: BTreeMap::new(),
+            logged: 0,
+            log: None,
         };
         ckpt.flush()?;
         Ok(ckpt)
@@ -138,10 +149,15 @@ impl Checkpoint {
 
     /// Loads an existing checkpoint at `path` for resumption. Errors
     /// if the file is missing/unreadable/malformed or its header does
-    /// not match `meta`.
+    /// not match `meta`. A final line with no newline is the remains of
+    /// an interrupted append: it is dropped and the file compacted.
     pub fn resume(path: &Path, meta: CheckpointMeta) -> Result<Checkpoint, String> {
-        let text = fs::read_to_string(path)
+        let mut text = fs::read_to_string(path)
             .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
+        let cut_off = !text.ends_with('\n');
+        if cut_off {
+            text.truncate(text.rfind('\n').map_or(0, |i| i + 1));
+        }
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines
             .next()
@@ -163,6 +179,7 @@ impl Checkpoint {
             ));
         }
         let mut entries = BTreeMap::new();
+        let mut logged = 0;
         for line in lines {
             let key = json_str_field(line, "key").ok_or_else(|| {
                 format!("checkpoint {}: malformed entry {line:?}", path.display())
@@ -171,12 +188,20 @@ impl Checkpoint {
                 format!("checkpoint {}: malformed entry {line:?}", path.display())
             })?;
             entries.insert(key, value);
+            logged += 1;
         }
-        Ok(Checkpoint {
+        let mut ckpt = Checkpoint {
             path: path.to_path_buf(),
             meta,
             entries,
-        })
+            logged,
+            log: OpenOptions::new().append(true).open(path).ok(),
+        };
+        if cut_off || ckpt.needs_compaction() {
+            ckpt.flush()
+                .map_err(|e| format!("cannot rewrite checkpoint {}: {e}", path.display()))?;
+        }
+        Ok(ckpt)
     }
 
     /// Resumes from `path` if a checkpoint with matching `meta` exists
@@ -206,15 +231,36 @@ impl Checkpoint {
         self.entries.get(key).cloned()
     }
 
-    /// Records the result of one completed job and flushes to disk, so
-    /// the checkpoint is never more than one job behind reality.
+    /// Records the result of one completed job: appends its line and
+    /// fsyncs it, so the checkpoint is never more than one job behind
+    /// reality. Compacts the file once superseded lines outnumber the
+    /// live ones.
     pub fn put(&mut self, key: &str, value: &str) -> io::Result<()> {
         self.entries.insert(key.to_string(), value.to_string());
-        self.flush()
+        let line = entry_line(key, value);
+        let appended = self.log.as_mut().is_some_and(|log| {
+            log.write_all(line.as_bytes())
+                .and_then(|()| log.sync_data())
+                .is_ok()
+        });
+        if appended {
+            self.logged += 1;
+        }
+        // A failed append may have left a partial line, so the file is
+        // rewritten rather than appended to again.
+        if !appended || self.needs_compaction() {
+            self.flush()?;
+        }
+        Ok(())
     }
 
-    /// Atomically and durably rewrites the checkpoint file (temp file,
-    /// fsync, rename, fsync of the directory).
+    /// Whether the log holds more than twice the live entries.
+    fn needs_compaction(&self) -> bool {
+        self.logged > 2 * self.entries.len()
+    }
+
+    /// Atomically and durably rewrites the checkpoint file with one line
+    /// per live entry (temp file, fsync, rename, fsync of the directory).
     pub fn flush(&mut self) -> io::Result<()> {
         let mut out = String::new();
         out.push_str(&format!(
@@ -222,10 +268,11 @@ impl Checkpoint {
             self.meta.experiment, self.meta.records, self.meta.warmup, self.meta.seed
         ));
         for (key, value) in &self.entries {
-            out.push_str(&format!("{{\"key\": \"{key}\", \"value\": \"{value}\"}}\n"));
+            out.push_str(&entry_line(key, value));
         }
+        self.log = None;
         let tmp = self.path.with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
+        let mut file = File::create(&tmp)?;
         file.write_all(out.as_bytes())?;
         // The bytes reach the disk before the rename publishes them, so
         // a power loss leaves the old snapshot or the new one, never an
@@ -240,8 +287,10 @@ impl Checkpoint {
                 Some(dir) if !dir.as_os_str().is_empty() => dir,
                 _ => Path::new("."),
             };
-            fs::File::open(dir)?.sync_all()?;
+            File::open(dir)?.sync_all()?;
         }
+        self.logged = self.entries.len();
+        self.log = Some(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
     }
 
@@ -254,6 +303,11 @@ impl Checkpoint {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// One entry's log line.
+fn entry_line(key: &str, value: &str) -> String {
+    format!("{{\"key\": \"{key}\", \"value\": \"{value}\"}}\n")
 }
 
 /// Extracts `"name": "value"` from a single-line JSON object. Values
@@ -377,6 +431,78 @@ mod tests {
         let v = f64::decode(&loaded.get("fig3/gzip/mf8").unwrap()).unwrap();
         assert_eq!(v.to_bits(), 0.0421f64.to_bits());
         assert_eq!(loaded.get("fig3/gzip/mf32"), None);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn puts_append_lines_and_compact_superseded_ones() {
+        let path = tmp_path("append");
+        let mut ckpt = Checkpoint::create(&path, meta()).unwrap();
+        let lines = |p: &Path| fs::read_to_string(p).unwrap().lines().count();
+        for (i, key) in ["a", "b", "c"].iter().enumerate() {
+            ckpt.put(key, &i.to_string()).unwrap();
+            assert_eq!(lines(&path), 2 + i, "header + one line per put");
+        }
+        // Rewriting one key grows the log until superseded lines
+        // outnumber the live ones, then the file is compacted.
+        for i in 0..20u64 {
+            ckpt.put("a", &i.to_string()).unwrap();
+            assert!(
+                lines(&path) <= 1 + 2 * ckpt.len(),
+                "log never exceeds 2x live"
+            );
+        }
+        assert_eq!(ckpt.len(), 3);
+        ckpt.flush().unwrap();
+        assert_eq!(lines(&path), 4, "flush leaves one line per live key");
+        let loaded = Checkpoint::resume(&path, meta()).unwrap();
+        assert_eq!(loaded.get("a").as_deref(), Some("19"));
+        assert_eq!(loaded.get("c").as_deref(), Some("2"));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_drops_a_cut_off_final_entry() {
+        let path = tmp_path("cutoff");
+        let mut ckpt = Checkpoint::create(&path, meta()).unwrap();
+        ckpt.put("fig3/gzip/mf8", &0.0421f64.encode()).unwrap();
+        ckpt.put("fig3/gzip/mf16", &0.0399f64.encode()).unwrap();
+        drop(ckpt);
+        // A crash mid-append: the last line stops partway through.
+        let mut text = fs::read_to_string(&path).unwrap();
+        let cut = text.trim_end().len() - 8;
+        text.truncate(cut);
+        fs::write(&path, &text).unwrap();
+
+        let mut resumed = Checkpoint::resume(&path, meta()).unwrap();
+        assert_eq!(resumed.len(), 1);
+        assert!(resumed.get("fig3/gzip/mf8").is_some());
+        assert_eq!(
+            resumed.get("fig3/gzip/mf16"),
+            None,
+            "the cut-off job re-runs"
+        );
+        // The next append starts on a clean line.
+        resumed.put("fig3/gzip/mf16", &0.0399f64.encode()).unwrap();
+        let again = Checkpoint::resume(&path, meta()).unwrap();
+        assert_eq!(again.len(), 2);
+        let v = f64::decode(&again.get("fig3/gzip/mf16").unwrap()).unwrap();
+        assert_eq!(v.to_bits(), 0.0399f64.to_bits());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_append_falls_back_to_a_rewrite() {
+        let path = tmp_path("failed-append");
+        let mut ckpt = Checkpoint::create(&path, meta()).unwrap();
+        ckpt.put("a", "1").unwrap();
+        // A read-only handle fails every append, as a full disk would.
+        ckpt.log = Some(File::open(&path).unwrap());
+        ckpt.put("b", "2").unwrap();
+        ckpt.put("c", "3").unwrap();
+        let loaded = Checkpoint::resume(&path, meta()).unwrap();
+        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded.get("b").as_deref(), Some("2"));
         let _ = fs::remove_file(&path);
     }
 

@@ -37,7 +37,8 @@
 //! benchmark's per-side access stream ([`run::SideTrace`]) so the side
 //! filtering runs once and every config job is pure model work; raw
 //! record buffers are memoized separately for the callers that need
-//! them (the CPU model, the golden-stats tests).
+//! them (the CPU model, the golden-stats tests), and released after
+//! their last declared use.
 //! `crates/harness/tests/determinism.rs` and `tests/golden_stats.rs`
 //! enforce both properties.
 

@@ -707,6 +707,8 @@ fn main() -> ExitCode {
     match guarded(Some(&engine), dispatch) {
         Ok(code) => {
             warn_if_degraded(&engine);
+            // Compacts the checkpoint's append log to one line per job.
+            engine.checkpoint_flush();
             code
         }
         Err(code) => code,

@@ -129,18 +129,25 @@ pub fn job_seed(base: u64, benchmark: &str, side: Side) -> u64 {
 /// jobs replay the shared, immutable buffer. The same applies to the
 /// extracted [`SideTrace`] streams: the per-side filtering and
 /// instruction-block collapse run once per `(profile, len, side)`, so
-/// every config job of a sweep is pure model work. Traces are held as
-/// compact [`TraceBuffer`] columns (about 4 bytes/record instead of 24),
-/// so a full-length (2M-record) trace is ~8 MB and a whole 26-benchmark
-/// sweep holds about 210 MB — call [`TraceCache::clear`] between
-/// experiments if that matters.
+/// every config job of a sweep is pure model work.
+///
+/// Record buffers are compact [`TraceBuffer`] columns (about 4
+/// bytes/record), so a full-length (2M-record) trace is ~8 MB. A sweep
+/// that knows how many jobs will read a trace declares it with
+/// [`TraceCache::expect_uses`]; each [`TraceCache::get`] counts one use
+/// down, and the last one drops the cache's reference, so a 26-benchmark
+/// sweep holds only the traces its in-flight jobs still read. An entry
+/// with no declared count (or a request after the count ran out, such as
+/// a retried job, which regenerates the same bytes) stays cached until
+/// the cache is dropped. Side streams are always kept: sweeps read them
+/// back long after extraction.
 ///
 /// All lock accesses recover from poisoning: if a generation panics,
 /// its `OnceLock` cell stays uninitialized (retryable) and concurrent
 /// readers keep working instead of cascading the panic.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<(String, u64, u64), Arc<OnceLock<Arc<TraceBuffer>>>>>,
+    entries: Mutex<HashMap<TraceKey, RecordEntry>>,
     sides: SideMap,
     // Wall-clock spans of trace generation and side extraction. Timing
     // is inherently non-deterministic (and whether an extraction reads
@@ -150,7 +157,19 @@ pub struct TraceCache {
     timing: Mutex<Recorder>,
 }
 
-type SideMap = Mutex<HashMap<(String, u64, u64, u64, bool), Arc<OnceLock<Arc<SideTrace>>>>>;
+/// `(profile name, records, seed)`: the identity of one generated trace.
+type TraceKey = (&'static str, u64, u64);
+
+/// Side streams keyed additionally by `(warmup, is the data side)`.
+type SideMap = Mutex<HashMap<(TraceKey, u64, bool), Arc<OnceLock<Arc<SideTrace>>>>>;
+
+/// One cached record buffer and the number of declared requests still
+/// to come (`None`: kept until the cache is dropped).
+#[derive(Debug, Default)]
+struct RecordEntry {
+    cell: Arc<OnceLock<Arc<TraceBuffer>>>,
+    uses_left: Option<usize>,
+}
 
 impl TraceCache {
     /// Creates an empty cache.
@@ -158,11 +177,35 @@ impl TraceCache {
         Self::default()
     }
 
+    /// Declares that `uses` more [`Self::get`] calls will request the
+    /// trace of `profile` at `len`; the call that uses up the count
+    /// drops the cached buffer (callers still holding its `Arc` keep
+    /// reading it). Declarations add up, so overlapping sweeps on one
+    /// cache each account for their own requests.
+    pub fn expect_uses(&self, profile: &BenchmarkProfile, len: RunLength, uses: usize) {
+        if uses == 0 {
+            return;
+        }
+        let mut entries = recover(self.entries.lock());
+        let entry = entries.entry(trace_key(profile, len)).or_default();
+        entry.uses_left = Some(entry.uses_left.unwrap_or(0) + uses);
+    }
+
     /// Returns the trace of `profile` at `len`, generating it on first
-    /// use.
+    /// use, and counts down a declared use (see [`Self::expect_uses`]).
     pub fn get(&self, profile: &BenchmarkProfile, len: RunLength) -> Arc<TraceBuffer> {
-        let key = (profile.name.to_string(), len.records, len.seed);
-        let cell = recover(self.entries.lock()).entry(key).or_default().clone();
+        let key = trace_key(profile, len);
+        let cell = {
+            let mut entries = recover(self.entries.lock());
+            let entry = entries.entry(key).or_default();
+            let cell = entry.cell.clone();
+            match entry.uses_left {
+                Some(1) => drop(entries.remove(&key)),
+                Some(n) => entry.uses_left = Some(n - 1),
+                None => {}
+            }
+            cell
+        };
         // Generation happens outside the map lock; concurrent callers
         // of the same key block on the OnceLock, not on the whole map.
         cell.get_or_init(|| {
@@ -181,27 +224,21 @@ impl TraceCache {
     /// the stream.
     ///
     /// If the raw records are already cached (a [`Self::get`] caller
-    /// wanted them) the extraction reads them; otherwise it streams
-    /// straight from the generator without materializing the record
-    /// buffer — miss-rate sweeps only ever need the (much smaller)
-    /// access streams.
+    /// wanted them) the extraction reads them, without counting a use;
+    /// otherwise it streams straight from the generator without
+    /// materializing the record buffer — miss-rate sweeps only ever
+    /// need the (much smaller) access streams.
     pub fn side(&self, profile: &BenchmarkProfile, len: RunLength, side: Side) -> Arc<SideTrace> {
-        let key = (
-            profile.name.to_string(),
-            len.records,
-            len.seed,
-            len.warmup,
-            side == Side::Data,
-        );
-        let cell = recover(self.sides.lock()).entry(key).or_default().clone();
+        let key = trace_key(profile, len);
+        let cell = recover(self.sides.lock())
+            .entry((key, len.warmup, side == Side::Data))
+            .or_default()
+            .clone();
         cell.get_or_init(|| {
             let start = Instant::now();
-            let cached_records = {
-                let entries = recover(self.entries.lock());
-                entries
-                    .get(&(profile.name.to_string(), len.records, len.seed))
-                    .and_then(|c| c.get().cloned())
-            };
+            let cached_records = recover(self.entries.lock())
+                .get(&key)
+                .and_then(|e| e.cell.get().cloned());
             let trace = match cached_records {
                 Some(records) => SideTrace::extract(records.iter(), side, len.warmup),
                 None => SideTrace::extract(
@@ -222,21 +259,22 @@ impl TraceCache {
         recover(self.timing.lock()).clone()
     }
 
-    /// Number of distinct traces currently cached.
+    /// Number of distinct record buffers currently cached.
     pub fn len(&self) -> usize {
-        recover(self.entries.lock()).len()
+        recover(self.entries.lock())
+            .values()
+            .filter(|e| e.cell.get().is_some())
+            .count()
     }
 
-    /// Whether the cache is empty.
+    /// Whether no record buffer is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Drops every cached trace and extracted side stream.
-    pub fn clear(&self) {
-        recover(self.entries.lock()).clear();
-        recover(self.sides.lock()).clear();
-    }
+fn trace_key(profile: &BenchmarkProfile, len: RunLength) -> TraceKey {
+    (profile.name, len.records, len.seed)
 }
 
 /// Retry/backoff/timeout policy of [`Engine::run`].
@@ -539,7 +577,7 @@ impl Engine {
         recover(self.checkpoint.lock()).is_some()
     }
 
-    /// Flushes the attached checkpoint (if any) to disk, logging — not
+    /// Compacts the attached checkpoint (if any) on disk, logging — not
     /// raising — write errors, so a flush on the failure path cannot
     /// mask the original error.
     pub fn checkpoint_flush(&self) {
@@ -1171,8 +1209,7 @@ mod tests {
         let c = cache.get(&p, RunLength::with_records(2_000));
         assert_eq!(c.len(), 2_000);
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
+        assert!(TraceCache::new().is_empty());
     }
 
     #[test]
@@ -1193,10 +1230,79 @@ mod tests {
         // The other side is a distinct entry with a distinct stream.
         let i = cache.side(&p, len, Side::Instruction);
         assert_ne!(*i, *a);
-        cache.clear();
-        let c = cache.side(&p, len, Side::Data);
-        assert!(!Arc::ptr_eq(&a, &c), "clear drops side streams too");
+        let c = TraceCache::new().side(&p, len, Side::Data);
+        assert!(!Arc::ptr_eq(&a, &c), "a fresh cache extracts again");
         assert_eq!(*a, *c);
+    }
+
+    #[test]
+    fn declared_uses_release_the_records_after_the_last_get() {
+        let cache = TraceCache::new();
+        let p = profiles::by_name("gzip").unwrap();
+        let len = RunLength::with_records(3_000);
+        cache.expect_uses(&p, len, 3);
+        assert!(cache.is_empty(), "a declaration alone generates nothing");
+        let first = cache.get(&p, len);
+        let second = cache.get(&p, len);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.len(), 1);
+        let last = cache.get(&p, len);
+        assert!(Arc::ptr_eq(&first, &last));
+        assert!(cache.is_empty(), "the last declared use drops the entry");
+        // Arcs taken before the release still read the full buffer.
+        let fresh = Trace::new(&p, len.seed).take_buffer(record_count(len.records));
+        assert_eq!(*first, fresh);
+        // One request too many regenerates the same records and keeps
+        // them with no count.
+        let again = cache.get(&p, len);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(*again, fresh);
+        for _ in 0..5 {
+            assert!(Arc::ptr_eq(&again, &cache.get(&p, len)));
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache
+                .timing_snapshot()
+                .timing("phase.trace_gen")
+                .unwrap()
+                .count,
+            2
+        );
+    }
+
+    #[test]
+    fn undeclared_entries_survive_any_number_of_gets() {
+        let cache = TraceCache::new();
+        let p = profiles::by_name("mcf").unwrap();
+        let len = RunLength::with_records(1_000);
+        let first = cache.get(&p, len);
+        for _ in 0..100 {
+            assert!(Arc::ptr_eq(&first, &cache.get(&p, len)));
+        }
+        assert_eq!(cache.len(), 1);
+        // A declaration for another run length leaves this entry alone.
+        let other = RunLength::with_records(2_000);
+        cache.expect_uses(&p, other, 1);
+        cache.get(&p, other);
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&first, &cache.get(&p, len)));
+    }
+
+    #[test]
+    fn declarations_add_up_and_side_reads_do_not_count() {
+        let cache = TraceCache::new();
+        let p = profiles::by_name("equake").unwrap();
+        let len = RunLength::with_records(2_000);
+        cache.expect_uses(&p, len, 1);
+        cache.expect_uses(&p, len, 1);
+        cache.expect_uses(&p, len, 0);
+        let records = cache.get(&p, len);
+        // Extraction reads the cached records without using them up.
+        cache.side(&p, len, Side::Data);
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&records, &cache.get(&p, len)));
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -168,11 +168,16 @@ pub fn run_perf(len: RunLength) -> Vec<PerfRow> {
 
 /// [`run_perf`] on a caller-owned [`Engine`]: one job per
 /// (benchmark, configuration), all replaying the benchmark's cached
-/// trace through the full CPU model.
+/// trace through the full CPU model. Each benchmark's records are
+/// declared for its `configs.len()` jobs, so the cache releases them
+/// once the last of those jobs has fetched them.
 pub fn run_perf_with(engine: &Engine, len: RunLength) -> Vec<PerfRow> {
     let mut configs = vec![CacheConfig::DirectMapped];
     configs.extend(CacheConfig::figure8_set());
     let benchmarks = profiles::all();
+    for p in &benchmarks {
+        engine.traces().expect_uses(p, len, configs.len());
+    }
     let jobs: Vec<_> = benchmarks
         .iter()
         .flat_map(|p| {
