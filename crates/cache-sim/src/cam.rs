@@ -7,15 +7,15 @@
 //! structure — the victim buffer's 16-entry FA search, AGAC's
 //! out-of-position directory, the HAC subarrays — shares one
 //! implementation, now built on the [`crate::simd`] lane operations:
-//! each probe is a compare-mask (AVX2 or portable, decided once per
-//! process) followed by a `trailing_zeros` priority encode.
+//! each probe is a compare-mask (AVX2 when the CPU reports it, portable
+//! otherwise) followed by a `trailing_zeros` priority encode.
 //!
 //! Each helper takes a const generic width `N`; `N == 0` selects a
 //! runtime-width fallback with identical semantics (first match /
 //! first invalid / first minimum), so callers dispatch on the common
 //! power-of-two widths and fall back for exotic shapes. With `N > 0`
-//! the slice length is known to the compiler, so the portable backend
-//! unrolls the lane loop exactly like the hand-written PR 7 kernels.
+//! the slice length is known to the compiler, so the portable body
+//! unrolls the lane loop like a hand-written kernel.
 
 use crate::packed;
 use crate::simd;

@@ -172,14 +172,13 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
         // The address decode (set/tag split) is the pure, state-
         // independent half of an access, so it runs a whole lane group
         // ahead of the serial hit/miss resolution: eight addresses are
-        // swizzled through `simd::shr_and` per iteration, then resolved
-        // in order against the line array.
+        // split through the portable `simd::shr_and` per iteration, then
+        // resolved in order against the line array.
         let split = self.geom.split();
         let lines = &mut self.lines[..];
         let usage = &mut self.usage;
         let observer = &mut self.observer;
         let mut tally = BatchTally::new();
-        let be = simd::backend();
         let mut raw = [0u64; simd::LANES];
         let mut sets = [0u64; simd::LANES];
         let mut tags = [0u64; simd::LANES];
@@ -188,20 +187,13 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
             for (i, &(addr, _)) in group.iter().enumerate() {
                 raw[i] = addr.raw();
             }
-            simd::shr_and_with(
-                be,
+            simd::shr_and(
                 &raw[..n],
                 split.index_shift,
                 split.index_mask,
                 &mut sets[..n],
             );
-            simd::shr_and_with(
-                be,
-                &raw[..n],
-                split.tag_shift,
-                split.tag_mask,
-                &mut tags[..n],
-            );
+            simd::shr_and(&raw[..n], split.tag_shift, split.tag_mask, &mut tags[..n]);
             for (i, &(_, kind)) in group.iter().enumerate() {
                 let set = sets[i] as usize;
                 let tag = tags[i];

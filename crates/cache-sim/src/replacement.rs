@@ -129,7 +129,7 @@ impl ReplacementPolicy for Lru {
         // First minimal stamp via the lane-sliced min reduction: the
         // iterator min_by_key compiles to a serial compare chain that
         // dominates wide-associativity miss paths, while `min_index`
-        // runs four stamps per compare on the AVX2 backend (identical
+        // runs four stamps per compare when the CPU has AVX2 (identical
         // lowest-index tie-break either way).
         crate::simd::min_index(&self.stamps[base..base + self.assoc])
     }

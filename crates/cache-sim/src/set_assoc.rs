@@ -291,8 +291,8 @@ pub(crate) struct StepOutcome {
 /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the boxed
 /// `dyn` policy, and over the associativity: `A > 0` monomorphizes the
 /// way scans into the fused CAM probe — a [`crate::simd`] compare-mask
-/// over whole lane groups, AVX2 or portable per the process backend
-/// (`A` must equal `assoc`) — while `A == 0` falls back to
+/// over whole lane groups, AVX2 when the CPU reports it, portable
+/// otherwise (`A` must equal `assoc`) — while `A == 0` falls back to
 /// runtime-width scans with identical first-match semantics.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]

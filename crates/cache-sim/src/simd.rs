@@ -1,141 +1,39 @@
-//! Runtime-dispatched SIMD lane operations for the batched replay
-//! kernels.
+//! Lane operations for the batched replay kernels.
 //!
 //! Every hot probe in the simulator is a data-parallel sweep over a
-//! small `u64` array: the packed tag compare of the direct-mapped and
-//! set-associative arrays, the CAM probes behind [`crate::cam`] (the
-//! victim buffer, AGAC's directory, the HAC subarrays), the B-Cache's
+//! small `u64` array: the packed tag compare of the set-associative
+//! arrays, the CAM probes behind [`crate::cam`] (the victim buffer,
+//! AGAC's directory, the HAC subarrays), the B-Cache's
 //! programmable-decoder entry match in `bcache-core`, and the LRU
 //! stamp scan. This module factors those sweeps into a handful of
-//! *lane operations* — compare-mask, first-set-lane, masked select,
-//! popcount tally, min-index, and a swizzled shift-and-mask used for
-//! address field decode — each with two implementations:
+//! *lane operations* — first-match, dual compare-mask, first-set-lane,
+//! popcount tally, min-index, and a shift-and-mask used for address
+//! field decode.
 //!
-//! * a **portable** pure-`u64` path written as straight-line,
-//!   branch-free loops the scalar backend unrolls (this is exactly the
-//!   code the PR 7 kernels inlined by hand), and
-//! * an **AVX2** path (`core::arch::x86_64`) processing four 64-bit
-//!   lanes per vector, guarded by `is_x86_feature_detected!`.
+//! The three per-access probes — [`first_match`], [`dual_eq_masks`] and
+//! [`min_index`] — have an **AVX2** body (`core::arch::x86_64`, four
+//! 64-bit lanes per vector) next to the portable one. They pick it from
+//! the platform alone: x86-64 and `is_x86_feature_detected!("avx2")`
+//! (std caches the answer), with no override. Measured on traced
+//! `replay-hit`, the portable bodies cost the 8-way, B-Cache and HAC
+//! kernels 17–46% more per access (EXPERIMENTS.md, "Lane operations").
+//! Every other operation is a single portable pure-`u64` loop:
+//! straight-line and branch-free, the shape LLVM unrolls and
+//! auto-vectorizes on any target.
 //!
-//! Dispatch is decided once per process and cached in an atomic:
-//! [`backend`] returns AVX2 only when the CPU reports it *and* the
-//! `BCACHE_NO_SIMD` environment knob is unset (any value other than
-//! `0` forces the portable path — the CI equivalence matrix runs both
-//! ways). Every operation also has an explicit `*_with(Backend, ...)`
-//! form so tests can compare the two implementations in-process
-//! without touching global state.
-//!
-//! Semantics are identical across backends by construction and
-//! enforced by `harness/tests/simd_equivalence.rs`: first-match,
-//! first-invalid and first-minimum indices, bit-for-bit.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Both bodies of a probe return the same first-match, first-cold and
+//! first-minimum index, bit for bit; the tests below check each body
+//! against a plain iterator.
 
 /// Lanes the batched kernels consume per iteration (the u64×8 group:
 /// two AVX2 vectors, or one unrolled portable block).
 pub const LANES: usize = 8;
 
-/// Which implementation the lane operations run on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Pure-`u64` bit-sliced loops; always available.
-    Portable,
-    /// Four 64-bit lanes per `__m256i` vector (x86-64 only).
-    Avx2,
-}
-
-impl Backend {
-    /// Stable lowercase name, used to stamp bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Portable => "portable",
-            Backend::Avx2 => "avx2",
-        }
-    }
-}
-
-/// `0` = undecided, `1` = portable, `2` = AVX2.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Decides the backend from the environment, uncached: portable when
-/// `BCACHE_NO_SIMD` is set to anything but `0`, otherwise AVX2 when
-/// the CPU reports it.
-pub fn detect() -> Backend {
-    let disabled = std::env::var_os("BCACHE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != *"0");
-    if disabled {
-        return Backend::Portable;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Backend::Avx2;
-    }
-    Backend::Portable
-}
-
-/// The process-wide backend, decided by [`detect`] on first use and
-/// cached.
-#[inline]
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => Backend::Portable,
-        2 => Backend::Avx2,
-        _ => {
-            let b = detect();
-            force_backend(b);
-            b
-        }
-    }
-}
-
-/// Overrides the cached backend for the rest of the process (or until
-/// the next call). Intended for equivalence tests and benchmarks;
-/// forcing [`Backend::Avx2`] on a CPU without AVX2 is undefined
-/// behavior, so callers must gate on [`detect`].
-pub fn force_backend(b: Backend) {
-    let code = match b {
-        Backend::Portable => 1,
-        Backend::Avx2 => 2,
-    };
-    BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The backends safe to run on this machine, portable first. Tests
-/// iterate this to cover both dispatch paths where the hardware
-/// allows.
-pub fn available_backends() -> Vec<Backend> {
-    let mut out = vec![Backend::Portable];
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        out.push(Backend::Avx2);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Lane operations. Each `op(...)` delegates to `op_with(backend(), ...)`;
-// the `_with` form is the testable, explicitly-dispatched entry point.
-
-/// Bit `i` of the result is set iff `(words[i] & and_mask) == needle`.
-///
-/// The one compare that serves every probe in the tree: packed
-/// tag-match is `and_mask = !2` (dirty bit ignored) against the
-/// `tag<<2|1` search key, validity is `and_mask = 1`, and the PD's
-/// raw-entry compare is `and_mask = !0`. `words.len()` must be ≤ 64.
+/// Whether the AVX2 bodies may run on this CPU.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
-    masked_eq_mask_with(backend(), words, and_mask, needle)
-}
-
-/// [`masked_eq_mask`] on an explicit backend.
-#[inline(always)]
-pub fn masked_eq_mask_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> u64 {
-    debug_assert!(words.len() <= 64, "lane mask wider than u64");
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::masked_eq_mask(words, and_mask, needle) };
-    }
-    let _ = b;
-    portable::masked_eq_mask(words, and_mask, needle)
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// One pass, two needles: returns the lane masks of
@@ -145,22 +43,13 @@ pub fn masked_eq_mask_with(b: Backend, words: &[u64], and_mask: u64, needle: u64
 /// both the PI match and the cold-entry (sentinel) compare.
 #[inline(always)]
 pub fn dual_eq_masks(words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
-    dual_eq_masks_with(backend(), words, needle_a, needle_b)
-}
-
-/// [`dual_eq_masks`] on an explicit backend.
-#[inline(always)]
-pub fn dual_eq_masks_with(b: Backend, words: &[u64], needle_a: u64, needle_b: u64) -> (u64, u64) {
     debug_assert!(words.len() <= 64, "lane mask wider than u64");
-    // Below one vector the scalar compares win (see `first_match_with`).
-    if words.len() < 4 {
-        return portable::dual_eq_masks(words, needle_a, needle_b);
-    }
+    // Below one vector the scalar compares win (see `first_match`).
     #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
+    if words.len() >= 4 && has_avx2() {
+        // SAFETY: the CPU reports AVX2.
         return unsafe { avx2::dual_eq_masks(words, needle_a, needle_b) };
     }
-    let _ = b;
     portable::dual_eq_masks(words, needle_a, needle_b)
 }
 
@@ -173,68 +62,34 @@ pub fn first_set_lane(mask: u64) -> Option<usize> {
 
 /// Index of the first word with `(word & and_mask) == needle`, over a
 /// slice of any length (chunked compare-mask with an early out).
+///
+/// The compare behind the tag and CAM probes: packed tag-match is
+/// `and_mask = !2` (dirty bit ignored) against the `tag<<2|1` search
+/// key, and first-invalid is `and_mask = 1` against 0.
 #[inline(always)]
 pub fn first_match(words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
-    first_match_with(backend(), words, and_mask, needle)
-}
-
-/// [`first_match`] on an explicit backend.
-#[inline(always)]
-pub fn first_match_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
     // Tiny widths (direct-mapped, 2-way) go straight to the scalar
     // compare: a vector setup costs more than the probe itself.
     if words.len() < 4 {
         return words.iter().position(|&w| (w & and_mask) == needle);
     }
     #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
+    if has_avx2() {
+        // SAFETY: the CPU reports AVX2.
         return unsafe { avx2::first_match(words, and_mask, needle) };
     }
-    let _ = b;
     portable::first_match(words, and_mask, needle)
 }
 
 /// How many words satisfy `(word & and_mask) == needle` (popcount
-/// tally over the compare masks); any slice length.
+/// tally over the compares); any slice length.
 #[inline(always)]
 pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-    count_matching_with(backend(), words, and_mask, needle)
-}
-
-/// [`count_matching`] on an explicit backend.
-#[inline(always)]
-pub fn count_matching_with(b: Backend, words: &[u64], and_mask: u64, needle: u64) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::count_matching(words, and_mask, needle) };
+    let mut n = 0usize;
+    for &w in words {
+        n += ((w & and_mask) == needle) as usize;
     }
-    let _ = b;
-    portable::count_matching(words, and_mask, needle)
-}
-
-/// Lane-wise select: `out[i] = if mask bit i { on[i] } else { off[i] }`.
-///
-/// The blend primitive of the min-reduction below; exposed because the
-/// interleaved replay kernel and tests use it directly. All three
-/// slices must share a length ≤ 64.
-#[inline(always)]
-pub fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-    select_lanes_with(backend(), mask, on, off, out)
-}
-
-/// [`select_lanes`] on an explicit backend.
-#[inline(always)]
-pub fn select_lanes_with(b: Backend, mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-    assert!(
-        on.len() == off.len() && on.len() == out.len() && on.len() <= 64,
-        "select_lanes needs three equal slices of at most 64 lanes"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::select_lanes(mask, on, off, out) };
-    }
-    let _ = b;
-    portable::select_lanes(mask, on, off, out)
+    n
 }
 
 /// Index of the first minimum of `stamps` — exactly the victim LRU's
@@ -242,12 +97,6 @@ pub fn select_lanes_with(b: Backend, mask: u64, on: &[u64], off: &[u64], out: &m
 /// an empty slice.
 #[inline(always)]
 pub fn min_index(stamps: &[u64]) -> usize {
-    min_index_with(backend(), stamps)
-}
-
-/// [`min_index`] on an explicit backend.
-#[inline(always)]
-pub fn min_index_with(b: Backend, stamps: &[u64]) -> usize {
     // Below one vector the serial compare chain wins.
     if stamps.len() < 4 {
         let mut best = 0;
@@ -259,45 +108,38 @@ pub fn min_index_with(b: Backend, stamps: &[u64]) -> usize {
         return best;
     }
     #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
+    if has_avx2() {
+        // SAFETY: the CPU reports AVX2.
         return unsafe { avx2::min_index(stamps) };
     }
-    let _ = b;
     portable::min_index(stamps)
 }
 
-/// Swizzled field decode: `out[i] = (src[i] >> shift) & mask`.
+/// Field decode: `out[i] = (src[i] >> shift) & mask`.
 ///
 /// The pure (state-independent) half of an access — splitting a lane
 /// group of addresses into set indices or tags — which the batched
 /// kernels hoist out of the serial hit/miss resolution loop.
 #[inline(always)]
 pub fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-    shr_and_with(backend(), src, shift, mask, out)
-}
-
-/// [`shr_and`] on an explicit backend.
-#[inline(always)]
-pub fn shr_and_with(b: Backend, src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
     assert_eq!(src.len(), out.len(), "shr_and needs equal slices");
     debug_assert!(shift < 64, "shift must stay in range");
-    #[cfg(target_arch = "x86_64")]
-    if b == Backend::Avx2 {
-        return unsafe { avx2::shr_and(src, shift, mask, out) };
+    for i in 0..src.len() {
+        out[i] = (src[i] >> shift) & mask;
     }
-    let _ = b;
-    portable::shr_and(src, shift, mask, out)
 }
 
 // ---------------------------------------------------------------------
-// Portable (pure-u64) implementations: bit-sliced loops with no data-
+// Portable bodies of the three probes: bit-sliced loops with no data-
 // dependent branches, the shape LLVM auto-vectorizes on any target.
 
 mod portable {
     use super::LANES;
 
+    /// Bit `i` of the result is set iff `(words[i] & and_mask) == needle`,
+    /// over at most [`LANES`] words.
     #[inline(always)]
-    pub fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
+    fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
         let mut m = 0u64;
         for (i, &w) in words.iter().enumerate() {
             m |= (((w & and_mask) == needle) as u64) << i;
@@ -333,24 +175,6 @@ mod portable {
     }
 
     #[inline(always)]
-    pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-        let mut n = 0usize;
-        for &w in words {
-            n += ((w & and_mask) == needle) as usize;
-        }
-        n
-    }
-
-    #[inline(always)]
-    pub fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-        for i in 0..out.len() {
-            // Branch-free blend: all-ones lane where the mask bit is set.
-            let lane = 0u64.wrapping_sub((mask >> i) & 1);
-            out[i] = (on[i] & lane) | (off[i] & !lane);
-        }
-    }
-
-    #[inline(always)]
     pub fn min_index(stamps: &[u64]) -> usize {
         // Two passes: a lane-sliced running minimum (vectorizable),
         // then the priority encoder over lanes equal to the global
@@ -358,13 +182,11 @@ mod portable {
         let mut vmin = [u64::MAX; LANES];
         let mut chunks = stamps.chunks_exact(LANES);
         for c in &mut chunks {
-            let mut lt = 0u64;
             for i in 0..LANES {
-                lt |= ((c[i] < vmin[i]) as u64) << i;
+                // Branch-free blend: all-ones where the new stamp is lower.
+                let lt = 0u64.wrapping_sub((c[i] < vmin[i]) as u64);
+                vmin[i] = (c[i] & lt) | (vmin[i] & !lt);
             }
-            let mut next = [0u64; LANES];
-            select_lanes(lt, c, &vmin, &mut next);
-            vmin = next;
         }
         let mut m = u64::MAX;
         for &s in vmin.iter().chain(chunks.remainder()) {
@@ -374,19 +196,12 @@ mod portable {
         }
         first_match(stamps, !0, m).expect("the minimum is present")
     }
-
-    #[inline(always)]
-    pub fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-        for i in 0..src.len() {
-            out[i] = (src[i] >> shift) & mask;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// AVX2 implementations: four u64 lanes per __m256i vector, scalar
-// tails. All functions here require the avx2 target feature, which
-// dispatch guarantees via `is_x86_feature_detected!`.
+// AVX2 bodies of the three probes: four u64 lanes per __m256i vector,
+// scalar tails. Each requires the avx2 target feature, which the
+// callers above check with `is_x86_feature_detected!`.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -398,24 +213,6 @@ mod avx2 {
     unsafe fn cmp_nibble(v: __m256i, and_mask: __m256i, needle: __m256i) -> u64 {
         let eq = _mm256_cmpeq_epi64(_mm256_and_si256(v, and_mask), needle);
         _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u64 & 0xF
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn masked_eq_mask(words: &[u64], and_mask: u64, needle: u64) -> u64 {
-        let am = _mm256_set1_epi64x(and_mask as i64);
-        let nd = _mm256_set1_epi64x(needle as i64);
-        let mut m = 0u64;
-        let mut lane = 0;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            m |= cmp_nibble(v, am, nd) << lane;
-            lane += 4;
-        }
-        for (i, &w) in chunks.remainder().iter().enumerate() {
-            m |= (((w & and_mask) == needle) as u64) << (lane + i);
-        }
-        m
     }
 
     #[target_feature(enable = "avx2")]
@@ -461,43 +258,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-        let am = _mm256_set1_epi64x(and_mask as i64);
-        let nd = _mm256_set1_epi64x(needle as i64);
-        let mut n = 0usize;
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            n += cmp_nibble(v, am, nd).count_ones() as usize;
-        }
-        for &w in chunks.remainder() {
-            n += ((w & and_mask) == needle) as usize;
-        }
-        n
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn select_lanes(mask: u64, on: &[u64], off: &[u64], out: &mut [u64]) {
-        // Lane i of the select mask is all-ones iff nibble bit i is
-        // set: broadcast the nibble, AND with each lane's bit, compare.
-        let lane_bits = _mm256_set_epi64x(8, 4, 2, 1);
-        let mut i = 0;
-        while i + 4 <= out.len() {
-            let nib = _mm256_set1_epi64x(((mask >> i) & 0xF) as i64);
-            let sel = _mm256_cmpeq_epi64(_mm256_and_si256(nib, lane_bits), lane_bits);
-            let a = _mm256_loadu_si256(on.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(off.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_blendv_epi8(b, a, sel);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, r);
-            i += 4;
-        }
-        while i < out.len() {
-            out[i] = if (mask >> i) & 1 != 0 { on[i] } else { off[i] };
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn min_index(stamps: &[u64]) -> usize {
         // AVX2 has no unsigned 64-bit min, so compare in the sign-
         // biased domain (x ^ 1<<63 makes unsigned order signed) and
@@ -524,23 +284,6 @@ mod avx2 {
         }
         first_match(stamps, !0, m).expect("the minimum is present")
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-        let cnt = _mm_cvtsi64_si128(shift as i64);
-        let am = _mm256_set1_epi64x(mask as i64);
-        let mut i = 0;
-        while i + 4 <= src.len() {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_and_si256(_mm256_srl_epi64(v, cnt), am);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, r);
-            i += 4;
-        }
-        while i < src.len() {
-            out[i] = (src[i] >> shift) & mask;
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -559,126 +302,80 @@ mod tests {
         }
     }
 
-    /// Words with deliberately clustered values so compares hit often.
-    fn words_of(len: usize, seed: u64) -> Vec<u64> {
-        let mut next = rng(seed);
-        (0..len).map(|_| next() % 8).collect()
+    /// The bodies of the three probes this CPU can run — portable
+    /// always, AVX2 when the CPU reports it — plus the dispatched entry
+    /// points with their small-width shortcuts.
+    struct Body {
+        name: &'static str,
+        first_match: fn(&[u64], u64, u64) -> Option<usize>,
+        dual_eq_masks: fn(&[u64], u64, u64) -> (u64, u64),
+        min_index: fn(&[u64]) -> usize,
     }
 
-    #[test]
-    fn detect_honors_the_env_knob() {
-        // `detect` is uncached, so the knob can be probed directly.
-        let saved = std::env::var_os("BCACHE_NO_SIMD");
-        std::env::set_var("BCACHE_NO_SIMD", "1");
-        assert_eq!(detect(), Backend::Portable);
-        std::env::set_var("BCACHE_NO_SIMD", "0");
-        let unset_result = detect();
-        std::env::remove_var("BCACHE_NO_SIMD");
-        assert_eq!(detect(), unset_result, "0 must mean 'not disabled'");
-        if let Some(v) = saved {
-            std::env::set_var("BCACHE_NO_SIMD", v);
+    fn bodies() -> Vec<Body> {
+        let mut out = vec![
+            Body {
+                name: "portable",
+                first_match: portable::first_match,
+                dual_eq_masks: portable::dual_eq_masks,
+                min_index: portable::min_index,
+            },
+            Body {
+                name: "dispatched",
+                first_match,
+                dual_eq_masks,
+                min_index,
+            },
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY (each closure): the CPU reports AVX2.
+            out.push(Body {
+                name: "avx2",
+                first_match: |w, m, n| unsafe { avx2::first_match(w, m, n) },
+                dual_eq_masks: |w, a, b| unsafe { avx2::dual_eq_masks(w, a, b) },
+                min_index: |s| unsafe { avx2::min_index(s) },
+            });
         }
+        out
     }
 
+    /// Every body of every probe against a plain iterator, over every
+    /// length 0..=64 (vector bodies and every tail), with clustered
+    /// values (frequent hits and ties) and full-range ones, and needles
+    /// that are present, absent or `u64::MAX`.
     #[test]
-    fn available_backends_lists_portable_first() {
-        let b = available_backends();
-        assert_eq!(b[0], Backend::Portable);
-        assert!(b.len() <= 2);
-    }
-
-    #[test]
-    fn backend_cache_round_trips_forced_values() {
-        let prior = backend();
-        force_backend(Backend::Portable);
-        assert_eq!(backend(), Backend::Portable);
-        force_backend(prior);
-        assert_eq!(backend(), prior);
-    }
-
-    /// Every lane operation, portable vs AVX2 (when available) vs a
-    /// straight scalar reference, across lengths that exercise both
-    /// the vector body and the tails.
-    #[test]
-    fn backends_agree_on_every_op_and_length() {
-        for len in 0..=33 {
+    fn each_probe_body_matches_a_plain_iterator() {
+        let bodies = bodies();
+        for len in 0..=64usize {
             for seed in 0..4u64 {
-                let words = words_of(len, seed * 977 + len as u64);
-                for &(and_mask, needle) in
-                    &[(!0u64, 3u64), (!2u64, 1), (1u64, 0), (!0u64, u64::MAX)]
-                {
-                    let reference_mask: u64 = words
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &w)| (((w & and_mask) == needle) as u64) << i)
-                        .sum();
-                    let reference_first = words.iter().position(|&w| (w & and_mask) == needle);
-                    let reference_count =
-                        words.iter().filter(|&&w| (w & and_mask) == needle).count();
-                    for b in available_backends() {
-                        assert_eq!(
-                            masked_eq_mask_with(b, &words, and_mask, needle),
-                            reference_mask,
-                            "masked_eq_mask {b:?} len {len}"
-                        );
-                        assert_eq!(
-                            first_match_with(b, &words, and_mask, needle),
-                            reference_first,
-                            "first_match {b:?} len {len}"
-                        );
-                        assert_eq!(
-                            count_matching_with(b, &words, and_mask, needle),
-                            reference_count,
-                            "count_matching {b:?} len {len}"
-                        );
-                    }
-                }
-                // dual_eq_masks ≡ two single-needle masks.
-                for b in available_backends() {
-                    let (a, c) = dual_eq_masks_with(b, &words, 3, u64::MAX);
-                    assert_eq!(a, masked_eq_mask_with(b, &words, !0, 3), "{b:?}");
-                    assert_eq!(c, masked_eq_mask_with(b, &words, !0, u64::MAX), "{b:?}");
-                }
-                // min_index ≡ the first-minimum scan.
-                if !words.is_empty() {
-                    let reference_min = words
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, s)| *s)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    for b in available_backends() {
-                        assert_eq!(
-                            min_index_with(b, &words),
-                            reference_min,
-                            "min_index {b:?} len {len} {words:?}"
-                        );
-                    }
-                }
-                // select_lanes and shr_and against the scalar law.
-                let mut next = rng(seed + 1000);
-                let mask = next();
-                let off = words_of(len.min(64), seed + 7);
-                if words.len() <= 64 {
-                    for b in available_backends() {
-                        let mut out = vec![0u64; len];
-                        select_lanes_with(b, mask, &words, &off, &mut out);
-                        for i in 0..len {
-                            let want = if (mask >> i) & 1 != 0 {
-                                words[i]
-                            } else {
-                                off[i]
-                            };
-                            assert_eq!(out[i], want, "select {b:?} lane {i}");
+                let mut next = rng(seed * 977 + len as u64);
+                let clustered: Vec<u64> = (0..len).map(|_| next() % 8).collect();
+                let full: Vec<u64> = (0..len).map(|_| next()).collect();
+                for words in [&clustered, &full] {
+                    let present = words.last().copied().unwrap_or(3);
+                    for needle in [present, 3, 9, u64::MAX] {
+                        for and_mask in [!0u64, !2, 1] {
+                            let want = words.iter().position(|&w| (w & and_mask) == needle);
+                            for b in &bodies {
+                                let got = (b.first_match)(words, and_mask, needle);
+                                assert_eq!(got, want, "{} first_match len {len}", b.name);
+                            }
+                        }
+                        let mask_of = |n: u64| -> u64 {
+                            let hits = words.iter().enumerate().filter(|&(_, &w)| w == n);
+                            hits.map(|(i, _)| 1u64 << i).sum()
+                        };
+                        let want = (mask_of(needle), mask_of(u64::MAX));
+                        for b in &bodies {
+                            let got = (b.dual_eq_masks)(words, needle, u64::MAX);
+                            assert_eq!(got, want, "{} dual_eq_masks len {len}", b.name);
                         }
                     }
-                }
-                for shift in [0u32, 5, 31, 63] {
-                    for b in available_backends() {
-                        let mut out = vec![0u64; len];
-                        shr_and_with(b, &words, shift, 0x3FF, &mut out);
-                        for i in 0..len {
-                            assert_eq!(out[i], (words[i] >> shift) & 0x3FF, "{b:?}");
+                    if let Some((want, _)) = words.iter().enumerate().min_by_key(|&(_, s)| *s) {
+                        for b in &bodies {
+                            let got = (b.min_index)(words);
+                            assert_eq!(got, want, "{} min_index len {len} {words:?}", b.name);
                         }
                     }
                 }
@@ -688,20 +385,39 @@ mod tests {
 
     #[test]
     fn min_index_breaks_ties_to_the_lowest_lane() {
-        for b in available_backends() {
-            assert_eq!(min_index_with(b, &[5, 2, 2, 9]), 1, "{b:?}");
-            assert_eq!(min_index_with(b, &[0; 32]), 0, "{b:?}");
-            assert_eq!(min_index_with(b, &[3]), 0, "{b:?}");
-            assert_eq!(min_index_with(b, &[]), 0, "{b:?}");
+        for b in bodies() {
+            let min_index = b.min_index;
+            assert_eq!(min_index(&[5, 2, 2, 9]), 1, "{}", b.name);
+            assert_eq!(min_index(&[0; 32]), 0, "{}", b.name);
             // The tie at a lane-group boundary: lanes 3 and 4 equal.
             let mut s = vec![9u64; 11];
             s[3] = 1;
             s[4] = 1;
-            assert_eq!(min_index_with(b, &s), 3, "{b:?}");
+            assert_eq!(min_index(&s), 3, "{}", b.name);
             // Minimum only in the scalar tail.
             let mut t = vec![7u64; 9];
             t[8] = 0;
-            assert_eq!(min_index_with(b, &t), 8, "{b:?}");
+            assert_eq!(min_index(&t), 8, "{}", b.name);
+        }
+        assert_eq!(min_index(&[3]), 0);
+        assert_eq!(min_index(&[]), 0);
+    }
+
+    #[test]
+    fn portable_ops_follow_their_scalar_laws() {
+        let mut next = rng(7);
+        for len in 0..=64usize {
+            let words: Vec<u64> = (0..len).map(|_| next() % 8).collect();
+            let off: Vec<u64> = (0..len).map(|_| next()).collect();
+            let want = words.iter().filter(|&&w| w & !2 == 1).count();
+            assert_eq!(count_matching(&words, !2, 1), want, "len {len}");
+            let mut out = vec![0u64; len];
+            for shift in [0u32, 5, 31, 63] {
+                shr_and(&off, shift, 0x3FF, &mut out);
+                for i in 0..len {
+                    assert_eq!(out[i], (off[i] >> shift) & 0x3FF);
+                }
+            }
         }
     }
 

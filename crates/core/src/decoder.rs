@@ -88,8 +88,8 @@ impl ProgrammableDecoder {
     /// `BAS` must equal [`bas`](Self::bas). Monomorphizing on it gives
     /// the [`simd::dual_eq_masks`] lane compare a compile-time width —
     /// one entry load feeds both the PI match and the cold-sentinel
-    /// compare, four entries per AVX2 vector (or the unrolled portable
-    /// loop) — the software analogue of the CAM's parallel match
+    /// compare, four entries per AVX2 vector when the CPU has it (the
+    /// unrolled portable loop otherwise) — the software analogue of the CAM's parallel match
     /// lines. The batched replay kernels dispatch to it per
     /// configuration.
     #[inline(always)]
@@ -170,7 +170,8 @@ impl ProgrammableDecoder {
         if self.entries.is_empty() {
             return 1.0;
         }
-        // Popcount tally over the whole table (any length, not mask-bound).
+        // Portable popcount tally over the whole table (any length, not
+        // mask-bound); only tests call this.
         simd::count_matching(&self.entries, !0, INVALID) as f64 / self.entries.len() as f64
     }
 }

@@ -7,20 +7,12 @@
 //! model's [`CacheModel::access_batch`] hot path — the same path
 //! [`SideTrace`](crate::run::SideTrace) replay uses — or, with
 //! `--per-access`, through the one-at-a-time dispatched loop the batch
-//! API replaced. Each row records mega-accesses per second, stamped
-//! with the SIMD backend and lane count that produced it so a number
-//! measured on an AVX2 box is never compared against a portable one
-//! without noticing:
+//! API replaced. Each row records mega-accesses per second:
 //!
 //! ```json
 //! {"model": "direct-mapped", "maccesses_per_sec": 123.456,
-//!  "records": 1000000, "seed": 42, "git_rev": "abc1234",
-//!  "backend": "avx2", "lanes": 8}
+//!  "records": 1000000, "seed": 42, "git_rev": "abc1234"}
 //! ```
-//!
-//! `backend`/`lanes` are optional on read (older files parse as
-//! `"unknown"`/0), so the committed `BENCH_baseline.json` predating the
-//! stamp stays valid.
 //!
 //! `BENCH_baseline.json` (committed) holds the pre-optimization numbers;
 //! `bench --smoke` re-measures at a reduced record count and fails if
@@ -178,12 +170,6 @@ pub struct BenchRow {
     pub seed: u64,
     /// `git rev-parse --short HEAD` at measurement time.
     pub git_rev: String,
-    /// SIMD backend the kernels dispatched to (`"avx2"`, `"portable"`;
-    /// `"unknown"` when read from a pre-stamp file).
-    pub backend: String,
-    /// Kernel lane width ([`cache_sim::simd::LANES`]; 0 when read from
-    /// a pre-stamp file).
-    pub lanes: u64,
 }
 
 /// The deterministic benchmark stream: LCG addresses over a 1 MB
@@ -251,54 +237,6 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<BenchRow>, String> {
 /// `catch_unwind` + supervision is a tracked number rather than a hope.
 pub const ENGINE_ROW: &str = "dm-engine-4shard";
 
-/// Extra row re-measuring the direct-mapped kernel with the SIMD
-/// dispatch forced to the portable backend — the scalar-vs-AVX2 delta
-/// as a tracked number (what `BCACHE_NO_SIMD=1` costs).
-pub const NOSIMD_ROW: &str = "direct-mapped-nosimd";
-
-/// Extra row measuring the multi-trace interleaved kernel
-/// ([`crate::interleave`]): the stream split round-robin over eight
-/// independent direct-mapped lanes, aggregate accesses per second.
-pub const INTERLEAVE_ROW: &str = "dm-interleave8";
-
-/// Lanes of the [`INTERLEAVE_ROW`] measurement.
-pub const INTERLEAVE_LANES: usize = 8;
-
-/// Best-of-three aggregate throughput of [`INTERLEAVE_ROW`]: eight
-/// independent 16 kB direct-mapped caches, each replaying its
-/// round-robin share of the stream, rotated every
-/// [`crate::interleave::DEFAULT_GRANULE`] accesses.
-fn measure_interleaved(accesses: &[(Addr, AccessKind)]) -> Result<f64, String> {
-    let lanes = crate::interleave::split_round_robin(accesses, INTERLEAVE_LANES);
-    let views: Vec<&[(Addr, AccessKind)]> = lanes.iter().map(|l| l.as_slice()).collect();
-    let pass = || -> Result<(), String> {
-        let mut models = (0..INTERLEAVE_LANES)
-            .map(|_| cache_sim::DirectMappedCache::new(16 * 1024, 32))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| format!("bench interleave geometry (16 kB, 32 B lines): {e}"))?;
-        crate::interleave::replay_interleaved(
-            &mut models,
-            &views,
-            crate::interleave::DEFAULT_GRANULE,
-        );
-        std::hint::black_box(
-            models
-                .iter()
-                .map(|m| m.stats().total().misses())
-                .sum::<u64>(),
-        );
-        Ok(())
-    };
-    pass()?;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        pass()?;
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    Ok(accesses.len() as f64 / best / 1e6)
-}
-
 /// Best-of-three throughput of [`ENGINE_ROW`]: four chunks of the
 /// stream, each replayed through its own direct-mapped model inside an
 /// engine job (the shards are independent caches — this measures
@@ -346,8 +284,6 @@ pub fn run_recorded(
         access_stream(opts.records, opts.seed)
     });
     let git_rev = git_rev();
-    let backend = cache_sim::simd::backend().name().to_string();
-    let lanes = cache_sim::simd::LANES as u64;
     rec.counter("bench.records", opts.records);
     let mut rows: Vec<BenchRow> = Vec::new();
     for (name, config) in model_set() {
@@ -363,8 +299,6 @@ pub fn run_recorded(
             records: opts.records,
             seed: opts.seed,
             git_rev: git_rev.clone(),
-            backend: backend.clone(),
-            lanes,
         });
     }
     let engine_dispatch = rec.time(&format!("phase.measure.{ENGINE_ROW}"), || {
@@ -375,45 +309,7 @@ pub fn run_recorded(
         maccesses_per_sec: engine_dispatch,
         records: opts.records,
         seed: opts.seed,
-        git_rev: git_rev.clone(),
-        backend: backend.clone(),
-        lanes,
-    });
-    let nosimd = rec.time(&format!("phase.measure.{NOSIMD_ROW}"), || {
-        let saved = cache_sim::simd::backend();
-        cache_sim::simd::force_backend(cache_sim::simd::Backend::Portable);
-        // Restore the dispatched backend before propagating any build
-        // error — a failed row must not leave SIMD forced off.
-        let result = CacheConfig::DirectMapped
-            .build(16 * 1024, opts.seed)
-            .map_err(|e| format!("bench direct-mapped config at 16 kB: {e}"))
-            .map(|mut model| measure(&mut model, &accesses, opts.per_access));
-        cache_sim::simd::force_backend(saved);
-        result
-    })?;
-    rows.push(BenchRow {
-        model: NOSIMD_ROW.to_string(),
-        maccesses_per_sec: nosimd,
-        records: opts.records,
-        seed: opts.seed,
-        git_rev: git_rev.clone(),
-        // This row forces the portable backend for its measurement, so
-        // it is stamped with what it actually ran, not the dispatch
-        // default.
-        backend: cache_sim::simd::Backend::Portable.name().to_string(),
-        lanes,
-    });
-    let interleaved = rec.time(&format!("phase.measure.{INTERLEAVE_ROW}"), || {
-        measure_interleaved(&accesses)
-    })?;
-    rows.push(BenchRow {
-        model: INTERLEAVE_ROW.to_string(),
-        maccesses_per_sec: interleaved,
-        records: opts.records,
-        seed: opts.seed,
         git_rev,
-        backend,
-        lanes,
     });
     rec.counter("bench.models", rows.len() as u64);
     Ok(rows)
@@ -439,8 +335,8 @@ pub fn render_json(rows: &[BenchRow]) -> String {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         writeln!(
             out,
-            "  {{\"model\": \"{}\", \"maccesses_per_sec\": {:.3}, \"records\": {}, \"seed\": {}, \"git_rev\": \"{}\", \"backend\": \"{}\", \"lanes\": {}}}{comma}",
-            r.model, r.maccesses_per_sec, r.records, r.seed, r.git_rev, r.backend, r.lanes
+            "  {{\"model\": \"{}\", \"maccesses_per_sec\": {:.3}, \"records\": {}, \"seed\": {}, \"git_rev\": \"{}\"}}{comma}",
+            r.model, r.maccesses_per_sec, r.records, r.seed, r.git_rev
         )
         .expect("writing to a String cannot fail");
     }
@@ -469,16 +365,13 @@ pub fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
 }
 
 /// Parses one row's `"key": value` pairs (fields may appear in any
-/// order; the five original fields are required, `backend`/`lanes`
-/// default to `"unknown"`/0 so pre-stamp baseline files still parse).
+/// order; all five are required).
 fn parse_row(fields: &str) -> Result<BenchRow, String> {
     let mut model = None;
     let mut maccesses = None;
     let mut records = None;
     let mut seed = None;
     let mut git_rev = None;
-    let mut backend = None;
-    let mut lanes = None;
     for field in fields.split(',') {
         let (key, value) = field
             .split_once(':')
@@ -488,14 +381,6 @@ fn parse_row(fields: &str) -> Result<BenchRow, String> {
         match key {
             "model" => model = Some(value.trim_matches('"').to_string()),
             "git_rev" => git_rev = Some(value.trim_matches('"').to_string()),
-            "backend" => backend = Some(value.trim_matches('"').to_string()),
-            "lanes" => {
-                lanes = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad number for lanes: {value:?}"))?,
-                )
-            }
             "maccesses_per_sec" => {
                 maccesses = Some(
                     value
@@ -526,8 +411,6 @@ fn parse_row(fields: &str) -> Result<BenchRow, String> {
         records: records.ok_or("row is missing \"records\"")?,
         seed: seed.ok_or("row is missing \"seed\"")?,
         git_rev: git_rev.ok_or("row is missing \"git_rev\"")?,
-        backend: backend.unwrap_or_else(|| "unknown".to_string()),
-        lanes: lanes.unwrap_or(0),
     })
 }
 
@@ -605,8 +488,6 @@ mod tests {
                 records: 1_000_000,
                 seed: 42,
                 git_rev: "abc1234".into(),
-                backend: "avx2".into(),
-                lanes: 8,
             },
             BenchRow {
                 model: "bcache-mf8-bas8".into(),
@@ -614,8 +495,6 @@ mod tests {
                 records: 1_000_000,
                 seed: 42,
                 git_rev: "abc1234".into(),
-                backend: "portable".into(),
-                lanes: 8,
             },
         ]
     }
@@ -630,8 +509,6 @@ mod tests {
             assert_eq!(p.records, r.records);
             assert_eq!(p.seed, r.seed);
             assert_eq!(p.git_rev, r.git_rev);
-            assert_eq!(p.backend, r.backend);
-            assert_eq!(p.lanes, r.lanes);
             assert!((p.maccesses_per_sec - r.maccesses_per_sec).abs() < 1e-3);
         }
     }
@@ -643,19 +520,6 @@ mod tests {
         assert!(parse_rows("[]").unwrap().is_empty());
         let err = parse_rows("[{\"model\": \"dm\", \"maccesses_per_sec\": \"fast\"}]");
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn pre_stamp_rows_parse_with_default_backend() {
-        // A row written before the backend/lanes stamp (the committed
-        // baseline's format) must still parse.
-        let old = "[\n  {\"model\": \"direct-mapped\", \"maccesses_per_sec\": 120.500, \
-                   \"records\": 1000000, \"seed\": 42, \"git_rev\": \"abc1234\"}\n]\n";
-        let rows = parse_rows(old).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].backend, "unknown");
-        assert_eq!(rows[0].lanes, 0);
-        assert!(parse_rows("[{\"model\": \"dm\", \"lanes\": \"wide\"}]").is_err());
     }
 
     #[test]
@@ -719,21 +583,12 @@ mod tests {
             ..BenchOptions::default()
         };
         let rows = run(&opts).unwrap();
-        assert_eq!(
-            rows.len(),
-            model_set().len() + 3,
-            "models + engine + nosimd + interleave rows"
-        );
+        assert_eq!(rows.len(), model_set().len() + 1, "models + engine row");
         for r in &rows {
             assert!(r.maccesses_per_sec > 0.0, "{}", r.model);
             assert_eq!(r.records, 2_000);
-            assert_eq!(r.lanes, cache_sim::simd::LANES as u64, "{}", r.model);
-            assert_ne!(r.backend, "unknown", "{} is stamped", r.model);
         }
         assert!(rows.iter().any(|r| r.model == ENGINE_ROW));
-        let nosimd = rows.iter().find(|r| r.model == NOSIMD_ROW).unwrap();
-        assert_eq!(nosimd.backend, "portable", "nosimd row stamps what ran");
-        assert!(rows.iter().any(|r| r.model == INTERLEAVE_ROW));
         assert!(render_table(&rows).contains("direct-mapped"));
     }
 
@@ -745,25 +600,13 @@ mod tests {
         };
         let mut rec = telemetry::Recorder::new();
         let rows = run_recorded(&opts, &mut rec).unwrap();
-        assert_eq!(rows.len(), model_set().len() + 3);
+        assert_eq!(rows.len(), model_set().len() + 1);
         assert_eq!(rec.counter_value("bench.models"), rows.len() as u64);
         assert_eq!(rec.counter_value("bench.records"), 1_000);
         assert_eq!(rec.timing("phase.stream_gen").unwrap().count, 1);
         assert_eq!(rec.timing("phase.measure.direct-mapped").unwrap().count, 1);
         assert_eq!(
             rec.timing(&format!("phase.measure.{ENGINE_ROW}"))
-                .unwrap()
-                .count,
-            1
-        );
-        assert_eq!(
-            rec.timing(&format!("phase.measure.{NOSIMD_ROW}"))
-                .unwrap()
-                .count,
-            1
-        );
-        assert_eq!(
-            rec.timing(&format!("phase.measure.{INTERLEAVE_ROW}"))
                 .unwrap()
                 .count,
             1
@@ -815,8 +658,6 @@ mod tests {
             records: 1_000_000,
             seed: 42,
             git_rev: "abc1234".into(),
-            backend: "avx2".into(),
-            lanes: 8,
         });
         let ok = check_against_baseline(&extra, &baseline).unwrap();
         assert!(!ok.contains("brand-new"), "{ok}");

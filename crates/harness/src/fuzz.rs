@@ -48,11 +48,11 @@
 //!     `1 − min(capacity, k)/k` miss rate (see `analytic::birthday`);
 //! 13. simd vs oracle: a B-Cache at random geometry (MF/BAS/policy) is
 //!     driven purely through [`CacheModel::access_batch`] at a random
-//!     chunk size — the SIMD lane kernels (`cache_sim::simd`) on their
+//!     chunk size — the lane operations (`cache_sim::simd`) on their
 //!     hottest path — and its hit/miss/writeback/PD counters must equal
-//!     the per-access [`BCacheOracle`]. Under `BCACHE_NO_SIMD=1` the
-//!     same cases exercise the portable backend, which is how CI covers
-//!     both dispatch paths.
+//!     the per-access [`BCacheOracle`]. The probes run whichever body
+//!     the platform selects (AVX2 where the CPU has it); the portable
+//!     bodies are checked op by op in `cache_sim::simd`'s unit tests.
 //!
 //! `--scenario NAME|INDEX` (see [`SCENARIOS`]) restricts a run to one
 //! scenario, e.g. for a targeted CI smoke.
@@ -1253,9 +1253,7 @@ fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence>
     // `cache_sim::simd` lane ops (PD probes, tag compares, victim
     // scans); driving it purely through `access_batch` at a random
     // chunk size against the per-access oracle is the differential
-    // check for the whole SIMD layer. Whatever backend the process
-    // dispatched to (AVX2, or portable under `BCACHE_NO_SIMD=1`) is
-    // the one on trial.
+    // check for the whole lane layer, on the bodies this CPU selects.
     let line = 32usize;
     let size = rng.pick(&[256usize, 512, 1024, 2048]);
     let sets = size / line;

@@ -53,7 +53,6 @@ pub mod design_space;
 pub mod extensions;
 pub mod fig3;
 pub mod fuzz;
-pub mod interleave;
 pub mod kernels_exp;
 pub mod missrate;
 pub mod oraclecmd;

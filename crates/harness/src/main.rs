@@ -39,8 +39,8 @@
 //!                    [--baseline PATH] [--smoke] [--per-access]
 //!   simulator micro-benchmarks at a pinned record count, written as
 //!   BENCH_repro.json rows ({model, maccesses_per_sec, records, seed,
-//!   git_rev, backend, lanes}); --smoke shortens the run and fails if
-//!   direct-mapped throughput drops >20% versus the committed
+//!   git_rev}); --smoke shortens the run and fails if any model's
+//!   throughput drops below half its row in the committed
 //!   BENCH_baseline.json
 //!
 //! bcache-repro profile [--model NAME] [--benchmark NAME] [--side i|d]

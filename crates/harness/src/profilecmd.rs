@@ -14,8 +14,7 @@
 //! occupancy heat row. Three artifacts come out of one run:
 //!
 //! * `PREFIX.jsonl` / `PREFIX.csv` — the windowed time series. Pure
-//!   functions of the access stream: byte-identical for any `--jobs N`
-//!   and either SIMD backend.
+//!   functions of the access stream: byte-identical for any `--jobs N`.
 //! * `PREFIX.trace.json` — the run's hierarchical spans (engine queue
 //!   wait / backoff / execution per job, plus the profiling phases) in
 //!   Chrome Trace Event format; loads directly in `ui.perfetto.dev`
@@ -35,7 +34,7 @@
 use std::time::Instant;
 
 use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{simd, AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
+use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
 use telemetry::{chrome_trace_json, Recorder, SpanLog, SpanTimer, WindowRow, WindowSeries};
 use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
@@ -510,11 +509,6 @@ pub fn profile_cmd(opts: &ProfileOptions) -> ProfileOutcome {
             "PD reprograms: {pd_reprograms}  PD-forced misses: {pd_forced}\n"
         ));
     }
-    report.push_str(&format!(
-        "backend: {} ({} lanes)\n",
-        simd::backend().name(),
-        simd::LANES
-    ));
 
     // Phase attribution: wall-time fractions of the instrumented
     // phases (trace generation + extraction, kernel replay, overhead

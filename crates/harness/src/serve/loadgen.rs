@@ -183,8 +183,6 @@ impl LoadgenReport {
             records: opts.records,
             seed: opts.seed,
             git_rev: bench::git_rev(),
-            backend: "serve".into(),
-            lanes: opts.connections as u64,
         }])
     }
 }
@@ -456,6 +454,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].model, "serve-loadgen");
         assert!((rows[0].maccesses_per_sec - 5.0).abs() < 1e-9);
-        assert_eq!(rows[0].lanes, opts.connections as u64);
+        assert_eq!(rows[0].records, opts.records);
     }
 }

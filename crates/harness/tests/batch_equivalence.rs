@@ -72,33 +72,112 @@ fn birthday_stream(k: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
         .collect()
 }
 
-/// Two identical instances of every model in the repo.
-fn model_pairs() -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
-    let build: Vec<Box<dyn Fn() -> Box<dyn CacheModel>>> = vec![
-        Box::new(|| Box::new(DirectMappedCache::new(16 * 1024, 32).unwrap())),
-        Box::new(|| {
-            Box::new(SetAssociativeCache::new(16 * 1024, 32, 8, PolicyKind::Lru, 0).unwrap())
-        }),
-        Box::new(|| {
-            Box::new(
-                SetAssociativeCache::new(16 * 1024, 32, 4, PolicyKind::Random, 0xBEEF).unwrap(),
-            )
-        }),
-        Box::new(|| {
-            let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-            let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-            Box::new(BalancedCache::new(params))
-        }),
-        Box::new(|| Box::new(VictimCache::new(16 * 1024, 32, 16).unwrap())),
-        Box::new(|| Box::new(ColumnAssociativeCache::new(16 * 1024, 32).unwrap())),
-        Box::new(|| Box::new(SkewedAssociativeCache::new(16 * 1024, 32).unwrap())),
-        Box::new(|| Box::new(AgacCache::new(16 * 1024, 32, 8).unwrap())),
-        Box::new(|| Box::new(HighlyAssociativeCache::new(16 * 1024, 32, 1024).unwrap())),
-        Box::new(|| Box::new(PartialMatchCache::new(16 * 1024, 32, 4).unwrap())),
-        Box::new(|| Box::new(DifferenceBitCache::new(16 * 1024, 32).unwrap())),
-        Box::new(|| Box::new(WayHaltingCache::new(16 * 1024, 32, 4, 4).unwrap())),
+type Builder = Box<dyn Fn() -> Box<dyn CacheModel>>;
+
+/// Two identical instances of every model in the repo at the paper's
+/// 16 kB working geometry, then of every const-dispatched CAM width:
+/// victim buffers at each monomorphized power-of-two width (its
+/// geometry rejects other counts), AGAC directories from 1 to 32
+/// including non-powers of two (the `cam` runtime fallback), and
+/// set-assoc LRU / HAC subarrays at every width their scans
+/// monomorphize. The raw cam-vs-const pinning at widths 1..=33 lives in
+/// `cache_sim::cam`'s unit tests; these rows drive the same widths
+/// through whole models.
+fn model_pairs() -> Vec<(String, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
+    let mut build: Vec<(String, Builder)> = vec![
+        (
+            "direct-mapped".into(),
+            Box::new(|| Box::new(DirectMappedCache::new(16 * 1024, 32).unwrap())),
+        ),
+        (
+            "8-way-lru".into(),
+            Box::new(|| {
+                Box::new(SetAssociativeCache::new(16 * 1024, 32, 8, PolicyKind::Lru, 0).unwrap())
+            }),
+        ),
+        (
+            "4-way-random".into(),
+            Box::new(|| {
+                Box::new(
+                    SetAssociativeCache::new(16 * 1024, 32, 4, PolicyKind::Random, 0xBEEF).unwrap(),
+                )
+            }),
+        ),
+        (
+            "bcache-mf8-bas8".into(),
+            Box::new(|| {
+                let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
+                let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
+                Box::new(BalancedCache::new(params))
+            }),
+        ),
+        (
+            "victim16".into(),
+            Box::new(|| Box::new(VictimCache::new(16 * 1024, 32, 16).unwrap())),
+        ),
+        (
+            "column-assoc".into(),
+            Box::new(|| Box::new(ColumnAssociativeCache::new(16 * 1024, 32).unwrap())),
+        ),
+        (
+            "skewed-2way".into(),
+            Box::new(|| Box::new(SkewedAssociativeCache::new(16 * 1024, 32).unwrap())),
+        ),
+        (
+            "agac8".into(),
+            Box::new(|| Box::new(AgacCache::new(16 * 1024, 32, 8).unwrap())),
+        ),
+        (
+            "hac32".into(),
+            Box::new(|| Box::new(HighlyAssociativeCache::new(16 * 1024, 32, 1024).unwrap())),
+        ),
+        (
+            "pam4".into(),
+            Box::new(|| Box::new(PartialMatchCache::new(16 * 1024, 32, 4).unwrap())),
+        ),
+        (
+            "diff-bit".into(),
+            Box::new(|| Box::new(DifferenceBitCache::new(16 * 1024, 32).unwrap())),
+        ),
+        (
+            "way-halting4".into(),
+            Box::new(|| Box::new(WayHaltingCache::new(16 * 1024, 32, 4, 4).unwrap())),
+        ),
     ];
-    build.iter().map(|b| (b(), b())).collect()
+    for entries in [1usize, 2, 4, 8, 16, 32] {
+        build.push((
+            format!("1k victim{entries}"),
+            Box::new(move || Box::new(VictimCache::new(1024, 32, entries).unwrap())),
+        ));
+    }
+    for entries in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 31, 32] {
+        build.push((
+            format!("1k agac{entries}"),
+            Box::new(move || Box::new(AgacCache::new(1024, 32, entries).unwrap())),
+        ));
+    }
+    for assoc in [1usize, 2, 4, 8, 16, 32] {
+        build.push((
+            format!("8-set lru{assoc}way"),
+            Box::new(move || {
+                Box::new(
+                    SetAssociativeCache::new(assoc * 256, 32, assoc, PolicyKind::Lru, 0).unwrap(),
+                )
+            }),
+        ));
+    }
+    for lines_per_sub in [1usize, 2, 4, 8, 16, 32] {
+        build.push((
+            format!("2k hac-sub{lines_per_sub}"),
+            Box::new(move || {
+                Box::new(HighlyAssociativeCache::new(2048, 32, lines_per_sub * 32).unwrap())
+            }),
+        ));
+    }
+    build
+        .into_iter()
+        .map(|(name, b)| (name, b(), b()))
+        .collect()
 }
 
 /// Two identical instances of every model at its most degenerate legal
@@ -108,7 +187,7 @@ fn model_pairs() -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
 /// the whole set count — where an off-by-one hides from the 16 kB
 /// suite above.
 fn degenerate_pairs() -> Vec<(&'static str, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
-    let build: Vec<(&'static str, Box<dyn Fn() -> Box<dyn CacheModel>>)> = vec![
+    let build: Vec<(&'static str, Builder)> = vec![
         (
             "DM, cache == line",
             Box::new(|| Box::new(DirectMappedCache::new(32, 32).unwrap())),
@@ -192,7 +271,7 @@ fn degenerate_pairs() -> Vec<(&'static str, Box<dyn CacheModel>, Box<dyn CacheMo
 #[test]
 fn access_batch_matches_the_per_access_loop_on_every_model() {
     let accesses = stream(42);
-    for (mut scalar, mut batched) in model_pairs() {
+    for (name, mut scalar, mut batched) in model_pairs() {
         for &(addr, kind) in &accesses {
             scalar.access(addr, kind);
         }
@@ -200,14 +279,12 @@ fn access_batch_matches_the_per_access_loop_on_every_model() {
         assert_eq!(
             scalar.stats(),
             batched.stats(),
-            "{}: batched stats diverge from the per-access loop",
-            scalar.label()
+            "{name}: batched stats diverge from the per-access loop"
         );
         assert_eq!(
             scalar.set_usage(),
             batched.set_usage(),
-            "{}: batched set-usage counters diverge",
-            scalar.label()
+            "{name}: batched set-usage counters diverge"
         );
     }
 }
@@ -220,7 +297,7 @@ fn access_batch_matches_the_per_access_loop_on_birthday_adversaries() {
     // spread-out traffic of `stream`.
     for k in [8u64, 16, 32, 64] {
         let accesses = birthday_stream(k, 0xB1DA + k);
-        for (mut scalar, mut batched) in model_pairs() {
+        for (name, mut scalar, mut batched) in model_pairs() {
             for &(addr, kind) in &accesses {
                 scalar.access(addr, kind);
             }
@@ -228,14 +305,12 @@ fn access_batch_matches_the_per_access_loop_on_birthday_adversaries() {
             assert_eq!(
                 scalar.stats(),
                 batched.stats(),
-                "{} on birthday{k}: batched stats diverge from the per-access loop",
-                scalar.label()
+                "{name} on birthday{k}: batched stats diverge from the per-access loop"
             );
             assert_eq!(
                 scalar.set_usage(),
                 batched.set_usage(),
-                "{} on birthday{k}: batched set-usage counters diverge",
-                scalar.label()
+                "{name} on birthday{k}: batched set-usage counters diverge"
             );
         }
     }
@@ -246,7 +321,7 @@ fn chunked_batches_match_one_big_batch() {
     // Tally flushing must compose across access_batch calls: many small
     // batches and one big batch are the same sequence of accesses.
     let accesses = stream(7);
-    for (mut whole, mut chunked) in model_pairs() {
+    for (name, mut whole, mut chunked) in model_pairs() {
         whole.access_batch(&accesses);
         for chunk in accesses.chunks(4097) {
             chunked.access_batch(chunk);
@@ -254,8 +329,7 @@ fn chunked_batches_match_one_big_batch() {
         assert_eq!(
             whole.stats(),
             chunked.stats(),
-            "{}: chunked batches diverge from a single batch",
-            whole.label()
+            "{name}: chunked batches diverge from a single batch"
         );
     }
 }

@@ -1,18 +1,16 @@
 //! Determinism and equivalence guarantees of the time-resolved
 //! profiling subsystem (`bcache-repro profile`).
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! 1. **Jobs invariance** — the windowed series (JSONL and CSV) is
 //!    byte-identical for `--jobs 1/2/8`; only the wall-clock trace
 //!    differs between runs.
-//! 2. **Backend invariance** — forcing the portable SIMD backend
-//!    (`BCACHE_NO_SIMD=1`'s effect) changes no series byte.
-//! 3. **Window edges** — a window longer than the trace yields one
+//! 2. **Window edges** — a window longer than the trace yields one
 //!    partial row, a window of 1 yields one row per access, and a
 //!    non-dividing window leaves a short final row; every shape
 //!    conserves the access total.
-//! 4. **Producer equivalence** — the stats-delta chunked replay (the
+//! 3. **Producer equivalence** — the stats-delta chunked replay (the
 //!    `profile` hot path) and the event-driven [`WindowSeries`]
 //!    observer produce identical rows for the B-Cache.
 
@@ -39,7 +37,7 @@ fn opts(jobs: usize) -> ProfileOptions {
 }
 
 #[test]
-fn series_bytes_survive_jobs_and_backend_changes() {
+fn series_bytes_survive_jobs_changes() {
     let golden = profile_cmd(&opts(1));
     for jobs in [2usize, 8] {
         let out = profile_cmd(&opts(jobs));
@@ -52,20 +50,6 @@ fn series_bytes_survive_jobs_and_backend_changes() {
             "--jobs {jobs} changed the CSV series"
         );
     }
-    // Same run on the portable kernels: the windowed counters must not
-    // depend on which SIMD backend replayed the trace.
-    let saved = cache_sim::simd::backend();
-    cache_sim::simd::force_backend(cache_sim::simd::Backend::Portable);
-    let portable = profile_cmd(&opts(2));
-    cache_sim::simd::force_backend(saved);
-    assert_eq!(
-        golden.series_jsonl, portable.series_jsonl,
-        "the portable backend changed the JSONL series"
-    );
-    assert_eq!(
-        golden.series_csv, portable.series_csv,
-        "the portable backend changed the CSV series"
-    );
 }
 
 /// The mcf data-side accesses at the shared short length.

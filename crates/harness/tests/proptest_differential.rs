@@ -14,7 +14,6 @@ use cache_sim::{
     DifferenceBitCache, DirectMappedCache, HighlyAssociativeCache, PartialMatchCache, PolicyKind,
     SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
 };
-use harness::interleave::{replay_interleaved, split_round_robin};
 use proptest::prelude::*;
 
 /// Block numbers in a bounded region plus a write flag: conflicts are
@@ -218,8 +217,8 @@ proptest! {
     /// one access, one short of a lane group, exactly one group, one
     /// past it, and a multi-group run with a ragged tail (0, 1, L−1, L,
     /// L+1, 3·L+2 for L = [`simd::LANES`]). These are precisely the
-    /// prefixes where the SIMD kernels switch between full-group and
-    /// tail handling.
+    /// prefixes where the lane-group kernels switch between full-group
+    /// and tail handling.
     #[test]
     fn access_batch_matches_scalar_at_lane_boundary_lengths(
         trace in prop::collection::vec(
@@ -265,36 +264,6 @@ proptest! {
                     len
                 );
             }
-        }
-    }
-
-    /// The interleaved kernel is pure scheduling: at any lane count and
-    /// granule, every lane of [`replay_interleaved`] ends bit-identical
-    /// to solo replay of its round-robin share.
-    #[test]
-    fn interleaved_replay_matches_solo_at_random_lane_counts(
-        trace in trace_strategy(300),
-        lanes in 1usize..9,
-        granule in 1usize..100,
-    ) {
-        let full = accesses(&trace);
-        let parts = split_round_robin(&full, lanes);
-        let views: Vec<&[(Addr, AccessKind)]> = parts.iter().map(|p| p.as_slice()).collect();
-        let mut models: Vec<DirectMappedCache> = (0..lanes)
-            .map(|_| DirectMappedCache::new(1024, 32).unwrap())
-            .collect();
-        replay_interleaved(&mut models, &views, granule);
-        for (lane, part) in parts.iter().enumerate() {
-            let mut solo = DirectMappedCache::new(1024, 32).unwrap();
-            solo.access_batch(part);
-            prop_assert_eq!(
-                models[lane].stats(),
-                solo.stats(),
-                "lane {}/{} at granule {}: interleaved replay diverged from solo",
-                lane,
-                lanes,
-                granule
-            );
         }
     }
 
