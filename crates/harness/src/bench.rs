@@ -24,6 +24,7 @@ use std::time::Instant;
 
 use cache_sim::{AccessKind, Addr, CacheModel};
 
+use crate::cli;
 use crate::config::CacheConfig;
 
 /// Record count of a full `bench` run.
@@ -67,9 +68,7 @@ pub fn model_set() -> Vec<(&'static str, CacheConfig)> {
     ]
 }
 
-/// Options of the `bench` subcommand:
-/// `bench [--records N] [--seed S] [--out PATH] [--baseline PATH]
-/// [--smoke] [--per-access]`.
+/// Options of the `bench` subcommand.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchOptions {
     /// Accesses per timed pass (pinned so runs are comparable).
@@ -104,56 +103,18 @@ impl BenchOptions {
     /// Parses the option tail after `bench`. Unknown or malformed
     /// options return an error naming the offender.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<BenchOptions, String> {
-        let mut opts = BenchOptions::default();
-        let mut records_given = false;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--records" => {
-                    opts.records = args
-                        .get(i + 1)
-                        .and_then(|s| s.as_ref().parse::<u64>().ok())
-                        .filter(|&v| v > 0)
-                        .ok_or("--records needs a positive integer argument")?;
-                    records_given = true;
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.seed = args
-                        .get(i + 1)
-                        .and_then(|s| s.as_ref().parse::<u64>().ok())
-                        .ok_or("--seed needs an integer argument")?;
-                    i += 2;
-                }
-                "--out" => {
-                    opts.out = args
-                        .get(i + 1)
-                        .map(|s| s.as_ref().to_string())
-                        .ok_or("--out needs a path argument")?;
-                    i += 2;
-                }
-                "--baseline" => {
-                    opts.baseline = args
-                        .get(i + 1)
-                        .map(|s| s.as_ref().to_string())
-                        .ok_or("--baseline needs a path argument")?;
-                    i += 2;
-                }
-                "--smoke" => {
-                    opts.smoke = true;
-                    i += 1;
-                }
-                "--per-access" => {
-                    opts.per_access = true;
-                    i += 1;
-                }
-                other => return Err(format!("unknown option: {other}")),
-            }
-        }
-        if opts.smoke && !records_given {
-            opts.records = SMOKE_RECORDS;
-        }
-        Ok(opts)
+        let a = cli::parse(cli::BENCH_FLAGS, args)?;
+        let d = BenchOptions::default();
+        let smoke = a.has(&cli::SMOKE);
+        let records = if smoke { SMOKE_RECORDS } else { d.records };
+        Ok(BenchOptions {
+            records: a.int(&cli::RECORDS).unwrap_or(records),
+            seed: a.int(&cli::SEED).unwrap_or(d.seed),
+            out: a.text(&cli::OUT).unwrap_or(d.out),
+            baseline: a.text(&cli::BASELINE).unwrap_or(d.baseline),
+            smoke,
+            per_access: a.has(&cli::PER_ACCESS),
+        })
     }
 }
 

@@ -7,6 +7,8 @@ use cache_sim::{
     SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
 };
 
+use crate::cli;
+
 /// A named L1 configuration from the paper's figures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CacheConfig {
@@ -177,56 +179,6 @@ pub struct EngineSetup {
 }
 
 impl EngineSetup {
-    /// Tries to consume the flag at `args[*i]`. Returns `Ok(true)`
-    /// (advancing `*i`) if it was an engine flag, `Ok(false)` if the
-    /// caller should handle it, `Err` on a malformed engine flag.
-    pub fn try_flag<S: AsRef<str>>(&mut self, args: &[S], i: &mut usize) -> Result<bool, String> {
-        let text = |args: &[S], i: usize| -> Result<String, String> {
-            args.get(i + 1)
-                .map(|s| s.as_ref().to_string())
-                .ok_or_else(|| format!("{} needs an argument", args[i].as_ref()))
-        };
-        let int = |args: &[S], i: usize| -> Result<u64, String> {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        match args[*i].as_ref() {
-            "--retries" => {
-                let v = int(args, *i)?.min(u32::MAX as u64) as u32;
-                self.policy.max_attempts = v.saturating_add(1);
-                *i += 2;
-            }
-            "--backoff-ms" => {
-                self.policy.backoff_ms = int(args, *i)?;
-                *i += 2;
-            }
-            "--job-timeout-ms" => {
-                let v = int(args, *i)?;
-                if v == 0 {
-                    return Err("--job-timeout-ms must be positive".into());
-                }
-                self.policy.timeout_ms = v;
-                *i += 2;
-            }
-            "--inject-fault" => {
-                self.faults
-                    .push(crate::parallel::FaultSpec::parse(&text(args, *i)?)?);
-                *i += 2;
-            }
-            "--checkpoint" => {
-                self.checkpoint = Some(text(args, *i)?);
-                *i += 2;
-            }
-            "--resume" => {
-                self.resume = Some(text(args, *i)?);
-                *i += 2;
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// Builds an engine with `jobs` workers under this setup's policy
     /// and fault plan (checkpoints attach separately — they need the
     /// experiment identity; see [`EngineSetup::attach_checkpoint`]).
@@ -264,10 +216,9 @@ impl EngineSetup {
     }
 }
 
-/// Options shared by every `bcache-repro` subcommand:
-/// `[--records N] [--warmup N] [--seed S] [--jobs N] [--csv]` plus the
-/// engine robustness flags (`--retries`, `--backoff-ms`,
-/// `--job-timeout-ms`, `--inject-fault`, `--checkpoint`, `--resume`).
+/// Options of `stats` and of the table and figure experiments: run
+/// length, `--jobs`, `--csv` and the engine robustness flags (see
+/// [`crate::cli`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunOptions {
     /// Trace length / warm-up / seed.
@@ -297,55 +248,13 @@ impl RunOptions {
     /// experiment name). Unknown or malformed options return an error
     /// message naming the offender.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<RunOptions, String> {
-        let mut opts = RunOptions::default();
-        let mut warmup_override = None;
-        let mut i = 0;
-        let value = |args: &[S], i: usize| -> Result<u64, String> {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--records" => {
-                    let v = value(args, i)?;
-                    let seed = opts.len.seed;
-                    opts.len = crate::run::RunLength::with_records(v);
-                    opts.len.seed = seed;
-                    i += 2;
-                }
-                "--warmup" => {
-                    warmup_override = Some(value(args, i)?);
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.len.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = v as usize;
-                    i += 2;
-                }
-                "--csv" => {
-                    opts.csv = true;
-                    i += 1;
-                }
-                other => {
-                    if !opts.setup.try_flag(args, &mut i)? {
-                        return Err(format!("unknown option: {other}"));
-                    }
-                }
-            }
-        }
-        if let Some(w) = warmup_override {
-            opts.len.warmup = w;
-        }
-        validate_len(opts.len)?;
-        Ok(opts)
+        let a = cli::parse(cli::EXPERIMENT_FLAGS, args)?;
+        Ok(RunOptions {
+            len: a.run_length(crate::run::RunLength::default().records)?,
+            csv: a.has(&cli::CSV),
+            jobs: a.jobs(),
+            setup: a.setup()?,
+        })
     }
 
     /// Builds the experiment engine these options describe.

@@ -73,6 +73,7 @@ use cache_sim::{
     SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
 };
 
+use crate::cli;
 use crate::parallel::{default_parallelism, Engine};
 
 /// One access of a fuzz trace: `(address, is_write)`.
@@ -139,44 +140,19 @@ impl Default for FuzzOptions {
 }
 
 impl FuzzOptions {
-    /// Parses `--iters N --seed S --jobs N [--scenario NAME|INDEX]`.
+    /// Parses the option tail after `fuzz`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<FuzzOptions, String> {
-        let mut opts = FuzzOptions::default();
-        let mut i = 0;
-        let value = |args: &[S], i: usize| -> Result<u64, String> {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--iters" => {
-                    opts.iters = value(args, i)?;
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = v as usize;
-                    i += 2;
-                }
-                "--scenario" => {
-                    let arg = args
-                        .get(i + 1)
-                        .ok_or("--scenario needs a name or index argument")?;
-                    opts.scenario = Some(resolve_scenario(arg.as_ref())?);
-                    i += 2;
-                }
-                other => return Err(format!("unknown option: {other}")),
-            }
-        }
-        Ok(opts)
+        let a = cli::parse(cli::FUZZ_FLAGS, args)?;
+        let d = FuzzOptions::default();
+        Ok(FuzzOptions {
+            iters: a.int(&cli::ITERS).unwrap_or(d.iters),
+            seed: a.int(&cli::SEED).unwrap_or(d.seed),
+            jobs: a.jobs(),
+            scenario: a
+                .text(&cli::SCENARIO)
+                .map(|name| resolve_scenario(&name))
+                .transpose()?,
+        })
     }
 }
 

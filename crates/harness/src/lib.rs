@@ -21,6 +21,9 @@
 //! | Time-resolved profiling + trace export | [`profilecmd`] | `profile` |
 //! | Multi-tenant simulation server | [`serve`] | `serve`, `loadgen` |
 //!
+//! The flags each subcommand accepts, and the usage text generated from
+//! them, live in one table in [`cli`].
+//!
 //! Experiments default to 2 M trace records with a 10% warm-up prefix
 //! (statistics are reset after warm-up, standing in for the paper's
 //! 2 B-instruction fast-forward); `--records` rescales.
@@ -48,6 +51,7 @@
 pub mod balance;
 pub mod bench;
 pub mod checkpoint;
+pub mod cli;
 pub mod config;
 pub mod design_space;
 pub mod extensions;

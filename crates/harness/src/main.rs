@@ -1,81 +1,11 @@
-//! `bcache-repro`: regenerate any table or figure of the B-Cache paper.
+//! `bcache-repro`: regenerate any table or figure of the B-Cache paper,
+//! and drive the telemetry, fuzzing, oracle, benchmark, profiling and
+//! server subcommands.
 //!
-//! ```text
-//! bcache-repro <experiment> [--records N] [--seed S] [--jobs N] [--csv]
-//!
-//! experiments:
-//!   fig3 fig4 fig5 fig8 fig9 fig12
-//!   tab1 tab2 tab3 tab4 tab5 tab6 tab7
-//!   related   (Section 7.1 comparison)
-//!   hac drowsy vp   (Sections 6.7 / 6.4 / 6.8 extension analyses)
-//!   kernels   (VM-executed program kernels cross-check)
-//!   sweep     (victim-size sweep, cold start, L2 B-Cache extension)
-//!   all       (everything, in paper order)
-//!
-//! bcache-repro run [--bench NAME] [--side i|d] [--records N] [--seed S]
-//!                  [--jobs N]
-//!   telemetry replay report of one benchmark across the reference
-//!   model set: per-phase wall times, per-model counters, set-pressure
-//!   histograms, B-Cache PD activity
-//!
-//! bcache-repro stats [--records N] [--seed S] [--jobs N]
-//!   set-pressure report over the eight golden benchmarks: per-set
-//!   usage histograms (DM vs B-Cache MF8-BAS8) and PD churn rates
-//!
-//! bcache-repro fuzz [--iters N] [--seed S] [--jobs N] [--scenario NAME]
-//!   differential property-fuzz of every cache model against its oracle;
-//!   exits non-zero and prints a shrunk repro on any divergence;
-//!   --scenario restricts the run to one scenario by name or index
-//!
-//! bcache-repro oracle [--seed S] [--jobs N] [--smoke] [--csv]
-//!   analytical miss-rate oracle: sweeps the synthetic IRM families
-//!   (uniform64k, zipf8, the adversarial birthday64) over the
-//!   direct-mapped, 4-way and MF8-BAS8 models at 16 kB and checks the
-//!   simulated miss rate against the closed-form expectation within a
-//!   statistically justified band; exits non-zero if any cell drifts.
-//!   --smoke runs one short sweep point with a widened band
-//!
-//! bcache-repro bench [--records N] [--seed S] [--out PATH]
-//!                    [--baseline PATH] [--smoke] [--per-access]
-//!   simulator micro-benchmarks at a pinned record count, written as
-//!   BENCH_repro.json rows ({model, maccesses_per_sec, records, seed,
-//!   git_rev}); --smoke shortens the run and fails if any model's
-//!   throughput drops below half its row in the committed
-//!   BENCH_baseline.json
-//!
-//! bcache-repro profile [--model NAME] [--benchmark NAME] [--side i|d]
-//!                      [--records N] [--seed S] [--jobs N] [--window N]
-//!                      [--out PREFIX] [--smoke]
-//!   time-resolved profiling of one model on one benchmark: a windowed
-//!   time series (PREFIX.jsonl + PREFIX.csv; miss rate, PD churn,
-//!   writebacks, per-set heat per window), a Chrome Trace Event /
-//!   Perfetto span export of the run (PREFIX.trace.json), and a phase
-//!   attribution + observer-overhead report; --smoke shortens the run
-//!   and fails if the windowed replay costs >5% over the plain batched
-//!   replay
-//!
-//! bcache-repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!                    [--outbuf-cap N] [--checkpoint PATH] [--resume PATH]
-//!                    [--retries N] [--smoke] [--fuzz-frames]
-//!   persistent multi-tenant simulation server: replay/sweep/profile
-//!   jobs as line-delimited JSON over TCP, per-tenant fair scheduling
-//!   with bounded queues (explicit busy rejects), incremental row
-//!   streaming with bounded outbound buffers, panic isolation per job,
-//!   and checkpointed sweeps that survive server restarts; --smoke and
-//!   --fuzz-frames run the self-contained CI batteries
-//!
-//! bcache-repro loadgen [--addr HOST:PORT] [--connections N] [--requests N]
-//!                      [--records N] [--seed S] [--out PATH]
-//!   saturation client: N connections x a deterministic mix of job
-//!   types against a serve instance (or an in-process one without
-//!   --addr), reporting jobs/s and latency percentiles; --out writes a
-//!   bench-schema JSON row (model serve-loadgen)
-//! ```
-//!
-//! `run`, `stats`, `fig3`, `bench`, `fuzz` and `oracle` additionally accept
-//! `--metrics <path>` (merged counters/histograms/timings as JSON) and —
-//! where an event source exists (`run`, `fig3`) — `--trace-events
-//! <path>` (typed B-Cache events as JSON Lines).
+//! Run it without arguments for the usage. The usage is generated from
+//! the flag table in `harness::cli`, which lists every subcommand, the
+//! flags each accepts, and one help line per flag. A flag a subcommand
+//! accepts but does not act on draws a warning and is ignored.
 //!
 //! `--jobs N` sets the experiment engine's worker-thread count (default:
 //! available parallelism). Output is bit-identical for every `N`.
@@ -85,34 +15,28 @@
 //! ## Fault tolerance
 //!
 //! Every experiment engine isolates job panics, retries failed jobs
-//! with deterministic backoff, and timeout-flags hung jobs:
+//! with deterministic backoff, and timeout-flags hung jobs
+//! (`--retries`, `--backoff-ms`, `--job-timeout-ms`); `--inject-fault`
+//! injects deterministic faults to exercise those paths.
 //!
-//! * `--retries N` — extra attempts per job (default 2, so 3 total)
-//! * `--backoff-ms MS` — base retry delay, doubling per attempt
-//! * `--job-timeout-ms MS` — per-job watchdog budget (default 60 000)
-//! * `--inject-fault job=K,mode=panic|hang|corrupt[,times=N]` —
-//!   deterministic fault injection (repeatable; job ordinals count
-//!   submissions)
-//! * `--checkpoint PATH` — persist completed sweep results (JSONL),
-//!   resuming from PATH if it already matches this run
-//! * `--resume PATH` — resume a sweep; the checkpoint must exist and
-//!   match the run's experiment/records/warmup/seed
-//!
-//! Checkpointing covers the sweep experiments (`fig3`, `fig4`, `fig5`,
-//! `fig12`, `related`, `all`). Because retried jobs are pure, a
-//! recovered or resumed run is byte-identical to an uninterrupted one;
-//! failures are tallied as `engine.*` metrics and a degraded-run
-//! summary in the `run`/`stats` reports.
+//! The sweep experiments (`fig3`, `fig4`, `fig5`, `fig12`, `related`,
+//! `all`) can persist completed jobs (`--checkpoint`) and resume from
+//! them (`--resume`). Because retried jobs are pure, a recovered or
+//! resumed run is byte-identical to an uninterrupted one; failures are
+//! tallied as `engine.*` metrics and a degraded-run summary in the
+//! `run`/`stats` reports.
 
 use std::env;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
 use harness::config::RunOptions;
+use harness::oraclecmd::{self, OracleOptions};
+use harness::serve::{LoadgenOptions, ServeOptions};
 use harness::telemetry_io::{self, TelemetryFlags};
 use harness::{
-    balance, bench, design_space, extensions, fig3, fuzz, kernels_exp, missrate, perf, profilecmd,
-    run, runcmd, sensitivity, statscmd, tables,
+    balance, bench, cli, design_space, extensions, fig3, fuzz, kernels_exp, missrate, perf,
+    profilecmd, run, runcmd, sensitivity, statscmd, tables,
 };
 use telemetry::{tele_error, tele_info, tele_warn, EventRing, Recorder};
 
@@ -132,29 +56,6 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
         }
         panic!("failed printing to stdout: {e}");
     }
-}
-
-fn usage() -> ExitCode {
-    tele_error!(
-        "usage: bcache-repro <experiment> [--records N] [--seed S] [--jobs N] [--csv]\n\
-         experiments: fig3 fig4 fig5 fig8 fig9 fig12 tab1 tab2 tab3 tab4 tab5 tab6 tab7 related hac drowsy vp kernels sweep all\n\
-         \x20      bcache-repro run [--bench NAME] [--side i|d] [--records N] [--seed S] [--jobs N]\n\
-         \x20      bcache-repro stats [--records N] [--seed S] [--jobs N]\n\
-         \x20      bcache-repro fuzz [--iters N] [--seed S] [--jobs N] [--scenario NAME]\n\
-         \x20      bcache-repro oracle [--seed S] [--jobs N] [--smoke] [--csv]\n\
-         \x20      bcache-repro bench [--records N] [--seed S] [--out PATH] [--baseline PATH] [--smoke] [--per-access]\n\
-         \x20      bcache-repro profile [--model NAME] [--benchmark NAME] [--side i|d] [--records N] [--seed S]\n\
-         \x20                           [--jobs N] [--window N] [--out PREFIX] [--smoke]\n\
-         \x20      bcache-repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--outbuf-cap N]\n\
-         \x20                         [--checkpoint PATH] [--resume PATH] [--retries N] [--smoke] [--fuzz-frames]\n\
-         \x20      bcache-repro loadgen [--addr HOST:PORT] [--connections N] [--requests N] [--records N]\n\
-         \x20                           [--seed S] [--out PATH]\n\
-         telemetry: run/stats/fig3/bench/fuzz/oracle/profile take --metrics PATH; run/fig3 take --trace-events PATH\n\
-         robustness: experiments/run/stats take [--retries N] [--backoff-ms MS] [--job-timeout-ms MS]\n\
-         \x20          [--inject-fault job=K,mode=panic|hang|corrupt[,times=N]];\n\
-         \x20          sweeps (fig3 fig4 fig5 fig12 related all) take [--checkpoint PATH] [--resume PATH]"
-    );
-    ExitCode::from(2)
 }
 
 /// Writes the merged recorder (timing included — the file documents one
@@ -226,19 +127,131 @@ fn warn_if_degraded(engine: &harness::parallel::Engine) {
     }
 }
 
-fn run_bench(args: &[String], tele: &TelemetryFlags) -> ExitCode {
-    if tele.trace_events.is_some() {
-        tele_warn!("--trace-events is not supported by bench; ignoring");
-    }
-    let opts = match bench::BenchOptions::parse(args) {
-        Ok(opts) => opts,
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    match dispatch(&args) {
+        Ok(code) => code,
         Err(msg) => {
             tele_error!("{msg}");
-            return usage();
+            tele_error!(
+                "{}",
+                cli::usage(args.first().map(String::as_str)).trim_end()
+            );
+            ExitCode::from(2)
         }
+    }
+}
+
+/// Runs one command line. `Err` is a usage error, which exits with
+/// status 2 after the usage text. The command's table row checks every
+/// flag and sorts out the ones it ignores; the subcommand's options
+/// parser then reads the same flags into its fields.
+fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+    let (name, tail) = args.split_first().ok_or("missing command")?;
+    let cmd = cli::command(name).ok_or_else(|| format!("unknown command: {name}"))?;
+    let (given, ignored) = cmd.parse(tail)?;
+    for flag in ignored {
+        tele_warn!("{flag} is not supported by {name}; ignoring");
+    }
+    let tele = given.telemetry();
+    Ok(match name.as_str() {
+        "run" => run(&runcmd::RunCmdOptions::parse(tail)?, &tele),
+        "stats" => stats(&RunOptions::parse(tail)?, &tele),
+        "fuzz" => fuzz_cmd(&fuzz::FuzzOptions::parse(tail)?, &tele),
+        "oracle" => oracle(&OracleOptions::parse(tail)?, &tele),
+        "bench" => run_bench(&bench::BenchOptions::parse(tail)?, &tele),
+        "profile" => profile(&profilecmd::ProfileOptions::parse(tail)?, &tele),
+        "serve" => serve(ServeOptions::parse(tail)?),
+        "loadgen" => loadgen(&LoadgenOptions::parse(tail)?),
+        experiment => {
+            let checkpoint = given.setup()?.wants_checkpoint();
+            run_experiment(experiment, &RunOptions::parse(tail)?, checkpoint, &tele)
+        }
+    })
+}
+
+fn run(opts: &runcmd::RunCmdOptions, tele: &TelemetryFlags) -> ExitCode {
+    let out = match guarded(None, || runcmd::run_cmd(opts, tele.trace_events.is_some())) {
+        Ok(out) => out,
+        Err(code) => return code,
     };
+    out!("{}", out.report);
+    if let Some(path) = &tele.metrics {
+        if !write_metrics_file(path, &out.metrics) {
+            return ExitCode::FAILURE;
+        }
+    }
+    if let (Some(path), Some(ring)) = (&tele.trace_events, &out.events) {
+        if !write_events_file(path, ring) {
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+fn stats(opts: &RunOptions, tele: &TelemetryFlags) -> ExitCode {
+    let out = match guarded(None, || statscmd::stats_cmd(opts)) {
+        Ok(out) => out,
+        Err(code) => return code,
+    };
+    out!("{}", out.report);
+    if let Some(path) = &tele.metrics {
+        if !write_metrics_file(path, &out.metrics) {
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+fn fuzz_cmd(opts: &fuzz::FuzzOptions, tele: &TelemetryFlags) -> ExitCode {
+    let report = fuzz::run(opts);
+    out!("{}", report.render());
+    if let Some(path) = &tele.metrics {
+        let mut rec = Recorder::new();
+        rec.counter("fuzz.cases", report.iters);
+        rec.counter("fuzz.divergences", report.divergences.len() as u64);
+        if !write_metrics_file(path, &rec) {
+            return ExitCode::FAILURE;
+        }
+    }
+    if report.divergences.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn oracle(opts: &OracleOptions, tele: &TelemetryFlags) -> ExitCode {
+    let report = match guarded(None, || oraclecmd::oracle_report(opts)) {
+        Ok(report) => report,
+        Err(code) => return code,
+    };
+    out!(
+        "{}",
+        if opts.csv {
+            report.render_csv()
+        } else {
+            report.render()
+        }
+    );
+    if let Some(path) = &tele.metrics {
+        let mut rec = Recorder::new();
+        rec.counter("oracle.cells", report.cells.len() as u64);
+        rec.counter("oracle.failures", report.failures() as u64);
+        if !write_metrics_file(path, &rec) {
+            return ExitCode::FAILURE;
+        }
+    }
+    if report.failures() == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn run_bench(opts: &bench::BenchOptions, tele: &TelemetryFlags) -> ExitCode {
     let mut rec = Recorder::new();
-    let rows = match bench::run_recorded(&opts, &mut rec) {
+    let rows = match bench::run_recorded(opts, &mut rec) {
         Ok(rows) => rows,
         Err(msg) => {
             tele_error!("{msg}");
@@ -275,274 +288,91 @@ fn run_bench(args: &[String], tele: &TelemetryFlags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let Some(experiment) = args.first().cloned() else {
-        return usage();
+fn profile(opts: &profilecmd::ProfileOptions, tele: &TelemetryFlags) -> ExitCode {
+    let out = match guarded(None, || profilecmd::profile_cmd(opts)) {
+        Ok(out) => out,
+        Err(code) => return code,
     };
-    let mut tail: Vec<String> = args[1..].to_vec();
-    let tele = match TelemetryFlags::extract(&mut tail) {
-        Ok(tele) => tele,
+    out!("{}", out.report);
+    for (suffix, content) in [
+        (".jsonl", &out.series_jsonl),
+        (".csv", &out.series_csv),
+        (".trace.json", &out.trace_json),
+    ] {
+        let path = format!("{}{suffix}", opts.out);
+        if let Err(e) = std::fs::write(&path, content) {
+            tele_error!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        tele_info!("wrote {path}");
+    }
+    if let Some(path) = &tele.metrics {
+        if !write_metrics_file(path, &out.metrics) {
+            return ExitCode::FAILURE;
+        }
+    }
+    if out.smoke_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn serve(opts: ServeOptions) -> ExitCode {
+    match harness::serve::serve_cmd(opts) {
+        Ok(report) => {
+            out!("{report}");
+            ExitCode::SUCCESS
+        }
         Err(msg) => {
             tele_error!("{msg}");
-            return usage();
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    if experiment == "run" {
-        let opts = match runcmd::RunCmdOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        if opts.setup.wants_checkpoint() {
-            tele_warn!("--checkpoint/--resume apply to the sweep experiments; ignoring for run");
-        }
-        let out = match guarded(None, || runcmd::run_cmd(&opts, tele.trace_events.is_some())) {
-            Ok(out) => out,
-            Err(code) => return code,
-        };
-        out!("{}", out.report);
-        if let Some(path) = &tele.metrics {
-            if !write_metrics_file(path, &out.metrics) {
-                return ExitCode::FAILURE;
-            }
-        }
-        if let (Some(path), Some(ring)) = (&tele.trace_events, &out.events) {
-            if !write_events_file(path, ring) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    if experiment == "stats" {
-        if tele.trace_events.is_some() {
-            tele_warn!("--trace-events is not supported by stats; ignoring");
-        }
-        let opts = match RunOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        if opts.setup.wants_checkpoint() {
-            tele_warn!("--checkpoint/--resume apply to the sweep experiments; ignoring for stats");
-        }
-        let out = match guarded(None, || statscmd::stats_cmd(&opts)) {
-            Ok(out) => out,
-            Err(code) => return code,
-        };
-        out!("{}", out.report);
-        if let Some(path) = &tele.metrics {
-            if !write_metrics_file(path, &out.metrics) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    if experiment == "fuzz" {
-        if tele.trace_events.is_some() {
-            tele_warn!("--trace-events is not supported by fuzz; ignoring");
-        }
-        let opts = match fuzz::FuzzOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        let report = fuzz::run(&opts);
-        out!("{}", report.render());
-        if let Some(path) = &tele.metrics {
-            let mut rec = Recorder::new();
-            rec.counter("fuzz.cases", report.iters);
-            rec.counter("fuzz.divergences", report.divergences.len() as u64);
-            if !write_metrics_file(path, &rec) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return if report.divergences.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if experiment == "oracle" {
-        if tele.trace_events.is_some() {
-            tele_warn!("--trace-events is not supported by oracle; ignoring");
-        }
-        let opts = match harness::oraclecmd::OracleOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        let report = match guarded(None, || harness::oraclecmd::oracle_report(&opts)) {
-            Ok(report) => report,
-            Err(code) => return code,
-        };
-        out!(
-            "{}",
-            if opts.csv {
-                report.render_csv()
-            } else {
-                report.render()
-            }
-        );
-        if let Some(path) = &tele.metrics {
-            let mut rec = Recorder::new();
-            rec.counter("oracle.cells", report.cells.len() as u64);
-            rec.counter("oracle.failures", report.failures() as u64);
-            if !write_metrics_file(path, &rec) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return if report.failures() == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if experiment == "bench" {
-        return run_bench(&tail, &tele);
-    }
-    if experiment == "profile" {
-        if tele.trace_events.is_some() {
-            tele_warn!("--trace-events is not supported by profile (it writes PREFIX.trace.json); ignoring");
-        }
-        let opts = match profilecmd::ProfileOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        if opts.setup.wants_checkpoint() {
-            tele_warn!(
-                "--checkpoint/--resume apply to the sweep experiments; ignoring for profile"
-            );
-        }
-        let out = match guarded(None, || profilecmd::profile_cmd(&opts)) {
-            Ok(out) => out,
-            Err(code) => return code,
-        };
-        out!("{}", out.report);
-        for (suffix, content) in [
-            (".jsonl", &out.series_jsonl),
-            (".csv", &out.series_csv),
-            (".trace.json", &out.trace_json),
-        ] {
-            let path = format!("{}{suffix}", opts.out);
-            if let Err(e) = std::fs::write(&path, content) {
-                tele_error!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            tele_info!("wrote {path}");
-        }
-        if let Some(path) = &tele.metrics {
-            if !write_metrics_file(path, &out.metrics) {
-                return ExitCode::FAILURE;
-            }
-        }
-        return if out.smoke_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if experiment == "serve" {
-        if tele.any() {
-            tele_warn!("--metrics/--trace-events are not supported by serve; ignoring");
-        }
-        let opts = match harness::serve::ServeOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        return match harness::serve::serve_cmd(opts) {
-            Ok(report) => {
-                out!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                tele_error!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if experiment == "loadgen" {
-        if tele.any() {
-            tele_warn!("--metrics/--trace-events are not supported by loadgen; ignoring");
-        }
-        let opts = match harness::serve::LoadgenOptions::parse(&tail) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                tele_error!("{msg}");
-                return usage();
-            }
-        };
-        return match harness::serve::run_loadgen(&opts) {
-            Ok(report) => {
-                out!("{}", report.render(&opts));
-                if let Some(path) = &opts.out {
-                    if let Err(e) = std::fs::write(path, report.to_bench_json(&opts)) {
-                        tele_error!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    tele_info!("wrote {path}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                tele_error!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match RunOptions::parse(&tail) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            tele_error!("{msg}");
-            return usage();
-        }
-    };
-    let (len, csv) = (opts.len, opts.csv);
-    let engine = opts.engine();
-    if tele.any() && experiment != "fig3" {
-        tele_warn!(
-            "--metrics/--trace-events apply to run, stats, fig3, bench and fuzz; \
-             ignoring for {experiment}"
-        );
-    }
-
-    // Checkpointing needs jobs with stable identities, which the sweep
-    // experiments provide (`run_checkpointed` scopes).
-    const CHECKPOINTABLE: &[&str] = &["fig3", "fig4", "fig5", "fig12", "related", "all"];
-    if opts.setup.wants_checkpoint() {
-        if CHECKPOINTABLE.contains(&experiment.as_str()) {
-            match opts.setup.attach_checkpoint(&engine, &experiment, len) {
-                Ok(_) => tele_info!("checkpointing {experiment}"),
-                Err(msg) => {
-                    tele_error!("{msg}");
+fn loadgen(opts: &LoadgenOptions) -> ExitCode {
+    match harness::serve::run_loadgen(opts) {
+        Ok(report) => {
+            out!("{}", report.render(opts));
+            if let Some(path) = &opts.out {
+                if let Err(e) = std::fs::write(path, report.to_bench_json(opts)) {
+                    tele_error!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
+                tele_info!("wrote {path}");
             }
-        } else {
-            tele_warn!(
-                "--checkpoint/--resume apply to {}; ignoring for {experiment}",
-                CHECKPOINTABLE.join("/")
-            );
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            tele_error!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs one table/figure experiment. `checkpoint` says whether the
+/// experiment honours the `--checkpoint`/`--resume` in `opts`.
+fn run_experiment(
+    experiment: &str,
+    opts: &RunOptions,
+    checkpoint: bool,
+    tele: &TelemetryFlags,
+) -> ExitCode {
+    let (len, csv) = (opts.len, opts.csv);
+    let engine = opts.engine();
+    if checkpoint {
+        match opts.setup.attach_checkpoint(&engine, experiment, len) {
+            Ok(_) => tele_info!("checkpointing {experiment}"),
+            Err(msg) => {
+                tele_error!("{msg}");
+                return ExitCode::FAILURE;
+            }
         }
     }
 
-    let dispatch = || {
-        match experiment.as_str() {
+    let drive = || {
+        match experiment {
             "fig3" => {
                 if tele.any() {
                     let mut rec = Recorder::new();
@@ -697,14 +527,14 @@ fn main() -> ExitCode {
                     ))
                 );
             }
-            _ => return usage(),
+            other => unreachable!("{other} is in the command table but has no driver"),
         }
         ExitCode::SUCCESS
     };
     // A job that exhausts its retries propagates out of the engine;
     // turn that into a clean failure exit (with the checkpoint already
     // flushed and a resume hint) instead of an unwinding crash.
-    match guarded(Some(&engine), dispatch) {
+    match guarded(Some(&engine), drive) {
         Ok(code) => {
             warn_if_degraded(&engine);
             // Compacts the checkpoint's append log to one line per job.

@@ -34,6 +34,7 @@ use bcache_core::BCacheParams;
 use cache_sim::{CacheGeometry, PolicyKind};
 use trace_gen::synthetic;
 
+use crate::cli;
 use crate::config::CacheConfig;
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side};
@@ -83,41 +84,15 @@ impl Default for OracleOptions {
 }
 
 impl OracleOptions {
-    /// Parses `--seed S --jobs N [--smoke] [--csv]`.
+    /// Parses the option tail after `oracle`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<OracleOptions, String> {
-        let mut opts = OracleOptions::default();
-        let mut i = 0;
-        let value = |args: &[S], i: usize| -> Result<u64, String> {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--seed" => {
-                    opts.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = v as usize;
-                    i += 2;
-                }
-                "--smoke" => {
-                    opts.smoke = true;
-                    i += 1;
-                }
-                "--csv" => {
-                    opts.csv = true;
-                    i += 1;
-                }
-                other => return Err(format!("unknown option: {other}")),
-            }
-        }
-        Ok(opts)
+        let a = cli::parse(cli::ORACLE_FLAGS, args)?;
+        Ok(OracleOptions {
+            seed: a.int(&cli::SEED).unwrap_or(OracleOptions::default().seed),
+            jobs: a.jobs(),
+            smoke: a.has(&cli::SMOKE),
+            csv: a.has(&cli::CSV),
+        })
     }
 
     /// Record counts swept, smallest first.

@@ -1,11 +1,6 @@
 //! The `bcache-repro profile` subcommand: time-resolved profiling of
-//! one model on one benchmark, with trace export.
-//!
-//! ```text
-//! bcache-repro profile [--model NAME] [--benchmark NAME] [--side i|d]
-//!                      [--records N] [--warmup N] [--seed S] [--jobs N]
-//!                      [--window N] [--out PREFIX] [--smoke]
-//! ```
+//! one model on one benchmark, with trace export. Its flags are listed
+//! in [`crate::cli`].
 //!
 //! The subcommand replays the benchmark's side stream through the
 //! selected model in window-sized batches on the batched-kernel
@@ -39,7 +34,8 @@ use telemetry::{chrome_trace_json, Recorder, SpanLog, SpanTimer, WindowRow, Wind
 use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
 use crate::bench;
-use crate::config::{validate_len, CacheConfig, EngineSetup};
+use crate::cli;
+use crate::config::{CacheConfig, EngineSetup};
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side, SideTrace};
 use crate::telemetry_io::record_model;
@@ -137,103 +133,28 @@ pub fn resolve_benchmark(name: &str) -> Result<BenchmarkProfile, String> {
 }
 
 impl ProfileOptions {
-    /// Parses the option tail after `profile` (telemetry flags are
-    /// stripped earlier by
-    /// [`TelemetryFlags::extract`](crate::telemetry_io::TelemetryFlags::extract)).
+    /// Parses the option tail after `profile`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<ProfileOptions, String> {
-        let mut opts = ProfileOptions::default();
-        let mut warmup_override = None;
-        let mut records_given = false;
-        let mut i = 0;
-        let value = |args: &[S], i: usize| {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
+        let a = cli::parse(cli::PROFILE_FLAGS, args)?;
+        let d = ProfileOptions::default();
+        let model = match a.text(&cli::MODEL) {
+            Some(name) => resolve_model(&name)?.0.to_string(),
+            None => d.model,
         };
-        let text = |args: &[S], i: usize| {
-            args.get(i + 1)
-                .map(|s| s.as_ref().to_string())
-                .ok_or_else(|| format!("{} needs an argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--model" => {
-                    let name = text(args, i)?;
-                    let (canonical, _) = resolve_model(&name)?;
-                    opts.model = canonical.to_string();
-                    i += 2;
-                }
-                "--benchmark" => {
-                    let name = text(args, i)?;
-                    resolve_benchmark(&name)?;
-                    opts.benchmark = name;
-                    i += 2;
-                }
-                "--side" => {
-                    opts.side = match args.get(i + 1).map(|s| s.as_ref()) {
-                        Some("i") | Some("instruction") => Side::Instruction,
-                        Some("d") | Some("data") => Side::Data,
-                        _ => return Err("--side needs 'i' or 'd'".into()),
-                    };
-                    i += 2;
-                }
-                "--records" => {
-                    let v = value(args, i)?;
-                    let seed = opts.len.seed;
-                    opts.len = RunLength::with_records(v);
-                    opts.len.seed = seed;
-                    records_given = true;
-                    i += 2;
-                }
-                "--warmup" => {
-                    warmup_override = Some(value(args, i)?);
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.len.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = v as usize;
-                    i += 2;
-                }
-                "--window" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--window must be at least 1 access".into());
-                    }
-                    opts.window = v;
-                    i += 2;
-                }
-                "--out" => {
-                    opts.out = text(args, i)?;
-                    i += 2;
-                }
-                "--smoke" => {
-                    opts.smoke = true;
-                    i += 1;
-                }
-                other => {
-                    if !opts.setup.try_flag(args, &mut i)? {
-                        return Err(format!("unknown option: {other}"));
-                    }
-                }
-            }
-        }
-        if opts.smoke && !records_given {
-            let seed = opts.len.seed;
-            opts.len = RunLength::with_records(SMOKE_RECORDS);
-            opts.len.seed = seed;
-        }
-        if let Some(w) = warmup_override {
-            opts.len.warmup = w;
-        }
-        validate_len(opts.len)?;
-        Ok(opts)
+        let benchmark = a.text(&cli::BENCHMARK).unwrap_or(d.benchmark);
+        resolve_benchmark(&benchmark)?;
+        let smoke = a.has(&cli::SMOKE);
+        Ok(ProfileOptions {
+            model,
+            benchmark,
+            side: a.side().unwrap_or(d.side),
+            len: a.run_length(if smoke { SMOKE_RECORDS } else { d.len.records })?,
+            jobs: a.jobs(),
+            window: a.int(&cli::WINDOW).unwrap_or(d.window),
+            out: a.text(&cli::OUT).unwrap_or(d.out),
+            smoke,
+            setup: a.setup()?,
+        })
     }
 
     /// Builds the experiment engine these options describe.

@@ -2,13 +2,7 @@
 //! reference model set with full telemetry — per-phase wall-time spans
 //! (trace generation, warm-up, replay, report), per-model counters and
 //! set-pressure histograms, and an optional typed-event trace of the
-//! B-Cache replay.
-//!
-//! ```text
-//! bcache-repro run [--bench NAME] [--side i|d] [--records N] [--seed S]
-//!                  [--jobs N] [--event-ring-cap N]
-//!                  [--metrics PATH] [--trace-events PATH]
-//! ```
+//! B-Cache replay. Its flags are listed in [`crate::cli`].
 //!
 //! The metrics split follows the [`Recorder`] contract: counters and
 //! histograms are pure functions of the (deterministic) simulation and
@@ -21,8 +15,10 @@ use cache_sim::{CacheGeometry, CacheModel, PolicyKind};
 use telemetry::{EventRing, Recorder, SpanTimer};
 use trace_gen::profiles;
 
-use crate::config::{validate_len, CacheConfig, EngineSetup};
+use crate::cli;
+use crate::config::{CacheConfig, EngineSetup};
 use crate::parallel::{default_parallelism, job_seed, Engine};
+use crate::profilecmd::resolve_model;
 use crate::run::{replay_bcache_observed, RunLength, Side, SideTrace};
 use crate::telemetry_io::{degraded_summary, record_model};
 
@@ -67,83 +63,22 @@ impl Default for RunCmdOptions {
 }
 
 impl RunCmdOptions {
-    /// Parses the option tail after `run` (telemetry flags are stripped
-    /// earlier by
-    /// [`TelemetryFlags::extract`](crate::telemetry_io::TelemetryFlags::extract)).
+    /// Parses the option tail after `run`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<RunCmdOptions, String> {
-        let mut opts = RunCmdOptions::default();
-        let mut warmup_override = None;
-        let mut i = 0;
-        let value = |args: &[S], i: usize| {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--bench" => {
-                    let name = args
-                        .get(i + 1)
-                        .map(|s| s.as_ref().to_string())
-                        .ok_or("--bench needs a benchmark name")?;
-                    if profiles::by_name(&name).is_none() {
-                        return Err(format!("unknown benchmark: {name}"));
-                    }
-                    opts.benchmark = name;
-                    i += 2;
-                }
-                "--side" => {
-                    opts.side = match args.get(i + 1).map(|s| s.as_ref()) {
-                        Some("i") | Some("instruction") => Side::Instruction,
-                        Some("d") | Some("data") => Side::Data,
-                        _ => return Err("--side needs 'i' or 'd'".into()),
-                    };
-                    i += 2;
-                }
-                "--records" => {
-                    let v = value(args, i)?;
-                    let seed = opts.len.seed;
-                    opts.len = RunLength::with_records(v);
-                    opts.len.seed = seed;
-                    i += 2;
-                }
-                "--warmup" => {
-                    warmup_override = Some(value(args, i)?);
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.len.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = v as usize;
-                    i += 2;
-                }
-                "--event-ring-cap" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--event-ring-cap must be at least 1 event".into());
-                    }
-                    opts.event_ring_cap = usize::try_from(v)
-                        .map_err(|_| format!("--event-ring-cap {v} does not fit in usize"))?;
-                    i += 2;
-                }
-                other => {
-                    if !opts.setup.try_flag(args, &mut i)? {
-                        return Err(format!("unknown option: {other}"));
-                    }
-                }
-            }
+        let a = cli::parse(cli::RUN_FLAGS, args)?;
+        let d = RunCmdOptions::default();
+        let benchmark = a.text(&cli::BENCH).unwrap_or(d.benchmark);
+        if profiles::by_name(&benchmark).is_none() {
+            return Err(format!("unknown benchmark: {benchmark}"));
         }
-        if let Some(w) = warmup_override {
-            opts.len.warmup = w;
-        }
-        validate_len(opts.len)?;
-        Ok(opts)
+        Ok(RunCmdOptions {
+            benchmark,
+            side: a.side().unwrap_or(d.side),
+            len: a.run_length(d.len.records)?,
+            jobs: a.jobs(),
+            event_ring_cap: a.count(&cli::EVENT_RING_CAP).unwrap_or(d.event_ring_cap),
+            setup: a.setup()?,
+        })
     }
 
     /// Builds the experiment engine these options describe.
@@ -164,14 +99,16 @@ pub struct RunCmdOutcome {
     pub events: Option<EventRing>,
 }
 
-/// The models a `run` replays, in report order.
+/// The models a `run` replays, in report order, under their short
+/// names (which key the report rows and metrics).
 fn run_model_set() -> Vec<(&'static str, CacheConfig)> {
-    vec![
-        ("dm", CacheConfig::DirectMapped),
-        ("8way", CacheConfig::SetAssoc(8)),
-        ("victim16", CacheConfig::Victim(16)),
-        ("bcache", CacheConfig::BCache { mf: 8, bas: 8 }),
-    ]
+    ["dm", "8way", "victim16", "bcache"]
+        .into_iter()
+        .map(|name| {
+            let (_, config) = resolve_model(name).expect("run models resolve");
+            (name, config)
+        })
+        .collect()
 }
 
 /// Replays the side trace into `model` with warm-up and replay

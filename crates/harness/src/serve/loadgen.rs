@@ -29,8 +29,7 @@ use super::listener::Server;
 use super::protocol::{json_str_field, json_u64_field};
 use super::ServeOptions;
 use crate::bench;
-use crate::config::validate_len;
-use crate::run::RunLength;
+use crate::cli;
 
 /// Options of the `loadgen` subcommand.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,57 +66,16 @@ impl Default for LoadgenOptions {
 impl LoadgenOptions {
     /// Parses the option tail after `loadgen`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<LoadgenOptions, String> {
-        let mut opts = LoadgenOptions::default();
-        let mut i = 0;
-        let value = |args: &[S], i: usize| -> Result<u64, String> {
-            args.get(i + 1)
-                .and_then(|s| s.as_ref().parse::<u64>().ok())
-                .ok_or_else(|| format!("{} needs an integer argument", args[i].as_ref()))
-        };
-        let text = |args: &[S], i: usize| -> Result<String, String> {
-            args.get(i + 1)
-                .map(|s| s.as_ref().to_string())
-                .ok_or_else(|| format!("{} needs an argument", args[i].as_ref()))
-        };
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--addr" => {
-                    opts.addr = Some(text(args, i)?);
-                    i += 2;
-                }
-                "--connections" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--connections must be at least 1".into());
-                    }
-                    opts.connections = v as usize;
-                    i += 2;
-                }
-                "--requests" => {
-                    let v = value(args, i)?;
-                    if v == 0 {
-                        return Err("--requests must be at least 1".into());
-                    }
-                    opts.requests = v as usize;
-                    i += 2;
-                }
-                "--records" => {
-                    opts.records = value(args, i)?;
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.seed = value(args, i)?;
-                    i += 2;
-                }
-                "--out" => {
-                    opts.out = Some(text(args, i)?);
-                    i += 2;
-                }
-                other => return Err(format!("unknown option: {other}")),
-            }
-        }
-        validate_len(RunLength::with_records(opts.records))?;
-        Ok(opts)
+        let a = cli::parse(cli::LOADGEN_FLAGS, args)?;
+        let d = LoadgenOptions::default();
+        Ok(LoadgenOptions {
+            addr: a.text(&cli::ADDR),
+            connections: a.count(&cli::CONNECTIONS).unwrap_or(d.connections),
+            requests: a.count(&cli::REQUESTS).unwrap_or(d.requests),
+            records: a.int(&cli::RECORDS).unwrap_or(d.records),
+            seed: a.int(&cli::SEED).unwrap_or(d.seed),
+            out: a.text(&cli::OUT),
+        })
     }
 }
 

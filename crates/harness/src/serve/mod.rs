@@ -30,6 +30,7 @@ use std::time::Duration;
 pub use listener::{ServeSummary, Server};
 pub use loadgen::{run_loadgen, LoadgenOptions};
 
+use crate::cli;
 use crate::config::EngineSetup;
 use crate::parallel::default_parallelism;
 use loadgen::{Client, JobEnd};
@@ -71,61 +72,22 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// Parses the option tail after `serve`.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<ServeOptions, String> {
-        let mut opts = ServeOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            if opts.setup.try_flag(args, &mut i)? {
-                continue;
-            }
-            match args[i].as_ref() {
-                "--addr" => {
-                    opts.addr = args
-                        .get(i + 1)
-                        .map(|s| s.as_ref().to_string())
-                        .ok_or("--addr needs an argument")?;
-                    if opts.addr.is_empty() {
-                        return Err("--addr must not be empty".into());
-                    }
-                    i += 2;
-                }
-                "--workers" => {
-                    opts.workers = parse_nonzero(args.get(i + 1), "--workers")?;
-                    i += 2;
-                }
-                "--queue-cap" => {
-                    opts.queue_cap = parse_nonzero(args.get(i + 1), "--queue-cap")?;
-                    i += 2;
-                }
-                "--outbuf-cap" => {
-                    opts.outbuf_cap = parse_nonzero(args.get(i + 1), "--outbuf-cap")?;
-                    i += 2;
-                }
-                "--smoke" => {
-                    opts.smoke = true;
-                    i += 1;
-                }
-                "--fuzz-frames" => {
-                    opts.fuzz_frames = true;
-                    i += 1;
-                }
-                other => return Err(format!("unknown option: {other}")),
-            }
+        let a = cli::parse(cli::SERVE_FLAGS, args)?;
+        let d = ServeOptions::default();
+        let addr = a.text(&cli::ADDR).unwrap_or(d.addr);
+        if addr.is_empty() {
+            return Err("--addr must not be empty".into());
         }
-        Ok(opts)
+        Ok(ServeOptions {
+            addr,
+            workers: a.count(&cli::WORKERS).unwrap_or(d.workers),
+            queue_cap: a.count(&cli::QUEUE_CAP).unwrap_or(d.queue_cap),
+            outbuf_cap: a.count(&cli::OUTBUF_CAP).unwrap_or(d.outbuf_cap),
+            smoke: a.has(&cli::SMOKE),
+            fuzz_frames: a.has(&cli::FUZZ_FRAMES),
+            setup: a.setup()?,
+        })
     }
-}
-
-/// Parses a flag value that must be a positive integer — the serve
-/// flags where 0 would mean "a server that can do nothing" (no
-/// workers, no queue slots, no outbound buffer).
-fn parse_nonzero<S: AsRef<str>>(arg: Option<&S>, flag: &str) -> Result<usize, String> {
-    let v = arg
-        .and_then(|s| s.as_ref().parse::<usize>().ok())
-        .ok_or_else(|| format!("{flag} needs an integer argument"))?;
-    if v == 0 {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(v)
 }
 
 /// Entry point of the `serve` subcommand. `--smoke` and

@@ -1,11 +1,7 @@
 //! Command-line plumbing for the telemetry subsystem: the shared
-//! `--metrics <path>` / `--trace-events <path>` flags, metric-file
-//! writers, and the per-set-usage histogram builder the `run` and
-//! `stats` reports share.
-//!
-//! The flags are stripped from the argument list *before* each
-//! subcommand's own option parser runs, so `RunOptions`, `BenchOptions`
-//! and `FuzzOptions` stay untouched (and `Copy`).
+//! `--metrics <path>` / `--trace-events <path>` destinations (parsed by
+//! [`crate::cli`]), metric-file writers, and the per-set-usage
+//! histogram builder the `run` and `stats` reports share.
 
 use std::io;
 
@@ -22,77 +18,6 @@ pub struct TelemetryFlags {
 }
 
 impl TelemetryFlags {
-    /// Removes `--metrics <path>` and `--trace-events <path>` from
-    /// `args`, returning the requested destinations. Every other
-    /// argument is left in place (and in order) for the subcommand's
-    /// own parser.
-    ///
-    /// Scanning stops at a `--` terminator, and a token that is the
-    /// *value* of another path/name-taking option (`--out --metrics`
-    /// names a file literally called `--metrics`) is skipped, not
-    /// stripped — the earlier greedy scan consumed both shapes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if either flag is missing its path argument.
-    pub fn extract(args: &mut Vec<String>) -> Result<TelemetryFlags, String> {
-        // Options (of any subcommand parser) whose next token is a
-        // value, which must therefore never be interpreted as a
-        // telemetry flag.
-        const VALUE_OPTS: &[&str] = &[
-            "--records",
-            "--warmup",
-            "--seed",
-            "--jobs",
-            "--bench",
-            "--side",
-            "--out",
-            "--baseline",
-            "--iters",
-            "--scenario",
-            "--retries",
-            "--backoff-ms",
-            "--job-timeout-ms",
-            "--inject-fault",
-            "--checkpoint",
-            "--resume",
-            "--model",
-            "--benchmark",
-            "--window",
-            "--event-ring-cap",
-            "--addr",
-            "--queue-cap",
-            "--outbuf-cap",
-            "--workers",
-            "--connections",
-            "--requests",
-        ];
-        let mut flags = TelemetryFlags::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--" => break,
-                "--metrics" => {
-                    if i + 1 >= args.len() {
-                        return Err("--metrics needs a path argument".into());
-                    }
-                    flags.metrics = Some(args.remove(i + 1));
-                    args.remove(i);
-                }
-                "--trace-events" => {
-                    if i + 1 >= args.len() {
-                        return Err("--trace-events needs a path argument".into());
-                    }
-                    flags.trace_events = Some(args.remove(i + 1));
-                    args.remove(i);
-                }
-                opt if VALUE_OPTS.contains(&opt) => i += 2,
-                _ => i += 1,
-            }
-        }
-        Ok(flags)
-    }
-
     /// Whether any telemetry output was requested.
     pub fn any(&self) -> bool {
         self.metrics.is_some() || self.trace_events.is_some()
@@ -161,119 +86,6 @@ pub fn record_model(rec: &mut Recorder, prefix: &str, model: &dyn cache_sim::Cac
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn extract_strips_only_telemetry_flags() {
-        let mut a = args(&[
-            "--records",
-            "500",
-            "--metrics",
-            "m.json",
-            "--jobs",
-            "2",
-            "--trace-events",
-            "e.jsonl",
-        ]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert_eq!(f.metrics.as_deref(), Some("m.json"));
-        assert_eq!(f.trace_events.as_deref(), Some("e.jsonl"));
-        assert!(f.any());
-        assert_eq!(a, args(&["--records", "500", "--jobs", "2"]));
-    }
-
-    #[test]
-    fn extract_without_flags_is_identity() {
-        let mut a = args(&["--records", "500"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert!(!f.any());
-        assert_eq!(a, args(&["--records", "500"]));
-    }
-
-    #[test]
-    fn extract_rejects_missing_paths() {
-        assert!(TelemetryFlags::extract(&mut args(&["--metrics"])).is_err());
-        assert!(TelemetryFlags::extract(&mut args(&["--records", "5", "--trace-events"])).is_err());
-    }
-
-    #[test]
-    fn extract_stops_at_double_dash() {
-        // Everything after `--` belongs to the subcommand verbatim.
-        let mut a = args(&["--records", "500", "--", "--metrics", "m.json"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert!(!f.any());
-        assert_eq!(a, args(&["--records", "500", "--", "--metrics", "m.json"]));
-        // Flags before the terminator are still stripped.
-        let mut a = args(&["--metrics", "m.json", "--", "--trace-events", "e.jsonl"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert_eq!(f.metrics.as_deref(), Some("m.json"));
-        assert!(f.trace_events.is_none());
-        assert_eq!(a, args(&["--", "--trace-events", "e.jsonl"]));
-    }
-
-    #[test]
-    fn extract_skips_profile_option_values() {
-        // "--metrics" here is the VALUE of profile's --model /
-        // --benchmark, not a telemetry flag.
-        let mut a = args(&[
-            "--model",
-            "--metrics",
-            "--benchmark",
-            "--trace-events",
-            "--window",
-            "4096",
-            "--event-ring-cap",
-            "--metrics",
-        ]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert!(!f.any());
-        assert_eq!(a.len(), 8, "nothing stripped: {a:?}");
-    }
-
-    #[test]
-    fn extract_skips_values_of_other_options() {
-        // "--metrics" here is the VALUE of --out (a file named
-        // "--metrics"), not a telemetry flag.
-        let mut a = args(&["--out", "--metrics", "--jobs", "2"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert!(!f.any());
-        assert_eq!(a, args(&["--out", "--metrics", "--jobs", "2"]));
-        // Same for a benchmark name and a checkpoint path.
-        let mut a = args(&[
-            "--bench",
-            "--trace-events",
-            "--checkpoint",
-            "--metrics",
-            "--metrics",
-            "m.json",
-        ]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert_eq!(f.metrics.as_deref(), Some("m.json"));
-        assert!(f.trace_events.is_none());
-        assert_eq!(
-            a,
-            args(&["--bench", "--trace-events", "--checkpoint", "--metrics"])
-        );
-    }
-
-    #[test]
-    fn extract_leaves_oracle_and_fuzz_flags_for_their_parsers() {
-        // The oracle subcommand's value-free flags pass through
-        // untouched, with telemetry flags interleaved among them.
-        let mut a = args(&["--smoke", "--metrics", "m.json", "--csv", "--seed", "7"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert_eq!(f.metrics.as_deref(), Some("m.json"));
-        assert_eq!(a, args(&["--smoke", "--csv", "--seed", "7"]));
-        // "--metrics" as the VALUE of fuzz's --scenario names a scenario
-        // literally called "--metrics"; it must be skipped, not stripped.
-        let mut a = args(&["--scenario", "--metrics", "--iters", "50"]);
-        let f = TelemetryFlags::extract(&mut a).unwrap();
-        assert!(!f.any());
-        assert_eq!(a, args(&["--scenario", "--metrics", "--iters", "50"]));
-    }
 
     #[test]
     fn degraded_summary_names_every_failure_kind() {

@@ -5,10 +5,12 @@
 //! is synthetic); these tests pin down the *shape*: who wins, in which
 //! order, and where the crossovers sit.
 
+use bcache_core::{BCacheParams, BalancedCache, PdHitPolicy, PiTagBits};
+use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
 use harness::config::CacheConfig;
 use harness::run::{run_miss_rates, RunLength, Side};
 use harness::{fig3, missrate, perf};
-use trace_gen::profiles;
+use trace_gen::{profiles, Op, Trace};
 
 fn len() -> RunLength {
     RunLength::with_records(150_000)
@@ -228,4 +230,90 @@ fn related_work_ordering() {
         red("hac32") >= red("MF8-BAS8") - 0.03,
         "HAC is the B-Cache's limit case"
     );
+}
+
+/// Data-side miss rate of one B-Cache variant over the first 200k
+/// records of `benchmark` (seed 1, no warm-up reset) — the replay the
+/// design-choice ablations below compare.
+fn ablation_miss_rate(benchmark: &str, params: BCacheParams) -> f64 {
+    let profile = profiles::by_name(benchmark).unwrap();
+    let mut bc = BalancedCache::new(params);
+    for r in Trace::new(&profile, 1).take(200_000) {
+        if let Some(a) = r.op.data_addr() {
+            let kind = if matches!(r.op, Op::Store(_)) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            bc.access(Addr::new(a), kind);
+        }
+    }
+    bc.stats().miss_rate()
+}
+
+/// The 16 kB, 32 B-line paper geometry the ablations replay.
+fn ablation_geometry() -> CacheGeometry {
+    CacheGeometry::new(16 * 1024, 32, 1).unwrap()
+}
+
+/// Section 3.3: LRU replacement in the B-Cache beats random
+/// (equake D$: 1.99% vs 2.71%).
+#[test]
+fn ablation_lru_beats_random_replacement() {
+    let lru = BCacheParams::new(ablation_geometry(), 8, 8, PolicyKind::Lru).unwrap();
+    let random = BCacheParams::new(ablation_geometry(), 8, 8, PolicyKind::Random)
+        .unwrap()
+        .with_seed(7);
+    let (lru, random) = (
+        ablation_miss_rate("equake", lru),
+        ablation_miss_rate("equake", random),
+    );
+    assert!(lru < random, "equake: LRU {lru:.5} vs random {random:.5}");
+}
+
+/// Section 2.3: on a PD hit with a tag miss, evicting the forced victim
+/// beats the evict-both alternative the paper rejects (wupwise D$:
+/// 20.91% vs 23.15%).
+#[test]
+fn ablation_forced_victim_beats_evict_both() {
+    let forced = BCacheParams::paper_default(ablation_geometry()).unwrap();
+    let both = forced.with_pd_hit_policy(PdHitPolicy::EvictBoth);
+    let (forced, both) = (
+        ablation_miss_rate("wupwise", forced),
+        ablation_miss_rate("wupwise", both),
+    );
+    assert!(
+        forced < both,
+        "wupwise: forced victim {forced:.5} vs evict-both {both:.5}"
+    );
+}
+
+/// The indexing question the paper leaves open: PI bits from the low
+/// tag bits (the paper's choice) beat the high ones on facerec's
+/// near-spaced conflicts (D$: 19.48% vs 28.71%).
+#[test]
+fn ablation_low_pi_bits_beat_high_on_facerec() {
+    let low = BCacheParams::paper_default(ablation_geometry()).unwrap();
+    let high = low.with_pi_tag_bits(PiTagBits::High);
+    let (low, high) = (
+        ablation_miss_rate("facerec", low),
+        ablation_miss_rate("facerec", high),
+    );
+    assert!(
+        low < high,
+        "facerec: low PI bits {low:.5} vs high {high:.5}"
+    );
+}
+
+/// Section 6.3: at an equal 6-bit PD, design A (MF8/BAS8) beats
+/// design B (MF16/BAS4) (twolf D$: 9.27% vs 23.44%).
+#[test]
+fn ablation_design_a_beats_design_b() {
+    let a = BCacheParams::new(ablation_geometry(), 8, 8, PolicyKind::Lru).unwrap();
+    let b = BCacheParams::new(ablation_geometry(), 16, 4, PolicyKind::Lru).unwrap();
+    let (a, b) = (
+        ablation_miss_rate("twolf", a),
+        ablation_miss_rate("twolf", b),
+    );
+    assert!(a < b, "twolf: design A {a:.5} vs design B {b:.5}");
 }
