@@ -297,7 +297,8 @@ pub struct BCacheOracle {
 
 impl BCacheOracle {
     /// Creates a cold B-Cache oracle. See the type docs for the field
-    /// meanings; `seed` feeds the mirrored random policy.
+    /// meanings; `policy` is the replacement policy and the seed that
+    /// feeds its mirrored random variants.
     ///
     /// # Panics
     ///
@@ -310,8 +311,7 @@ impl BCacheOracle {
         pi_bits: u32,
         mf_bits: u32,
         high_tag_pi: bool,
-        kind: PolicyKind,
-        seed: u64,
+        (kind, seed): (PolicyKind, u64),
     ) -> Self {
         assert!(line_bytes.is_power_of_two() && line_bytes > 0);
         assert!(mf_bits <= pi_bits, "MF cannot exceed the PI width");
@@ -589,7 +589,7 @@ mod tests {
         // MF = 1, BAS = 1: the whole index is the NPI and the oracle must
         // replay direct-mapped behaviour exactly.
         let mut dm = DirectMappedCache::new(512, 32).unwrap();
-        let mut oracle = BCacheOracle::new(32, 32, 4, 0, 0, false, PolicyKind::Lru, 0);
+        let mut oracle = BCacheOracle::new(32, 32, 4, 0, 0, false, (PolicyKind::Lru, 0));
         for (addr, w) in lcg_stream(9, 4000, 1 << 13) {
             let got = dm.access(Addr::new(addr), kind(w));
             let want = oracle.access(Addr::new(addr), kind(w));

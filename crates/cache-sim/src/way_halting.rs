@@ -333,8 +333,8 @@ mod tests {
             looped.access(addr, kind);
         }
         batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
+        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
+        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
         assert!(!a.is_empty(), "the fuzz stream must generate events");
         assert_eq!(a, b, "per-access and batched event sequences diverge");
     }

@@ -1041,8 +1041,7 @@ mod tests {
                 layout.pi_bits(),
                 mf_bits,
                 false,
-                policy,
-                11,
+                (policy, 11),
             );
             let mut x = 0x5A5A_1234u64;
             for i in 0..6000u64 {

@@ -550,8 +550,7 @@ fn bcache_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergenc
             layout.pi_bits(),
             mf_bits,
             high,
-            policy,
-            pseed,
+            (policy, pseed),
         );
         for (i, &(addr, w)) in t.iter().enumerate() {
             let got = model.access(Addr::new(addr), kind(w));
@@ -591,7 +590,7 @@ fn bcache_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergenc
          \x20   let params = bcache_core::BCacheParams::new(geom, {mf}, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap()\n\
          \x20       .with_seed({pseed}).with_pi_tag_bits(bcache_core::PiTagBits::{tag_sel});\n\
          \x20   let mut model = bcache_core::BalancedCache::new(params);\n\
-         \x20   let mut oracle = cache_sim::oracle::BCacheOracle::new({line}, {addr_bits}, {npi_bits}, {pi_bits}, {mf_bits}, {high}, cache_sim::PolicyKind::{policy:?}, {pseed});\n"
+         \x20   let mut oracle = cache_sim::oracle::BCacheOracle::new({line}, {addr_bits}, {npi_bits}, {pi_bits}, {mf_bits}, {high}, (cache_sim::PolicyKind::{policy:?}, {pseed}));\n"
     );
     diverge(
         "bcache_vs_oracle",
@@ -1263,8 +1262,7 @@ fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence>
             layout.pi_bits(),
             mf_bits,
             false,
-            policy,
-            pseed,
+            (policy, pseed),
         );
         let accesses: Vec<(Addr, AccessKind)> =
             t.iter().map(|&(a, w)| (Addr::new(a), kind(w))).collect();

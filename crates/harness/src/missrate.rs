@@ -68,8 +68,7 @@ fn run_figure(
     title: String,
     benchmarks: &[BenchmarkProfile],
     configs: &[CacheConfig],
-    size_bytes: usize,
-    side: Side,
+    (size_bytes, side): (usize, Side),
     len: RunLength,
 ) -> MissRateFigure {
     // One job per (benchmark, column); column 0 is the baseline. The
@@ -134,8 +133,7 @@ pub fn figure4_with(engine: &Engine, len: RunLength) -> (MissRateFigure, MissRat
         "Figure 4 (top): D$ miss-rate reductions, SPEC CFP2K, 16 kB".into(),
         &profiles::cfp(),
         &configs,
-        16 * 1024,
-        Side::Data,
+        (16 * 1024, Side::Data),
         len,
     );
     let int = run_figure(
@@ -144,8 +142,7 @@ pub fn figure4_with(engine: &Engine, len: RunLength) -> (MissRateFigure, MissRat
         "Figure 4 (bottom): D$ miss-rate reductions, SPEC CINT2K, 16 kB".into(),
         &profiles::cint(),
         &configs,
-        16 * 1024,
-        Side::Data,
+        (16 * 1024, Side::Data),
         len,
     );
     (fp, int)
@@ -165,8 +162,7 @@ pub fn figure5_with(engine: &Engine, len: RunLength) -> MissRateFigure {
         "Figure 5: I$ miss-rate reductions, reported benchmarks, 16 kB".into(),
         &profiles::icache_reported(),
         &CacheConfig::figure4_set(),
-        16 * 1024,
-        Side::Instruction,
+        (16 * 1024, Side::Instruction),
         len,
     )
 }
@@ -189,8 +185,7 @@ pub fn figure12_with(engine: &Engine, len: RunLength) -> Vec<MissRateFigure> {
             format!("Figure 12: D$ miss-rate reductions, {kb} kB"),
             &profiles::all(),
             &configs,
-            size,
-            Side::Data,
+            (size, Side::Data),
             len,
         ));
         figures.push(run_figure(
@@ -199,8 +194,7 @@ pub fn figure12_with(engine: &Engine, len: RunLength) -> Vec<MissRateFigure> {
             format!("Figure 12: I$ miss-rate reductions, {kb} kB"),
             &profiles::icache_reported(),
             &configs,
-            size,
-            Side::Instruction,
+            (size, Side::Instruction),
             len,
         ));
     }
@@ -232,8 +226,7 @@ pub fn related_work_with(engine: &Engine, len: RunLength) -> MissRateFigure {
         "Section 7.1: related-work D$ comparison, 16 kB".into(),
         &profiles::all(),
         &configs,
-        16 * 1024,
-        Side::Data,
+        (16 * 1024, Side::Data),
         len,
     )
 }

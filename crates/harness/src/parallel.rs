@@ -160,8 +160,10 @@ pub struct TraceCache {
 /// `(profile name, records, seed)`: the identity of one generated trace.
 type TraceKey = (&'static str, u64, u64);
 
-/// Side streams keyed additionally by `(warmup, is the data side)`.
-type SideMap = Mutex<HashMap<(TraceKey, u64, bool), Arc<OnceLock<Arc<SideTrace>>>>>;
+/// A side stream's trace key plus `(warmup, is the data side)`.
+type SideKey = (TraceKey, u64, bool);
+
+type SideMap = Mutex<HashMap<SideKey, Arc<OnceLock<Arc<SideTrace>>>>>;
 
 /// One cached record buffer and the number of declared requests still
 /// to come (`None`: kept until the cache is dropped).
@@ -229,28 +231,61 @@ impl TraceCache {
     /// materializing the record buffer — miss-rate sweeps only ever
     /// need the (much smaller) access streams.
     pub fn side(&self, profile: &BenchmarkProfile, len: RunLength, side: Side) -> Arc<SideTrace> {
+        self.side_extracted(profile, len, side).0
+    }
+
+    /// [`Self::side`], also telling whether this call ran the
+    /// extraction (`false`: the stream was already cached, or another
+    /// caller extracted it while this one waited).
+    pub(crate) fn side_extracted(
+        &self,
+        profile: &BenchmarkProfile,
+        len: RunLength,
+        side: Side,
+    ) -> (Arc<SideTrace>, bool) {
         let key = trace_key(profile, len);
         let cell = recover(self.sides.lock())
-            .entry((key, len.warmup, side == Side::Data))
+            .entry(side_key(profile, len, side))
             .or_default()
             .clone();
-        cell.get_or_init(|| {
-            let start = Instant::now();
-            let cached_records = recover(self.entries.lock())
-                .get(&key)
-                .and_then(|e| e.cell.get().cloned());
-            let trace = match cached_records {
-                Some(records) => SideTrace::extract(records.iter(), side, len.warmup),
-                None => SideTrace::extract(
-                    Trace::new(profile, len.seed).take(record_count(len.records)),
-                    side,
-                    len.warmup,
-                ),
-            };
-            recover(self.timing.lock()).record_span("phase.trace_extract", start.elapsed());
-            Arc::new(trace)
-        })
-        .clone()
+        let mut extracted = false;
+        let trace = cell
+            .get_or_init(|| {
+                extracted = true;
+                let start = Instant::now();
+                let cached_records = recover(self.entries.lock())
+                    .get(&key)
+                    .and_then(|e| e.cell.get().cloned());
+                let trace = match cached_records {
+                    Some(records) => SideTrace::extract(records.iter(), side, len.warmup),
+                    None => SideTrace::generate(profile, len, side),
+                };
+                recover(self.timing.lock()).record_span("phase.trace_extract", start.elapsed());
+                Arc::new(trace)
+            })
+            .clone();
+        (trace, extracted)
+    }
+
+    /// The cached `side` stream of `profile` at `len`, if one was
+    /// extracted; never extracts.
+    pub(crate) fn cached_side(
+        &self,
+        profile: &BenchmarkProfile,
+        len: RunLength,
+        side: Side,
+    ) -> Option<Arc<SideTrace>> {
+        recover(self.sides.lock())
+            .get(&side_key(profile, len, side))
+            .and_then(|cell| cell.get().cloned())
+    }
+
+    /// Number of distinct side streams currently cached.
+    pub(crate) fn side_len(&self) -> usize {
+        recover(self.sides.lock())
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// A snapshot of the accumulated trace-generation/extraction span
@@ -275,6 +310,10 @@ impl TraceCache {
 
 fn trace_key(profile: &BenchmarkProfile, len: RunLength) -> TraceKey {
     (profile.name, len.records, len.seed)
+}
+
+fn side_key(profile: &BenchmarkProfile, len: RunLength, side: Side) -> SideKey {
+    (trace_key(profile, len), len.warmup, side == Side::Data)
 }
 
 /// Retry/backoff/timeout policy of [`Engine::run`].

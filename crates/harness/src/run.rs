@@ -198,6 +198,16 @@ impl SideTrace {
         SideTrace { accesses, reset_at }
     }
 
+    /// Extracts the `side` stream of `profile` at `len` straight from
+    /// the generator, without materializing the record buffer.
+    pub(crate) fn generate(profile: &BenchmarkProfile, len: RunLength, side: Side) -> Self {
+        Self::extract(
+            Trace::new(profile, len.seed).take(record_count(len.records)),
+            side,
+            len.warmup,
+        )
+    }
+
     /// The extracted accesses, in record order.
     pub fn accesses(&self) -> &[(Addr, AccessKind)] {
         &self.accesses

@@ -1,6 +1,6 @@
 //! The TCP listener and server lifecycle: accept loop, per-connection
-//! session threads, worker pool, and the shared checkpoint store that
-//! makes sweeps survive a server kill.
+//! session threads, worker pool, the shared trace cache, and the shared
+//! checkpoint store that makes sweeps survive a server kill.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use super::scheduler::{self, Scheduler};
 use super::session;
+use super::streams::StreamCache;
 use super::ServeOptions;
 use crate::checkpoint::{Checkpoint, CheckpointMeta};
 use crate::run::RunLength;
@@ -28,6 +29,8 @@ pub(crate) struct ServerShared {
     pub opts: ServeOptions,
     /// The admission-controlled job queue.
     pub scheduler: Scheduler,
+    /// Side streams for every worker, kept from a key's second request.
+    pub streams: StreamCache,
     /// Sweep-point store (`--checkpoint`/`--resume`); `None` when the
     /// server runs without persistence.
     checkpoint: Mutex<Option<Checkpoint>>,
@@ -79,6 +82,14 @@ pub struct ServeSummary {
     pub jobs_failed: u64,
     /// Malformed frames answered with `error` frames.
     pub protocol_errors: u64,
+    /// Trace requests that extracted a first-seen stream and let it go.
+    pub trace_fresh: u64,
+    /// Trace requests that ran the extraction of a retained stream.
+    pub trace_fills: u64,
+    /// Trace requests served from a retained stream.
+    pub trace_hits: u64,
+    /// Side streams retained at shutdown.
+    pub streams_retained: u64,
 }
 
 /// A running `bcache-repro serve` instance: accept thread + worker
@@ -147,6 +158,7 @@ impl Server {
         };
         let shared = Arc::new(ServerShared {
             scheduler: Scheduler::new(opts.queue_cap),
+            streams: StreamCache::new(),
             checkpoint: Mutex::new(checkpoint),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
@@ -199,10 +211,15 @@ impl Server {
         while self.shared.active_sessions.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
         }
+        let streams = self.shared.streams.counts();
         ServeSummary {
             jobs_completed: self.shared.jobs_completed.load(Ordering::Relaxed),
             jobs_failed: self.shared.jobs_failed.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
+            trace_fresh: streams.fresh,
+            trace_fills: streams.fills,
+            trace_hits: streams.hits,
+            streams_retained: streams.retained,
         }
     }
 }

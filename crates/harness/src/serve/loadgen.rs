@@ -43,8 +43,8 @@ pub struct LoadgenOptions {
     /// Records per job.
     pub records: u64,
     /// Trace seed shared by every job (identical traces keep the
-    /// server's per-worker caches warm — the measurement is replay
-    /// throughput, not trace generation).
+    /// server's shared trace cache warm from the second job on — the
+    /// measurement is replay throughput, not trace generation).
     pub seed: u64,
     /// Write the report as a bench-schema JSON row to this path.
     pub out: Option<String>,
@@ -243,7 +243,7 @@ impl Client {
 /// The deterministic job mix: replays across four models, a windowed
 /// profile, and an occasional sweep — every job type the server
 /// understands, cycling by request ordinal.
-fn job_frame(conn: usize, req: usize, opts: &LoadgenOptions) -> (String, String) {
+pub(super) fn job_frame(conn: usize, req: usize, opts: &LoadgenOptions) -> (String, String) {
     let id = format!("c{conn}-r{req}");
     let common = format!(
         "\"id\": \"{id}\", \"benchmark\": \"mcf\", \"records\": {}, \"seed\": {}",

@@ -14,6 +14,8 @@
 //!   buffer with EventRing-style drop accounting, writer thread.
 //! - [`scheduler`]: per-tenant bounded queues with round-robin
 //!   draining and explicit `busy` admission rejects.
+//! - `streams`: the one side-stream cache every worker shares,
+//!   retaining a stream from its key's second request.
 //! - [`listener`]: accept loop, worker pool, checkpoint store,
 //!   lifecycle ([`Server::start`] / [`Server::shutdown`]).
 //! - [`loadgen`]: the saturation client (`bcache-repro loadgen`).
@@ -23,6 +25,7 @@ pub mod loadgen;
 pub mod protocol;
 pub mod scheduler;
 pub mod session;
+pub(crate) mod streams;
 
 use std::thread;
 use std::time::Duration;
@@ -34,7 +37,7 @@ use crate::cli;
 use crate::config::EngineSetup;
 use crate::parallel::default_parallelism;
 use loadgen::{Client, JobEnd};
-use protocol::MAX_LINE_BYTES;
+use protocol::{Request, MAX_LINE_BYTES};
 
 /// Options of the `serve` subcommand.
 #[derive(Clone, Debug)]
@@ -128,7 +131,8 @@ fn start_ephemeral(mut opts: ServeOptions) -> Result<(Server, String), String> {
 }
 
 /// The CI smoke battery: a short loadgen burst plus the malformed-frame
-/// checks, asserting clean shutdown and non-zero completed jobs.
+/// checks, asserting clean shutdown, non-zero completed jobs, and one
+/// first-sighting extraction per distinct stream the burst requested.
 fn smoke(opts: ServeOptions) -> Result<String, String> {
     let (server, addr) = start_ephemeral(opts)?;
 
@@ -143,6 +147,20 @@ fn smoke(opts: ServeOptions) -> Result<String, String> {
         ..LoadgenOptions::default()
     };
     let report = run_loadgen(&lg)?;
+    // Each distinct stream the burst asked for is a first sighting once.
+    let mut streams = Vec::new();
+    for conn in 0..lg.connections {
+        for req in 0..lg.requests {
+            let (_, frame) = loadgen::job_frame(conn, req, &lg);
+            if let Ok(Request::Submit(job)) = protocol::parse_request(&frame) {
+                let (benchmark, len, side) = job.spec.stream();
+                let key = (benchmark.to_string(), len, side);
+                if !streams.contains(&key) {
+                    streams.push(key);
+                }
+            }
+        }
+    }
 
     // Hostile input on a fresh session must produce error frames and
     // leave the session (and server) serving.
@@ -167,11 +185,23 @@ fn smoke(opts: ServeOptions) -> Result<String, String> {
             summary.protocol_errors
         ));
     }
+    if summary.trace_fresh != streams.len() as u64 {
+        return Err(format!(
+            "smoke: {} first-sighting trace extractions for {} distinct streams",
+            summary.trace_fresh,
+            streams.len()
+        ));
+    }
     Ok(format!(
-        "SERVE SMOKE OK: {} jobs completed, {} failed, {} protocol errors handled\n{}",
+        "SERVE SMOKE OK: {} jobs completed, {} failed, {} protocol errors handled\n\
+         trace cache: {} fresh, {} fills, {} hits, {} streams retained\n{}",
         summary.jobs_completed,
         summary.jobs_failed,
         summary.protocol_errors,
+        summary.trace_fresh,
+        summary.trace_fills,
+        summary.trace_hits,
+        summary.streams_retained,
         report.render(&lg)
     ))
 }

@@ -111,6 +111,28 @@ pub enum JobSpec {
     },
 }
 
+impl JobSpec {
+    /// The side stream the job replays: `(benchmark, length, side)`.
+    /// A sweep replays the data side.
+    pub(crate) fn stream(&self) -> (&str, RunLength, Side) {
+        match self {
+            JobSpec::Replay {
+                benchmark,
+                len,
+                side,
+                ..
+            }
+            | JobSpec::Profile {
+                benchmark,
+                len,
+                side,
+                ..
+            } => (benchmark, *len, *side),
+            JobSpec::Sweep { benchmark, len } => (benchmark, *len, Side::Data),
+        }
+    }
+}
+
 /// Extracts a string field from a single-line JSON object — the same
 /// scan the checkpoint store uses (field names are trusted, values are
 /// read to the closing quote, so values must not contain `"`).

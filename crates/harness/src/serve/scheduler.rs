@@ -8,12 +8,16 @@
 //!
 //! Each worker owns a single-job [`Engine`] built from the server's
 //! [`EngineSetup`](crate::config::EngineSetup), so every job runs under
-//! the PR 5 supervision stack: `catch_unwind` per attempt, the
+//! the engine's supervision stack: `catch_unwind` per attempt, the
 //! retry/backoff policy, and deterministic fault injection. A job that
 //! fails permanently re-raises its panic out of `Engine::run`; the
 //! executor catches it and turns it into an `error` frame on the
 //! owning session only — the worker thread and every other session
 //! keep going.
+//!
+//! Jobs read their side streams from the server's one
+//! [`StreamCache`](super::streams::StreamCache), not from the worker's
+//! engine, so a hot stream is held once however many workers replay it.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -202,7 +206,7 @@ fn run_job(shared: &Arc<ServerShared>, engine: &Engine, job: &Job) -> Result<Job
             model,
             len,
             side,
-        } => run_replay(engine, job, benchmark, model, *len, *side),
+        } => run_replay(shared, engine, job, benchmark, model, *len, *side),
         JobSpec::Sweep { benchmark, len } => run_sweep(shared, engine, job, benchmark, *len),
         JobSpec::Profile {
             benchmark,
@@ -210,11 +214,12 @@ fn run_job(shared: &Arc<ServerShared>, engine: &Engine, job: &Job) -> Result<Job
             len,
             side,
             window,
-        } => run_profile(engine, job, benchmark, model, *len, *side, *window),
+        } => run_profile(shared, engine, job, benchmark, model, *len, *side, *window),
     }
 }
 
 fn run_replay(
+    shared: &ServerShared,
     engine: &Engine,
     job: &Job,
     benchmark: &str,
@@ -224,7 +229,7 @@ fn run_replay(
 ) -> Result<JobDone, String> {
     let profile = profilecmd::resolve_benchmark(benchmark)?;
     let (label, config) = profilecmd::resolve_model(model)?;
-    let trace = engine.side_trace(&profile, len, side);
+    let trace = shared.streams.side(&profile, len, side);
     let inject = job.request.fault.is_some();
     let panic_id = job.request.id.clone();
     let data = if let CacheConfig::BCache { mf, bas } = config {
@@ -274,7 +279,9 @@ fn run_sweep(
     len: RunLength,
 ) -> Result<JobDone, String> {
     let profile = profilecmd::resolve_benchmark(benchmark)?;
-    let trace = engine.side_trace(&profile, len, crate::run::Side::Data);
+    // Fetched on the first point the checkpoint does not hold, so a
+    // fully checkpointed sweep builds no trace.
+    let mut trace = None;
     let fault = job.request.fault.is_some();
     let mut done = JobDone { rows: 0, cached: 0 };
     for (idx, &mf) in SWEEP_MFS.iter().enumerate() {
@@ -294,7 +301,11 @@ fn run_sweep(
             None => {
                 let inject = fault && idx == SWEEP_FAULT_POINT;
                 let panic_id = job.request.id.clone();
-                let trace = trace.clone();
+                let trace = trace
+                    .get_or_insert_with(|| {
+                        shared.streams.side(&profile, len, crate::run::Side::Data)
+                    })
+                    .clone();
                 let v = engine
                     .run(vec![move || {
                         if inject {
@@ -325,6 +336,7 @@ fn run_sweep(
 
 #[allow(clippy::too_many_arguments)]
 fn run_profile(
+    shared: &ServerShared,
     engine: &Engine,
     job: &Job,
     benchmark: &str,
@@ -335,7 +347,7 @@ fn run_profile(
 ) -> Result<JobDone, String> {
     let profile = profilecmd::resolve_benchmark(benchmark)?;
     let (label, config) = profilecmd::resolve_model(model)?;
-    let trace = engine.side_trace(&profile, len, side);
+    let trace = shared.streams.side(&profile, len, side);
     let seed = job_seed(len.seed, benchmark, side);
     let inject = job.request.fault.is_some();
     let panic_id = job.request.id.clone();

@@ -62,7 +62,7 @@ fn birthday_stream(k: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let kind = if (x >> 8) % 4 == 0 {
+            let kind = if (x >> 8).is_multiple_of(4) {
                 AccessKind::Write
             } else {
                 AccessKind::Read
@@ -74,6 +74,9 @@ fn birthday_stream(k: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
 
 type Builder = Box<dyn Fn() -> Box<dyn CacheModel>>;
 
+/// Two identical instances of one model, under a label.
+type Pair<L> = (L, Box<dyn CacheModel>, Box<dyn CacheModel>);
+
 /// Two identical instances of every model in the repo at the paper's
 /// 16 kB working geometry, then of every const-dispatched CAM width:
 /// victim buffers at each monomorphized power-of-two width (its
@@ -83,7 +86,7 @@ type Builder = Box<dyn Fn() -> Box<dyn CacheModel>>;
 /// monomorphize. The raw cam-vs-const pinning at widths 1..=33 lives in
 /// `cache_sim::cam`'s unit tests; these rows drive the same widths
 /// through whole models.
-fn model_pairs() -> Vec<(String, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
+fn model_pairs() -> Vec<Pair<String>> {
     let mut build: Vec<(String, Builder)> = vec![
         (
             "direct-mapped".into(),
@@ -186,7 +189,7 @@ fn model_pairs() -> Vec<(String, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
 /// on the hot path — a single frame, a single index bit, BAS equal to
 /// the whole set count — where an off-by-one hides from the 16 kB
 /// suite above.
-fn degenerate_pairs() -> Vec<(&'static str, Box<dyn CacheModel>, Box<dyn CacheModel>)> {
+fn degenerate_pairs() -> Vec<Pair<&'static str>> {
     let build: Vec<(&'static str, Builder)> = vec![
         (
             "DM, cache == line",
@@ -565,8 +568,7 @@ fn batched_bcache_still_matches_the_oracle() {
         layout.pi_bits(),
         3, // MF = 8 = 2^3
         false,
-        PolicyKind::Lru,
-        0,
+        (PolicyKind::Lru, 0),
     );
     let accesses: Vec<(Addr, AccessKind)> = stream(99)
         .into_iter()

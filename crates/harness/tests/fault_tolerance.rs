@@ -151,7 +151,7 @@ fn checkpoint_kill_resume_is_byte_identical() {
     let hits = resumed
         .failure_snapshot()
         .counter_value("engine.checkpoint_hits");
-    assert!(hits >= 1 && hits < 9, "checkpoint hits: {hits}");
+    assert!((1..9).contains(&hits), "checkpoint hits: {hits}");
 
     let _ = fs::remove_file(&path);
 }

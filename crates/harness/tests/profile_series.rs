@@ -121,7 +121,7 @@ fn observer_series_matches_the_stats_delta_series() {
         .with_seed(7);
 
     let mut observed = bcache_core::BalancedCache::with_observer(
-        params.clone(),
+        params,
         WindowSeries::new(window, geom.sets() as u64),
     );
     observed.access_batch(&accesses);

@@ -287,8 +287,7 @@ proptest! {
             layout.pi_bits(),
             3,
             false,
-            PolicyKind::Lru,
-            0,
+            (PolicyKind::Lru, 0),
         );
         let accesses: Vec<(Addr, AccessKind)> = accesses(&trace)
             .into_iter()

@@ -1,11 +1,13 @@
 //! End-to-end tests of `bcache-repro serve` on an ephemeral port:
 //! byte-identity with the offline replay paths, panic isolation across
 //! concurrent sessions, kill-and-restart sweep resume through the
-//! checkpoint, hostile-frame handling, and admission control.
+//! checkpoint, the shared trace cache's retention rule, hostile-frame
+//! handling, and admission control.
 
 use std::collections::HashMap;
 use std::thread;
 
+use harness::config::CacheConfig;
 use harness::run::{replay_bcache_pd_on, replay_config_on, RunLength, Side};
 use harness::serve::loadgen::{Client, JobEnd};
 use harness::serve::protocol::{f64_bits, json_str_field, MAX_LINE_BYTES};
@@ -205,8 +207,127 @@ fn killed_and_restarted_sweep_resumes_byte_identically() {
             "MF {mf}: exactly the pre-fault points come from the checkpoint"
         );
     }
-    server_b.shutdown();
+    let summary = server_b.shutdown();
+    assert_eq!(
+        (summary.trace_fresh, summary.trace_fills, summary.trace_hits),
+        (1, 0, 0),
+        "the resumed sweep fetched its trace once, for the first uncached point"
+    );
+
+    // Server C resumes the now complete checkpoint: every point comes
+    // from it, and the sweep never fetches the trace.
+    let mut opts = ephemeral(1);
+    opts.setup.resume = Some(path.clone());
+    let (server_c, addr_c) = start(opts);
+    let mut client_c = Client::connect(&addr_c).unwrap();
+    let (end, rows_c) = client_c.run_job(&sweep_frame("s3", false), "s3").unwrap();
+    assert!(
+        matches!(end, JobEnd::Done { rows: 9, cached: 9 }),
+        "{end:?}"
+    );
+    for (mf, (bits, cached)) in sweep_rows(&rows_c) {
+        assert_eq!(bits, reference[&mf].0, "MF {mf} from the checkpoint");
+        assert!(cached, "MF {mf} must come from the checkpoint");
+    }
+    let summary = server_c.shutdown();
+    assert_eq!(
+        (summary.trace_fresh, summary.trace_fills, summary.trace_hits),
+        (0, 0, 0),
+        "a fully checkpointed sweep must not fetch its trace"
+    );
     let _ = std::fs::remove_file(&ckpt);
+}
+
+/// The offline result bits of one mcf data-side replay of `model` at
+/// trace seed `seed`: `miss_rate_bits`, then `pd_hit_bits` for B-Cache.
+fn offline_bits(model: &str, seed: u64) -> Vec<String> {
+    let len = RunLength { seed, ..len() };
+    let profile = trace_gen::profiles::by_name("mcf").unwrap();
+    let trace = Engine::new(1).side_trace(&profile, len, Side::Data);
+    match profilecmd::resolve_model(model).unwrap().1 {
+        CacheConfig::BCache { mf, bas } => {
+            let o = replay_bcache_pd_on(&trace, mf, bas, 16 * 1024);
+            vec![f64_bits(o.miss_rate), f64_bits(o.pd_hit_rate_on_miss)]
+        }
+        config => vec![f64_bits(replay_config_on(
+            "mcf",
+            &trace,
+            &config,
+            16 * 1024,
+            Side::Data,
+            len,
+        ))],
+    }
+}
+
+#[test]
+fn the_shared_trace_cache_retains_only_reused_streams() {
+    let (server, addr) = start(ephemeral(2));
+    // Three hot keys (trace seeds) with four jobs each, then six keys
+    // with one job each.
+    let models = ["direct-mapped", "bcache-mf8-bas8", "8-way-lru", "victim16"];
+    let mut jobs: Vec<(String, &str, u64)> = Vec::new();
+    for seed in [101, 102, 103] {
+        for (m, model) in models.iter().enumerate() {
+            jobs.push((format!("h{seed}-{m}"), model, seed));
+        }
+    }
+    for seed in 201..=206 {
+        jobs.push((format!("c{seed}"), models[0], seed));
+    }
+    // Two connections take alternate jobs, so both workers race on the
+    // hot keys' first requests.
+    let served: Vec<(String, &str, u64, Vec<String>)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|c| {
+                let (jobs, addr) = (&jobs, &addr);
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    jobs.iter()
+                        .skip(c)
+                        .step_by(2)
+                        .map(|(id, model, seed)| {
+                            let frame = format!(
+                                "{{\"type\": \"submit\", \"id\": \"{id}\", \"job\": \"replay\", \
+                                 \"benchmark\": \"mcf\", \"model\": \"{model}\", \
+                                 \"records\": {}, \"seed\": {seed}}}",
+                                len().records
+                            );
+                            let (end, rows) = client.run_job(&frame, id).unwrap();
+                            assert!(matches!(end, JobEnd::Done { rows: 1, .. }), "{end:?}");
+                            let bits = ["miss_rate_bits", "pd_hit_bits"]
+                                .iter()
+                                .filter_map(|f| json_str_field(&rows[0], f))
+                                .collect();
+                            (id.clone(), *model, *seed, bits)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(served.len(), jobs.len());
+    for (id, model, seed, bits) in &served {
+        assert_eq!(
+            *bits,
+            offline_bits(model, *seed),
+            "job {id}: served row must be bit-identical to the offline replay"
+        );
+    }
+
+    let summary = server.shutdown();
+    assert_eq!(summary.jobs_completed, jobs.len() as u64);
+    assert_eq!(summary.trace_fresh, 9, "one first sighting per key");
+    assert_eq!(
+        summary.trace_fills, 3,
+        "each hot key is extracted for retention once"
+    );
+    assert_eq!(summary.trace_hits, 6);
+    assert_eq!(summary.streams_retained, 3, "only the reused keys stay");
 }
 
 #[test]

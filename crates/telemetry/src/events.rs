@@ -347,10 +347,10 @@ mod tests {
 
     #[test]
     fn null_observer_is_disabled() {
-        assert!(!NullObserver::ENABLED);
-        assert!(EventRing::ENABLED);
-        assert!(<&mut EventRing as Observer>::ENABLED);
-        assert!(!<&mut NullObserver as Observer>::ENABLED);
+        const { assert!(!NullObserver::ENABLED) };
+        const { assert!(EventRing::ENABLED) };
+        const { assert!(<&mut EventRing as Observer>::ENABLED) };
+        const { assert!(!<&mut NullObserver as Observer>::ENABLED) };
     }
 
     #[test]

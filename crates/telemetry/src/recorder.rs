@@ -553,7 +553,7 @@ mod tests {
                 r.counter("misses", i * 10);
                 r.counter(&format!("shard.{i}"), 1);
                 r.observe("usage", i * i);
-                r.record_span("replay", Duration::from_nanos(100 + i as u64));
+                r.record_span("replay", Duration::from_nanos(100 + i));
                 r
             })
             .collect();

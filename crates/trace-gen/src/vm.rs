@@ -320,10 +320,7 @@ mod tests {
     fn run(insns: Vec<Insn>) -> (Machine, Vec<TraceRecord>) {
         let p = Program::assemble(insns, 0x40_0000);
         let mut m = Machine::new(p).with_fuel(1_000_000);
-        let mut trace = Vec::new();
-        while let Some(r) = m.next() {
-            trace.push(r);
-        }
+        let trace = m.by_ref().collect();
         (m, trace)
     }
 
