@@ -1,10 +1,10 @@
 //! Table 7: the balance evaluation (Section 6.4) — frequent-hit sets,
 //! frequent-miss sets and less-accessed sets, baseline versus B-Cache.
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{BalanceReport, CacheGeometry, CacheModel, DirectMappedCache};
+use cache_sim::BalanceReport;
 use trace_gen::profiles;
 
+use crate::config::CacheConfig;
 use crate::parallel::Engine;
 use crate::report::{pct, TextTable};
 use crate::run::{RunLength, Side, SideTrace};
@@ -47,17 +47,14 @@ pub fn table7_with(engine: &Engine, len: RunLength) -> Result<Vec<BalanceRow>, S
 }
 
 fn balance_on(benchmark: &str, trace: &SideTrace) -> Result<BalanceRow, String> {
-    let geom = CacheGeometry::new(16 * 1024, 32, 1)
-        .map_err(|e| format!("table 7 geometry (16 kB, 32 B lines, direct-mapped): {e}"))?;
-    let mut dm = DirectMappedCache::from_geometry(geom)
-        .map_err(|e| format!("table 7 direct-mapped baseline: {e}"))?;
-    let params = BCacheParams::paper_default(geom)
-        .map_err(|e| format!("table 7 B-Cache design point (MF=8, BAS=8): {e}"))?;
-    let mut bc = BalancedCache::new(params);
-    {
-        let mut models: [&mut dyn CacheModel; 2] = [&mut dm, &mut bc];
-        trace.replay_into(&mut models);
-    }
+    let build = |config: CacheConfig| {
+        config
+            .build(16 * 1024, 0)
+            .map_err(|e| format!("table 7 {} model (16 kB): {e}", config.label()))
+    };
+    let mut dm = build(CacheConfig::DirectMapped)?;
+    let mut bc = build(CacheConfig::BCache { mf: 8, bas: 8 })?;
+    trace.replay_into(&mut [dm.as_mut(), bc.as_mut()]);
     Ok(BalanceRow {
         benchmark: benchmark.to_string(),
         baseline: dm

@@ -1,13 +1,9 @@
 //! The cache configurations compared throughout the paper's evaluation.
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{
-    AgacCache, CacheGeometry, CacheModel, ColumnAssociativeCache, DifferenceBitCache,
-    DirectMappedCache, GeometryError, HighlyAssociativeCache, PartialMatchCache, PolicyKind,
-    SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
-};
+use cache_sim::{CacheModel, GeometryError, PolicyKind};
 
 use crate::cli;
+use crate::models::ModelSpec;
 
 /// A named L1 configuration from the paper's figures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -91,6 +87,73 @@ impl CacheConfig {
         ]
     }
 
+    /// The nine configurations of the Section 7.1 related-work
+    /// comparison.
+    pub fn related_set() -> Vec<CacheConfig> {
+        vec![
+            CacheConfig::ColumnAssoc,
+            CacheConfig::SkewedAssoc,
+            CacheConfig::Agac,
+            CacheConfig::Pam,
+            CacheConfig::DiffBit,
+            CacheConfig::SetAssoc(2),
+            CacheConfig::SetAssoc(4),
+            CacheConfig::Hac,
+            CacheConfig::BCache { mf: 8, bas: 8 },
+        ]
+    }
+
+    /// The model spec of the configuration for an L1 of `size_bytes`
+    /// with 32-byte lines; `seed` feeds the random policies.
+    pub fn spec(&self, size_bytes: usize, seed: u64) -> ModelSpec {
+        let (size, line) = (size_bytes, 32);
+        match *self {
+            CacheConfig::DirectMapped => ModelSpec::DirectMapped { size, line },
+            CacheConfig::SetAssoc(ways) => ModelSpec::SetAssoc {
+                size,
+                line,
+                ways,
+                policy: PolicyKind::Lru,
+                seed,
+            },
+            CacheConfig::Victim(entries) => ModelSpec::Victim {
+                size,
+                line,
+                entries,
+            },
+            CacheConfig::BCache { mf, bas } => {
+                ModelSpec::bcache(size, mf, bas, PolicyKind::Lru, seed)
+            }
+            CacheConfig::BCacheRandom { mf, bas } => {
+                ModelSpec::bcache(size, mf, bas, PolicyKind::Random, seed)
+            }
+            CacheConfig::ColumnAssoc => ModelSpec::Column { size, line },
+            CacheConfig::SkewedAssoc => ModelSpec::Skewed { size, line },
+            CacheConfig::Hac => ModelSpec::Hac {
+                size,
+                line,
+                subarray_bytes: 1024,
+            },
+            CacheConfig::WayHalting => ModelSpec::WayHalting {
+                size,
+                line,
+                ways: 4,
+                pad_bits: 4,
+            },
+            CacheConfig::Agac => ModelSpec::Agac {
+                size,
+                line,
+                entries: 64,
+            },
+            CacheConfig::Pam => ModelSpec::Pam {
+                size,
+                line,
+                pad_bits: 5,
+            },
+            CacheConfig::DiffBit => ModelSpec::DiffBit { size, line },
+        }
+    }
+
     /// Instantiates the configuration for an L1 of `size_bytes` with
     /// 32-byte lines.
     ///
@@ -103,44 +166,7 @@ impl CacheConfig {
         size_bytes: usize,
         seed: u64,
     ) -> Result<Box<dyn CacheModel>, GeometryError> {
-        const LINE: usize = 32;
-        let geom = CacheGeometry::new(size_bytes, LINE, 1)?;
-        Ok(match *self {
-            CacheConfig::DirectMapped => Box::new(DirectMappedCache::new(size_bytes, LINE)?),
-            CacheConfig::SetAssoc(n) => Box::new(SetAssociativeCache::new(
-                size_bytes,
-                LINE,
-                n,
-                PolicyKind::Lru,
-                seed,
-            )?),
-            CacheConfig::Victim(entries) => Box::new(VictimCache::new(size_bytes, LINE, entries)?),
-            CacheConfig::BCache { mf, bas } => {
-                let params = BCacheParams::new(geom, mf, bas, PolicyKind::Lru)
-                    .map_err(|_| GeometryError::AssocLargerThanLines {
-                        assoc: bas,
-                        lines: geom.lines(),
-                    })?
-                    .with_seed(seed);
-                Box::new(BalancedCache::new(params))
-            }
-            CacheConfig::BCacheRandom { mf, bas } => {
-                let params = BCacheParams::new(geom, mf, bas, PolicyKind::Random)
-                    .map_err(|_| GeometryError::AssocLargerThanLines {
-                        assoc: bas,
-                        lines: geom.lines(),
-                    })?
-                    .with_seed(seed);
-                Box::new(BalancedCache::new(params))
-            }
-            CacheConfig::ColumnAssoc => Box::new(ColumnAssociativeCache::new(size_bytes, LINE)?),
-            CacheConfig::SkewedAssoc => Box::new(SkewedAssociativeCache::new(size_bytes, LINE)?),
-            CacheConfig::Hac => Box::new(HighlyAssociativeCache::new(size_bytes, LINE, 1024)?),
-            CacheConfig::WayHalting => Box::new(WayHaltingCache::new(size_bytes, LINE, 4, 4)?),
-            CacheConfig::Agac => Box::new(AgacCache::new(size_bytes, LINE, 64)?),
-            CacheConfig::Pam => Box::new(PartialMatchCache::new(size_bytes, LINE, 5)?),
-            CacheConfig::DiffBit => Box::new(DifferenceBitCache::new(size_bytes, LINE)?),
-        })
+        self.spec(size_bytes, seed).build()
     }
 
     /// Short label matching the paper's figure legends.
@@ -284,7 +310,6 @@ pub fn validate_len(len: crate::run::RunLength) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessKind, Addr};
 
     #[test]
     fn figure_sets_have_the_papers_counts() {
@@ -294,29 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn every_config_builds_and_serves_accesses() {
-        let mut configs = CacheConfig::figure4_set();
-        configs.extend([
-            CacheConfig::DirectMapped,
-            CacheConfig::ColumnAssoc,
-            CacheConfig::SkewedAssoc,
-            CacheConfig::Hac,
-            CacheConfig::WayHalting,
-            CacheConfig::BCacheRandom { mf: 8, bas: 8 },
-            CacheConfig::Agac,
-            CacheConfig::Pam,
-            CacheConfig::DiffBit,
-        ]);
-        for c in configs {
-            let mut m = c.build(16 * 1024, 0).unwrap();
-            m.access(Addr::new(0x1234), AccessKind::Read);
-            assert!(
-                m.access(Addr::new(0x1234), AccessKind::Read).hit,
-                "{}",
-                c.label()
-            );
-            assert!(!c.label().is_empty());
-        }
+    fn bcache_build_reports_the_parameter_it_rejects() {
+        let err = |mf, bas| {
+            let e = CacheConfig::BCache { mf, bas }.build(16 * 1024, 0).err();
+            e.map(|e| e.to_string()).unwrap_or_default()
+        };
+        assert_eq!(err(3, 8), "MF must be a nonzero power of two, got 3");
+        assert_eq!(err(8, 1024), "associativity 1024 exceeds line count 512");
+        // 16 kB of 32-byte lines leaves an 18-bit tag; MF 2^19 needs
+        // offset 5 + index 9 + 19 programmable bits.
+        assert_eq!(
+            err(1 << 19, 8),
+            "address width 32 cannot hold 33 offset+index bits"
+        );
     }
 
     #[test]
@@ -324,15 +339,6 @@ mod tests {
         assert_eq!(CacheConfig::SetAssoc(8).label(), "8way");
         assert_eq!(CacheConfig::Victim(16).label(), "victim16");
         assert_eq!(CacheConfig::BCache { mf: 8, bas: 8 }.label(), "MF8-BAS8");
-    }
-
-    #[test]
-    fn builds_at_all_three_paper_sizes() {
-        for size in [8 * 1024, 16 * 1024, 32 * 1024] {
-            for c in CacheConfig::figure12_set() {
-                assert!(c.build(size, 0).is_ok(), "{} at {size}", c.label());
-            }
-        }
     }
 
     #[test]

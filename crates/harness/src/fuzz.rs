@@ -8,99 +8,137 @@
 //! results are aggregated positionally, so the report is bit-identical
 //! for every `--jobs` value.
 //!
-//! Scenarios (round-robin over the case index):
+//! Case `c` runs scenario `c % SCENARIOS.len()` of the [`SCENARIOS`]
+//! table. Seven rows are differential: each is a `(name, families,
+//! drive)` triple that draws a small or degenerate [`ModelSpec`] of one
+//! of its families ([`ModelSpec::draw`]) and runs the one check,
+//! [`ModelSpec::differential`], against the spec's reference —
+//! [`OracleCache`](cache_sim::OracleCache) for the direct-mapped,
+//! set-associative and n-way-LRU wrapper caches,
+//! [`BCacheOracle`](cache_sim::BCacheOracle) for the B-Cache, and the
+//! model's own per-access loop for the victim, column, skewed and AGAC
+//! caches. The drive is either per access (every `AccessResult`
+//! diffed) or batched through [`CacheModel::access_batch`] at a drawn chunk size
+//! (final counters, PD counters and set usage compared):
 //!
-//! 1. direct-mapped vs [`OracleCache`];
-//! 2. set-associative (every policy) vs [`OracleCache`];
-//! 3. B-Cache (random MF/BAS/policy/PI-tag-bits) vs [`BCacheOracle`],
-//!    including PD counters and the unique-decoding invariant;
-//! 4. the set-associative wrappers (HAC, PAM, difference-bit,
-//!    way-halting) vs [`OracleCache`] — their hit/miss/evict behaviour
-//!    is contractually that of an n-way LRU cache;
-//! 5. metamorphic: `SetAssoc(ways=1)` ≡ DM and `BCache(MF=1, BAS=1)`
-//!    ≡ DM, access by access;
-//! 6. metamorphic: a full-PI B-Cache ≡ a BAS-way set-associative cache;
-//! 7. LRU inclusion: at a fixed set count, a hit in `w` ways implies a
-//!    hit in `2w` ways on every access;
-//! 8. fully-associative LRU stack property: a hit with `L` lines
-//!    implies a hit with `2L` lines on every access;
-//! 9. demand-fill sanity for the bespoke models (victim, column,
-//!    skewed, AGAC): no hit on a never-seen block (the compulsory-miss
-//!    bound), exact access accounting, and — for the victim cache —
-//!    per-access dominance over the bare direct-mapped array;
-//! 10. batch equivalence: for a randomly drawn model (any of the ten),
-//!     replaying the trace through [`CacheModel::access_batch`] yields
-//!     exactly the stats of the per-access loop — guarding the
-//!     monomorphized fast paths of the DM, set-associative and B-Cache
-//!     kernels and the default fallback of everything else;
-//! 11. batched vs oracle: an oracle-equivalent model (direct-mapped,
-//!     set-associative at a random const-dispatched width and policy,
-//!     or one of the n-way-LRU wrappers) is driven purely through
-//!     [`CacheModel::access_batch`] at a random chunk size and its
-//!     final hit/miss/writeback counters must equal the per-access
-//!     [`OracleCache`] — the differential form of the proptest suite in
-//!     `tests/proptest_differential.rs`;
-//! 12. the birthday adversary: blocks spaced `2^19` apart share the set
-//!     index *and* the NPI/PI fields of the 16 kB paper-default
-//!     B-Cache, so the programmable decoder is defeated and both the
-//!     direct-mapped baseline and the B-Cache must hit exactly when the
-//!     block repeats back-to-back — the pathwise form of the analytic
-//!     `1 − min(capacity, k)/k` miss rate (see `analytic::birthday`);
-//! 13. simd vs oracle: a B-Cache at random geometry (MF/BAS/policy) is
-//!     driven purely through [`CacheModel::access_batch`] at a random
-//!     chunk size — the lane operations (`cache_sim::simd`) on their
-//!     hottest path — and its hit/miss/writeback/PD counters must equal
-//!     the per-access [`BCacheOracle`]. The probes run whichever body
-//!     the platform selects (AVX2 where the CPU has it); the portable
-//!     bodies are checked op by op in `cache_sim::simd`'s unit tests.
+//! | row | families | drive |
+//! |---|---|---|
+//! | `dm_vs_oracle` | direct-mapped | per access |
+//! | `set_assoc_vs_oracle` | set-associative, every policy | per access |
+//! | `bcache_vs_oracle` | B-Cache, random MF/BAS/policy/PI tag bits | per access |
+//! | `wrapper_vs_oracle` | HAC, PAM, difference-bit, way-halting | per access |
+//! | `batch_equivalence` | all eleven | batched, chunks up to 512 |
+//! | `batched_vs_oracle` | direct-mapped, set-associative, the four wrappers | batched, chunks up to 64 |
+//! | `simd_vs_oracle` | B-Cache (the heaviest user of the `cache_sim::simd` lanes) | batched, chunks up to 64 |
 //!
-//! `--scenario NAME|INDEX` (see [`SCENARIOS`]) restricts a run to one
-//! scenario, e.g. for a targeted CI smoke.
+//! The other six rows are bespoke properties:
+//!
+//! * `degenerate_equals_dm`: `SetAssoc(ways=1)` and `BCache(MF=1,
+//!   BAS=1)` equal a direct-mapped cache, access by access;
+//! * `full_pi_equals_set_assoc`: a full-PI B-Cache equals a BAS-way
+//!   set-associative cache;
+//! * `lru_ways_inclusion`: at a fixed set count, a hit in `w` LRU ways
+//!   implies a hit in `2w` ways on every access;
+//! * `fa_lru_stack`: a hit in a fully-associative LRU cache of `L` lines
+//!   implies a hit with `2L` lines on every access;
+//! * `demand_fill_sanity`: the victim, column, skewed and AGAC caches
+//!   never hit a never-seen block, count every access, and the victim
+//!   cache never loses a hit of the bare direct-mapped array;
+//! * `birthday_adversarial`: blocks spaced `2^19` apart share the set
+//!   index *and* the NPI/PI fields of the 16 kB paper-default B-Cache,
+//!   so both it and the direct-mapped baseline hit exactly when the
+//!   block repeats back-to-back — the pathwise form of the analytic
+//!   `1 − min(capacity, k)/k` miss rate (see `analytic::birthday`).
+//!
+//! `--scenario NAME|INDEX` restricts a run to one row, e.g. for a
+//! targeted CI smoke.
 //!
 //! On divergence the trace is shrunk to a minimal repro — the failing
 //! prefix is bisected into chunks whose removal is retried at widening
-//! strides (ddmin-style) — and emitted as a re-runnable Rust test
-//! snippet.
+//! strides (ddmin-style) — and emitted as a re-runnable Rust test whose
+//! header names the `fuzz` command that replays the case.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use bcache_core::{BCacheParams, BalancedCache, PiTagBits};
-use cache_sim::oracle::{distinct_blocks, BCacheOracle, OracleCache};
-use cache_sim::{
-    AccessKind, Addr, AgacCache, CacheGeometry, CacheModel, ColumnAssociativeCache,
-    DifferenceBitCache, DirectMappedCache, HighlyAssociativeCache, PartialMatchCache, PolicyKind,
-    SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
-};
+use cache_sim::{AccessKind, AccessResult, Addr, CacheModel, PolicyKind};
 
 use crate::cli;
+use crate::models::{Built, CaseRng, Drive, Family, ModelSpec};
 use crate::parallel::{default_parallelism, Engine};
 
 /// One access of a fuzz trace: `(address, is_write)`.
 pub type FuzzRecord = (u64, bool);
 
-/// Scenario names, in dispatch order: case `c` runs scenario
+/// One row of [`SCENARIOS`].
+#[derive(Copy, Clone, Debug)]
+pub struct Scenario {
+    /// The name `--scenario` accepts and divergences report.
+    pub name: &'static str,
+    run: Run,
+}
+
+#[derive(Copy, Clone, Debug)]
+enum Run {
+    /// Draw a spec of these families and check it against its reference,
+    /// driven so; a batched row draws its chunk size from 1 up to the
+    /// given one.
+    Differential(&'static [Family], Drive),
+    /// A bespoke property.
+    Property(fn(&mut CaseRng) -> Case),
+}
+
+const fn differential(name: &'static str, families: &'static [Family], drive: Drive) -> Scenario {
+    Scenario {
+        name,
+        run: Run::Differential(families, drive),
+    }
+}
+
+const fn property(name: &'static str, f: fn(&mut CaseRng) -> Case) -> Scenario {
+    Scenario {
+        name,
+        run: Run::Property(f),
+    }
+}
+
+const WRAPPERS: &[Family] = &[
+    Family::Hac,
+    Family::Pam,
+    Family::DiffBit,
+    Family::WayHalting,
+];
+const ORACLE_BATCHED: &[Family] = &[
+    Family::DirectMapped,
+    Family::SetAssoc,
+    Family::Hac,
+    Family::Pam,
+    Family::DiffBit,
+    Family::WayHalting,
+];
+
+/// The scenario table, in dispatch order: case `c` runs row
 /// `c % SCENARIOS.len()` unless `--scenario` pins one.
-pub const SCENARIOS: &[&str] = &[
-    "dm_vs_oracle",
-    "set_assoc_vs_oracle",
-    "bcache_vs_oracle",
-    "wrapper_vs_oracle",
-    "degenerate_equals_dm",
-    "full_pi_equals_set_assoc",
-    "lru_ways_inclusion",
-    "fa_lru_stack",
-    "demand_fill_sanity",
-    "batch_equivalence",
-    "batched_vs_oracle",
-    "birthday_adversarial",
-    "simd_vs_oracle",
+pub const SCENARIOS: &[Scenario] = &[
+    differential("dm_vs_oracle", &[Family::DirectMapped], Drive::PerAccess),
+    differential("set_assoc_vs_oracle", &[Family::SetAssoc], Drive::PerAccess),
+    differential("bcache_vs_oracle", &[Family::BCache], Drive::PerAccess),
+    differential("wrapper_vs_oracle", WRAPPERS, Drive::PerAccess),
+    property("degenerate_equals_dm", degenerate_equals_dm),
+    property("full_pi_equals_set_assoc", full_pi_equals_set_assoc),
+    property("lru_ways_inclusion", lru_ways_inclusion),
+    property("fa_lru_stack", fa_lru_stack),
+    property("demand_fill_sanity", demand_fill_sanity),
+    differential("batch_equivalence", Family::ALL, Drive::Batched(512)),
+    differential("batched_vs_oracle", ORACLE_BATCHED, Drive::Batched(64)),
+    property("birthday_adversarial", birthday_adversarial),
+    differential("simd_vs_oracle", &[Family::BCache], Drive::Batched(64)),
 ];
 
 /// Resolves a `--scenario` argument: a name from [`SCENARIOS`] or a
 /// numeric index into it.
 pub fn resolve_scenario(arg: &str) -> Result<usize, String> {
-    if let Some(i) = SCENARIOS.iter().position(|s| *s == arg) {
+    if let Some(i) = SCENARIOS.iter().position(|s| s.name == arg) {
         return Ok(i);
     }
     if let Ok(i) = arg.parse::<usize>() {
@@ -108,10 +146,11 @@ pub fn resolve_scenario(arg: &str) -> Result<usize, String> {
             return Ok(i);
         }
     }
+    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
     Err(format!(
         "unknown scenario {arg}; expected an index below {} or one of: {}",
         SCENARIOS.len(),
-        SCENARIOS.join(", ")
+        names.join(", ")
     ))
 }
 
@@ -238,35 +277,6 @@ pub fn run(opts: &FuzzOptions) -> FuzzReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Deterministic per-case randomness (SplitMix64, like the shims).
-
-struct CaseRng(u64);
-
-impl CaseRng {
-    fn new(seed: u64, case: u64) -> Self {
-        let mut r = CaseRng(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        r.next(); // decorrelate adjacent cases
-        r
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        (((self.next() as u128) * (n as u128)) >> 64) as u64
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
-    }
-}
-
 /// Generates an adversarial address stream: a mix of uniform traffic,
 /// power-of-two strides and hot-set conflict loops, all within
 /// `[0, addr_span)` at `line`-byte granularity.
@@ -308,11 +318,28 @@ fn kind(is_write: bool) -> AccessKind {
     }
 }
 
+fn accesses(trace: &[FuzzRecord]) -> Vec<(Addr, AccessKind)> {
+    trace
+        .iter()
+        .map(|&(a, w)| (Addr::new(a), kind(w)))
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Shrinking: bisect the failing prefix into chunks, retry removal at
 // widening strides, and re-truncate to the first failing access.
 
 type Check = dyn Fn(&[FuzzRecord]) -> Option<(usize, String)>;
+
+/// One generated case: its trace, the check the trace must pass, and
+/// the Rust that replays it (`setup` builds the models, `body` drives
+/// them over `accesses`).
+struct Case {
+    trace: Vec<FuzzRecord>,
+    check: Box<Check>,
+    setup: String,
+    body: String,
+}
 
 fn shrink(trace: &mut Vec<FuzzRecord>, check: &Check) {
     if let Some((idx, _)) = check(trace) {
@@ -354,562 +381,305 @@ fn render_trace(trace: &[FuzzRecord]) -> String {
     s
 }
 
-fn render_repro(
-    scenario: &'static str,
-    case: u64,
-    seed: u64,
-    setup: &str,
-    body: &str,
-    trace: &[FuzzRecord],
-) -> String {
+/// The one repro renderer: a test whose header names the command that
+/// replays the case (`--iters case+1` so the run reaches it).
+fn render_repro(scenario: &str, case: u64, seed: u64, c: &Case, trace: &[FuzzRecord]) -> String {
     format!(
-        "// Shrunk repro: `bcache-repro fuzz --seed {seed}` case {case}, scenario {scenario}.\n\
+        "// Shrunk repro: `bcache-repro fuzz --seed {seed} --iters {} --scenario {scenario}` (case {case}).\n\
          #[test]\n\
          fn fuzz_repro_{scenario}_{case}() {{\n\
-         {setup}\
+         \x20   use cache_sim::CacheModel as _;\n\
+         {}\
          \x20   let trace: &[(u64, bool)] = {};\n\
-         \x20   for &(addr, is_write) in trace {{\n\
-         \x20       let kind = if is_write {{ cache_sim::AccessKind::Write }} else {{ cache_sim::AccessKind::Read }};\n\
-         {body}\
-         \x20   }}\n\
+         \x20   let accesses: Vec<_> = trace\n\
+         \x20       .iter()\n\
+         \x20       .map(|&(a, w)| (cache_sim::Addr::new(a), if w {{ cache_sim::AccessKind::Write }} else {{ cache_sim::AccessKind::Read }}))\n\
+         \x20       .collect();\n\
+         {}\
          }}",
-        render_trace(trace)
+        case + 1,
+        c.setup,
+        render_trace(trace),
+        c.body
     )
 }
 
-fn diverge(
-    scenario: &'static str,
-    case: u64,
-    seed: u64,
-    trace: Vec<FuzzRecord>,
-    check: &Check,
-    setup: String,
-    body: &str,
-) -> Option<Divergence> {
-    let (_, _) = check(&trace)?;
-    let mut shrunk = trace;
-    shrink(&mut shrunk, check);
-    let (_, detail) = check(&shrunk).expect("shrinking preserves failure");
+fn diverge(scenario: &'static str, case: u64, seed: u64, c: Case) -> Option<Divergence> {
+    (c.check)(&c.trace)?;
+    let mut shrunk = c.trace.clone();
+    shrink(&mut shrunk, &c.check);
+    let (_, detail) = (c.check)(&shrunk).expect("shrinking preserves failure");
     Some(Divergence {
         case,
         scenario,
         detail,
         shrunk_len: shrunk.len(),
-        repro: render_repro(scenario, case, seed, &setup, body, &shrunk),
+        repro: render_repro(scenario, case, seed, &c, &shrunk),
     })
 }
 
 // ---------------------------------------------------------------------
 // Scenarios.
 
-const ORACLE_BODY: &str = "        let got = model.access(cache_sim::Addr::new(addr), kind);\n\
-     \x20       let want = oracle.access(cache_sim::Addr::new(addr), kind);\n\
-     \x20       assert_eq!(want.diff(&got), None, \"divergence at {addr:#x}\");\n";
-
-const PAIR_BODY: &str = "        let a = left.access(cache_sim::Addr::new(addr), kind);\n\
-     \x20       let b = right.access(cache_sim::Addr::new(addr), kind);\n\
-     \x20       assert_eq!(a.hit, b.hit, \"divergence at {addr:#x}\");\n";
-
 fn run_case_in(seed: u64, case: u64, scenario: Option<usize>) -> Option<Divergence> {
     let mut rng = CaseRng::new(seed, case);
-    let which = scenario.unwrap_or((case % SCENARIOS.len() as u64) as usize);
-    match which {
-        0 => dm_vs_oracle(seed, case, &mut rng),
-        1 => set_assoc_vs_oracle(seed, case, &mut rng),
-        2 => bcache_vs_oracle(seed, case, &mut rng),
-        3 => wrapper_vs_oracle(seed, case, &mut rng),
-        4 => degenerate_equivalences(seed, case, &mut rng),
-        5 => full_pi_equivalence(seed, case, &mut rng),
-        6 => lru_ways_inclusion(seed, case, &mut rng),
-        7 => fa_lru_stack(seed, case, &mut rng),
-        8 => demand_fill_sanity(seed, case, &mut rng),
-        9 => batch_equivalence(seed, case, &mut rng),
-        10 => batched_vs_oracle(seed, case, &mut rng),
-        11 => birthday_adversarial(seed, case, &mut rng),
-        _ => simd_vs_oracle(seed, case, &mut rng),
+    let row = SCENARIOS[scenario.unwrap_or((case % SCENARIOS.len() as u64) as usize)];
+    let c = match row.run {
+        Run::Differential(families, drive) => differential_case(&mut rng, families, drive),
+        Run::Property(f) => f(&mut rng),
+    };
+    diverge(row.name, case, seed, c)
+}
+
+/// A differential row's case: a drawn spec, a drawn chunk size for the
+/// batched path, and a conflict-heavy trace. A B-Cache's trace spans its
+/// whole address space, so the high tag bits a `PiTagBits::High` decoder
+/// indexes by vary; every other model's spans 32 times its capacity, so
+/// even the largest drawn shapes evict.
+fn differential_case(rng: &mut CaseRng, families: &[Family], drive: Drive) -> Case {
+    let spec = ModelSpec::draw(rng, families);
+    let drive = match drive {
+        Drive::Batched(max) => Drive::Batched(1 + rng.below(max as u64) as usize),
+        Drive::PerAccess => Drive::PerAccess,
+    };
+    let (size, line) = spec.size_line();
+    let addr_span = match spec {
+        ModelSpec::BCache { addr_bits, .. } => 1 << addr_bits,
+        _ => 32 * size as u64,
+    };
+    let trace = gen_trace(rng, line as u64, 2 * (size / line) as u64, addr_span);
+    let (model, oracle) = spec.rust();
+    let mut setup = format!("    let mut model = {model};\n");
+    let mut body = String::new();
+    match drive {
+        Drive::PerAccess => body.push_str(
+            "    for &(addr, kind) in &accesses {\n\
+             \x20       let got = model.access(addr, kind);\n\
+             \x20       assert_eq!(oracle.access(addr, kind).diff(&got), None, \"divergence at {addr}\");\n\
+             \x20   }\n",
+        ),
+        Drive::Batched(chunk) => {
+            setup.push_str(&format!("    let mut scalar = {model};\n"));
+            let replay_oracle = if oracle.is_some() { " oracle.access(addr, kind);" } else { "" };
+            body.push_str(&format!(
+                "    for chunk in accesses.chunks({chunk}) {{\n\
+                 \x20       model.access_batch(chunk);\n\
+                 \x20   }}\n\
+                 \x20   for &(addr, kind) in &accesses {{\n\
+                 \x20       scalar.access(addr, kind);{replay_oracle}\n\
+                 \x20   }}\n\
+                 \x20   assert_eq!(model.stats(), scalar.stats());\n\
+                 \x20   assert_eq!(model.set_usage(), scalar.set_usage());\n"
+            ));
+        }
+    }
+    if let Some(oracle) = oracle {
+        setup.push_str(&format!("    let mut oracle = {oracle};\n"));
+        body.push_str(
+            "    let t = model.stats().total();\n\
+             \x20   assert_eq!((t.hits(), t.misses(), model.stats().writebacks()), (oracle.hits(), oracle.misses(), oracle.writebacks()));\n",
+        );
+    }
+    if spec.family() == Family::BCache {
+        body.push_str(
+            "    let pd = model.pd_stats();\n\
+             \x20   assert_eq!((pd.misses_with_pd_hit, pd.misses_with_pd_miss), (oracle.pd_hit_misses(), oracle.pd_miss_misses()));\n\
+             \x20   assert!(model.invariants_hold());\n",
+        );
+    }
+    Case {
+        check: Box::new(move |t| spec.differential(drive, &accesses(t))),
+        trace,
+        setup,
+        body,
     }
 }
 
-fn dm_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let size = 256usize << rng.below(4);
-    let line = 16u64 << rng.below(3);
-    let sets = (size as u64) / line;
-    let trace = gen_trace(rng, line, 2 * sets, 16 * size as u64);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut model = DirectMappedCache::new(size, line as usize).unwrap();
-        let mut oracle = OracleCache::new(size, line as usize, 1, PolicyKind::Lru, 0, 32);
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let got = model.access(Addr::new(addr), kind(w));
-            let want = oracle.access(Addr::new(addr), kind(w));
-            if let Some(d) = want.diff(&got) {
-                return Some((i, format!("dm[{size}B/{line}B] at {addr:#x}: {d}")));
-            }
-        }
-        if oracle.misses() != model.stats().total().misses()
-            || oracle.writebacks() != model.stats().writebacks()
-        {
-            return Some((t.len() - 1, "dm stats drifted from oracle".into()));
-        }
-        None
-    };
-    let setup = format!(
-        "    let mut model = cache_sim::DirectMappedCache::new({size}, {line}).unwrap();\n\
-         \x20   let mut oracle = cache_sim::oracle::OracleCache::new({size}, {line}, 1, cache_sim::PolicyKind::Lru, 0, 32);\n"
-    );
-    diverge(
-        "dm_vs_oracle",
-        case,
-        seed,
-        trace,
-        &check,
-        setup,
-        ORACLE_BODY,
-    )
+const PAIR_BODY: &str = "    for &(addr, kind) in &accesses {\n\
+     \x20       let (a, b) = (left.access(addr, kind), right.access(addr, kind));\n\
+     \x20       assert_eq!(a.hit, b.hit, \"divergence at {addr}\");\n\
+     \x20   }\n";
+
+/// Builds both specs, or reports which failed to build.
+fn build_pair(left: &ModelSpec, right: &ModelSpec) -> Result<(Built, Built), (usize, String)> {
+    match (left.instantiate(), right.instantiate()) {
+        (Ok(l), Ok(r)) => Ok((l, r)),
+        (Err(e), _) | (_, Err(e)) => Err((0, format!("{left:?} / {right:?} do not build: {e}"))),
+    }
 }
 
-fn set_assoc_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let assoc = rng.pick(&[1usize, 2, 4, 8]);
-    let sets = rng.pick(&[2usize, 4, 8, 16]);
-    let line = 32usize;
-    let size = sets * assoc * line;
-    let policy = rng.pick(&[
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::TreePlru,
-    ]);
-    let pseed = rng.next();
-    let trace = gen_trace(rng, line as u64, 3 * sets as u64, 32 * size as u64);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut model = SetAssociativeCache::new(size, line, assoc, policy, pseed).unwrap();
-        let mut oracle = OracleCache::new(size, line, assoc, policy, pseed, 32);
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let got = model.access(Addr::new(addr), kind(w));
-            let want = oracle.access(Addr::new(addr), kind(w));
-            if let Some(d) = want.diff(&got) {
-                return Some((
-                    i,
-                    format!("set_assoc[{size}B {assoc}-way {policy:?}] at {addr:#x}: {d}"),
-                ));
-            }
-        }
-        (oracle.hits() != model.stats().total().hits())
-            .then(|| (t.len() - 1, "set_assoc stats drifted from oracle".into()))
-    };
+/// A case replaying `trace` through `left` and `right` in lockstep,
+/// failing at the first access where `broken` holds, then at the last
+/// access if `finally` reports a problem with the replayed `left`.
+fn pair_case(
+    trace: Vec<FuzzRecord>,
+    left: ModelSpec,
+    right: ModelSpec,
+    broken: fn(&AccessResult, &AccessResult) -> bool,
+    relation: &'static str,
+    finally: Option<fn(&Built) -> Option<String>>,
+) -> Case {
     let setup = format!(
-        "    let mut model = cache_sim::SetAssociativeCache::new({size}, {line}, {assoc}, cache_sim::PolicyKind::{policy:?}, {pseed}).unwrap();\n\
-         \x20   let mut oracle = cache_sim::oracle::OracleCache::new({size}, {line}, {assoc}, cache_sim::PolicyKind::{policy:?}, {pseed}, 32);\n"
+        "    let mut left = {};\n    let mut right = {};\n",
+        left.rust().0,
+        right.rust().0
     );
-    diverge(
-        "set_assoc_vs_oracle",
-        case,
-        seed,
-        trace,
-        &check,
-        setup,
-        ORACLE_BODY,
-    )
-}
-
-fn bcache_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let size = rng.pick(&[256usize, 512, 1024, 2048]);
-    let sets = size / line;
-    let addr_bits = 16u32;
-    let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-    let index_bits = geom.index_bits();
-    let tag_bits = addr_bits - 5 - index_bits;
-    let bas = rng.pick(&[1usize, 2, 4, 8]).min(sets);
-    let mf_bits = rng.below((tag_bits + 1).min(4) as u64) as u32;
-    let mf = 1usize << mf_bits;
-    let policy = rng.pick(&[
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::TreePlru,
-    ]);
-    let high = rng.below(2) == 1;
-    let pseed = rng.next();
-    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 1 << addr_bits);
     let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-        let params = BCacheParams::new(geom, mf, bas, policy)
-            .unwrap()
-            .with_seed(pseed)
-            .with_pi_tag_bits(if high {
-                PiTagBits::High
-            } else {
-                PiTagBits::Low
-            });
-        let layout = params.layout();
-        let mut model = BalancedCache::new(params);
-        let mut oracle = BCacheOracle::new(
-            line as u64,
-            addr_bits,
-            layout.npi_bits(),
-            layout.pi_bits(),
-            mf_bits,
-            high,
-            (policy, pseed),
-        );
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let got = model.access(Addr::new(addr), kind(w));
-            let want = oracle.access(Addr::new(addr), kind(w));
-            if let Some(d) = want.diff(&got) {
+        let (mut l, mut r) = match build_pair(&left, &right) {
+            Ok(pair) => pair,
+            Err(e) => return Some(e),
+        };
+        for (i, (addr, kind)) in accesses(t).into_iter().enumerate() {
+            let (a, b) = (l.access(addr, kind), r.access(addr, kind));
+            if broken(&a, &b) {
                 return Some((
                     i,
                     format!(
-                        "bcache[{size}B MF{mf} BAS{bas} {policy:?} high={high}] at {addr:#x}: {d}"
+                        "{left:?} {relation} {right:?}, broken at {addr}: hit {} vs {}",
+                        a.hit, b.hit
                     ),
                 ));
             }
         }
-        let pd = model.pd_stats();
-        if (oracle.pd_hit_misses(), oracle.pd_miss_misses())
-            != (pd.misses_with_pd_hit, pd.misses_with_pd_miss)
-        {
-            return Some((
-                t.len() - 1,
-                format!(
-                    "bcache PD counters drifted: oracle ({}, {}) vs model ({}, {})",
-                    oracle.pd_hit_misses(),
-                    oracle.pd_miss_misses(),
-                    pd.misses_with_pd_hit,
-                    pd.misses_with_pd_miss
-                ),
-            ));
-        }
-        (!model.invariants_hold()).then(|| (t.len() - 1, "bcache invariants violated".into()))
+        finally
+            .and_then(|f| f(&l))
+            .map(|what| (t.len().saturating_sub(1), format!("{left:?}: {what}")))
     };
-    let bas_bits = (bas as u64).trailing_zeros();
-    let npi_bits = index_bits - bas_bits;
-    let pi_bits = bas_bits + mf_bits;
-    let tag_sel = if high { "High" } else { "Low" };
-    let setup = format!(
-        "    let geom = cache_sim::CacheGeometry::with_addr_bits({size}, {line}, 1, {addr_bits}).unwrap();\n\
-         \x20   let params = bcache_core::BCacheParams::new(geom, {mf}, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap()\n\
-         \x20       .with_seed({pseed}).with_pi_tag_bits(bcache_core::PiTagBits::{tag_sel});\n\
-         \x20   let mut model = bcache_core::BalancedCache::new(params);\n\
-         \x20   let mut oracle = cache_sim::oracle::BCacheOracle::new({line}, {addr_bits}, {npi_bits}, {pi_bits}, {mf_bits}, {high}, (cache_sim::PolicyKind::{policy:?}, {pseed}));\n"
-    );
-    diverge(
-        "bcache_vs_oracle",
-        case,
-        seed,
+    Case {
         trace,
-        &check,
+        check: Box::new(check),
         setup,
-        ORACLE_BODY,
-    )
+        body: PAIR_BODY.into(),
+    }
 }
 
-fn wrapper_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let sets = rng.pick(&[4usize, 8, 16]);
-    let which = rng.below(4);
-    let assoc = match which {
-        0 => rng.pick(&[2usize, 4, 8]), // HAC subarrays
-        1 | 2 => 2,                     // PAM / difference-bit are 2-way
-        _ => rng.pick(&[2usize, 4]),    // way-halting
-    };
-    let size = sets * assoc * line;
-    let pad_bits = 1 + rng.below(5) as u32;
-    let trace = gen_trace(rng, line as u64, 3 * sets as u64, 32 * size as u64);
-    let (name, setup_model): (&'static str, String) = match which {
-        0 => (
-            "hac_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::HighlyAssociativeCache::new({size}, {line}, {}).unwrap();\n",
-                assoc * line
-            ),
-        ),
-        1 => (
-            "pam_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::PartialMatchCache::new({size}, {line}, {pad_bits}).unwrap();\n"
-            ),
-        ),
-        2 => (
-            "diffbit_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::DifferenceBitCache::new({size}, {line}).unwrap();\n"
-            ),
-        ),
-        _ => (
-            "way_halting_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::WayHaltingCache::new({size}, {line}, {assoc}, {pad_bits}).unwrap();\n"
-            ),
-        ),
-    };
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut model: Box<dyn CacheModel> = match which {
-            0 => Box::new(HighlyAssociativeCache::new(size, line, assoc * line).unwrap()),
-            1 => Box::new(PartialMatchCache::new(size, line, pad_bits).unwrap()),
-            2 => Box::new(DifferenceBitCache::new(size, line).unwrap()),
-            _ => Box::new(WayHaltingCache::new(size, line, assoc, pad_bits).unwrap()),
-        };
-        // All four wrap an n-way LRU array (seed 0): the wrapper may add
-        // latency metadata but never change hits, misses or evictions.
-        let mut oracle = OracleCache::new(size, line, assoc, PolicyKind::Lru, 0, 32);
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let got = model.access(Addr::new(addr), kind(w));
-            let want = oracle.access(Addr::new(addr), kind(w));
-            if let Some(d) = want.diff(&got) {
-                return Some((i, format!("{}[{size}B] at {addr:#x}: {d}", model.label())));
-            }
-        }
-        None
-    };
-    let setup = format!(
-        "{setup_model}\
-         \x20   let mut oracle = cache_sim::oracle::OracleCache::new({size}, {line}, {assoc}, cache_sim::PolicyKind::Lru, 0, 32);\n"
-    );
-    diverge(name, case, seed, trace, &check, setup, ORACLE_BODY)
-}
-
-fn degenerate_equivalences(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
+fn degenerate_equals_dm(rng: &mut CaseRng) -> Case {
     let line = 32usize;
     let sets = rng.pick(&[8usize, 16, 32]);
     let size = sets * line;
-    let use_bcache = rng.below(2) == 1;
-    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 32 * size as u64);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut right = DirectMappedCache::new(size, line).unwrap();
-        let mut left: Box<dyn CacheModel> = if use_bcache {
-            let geom = CacheGeometry::new(size, line, 1).unwrap();
-            let params = BCacheParams::new(geom, 1, 1, PolicyKind::Lru).unwrap();
-            Box::new(BalancedCache::new(params))
-        } else {
-            Box::new(SetAssociativeCache::new(size, line, 1, PolicyKind::Lru, 0).unwrap())
-        };
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let a = left.access(Addr::new(addr), kind(w));
-            let b = right.access(Addr::new(addr), kind(w));
-            if a.hit != b.hit || a.evicted != b.evicted {
-                return Some((
-                    i,
-                    format!(
-                        "{} must equal DM at {addr:#x}: hit {} vs {}",
-                        left.label(),
-                        a.hit,
-                        b.hit
-                    ),
-                ));
-            }
-        }
-        None
-    };
-    let left_setup = if use_bcache {
-        format!(
-            "    let geom = cache_sim::CacheGeometry::new({size}, {line}, 1).unwrap();\n\
-             \x20   let mut left = bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(geom, 1, 1, cache_sim::PolicyKind::Lru).unwrap());\n"
-        )
+    let left = if rng.below(2) == 1 {
+        ModelSpec::bcache(size, 1, 1, PolicyKind::Lru, 0)
     } else {
-        format!(
-            "    let mut left = cache_sim::SetAssociativeCache::new({size}, {line}, 1, cache_sim::PolicyKind::Lru, 0).unwrap();\n"
-        )
+        ModelSpec::lru(size, 1)
     };
-    let setup = format!(
-        "{left_setup}\
-         \x20   let mut right = cache_sim::DirectMappedCache::new({size}, {line}).unwrap();\n"
-    );
-    diverge(
-        "degenerate_equals_dm",
-        case,
-        seed,
+    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 32 * size as u64);
+    pair_case(
         trace,
-        &check,
-        setup,
-        PAIR_BODY,
+        left,
+        ModelSpec::DirectMapped { size, line },
+        |a, b| a.hit != b.hit || a.evicted != b.evicted,
+        "must equal",
+        None,
     )
 }
 
-fn full_pi_equivalence(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
+fn lru_ways_inclusion(rng: &mut CaseRng) -> Case {
+    let line = 32usize;
+    let sets = rng.pick(&[4usize, 8, 16]);
+    let ways = rng.pick(&[1usize, 2, 4]);
+    let trace = gen_trace(rng, line as u64, 4 * sets as u64, 1 << 16);
+    pair_case(
+        trace,
+        ModelSpec::lru(sets * ways * line, ways),
+        ModelSpec::lru(sets * 2 * ways * line, 2 * ways),
+        |a, b| a.hit && !b.hit,
+        "hits must be included in",
+        None,
+    )
+}
+
+fn fa_lru_stack(rng: &mut CaseRng) -> Case {
+    let line = 32usize;
+    let lines = rng.pick(&[4usize, 8, 16]);
+    let trace = gen_trace(rng, line as u64, 4 * lines as u64, 1 << 16);
+    pair_case(
+        trace,
+        ModelSpec::lru(lines * line, lines),
+        ModelSpec::lru(2 * lines * line, 2 * lines),
+        |a, b| a.hit && !b.hit,
+        "hits must be included in",
+        None,
+    )
+}
+
+fn full_pi_equals_set_assoc(rng: &mut CaseRng) -> Case {
     // 1 kB, 16-bit addresses: tag is 6 bits, MF = 2^6 consumes it all, so
-    // a PD hit implies a tag hit and the B-Cache is a BAS-way LRU cache.
+    // a PD hit implies a tag hit and the B-Cache is a BAS-way cache.
     let line = 32usize;
     let size = 1024usize;
     let addr_bits = 16u32;
     let bas = rng.pick(&[2usize, 4, 8]);
     let policy = rng.pick(&[PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::TreePlru]);
     let trace = gen_trace(rng, line as u64, 64, 1 << addr_bits);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-        let params = BCacheParams::new(geom, 1 << 6, bas, policy).unwrap();
-        let mut left = BalancedCache::new(params);
-        let sa_geom = CacheGeometry::with_addr_bits(size, line, bas, addr_bits).unwrap();
-        let mut right = SetAssociativeCache::from_geometry(sa_geom, policy, 0).unwrap();
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let a = left.access(Addr::new(addr), kind(w));
-            let b = right.access(Addr::new(addr), kind(w));
-            if a.hit != b.hit {
-                return Some((
-                    i,
-                    format!("full-PI BAS{bas} {policy:?} must equal set-assoc at {addr:#x}"),
-                ));
-            }
-        }
-        if left.pd_stats().misses_with_pd_hit != 0 {
-            return Some((t.len() - 1, "full-PI PD hit cannot be a tag miss".into()));
-        }
-        None
+    let left = ModelSpec::BCache {
+        size,
+        line,
+        mf: 1 << 6,
+        bas,
+        policy,
+        seed: 0,
+        pi_tag_bits: bcache_core::PiTagBits::Low,
+        addr_bits,
     };
-    let setup = format!(
-        "    let geom = cache_sim::CacheGeometry::with_addr_bits({size}, {line}, 1, {addr_bits}).unwrap();\n\
-         \x20   let mut left = bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(geom, 64, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap());\n\
-         \x20   let sa = cache_sim::CacheGeometry::with_addr_bits({size}, {line}, {bas}, {addr_bits}).unwrap();\n\
-         \x20   let mut right = cache_sim::SetAssociativeCache::from_geometry(sa, cache_sim::PolicyKind::{policy:?}, 0).unwrap();\n"
-    );
-    diverge(
-        "full_pi_equals_set_assoc",
-        case,
-        seed,
+    let right = ModelSpec::SetAssoc {
+        size,
+        line,
+        ways: bas,
+        policy,
+        seed: 0,
+    };
+    pair_case(
         trace,
-        &check,
-        setup,
-        PAIR_BODY,
+        left,
+        right,
+        |a, b| a.hit != b.hit,
+        "must equal",
+        Some(|l| match l {
+            Built::BCache(bc) if bc.pd_stats().misses_with_pd_hit != 0 => {
+                Some("full-PI PD hit cannot be a tag miss".into())
+            }
+            _ => None,
+        }),
     )
 }
 
-fn lru_ways_inclusion(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let sets = rng.pick(&[4usize, 8, 16]);
-    let ways = rng.pick(&[1usize, 2, 4]);
-    let trace = gen_trace(rng, line as u64, 4 * sets as u64, 1 << 16);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut small =
-            SetAssociativeCache::new(sets * ways * line, line, ways, PolicyKind::Lru, 0).unwrap();
-        let mut big =
-            SetAssociativeCache::new(sets * 2 * ways * line, line, 2 * ways, PolicyKind::Lru, 0)
-                .unwrap();
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let a = small.access(Addr::new(addr), kind(w));
-            let b = big.access(Addr::new(addr), kind(w));
-            if a.hit && !b.hit {
-                return Some((
-                    i,
-                    format!(
-                        "LRU inclusion broken at {addr:#x}: {ways}-way hit, {}-way miss",
-                        2 * ways
-                    ),
-                ));
-            }
-        }
-        None
-    };
-    let setup = format!(
-        "    let mut left = cache_sim::SetAssociativeCache::new({}, {line}, {ways}, cache_sim::PolicyKind::Lru, 0).unwrap();\n\
-         \x20   let mut right = cache_sim::SetAssociativeCache::new({}, {line}, {}, cache_sim::PolicyKind::Lru, 0).unwrap();\n",
-        sets * ways * line,
-        sets * 2 * ways * line,
-        2 * ways
+fn demand_fill_sanity(rng: &mut CaseRng) -> Case {
+    let spec = ModelSpec::draw(
+        rng,
+        &[Family::Victim, Family::Column, Family::Skewed, Family::Agac],
     );
-    diverge(
-        "lru_ways_inclusion",
-        case,
-        seed,
-        trace,
-        &check,
-        setup,
-        PAIR_BODY,
-    )
-}
-
-fn fa_lru_stack(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let lines = rng.pick(&[4usize, 8, 16]);
-    let trace = gen_trace(rng, line as u64, 4 * lines as u64, 1 << 16);
+    let (size, line) = spec.size_line();
+    let trace = gen_trace(rng, line as u64, 2 * (size / line) as u64, 64 * size as u64);
+    let dm_spec = ModelSpec::DirectMapped { size, line };
+    let is_victim = spec.family() == Family::Victim;
     let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut small =
-            SetAssociativeCache::fully_associative(lines, line, PolicyKind::Lru, 0).unwrap();
-        let mut big =
-            SetAssociativeCache::fully_associative(2 * lines, line, PolicyKind::Lru, 0).unwrap();
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let a = small.access(Addr::new(addr), kind(w));
-            let b = big.access(Addr::new(addr), kind(w));
-            if a.hit && !b.hit {
-                return Some((
-                    i,
-                    format!(
-                        "FA-LRU stack property broken at {addr:#x} ({lines} vs {} lines)",
-                        2 * lines
-                    ),
-                ));
-            }
-        }
-        None
-    };
-    let setup = format!(
-        "    let mut left = cache_sim::SetAssociativeCache::fully_associative({lines}, {line}, cache_sim::PolicyKind::Lru, 0).unwrap();\n\
-         \x20   let mut right = cache_sim::SetAssociativeCache::fully_associative({}, {line}, cache_sim::PolicyKind::Lru, 0).unwrap();\n",
-        2 * lines
-    );
-    diverge("fa_lru_stack", case, seed, trace, &check, setup, PAIR_BODY)
-}
-
-fn demand_fill_sanity(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let sets = rng.pick(&[8usize, 16]);
-    let size = sets * line;
-    let which = rng.below(4);
-    let entries = rng.pick(&[2usize, 4, 8]);
-    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 64 * size as u64);
-    let (name, model_setup): (&'static str, String) = match which {
-        0 => (
-            "victim_sanity",
-            format!("    let mut model = cache_sim::VictimCache::new({size}, {line}, {entries}).unwrap();\n"),
-        ),
-        1 => (
-            "column_sanity",
-            format!("    let mut model = cache_sim::ColumnAssociativeCache::new({size}, {line}).unwrap();\n"),
-        ),
-        2 => (
-            "skewed_sanity",
-            format!("    let mut model = cache_sim::SkewedAssociativeCache::new({size}, {line}).unwrap();\n"),
-        ),
-        _ => (
-            "agac_sanity",
-            format!("    let mut model = cache_sim::AgacCache::new({size}, {line}, {entries}).unwrap();\n"),
-        ),
-    };
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut model: Box<dyn CacheModel> = match which {
-            0 => Box::new(VictimCache::new(size, line, entries).unwrap()),
-            1 => Box::new(ColumnAssociativeCache::new(size, line).unwrap()),
-            2 => Box::new(SkewedAssociativeCache::new(size, line).unwrap()),
-            _ => Box::new(AgacCache::new(size, line, entries).unwrap()),
+        let (mut model, mut dm) = match build_pair(&spec, &dm_spec) {
+            Ok(pair) => pair,
+            Err(e) => return Some(e),
         };
-        let mut dm = DirectMappedCache::new(size, line).unwrap();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut hits = 0u64;
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let block = addr / line as u64;
-            let r = model.access(Addr::new(addr), kind(w));
-            let dm_hit = dm.access(Addr::new(addr), kind(w)).hit;
+        for (i, (addr, kind)) in accesses(t).into_iter().enumerate() {
+            let block = addr.raw() / line as u64;
+            let r = model.access(addr, kind);
+            let dm_hit = dm.access(addr, kind).hit;
             if r.hit && !seen.contains(&block) {
-                return Some((
-                    i,
-                    format!("{} hit a never-seen block at {addr:#x}", model.label()),
-                ));
+                return Some((i, format!("{spec:?} hit a never-seen block at {addr}")));
             }
             // The victim cache's main array mirrors a plain DM array, so
             // its hits are a superset of the DM hits on every access.
-            if which == 0 && dm_hit && !r.hit {
-                return Some((i, format!("victim cache lost a DM hit at {addr:#x}")));
+            if is_victim && dm_hit && !r.hit {
+                return Some((i, format!("{spec:?} lost a DM hit at {addr}")));
             }
             seen.insert(block);
-            if r.hit {
-                hits += 1;
-            }
+            hits += u64::from(r.hit);
         }
         let total = model.stats().total();
         if total.accesses() != t.len() as u64 || total.hits() != hits {
             return Some((
                 t.len() - 1,
                 format!(
-                    "{} miscounted: {} accesses / {} hits vs replayed {} / {}",
-                    model.label(),
+                    "{spec:?} miscounted: {} accesses / {} hits vs replayed {} / {}",
                     total.accesses(),
                     total.hits(),
                     t.len(),
@@ -917,231 +687,30 @@ fn demand_fill_sanity(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Diverge
                 ),
             ));
         }
-        let compulsory = distinct_blocks(t.iter().map(|&(a, _)| Addr::new(a)), line as u64);
-        (total.misses() < compulsory).then(|| {
+        (total.misses() < seen.len() as u64).then(|| {
             (
                 t.len() - 1,
                 format!(
-                    "{} beat the compulsory bound: {} misses < {} distinct blocks",
-                    model.label(),
+                    "{spec:?} beat the compulsory bound: {} misses < {} distinct blocks",
                     total.misses(),
-                    compulsory
+                    seen.len()
                 ),
             )
         })
     };
-    let body = "        let _ = model.access(cache_sim::Addr::new(addr), kind);\n\
-         \x20       // Replay and re-check the demand-fill invariants (see harness::fuzz).\n";
-    diverge(name, case, seed, trace, &check, model_setup, body)
-}
-
-fn batch_equivalence(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let sets = rng.pick(&[8usize, 16, 32]);
-    let size = sets * line;
-    let which = rng.below(10);
-    let assoc = rng.pick(&[2usize, 4, 8]);
-    let policy = rng.pick(&[
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::TreePlru,
-    ]);
-    let pseed = rng.next();
-    let entries = rng.pick(&[2usize, 4, 8]);
-    let mf = rng.pick(&[1usize, 2, 4, 8]);
-    let bas = rng.pick(&[1usize, 2, 4, 8]).min(sets);
-    let pad_bits = 1 + rng.below(5) as u32;
-    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 32 * size as u64);
-    let build = move || -> Box<dyn CacheModel> {
-        match which {
-            0 => Box::new(DirectMappedCache::new(size, line).unwrap()),
-            1 => Box::new(
-                SetAssociativeCache::new(size * assoc, line, assoc, policy, pseed).unwrap(),
-            ),
-            2 => {
-                let geom = CacheGeometry::new(size, line, 1).unwrap();
-                let params = BCacheParams::new(geom, mf, bas, policy)
-                    .unwrap()
-                    .with_seed(pseed);
-                Box::new(BalancedCache::new(params))
-            }
-            3 => Box::new(VictimCache::new(size, line, entries).unwrap()),
-            4 => Box::new(ColumnAssociativeCache::new(size, line).unwrap()),
-            5 => Box::new(SkewedAssociativeCache::new(size, line).unwrap()),
-            6 => Box::new(AgacCache::new(size, line, entries).unwrap()),
-            7 => Box::new(HighlyAssociativeCache::new(size * assoc, line, assoc * line).unwrap()),
-            8 => Box::new(PartialMatchCache::new(size * 2, line, pad_bits).unwrap()),
-            _ => Box::new(WayHaltingCache::new(size * assoc, line, assoc, pad_bits).unwrap()),
-        }
-    };
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut scalar = build();
-        let mut batched = build();
-        let accesses: Vec<(Addr, AccessKind)> =
-            t.iter().map(|&(a, w)| (Addr::new(a), kind(w))).collect();
-        batched.access_batch(&accesses);
-        for &(addr, w) in t {
-            scalar.access(Addr::new(addr), kind(w));
-        }
-        (scalar.stats() != batched.stats()).then(|| {
-            (
-                t.len() - 1,
-                format!(
-                    "{}: batched stats diverge from the per-access loop ({:?} vs {:?})",
-                    scalar.label(),
-                    batched.stats().total(),
-                    scalar.stats().total()
-                ),
-            )
-        })
-    };
-    let model_setup: String = match which {
-        0 => format!("    let mut model = cache_sim::DirectMappedCache::new({size}, {line}).unwrap();\n"),
-        1 => format!(
-            "    let mut model = cache_sim::SetAssociativeCache::new({}, {line}, {assoc}, cache_sim::PolicyKind::{policy:?}, {pseed}).unwrap();\n",
-            size * assoc
-        ),
-        2 => format!(
-            "    let geom = cache_sim::CacheGeometry::new({size}, {line}, 1).unwrap();\n\
-             \x20   let mut model = bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(geom, {mf}, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap().with_seed({pseed}));\n"
-        ),
-        3 => format!("    let mut model = cache_sim::VictimCache::new({size}, {line}, {entries}).unwrap();\n"),
-        4 => format!("    let mut model = cache_sim::ColumnAssociativeCache::new({size}, {line}).unwrap();\n"),
-        5 => format!("    let mut model = cache_sim::SkewedAssociativeCache::new({size}, {line}).unwrap();\n"),
-        6 => format!("    let mut model = cache_sim::AgacCache::new({size}, {line}, {entries}).unwrap();\n"),
-        7 => format!(
-            "    let mut model = cache_sim::HighlyAssociativeCache::new({}, {line}, {}).unwrap();\n",
-            size * assoc,
-            assoc * line
-        ),
-        8 => format!(
-            "    let mut model = cache_sim::PartialMatchCache::new({}, {line}, {pad_bits}).unwrap();\n",
-            size * 2
-        ),
-        _ => format!(
-            "    let mut model = cache_sim::WayHaltingCache::new({}, {line}, {assoc}, {pad_bits}).unwrap();\n",
-            size * assoc
-        ),
-    };
-    let body = "        let _ = model.access(cache_sim::Addr::new(addr), kind);\n\
-         \x20       // Replay this trace through `access_batch` on an identical model\n\
-         \x20       // and compare `stats()` (see harness::fuzz, batch_equivalence).\n";
-    diverge(
-        "batch_equivalence",
-        case,
-        seed,
+    Case {
         trace,
-        &check,
-        model_setup,
-        body,
-    )
+        check: Box::new(check),
+        setup: format!("    let mut model = {};\n", spec.rust().0),
+        body: "    for &(addr, kind) in &accesses {\n\
+               \x20       let _ = model.access(addr, kind);\n\
+               \x20       // Re-check the demand-fill invariants (see harness::fuzz).\n\
+               \x20   }\n"
+            .into(),
+    }
 }
 
-fn batched_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    let line = 32usize;
-    let sets = rng.pick(&[4usize, 8, 16]);
-    let which = rng.below(6);
-    let assoc = match which {
-        0 => 1,                                // direct-mapped
-        1 => rng.pick(&[1usize, 2, 4, 8, 16]), // const-dispatched widths
-        2 => rng.pick(&[2usize, 4, 8]),        // HAC subarrays
-        3 | 4 => 2,                            // PAM / difference-bit
-        _ => rng.pick(&[2usize, 4]),           // way-halting
-    };
-    let size = sets * assoc * line;
-    let policy = if which == 1 {
-        rng.pick(&[
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::TreePlru,
-        ])
-    } else {
-        PolicyKind::Lru
-    };
-    let pseed = if which == 1 { rng.next() } else { 0 };
-    let pad_bits = 1 + rng.below(5) as u32;
-    let chunk = 1 + rng.below(64) as usize;
-    let trace = gen_trace(rng, line as u64, 3 * sets as u64, 32 * size as u64);
-    let (name, model_setup): (&'static str, String) = match which {
-        0 => (
-            "batched_dm_vs_oracle",
-            format!("    let mut model = cache_sim::DirectMappedCache::new({size}, {line}).unwrap();\n"),
-        ),
-        1 => (
-            "batched_set_assoc_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::SetAssociativeCache::new({size}, {line}, {assoc}, cache_sim::PolicyKind::{policy:?}, {pseed}).unwrap();\n"
-            ),
-        ),
-        2 => (
-            "batched_hac_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::HighlyAssociativeCache::new({size}, {line}, {}).unwrap();\n",
-                assoc * line
-            ),
-        ),
-        3 => (
-            "batched_pam_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::PartialMatchCache::new({size}, {line}, {pad_bits}).unwrap();\n"
-            ),
-        ),
-        4 => (
-            "batched_diffbit_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::DifferenceBitCache::new({size}, {line}).unwrap();\n"
-            ),
-        ),
-        _ => (
-            "batched_way_halting_vs_oracle",
-            format!(
-                "    let mut model = cache_sim::WayHaltingCache::new({size}, {line}, {assoc}, {pad_bits}).unwrap();\n"
-            ),
-        ),
-    };
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let mut model: Box<dyn CacheModel> = match which {
-            0 => Box::new(DirectMappedCache::new(size, line).unwrap()),
-            1 => Box::new(SetAssociativeCache::new(size, line, assoc, policy, pseed).unwrap()),
-            2 => Box::new(HighlyAssociativeCache::new(size, line, assoc * line).unwrap()),
-            3 => Box::new(PartialMatchCache::new(size, line, pad_bits).unwrap()),
-            4 => Box::new(DifferenceBitCache::new(size, line).unwrap()),
-            _ => Box::new(WayHaltingCache::new(size, line, assoc, pad_bits).unwrap()),
-        };
-        let mut oracle = OracleCache::new(size, line, assoc, policy, pseed, 32);
-        let accesses: Vec<(Addr, AccessKind)> =
-            t.iter().map(|&(a, w)| (Addr::new(a), kind(w))).collect();
-        for slice in accesses.chunks(chunk) {
-            model.access_batch(slice);
-        }
-        for &(addr, w) in t {
-            oracle.access(Addr::new(addr), kind(w));
-        }
-        let total = model.stats().total();
-        let got = (total.hits(), total.misses(), model.stats().writebacks());
-        let want = (oracle.hits(), oracle.misses(), oracle.writebacks());
-        (got != want).then(|| {
-            (
-                t.len() - 1,
-                format!(
-                    "{} batched in {chunk}-chunks: (hits, misses, writebacks) {got:?} vs oracle {want:?}",
-                    model.label()
-                ),
-            )
-        })
-    };
-    let body = format!(
-        "        let _ = model.access(cache_sim::Addr::new(addr), kind);\n\
-         \x20       // Replay this trace through `access_batch` in {chunk}-sized chunks on an\n\
-         \x20       // identical model and compare final counters to the oracle (see\n\
-         \x20       // harness::fuzz, batched_vs_oracle).\n"
-    );
-    diverge(name, case, seed, trace, &check, model_setup, &body)
-}
-
-fn birthday_adversarial(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
+fn birthday_adversarial(rng: &mut CaseRng) -> Case {
     // The aligned birthday adversary at the paper's 16 kB baseline:
     // k blocks spaced 2^19 apart agree on the direct-mapped index bits
     // [5, 14) *and* the MF8/BAS8 NPI [5, 11) / PI [11, 17) fields, so
@@ -1152,47 +721,39 @@ fn birthday_adversarial(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Diver
     let size = 16 * 1024usize;
     let line = 32usize;
     let k = rng.pick(&[8u64, 16, 32, 64]);
-    let base = 0x1000_0000u64;
+    let base = Addr::new(0x1000_0000);
     let spacing = 1u64 << 19;
     let len = 128 + rng.below(256) as usize;
     let trace: Vec<FuzzRecord> = (0..len)
-        .map(|_| (base + rng.below(k) * spacing, rng.below(4) == 0))
+        .map(|_| (base.raw() + rng.below(k) * spacing, rng.below(4) == 0))
         .collect();
+    let left = ModelSpec::bcache(size, 8, 8, PolicyKind::Lru, 0);
+    let right = ModelSpec::DirectMapped { size, line };
     let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let geom = CacheGeometry::new(size, line, 1).unwrap();
-        let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-        let layout = params.layout();
-        let mut dm = DirectMappedCache::new(size, line).unwrap();
-        let mut bc = BalancedCache::new(params);
+        let (mut bc, mut dm) = match (left.build_bcache(), right.build()) {
+            (Ok(bc), Ok(dm)) => (bc, dm),
+            (Err(e), _) | (_, Err(e)) => return Some((0, format!("does not build: {e}"))),
+        };
+        let (geom, layout) = (dm.geometry(), *bc.layout());
+        let fields = |a: Addr| (geom.set_index(a), layout.npi(a), layout.pi(a));
+        let shared = fields(base);
         let mut last = None;
         let mut expected_misses = 0u64;
-        for (i, &(addr, w)) in t.iter().enumerate() {
-            let a = Addr::new(addr);
-            if (geom.set_index(a), layout.npi(a), layout.pi(a))
-                != (
-                    geom.set_index(Addr::new(base)),
-                    layout.npi(Addr::new(base)),
-                    layout.pi(Addr::new(base)),
-                )
-            {
-                return Some((i, format!("adversary block {addr:#x} left the shared set")));
+        for (i, (a, kind)) in accesses(t).into_iter().enumerate() {
+            if fields(a) != shared {
+                return Some((i, format!("adversary block {a} left the shared set")));
             }
-            let block = addr / line as u64;
+            let block = a.raw() / line as u64;
             let expect_hit = last == Some(block);
             expected_misses += u64::from(!expect_hit);
             last = Some(block);
-            let d = dm.access(a, kind(w));
-            let b = bc.access(a, kind(w));
-            if d.hit != expect_hit {
-                return Some((
-                    i,
-                    format!("DM must hit iff the block repeats, at {addr:#x}"),
-                ));
+            if dm.access(a, kind).hit != expect_hit {
+                return Some((i, format!("DM must hit iff the block repeats, at {a}")));
             }
-            if b.hit != expect_hit {
+            if bc.access(a, kind).hit != expect_hit {
                 return Some((
                     i,
-                    format!("the adversary defeats the PD: B-Cache must behave DM at {addr:#x}"),
+                    format!("the adversary defeats the PD: B-Cache must behave DM at {a}"),
                 ));
             }
         }
@@ -1207,109 +768,16 @@ fn birthday_adversarial(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Diver
                 )
             })
     };
-    let setup = format!(
-        "    let mut right = cache_sim::DirectMappedCache::new({size}, {line}).unwrap();\n\
-         \x20   let geom = cache_sim::CacheGeometry::new({size}, {line}, 1).unwrap();\n\
-         \x20   let mut left = bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(geom, 8, 8, cache_sim::PolicyKind::Lru).unwrap());\n"
-    );
-    diverge(
-        "birthday_adversarial",
-        case,
-        seed,
+    Case {
         trace,
-        &check,
-        setup,
-        PAIR_BODY,
-    )
-}
-
-fn simd_vs_oracle(seed: u64, case: u64, rng: &mut CaseRng) -> Option<Divergence> {
-    // The batched B-Cache kernel is the heaviest consumer of the
-    // `cache_sim::simd` lane ops (PD probes, tag compares, victim
-    // scans); driving it purely through `access_batch` at a random
-    // chunk size against the per-access oracle is the differential
-    // check for the whole lane layer, on the bodies this CPU selects.
-    let line = 32usize;
-    let size = rng.pick(&[256usize, 512, 1024, 2048]);
-    let sets = size / line;
-    let addr_bits = 16u32;
-    let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-    let index_bits = geom.index_bits();
-    let tag_bits = addr_bits - 5 - index_bits;
-    let bas = rng.pick(&[1usize, 2, 4, 8]).min(sets);
-    let mf_bits = rng.below((tag_bits + 1).min(4) as u64) as u32;
-    let mf = 1usize << mf_bits;
-    let policy = rng.pick(&[
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::TreePlru,
-    ]);
-    let pseed = rng.next();
-    let chunk = 1 + rng.below(64) as usize;
-    let trace = gen_trace(rng, line as u64, 2 * sets as u64, 1 << addr_bits);
-    let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
-        let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-        let params = BCacheParams::new(geom, mf, bas, policy)
-            .unwrap()
-            .with_seed(pseed);
-        let layout = params.layout();
-        let mut model = BalancedCache::new(params);
-        let mut oracle = BCacheOracle::new(
-            line as u64,
-            addr_bits,
-            layout.npi_bits(),
-            layout.pi_bits(),
-            mf_bits,
-            false,
-            (policy, pseed),
-        );
-        let accesses: Vec<(Addr, AccessKind)> =
-            t.iter().map(|&(a, w)| (Addr::new(a), kind(w))).collect();
-        for slice in accesses.chunks(chunk) {
-            model.access_batch(slice);
-        }
-        for &(addr, w) in t {
-            oracle.access(Addr::new(addr), kind(w));
-        }
-        let total = model.stats().total();
-        let pd = model.pd_stats();
-        let got = (
-            total.hits(),
-            total.misses(),
-            model.stats().writebacks(),
-            pd.misses_with_pd_hit,
-            pd.misses_with_pd_miss,
-        );
-        let want = (
-            oracle.hits(),
-            oracle.misses(),
-            oracle.writebacks(),
-            oracle.pd_hit_misses(),
-            oracle.pd_miss_misses(),
-        );
-        if got != want {
-            return Some((
-                t.len() - 1,
-                format!(
-                    "simd bcache[{size}B MF{mf} BAS{bas} {policy:?}] batched in \
-                     {chunk}-chunks: (h, m, wb, pdh, pdm) {got:?} vs oracle {want:?}"
-                ),
-            ));
-        }
-        (!model.invariants_hold()).then(|| (t.len() - 1, "bcache invariants violated".into()))
-    };
-    let setup = format!(
-        "    let geom = cache_sim::CacheGeometry::with_addr_bits({size}, {line}, 1, {addr_bits}).unwrap();\n\
-         \x20   let mut model = bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(geom, {mf}, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap().with_seed({pseed}));\n"
-    );
-    let body = format!(
-        "        let _ = model.access(cache_sim::Addr::new(addr), kind);\n\
-         \x20       // Replay this trace through `access_batch` in {chunk}-sized chunks on an\n\
-         \x20       // identical model and compare final counters (incl. PD) to the\n\
-         \x20       // per-access BCacheOracle (see harness::fuzz, simd_vs_oracle).\n"
-    );
-    diverge("simd_vs_oracle", case, seed, trace, &check, setup, &body)
+        check: Box::new(check),
+        setup: format!(
+            "    let mut left = {};\n    let mut right = {};\n",
+            left.rust().0,
+            right.rust().0
+        ),
+        body: PAIR_BODY.into(),
+    }
 }
 
 #[cfg(test)]
@@ -1327,10 +795,12 @@ mod tests {
 
     #[test]
     fn scenario_filter_parses_names_and_indices() {
+        let birthday = resolve_scenario("birthday_adversarial").unwrap();
+        assert_eq!(SCENARIOS[birthday].name, "birthday_adversarial");
         let o = FuzzOptions::parse(&["--scenario", "birthday_adversarial"]).unwrap();
-        assert_eq!(o.scenario, Some(11));
-        let o = FuzzOptions::parse(&["--scenario", "simd_vs_oracle"]).unwrap();
-        assert_eq!(o.scenario, Some(SCENARIOS.len() - 1));
+        assert_eq!(o.scenario, Some(birthday));
+        let o = FuzzOptions::parse(&["--scenario", &birthday.to_string()]).unwrap();
+        assert_eq!(o.scenario, Some(birthday));
         let o = FuzzOptions::parse(&["--scenario", "0"]).unwrap();
         assert_eq!(o.scenario, Some(0));
         assert!(FuzzOptions::parse(&["--scenario", "nope"]).is_err());
@@ -1339,39 +809,64 @@ mod tests {
     }
 
     #[test]
-    fn pinned_birthday_scenario_is_clean() {
-        let opts = FuzzOptions {
-            iters: 40,
-            seed: 7,
-            jobs: 2,
-            scenario: Some(resolve_scenario("birthday_adversarial").unwrap()),
-        };
-        let report = run(&opts);
-        assert!(report.divergences.is_empty(), "{}", report.render());
+    fn scenario_names_keep_their_dispatch_order() {
+        let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "dm_vs_oracle",
+                "set_assoc_vs_oracle",
+                "bcache_vs_oracle",
+                "wrapper_vs_oracle",
+                "degenerate_equals_dm",
+                "full_pi_equals_set_assoc",
+                "lru_ways_inclusion",
+                "fa_lru_stack",
+                "demand_fill_sanity",
+                "batch_equivalence",
+                "batched_vs_oracle",
+                "birthday_adversarial",
+                "simd_vs_oracle",
+            ]
+        );
     }
 
     #[test]
-    fn pinned_simd_oracle_scenario_is_clean() {
-        let opts = FuzzOptions {
-            iters: 60,
-            seed: 13,
-            jobs: 2,
-            scenario: Some(resolve_scenario("simd_vs_oracle").unwrap()),
+    fn repro_header_names_a_command_that_replays_the_case() {
+        let case = 2345;
+        let planted = Case {
+            trace: vec![(0x40, false); 8],
+            check: Box::new(|t| Some((t.len() - 1, "planted".into()))),
+            setup: String::new(),
+            body: String::new(),
         };
-        let report = run(&opts);
-        assert!(report.divergences.is_empty(), "{}", report.render());
+        let d = diverge("wrapper_vs_oracle", case, 7, planted).unwrap();
+        let header = d.repro.lines().next().unwrap();
+        let arg = |flag: &str| {
+            let mut words = header.split(['`', ' ']).skip_while(|w| *w != flag);
+            words.nth(1).unwrap().to_string()
+        };
+        assert!(resolve_scenario(&arg("--scenario")).is_ok(), "{header}");
+        assert_eq!(arg("--scenario"), d.scenario);
+        assert!(arg("--iters").parse::<u64>().unwrap() > case, "{header}");
+        assert_eq!(arg("--seed"), "7");
     }
 
     #[test]
-    fn pinned_batched_oracle_scenario_is_clean() {
-        let opts = FuzzOptions {
-            iters: 60,
-            seed: 11,
-            jobs: 2,
-            scenario: Some(resolve_scenario("batched_vs_oracle").unwrap()),
-        };
-        let report = run(&opts);
-        assert!(report.divergences.is_empty(), "{}", report.render());
+    fn pinned_scenarios_are_clean() {
+        for (name, iters, seed) in [
+            ("birthday_adversarial", 40, 7),
+            ("simd_vs_oracle", 60, 13),
+            ("batched_vs_oracle", 60, 11),
+        ] {
+            let report = run(&FuzzOptions {
+                iters,
+                seed,
+                jobs: 2,
+                scenario: Some(resolve_scenario(name).unwrap()),
+            });
+            assert!(report.divergences.is_empty(), "{}", report.render());
+        }
     }
 
     #[test]

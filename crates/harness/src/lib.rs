@@ -59,6 +59,7 @@ pub mod fig3;
 pub mod fuzz;
 pub mod kernels_exp;
 pub mod missrate;
+pub mod models;
 pub mod oraclecmd;
 pub mod parallel;
 pub mod perf;

@@ -209,23 +209,12 @@ pub fn related_work(len: RunLength) -> MissRateFigure {
 
 /// [`related_work`] on a caller-owned [`Engine`].
 pub fn related_work_with(engine: &Engine, len: RunLength) -> MissRateFigure {
-    let configs = vec![
-        CacheConfig::ColumnAssoc,
-        CacheConfig::SkewedAssoc,
-        CacheConfig::Agac,
-        CacheConfig::Pam,
-        CacheConfig::DiffBit,
-        CacheConfig::SetAssoc(2),
-        CacheConfig::SetAssoc(4),
-        CacheConfig::Hac,
-        CacheConfig::BCache { mf: 8, bas: 8 },
-    ];
     run_figure(
         engine,
         "related",
         "Section 7.1: related-work D$ comparison, 16 kB".into(),
         &profiles::all(),
-        &configs,
+        &CacheConfig::related_set(),
         (16 * 1024, Side::Data),
         len,
     )

@@ -28,8 +28,7 @@
 
 use std::time::Instant;
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
+use cache_sim::{AccessKind, Addr, CacheModel};
 use telemetry::{chrome_trace_json, Recorder, SpanLog, SpanTimer, WindowRow, WindowSeries};
 use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
@@ -273,15 +272,13 @@ pub(crate) fn profile_replay(
 ) -> (WindowSeries, Recorder, f64) {
     let mut frag = Recorder::new();
     let t = SpanTimer::start("phase.replay");
-    let (series, miss_rate) = if let CacheConfig::BCache { mf, bas } = config {
-        // Built concretely (seeded exactly like `CacheConfig::build`)
-        // so the PD statistics are reachable — the trait object hides
-        // them.
-        let geom = CacheGeometry::new(SIZE_BYTES, 32, 1).expect("valid profile geometry");
-        let params = BCacheParams::new(geom, mf, bas, PolicyKind::Lru)
-            .expect("valid B-Cache point")
-            .with_seed(seed);
-        let mut bc = BalancedCache::new(params);
+    let (series, miss_rate) = if let CacheConfig::BCache { .. } = config {
+        // Built concretely so the PD statistics are reachable — the
+        // trait object hides them.
+        let mut bc = config
+            .spec(SIZE_BYTES, seed)
+            .build_bcache()
+            .expect("valid B-Cache point");
         let series = replay_windowed(&mut bc, trace.accesses(), window, |m| {
             let pd = m.pd_stats();
             (pd.misses_with_pd_hit, pd.misses_with_pd_miss)

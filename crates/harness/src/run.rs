@@ -423,12 +423,10 @@ pub struct BCachePdOutcome {
 }
 
 fn build_bcache(mf: usize, bas: usize, size_bytes: usize) -> BalancedCache {
-    use bcache_core::BCacheParams;
-    use cache_sim::{CacheGeometry, PolicyKind};
-
-    let geom = CacheGeometry::new(size_bytes, 32, 1).expect("valid geometry");
-    let params = BCacheParams::new(geom, mf, bas, PolicyKind::Lru).expect("valid B-Cache point");
-    BalancedCache::new(params)
+    CacheConfig::BCache { mf, bas }
+        .spec(size_bytes, 0)
+        .build_bcache()
+        .expect("valid B-Cache point")
 }
 
 /// Sharded counterpart of [`run_bcache_pd_stats`]: replays one B-Cache

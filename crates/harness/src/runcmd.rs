@@ -10,8 +10,7 @@
 //! byte-identical for any `--jobs N`; wall-clock spans go to the
 //! separate `timing` section.
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{CacheGeometry, CacheModel, PolicyKind};
+use cache_sim::CacheModel;
 use telemetry::{EventRing, Recorder, SpanTimer};
 use trace_gen::profiles;
 
@@ -159,15 +158,13 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
                 let trace = engine.side_trace(&profile, len, side);
                 let seed = job_seed(len.seed, &benchmark, side);
                 let mut frag = Recorder::new();
-                let miss_rate = if let CacheConfig::BCache { mf, bas } = config {
-                    // Built concretely (seeded exactly like
-                    // `CacheConfig::build`) so the PD statistics are
+                let miss_rate = if let CacheConfig::BCache { .. } = config {
+                    // Built concretely so the PD statistics are
                     // reachable — the trait object hides them.
-                    let geom = CacheGeometry::new(SIZE_BYTES, 32, 1).expect("valid run geometry");
-                    let params = BCacheParams::new(geom, mf, bas, PolicyKind::Lru)
-                        .expect("valid B-Cache point")
-                        .with_seed(seed);
-                    let mut bc = BalancedCache::new(params);
+                    let mut bc = config
+                        .spec(SIZE_BYTES, seed)
+                        .build_bcache()
+                        .expect("valid B-Cache point");
                     replay_timed(&trace, &mut bc, &mut frag);
                     record_model(&mut frag, name, &bc);
                     let pd = bc.pd_stats();

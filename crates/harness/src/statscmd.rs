@@ -74,14 +74,11 @@ pub fn stats_cmd(opts: &RunOptions) -> StatsOutcome {
                 replay_timed(&trace, dm.as_mut(), &mut frag);
                 record_model(&mut frag, &format!("stats.{bench}.dm"), dm.as_ref());
 
-                // Built concretely (seeded like `CacheConfig::build`) so
-                // the PD statistics are reachable.
-                let geom =
-                    cache_sim::CacheGeometry::new(SIZE_BYTES, 32, 1).expect("valid stats geometry");
-                let params = bcache_core::BCacheParams::new(geom, 8, 8, cache_sim::PolicyKind::Lru)
-                    .expect("valid B-Cache point")
-                    .with_seed(seed);
-                let mut bc = bcache_core::BalancedCache::new(params);
+                // Built concretely so the PD statistics are reachable.
+                let mut bc = CacheConfig::BCache { mf: 8, bas: 8 }
+                    .spec(SIZE_BYTES, seed)
+                    .build_bcache()
+                    .expect("valid B-Cache point");
                 replay_timed(&trace, &mut bc, &mut frag);
                 record_model(&mut frag, &format!("stats.{bench}.bcache"), &bc);
                 let pd = bc.pd_stats();

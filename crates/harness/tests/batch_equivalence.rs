@@ -1,17 +1,34 @@
-//! Throughput-neutrality suite: the batched access kernels must be
-//! observably free — [`CacheModel::access_batch`] over a long fuzz
-//! stream produces byte-identical statistics to the per-access loop on
-//! every model, and the monomorphized B-Cache fast path still matches
-//! [`BCacheOracle`] exactly. A divergence here means an optimization
-//! changed simulation semantics, which no speedup justifies.
+//! Batch equivalence: the batched access kernels must be observably
+//! free. Every check here is [`ModelSpec::differential`] over a list of
+//! specs: driven through [`CacheModel::access_batch`], a model's
+//! `stats()` and `set_usage()` must equal its own per-access loop's, and
+//! its final hit/miss/writeback counters — plus the B-Cache's PD
+//! counters and decoder invariants — must equal its oracle's
+//! (`OracleCache` for the direct-mapped, set-associative and n-way-LRU
+//! wrapper caches, `BCacheOracle` for the B-Cache; the victim, column,
+//! skewed and AGAC caches have only their own loop). The rows:
+//!
+//! * fixed 100k-access streams, in one batch and in chunks, over the
+//!   paper geometries and every const-dispatched CAM width
+//!   ([`model_specs`]), over the birthday adversaries, and over the
+//!   degenerate geometries ([`degenerate_specs`]);
+//! * properties over random traces × chunk sizes on small geometries
+//!   ([`small_specs`]) and on drawn ones ([`ModelSpec::draw`]), plus
+//!   the lane-boundary batch lengths.
+//!
+//! The event-order tests at the end are typed: the observer is a type
+//! parameter that a spec's trait object hides. A divergence here means
+//! an optimization changed simulation semantics, which no speedup
+//! justifies.
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::oracle::BCacheOracle;
+use bcache_core::{BCacheParams, BalancedCache, PiTagBits};
 use cache_sim::{
     AccessKind, Addr, AgacCache, CacheGeometry, CacheModel, ColumnAssociativeCache,
     DifferenceBitCache, DirectMappedCache, HighlyAssociativeCache, PartialMatchCache, PolicyKind,
     SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
 };
+use harness::models::{CaseRng, Drive, Family, ModelSpec};
+use proptest::prelude::*;
 
 const RECORDS: usize = 100_000;
 
@@ -72,224 +89,186 @@ fn birthday_stream(k: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
         .collect()
 }
 
-type Builder = Box<dyn Fn() -> Box<dyn CacheModel>>;
+/// The 1 kB MF8/BAS8 B-Cache on 16-bit addresses, where the PI fields
+/// span the whole tag.
+const BCACHE_16BIT: ModelSpec = ModelSpec::BCache {
+    size: 1024,
+    line: 32,
+    mf: 8,
+    bas: 8,
+    policy: PolicyKind::Lru,
+    seed: 0,
+    pi_tag_bits: PiTagBits::Low,
+    addr_bits: 16,
+};
 
-/// Two identical instances of one model, under a label.
-type Pair<L> = (L, Box<dyn CacheModel>, Box<dyn CacheModel>);
-
-/// Two identical instances of every model in the repo at the paper's
-/// 16 kB working geometry, then of every const-dispatched CAM width:
-/// victim buffers at each monomorphized power-of-two width (its
-/// geometry rejects other counts), AGAC directories from 1 to 32
-/// including non-powers of two (the `cam` runtime fallback), and
-/// set-assoc LRU / HAC subarrays at every width their scans
-/// monomorphize. The raw cam-vs-const pinning at widths 1..=33 lives in
-/// `cache_sim::cam`'s unit tests; these rows drive the same widths
-/// through whole models.
-fn model_pairs() -> Vec<Pair<String>> {
-    let mut build: Vec<(String, Builder)> = vec![
-        (
-            "direct-mapped".into(),
-            Box::new(|| Box::new(DirectMappedCache::new(16 * 1024, 32).unwrap())),
-        ),
-        (
-            "8-way-lru".into(),
-            Box::new(|| {
-                Box::new(SetAssociativeCache::new(16 * 1024, 32, 8, PolicyKind::Lru, 0).unwrap())
-            }),
-        ),
-        (
-            "4-way-random".into(),
-            Box::new(|| {
-                Box::new(
-                    SetAssociativeCache::new(16 * 1024, 32, 4, PolicyKind::Random, 0xBEEF).unwrap(),
-                )
-            }),
-        ),
-        (
-            "bcache-mf8-bas8".into(),
-            Box::new(|| {
-                let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-                let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-                Box::new(BalancedCache::new(params))
-            }),
-        ),
-        (
-            "victim16".into(),
-            Box::new(|| Box::new(VictimCache::new(16 * 1024, 32, 16).unwrap())),
-        ),
-        (
-            "column-assoc".into(),
-            Box::new(|| Box::new(ColumnAssociativeCache::new(16 * 1024, 32).unwrap())),
-        ),
-        (
-            "skewed-2way".into(),
-            Box::new(|| Box::new(SkewedAssociativeCache::new(16 * 1024, 32).unwrap())),
-        ),
-        (
-            "agac8".into(),
-            Box::new(|| Box::new(AgacCache::new(16 * 1024, 32, 8).unwrap())),
-        ),
-        (
-            "hac32".into(),
-            Box::new(|| Box::new(HighlyAssociativeCache::new(16 * 1024, 32, 1024).unwrap())),
-        ),
-        (
-            "pam4".into(),
-            Box::new(|| Box::new(PartialMatchCache::new(16 * 1024, 32, 4).unwrap())),
-        ),
-        (
-            "diff-bit".into(),
-            Box::new(|| Box::new(DifferenceBitCache::new(16 * 1024, 32).unwrap())),
-        ),
-        (
-            "way-halting4".into(),
-            Box::new(|| Box::new(WayHaltingCache::new(16 * 1024, 32, 4, 4).unwrap())),
-        ),
-    ];
-    for entries in [1usize, 2, 4, 8, 16, 32] {
-        build.push((
-            format!("1k victim{entries}"),
-            Box::new(move || Box::new(VictimCache::new(1024, 32, entries).unwrap())),
-        ));
-    }
-    for entries in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 31, 32] {
-        build.push((
-            format!("1k agac{entries}"),
-            Box::new(move || Box::new(AgacCache::new(1024, 32, entries).unwrap())),
-        ));
-    }
-    for assoc in [1usize, 2, 4, 8, 16, 32] {
-        build.push((
-            format!("8-set lru{assoc}way"),
-            Box::new(move || {
-                Box::new(
-                    SetAssociativeCache::new(assoc * 256, 32, assoc, PolicyKind::Lru, 0).unwrap(),
-                )
-            }),
-        ));
-    }
-    for lines_per_sub in [1usize, 2, 4, 8, 16, 32] {
-        build.push((
-            format!("2k hac-sub{lines_per_sub}"),
-            Box::new(move || {
-                Box::new(HighlyAssociativeCache::new(2048, 32, lines_per_sub * 32).unwrap())
-            }),
-        ));
-    }
-    build
+/// The benchmarked fleet at the paper's 16 kB working geometry, a
+/// random-policy set-assoc cache and a second AGAC and PAM width, then
+/// every const-dispatched CAM width: victim buffers at each
+/// monomorphized power-of-two width (its geometry rejects other
+/// counts), AGAC directories from 1 to 32 including non-powers of two
+/// (the `cam` runtime fallback), and set-assoc LRU / HAC subarrays at
+/// every width their scans monomorphize. The raw cam-vs-const pinning
+/// at widths 1..=33 lives in `cache_sim::cam`'s unit tests; these rows
+/// drive the same widths through whole models.
+fn model_specs() -> Vec<ModelSpec> {
+    let (size, line) = (16 * 1024, 32);
+    let mut specs: Vec<ModelSpec> = harness::bench::model_set()
         .into_iter()
-        .map(|(name, b)| (name, b(), b()))
-        .collect()
+        .map(|(_, config)| config.spec(size, 0))
+        .collect();
+    specs.extend([
+        ModelSpec::SetAssoc {
+            size,
+            line,
+            ways: 4,
+            policy: PolicyKind::Random,
+            seed: 0xBEEF,
+        },
+        ModelSpec::Agac {
+            size,
+            line,
+            entries: 8,
+        },
+        ModelSpec::Pam {
+            size,
+            line,
+            pad_bits: 4,
+        },
+    ]);
+    let size = 1024;
+    specs.extend([1, 2, 4, 8, 16, 32].map(|entries| ModelSpec::Victim {
+        size,
+        line,
+        entries,
+    }));
+    specs.extend(
+        [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 31, 32].map(|entries| ModelSpec::Agac {
+            size,
+            line,
+            entries,
+        }),
+    );
+    specs.extend([1, 2, 4, 8, 16, 32].map(|ways| ModelSpec::lru(ways * 256, ways)));
+    specs.extend([1, 2, 4, 8, 16, 32].map(|lines| ModelSpec::Hac {
+        size: 2048,
+        line,
+        subarray_bytes: lines * line,
+    }));
+    specs
 }
 
-/// Two identical instances of every model at its most degenerate legal
-/// geometries: one set, one way, and cache-size == line-size. These
-/// shapes put every "first/last element" branch of the batched kernels
-/// on the hot path — a single frame, a single index bit, BAS equal to
-/// the whole set count — where an off-by-one hides from the 16 kB
-/// suite above.
-fn degenerate_pairs() -> Vec<Pair<&'static str>> {
-    let build: Vec<(&'static str, Builder)> = vec![
-        (
-            "DM, cache == line",
-            Box::new(|| Box::new(DirectMappedCache::new(32, 32).unwrap())),
-        ),
-        (
-            "1-way set-assoc, cache == line",
-            Box::new(|| Box::new(SetAssociativeCache::new(32, 32, 1, PolicyKind::Lru, 0).unwrap())),
-        ),
-        (
-            "1-set fully-associative",
-            Box::new(|| {
-                Box::new(SetAssociativeCache::new(256, 32, 8, PolicyKind::Lru, 0).unwrap())
-            }),
-        ),
-        (
-            "1-way set-assoc, random policy",
-            Box::new(|| {
-                Box::new(SetAssociativeCache::new(1024, 32, 1, PolicyKind::Random, 0xBEEF).unwrap())
-            }),
-        ),
-        (
-            "B-Cache, cache == line (one frame)",
-            Box::new(|| {
-                let geom = CacheGeometry::new(32, 32, 1).unwrap();
-                let params = BCacheParams::new(geom, 8, 1, PolicyKind::Lru).unwrap();
-                Box::new(BalancedCache::new(params))
-            }),
-        ),
-        (
-            "B-Cache, BAS == sets (one pseudo-set)",
-            Box::new(|| {
-                let geom = CacheGeometry::new(1024, 32, 1).unwrap();
-                let params = BCacheParams::new(geom, 2, 32, PolicyKind::Lru).unwrap();
-                Box::new(BalancedCache::new(params))
-            }),
-        ),
-        (
-            "victim, cache == line, 1-entry buffer",
-            Box::new(|| Box::new(VictimCache::new(32, 32, 1).unwrap())),
-        ),
-        (
-            "column-associative, two lines",
-            Box::new(|| Box::new(ColumnAssociativeCache::new(64, 32).unwrap())),
-        ),
-        (
-            "skewed, one index bit per way",
-            Box::new(|| Box::new(SkewedAssociativeCache::new(128, 32).unwrap())),
-        ),
-        (
-            "AGAC, cache == line, 1-entry directory",
-            Box::new(|| Box::new(AgacCache::new(32, 32, 1).unwrap())),
-        ),
-        (
-            "HAC, one single-line subarray",
-            Box::new(|| Box::new(HighlyAssociativeCache::new(32, 32, 32).unwrap())),
-        ),
-        (
-            "HAC, 1-set (subarray == cache)",
-            Box::new(|| Box::new(HighlyAssociativeCache::new(256, 32, 256).unwrap())),
-        ),
-        (
-            "PAM, 1-set 2-way",
-            Box::new(|| Box::new(PartialMatchCache::new(64, 32, 5).unwrap())),
-        ),
-        (
-            "difference-bit, 1-set 2-way",
-            Box::new(|| Box::new(DifferenceBitCache::new(64, 32).unwrap())),
-        ),
-        (
-            "way-halting, 1-way cache == line",
-            Box::new(|| Box::new(WayHaltingCache::new(32, 32, 1, 4).unwrap())),
-        ),
-        (
-            "way-halting, 1-set",
-            Box::new(|| Box::new(WayHaltingCache::new(128, 32, 4, 4).unwrap())),
-        ),
-    ];
-    build.iter().map(|(name, b)| (*name, b(), b())).collect()
+/// Every model at its most degenerate legal geometries: one set, one
+/// way, and cache-size == line-size. These shapes put every
+/// "first/last element" branch of the batched kernels on the hot path —
+/// a single frame, a single index bit, BAS equal to the whole set count
+/// — where an off-by-one hides from the 16 kB rows above.
+fn degenerate_specs() -> Vec<ModelSpec> {
+    let line = 32;
+    vec![
+        ModelSpec::DirectMapped { size: 32, line },
+        ModelSpec::lru(32, 1),
+        // One set, fully associative.
+        ModelSpec::lru(256, 8),
+        ModelSpec::SetAssoc {
+            size: 1024,
+            line,
+            ways: 1,
+            policy: PolicyKind::Random,
+            seed: 0xBEEF,
+        },
+        // One frame.
+        ModelSpec::bcache(32, 8, 1, PolicyKind::Lru, 0),
+        // BAS == sets: one pseudo-set.
+        ModelSpec::bcache(1024, 2, 32, PolicyKind::Lru, 0),
+        ModelSpec::Victim {
+            size: 32,
+            line,
+            entries: 1,
+        },
+        ModelSpec::Column { size: 64, line },
+        // One index bit per way.
+        ModelSpec::Skewed { size: 128, line },
+        ModelSpec::Agac {
+            size: 32,
+            line,
+            entries: 1,
+        },
+        // One single-line subarray, then one subarray == the cache.
+        ModelSpec::Hac {
+            size: 32,
+            line,
+            subarray_bytes: 32,
+        },
+        ModelSpec::Hac {
+            size: 256,
+            line,
+            subarray_bytes: 256,
+        },
+        ModelSpec::Pam {
+            size: 64,
+            line,
+            pad_bits: 5,
+        },
+        ModelSpec::DiffBit { size: 64, line },
+        ModelSpec::WayHalting {
+            size: 32,
+            line,
+            ways: 1,
+            pad_bits: 4,
+        },
+        ModelSpec::WayHalting {
+            size: 128,
+            line,
+            ways: 4,
+            pad_bits: 4,
+        },
+    ]
+}
+
+/// Small geometries where random 300-access traces conflict often:
+/// the benchmarked fleet at 1 kB, set-assoc LRU at every
+/// const-dispatched width (8 sets), the 4-way non-LRU policies (the
+/// dynamic-dispatch branch) and the 16-bit B-Cache.
+fn small_specs(seed: u64) -> Vec<ModelSpec> {
+    let mut specs: Vec<ModelSpec> = harness::bench::model_set()
+        .into_iter()
+        .map(|(_, config)| config.spec(1024, seed))
+        .collect();
+    specs.extend([1, 2, 4, 8, 16, 32].map(|ways| ModelSpec::lru(ways * 256, ways)));
+    specs.extend(
+        [PolicyKind::Fifo, PolicyKind::Random, PolicyKind::TreePlru].map(|policy| {
+            ModelSpec::SetAssoc {
+                size: 1024,
+                line: 32,
+                ways: 4,
+                policy,
+                seed,
+            }
+        }),
+    );
+    specs.push(BCACHE_16BIT);
+    specs
+}
+
+/// Checks every spec at every chunk size (`usize::MAX`: one batch).
+fn assert_batched_matches(specs: &[ModelSpec], accesses: &[(Addr, AccessKind)], chunks: &[usize]) {
+    for spec in specs {
+        for &chunk in chunks {
+            assert_eq!(spec.differential(Drive::Batched(chunk), accesses), None);
+        }
+    }
 }
 
 #[test]
 fn access_batch_matches_the_per_access_loop_on_every_model() {
-    let accesses = stream(42);
-    for (name, mut scalar, mut batched) in model_pairs() {
-        for &(addr, kind) in &accesses {
-            scalar.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(
-            scalar.stats(),
-            batched.stats(),
-            "{name}: batched stats diverge from the per-access loop"
-        );
-        assert_eq!(
-            scalar.set_usage(),
-            batched.set_usage(),
-            "{name}: batched set-usage counters diverge"
-        );
-    }
+    assert_batched_matches(&model_specs(), &stream(42), &[usize::MAX]);
+}
+
+#[test]
+fn chunked_batches_match_the_per_access_loop() {
+    // Tally flushing must compose across access_batch calls.
+    assert_batched_matches(&model_specs(), &stream(7), &[4097]);
 }
 
 #[test]
@@ -299,84 +278,105 @@ fn access_batch_matches_the_per_access_loop_on_birthday_adversaries() {
     // whole run in their conflict/eviction paths rather than the
     // spread-out traffic of `stream`.
     for k in [8u64, 16, 32, 64] {
-        let accesses = birthday_stream(k, 0xB1DA + k);
-        for (name, mut scalar, mut batched) in model_pairs() {
-            for &(addr, kind) in &accesses {
-                scalar.access(addr, kind);
-            }
-            batched.access_batch(&accesses);
-            assert_eq!(
-                scalar.stats(),
-                batched.stats(),
-                "{name} on birthday{k}: batched stats diverge from the per-access loop"
-            );
-            assert_eq!(
-                scalar.set_usage(),
-                batched.set_usage(),
-                "{name} on birthday{k}: batched set-usage counters diverge"
-            );
-        }
-    }
-}
-
-#[test]
-fn chunked_batches_match_one_big_batch() {
-    // Tally flushing must compose across access_batch calls: many small
-    // batches and one big batch are the same sequence of accesses.
-    let accesses = stream(7);
-    for (name, mut whole, mut chunked) in model_pairs() {
-        whole.access_batch(&accesses);
-        for chunk in accesses.chunks(4097) {
-            chunked.access_batch(chunk);
-        }
-        assert_eq!(
-            whole.stats(),
-            chunked.stats(),
-            "{name}: chunked batches diverge from a single batch"
+        assert_batched_matches(
+            &model_specs(),
+            &birthday_stream(k, 0xB1DA + k),
+            &[usize::MAX],
         );
     }
 }
 
 #[test]
 fn access_batch_matches_the_per_access_loop_on_degenerate_geometries() {
-    let accesses = stream(1234);
-    for (name, mut scalar, mut batched) in degenerate_pairs() {
-        for &(addr, kind) in &accesses {
-            scalar.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(
-            scalar.stats(),
-            batched.stats(),
-            "{name} ({}): batched stats diverge from the per-access loop",
-            scalar.label()
-        );
-        assert_eq!(
-            scalar.set_usage(),
-            batched.set_usage(),
-            "{name} ({}): batched set-usage counters diverge",
-            scalar.label()
-        );
-    }
+    assert_batched_matches(&degenerate_specs(), &stream(1234), &[usize::MAX]);
+    // Chunk at 1 so every batch boundary coincides with an access — the
+    // degenerate shapes' tally-flush paths get no amortization to hide
+    // behind.
+    assert_batched_matches(&degenerate_specs(), &stream(55)[..5_000], &[1]);
 }
 
 #[test]
-fn chunked_batches_match_one_big_batch_on_degenerate_geometries() {
-    // Chunk at 1 so every batch boundary coincides with an access —
-    // the degenerate shapes' tally-flush paths get no amortization to
-    // hide behind.
-    let accesses: Vec<(Addr, AccessKind)> = stream(55).into_iter().take(5_000).collect();
-    for (name, mut whole, mut chunked) in degenerate_pairs() {
-        whole.access_batch(&accesses);
-        for chunk in accesses.chunks(1) {
-            chunked.access_batch(chunk);
+fn batched_bcache_on_16_bit_addresses_matches_the_oracle() {
+    // The 16-bit geometry decodes only addresses below 2^16.
+    let accesses: Vec<(Addr, AccessKind)> = stream(99)
+        .into_iter()
+        .map(|(a, k)| (Addr::new(a.raw() % (1 << 16)), k))
+        .collect();
+    assert_batched_matches(&[BCACHE_16BIT], &accesses, &[1024]);
+}
+
+/// Block numbers in a bounded region plus a write flag: conflicts are
+/// frequent at the small geometries above, and 2048 32-byte blocks stay
+/// inside the 16-bit B-Cache's address space.
+fn trace_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, bool)>> {
+    prop::collection::vec((0u64..2048, any::<bool>()), len)
+}
+
+fn accesses(trace: &[(u64, bool)]) -> Vec<(Addr, AccessKind)> {
+    let kind = |w| {
+        if w {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
         }
-        assert_eq!(
-            whole.stats(),
-            chunked.stats(),
-            "{name} ({}): single-access batches diverge from one big batch",
-            whole.label()
-        );
+    };
+    trace
+        .iter()
+        .map(|&(block, w)| (Addr::new(block * 32), kind(w)))
+        .collect()
+}
+
+proptest! {
+    /// Every small spec, driven through `access_batch` at an arbitrary
+    /// chunk size, matches its per-access loop and its oracle.
+    #[test]
+    fn batched_small_specs_match_their_reference(
+        trace in trace_strategy(1..300),
+        chunk in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let accesses = accesses(&trace);
+        for spec in small_specs(seed) {
+            prop_assert_eq!(spec.differential(Drive::Batched(chunk), &accesses), None);
+        }
+    }
+
+    /// A drawn small or degenerate spec of any family matches its
+    /// reference batched and, if it has an oracle, access by access.
+    #[test]
+    fn drawn_specs_match_their_reference(
+        trace in trace_strategy(1..300),
+        chunk in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let accesses = accesses(&trace);
+        let spec = ModelSpec::draw(&mut CaseRng::new(seed, 0), Family::ALL);
+        prop_assert_eq!(spec.differential(Drive::Batched(chunk), &accesses), None);
+        if spec.has_oracle() {
+            prop_assert_eq!(spec.differential(Drive::PerAccess, &accesses), None);
+        }
+    }
+
+    /// Every small spec handles every lane-boundary batch length: one
+    /// access, one short of a lane group, exactly one group, one past
+    /// it, and a multi-group run with a ragged tail (1, L−1, L, L+1,
+    /// 3·L+2 for L = [`cache_sim::simd::LANES`]), plus the empty batch.
+    /// These are precisely where the lane-group kernels switch between
+    /// full-group and tail handling.
+    #[test]
+    fn access_batch_matches_at_lane_boundary_lengths(
+        trace in trace_strategy((3 * cache_sim::simd::LANES + 2)..(3 * cache_sim::simd::LANES + 3)),
+    ) {
+        let accesses = accesses(&trace);
+        let lane = cache_sim::simd::LANES;
+        for spec in small_specs(0) {
+            let mut empty = spec.build().unwrap();
+            empty.access_batch(&[]);
+            prop_assert_eq!(empty.stats(), spec.build().unwrap().stats());
+            for chunk in [1, lane - 1, lane, lane + 1, 3 * lane + 2] {
+                prop_assert_eq!(spec.differential(Drive::Batched(chunk), &accesses), None);
+            }
+        }
     }
 }
 
@@ -547,56 +547,4 @@ fn batched_event_order_matches_per_access_on_degenerate_geometries() {
         WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap(),
         WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap()
     );
-}
-
-#[test]
-fn batched_bcache_still_matches_the_oracle() {
-    // The monomorphized B-Cache kernel against the independent oracle:
-    // same geometry as the fuzz scenarios (1 kB, 16-bit addresses,
-    // MF=8, BAS=8), but driven through access_batch.
-    let line = 32usize;
-    let size = 1024usize;
-    let addr_bits = 16u32;
-    let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits).unwrap();
-    let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-    let layout = params.layout();
-    let mut model = BalancedCache::new(params);
-    let mut oracle = BCacheOracle::new(
-        line as u64,
-        addr_bits,
-        layout.npi_bits(),
-        layout.pi_bits(),
-        3, // MF = 8 = 2^3
-        false,
-        (PolicyKind::Lru, 0),
-    );
-    let accesses: Vec<(Addr, AccessKind)> = stream(99)
-        .into_iter()
-        .map(|(a, k)| (Addr::new(a.raw() % (1 << addr_bits)), k))
-        .collect();
-    for chunk in accesses.chunks(1024) {
-        model.access_batch(chunk);
-    }
-    for &(addr, kind) in &accesses {
-        oracle.access(addr, kind);
-    }
-    let total = model.stats().total();
-    assert_eq!(total.hits(), oracle.hits(), "hits drifted from the oracle");
-    assert_eq!(
-        total.misses(),
-        oracle.misses(),
-        "misses drifted from the oracle"
-    );
-    assert_eq!(
-        model.stats().writebacks(),
-        oracle.writebacks(),
-        "writebacks drifted from the oracle"
-    );
-    let pd = model.pd_stats();
-    assert_eq!(
-        (pd.misses_with_pd_hit, pd.misses_with_pd_miss),
-        (oracle.pd_hit_misses(), oracle.pd_miss_misses()),
-        "PD counters drifted from the oracle"
-    );
-    assert!(model.invariants_hold(), "B-Cache invariants violated");
 }

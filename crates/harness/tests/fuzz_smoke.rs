@@ -1,7 +1,7 @@
 //! Bounded in-process run of the differential fuzzer (the CI smoke job
 //! runs the `bcache-repro fuzz` binary with the same parameters).
 
-use harness::fuzz::{run, FuzzOptions};
+use harness::fuzz::{resolve_scenario, run, FuzzOptions};
 
 /// The CI smoke configuration: 2000 cases, seed 7. Every registered
 /// model must agree with its oracle on every generated stream.
@@ -40,7 +40,7 @@ fn pinned_scenario_is_clean_and_job_count_invariant() {
         iters: 120,
         seed: 11,
         jobs: 1,
-        scenario: Some(harness::fuzz::SCENARIOS.len() - 1),
+        scenario: Some(resolve_scenario("birthday_adversarial").unwrap()),
     };
     let one = run(&base);
     assert!(one.divergences.is_empty(), "{}", one.render());
