@@ -228,6 +228,9 @@ impl<O: Observer> AgacCache<O> {
             dirty: self.dirty[frame],
         };
         tally.record_writeback_if(ev.dirty);
+        if O::ENABLED && ev.dirty {
+            self.observer.event(Event::Writeback { set: frame as u64 });
+        }
         self.valid[frame] = false;
         Some(ev)
     }
@@ -358,9 +361,9 @@ impl<O: Observer> CacheModel for AgacCache<O> {
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats. Bit-identical
-        // to the `access` loop (the batch-equivalence suite enforces it,
-        // events included).
+        // Shared-step replay with register-tallied stats: `access` runs
+        // the same `step`, so the batch equals the `access` loop by
+        // construction, events included.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);

@@ -137,6 +137,9 @@ impl<O: Observer> ColumnAssociativeCache<O> {
             dirty: self.dirty[slot],
         };
         tally.record_writeback_if(ev.dirty);
+        if O::ENABLED && ev.dirty {
+            self.observer.event(Event::Writeback { set: slot as u64 });
+        }
         self.valid[slot] = false;
         Some(ev)
     }
@@ -248,9 +251,9 @@ impl<O: Observer> CacheModel for ColumnAssociativeCache<O> {
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats. Bit-identical
-        // to the `access` loop (the batch-equivalence suite enforces it,
-        // events included).
+        // Shared-step replay with register-tallied stats: `access` runs
+        // the same `step`, so the batch equals the `access` loop by
+        // construction, events included.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);

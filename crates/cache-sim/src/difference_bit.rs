@@ -15,9 +15,10 @@ use telemetry::{NullObserver, Observer};
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::packed;
+use crate::replacement::{Lru, PolicyKind, ReplacementPolicy};
+use crate::set_assoc::{Parts, SetAssociativeCache, StepOutcome};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A 2-way difference-bit cache.
 ///
@@ -26,9 +27,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// how often a fill forces it to be recomputed — the bookkeeping the
 /// special decoder performs in hardware.
 ///
-/// [`CacheModel::access_batch`] fuses the decoder bookkeeping around the
-/// shared set-associative step kernel and is bit-identical to the
-/// per-access path, [`Observer`] events included.
+/// Both access paths run one step — the decoder bookkeeping around the
+/// shared set-associative step — so the batched path is bit-identical
+/// to the per-access one, [`Observer`] events included.
 ///
 /// # Examples
 ///
@@ -43,11 +44,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 #[derive(Debug)]
 pub struct DifferenceBitCache<O: Observer = NullObserver> {
     inner: SetAssociativeCache<O>,
-    // Shadow of the stored tags per (set, way).
-    tags: Vec<Option<u64>>,
-    // The difference-bit position per set (valid when both ways full).
+    // The difference-bit position per set (valid when both ways full),
+    // derived from the two tags the inner array's packed words hold.
     diff_bit: Vec<Option<u32>>,
-    diff_bit_updates: u64,
 }
 
 impl DifferenceBitCache {
@@ -84,9 +83,7 @@ impl<O: Observer> DifferenceBitCache<O> {
         let sets = inner.geometry().sets();
         Ok(DifferenceBitCache {
             inner,
-            tags: vec![None; sets * 2],
             diff_bit: vec![None; sets],
-            diff_bit_updates: 0,
         })
     }
 
@@ -100,9 +97,10 @@ impl<O: Observer> DifferenceBitCache<O> {
         self.inner.observer_mut()
     }
 
-    /// How many fills recomputed a set's difference bit.
+    /// How many fills recomputed a set's difference bit: every miss
+    /// fills, and every fill recomputes it.
     pub fn diff_bit_updates(&self) -> u64 {
-        self.diff_bit_updates
+        self.inner.stats().total().misses()
     }
 
     /// The way the difference-bit decoder would select for `addr`, when
@@ -111,126 +109,94 @@ impl<O: Observer> DifferenceBitCache<O> {
         let geom = self.inner.geometry();
         let set = geom.set_index(addr);
         let bit = self.diff_bit[set]?;
-        let tag0 = self.tags[set * 2]?;
-        let addr_bit = (geom.tag(addr) >> bit) & 1;
-        // Way 0 is the way whose tag bit equals... select the way whose
-        // stored tag matches the address at the difference position.
-        Some(if (tag0 >> bit) & 1 == addr_bit { 0 } else { 1 })
+        Some(routed_way(
+            bit,
+            self.inner.set_words(set)[0],
+            geom.tag(addr),
+        ))
     }
+}
 
-    fn recompute_diff_bit(&mut self, set: usize) {
-        let (a, b) = (self.tags[set * 2], self.tags[set * 2 + 1]);
-        self.diff_bit[set] = match (a, b) {
-            (Some(x), Some(y)) => {
-                debug_assert_ne!(x, y, "two ways of a set can never hold equal tags");
-                Some((x ^ y).trailing_zeros())
-            }
-            _ => None,
-        };
-        self.diff_bit_updates += 1;
+/// The difference bit of a full set: the lowest position where its two
+/// stored tags differ (`None` while a way is still empty).
+fn difference_bit(ways: &[u64]) -> Option<u32> {
+    let (a, b) = (ways[0], ways[1]);
+    if !(packed::is_valid(a) && packed::is_valid(b)) {
+        return None;
     }
+    debug_assert_ne!(
+        packed::tag(a),
+        packed::tag(b),
+        "two ways of a set can never hold equal tags"
+    );
+    Some((packed::tag(a) ^ packed::tag(b)).trailing_zeros())
+}
+
+/// The way the decoder selects for `tag`: the one whose stored tag
+/// agrees with it at the set's difference bit `bit`.
+fn routed_way(bit: u32, way0: u64, tag: u64) -> usize {
+    usize::from((packed::tag(way0) >> bit) & 1 != (tag >> bit) & 1)
+}
+
+/// One difference-bit access: the decoder's invariant check, the shared
+/// set-associative step, and on a fill the set's difference bit
+/// recomputed from its new pair of tags. Shared by both access paths,
+/// so they agree by construction — statistics, decoder state and
+/// [`Observer`] events.
+#[inline(always)]
+fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
+    parts: &mut Parts<'_, O>,
+    policy: &mut P,
+    diff_bit: &mut [Option<u32>],
+    addr: Addr,
+    kind: AccessKind,
+) -> StepOutcome {
+    let set = parts.split.set_index(addr);
+    let tag = parts.split.tag(addr);
+    // Before mutating: if the block is resident and the set is full,
+    // the difference bit must select the way that holds it.
+    if let Some(bit) = diff_bit[set] {
+        let ways = parts.set_words(set);
+        debug_assert!(
+            !packed::matches(ways[1 - routed_way(bit, ways[0], tag)], tag),
+            "difference bit must never route a hit to the wrong way"
+        );
+    }
+    let out = parts.step_one::<P, 2>(policy, addr, kind);
+    if !out.hit {
+        diff_bit[set] = difference_bit(parts.set_words(set));
+    }
+    out
 }
 
 impl<O: Observer> CacheModel for DifferenceBitCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-
-        // Check the decoder's invariant before mutating: if the block is
-        // resident and the set is full, the difference bit must select
-        // the way that holds it.
-        if let Some(way) = self.selected_way(addr) {
-            let selected_tag = self.tags[set * 2 + way];
-            let other_tag = self.tags[set * 2 + (1 - way)];
-            debug_assert!(
-                other_tag != Some(tag) || selected_tag == Some(tag),
-                "difference bit must never route a hit to the wrong way"
-            );
-        }
-
-        let result = self.inner.access(addr, kind);
-        if !result.hit {
-            if let Some(ev) = result.evicted {
-                let ev_tag = geom.tag(ev.block);
-                for slot in self.tags[set * 2..set * 2 + 2].iter_mut() {
-                    if *slot == Some(ev_tag) {
-                        *slot = None;
-                    }
-                }
-            }
-            let empty = (0..2)
-                .find(|w| self.tags[set * 2 + w].is_none())
-                .expect("eviction freed a way");
-            self.tags[set * 2 + empty] = Some(tag);
-            self.recompute_diff_bit(set);
-        }
-        result
+        let (mut parts, policy) = self.inner.parts();
+        let out = step(&mut parts, policy, &mut self.diff_bit, addr, kind);
+        parts.finish();
+        out.result(&geom)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: decoder invariant + shared step + tag-shadow and
-        // difference-bit maintenance. Bit-identical to the `access` loop
-        // (the batch-equivalence suite enforces it, events included).
-        let tags = &mut self.tags;
-        let diff_bit = &mut self.diff_bit;
-        let mut updates = 0u64;
-        let (split, _assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
+        // Shared-step replay with register-tallied stats and the inner
+        // LRU devirtualized.
+        let diff_bit = &mut self.diff_bit[..];
+        let (mut parts, policy) = self.inner.parts();
         macro_rules! kernel {
             ($policy:expr) => {{
                 let p = $policy;
                 for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    if let (Some(bit), Some(tag0)) = (diff_bit[set], tags[set * 2]) {
-                        let way = usize::from((tag0 >> bit) & 1 != (tag >> bit) & 1);
-                        let selected_tag = tags[set * 2 + way];
-                        let other_tag = tags[set * 2 + (1 - way)];
-                        debug_assert!(
-                            other_tag != Some(tag) || selected_tag == Some(tag),
-                            "difference bit must never route a hit to the wrong way"
-                        );
-                        let _ = (selected_tag, other_tag);
-                    }
-                    let out = step_one::<_, _, 2>(
-                        &split, 2, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
-                    if !out.hit {
-                        if let Some((ev_tag, _)) = out.evicted {
-                            for slot in tags[set * 2..set * 2 + 2].iter_mut() {
-                                if *slot == Some(ev_tag) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                        let empty = (0..2)
-                            .find(|w| tags[set * 2 + w].is_none())
-                            .expect("eviction freed a way");
-                        tags[set * 2 + empty] = Some(tag);
-                        let (a, b) = (tags[set * 2], tags[set * 2 + 1]);
-                        diff_bit[set] = match (a, b) {
-                            (Some(x), Some(y)) => {
-                                debug_assert_ne!(
-                                    x, y,
-                                    "two ways of a set can never hold equal tags"
-                                );
-                                Some((x ^ y).trailing_zeros())
-                            }
-                            _ => None,
-                        };
-                        updates += 1;
-                    }
+                    step(&mut parts, p, diff_bit, addr, kind);
                 }
             }};
         }
         if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
             kernel!(lru)
         } else {
-            kernel!(policy.as_mut())
+            kernel!(policy)
         }
-        tally.flush(stats);
-        self.diff_bit_updates += updates;
+        parts.finish();
     }
 
     fn stats(&self) -> &CacheStats {
@@ -239,7 +205,6 @@ impl<O: Observer> CacheModel for DifferenceBitCache<O> {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.diff_bit_updates = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
@@ -366,12 +331,7 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.tags, batched.tags, "tag shadows");
         assert_eq!(looped.diff_bit, batched.diff_bit, "difference bits");
-        assert_eq!(
-            looped.diff_bit_updates, batched.diff_bit_updates,
-            "update counters"
-        );
     }
 
     #[test]

@@ -4,8 +4,9 @@ use telemetry::{Event, MissKind, NullObserver, Observer};
 
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
-use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
+use crate::model::{AccessKind, AccessResult, CacheModel};
 use crate::packed;
+use crate::set_assoc::StepOutcome;
 use crate::simd;
 use crate::stats::{BatchTally, CacheStats, SetUsage};
 
@@ -121,59 +122,87 @@ impl<O: Observer> DirectMappedCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for DirectMappedCache<O> {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let set = self.geom.set_index(addr);
-        let tag = self.geom.tag(addr);
-        let word = self.lines[set];
-        let hit = packed::matches(word, tag);
-        self.stats.record(kind, hit);
-        self.usage.record(set, hit);
+/// One access against the destructured line array, on an address already
+/// split into `(set, tag)`. Shared by [`DirectMappedCache::access`] and
+/// the batched kernel (which decodes a lane group ahead), so the two
+/// paths agree by construction — statistics, contents and [`Observer`]
+/// events alike.
+#[inline(always)]
+fn step<O: Observer>(
+    lines: &mut [u64],
+    usage: &mut SetUsage,
+    tally: &mut BatchTally,
+    observer: &mut O,
+    set: usize,
+    tag: u64,
+    kind: AccessKind,
+) -> StepOutcome {
+    let word = lines[set];
+    let hit = packed::matches(word, tag);
+    tally.record(kind, hit);
+    usage.record(set, hit);
+    if hit {
         if O::ENABLED {
-            if !hit {
-                self.observer.event(Event::Miss {
-                    kind: MissKind::Tag,
-                });
-                if packed::is_dirty(word) {
-                    self.observer.event(Event::Writeback { set: set as u64 });
-                }
-            }
-            self.observer.event(Event::SetTouch {
+            observer.event(Event::SetTouch {
                 set: set as u64,
                 hit,
             });
         }
-        if hit {
-            if kind.is_write() {
-                self.lines[set] = packed::set_dirty(word);
-            }
-            return AccessResult::hit();
+        if kind.is_write() {
+            lines[set] = packed::set_dirty(word);
         }
-        // Miss: evict the resident block (if any) and fill.
-        let evicted = if packed::is_valid(word) {
-            let block = self.geom.reconstruct(packed::tag(word), set);
-            let dirty = packed::is_dirty(word);
-            if dirty {
-                self.stats.record_writeback();
-            }
-            Some(Eviction { block, dirty })
-        } else {
-            None
+        return StepOutcome {
+            hit,
+            set,
+            evicted: None,
         };
-        self.lines[set] = packed::fill(tag, kind.is_write());
-        AccessResult::miss(evicted)
+    }
+    // Miss: evict the resident block (if any) and fill.
+    let dirty = packed::is_dirty(word);
+    tally.record_writeback_if(dirty);
+    if O::ENABLED {
+        observer.event(Event::Miss {
+            kind: MissKind::Tag,
+        });
+        if dirty {
+            observer.event(Event::Writeback { set: set as u64 });
+        }
+        observer.event(Event::SetTouch {
+            set: set as u64,
+            hit,
+        });
+    }
+    lines[set] = packed::fill(tag, kind.is_write());
+    StepOutcome {
+        hit,
+        set,
+        evicted: packed::is_valid(word).then(|| (packed::tag(word), dirty)),
+    }
+}
+
+impl<O: Observer> CacheModel for DirectMappedCache<O> {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        let mut tally = BatchTally::new();
+        let out = step(
+            &mut self.lines,
+            &mut self.usage,
+            &mut tally,
+            &mut self.observer,
+            self.geom.set_index(addr),
+            self.geom.tag(addr),
+            kind,
+        );
+        tally.flush(&mut self.stats);
+        out.result(&self.geom)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay: precomputed field split, packed lines,
-        // statistics tallied in registers — bit-identical outcome to the
-        // `access` loop above (the batch-equivalence suite enforces it).
-        //
         // The address decode (set/tag split) is the pure, state-
         // independent half of an access, so it runs a whole lane group
-        // ahead of the serial hit/miss resolution: eight addresses are
-        // split through the portable `simd::shr_and` per iteration, then
-        // resolved in order against the line array.
+        // ahead of the serial `step`s: eight addresses are split
+        // through the portable `simd::shr_and` per iteration, then
+        // resolved in order against the line array, with statistics
+        // tallied in registers and flushed once.
         let split = self.geom.split();
         let lines = &mut self.lines[..];
         let usage = &mut self.usage;
@@ -195,34 +224,15 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
             );
             simd::shr_and(&raw[..n], split.tag_shift, split.tag_mask, &mut tags[..n]);
             for (i, &(_, kind)) in group.iter().enumerate() {
-                let set = sets[i] as usize;
-                let tag = tags[i];
-                let word = lines[set];
-                let hit = packed::matches(word, tag);
-                tally.record(kind, hit);
-                usage.record(set, hit);
-                if O::ENABLED {
-                    if !hit {
-                        observer.event(Event::Miss {
-                            kind: MissKind::Tag,
-                        });
-                        if packed::is_dirty(word) {
-                            observer.event(Event::Writeback { set: set as u64 });
-                        }
-                    }
-                    observer.event(Event::SetTouch {
-                        set: set as u64,
-                        hit,
-                    });
-                }
-                if hit {
-                    if kind.is_write() {
-                        lines[set] = packed::set_dirty(word);
-                    }
-                } else {
-                    tally.record_writeback_if(packed::is_dirty(word));
-                    lines[set] = packed::fill(tag, kind.is_write());
-                }
+                step(
+                    lines,
+                    usage,
+                    &mut tally,
+                    observer,
+                    sets[i] as usize,
+                    tags[i],
+                    kind,
+                );
             }
         }
         tally.flush(&mut self.stats);

@@ -109,11 +109,14 @@ pub trait CacheModel {
     /// Services a batch of accesses, updating state and statistics
     /// exactly as the equivalent [`access`](Self::access) loop would.
     ///
-    /// The default implementation *is* that loop; models with a hot
-    /// replay path override it with a monomorphized version that skips
-    /// per-access dispatch. Overrides must stay bit-identical to the
-    /// loop — statistics, set usage, replacement state and contents —
-    /// which `harness`'s batch-equivalence suite enforces.
+    /// The default implementation *is* that loop. Every model in this
+    /// crate and the B-Cache override it with a monomorphized loop over
+    /// the one inlined step function their `access` also calls, with
+    /// statistics tallied in registers and flushed once per batch, so
+    /// the two paths agree by construction — statistics, set usage,
+    /// replacement state, contents and observer events. An override
+    /// must keep that shape; `harness`'s batch-equivalence suite
+    /// checks the result against the loop and the oracles.
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         for &(addr, kind) in accesses {
             self.access(addr, kind);

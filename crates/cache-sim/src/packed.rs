@@ -47,7 +47,7 @@ pub const fn matches(word: u64, tag: u64) -> bool {
     word & MATCH_MASK == search_key(tag)
 }
 
-/// The AND-mask of the [`matches`] compare: everything but the dirty
+/// The AND-mask of the [`matches()`] compare: everything but the dirty
 /// bit. Paired with [`search_key`] it turns the hit test into the
 /// generic `(word & mask) == key` form the SIMD lane compares consume.
 pub const MATCH_MASK: u64 = !2;
@@ -56,7 +56,7 @@ pub const MATCH_MASK: u64 = !2;
 /// same generic compare form.
 pub const VALID_MASK: u64 = 1;
 
-/// The search key [`matches`] compares against: `tag` shifted into
+/// The search key [`matches()`] compares against: `tag` shifted into
 /// place with the valid bit set.
 #[inline(always)]
 pub const fn search_key(tag: u64) -> u64 {

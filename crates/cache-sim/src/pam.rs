@@ -14,9 +14,10 @@ use telemetry::{NullObserver, Observer};
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::packed;
+use crate::replacement::{Lru, PolicyKind, ReplacementPolicy};
+use crate::set_assoc::{Parts, SetAssociativeCache, StepOutcome};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A 2-way cache with PAD-based way prediction.
 ///
@@ -25,9 +26,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// the partial-tag comparison costs one extra cycle
 /// ([`AccessResult::extra_latency`]).
 ///
-/// [`CacheModel::access_batch`] fuses the PAD prediction and the shadow
-/// bookkeeping around the shared set-associative step kernel and is
-/// bit-identical to the per-access path, [`Observer`] events included.
+/// Both access paths run one step — the PAD prediction, then the shared
+/// set-associative step — so the batched path is bit-identical to the
+/// per-access one, [`Observer`] events included.
 ///
 /// # Examples
 ///
@@ -41,11 +42,10 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// ```
 #[derive(Debug)]
 pub struct PartialMatchCache<O: Observer = NullObserver> {
+    // The PAD is the low `pad_bits` of the tags the inner array's
+    // packed words already hold.
     inner: SetAssociativeCache<O>,
     pad_bits: u32,
-    // Shadow of the inner cache's contents: block ids per (set, way),
-    // kept in sync so PAD predictions can be evaluated.
-    shadow: Vec<Option<u64>>,
     second_cycle_hits: u64,
 }
 
@@ -82,11 +82,9 @@ impl<O: Observer> PartialMatchCache<O> {
             0,
             observer,
         )?;
-        let sets = inner.geometry().sets();
         Ok(PartialMatchCache {
             inner,
             pad_bits,
-            shadow: vec![None; sets * 2],
             second_cycle_hits: 0,
         })
     }
@@ -101,8 +99,8 @@ impl<O: Observer> PartialMatchCache<O> {
         self.inner.observer_mut()
     }
 
-    fn partial_tag(&self, tag: u64) -> u64 {
-        tag & ((1u64 << self.pad_bits) - 1)
+    fn pad_mask(&self) -> u64 {
+        (1u64 << self.pad_bits) - 1
     }
 
     /// Hits that needed the second (corrective) cycle.
@@ -121,101 +119,65 @@ impl<O: Observer> PartialMatchCache<O> {
     }
 }
 
+/// One PAM access: the PAD prediction over the set's packed words —
+/// the first way whose low `pad_mask` tag bits match — then the shared
+/// set-associative step. Returns the step's outcome and whether a hit
+/// needed the corrective second cycle (the predicted way was a
+/// partial-tag alias, not the block's way). Shared by both access paths,
+/// so they agree by construction — statistics, prediction counters and
+/// [`Observer`] events.
+#[inline(always)]
+fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
+    parts: &mut Parts<'_, O>,
+    policy: &mut P,
+    pad_mask: u64,
+    addr: Addr,
+    kind: AccessKind,
+) -> (StepOutcome, bool) {
+    let tag = parts.split.tag(addr);
+    let ways = parts.set_words(parts.split.set_index(addr));
+    let predicted = ways
+        .iter()
+        .position(|&w| packed::is_valid(w) && (packed::tag(w) ^ tag) & pad_mask == 0);
+    let actual = ways.iter().position(|&w| packed::matches(w, tag));
+    let out = parts.step_one::<P, 2>(policy, addr, kind);
+    let second_cycle = out.hit && predicted != actual;
+    (out, second_cycle)
+}
+
 impl<O: Observer> CacheModel for PartialMatchCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-        let id = (tag << geom.index_bits()) | set as u64;
-
-        // PAD prediction: the first way whose partial tag matches.
-        let predicted = (0..2).find(|w| {
-            self.shadow[set * 2 + w]
-                .map(|b| self.partial_tag(b >> geom.index_bits()) == self.partial_tag(tag))
-                .unwrap_or(false)
-        });
-        // Ground truth via the real cache.
-        let actual = (0..2).find(|w| self.shadow[set * 2 + w] == Some(id));
-
-        let mut result = self.inner.access(addr, kind);
-        if result.hit {
-            // Wrong-way prediction (a partial-tag alias in the other way)
-            // costs a corrective cycle.
-            if predicted != actual {
-                self.second_cycle_hits += 1;
-                result.extra_latency = 1;
-            }
-        } else {
-            // Mirror the fill into the shadow directory.
-            if let Some(ev) = result.evicted {
-                let ev_id = ev.block.raw() >> geom.offset_bits();
-                for slot in self.shadow[set * 2..set * 2 + 2].iter_mut() {
-                    if *slot == Some(ev_id) {
-                        *slot = None;
-                    }
-                }
-            }
-            let empty = (0..2)
-                .find(|w| self.shadow[set * 2 + w].is_none())
-                .expect("eviction freed a way");
-            self.shadow[set * 2 + empty] = Some(id);
-        }
+        let pad_mask = self.pad_mask();
+        let (mut parts, policy) = self.inner.parts();
+        let (out, second_cycle) = step(&mut parts, policy, pad_mask, addr, kind);
+        parts.finish();
+        self.second_cycle_hits += second_cycle as u64;
+        let mut result = out.result(&geom);
+        result.extra_latency = second_cycle as u32;
         result
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: PAD prediction + shared step + shadow mirror.
-        // Bit-identical to the `access` loop (the batch-equivalence
-        // suite enforces it, events included).
-        let index_bits = self.inner.geometry().index_bits();
-        let pad_mask = (1u64 << self.pad_bits) - 1;
-        let shadow = &mut self.shadow;
+        // Shared-step replay with register-tallied stats and the inner
+        // LRU devirtualized.
+        let pad_mask = self.pad_mask();
         let mut second_cycle = 0u64;
-        let (split, _assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
+        let (mut parts, policy) = self.inner.parts();
         macro_rules! kernel {
             ($policy:expr) => {{
                 let p = $policy;
                 for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    let id = (tag << index_bits) | set as u64;
-                    let predicted = (0..2).find(|w| {
-                        shadow[set * 2 + w]
-                            .map(|b| (b >> index_bits) & pad_mask == tag & pad_mask)
-                            .unwrap_or(false)
-                    });
-                    let actual = (0..2).find(|w| shadow[set * 2 + w] == Some(id));
-                    let out = step_one::<_, _, 2>(
-                        &split, 2, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
-                    if out.hit {
-                        if predicted != actual {
-                            second_cycle += 1;
-                        }
-                    } else {
-                        if let Some((ev_tag, _)) = out.evicted {
-                            let ev_id = (ev_tag << index_bits) | set as u64;
-                            for slot in shadow[set * 2..set * 2 + 2].iter_mut() {
-                                if *slot == Some(ev_id) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                        let empty = (0..2)
-                            .find(|w| shadow[set * 2 + w].is_none())
-                            .expect("eviction freed a way");
-                        shadow[set * 2 + empty] = Some(id);
-                    }
+                    second_cycle += step(&mut parts, p, pad_mask, addr, kind).1 as u64;
                 }
             }};
         }
         if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
             kernel!(lru)
         } else {
-            kernel!(policy.as_mut())
+            kernel!(policy)
         }
-        tally.flush(stats);
+        parts.finish();
         self.second_cycle_hits += second_cycle;
     }
 
@@ -355,7 +317,6 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.shadow, batched.shadow, "shadow directories");
         assert_eq!(
             looped.second_cycle_hits, batched.second_cycle_hits,
             "second-cycle hit counters"

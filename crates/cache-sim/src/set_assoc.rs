@@ -17,11 +17,11 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// The paper compares the B-Cache against 2-, 4-, 8- and 32-way instances
 /// of this model (all LRU), and the unified L2 is a 4-way instance.
 ///
-/// Both access paths run through one shared step function
-/// ([`step_one`]), so per-access and batched replay are bit-identical —
-/// statistics, replacement state, and [`Observer`] events alike. The
-/// wrapper models (way-halting, PAM, difference-bit) fuse their shadow
-/// bookkeeping around the same step via [`SetAssociativeCache::batch_parts`].
+/// Both access paths run through one shared step function, so
+/// per-access and batched replay are bit-identical — statistics,
+/// replacement state, and [`Observer`] events alike. The wrapper models
+/// (way-halting, PAM, difference-bit) wrap their own bookkeeping around
+/// the same step over this cache's destructured state.
 ///
 /// # Examples
 ///
@@ -238,236 +238,210 @@ impl<O: Observer> SetAssociativeCache<O> {
         (way, Some(Eviction { block, dirty }))
     }
 
-    /// The packed line words of `set`, in way order (wrapper models scan
-    /// these for halt-tag and way-prediction decisions).
+    /// The packed line words of `set`, in way order (the difference-bit
+    /// decoder reads these outside an access).
     pub(crate) fn set_words(&self, set: usize) -> &[u64] {
         let assoc = self.geom.assoc();
         &self.lines[set * assoc..(set + 1) * assoc]
     }
 
-    /// Destructures the cache into the pieces the batched kernels need,
-    /// with disjoint borrows so wrapper models can keep their own shadow
-    /// state mutable alongside. The caller drives [`step_one`] and
-    /// flushes the tally into the returned [`CacheStats`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn batch_parts(
-        &mut self,
-    ) -> (
-        TagIndexSplit,
-        usize,
-        &mut [u64],
-        &mut SetUsage,
-        &mut Box<dyn ReplacementPolicy>,
-        &mut CacheStats,
-        &mut O,
-    ) {
-        (
-            self.geom.split(),
-            self.geom.assoc(),
-            &mut self.lines,
-            &mut self.usage,
-            &mut self.policy,
-            &mut self.stats,
-            &mut self.observer,
-        )
+    /// Destructures the cache for the shared step: [`Parts`] borrows
+    /// the line array, counters and observer disjointly, so wrapper
+    /// models keep their own state mutable alongside, and the policy
+    /// comes back on its own so callers can devirtualize it.
+    pub(crate) fn parts(&mut self) -> (Parts<'_, O>, &mut dyn ReplacementPolicy) {
+        let parts = Parts {
+            split: self.geom.split(),
+            assoc: self.geom.assoc(),
+            lines: &mut self.lines,
+            usage: &mut self.usage,
+            observer: &mut self.observer,
+            stats: &mut self.stats,
+            tally: BatchTally::new(),
+        };
+        (parts, self.policy.as_mut())
     }
 }
 
-/// What [`step_one`] did, in kernel-friendly form: the evicted block is
-/// reported as a raw `(tag, dirty)` pair so hot loops that do not need
-/// the reconstructed address pay nothing for it.
+/// What [`Parts::step_one`] did, in kernel-friendly form: the evicted
+/// block is reported as a raw `(tag, dirty)` pair so hot loops that do
+/// not need the reconstructed address pay nothing for it.
 pub(crate) struct StepOutcome {
     pub(crate) hit: bool,
     pub(crate) set: usize,
     pub(crate) evicted: Option<(u64, bool)>,
 }
 
-/// One access against a destructured set-associative array. Shared by
-/// the per-access path, the batched kernel, and the wrapper models'
-/// fused kernels, so every path is bit-identical by construction —
-/// statistics, replacement state, and [`Observer`] events alike.
-///
-/// Generic over the replacement policy so callers can pass either a
-/// concrete [`Lru`] (updates inlined, no virtual dispatch) or the boxed
-/// `dyn` policy, and over the associativity: `A > 0` monomorphizes the
-/// way scans into the fused CAM probe — a [`crate::simd`] compare-mask
-/// over whole lane groups, AVX2 when the CPU reports it, portable
-/// otherwise (`A` must equal `assoc`) — while `A == 0` falls back to
-/// runtime-width scans with identical first-match semantics.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
-    split: &TagIndexSplit,
-    assoc: usize,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
-    policy: &mut P,
-    tally: &mut BatchTally,
-    observer: &mut O,
-    addr: Addr,
-    kind: AccessKind,
-) -> StepOutcome {
-    debug_assert!(A == 0 || A == assoc, "const width must match the geometry");
-    let set = split.set_index(addr);
-    let tag = split.tag(addr);
-    let base = set * assoc;
-    let ways = &mut lines[base..base + assoc];
-    if let Some(way) = cam::find_match::<A>(ways, tag) {
-        tally.record(kind, true);
-        usage.record(set, true);
-        if O::ENABLED {
-            observer.event(Event::SetTouch {
-                set: set as u64,
-                hit: true,
-            });
-        }
-        policy.on_access(set, way);
-        if kind.is_write() {
-            ways[way] = packed::set_dirty(ways[way]);
-        }
-        return StepOutcome {
-            hit: true,
-            set,
-            evicted: None,
-        };
-    }
-    tally.record(kind, false);
-    usage.record(set, false);
-    if O::ENABLED {
-        observer.event(Event::Miss {
-            kind: MissKind::Tag,
-        });
-        observer.event(Event::SetTouch {
-            set: set as u64,
-            hit: false,
-        });
-    }
-    let (way, evicted) = match cam::find_invalid::<A>(ways) {
-        Some(w) => (w, None),
-        None => {
-            let w = policy.victim(set);
-            debug_assert!(w < assoc, "policy returned out-of-range way");
-            let word = ways[w];
-            let dirty = packed::is_dirty(word);
-            tally.record_writeback_if(dirty);
-            (w, Some((packed::tag(word), dirty)))
-        }
-    };
-    ways[way] = packed::fill(tag, kind.is_write());
-    policy.on_fill(set, way);
-    StepOutcome {
-        hit: false,
-        set,
-        evicted,
-    }
-}
-
-/// The hot loop of [`SetAssociativeCache::access_batch`]: [`step_one`]
-/// over the whole batch with register-tallied stats, monomorphized per
-/// associativity (`A == 0` is the runtime-width fallback).
-#[allow(clippy::too_many_arguments)]
-fn replay_batch<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
-    split: TagIndexSplit,
-    assoc: usize,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
-    policy: &mut P,
-    observer: &mut O,
-    accesses: &[(Addr, AccessKind)],
-) -> BatchTally {
-    let mut tally = BatchTally::new();
-    for &(addr, kind) in accesses {
-        step_one::<P, O, A>(
-            &split, assoc, lines, usage, policy, &mut tally, observer, addr, kind,
-        );
-    }
-    tally
-}
-
-/// Dispatches a kernel macro over the common associativity widths: the
-/// matched width becomes a const generic (`$kernel!(8)` etc.), anything
-/// else takes the runtime fallback (`$kernel!(0)`).
-macro_rules! dispatch_assoc {
-    ($assoc:expr, $kernel:ident) => {
-        match $assoc {
-            1 => $kernel!(1),
-            2 => $kernel!(2),
-            4 => $kernel!(4),
-            8 => $kernel!(8),
-            16 => $kernel!(16),
-            32 => $kernel!(32),
-            _ => $kernel!(0),
-        }
-    };
-}
-
-impl<O: Observer> CacheModel for SetAssociativeCache<O> {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let split = self.geom.split();
-        let assoc = self.geom.assoc();
-        let mut tally = BatchTally::new();
-        let out = step_one::<_, _, 0>(
-            &split,
-            assoc,
-            &mut self.lines,
-            &mut self.usage,
-            self.policy.as_mut(),
-            &mut tally,
-            &mut self.observer,
-            addr,
-            kind,
-        );
-        tally.flush(&mut self.stats);
-        if out.hit {
+impl StepOutcome {
+    /// The [`AccessResult`] of a plain one-cycle cache, rebuilding the
+    /// evicted block's address from its stored tag and set.
+    pub(crate) fn result(&self, geom: &CacheGeometry) -> AccessResult {
+        if self.hit {
             AccessResult::hit()
         } else {
-            AccessResult::miss(out.evicted.map(|(tag, dirty)| Eviction {
-                block: self.geom.reconstruct(tag, out.set),
+            AccessResult::miss(self.evicted.map(|(tag, dirty)| Eviction {
+                block: geom.reconstruct(tag, self.set),
                 dirty,
             }))
         }
     }
+}
+
+/// A set-associative array destructured by
+/// [`SetAssociativeCache::parts`], with the register tally its steps
+/// land their counts in until [`finish`](Self::finish).
+pub(crate) struct Parts<'a, O> {
+    pub(crate) split: TagIndexSplit,
+    pub(crate) assoc: usize,
+    pub(crate) lines: &'a mut [u64],
+    usage: &'a mut SetUsage,
+    observer: &'a mut O,
+    stats: &'a mut CacheStats,
+    tally: BatchTally,
+}
+
+impl<O: Observer> Parts<'_, O> {
+    /// The packed line words of `set`, in way order.
+    #[inline(always)]
+    pub(crate) fn set_words(&self, set: usize) -> &[u64] {
+        &self.lines[set * self.assoc..(set + 1) * self.assoc]
+    }
+
+    /// One access. Shared by the per-access path, the batched kernel,
+    /// and the wrapper models' steps, so every path is bit-identical by
+    /// construction — statistics, replacement state, and [`Observer`]
+    /// events alike.
+    ///
+    /// Generic over the replacement policy so callers can pass either a
+    /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
+    /// `dyn` policy, and over the associativity: `A > 0` monomorphizes
+    /// the way scans into the fused CAM probe — a [`crate::simd`]
+    /// compare-mask over whole lane groups, AVX2 when the CPU reports
+    /// it, portable otherwise (`A` must equal `assoc`) — while `A == 0`
+    /// falls back to runtime-width scans with identical first-match
+    /// semantics.
+    #[inline(always)]
+    pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, const A: usize>(
+        &mut self,
+        policy: &mut P,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> StepOutcome {
+        let assoc = self.assoc;
+        debug_assert!(A == 0 || A == assoc, "const width must match the geometry");
+        let set = self.split.set_index(addr);
+        let tag = self.split.tag(addr);
+        let base = set * assoc;
+        let ways = &mut self.lines[base..base + assoc];
+        if let Some(way) = cam::find_match::<A>(ways, tag) {
+            self.tally.record(kind, true);
+            self.usage.record(set, true);
+            if O::ENABLED {
+                self.observer.event(Event::SetTouch {
+                    set: set as u64,
+                    hit: true,
+                });
+            }
+            policy.on_access(set, way);
+            if kind.is_write() {
+                ways[way] = packed::set_dirty(ways[way]);
+            }
+            return StepOutcome {
+                hit: true,
+                set,
+                evicted: None,
+            };
+        }
+        self.tally.record(kind, false);
+        self.usage.record(set, false);
+        if O::ENABLED {
+            self.observer.event(Event::Miss {
+                kind: MissKind::Tag,
+            });
+        }
+        let (way, evicted) = match cam::find_invalid::<A>(ways) {
+            Some(w) => (w, None),
+            None => {
+                let w = policy.victim(set);
+                debug_assert!(w < assoc, "policy returned out-of-range way");
+                let word = ways[w];
+                let dirty = packed::is_dirty(word);
+                self.tally.record_writeback_if(dirty);
+                if O::ENABLED && dirty {
+                    self.observer.event(Event::Writeback { set: set as u64 });
+                }
+                (w, Some((packed::tag(word), dirty)))
+            }
+        };
+        if O::ENABLED {
+            self.observer.event(Event::SetTouch {
+                set: set as u64,
+                hit: false,
+            });
+        }
+        ways[way] = packed::fill(tag, kind.is_write());
+        policy.on_fill(set, way);
+        StepOutcome {
+            hit: false,
+            set,
+            evicted,
+        }
+    }
+
+    /// [`step_one`](Self::step_one) over a whole batch, monomorphized
+    /// for the common associativities (anything else takes the
+    /// runtime-width fallback).
+    #[inline(always)]
+    fn replay<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        accesses: &[(Addr, AccessKind)],
+    ) {
+        macro_rules! kernel {
+            ($a:literal) => {
+                for &(addr, kind) in accesses {
+                    self.step_one::<P, $a>(policy, addr, kind);
+                }
+            };
+        }
+        match self.assoc {
+            1 => kernel!(1),
+            2 => kernel!(2),
+            4 => kernel!(4),
+            8 => kernel!(8),
+            16 => kernel!(16),
+            32 => kernel!(32),
+            _ => kernel!(0),
+        }
+    }
+
+    /// Lands the tally in the cache's statistics.
+    pub(crate) fn finish(self) {
+        self.tally.flush(self.stats);
+    }
+}
+
+impl<O: Observer> CacheModel for SetAssociativeCache<O> {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        let geom = self.geom;
+        let (mut parts, policy) = self.parts();
+        let out = parts.step_one::<_, 0>(policy, addr, kind);
+        parts.finish();
+        out.result(&geom)
+    }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay over the packed line array. LRU — the
-        // paper's default — runs the kernel with its stamp updates
-        // inlined; other policies take the same kernel through dynamic
-        // dispatch. Bit-identical to the `access` loop (the
-        // batch-equivalence suite enforces it, events included).
-        let split = self.geom.split();
-        let assoc = self.geom.assoc();
-        let tally = if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
-            macro_rules! kernel {
-                ($a:literal) => {
-                    replay_batch::<_, _, $a>(
-                        split,
-                        assoc,
-                        &mut self.lines,
-                        &mut self.usage,
-                        lru,
-                        &mut self.observer,
-                        accesses,
-                    )
-                };
-            }
-            dispatch_assoc!(assoc, kernel)
+        // LRU — the paper's default — runs the kernel with its stamp
+        // updates inlined; other policies take the same kernel through
+        // dynamic dispatch. Both paths call `step_one`, so the batch
+        // equals the `access` loop by construction, events included.
+        let (mut parts, policy) = self.parts();
+        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
+            parts.replay(lru, accesses);
         } else {
-            macro_rules! kernel {
-                ($a:literal) => {
-                    replay_batch::<_, _, $a>(
-                        split,
-                        assoc,
-                        &mut self.lines,
-                        &mut self.usage,
-                        self.policy.as_mut(),
-                        &mut self.observer,
-                        accesses,
-                    )
-                };
-            }
-            dispatch_assoc!(assoc, kernel)
-        };
-        tally.flush(&mut self.stats);
+            parts.replay(policy, accesses);
+        }
+        parts.finish();
     }
 
     fn stats(&self) -> &CacheStats {

@@ -2,7 +2,7 @@
 //!
 //! Every hot probe in the simulator is a data-parallel sweep over a
 //! small `u64` array: the packed tag compare of the set-associative
-//! arrays, the CAM probes behind [`crate::cam`] (the victim buffer,
+//! arrays, the CAM probes of the crate's `cam` module (the victim buffer,
 //! AGAC's directory, the HAC subarrays), the B-Cache's
 //! programmable-decoder entry match in `bcache-core`, and the LRU
 //! stamp scan. This module factors those sweeps into a handful of

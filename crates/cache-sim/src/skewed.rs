@@ -215,6 +215,9 @@ impl<O: Observer> SkewedAssociativeCache<O> {
                 dirty: packed::is_dirty(old),
             };
             tally.record_writeback_if(ev.dirty);
+            if O::ENABLED && ev.dirty {
+                self.observer.event(Event::Writeback { set: s as u64 });
+            }
             Some(ev)
         } else {
             None
@@ -234,9 +237,9 @@ impl<O: Observer> CacheModel for SkewedAssociativeCache<O> {
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats. Bit-identical
-        // to the `access` loop (the batch-equivalence suite enforces it,
-        // events included).
+        // Shared-step replay with register-tallied stats: `access` runs
+        // the same `step`, so the batch equals the `access` loop by
+        // construction, events included.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);

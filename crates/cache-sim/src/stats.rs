@@ -169,8 +169,11 @@ impl fmt::Display for CacheStats {
 /// [`CacheModel::access_batch`]: crate::CacheModel::access_batch
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchTally {
-    hits: [u64; 3],
-    misses: [u64; 3],
+    // `[hits, misses]` per access kind, in `kind_slot` order. Kept as
+    // pairs so the per-access paths, which flush right after a single
+    // record, read back the whole pair that record wrote instead of
+    // straddling two narrower stores.
+    counts: [[u64; 2]; 3],
     writebacks: u64,
 }
 
@@ -191,9 +194,9 @@ impl BatchTally {
     /// Tallies one access of `kind`.
     #[inline(always)]
     pub fn record(&mut self, kind: AccessKind, hit: bool) {
-        let slot = Self::kind_slot(kind);
-        self.hits[slot] += hit as u64;
-        self.misses[slot] += !hit as u64;
+        let [hits, misses] = &mut self.counts[Self::kind_slot(kind)];
+        *hits += hit as u64;
+        *misses += !hit as u64;
     }
 
     /// Tallies one dirty eviction.
@@ -214,12 +217,9 @@ impl BatchTally {
 
     /// Lands the tallies in `stats`.
     pub fn flush(self, stats: &mut CacheStats) {
-        for (kind, slot) in [
-            (AccessKind::Read, 0),
-            (AccessKind::Write, 1),
-            (AccessKind::InstrFetch, 2),
-        ] {
-            stats.record_bulk(kind, self.hits[slot], self.misses[slot]);
+        let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::InstrFetch];
+        for (kind, [hits, misses]) in kinds.into_iter().zip(self.counts) {
+            stats.record_bulk(kind, hits, misses);
         }
         stats.record_writebacks(self.writebacks);
     }

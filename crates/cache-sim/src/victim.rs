@@ -276,6 +276,12 @@ fn step<O: Observer, const N: usize>(
             packed::is_dirty(word),
         ) {
             tally.record_writeback_if(out_dirty);
+            if O::ENABLED && out_dirty {
+                // The displaced block's home set in the main array.
+                observer.event(Event::Writeback {
+                    set: out_id & ((1 << index_bits) - 1),
+                });
+            }
             evicted = Some(Eviction {
                 block: Addr::new(out_id << offset_bits),
                 dirty: out_dirty,
@@ -343,8 +349,9 @@ impl<O: Observer> CacheModel for VictimCache<O> {
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         // Monomorphized replay: state is hoisted into locals once, the
         // buffer scan unrolls for the common widths, and statistics are
-        // tallied in registers. Bit-identical to the `access` loop (the
-        // batch-equivalence suite enforces it, events included).
+        // tallied in registers. `access` runs the same `step`, so the
+        // batch equals the `access` loop by construction, events
+        // included.
         let split = self.geom.split();
         let index_bits = self.geom.index_bits();
         let offset_bits = self.geom.offset_bits();

@@ -15,9 +15,9 @@ use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
 use crate::packed;
-use crate::replacement::{Lru, PolicyKind};
-use crate::set_assoc::{step_one, SetAssociativeCache};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::replacement::{Lru, PolicyKind, ReplacementPolicy};
+use crate::set_assoc::{Parts, SetAssociativeCache, StepOutcome};
+use crate::stats::{CacheStats, SetUsage};
 
 /// A set-associative cache with way halting.
 ///
@@ -25,10 +25,10 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// the energy-relevant statistic: how many way accesses the halt tags
 /// suppressed ([`WayHaltingCache::halted_fraction`]).
 ///
-/// [`CacheModel::access_batch`] fuses the halt-tag pre-scan and the
-/// shadow-directory bookkeeping around the shared set-associative step
-/// kernel, so the batched path is bit-identical to the per-access one —
-/// statistics, halt counters, and [`Observer`] events alike.
+/// Both access paths run one step — the halt-tag scan, then the shared
+/// set-associative step — so the batched path is bit-identical to the
+/// per-access one: statistics, halt counters, and [`Observer`] events
+/// alike.
 ///
 /// # Examples
 ///
@@ -45,7 +45,6 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 pub struct WayHaltingCache<O: Observer = NullObserver> {
     inner: SetAssociativeCache<O>,
     halt_bits: u32,
-    ways_examined: u64,
     ways_halted: u64,
 }
 
@@ -91,7 +90,6 @@ impl<O: Observer> WayHaltingCache<O> {
         Ok(WayHaltingCache {
             inner,
             halt_bits,
-            ways_examined: 0,
             ways_halted: 0,
         })
     }
@@ -109,11 +107,17 @@ impl<O: Observer> WayHaltingCache<O> {
     /// Fraction of way lookups suppressed by the halt tags; the original
     /// paper reports 50–90% of ways halted on average.
     pub fn halted_fraction(&self) -> f64 {
-        if self.ways_examined == 0 {
+        // Every access examines every way of its set.
+        let examined = self.inner.stats().total().accesses() * self.geometry().assoc() as u64;
+        if examined == 0 {
             0.0
         } else {
-            self.ways_halted as f64 / self.ways_examined as f64
+            self.ways_halted as f64 / examined as f64
         }
+    }
+
+    fn halt_mask(&self) -> u64 {
+        (1u64 << self.halt_bits) - 1
     }
 
     /// Ways whose full lookup was suppressed.
@@ -122,64 +126,73 @@ impl<O: Observer> WayHaltingCache<O> {
     }
 }
 
+/// One way-halting access: the halt-tag scan over the set's packed
+/// words, then the shared set-associative step. The halt decision needs
+/// exactly what the packed tag array already holds: a way halts when it
+/// is empty or its stored tag's low bits mismatch the incoming
+/// address's. Shared by both access paths, so they agree by
+/// construction — statistics, halt counters and [`Observer`] events.
+#[inline(always)]
+fn step<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
+    parts: &mut Parts<'_, O>,
+    policy: &mut P,
+    halt_mask: u64,
+    halted: &mut u64,
+    addr: Addr,
+    kind: AccessKind,
+) -> StepOutcome {
+    let set = parts.split.set_index(addr);
+    let tag = parts.split.tag(addr);
+    for &w in parts.set_words(set) {
+        *halted += (!packed::is_valid(w) || (packed::tag(w) ^ tag) & halt_mask != 0) as u64;
+    }
+    parts.step_one::<P, A>(policy, addr, kind)
+}
+
 impl<O: Observer> CacheModel for WayHaltingCache<O> {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        // The halt decision needs exactly what the packed tag array
-        // already holds: a way halts when it is empty or its stored
-        // tag's low bits mismatch the incoming address's.
         let geom = self.inner.geometry();
-        let set = geom.set_index(addr);
-        let tag = geom.tag(addr);
-        let halt_mask = (1u64 << self.halt_bits) - 1;
-        for &w in self.inner.set_words(set) {
-            self.ways_examined += 1;
-            let halted = !packed::is_valid(w) || (packed::tag(w) ^ tag) & halt_mask != 0;
-            self.ways_halted += halted as u64;
-        }
-        self.inner.access(addr, kind)
+        let halt_mask = self.halt_mask();
+        let (mut parts, policy) = self.inner.parts();
+        let out = step::<_, _, 0>(
+            &mut parts,
+            policy,
+            halt_mask,
+            &mut self.ways_halted,
+            addr,
+            kind,
+        );
+        parts.finish();
+        out.result(&geom)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Fused kernel: halt-tag pre-scan over the packed words + shared
-        // step, with register-tallied stats, the inner LRU devirtualized,
-        // and the way scans monomorphized for the common associativities.
-        // Bit-identical to the `access` loop (the batch-equivalence
-        // suite enforces it, events included).
-        let halt_mask = (1u64 << self.halt_bits) - 1;
-        let (mut examined, mut halted_n) = (0u64, 0u64);
-        let (split, assoc, lines, usage, policy, stats, observer) = self.inner.batch_parts();
-        let mut tally = BatchTally::new();
+        // Shared-step replay with register-tallied stats, the inner LRU
+        // devirtualized, and the way scans monomorphized for the common
+        // associativities.
+        let halt_mask = self.halt_mask();
+        let mut halted = 0u64;
+        let (mut parts, policy) = self.inner.parts();
         macro_rules! kernel {
             ($policy:expr, $a:literal) => {{
                 let p = $policy;
                 for &(addr, kind) in accesses {
-                    let set = split.set_index(addr);
-                    let tag = split.tag(addr);
-                    for &w in &lines[set * assoc..(set + 1) * assoc] {
-                        let halted =
-                            !packed::is_valid(w) || (packed::tag(w) ^ tag) & halt_mask != 0;
-                        halted_n += halted as u64;
-                    }
-                    examined += assoc as u64;
-                    step_one::<_, _, $a>(
-                        &split, assoc, lines, usage, p, &mut tally, observer, addr, kind,
-                    );
+                    step::<_, _, $a>(&mut parts, p, halt_mask, &mut halted, addr, kind);
                 }
             }};
         }
         if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            match assoc {
+            match parts.assoc {
                 2 => kernel!(lru, 2),
                 4 => kernel!(lru, 4),
                 8 => kernel!(lru, 8),
                 _ => kernel!(lru, 0),
             }
         } else {
-            kernel!(policy.as_mut(), 0)
+            kernel!(policy, 0)
         }
-        tally.flush(stats);
-        self.ways_examined += examined;
-        self.ways_halted += halted_n;
+        parts.finish();
+        self.ways_halted += halted;
     }
 
     fn stats(&self) -> &CacheStats {
@@ -188,7 +201,6 @@ impl<O: Observer> CacheModel for WayHaltingCache<O> {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.ways_examined = 0;
         self.ways_halted = 0;
     }
 
@@ -314,11 +326,7 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(
-            (looped.ways_examined, looped.ways_halted),
-            (batched.ways_examined, batched.ways_halted),
-            "halt counters"
-        );
+        assert_eq!(looped.ways_halted, batched.ways_halted, "halt counters");
     }
 
     #[test]

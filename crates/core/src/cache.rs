@@ -8,7 +8,7 @@ use cache_sim::{
 use telemetry::{Event, MissKind, NullObserver, Observer};
 
 use crate::decoder::ProgrammableDecoder;
-use crate::params::{BCacheParams, IndexLayout};
+use crate::params::{BCacheParams, IndexLayout, PdHitPolicy};
 
 /// Statistics specific to the programmable decoders.
 ///
@@ -153,21 +153,33 @@ impl<O: Observer> BalancedCache<O> {
         group * self.params.bas() + way
     }
 
-    /// Physical set number for Table 7 balance statistics: cluster-major,
-    /// mirroring the paper's Figure 2 (cluster `way` spans all groups).
-    fn physical_set(&self, group: usize, way: usize) -> usize {
-        way * self.layout.groups() + group
-    }
-
     /// Returns `true` if the block containing `addr` is resident, without
     /// touching statistics or replacement state.
     pub fn probe(&self, addr: Addr) -> bool {
         let group = self.layout.npi(addr);
         let pi = self.layout.pi(addr);
-        match self.pd.lookup(group, pi) {
-            Some(way) => packed::matches(self.lines[self.slot(group, way)], self.block_id(addr)),
-            None => false,
-        }
+        self.pd.probe_any(group, pi).0.is_some_and(|way| {
+            packed::matches(self.lines[self.slot(group, way)], self.block_id(addr))
+        })
+    }
+
+    /// Destructures the cache for the shared step; the policy comes
+    /// back on its own so callers can devirtualize it.
+    fn parts(&mut self) -> (Parts<'_, O>, &mut dyn ReplacementPolicy) {
+        let parts = Parts {
+            layout: self.layout,
+            offset_bits: self.params.geometry().offset_bits(),
+            pd_hit_policy: self.params.pd_hit_policy(),
+            pd: &mut self.pd,
+            lines: &mut self.lines,
+            usage: &mut self.usage,
+            observer: &mut self.observer,
+            stats: &mut self.stats,
+            pd_stats: &mut self.pd_stats,
+            tally: BatchTally::new(),
+            pd_tally: PdStats::default(),
+        };
+        (parts, self.policy.as_mut())
     }
 
     /// Checks every internal invariant; linear in the cache size.
@@ -193,287 +205,162 @@ impl<O: Observer> BalancedCache<O> {
             })
         })
     }
+}
 
-    fn fill(&mut self, group: usize, way: usize, id: u64, dirty: bool) {
-        let s = self.slot(group, way);
-        // Every fill happens after the PD entry is in place (ForcedVictim
-        // reuses the matching entry; the other paths program first), so
-        // the filled block must decode back to exactly this slot.
-        debug_assert_eq!(
-            self.layout.npi(self.block_addr(id)),
-            group,
-            "filled block belongs to a different NPI group"
-        );
-        debug_assert_eq!(
-            self.pd.entry(group, way),
-            Some(self.layout.pi(self.block_addr(id))),
-            "filled block is not decodable by its PD entry"
-        );
-        self.lines[s] = packed::fill(id, dirty);
-        self.policy.on_fill(group, way);
-    }
+/// What [`Parts::step`] did: whether the access hit and, on a miss, the
+/// block the fill displaced as a raw `(block id, dirty)` pair, so the
+/// batched loop pays nothing for rebuilding its address.
+struct StepOutcome {
+    hit: bool,
+    evicted: Option<(u64, bool)>,
+}
 
-    fn evict(&mut self, group: usize, way: usize) -> Option<Eviction> {
-        let s = self.slot(group, way);
-        let word = self.lines[s];
+/// A B-Cache destructured by [`BalancedCache::parts`]: disjoint borrows
+/// of the decoders, line array, counters and observer, with the
+/// register tallies its steps land their counts in until
+/// [`finish`](Self::finish).
+struct Parts<'a, O> {
+    layout: IndexLayout,
+    offset_bits: u32,
+    pd_hit_policy: PdHitPolicy,
+    pd: &'a mut ProgrammableDecoder,
+    lines: &'a mut [u64],
+    usage: &'a mut SetUsage,
+    observer: &'a mut O,
+    stats: &'a mut CacheStats,
+    pd_stats: &'a mut PdStats,
+    tally: BatchTally,
+    pd_tally: PdStats,
+}
+
+impl<O: Observer> Parts<'_, O> {
+    /// Tallies the eviction of the line `word` from physical set `set`,
+    /// if it holds a block, and reports it as a raw `(block id, dirty)`
+    /// pair.
+    #[inline(always)]
+    fn evict(&mut self, word: u64, set: usize) -> Option<(u64, bool)> {
         if !packed::is_valid(word) {
             return None;
         }
-        let ev = Eviction {
-            block: self.block_addr(packed::tag(word)),
-            dirty: packed::is_dirty(word),
-        };
-        if ev.dirty {
-            self.stats.record_writeback();
+        let dirty = packed::is_dirty(word);
+        self.tally.record_writeback_if(dirty);
+        if O::ENABLED && dirty {
+            self.observer.event(Event::Writeback { set: set as u64 });
         }
-        self.lines[s] = packed::EMPTY;
-        Some(ev)
+        Some((packed::tag(word), dirty))
     }
-}
 
-/// The hot loop of [`BalancedCache::access_batch`] (ForcedVictim
-/// only), generic over the replacement policy so the caller can pass
-/// either a concrete [`Lru`] (updates inlined, no virtual dispatch) or
-/// the boxed `dyn` policy, and over the CAM width `BAS` so the fused
-/// [`ProgrammableDecoder::probe`] unrolls into straight-line compares
-/// (`BAS == 0` selects the runtime-width fallback). Returns the batch
-/// tally and the PD-hit / PD-miss miss counts; bit-identical to the
-/// per-access `access` path.
-#[allow(clippy::too_many_arguments)]
-fn replay_batch<P: ReplacementPolicy + ?Sized, O: Observer, const BAS: usize>(
-    layout: &IndexLayout,
-    bas: usize,
-    offset_bits: u32,
-    pd: &mut ProgrammableDecoder,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
-    policy: &mut P,
-    observer: &mut O,
-    accesses: &[(Addr, AccessKind)],
-) -> (BatchTally, u64, u64) {
-    let groups = layout.groups();
-    let mut tally = BatchTally::new();
-    let mut pd_hit_misses = 0u64;
-    let mut pd_miss_misses = 0u64;
-    for &(addr, kind) in accesses {
+    /// One access (paper Section 2.3): probe the group's PD CAM, compare
+    /// the matching way's tag, and on a miss take the forced or the
+    /// policy-chosen victim. Shared by [`BalancedCache::access`] and the
+    /// batched kernel, so both agree by construction — statistics, PD
+    /// state and [`Observer`] events alike.
+    ///
+    /// Generic over the replacement policy so the batched caller can
+    /// pass a concrete [`Lru`] (updates inlined, no virtual dispatch) or
+    /// the `dyn` policy, and over the CAM width: `BAS > 0` unrolls the
+    /// fused [`ProgrammableDecoder::probe`] into straight-line compares
+    /// (`BAS` must equal the decoder's width), `BAS == 0` takes the
+    /// runtime-width [`ProgrammableDecoder::probe_any`].
+    #[inline(always)]
+    fn step<P: ReplacementPolicy + ?Sized, const BAS: usize>(
+        &mut self,
+        policy: &mut P,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> StepOutcome {
+        let bas = if BAS == 0 { self.pd.bas() } else { BAS };
+        let layout = self.layout;
+        let offset_bits = self.offset_bits;
+        let groups = layout.groups();
         let group = layout.npi(addr);
         let pi = layout.pi(addr);
         let id = addr.raw() >> offset_bits;
-        let (hit, cold) = if BAS == 0 {
-            pd.probe_any(group, pi)
+        let block = |id: u64| Addr::new(id << offset_bits);
+        // Physical set numbers are cluster-major, mirroring the paper's
+        // Figure 2 (cluster `way` spans all groups).
+        let physical = |way: usize| way * groups + group;
+        let (matched, cold) = if BAS == 0 {
+            self.pd.probe_any(group, pi)
         } else {
-            pd.probe::<BAS>(group, pi)
+            self.pd.probe::<BAS>(group, pi)
         };
-        match hit {
+        let (way, evicted) = match matched {
             Some(way) => {
+                let set = physical(way);
                 let s = group * bas + way;
-                let word = lines[s];
-                debug_assert!(packed::is_valid(word), "PD entry valid but block invalid");
-                if packed::matches(word, id) {
-                    // PD hit + tag hit.
-                    tally.record(kind, true);
-                    usage.record(way * groups + group, true);
-                    if O::ENABLED {
-                        observer.event(Event::SetTouch {
-                            set: (way * groups + group) as u64,
-                            hit: true,
-                        });
-                    }
-                    policy.on_access(group, way);
-                    if kind.is_write() {
-                        lines[s] = packed::set_dirty(word);
-                    }
-                } else {
-                    // PD hit + tag miss: forced victim, PD unchanged.
-                    tally.record(kind, false);
-                    usage.record(way * groups + group, false);
-                    pd_hit_misses += 1;
-                    if O::ENABLED {
-                        observer.event(Event::Miss {
-                            kind: MissKind::PdForced,
-                        });
-                        if packed::is_dirty(word) {
-                            observer.event(Event::Writeback {
-                                set: (way * groups + group) as u64,
-                            });
-                        }
-                        observer.event(Event::SetTouch {
-                            set: (way * groups + group) as u64,
-                            hit: false,
-                        });
-                    }
-                    tally.record_writeback_if(packed::is_dirty(word));
-                    lines[s] = packed::fill(id, kind.is_write());
-                    policy.on_fill(group, way);
-                }
-            }
-            None => {
-                // PD miss: predetermined miss, policy-chosen victim.
-                tally.record(kind, false);
-                pd_miss_misses += 1;
-                let way = match cold {
-                    Some(w) => w,
-                    None => policy.victim(group),
-                };
-                usage.record(way * groups + group, false);
-                let s = group * bas + way;
-                tally.record_writeback_if(packed::is_dirty(lines[s]));
-                if O::ENABLED {
-                    observer.event(Event::Miss {
-                        kind: MissKind::Predetermined,
-                    });
-                    if packed::is_dirty(lines[s]) {
-                        observer.event(Event::Writeback {
-                            set: (way * groups + group) as u64,
-                        });
-                    }
-                    observer.event(Event::BasVictim {
-                        candidates: bas as u32,
-                        chosen: way as u32,
-                    });
-                    observer.event(Event::PdReprogram {
-                        subarray: group as u64,
-                        pi_old: pd.entry(group, way),
-                        pi_new: pi,
-                    });
-                    observer.event(Event::SetTouch {
-                        set: (way * groups + group) as u64,
-                        hit: false,
-                    });
-                }
-                pd.program(group, way, pi);
-                lines[s] = packed::fill(id, kind.is_write());
-                policy.on_fill(group, way);
-            }
-        }
-    }
-    (tally, pd_hit_misses, pd_miss_misses)
-}
-
-/// Picks the monomorphized [`replay_batch`] for the paper's BAS values
-/// (Table 5 sweeps powers of two up to 32); anything else takes the
-/// runtime-width kernel.
-#[allow(clippy::too_many_arguments)]
-fn replay_dispatch<P: ReplacementPolicy + ?Sized, O: Observer>(
-    layout: &IndexLayout,
-    bas: usize,
-    offset_bits: u32,
-    pd: &mut ProgrammableDecoder,
-    lines: &mut [u64],
-    usage: &mut SetUsage,
-    policy: &mut P,
-    observer: &mut O,
-    accesses: &[(Addr, AccessKind)],
-) -> (BatchTally, u64, u64) {
-    macro_rules! kernel {
-        ($w:literal) => {
-            replay_batch::<P, O, $w>(
-                layout,
-                bas,
-                offset_bits,
-                pd,
-                lines,
-                usage,
-                policy,
-                observer,
-                accesses,
-            )
-        };
-    }
-    match bas {
-        1 => kernel!(1),
-        2 => kernel!(2),
-        4 => kernel!(4),
-        8 => kernel!(8),
-        16 => kernel!(16),
-        32 => kernel!(32),
-        _ => kernel!(0),
-    }
-}
-
-impl<O: Observer> CacheModel for BalancedCache<O> {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let group = self.layout.npi(addr);
-        let pi = self.layout.pi(addr);
-        let id = self.block_id(addr);
-
-        match self.pd.lookup(group, pi) {
-            Some(way) => {
-                let s = self.slot(group, way);
                 let word = self.lines[s];
                 debug_assert!(packed::is_valid(word), "PD entry valid but block invalid");
                 debug_assert_eq!(
-                    self.layout.pi(self.block_addr(packed::tag(word))),
+                    layout.pi(block(packed::tag(word))),
                     pi,
                     "PD match disagrees with the resident block's PI"
                 );
                 debug_assert_eq!(
-                    self.layout.npi(self.block_addr(packed::tag(word))),
+                    layout.npi(block(packed::tag(word))),
                     group,
                     "resident block belongs to a different NPI group"
                 );
-                if packed::matches(word, id) {
+                let hit = packed::matches(word, id);
+                self.tally.record(kind, hit);
+                self.usage.record(set, hit);
+                if hit {
                     // PD hit + tag hit: a plain one-cycle hit.
-                    self.stats.record(kind, true);
-                    self.usage.record(self.physical_set(group, way), true);
                     if O::ENABLED {
-                        let set = self.physical_set(group, way) as u64;
-                        self.observer.event(Event::SetTouch { set, hit: true });
+                        self.observer.event(Event::SetTouch {
+                            set: set as u64,
+                            hit,
+                        });
                     }
-                    self.policy.on_access(group, way);
+                    policy.on_access(group, way);
                     if kind.is_write() {
                         self.lines[s] = packed::set_dirty(word);
                     }
-                    AccessResult::hit()
-                } else {
-                    // PD hit + tag miss: the victim is forced to this set;
-                    // choosing any other would leave two identical PIs in
-                    // the group (paper Section 2.3, address-25 case).
-                    self.stats.record(kind, false);
-                    self.usage.record(self.physical_set(group, way), false);
-                    self.pd_stats.misses_with_pd_hit += 1;
-                    if O::ENABLED {
-                        let set = self.physical_set(group, way) as u64;
-                        self.observer.event(Event::Miss {
-                            kind: MissKind::PdForced,
-                        });
-                        if packed::is_dirty(word) {
-                            self.observer.event(Event::Writeback { set });
+                    return StepOutcome { hit, evicted: None };
+                }
+                // PD hit + tag miss: the victim is forced to this set;
+                // choosing any other would leave two identical PIs in
+                // the group (paper Section 2.3, address-25 case).
+                self.pd_tally.misses_with_pd_hit += 1;
+                if O::ENABLED {
+                    self.observer.event(Event::Miss {
+                        kind: MissKind::PdForced,
+                    });
+                }
+                let forced = self.evict(word, set);
+                if O::ENABLED {
+                    self.observer.event(Event::SetTouch {
+                        set: set as u64,
+                        hit,
+                    });
+                }
+                match self.pd_hit_policy {
+                    // The PD entry already holds this PI.
+                    PdHitPolicy::ForcedVictim => (way, forced),
+                    PdHitPolicy::EvictBoth => {
+                        // Ablation: let the policy pick anyway. If it
+                        // picks another way, the matching way is lost
+                        // as well (unique decoding) — the cost the paper
+                        // avoids. Only the policy victim's eviction
+                        // propagates; the collateral one is counted in
+                        // the stats.
+                        let victim = policy.victim(group);
+                        let evicted = if victim == way {
+                            forced
+                        } else {
+                            self.lines[s] = packed::EMPTY;
+                            self.pd.invalidate(group, way);
+                            self.evict(self.lines[group * bas + victim], physical(victim))
+                        };
+                        if O::ENABLED {
+                            self.observer.event(Event::PdReprogram {
+                                subarray: group as u64,
+                                pi_old: self.pd.entry(group, victim),
+                                pi_new: pi,
+                            });
                         }
-                        self.observer.event(Event::SetTouch { set, hit: false });
-                    }
-                    match self.params.pd_hit_policy() {
-                        crate::params::PdHitPolicy::ForcedVictim => {
-                            let ev = self.evict(group, way);
-                            self.fill(group, way, id, kind.is_write());
-                            // The PD entry already holds this PI.
-                            AccessResult::miss(ev)
-                        }
-                        crate::params::PdHitPolicy::EvictBoth => {
-                            // Ablation: let the policy pick anyway. If it
-                            // picks another way, the matching way must be
-                            // invalidated too (unique decoding), losing a
-                            // second block — the cost the paper avoids.
-                            // Only the policy victim's eviction propagates;
-                            // the collateral one is counted in the stats.
-                            let victim = self.policy.victim(group);
-                            if victim != way {
-                                self.evict(group, way);
-                                self.pd.invalidate(group, way);
-                            }
-                            let ev = self.evict(group, victim);
-                            if O::ENABLED {
-                                self.observer.event(Event::PdReprogram {
-                                    subarray: group as u64,
-                                    pi_old: self.pd.entry(group, victim),
-                                    pi_new: pi,
-                                });
-                            }
-                            self.pd.invalidate(group, victim);
-                            self.pd.program(group, victim, pi);
-                            self.fill(group, victim, id, kind.is_write());
-                            AccessResult::miss(ev)
-                        }
+                        self.pd.program(group, victim, pi);
+                        (victim, evicted)
                     }
                 }
             }
@@ -481,24 +368,23 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
                 // PD miss: the miss is predetermined before any tag/data
                 // read. The victim comes from the replacement policy,
                 // fully exploiting the BAS candidate sets.
-                self.stats.record(kind, false);
-                self.pd_stats.misses_with_pd_miss += 1;
-                let way = match self.pd.invalid_way(group) {
+                self.tally.record(kind, false);
+                self.pd_tally.misses_with_pd_miss += 1;
+                let way = match cold {
                     Some(w) => w,
-                    None => self.policy.victim(group),
+                    None => policy.victim(group),
                 };
-                self.usage.record(self.physical_set(group, way), false);
-                let ev = self.evict(group, way);
+                let set = physical(way);
+                self.usage.record(set, false);
                 if O::ENABLED {
-                    let set = self.physical_set(group, way) as u64;
                     self.observer.event(Event::Miss {
                         kind: MissKind::Predetermined,
                     });
-                    if ev.as_ref().is_some_and(|e| e.dirty) {
-                        self.observer.event(Event::Writeback { set });
-                    }
+                }
+                let evicted = self.evict(self.lines[group * bas + way], set);
+                if O::ENABLED {
                     self.observer.event(Event::BasVictim {
-                        candidates: self.params.bas() as u32,
+                        candidates: bas as u32,
                         chosen: way as u32,
                     });
                     self.observer.event(Event::PdReprogram {
@@ -506,63 +392,98 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
                         pi_old: self.pd.entry(group, way),
                         pi_new: pi,
                     });
-                    self.observer.event(Event::SetTouch { set, hit: false });
+                    self.observer.event(Event::SetTouch {
+                        set: set as u64,
+                        hit: false,
+                    });
                 }
                 self.pd.program(group, way, pi);
-                self.fill(group, way, id, kind.is_write());
-                AccessResult::miss(ev)
+                (way, evicted)
             }
+        };
+        // Every fill happens after the PD entry is in place, so the
+        // filled block must decode back to exactly this slot.
+        debug_assert_eq!(
+            layout.npi(block(id)),
+            group,
+            "filled block belongs to a different NPI group"
+        );
+        debug_assert_eq!(
+            self.pd.entry(group, way),
+            Some(layout.pi(block(id))),
+            "filled block is not decodable by its PD entry"
+        );
+        self.lines[group * bas + way] = packed::fill(id, kind.is_write());
+        policy.on_fill(group, way);
+        StepOutcome {
+            hit: false,
+            evicted,
+        }
+    }
+
+    /// [`step`](Self::step) over a whole batch, monomorphized for the
+    /// paper's BAS values (Table 5 sweeps powers of two up to 32);
+    /// anything else takes the runtime-width probe.
+    #[inline(always)]
+    fn replay<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        accesses: &[(Addr, AccessKind)],
+    ) {
+        macro_rules! kernel {
+            ($w:literal) => {
+                for &(addr, kind) in accesses {
+                    self.step::<P, $w>(policy, addr, kind);
+                }
+            };
+        }
+        match self.pd.bas() {
+            1 => kernel!(1),
+            2 => kernel!(2),
+            4 => kernel!(4),
+            8 => kernel!(8),
+            16 => kernel!(16),
+            32 => kernel!(32),
+            _ => kernel!(0),
+        }
+    }
+
+    /// Lands the tallies in the cache's statistics.
+    fn finish(self) {
+        self.tally.flush(self.stats);
+        self.pd_stats.misses_with_pd_hit += self.pd_tally.misses_with_pd_hit;
+        self.pd_stats.misses_with_pd_miss += self.pd_tally.misses_with_pd_miss;
+    }
+}
+
+impl<O: Observer> CacheModel for BalancedCache<O> {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        let (mut parts, policy) = self.parts();
+        let out = parts.step::<_, 0>(policy, addr, kind);
+        parts.finish();
+        if out.hit {
+            AccessResult::hit()
+        } else {
+            AccessResult::miss(out.evicted.map(|(id, dirty)| Eviction {
+                block: self.block_addr(id),
+                dirty,
+            }))
         }
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Monomorphized replay for the paper's ForcedVictim design:
-        // packed lines, PD lookups over a flat `u64` CAM, statistics
-        // tallied in registers. Bit-identical to the `access` loop (the
-        // batch-equivalence suite and the BCacheOracle enforce it). The
-        // EvictBoth ablation is off the hot path and keeps the loop.
-        if self.params.pd_hit_policy() != crate::params::PdHitPolicy::ForcedVictim {
-            for &(addr, kind) in accesses {
-                self.access(addr, kind);
-            }
-            return;
-        }
-        let bas = self.params.bas();
-        let offset_bits = self.params.geometry().offset_bits();
         // Specialize the kernel on the concrete policy where it pays:
         // LRU is the paper default (and the benchmarked configuration),
         // so its stamp updates inline into the loop instead of costing
         // two virtual calls per miss. Other policies take the same
         // kernel through dynamic dispatch.
-        let (tally, pd_hit_misses, pd_miss_misses) =
-            if let Some(lru) = self.policy.as_any_mut().downcast_mut::<Lru>() {
-                replay_dispatch(
-                    &self.layout,
-                    bas,
-                    offset_bits,
-                    &mut self.pd,
-                    &mut self.lines,
-                    &mut self.usage,
-                    lru,
-                    &mut self.observer,
-                    accesses,
-                )
-            } else {
-                replay_dispatch(
-                    &self.layout,
-                    bas,
-                    offset_bits,
-                    &mut self.pd,
-                    &mut self.lines,
-                    &mut self.usage,
-                    self.policy.as_mut(),
-                    &mut self.observer,
-                    accesses,
-                )
-            };
-        tally.flush(&mut self.stats);
-        self.pd_stats.misses_with_pd_hit += pd_hit_misses;
-        self.pd_stats.misses_with_pd_miss += pd_miss_misses;
+        let (mut parts, policy) = self.parts();
+        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
+            parts.replay(lru, accesses);
+        } else {
+            parts.replay(policy, accesses);
+        }
+        parts.finish();
     }
 
     fn stats(&self) -> &CacheStats {
@@ -692,7 +613,9 @@ mod tests {
         let g1_resident = Addr::new(32);
         let fresh = (0..512u64)
             .map(|b| Addr::new(b * 32))
-            .find(|&a| l.npi(a) == l.npi(g1_resident) && bc.pd.lookup(l.npi(a), l.pi(a)).is_none())
+            .find(|&a| {
+                l.npi(a) == l.npi(g1_resident) && bc.pd.probe_any(l.npi(a), l.pi(a)).0.is_none()
+            })
             .expect("a PD-missing address exists");
         let r = bc.access(fresh, AccessKind::Read);
         assert!(!r.hit);

@@ -161,7 +161,7 @@ pub struct BCacheOrganization {
 }
 
 /// Default subarray counts for the paper's 16 kB design: data memory in
-/// 4 subarrays, tag memory in 8 (Section 3.2, [21]).
+/// 4 subarrays, tag memory in 8 (Section 3.2, reference \[21\]).
 pub const PAPER_DATA_SUBARRAYS: usize = 4;
 /// See [`PAPER_DATA_SUBARRAYS`].
 pub const PAPER_TAG_SUBARRAYS: usize = 8;

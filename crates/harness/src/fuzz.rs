@@ -4,7 +4,7 @@
 //! Each case index (0..iters) deterministically derives a scenario, a
 //! configuration and an adversarial address stream from `(seed, case)`,
 //! so any failure replays exactly with the same flags. Cases are
-//! sharded over the [`Engine`](crate::parallel::Engine) worker pool;
+//! sharded over the [`Engine`] worker pool;
 //! results are aggregated positionally, so the report is bit-identical
 //! for every `--jobs` value.
 //!

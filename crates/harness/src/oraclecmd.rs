@@ -3,7 +3,7 @@
 //! (`bcache-repro oracle [--seed S] [--jobs N] [--smoke] [--csv]`).
 //!
 //! The analytic models are exact under the independent reference model,
-//! and the [`synthetic`](trace_gen::synthetic) trace families are built
+//! and the [`synthetic`] trace families are built
 //! purely from memoryless `Hot` streams, so the simulated miss rate of
 //! every (model, distribution) cell must converge to the closed form as
 //! the trace grows. The subcommand sweeps record counts over the full

@@ -37,7 +37,7 @@
 //!   jobs panic, hang, or return corrupt results — the test harness for
 //!   all of the above;
 //! * completed results can be persisted through an attached
-//!   [`Checkpoint`](crate::checkpoint::Checkpoint)
+//!   [`Checkpoint`]
 //!   ([`Engine::run_checkpointed`]), so an interrupted sweep resumes
 //!   byte-identically via `--resume`.
 //!

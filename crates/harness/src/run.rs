@@ -15,7 +15,7 @@
 //!   path costs no more per core than the streaming path.
 //!
 //! Both build models with the seed derived by
-//! [`job_seed`](crate::parallel::job_seed)`(len.seed, benchmark, side)`
+//! [`job_seed`]`(len.seed, benchmark, side)`
 //! and feed the identical access stream, so `--jobs N` can never change
 //! a number.
 
@@ -368,20 +368,6 @@ pub fn replay_config_on(
     model.stats().miss_rate()
 }
 
-/// [`replay_config_on`] starting from a raw record buffer (extracts the
-/// side stream first).
-pub fn replay_config(
-    benchmark: &str,
-    records: &TraceBuffer,
-    config: &CacheConfig,
-    size_bytes: usize,
-    side: Side,
-    len: RunLength,
-) -> f64 {
-    let trace = SideTrace::extract(records.iter(), side, len.warmup);
-    replay_config_on(benchmark, &trace, config, size_bytes, side, len)
-}
-
 /// Exact post-warm-up counters of one configuration on one benchmark
 /// (used by the golden-stats regression tests, where a float would hide
 /// one-miss drifts).
@@ -468,19 +454,6 @@ pub fn replay_bcache_observed(
     let mut bc = BalancedCache::with_observer(params, telemetry::EventRing::new(ring_capacity));
     trace.replay(&mut bc);
     bc
-}
-
-/// [`replay_bcache_pd_on`] starting from a raw record buffer.
-pub fn replay_bcache_pd(
-    records: &TraceBuffer,
-    mf: usize,
-    bas: usize,
-    size_bytes: usize,
-    side: Side,
-    len: RunLength,
-) -> BCachePdOutcome {
-    let trace = SideTrace::extract(records.iter(), side, len.warmup);
-    replay_bcache_pd_on(&trace, mf, bas, size_bytes)
 }
 
 /// Replays one benchmark against a single B-Cache (streaming) and
@@ -608,9 +581,10 @@ mod tests {
         for side in [Side::Data, Side::Instruction] {
             let streaming = run_miss_rates(&p, &configs, 16 * 1024, side, len);
             let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
-            let base = replay_config(
+            let trace = SideTrace::extract(records.iter(), side, len.warmup);
+            let base = replay_config_on(
                 p.name,
-                &records,
+                &trace,
                 &CacheConfig::DirectMapped,
                 16 * 1024,
                 side,
@@ -618,7 +592,7 @@ mod tests {
             );
             assert_eq!(streaming.baseline_miss_rate, base, "{side:?} baseline");
             for (i, c) in configs.iter().enumerate() {
-                let mr = replay_config(p.name, &records, c, 16 * 1024, side, len);
+                let mr = replay_config_on(p.name, &trace, c, 16 * 1024, side, len);
                 assert_eq!(
                     streaming.outcomes[i].miss_rate,
                     mr,
@@ -635,7 +609,8 @@ mod tests {
         let len = RunLength::with_records(50_000);
         let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
         let a = run_bcache_pd_stats(&p, 8, 8, 16 * 1024, Side::Data, len);
-        let b = replay_bcache_pd(&records, 8, 8, 16 * 1024, Side::Data, len);
+        let trace = SideTrace::extract(records.iter(), Side::Data, len.warmup);
+        let b = replay_bcache_pd_on(&trace, 8, 8, 16 * 1024);
         assert_eq!(a, b);
     }
 
@@ -671,7 +646,8 @@ mod tests {
         let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
         let c = CacheConfig::DirectMapped;
         let counts = replay_config_counts(p.name, &records, &c, 16 * 1024, Side::Data, len);
-        let rate = replay_config(p.name, &records, &c, 16 * 1024, Side::Data, len);
+        let trace = SideTrace::extract(records.iter(), Side::Data, len.warmup);
+        let rate = replay_config_on(p.name, &trace, &c, 16 * 1024, Side::Data, len);
         assert!(counts.accesses > 0 && counts.misses <= counts.accesses);
         assert!((counts.misses as f64 / counts.accesses as f64 - rate).abs() < 1e-15);
     }

@@ -16,7 +16,7 @@
 //! keep going.
 //!
 //! Jobs read their side streams from the server's one
-//! [`StreamCache`](super::streams::StreamCache), not from the worker's
+//! `StreamCache` (`serve::streams`), not from the worker's
 //! engine, so a hot stream is held once however many workers replay it.
 
 use std::collections::VecDeque;

@@ -16,7 +16,10 @@
 //!   ([`small_specs`]) and on drawn ones ([`ModelSpec::draw`]), plus
 //!   the lane-boundary batch lengths.
 //!
-//! The event-order tests at the end are typed: the observer is a type
+//! The event-order tests and the event-count test at the end (on all
+//! twelve configurations, per access and batched, every model's
+//! `Writeback`, `Miss` and `SetTouch` events must add up to its
+//! writebacks, misses and accesses) are typed: the observer is a type
 //! parameter that a spec's trait object hides. A divergence here means
 //! an optimization changed simulation semantics, which no speedup
 //! justifies.
@@ -382,7 +385,8 @@ proptest! {
 
 /// Runs `scalar` through the per-access loop and `batched` through one
 /// `access_batch` call, then asserts their observers recorded the same
-/// event sequence (and that the stream produced events at all).
+/// event sequence (and that the stream produced events at all, all of
+/// them retained by the ring).
 macro_rules! assert_event_streams_match {
     ($name:expr, $accesses:expr, $scalar:expr, $batched:expr) => {{
         let mut scalar = $scalar;
@@ -394,6 +398,12 @@ macro_rules! assert_event_streams_match {
         let a: Vec<_> = scalar.observer().iter().map(|(_, e)| e.clone()).collect();
         let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
         assert!(!a.is_empty(), "{}: the stream must generate events", $name);
+        assert_eq!(
+            scalar.observer().dropped(),
+            0,
+            "{}: the ring must hold the whole stream",
+            $name
+        );
         assert_eq!(
             a, b,
             "{}: batched event order diverges from the per-access loop",
@@ -547,4 +557,102 @@ fn batched_event_order_matches_per_access_on_degenerate_geometries() {
         WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap(),
         WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap()
     );
+}
+
+/// Builds `$make()` twice, drives one copy access by access and the
+/// other through one `access_batch` call, and asserts that each copy's
+/// [`telemetry::EventCounts`] agree with its own counters: one
+/// `Writeback` per counted writeback, one `Miss` per miss and one
+/// `SetTouch` per access.
+macro_rules! assert_event_counts_match_stats {
+    ($name:expr, $accesses:expr, $make:expr) => {{
+        let make = $make;
+        let mut scalar = make();
+        for &(addr, kind) in $accesses.iter() {
+            scalar.access(addr, kind);
+        }
+        let mut batched = make();
+        batched.access_batch(&$accesses);
+        for (drive, counts, stats) in [
+            ("per-access", *scalar.observer(), scalar.stats()),
+            ("batched", *batched.observer(), batched.stats()),
+        ] {
+            let total = stats.total();
+            assert!(stats.writebacks() > 0, "{} {drive}: no writebacks", $name);
+            assert_eq!(
+                counts.writebacks,
+                stats.writebacks(),
+                "{} {drive}: Writeback events vs counted writebacks",
+                $name
+            );
+            assert_eq!(
+                counts.total_misses(),
+                total.misses(),
+                "{} {drive}: Miss events vs misses",
+                $name
+            );
+            assert_eq!(
+                counts.set_hits + counts.set_misses,
+                total.accesses(),
+                "{} {drive}: SetTouch events vs accesses",
+                $name
+            );
+        }
+    }};
+}
+
+#[test]
+fn event_counts_match_stats_on_every_model() {
+    use bcache_core::PdHitPolicy;
+    use telemetry::EventCounts;
+    let accesses = stream(4242);
+    let (size, line) = (16 * 1024, 32);
+    let counts = EventCounts::new;
+    let bcache = |pd_hit_policy| {
+        let geom = CacheGeometry::new(size, line, 1).unwrap();
+        let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru)
+            .unwrap()
+            .with_pd_hit_policy(pd_hit_policy);
+        move || BalancedCache::with_observer(params, counts())
+    };
+    assert_event_counts_match_stats!("direct-mapped", accesses, || {
+        DirectMappedCache::with_observer(size, line, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("8-way LRU", accesses, || {
+        SetAssociativeCache::with_observer(size, line, 8, PolicyKind::Lru, 0, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!(
+        "B-Cache MF8/BAS8, forced victim",
+        accesses,
+        bcache(PdHitPolicy::ForcedVictim)
+    );
+    assert_event_counts_match_stats!(
+        "B-Cache MF8/BAS8, evict both",
+        accesses,
+        bcache(PdHitPolicy::EvictBoth)
+    );
+    assert_event_counts_match_stats!("victim16", accesses, || {
+        VictimCache::with_observer(size, line, 16, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("column-associative", accesses, || {
+        ColumnAssociativeCache::with_observer(size, line, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("skewed", accesses, || {
+        SkewedAssociativeCache::with_observer(size, line, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("AGAC", accesses, || {
+        AgacCache::with_observer(size, line, 8, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("HAC", accesses, || {
+        HighlyAssociativeCache::with_observer(size, line, 1024, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("PAM", accesses, || {
+        PartialMatchCache::with_observer(size, line, 4, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("difference-bit", accesses, || {
+        DifferenceBitCache::with_observer(size, line, counts()).unwrap()
+    });
+    assert_event_counts_match_stats!("way-halting", accesses, || {
+        WayHaltingCache::with_observer(size, line, 4, 4, counts()).unwrap()
+    });
 }

@@ -1,9 +1,11 @@
 //! Leveled logging to stderr, filtered by the `BCACHE_LOG` environment
 //! variable (`off`, `error`, `warn`, `info`, `debug`; default `info`).
 //!
-//! Use the [`tele_error!`], [`tele_warn!`], [`tele_info!`], and
-//! [`tele_debug!`] macros rather than calling [`log`] directly — they
-//! check [`enabled`] first so disabled levels skip formatting entirely.
+//! Use the [`tele_error!`](crate::tele_error),
+//! [`tele_warn!`](crate::tele_warn), [`tele_info!`](crate::tele_info),
+//! and [`tele_debug!`](crate::tele_debug) macros rather than calling
+//! [`log`] directly — they check [`enabled`] first so disabled levels
+//! skip formatting entirely.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
