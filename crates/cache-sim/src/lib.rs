@@ -71,7 +71,7 @@ pub use geometry::{CacheGeometry, GeometryError, TagIndexSplit, DEFAULT_ADDR_BIT
 pub use hac::HighlyAssociativeCache;
 pub use hierarchy::{LatencyConfig, MemoryHierarchy};
 pub use model::{AccessKind, AccessResult, CacheModel, Eviction};
-pub use oracle::{BCacheOracle, OracleCache, OracleOutcome};
+pub use oracle::{BCacheOracle, OracleCache, OracleOutcome, VictimOracle};
 pub use pam::PartialMatchCache;
 pub use replacement::{make_policy, Lru, PolicyKind, ReplacementPolicy};
 pub use set_assoc::SetAssociativeCache;

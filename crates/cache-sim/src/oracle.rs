@@ -15,6 +15,9 @@
 //!   decoder contents tracked symbolically — each resident line carries
 //!   its programmed PI — and the BAS candidate set recomputed from
 //!   first principles (arithmetic on the block number) on every access.
+//! * [`VictimOracle`] models Jouppi's victim cache as a direct-mapped
+//!   map of resident blocks plus a demotion-ordered queue of buffered
+//!   ones, with no packed words, lane probes or LRU stamps.
 //!
 //! For [`PolicyKind::Random`] and [`PolicyKind::TreePlru`] the victim
 //! *choice* is mirrored through [`make_policy`] with the same seed
@@ -29,6 +32,8 @@
 //! registered model against these oracles on randomized configurations
 //! and adversarial address streams; each model file also keeps a pinned
 //! oracle-equivalence test next to its implementation.
+
+use std::collections::VecDeque;
 
 use crate::addr::Addr;
 use crate::model::{AccessKind, AccessResult, Eviction};
@@ -525,6 +530,131 @@ pub fn distinct_blocks<I: IntoIterator<Item = Addr>>(addrs: I, line_bytes: u64) 
     blocks.len() as u64
 }
 
+/// A reference victim cache: a direct-mapped main array plus an
+/// `entries`-block fully-associative buffer holding blocks the main
+/// array evicted, write-back/write-allocate.
+///
+/// A main-array hit hits. A main-array miss that finds its block in the
+/// buffer swaps it with the main array's resident and counts as a hit. A
+/// full miss fills the main array and demotes the old resident into the
+/// buffer; when that overflows the buffer, its least recently demoted
+/// block leaves the cache and is the reported eviction. A buffer hit
+/// removes its block, so demotion order is the buffer's LRU order.
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::{AccessKind, Addr, CacheModel, VictimCache};
+/// use cache_sim::oracle::VictimOracle;
+///
+/// let mut vc = VictimCache::new(256, 32, 2)?;
+/// let mut oracle = VictimOracle::new(256, 32, 2, 32);
+/// for addr in [0u64, 256, 512, 0, 768, 256] {
+///     let got = vc.access(Addr::new(addr), AccessKind::Write);
+///     let want = oracle.access(Addr::new(addr), AccessKind::Write);
+///     assert_eq!(want.diff(&got), None);
+/// }
+/// # Ok::<(), cache_sim::GeometryError>(())
+/// ```
+#[derive(Debug)]
+pub struct VictimOracle {
+    sets: u64,
+    entries: usize,
+    line_bytes: u64,
+    addr_mask: u64,
+    /// `(block, dirty)` of each main-array set's resident.
+    main: Vec<Option<(u64, bool)>>,
+    /// `(block, dirty)` of the buffered blocks, least recently demoted
+    /// first.
+    buffer: VecDeque<(u64, bool)>,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl VictimOracle {
+    /// Creates a cold oracle of a `size_bytes` direct-mapped array of
+    /// `line_bytes` lines and an `entries`-block buffer, decoding
+    /// `addr_bits`-bit addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size is zero or larger than the array.
+    pub fn new(size_bytes: usize, line_bytes: usize, entries: usize, addr_bits: u32) -> Self {
+        assert!(line_bytes > 0 && size_bytes >= line_bytes);
+        let sets = size_bytes / line_bytes;
+        VictimOracle {
+            sets: sets as u64,
+            entries,
+            line_bytes: line_bytes as u64,
+            addr_mask: if addr_bits >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << addr_bits) - 1
+            },
+            main: vec![None; sets],
+            buffer: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    /// Hits (main array or buffer) recorded so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Misses recorded so far.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Dirty evictions recorded so far.
+    pub fn writebacks(&self) -> u64 {
+        self.writebacks
+    }
+
+    /// Runs one access and returns what must happen.
+    pub fn access(&mut self, addr: Addr, kind: AccessKind) -> OracleOutcome {
+        let block = (addr.raw() & self.addr_mask) / self.line_bytes;
+        let set = (block % self.sets) as usize;
+        let write = kind.is_write();
+        if let Some((resident, dirty)) = self.main[set].as_mut() {
+            if *resident == block {
+                *dirty |= write;
+                self.hits += 1;
+                return OracleOutcome {
+                    hit: true,
+                    evicted: None,
+                };
+            }
+        }
+        let buffered = self.buffer.iter().position(|&(b, _)| b == block);
+        let hit = buffered.is_some();
+        let dirty = buffered
+            .and_then(|i| self.buffer.remove(i))
+            .is_some_and(|(_, dirty)| dirty);
+        let demoted = self.main[set].replace((block, dirty || write));
+        self.buffer.extend(demoted);
+        let mut evicted = None;
+        if self.buffer.len() > self.entries {
+            let (out, out_dirty) = self.buffer.pop_front().expect("overfull buffer");
+            self.writebacks += u64::from(out_dirty);
+            evicted = Some(Eviction {
+                block: Addr::new(out * self.line_bytes),
+                dirty: out_dirty,
+            });
+        }
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        OracleOutcome { hit, evicted }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,6 +693,27 @@ mod tests {
         }
         assert_eq!(oracle.misses(), dm.stats().total().misses());
         assert_eq!(oracle.writebacks(), dm.stats().writebacks());
+    }
+
+    #[test]
+    fn victim_oracle_matches_the_victim_cache_at_every_buffer_width() {
+        use crate::victim::VictimCache;
+        for entries in [1usize, 2, 4, 8, 16, 32] {
+            let mut vc = VictimCache::new(512, 32, entries).unwrap();
+            let mut oracle = VictimOracle::new(512, 32, entries, 32);
+            for (addr, w) in lcg_stream(entries as u64, 5000, 1 << 13) {
+                let got = vc.access(Addr::new(addr), kind(w));
+                let want = oracle.access(Addr::new(addr), kind(w));
+                assert_eq!(want.diff(&got), None, "{entries} entries at {addr:#x}");
+            }
+            let t = vc.stats().total();
+            assert_eq!(
+                (t.hits(), t.misses(), vc.stats().writebacks()),
+                (oracle.hits(), oracle.misses(), oracle.writebacks()),
+                "{entries} entries"
+            );
+            assert!(oracle.writebacks() > 0);
+        }
     }
 
     #[test]

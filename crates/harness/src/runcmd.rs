@@ -15,11 +15,11 @@ use telemetry::{EventRing, Recorder, SpanTimer};
 use trace_gen::profiles;
 
 use crate::cli;
-use crate::config::{CacheConfig, EngineSetup};
+use crate::config::CacheConfig;
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::profilecmd::resolve_model;
 use crate::run::{replay_bcache_observed, RunLength, Side, SideTrace};
-use crate::telemetry_io::{degraded_summary, record_model};
+use crate::telemetry_io::record_model;
 
 /// Default capacity of the `--trace-events` ring (`--event-ring-cap`
 /// overrides it): enough to keep the miss activity of a default-length
@@ -44,8 +44,6 @@ pub struct RunCmdOptions {
     /// Capacity of the `--trace-events` ring
     /// (`--event-ring-cap`, default [`EVENT_RING_CAPACITY`]).
     pub event_ring_cap: usize,
-    /// Engine robustness configuration (retries, fault injection, …).
-    pub setup: EngineSetup,
 }
 
 impl Default for RunCmdOptions {
@@ -56,7 +54,6 @@ impl Default for RunCmdOptions {
             len: RunLength::default(),
             jobs: default_parallelism(),
             event_ring_cap: EVENT_RING_CAPACITY,
-            setup: EngineSetup::default(),
         }
     }
 }
@@ -76,13 +73,12 @@ impl RunCmdOptions {
             len: a.run_length(d.len.records)?,
             jobs: a.jobs(),
             event_ring_cap: a.count(&cli::EVENT_RING_CAP).unwrap_or(d.event_ring_cap),
-            setup: a.setup()?,
         })
     }
 
     /// Builds the experiment engine these options describe.
     pub fn engine(&self) -> Engine {
-        self.setup.build_engine(self.jobs)
+        Engine::new(self.jobs)
     }
 }
 
@@ -199,9 +195,6 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
         bc.observer().clone()
     });
     metrics.merge(&engine.timing_snapshot());
-    // Failure accounting (`engine.*`): empty — hence invisible — for a
-    // clean run, so golden jobs-invariance comparisons stay intact.
-    metrics.merge(&engine.failure_snapshot());
 
     let t = SpanTimer::start("phase.report");
     let pd_reprograms = metrics.counter_value("bcache.pd_reprograms");
@@ -225,9 +218,6 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
         "\nB-Cache PD reprograms: {pd_reprograms} (one per predetermined miss), \
          PD-forced misses: {pd_forced}\n"
     ));
-    if engine.degraded() {
-        report.push_str(&degraded_summary(&metrics));
-    }
     for prefix in ["dm", "bcache"] {
         if let Some(h) = metrics.histogram(&format!("{prefix}.set_accesses")) {
             report.push_str(&format!(

@@ -1,11 +1,10 @@
 //! `bcache-repro serve`: a crash-safe multi-tenant simulation server.
 //!
 //! The server accepts line-delimited JSON frames over TCP and runs
-//! trace-replay, design-space sweep, and windowed-profile jobs on the
-//! supervised worker pool from the `parallel` module — the same panic
-//! isolation, retry policy, and checkpoint format the batch CLI uses,
-//! so a served sweep survives worker panics *and* whole-server
-//! restarts, and its numbers are byte-identical to the offline paths.
+//! trace-replay, design-space sweep, and windowed-profile jobs with
+//! the panic isolation and checkpoint format the batch CLI uses, so a
+//! served sweep survives job panics *and* whole-server restarts, and
+//! its numbers are byte-identical to the offline paths.
 //!
 //! Layout:
 //! - [`protocol`]: wire frames (parse + build) and the hand-rolled
@@ -54,7 +53,7 @@ pub struct ServeOptions {
     pub smoke: bool,
     /// Run the malformed-frame fuzz battery instead of serving.
     pub fuzz_frames: bool,
-    /// Engine policy/fault/checkpoint flags, shared with `run`.
+    /// `--checkpoint`/`--resume`, shared with the sweep experiments.
     pub setup: EngineSetup,
 }
 
@@ -88,7 +87,7 @@ impl ServeOptions {
             outbuf_cap: a.count(&cli::OUTBUF_CAP).unwrap_or(d.outbuf_cap),
             smoke: a.has(&cli::SMOKE),
             fuzz_frames: a.has(&cli::FUZZ_FRAMES),
-            setup: a.setup()?,
+            setup: a.setup(),
         })
     }
 }
@@ -298,15 +297,15 @@ mod tests {
             "5",
             "--outbuf-cap",
             "64",
-            "--retries",
-            "2",
+            "--checkpoint",
+            "c.jsonl",
         ])
         .unwrap();
         assert_eq!(o.addr, "0.0.0.0:7777");
         assert_eq!(o.workers, 3);
         assert_eq!(o.queue_cap, 5);
         assert_eq!(o.outbuf_cap, 64);
-        assert_eq!(o.setup.policy.max_attempts, 3);
+        assert_eq!(o.setup.checkpoint.as_deref(), Some("c.jsonl"));
 
         assert!(ServeOptions::parse(&["--workers", "0"]).is_err());
         assert!(ServeOptions::parse(&["--queue-cap", "0"]).is_err());

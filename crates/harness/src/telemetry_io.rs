@@ -37,24 +37,6 @@ pub fn write_events(path: &str, ring: &EventRing) -> io::Result<()> {
     std::fs::write(path, ring.to_jsonl())
 }
 
-/// Renders the degraded-run summary appended to `run`/`stats`/figure
-/// reports when any job attempt failed: how many failures of each kind,
-/// how many jobs recovered via retry. Results above the line are still
-/// exact — retried jobs are pure, so a recovered run is byte-identical
-/// to a clean one.
-pub fn degraded_summary(metrics: &Recorder) -> String {
-    let v = |k: &str| metrics.counter_value(k);
-    format!(
-        "\nDEGRADED RUN: {} job failure(s) ({} panic, {} timeout, {} corrupt); \
-         {} job(s) recovered via retry. Results are exact (retried jobs are pure).\n",
-        v("engine.job_failures"),
-        v("engine.job_panics"),
-        v("engine.job_timeouts"),
-        v("engine.job_corrupt_results"),
-        v("engine.jobs_recovered"),
-    )
-}
-
 /// Builds the log2 histogram of per-set access counts — the
 /// set-pressure distribution behind the paper's balance argument
 /// (Table 7): a direct-mapped cache shows a wide spread (hot sets many
@@ -86,19 +68,6 @@ pub fn record_model(rec: &mut Recorder, prefix: &str, model: &dyn cache_sim::Cac
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn degraded_summary_names_every_failure_kind() {
-        let mut rec = Recorder::new();
-        rec.counter("engine.job_failures", 3);
-        rec.counter("engine.job_panics", 1);
-        rec.counter("engine.job_timeouts", 2);
-        rec.counter("engine.jobs_recovered", 3);
-        let s = degraded_summary(&rec);
-        assert!(s.contains("3 job failure(s)"), "{s}");
-        assert!(s.contains("1 panic, 2 timeout, 0 corrupt"), "{s}");
-        assert!(s.contains("3 job(s) recovered"), "{s}");
-    }
 
     #[test]
     fn usage_histogram_counts_every_set() {

@@ -5,8 +5,9 @@
 //! its final hit/miss/writeback counters — plus the B-Cache's PD
 //! counters and decoder invariants — must equal its oracle's
 //! (`OracleCache` for the direct-mapped, set-associative and n-way-LRU
-//! wrapper caches, `BCacheOracle` for the B-Cache; the victim, column,
-//! skewed and AGAC caches have only their own loop). The rows:
+//! wrapper caches, `BCacheOracle` for the B-Cache, `VictimOracle` for
+//! the victim cache; the column, skewed and AGAC caches have only their
+//! own loop). The rows:
 //!
 //! * fixed 100k-access streams, in one batch and in chunks, over the
 //!   paper geometries and every const-dispatched CAM width
@@ -383,14 +384,15 @@ proptest! {
     }
 }
 
-/// Runs `scalar` through the per-access loop and `batched` through one
-/// `access_batch` call, then asserts their observers recorded the same
-/// event sequence (and that the stream produced events at all, all of
-/// them retained by the ring).
+/// Builds two instances from `make` (evaluated twice), runs one through
+/// the per-access loop and the other through one `access_batch` call,
+/// then asserts their observers recorded the same event sequence (and
+/// that the stream produced events at all, all of them retained by the
+/// ring).
 macro_rules! assert_event_streams_match {
-    ($name:expr, $accesses:expr, $scalar:expr, $batched:expr) => {{
-        let mut scalar = $scalar;
-        let mut batched = $batched;
+    ($name:expr, $accesses:expr, $make:expr) => {{
+        let mut scalar = $make;
+        let mut batched = $make;
         for &(addr, kind) in $accesses.iter() {
             scalar.access(addr, kind);
         }
@@ -422,70 +424,62 @@ fn batched_event_order_matches_per_access_on_every_model() {
     assert_event_streams_match!(
         "direct-mapped",
         accesses,
-        DirectMappedCache::with_observer(16 * 1024, 32, ring()).unwrap(),
         DirectMappedCache::with_observer(16 * 1024, 32, ring()).unwrap()
     );
-    let sa = || {
+    assert_event_streams_match!(
+        "8-way LRU",
+        accesses,
         SetAssociativeCache::with_observer(16 * 1024, 32, 8, PolicyKind::Lru, 0, ring()).unwrap()
-    };
-    assert_event_streams_match!("8-way LRU", accesses, sa(), sa());
-    let sr = || {
+    );
+    assert_event_streams_match!(
+        "4-way random",
+        accesses,
         SetAssociativeCache::with_observer(16 * 1024, 32, 4, PolicyKind::Random, 0xBEEF, ring())
             .unwrap()
-    };
-    assert_event_streams_match!("4-way random", accesses, sr(), sr());
-    let bc = || {
+    );
+    assert_event_streams_match!("B-Cache MF8/BAS8", accesses, {
         let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
         let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
         BalancedCache::with_observer(params, ring())
-    };
-    assert_event_streams_match!("B-Cache MF8/BAS8", accesses, bc(), bc());
+    });
     assert_event_streams_match!(
         "victim16",
         accesses,
-        VictimCache::with_observer(16 * 1024, 32, 16, ring()).unwrap(),
         VictimCache::with_observer(16 * 1024, 32, 16, ring()).unwrap()
     );
     assert_event_streams_match!(
         "column-associative",
         accesses,
-        ColumnAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap(),
         ColumnAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "skewed",
         accesses,
-        SkewedAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap(),
         SkewedAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "AGAC",
         accesses,
-        AgacCache::with_observer(16 * 1024, 32, 8, ring()).unwrap(),
         AgacCache::with_observer(16 * 1024, 32, 8, ring()).unwrap()
     );
     assert_event_streams_match!(
         "HAC",
         accesses,
-        HighlyAssociativeCache::with_observer(16 * 1024, 32, 1024, ring()).unwrap(),
         HighlyAssociativeCache::with_observer(16 * 1024, 32, 1024, ring()).unwrap()
     );
     assert_event_streams_match!(
         "PAM",
         accesses,
-        PartialMatchCache::with_observer(16 * 1024, 32, 4, ring()).unwrap(),
         PartialMatchCache::with_observer(16 * 1024, 32, 4, ring()).unwrap()
     );
     assert_event_streams_match!(
         "difference-bit",
         accesses,
-        DifferenceBitCache::with_observer(16 * 1024, 32, ring()).unwrap(),
         DifferenceBitCache::with_observer(16 * 1024, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "way-halting",
         accesses,
-        WayHaltingCache::with_observer(16 * 1024, 32, 4, 4, ring()).unwrap(),
         WayHaltingCache::with_observer(16 * 1024, 32, 4, 4, ring()).unwrap()
     );
 }
@@ -498,63 +492,56 @@ fn batched_event_order_matches_per_access_on_degenerate_geometries() {
     assert_event_streams_match!(
         "DM, cache == line",
         accesses,
-        DirectMappedCache::with_observer(32, 32, ring()).unwrap(),
         DirectMappedCache::with_observer(32, 32, ring()).unwrap()
     );
-    let fa = || SetAssociativeCache::with_observer(256, 32, 8, PolicyKind::Lru, 0, ring()).unwrap();
-    assert_event_streams_match!("1-set fully-associative", accesses, fa(), fa());
-    let bc1 = || {
+    assert_event_streams_match!(
+        "1-set fully-associative",
+        accesses,
+        SetAssociativeCache::with_observer(256, 32, 8, PolicyKind::Lru, 0, ring()).unwrap()
+    );
+    assert_event_streams_match!("B-Cache, one frame", accesses, {
         let geom = CacheGeometry::new(32, 32, 1).unwrap();
         let params = BCacheParams::new(geom, 8, 1, PolicyKind::Lru).unwrap();
         BalancedCache::with_observer(params, ring())
-    };
-    assert_event_streams_match!("B-Cache, one frame", accesses, bc1(), bc1());
+    });
     assert_event_streams_match!(
         "victim, 1-entry buffer",
         accesses,
-        VictimCache::with_observer(32, 32, 1, ring()).unwrap(),
         VictimCache::with_observer(32, 32, 1, ring()).unwrap()
     );
     assert_event_streams_match!(
         "column, two lines",
         accesses,
-        ColumnAssociativeCache::with_observer(64, 32, ring()).unwrap(),
         ColumnAssociativeCache::with_observer(64, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "skewed, one index bit",
         accesses,
-        SkewedAssociativeCache::with_observer(128, 32, ring()).unwrap(),
         SkewedAssociativeCache::with_observer(128, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "AGAC, 1-entry directory",
         accesses,
-        AgacCache::with_observer(32, 32, 1, ring()).unwrap(),
         AgacCache::with_observer(32, 32, 1, ring()).unwrap()
     );
     assert_event_streams_match!(
         "HAC, 1-set",
         accesses,
-        HighlyAssociativeCache::with_observer(256, 32, 256, ring()).unwrap(),
         HighlyAssociativeCache::with_observer(256, 32, 256, ring()).unwrap()
     );
     assert_event_streams_match!(
         "PAM, 1-set 2-way",
         accesses,
-        PartialMatchCache::with_observer(64, 32, 5, ring()).unwrap(),
         PartialMatchCache::with_observer(64, 32, 5, ring()).unwrap()
     );
     assert_event_streams_match!(
         "difference-bit, 1-set 2-way",
         accesses,
-        DifferenceBitCache::with_observer(64, 32, ring()).unwrap(),
         DifferenceBitCache::with_observer(64, 32, ring()).unwrap()
     );
     assert_event_streams_match!(
         "way-halting, 1-set",
         accesses,
-        WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap(),
         WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap()
     );
 }

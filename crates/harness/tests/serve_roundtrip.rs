@@ -81,9 +81,7 @@ fn served_replays_are_byte_identical_to_the_offline_path() {
 
 #[test]
 fn a_panicking_job_errors_only_its_own_session() {
-    let mut opts = ephemeral(2);
-    opts.setup.policy.max_attempts = 1; // fail fast, no retry backoff
-    let (server, addr) = start(opts);
+    let (server, addr) = start(ephemeral(2));
 
     // Session B runs a normal job concurrently with A's faulting one.
     let addr_b = addr.clone();
@@ -164,7 +162,6 @@ fn killed_and_restarted_sweep_resumes_byte_identically() {
     // shut it down — the checkpoint file is flushed per point, so a
     // hard kill would leave the same file).
     let mut opts = ephemeral(1);
-    opts.setup.policy.max_attempts = 1;
     opts.setup.checkpoint = Some(path.clone());
     let (server_a, addr_a) = start(opts);
     let mut client_a = Client::connect(&addr_a).unwrap();

@@ -4,7 +4,7 @@
 //! with the same rows `determinism.rs` pins across widths.
 
 use harness::config::CacheConfig;
-use harness::parallel::{Engine, FaultMode, FaultPlan, FaultSpec, RunPolicy};
+use harness::parallel::Engine;
 use harness::perf;
 use harness::run::RunLength;
 use trace_gen::profiles;
@@ -44,34 +44,4 @@ fn perf_sweep_releases_every_record_buffer_at_every_width() {
             .collect();
         assert_eq!(row.outcomes, standalone, "{name}");
     }
-}
-
-#[test]
-fn a_retry_after_the_release_regenerates_identical_records() {
-    let clean = perf::run_perf_with(&Engine::new(1), len());
-    // Job 5 is the first benchmark's sixth and last configuration. A
-    // corrupt result runs the real job (using up the benchmark's count)
-    // and is then rejected, so its retry requests records the cache has
-    // already released.
-    let engine = Engine::new(8)
-        .with_policy(RunPolicy {
-            max_attempts: 3,
-            backoff_ms: 1,
-            timeout_ms: 60_000,
-        })
-        .with_faults(FaultPlan::new(vec![FaultSpec {
-            job: 5,
-            mode: FaultMode::Corrupt,
-            times: 1,
-        }]));
-    let rows = perf::run_perf_with(&engine, len());
-    assert_eq!(rows, clean);
-    assert_eq!(
-        engine
-            .failure_snapshot()
-            .counter_value("engine.jobs_recovered"),
-        1
-    );
-    // At most the retried benchmark's regenerated records stay cached.
-    assert!(engine.traces().len() <= 1);
 }

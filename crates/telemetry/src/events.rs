@@ -35,29 +35,6 @@ impl MissKind {
     }
 }
 
-/// Why an experiment job failed, as the engine's supervisor classified
-/// it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The job body panicked (caught by the worker's `catch_unwind`).
-    Panic,
-    /// The job exceeded the per-job timeout and was cancelled.
-    Timeout,
-    /// The job produced a result the supervisor rejected as corrupt.
-    Corrupt,
-}
-
-impl FailureKind {
-    /// Stable lowercase name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            FailureKind::Panic => "panic",
-            FailureKind::Timeout => "timeout",
-            FailureKind::Corrupt => "corrupt",
-        }
-    }
-}
-
 /// A typed simulator event emitted through an [`Observer`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Event {
@@ -93,17 +70,6 @@ pub enum Event {
         set: u64,
         /// Whether the access hit.
         hit: bool,
-    },
-    /// An experiment job failed one attempt (panic, timeout, or a
-    /// corrupt result) in the parallel engine's supervisor.
-    JobFailure {
-        /// Global job ordinal (submission order across the engine's
-        /// lifetime) — the identity `--inject-fault job=K` targets.
-        job: u64,
-        /// Zero-based attempt number that failed.
-        attempt: u32,
-        /// How the attempt failed.
-        kind: FailureKind,
     },
 }
 
@@ -144,13 +110,6 @@ impl Event {
             }
             Event::SetTouch { set, hit } => {
                 let _ = write!(out, "\"set_touch\", \"set\": {set}, \"hit\": {hit}");
-            }
-            Event::JobFailure { job, attempt, kind } => {
-                let _ = write!(
-                    out,
-                    "\"job_failure\", \"job\": {job}, \"attempt\": {attempt}, \"kind\": \"{}\"",
-                    escape(kind.name())
-                );
             }
         }
         out.push('}');
@@ -301,8 +260,6 @@ pub struct EventCounts {
     pub set_hits: u64,
     /// Number of `SetTouch` events that missed.
     pub set_misses: u64,
-    /// Number of `JobFailure` events seen.
-    pub job_failures: u64,
 }
 
 impl EventCounts {
@@ -336,7 +293,6 @@ impl Observer for EventCounts {
                     self.set_misses += 1;
                 }
             }
-            Event::JobFailure { .. } => self.job_failures += 1,
         }
     }
 }
@@ -427,25 +383,6 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-    }
-
-    #[test]
-    fn job_failure_event_renders_and_tallies() {
-        let e = Event::JobFailure {
-            job: 42,
-            attempt: 1,
-            kind: FailureKind::Timeout,
-        };
-        let json = e.to_json(7);
-        assert!(json.contains("\"event\": \"job_failure\""), "{json}");
-        assert!(json.contains("\"job\": 42"), "{json}");
-        assert!(json.contains("\"attempt\": 1"), "{json}");
-        assert!(json.contains("\"kind\": \"timeout\""), "{json}");
-        assert_eq!(FailureKind::Panic.name(), "panic");
-        assert_eq!(FailureKind::Corrupt.name(), "corrupt");
-        let mut c = EventCounts::new();
-        c.event(e);
-        assert_eq!(c.job_failures, 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod spans;
 pub mod timeseries;
 pub mod trace_export;
 
-pub use events::{Event, EventCounts, EventRing, FailureKind, MissKind, NullObserver, Observer};
+pub use events::{Event, EventCounts, EventRing, MissKind, NullObserver, Observer};
 pub use log::Level;
 pub use recorder::{Histogram, Recorder, SpanStats, SpanTimer};
 pub use spans::{SpanId, SpanLog, SpanRecord};

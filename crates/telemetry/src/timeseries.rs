@@ -456,7 +456,6 @@ impl Observer for WindowSeries {
             // batch-equivalence suite), so closing the window here
             // keeps every miss/reprogram/writeback in its own window.
             Event::SetTouch { set, hit } => self.record_access(set, hit),
-            Event::JobFailure { .. } => {}
         }
     }
 }

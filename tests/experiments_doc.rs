@@ -1,6 +1,6 @@
 //! EXPERIMENTS.md against `results/all.txt`: every headline number the
-//! write-up quotes for Figures 4, 5 and 12 and Tables 5 and 6 must be
-//! the cell the pinned full-length run printed.
+//! write-up quotes for Figures 3, 4, 5, 8, 9 and 12 and Tables 5 and 6
+//! must be the cell the pinned full-length run printed.
 //!
 //! Each row of [`QUOTES`] is a quote from EXPERIMENTS.md with `{}`
 //! holes and the `results/all.txt` cells that fill them, named by
@@ -9,6 +9,8 @@
 //! doc edit that drifts from the output, or a re-blessed output the doc
 //! was not updated for, fails with the section and cells named.
 
+use std::ops::Range;
+
 /// A cell of `results/all.txt`: the section's title prefix, the row
 /// label and the column header.
 type Cell = (&'static str, &'static str, &'static str);
@@ -16,6 +18,9 @@ type Cell = (&'static str, &'static str, &'static str);
 const FIG4_CINT: &str = "Figure 4 (bottom)";
 const FIG4_CFP: &str = "Figure 4 (top)";
 const FIG5: &str = "Figure 5:";
+const FIG3: &str = "Figure 3:";
+const FIG8: &str = "Figure 8:";
+const FIG9: &str = "Figure 9:";
 const TAB5: &str = "Table 5:";
 const TAB6: &str = "Table 6:";
 const FIG12_D32: &str = "Figure 12: D$ miss-rate reductions, 32 kB";
@@ -70,6 +75,52 @@ const QUOTES: &[(&str, &[Cell])] = &[
             (FIG5, "Ave", "MF8-BAS8"),
         ],
     ),
+    // Figure 3: the wupwise plateau, the MF32→MF64 collapse, the floor.
+    (
+        "| 2–32 | miss ~3–4%, PD hit ~80–90%, flat | {n}→{} miss, {n}→{} PD hit, flat |",
+        &[
+            (FIG3, "MF2", "miss_rate"),
+            (FIG3, "MF32", "miss_rate"),
+            (FIG3, "MF2", "PD_hit_rate"),
+            (FIG3, "MF32", "PD_hit_rate"),
+        ],
+    ),
+    (
+        "| 32→64 | sharp simultaneous collapse | {n}→{} miss, {n}→{} PD hit |",
+        &[
+            (FIG3, "MF32", "miss_rate"),
+            (FIG3, "MF64", "miss_rate"),
+            (FIG3, "MF32", "PD_hit_rate"),
+            (FIG3, "MF64", "PD_hit_rate"),
+        ],
+    ),
+    (
+        "| 64–512 | flat at the floor | flat at {} / {} |",
+        &[(FIG3, "MF64", "miss_rate"), (FIG3, "MF64", "PD_hit_rate")],
+    ),
+    // Figure 8: the `Ave` IPC improvements.
+    (
+        "| 8-way | ~6.2% (B-Cache + 0.3%) | {} |",
+        &[(FIG8, "Ave", "8way")],
+    ),
+    (
+        "| B-Cache | 5.9% (max equake 27.1%) | {} (max equake ",
+        &[(FIG8, "Ave", "MF8-BAS8")],
+    ),
+    (
+        "| victim16 | B-Cache +3.7% | {} (B-Cache ",
+        &[(FIG8, "Ave", "victim16")],
+    ),
+    // Figure 9: the `Ave` normalized energies.
+    (
+        "| B-Cache | 0.98 (best; crafty best-case 0.86) | {} (best of all configs) |",
+        &[(FIG9, "Ave", "MF8-BAS8")],
+    ),
+    (
+        "| 8-way | >1 on several benchmarks | {} (worst ",
+        &[(FIG9, "Ave", "8way")],
+    ),
+    ("| victim16 | between | {} |", &[(FIG9, "Ave", "victim16")]),
     // Tables 5 and 6: the MF x BAS grid.
     (
         "| reduction BAS=4 | {} | {} | {} | {} |",
@@ -141,17 +192,21 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
 ];
 
-/// Looks up one cell of `all`. A section starts at the line beginning
-/// with its title prefix and its column header is the next line; the
-/// row is the first later line whose text starts with the label, and
-/// the cell is the row's token ending where the header's column name
-/// ends (the report right-aligns every column under its name).
-fn cell(all: &str, (section, row, column): Cell) -> Result<String, String> {
-    let mut lines = all.lines().skip_while(|l| !l.starts_with(section));
+/// Finds one cell of `all`: its line number and byte range in that
+/// line. A section starts at the line beginning with its title prefix
+/// and its column header is the next line; the row is the first later
+/// line whose text starts with the label, and the cell is the row's
+/// token ending where the header's column name ends (the report
+/// right-aligns every column under its name).
+fn locate(all: &str, (section, row, column): Cell) -> Result<(usize, Range<usize>), String> {
+    let mut lines = all
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| !l.starts_with(section));
     lines
         .next()
         .ok_or_else(|| format!("no section titled `{section}`"))?;
-    let header = lines
+    let (_, header) = lines
         .next()
         .ok_or_else(|| format!("`{section}` has no header line"))?;
     let end = header
@@ -159,18 +214,24 @@ fn cell(all: &str, (section, row, column): Cell) -> Result<String, String> {
         .map(|(i, _)| i + column.len())
         .find(|&e| header[e..].starts_with(' ') || e == header.len())
         .ok_or_else(|| format!("`{section}` has no column `{column}`"))?;
-    let line = lines
-        .find(|l| l.trim_start().starts_with(row))
+    let (n, line) = lines
+        .find(|(_, l)| l.trim_start().starts_with(row))
         .ok_or_else(|| format!("`{section}` has no row `{row}`"))?;
     let start = line[..end.min(line.len())].rfind(' ').map_or(0, |i| i + 1);
     match line.get(start..end) {
         Some(text) if !text.is_empty() && line[end..].chars().next().is_none_or(|c| c == ' ') => {
-            Ok(text.to_string())
+            Ok((n, start..end))
         }
         _ => Err(format!(
             "`{section}` row `{row}` has no cell under `{column}`"
         )),
     }
+}
+
+/// The text of one cell of `all` (see [`locate`]).
+fn cell(all: &str, c: Cell) -> Result<String, String> {
+    let (n, range) = locate(all, c)?;
+    Ok(all.lines().nth(n).expect("located line")[range].to_string())
 }
 
 /// Fills a quote's holes from `all`, in order.
@@ -248,6 +309,37 @@ fn a_drifted_doc_cell_is_named() {
         "{}",
         errors[0]
     );
+}
+
+#[test]
+fn every_quoted_cell_is_pinned() {
+    let doc = read("EXPERIMENTS.md");
+    let all = read("results/all.txt");
+    for &(quote, cells) in QUOTES {
+        for &c in cells {
+            // Overwrite the cell in place, as a hand edit would.
+            let (n, range) = locate(&all, c).unwrap();
+            let edited: Vec<String> = all
+                .lines()
+                .enumerate()
+                .map(|(i, l)| {
+                    let mut l = l.to_string();
+                    if i == n {
+                        l.replace_range(range.clone(), &"#".repeat(range.len()));
+                    }
+                    l
+                })
+                .collect();
+            let errors = drifted(&doc, &edited.join("\n"));
+            assert!(
+                !errors.is_empty(),
+                "editing {} / {} / {} leaves `{quote}` passing",
+                c.0,
+                c.1,
+                c.2
+            );
+        }
+    }
 }
 
 #[test]
