@@ -8,8 +8,6 @@
 //! two extra cycles (the paper: "the AGAC needs three cycles to access
 //! those relocated cache lines", versus one cycle for every B-Cache hit).
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
@@ -19,7 +17,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 ///
 /// Both access paths run through one shared, always-inlined step, so
 /// per-access and [`CacheModel::access_batch`] are bit-identical —
-/// statistics, directory state, and [`Observer`] events alike.
+/// statistics and directory state alike.
 ///
 /// # Examples
 ///
@@ -32,7 +30,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct AgacCache<O: Observer = NullObserver> {
+pub struct AgacCache {
     geom: CacheGeometry,
     // Per frame: resident block id (addr >> offset), validity, dirtiness,
     // and a reference bit that decays periodically. The reference bits
@@ -59,7 +57,6 @@ pub struct AgacCache<O: Observer = NullObserver> {
     stats: CacheStats,
     usage: SetUsage,
     relocated_hits: u64,
-    observer: O,
 }
 
 impl AgacCache {
@@ -73,23 +70,6 @@ impl AgacCache {
         size_bytes: usize,
         line_bytes: usize,
         out_entries: usize,
-    ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, out_entries, NullObserver)
-    }
-}
-
-impl<O: Observer> AgacCache<O> {
-    /// Like [`AgacCache::new`], with an observer wired into both access
-    /// paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        out_entries: usize,
-        observer: O,
     ) -> Result<Self, GeometryError> {
         let geom = CacheGeometry::new(size_bytes, line_bytes, 1)?;
         let frames = geom.sets();
@@ -118,18 +98,7 @@ impl<O: Observer> AgacCache<O> {
             stats: CacheStats::new(),
             usage: SetUsage::new(frames),
             relocated_hits: 0,
-            observer,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     fn block_id(&self, addr: Addr) -> u64 {
@@ -228,9 +197,6 @@ impl<O: Observer> AgacCache<O> {
             dirty: self.dirty[frame],
         };
         tally.record_writeback_if(ev.dirty);
-        if O::ENABLED && ev.dirty {
-            self.observer.event(Event::Writeback { set: frame as u64 });
-        }
         self.valid[frame] = false;
         Some(ev)
     }
@@ -256,7 +222,7 @@ impl<O: Observer> AgacCache<O> {
     }
 
     /// One access. Shared verbatim by both paths, so their statistics,
-    /// directory state and event sequences agree by construction.
+    /// directory state and contents agree by construction.
     #[inline(always)]
     fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
         self.decay_tick();
@@ -267,12 +233,6 @@ impl<O: Observer> AgacCache<O> {
         if self.valid[home] && self.blocks[home] == id {
             tally.record(kind, true);
             self.usage.record(home, true);
-            if O::ENABLED {
-                self.observer.event(Event::SetTouch {
-                    set: home as u64,
-                    hit: true,
-                });
-            }
             self.set_referenced(home);
             if kind.is_write() {
                 self.dirty[home] = true;
@@ -291,12 +251,6 @@ impl<O: Observer> AgacCache<O> {
                 let (_, frame) = self.out_dir[pos];
                 tally.record(kind, true);
                 self.usage.record(frame, true);
-                if O::ENABLED {
-                    self.observer.event(Event::SetTouch {
-                        set: frame as u64,
-                        hit: true,
-                    });
-                }
                 self.relocated_hits += 1;
                 self.set_referenced(frame);
                 if kind.is_write() {
@@ -310,15 +264,6 @@ impl<O: Observer> AgacCache<O> {
         // resident is relocated into a hole instead of dying.
         tally.record(kind, false);
         self.usage.record(home, false);
-        if O::ENABLED {
-            self.observer.event(Event::Miss {
-                kind: MissKind::Tag,
-            });
-            self.observer.event(Event::SetTouch {
-                set: home as u64,
-                hit: false,
-            });
-        }
         let mut evicted = None;
         if self.valid[home] {
             if self.is_referenced(home) {
@@ -352,7 +297,7 @@ impl<O: Observer> AgacCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for AgacCache<O> {
+impl CacheModel for AgacCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let mut tally = BatchTally::new();
         let result = self.step(&mut tally, addr, kind);
@@ -363,7 +308,7 @@ impl<O: Observer> CacheModel for AgacCache<O> {
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         // Shared-step replay with register-tallied stats: `access` runs
         // the same `step`, so the batch equals the `access` loop by
-        // construction, events included.
+        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);
@@ -553,21 +498,5 @@ mod tests {
         assert_eq!(looped.out_next, batched.out_next, "FIFO cursors");
         assert_eq!(looped.hole_scan, batched.hole_scan, "hole scan cursors");
         assert_eq!(looped.relocated_hits, batched.relocated_hits);
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 29);
-        let mut looped = AgacCache::with_observer(1024, 32, 8, EventRing::new(64 * 1024)).unwrap();
-        let mut batched = AgacCache::with_observer(1024, 32, 8, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 }

@@ -8,8 +8,6 @@
 //! cost an extra cycle and swap the two blocks so the MRU block sits in
 //! its primary slot.
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
@@ -20,9 +18,8 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// Both access paths — per-access and [`CacheModel::access_batch`] — run
 /// through one shared, always-inlined step covering the primary probe,
 /// the rehash probe, and the swap/displace bookkeeping, so they are
-/// bit-identical: statistics, rehash counters, and [`Observer`] events
-/// alike. The batched path hoists the geometry split and tallies stats
-/// in registers.
+/// bit-identical: statistics and rehash counters alike. The batched
+/// path hoists the geometry split and tallies stats in registers.
 ///
 /// # Examples
 ///
@@ -36,7 +33,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct ColumnAssociativeCache<O: Observer = NullObserver> {
+pub struct ColumnAssociativeCache {
     geom: CacheGeometry,
     // Full block-identifying tags: tag | index, so a block can sit in
     // either of its two slots without ambiguity.
@@ -47,7 +44,6 @@ pub struct ColumnAssociativeCache<O: Observer = NullObserver> {
     stats: CacheStats,
     usage: SetUsage,
     rehash_hits: u64,
-    observer: O,
 }
 
 impl ColumnAssociativeCache {
@@ -60,22 +56,6 @@ impl ColumnAssociativeCache {
     /// with a single set (the rehash function needs at least one index
     /// bit).
     pub fn new(size_bytes: usize, line_bytes: usize) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, NullObserver)
-    }
-}
-
-impl<O: Observer> ColumnAssociativeCache<O> {
-    /// Like [`ColumnAssociativeCache::new`], with an observer wired into
-    /// both access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
         let geom = CacheGeometry::new(size_bytes, line_bytes, 1)?;
         if geom.index_bits() == 0 {
             return Err(GeometryError::AssocLargerThanLines { assoc: 1, lines: 1 });
@@ -90,18 +70,7 @@ impl<O: Observer> ColumnAssociativeCache<O> {
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
             rehash_hits: 0,
-            observer,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// The block identifier stored per line: tag and index bits together.
@@ -137,9 +106,6 @@ impl<O: Observer> ColumnAssociativeCache<O> {
             dirty: self.dirty[slot],
         };
         tally.record_writeback_if(ev.dirty);
-        if O::ENABLED && ev.dirty {
-            self.observer.event(Event::Writeback { set: slot as u64 });
-        }
         self.valid[slot] = false;
         Some(ev)
     }
@@ -152,7 +118,7 @@ impl<O: Observer> ColumnAssociativeCache<O> {
     }
 
     /// One access. Shared verbatim by both paths, so their statistics,
-    /// usage counters and event sequences agree by construction.
+    /// usage counters and contents agree by construction.
     #[inline(always)]
     fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
         let id = self.block_id(addr);
@@ -163,12 +129,6 @@ impl<O: Observer> ColumnAssociativeCache<O> {
         if self.valid[i1] && self.blocks[i1] == id {
             tally.record(kind, true);
             self.usage.record(i1, true);
-            if O::ENABLED {
-                self.observer.event(Event::SetTouch {
-                    set: i1 as u64,
-                    hit: true,
-                });
-            }
             if kind.is_write() {
                 self.dirty[i1] = true;
             }
@@ -181,15 +141,6 @@ impl<O: Observer> ColumnAssociativeCache<O> {
         if self.valid[i1] && self.rehash[i1] {
             tally.record(kind, false);
             self.usage.record(i1, false);
-            if O::ENABLED {
-                self.observer.event(Event::Miss {
-                    kind: MissKind::Tag,
-                });
-                self.observer.event(Event::SetTouch {
-                    set: i1 as u64,
-                    hit: false,
-                });
-            }
             let ev = self.evict(tally, i1);
             self.fill(i1, id, kind.is_write(), false);
             return AccessResult::miss(ev);
@@ -199,12 +150,6 @@ impl<O: Observer> ColumnAssociativeCache<O> {
         if self.valid[i2] && self.blocks[i2] == id {
             tally.record(kind, true);
             self.usage.record(i2, true);
-            if O::ENABLED {
-                self.observer.event(Event::SetTouch {
-                    set: i2 as u64,
-                    hit: true,
-                });
-            }
             self.rehash_hits += 1;
             // Swap so the MRU block sits in its primary slot.
             self.blocks.swap(i1, i2);
@@ -222,15 +167,6 @@ impl<O: Observer> ColumnAssociativeCache<O> {
         // (evicting its occupant), and the new block takes the primary.
         tally.record(kind, false);
         self.usage.record(i1, false);
-        if O::ENABLED {
-            self.observer.event(Event::Miss {
-                kind: MissKind::Tag,
-            });
-            self.observer.event(Event::SetTouch {
-                set: i1 as u64,
-                hit: false,
-            });
-        }
         let ev = self.evict(tally, i2);
         if self.valid[i1] {
             let moved_id = self.blocks[i1];
@@ -242,7 +178,7 @@ impl<O: Observer> ColumnAssociativeCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for ColumnAssociativeCache<O> {
+impl CacheModel for ColumnAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let mut tally = BatchTally::new();
         let result = self.step(&mut tally, addr, kind);
@@ -253,7 +189,7 @@ impl<O: Observer> CacheModel for ColumnAssociativeCache<O> {
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         // Shared-step replay with register-tallied stats: `access` runs
         // the same `step`, so the batch equals the `access` loop by
-        // construction, events included.
+        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);
@@ -429,23 +365,5 @@ mod tests {
         assert_eq!(looped.dirty, batched.dirty, "dirty bits");
         assert_eq!(looped.rehash, batched.rehash, "rehash bits");
         assert_eq!(looped.rehash_hits, batched.rehash_hits, "rehash hits");
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 41);
-        let mut looped =
-            ColumnAssociativeCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            ColumnAssociativeCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 }

@@ -10,8 +10,6 @@
 //! access path is still slower than the B-Cache's and a 2-way miss rate
 //! is the ceiling.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -29,7 +27,7 @@ use crate::stats::{CacheStats, SetUsage};
 ///
 /// Both access paths run one step — the decoder bookkeeping around the
 /// shared set-associative step — so the batched path is bit-identical
-/// to the per-access one, [`Observer`] events included.
+/// to the per-access one.
 ///
 /// # Examples
 ///
@@ -42,8 +40,8 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct DifferenceBitCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct DifferenceBitCache {
+    inner: SetAssociativeCache,
     // The difference-bit position per set (valid when both ways full),
     // derived from the two tags the inner array's packed words hold.
     diff_bit: Vec<Option<u32>>,
@@ -56,45 +54,12 @@ impl DifferenceBitCache {
     ///
     /// Returns a [`GeometryError`] for invalid shapes.
     pub fn new(size_bytes: usize, line_bytes: usize) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, NullObserver)
-    }
-}
-
-impl<O: Observer> DifferenceBitCache<O> {
-    /// Like [`DifferenceBitCache::new`], with an observer wired into
-    /// both access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            2,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, 2, PolicyKind::Lru, 0)?;
         let sets = inner.geometry().sets();
         Ok(DifferenceBitCache {
             inner,
             diff_bit: vec![None; sets],
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// How many fills recomputed a set's difference bit: every miss
@@ -141,11 +106,10 @@ fn routed_way(bit: u32, way0: u64, tag: u64) -> usize {
 /// One difference-bit access: the decoder's invariant check, the shared
 /// set-associative step, and on a fill the set's difference bit
 /// recomputed from its new pair of tags. Shared by both access paths,
-/// so they agree by construction — statistics, decoder state and
-/// [`Observer`] events.
+/// so they agree by construction — statistics and decoder state.
 #[inline(always)]
-fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
-    parts: &mut Parts<'_, O>,
+fn step<P: ReplacementPolicy + ?Sized>(
+    parts: &mut Parts<'_>,
     policy: &mut P,
     diff_bit: &mut [Option<u32>],
     addr: Addr,
@@ -169,7 +133,7 @@ fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
     out
 }
 
-impl<O: Observer> CacheModel for DifferenceBitCache<O> {
+impl CacheModel for DifferenceBitCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.inner.geometry();
         let (mut parts, policy) = self.inner.parts();
@@ -332,24 +296,6 @@ mod tests {
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
         assert_eq!(looped.diff_bit, batched.diff_bit, "difference bits");
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 17);
-        let mut looped =
-            DifferenceBitCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            DifferenceBitCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

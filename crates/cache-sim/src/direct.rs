@@ -1,7 +1,5 @@
 //! The conventional direct-mapped cache — the paper's baseline.
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -28,13 +26,12 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct DirectMappedCache<O: Observer = NullObserver> {
+pub struct DirectMappedCache {
     geom: CacheGeometry,
     /// One [`packed`] `tag|dirty|valid` word per set.
     lines: Vec<u64>,
     stats: CacheStats,
     usage: SetUsage,
-    observer: O,
 }
 
 impl DirectMappedCache {
@@ -55,35 +52,6 @@ impl DirectMappedCache {
     /// Returns [`GeometryError::AssocLargerThanLines`] if the geometry is
     /// not direct-mapped.
     pub fn from_geometry(geom: CacheGeometry) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(geom, NullObserver)
-    }
-}
-
-impl<O: Observer> DirectMappedCache<O> {
-    /// Creates a direct-mapped cache that emits [`Event`]s to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(CacheGeometry::new(size_bytes, line_bytes, 1)?, observer)
-    }
-
-    /// Creates a direct-mapped cache from an explicit geometry, emitting
-    /// events to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::AssocLargerThanLines`] if the geometry is
-    /// not direct-mapped.
-    pub fn from_geometry_with_observer(
-        geom: CacheGeometry,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
         if geom.assoc() != 1 {
             return Err(GeometryError::AssocLargerThanLines {
                 assoc: geom.assoc(),
@@ -100,18 +68,7 @@ impl<O: Observer> DirectMappedCache<O> {
             lines: vec![packed::EMPTY; sets],
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
-            observer,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// Returns `true` if the block containing `addr` is resident, without
@@ -125,14 +82,12 @@ impl<O: Observer> DirectMappedCache<O> {
 /// One access against the destructured line array, on an address already
 /// split into `(set, tag)`. Shared by [`DirectMappedCache::access`] and
 /// the batched kernel (which decodes a lane group ahead), so the two
-/// paths agree by construction — statistics, contents and [`Observer`]
-/// events alike.
+/// paths agree by construction — statistics and contents alike.
 #[inline(always)]
-fn step<O: Observer>(
+fn step(
     lines: &mut [u64],
     usage: &mut SetUsage,
     tally: &mut BatchTally,
-    observer: &mut O,
     set: usize,
     tag: u64,
     kind: AccessKind,
@@ -142,12 +97,6 @@ fn step<O: Observer>(
     tally.record(kind, hit);
     usage.record(set, hit);
     if hit {
-        if O::ENABLED {
-            observer.event(Event::SetTouch {
-                set: set as u64,
-                hit,
-            });
-        }
         if kind.is_write() {
             lines[set] = packed::set_dirty(word);
         }
@@ -160,18 +109,6 @@ fn step<O: Observer>(
     // Miss: evict the resident block (if any) and fill.
     let dirty = packed::is_dirty(word);
     tally.record_writeback_if(dirty);
-    if O::ENABLED {
-        observer.event(Event::Miss {
-            kind: MissKind::Tag,
-        });
-        if dirty {
-            observer.event(Event::Writeback { set: set as u64 });
-        }
-        observer.event(Event::SetTouch {
-            set: set as u64,
-            hit,
-        });
-    }
     lines[set] = packed::fill(tag, kind.is_write());
     StepOutcome {
         hit,
@@ -180,14 +117,13 @@ fn step<O: Observer>(
     }
 }
 
-impl<O: Observer> CacheModel for DirectMappedCache<O> {
+impl CacheModel for DirectMappedCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let mut tally = BatchTally::new();
         let out = step(
             &mut self.lines,
             &mut self.usage,
             &mut tally,
-            &mut self.observer,
             self.geom.set_index(addr),
             self.geom.tag(addr),
             kind,
@@ -206,7 +142,6 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
         let split = self.geom.split();
         let lines = &mut self.lines[..];
         let usage = &mut self.usage;
-        let observer = &mut self.observer;
         let mut tally = BatchTally::new();
         let mut raw = [0u64; simd::LANES];
         let mut sets = [0u64; simd::LANES];
@@ -224,15 +159,7 @@ impl<O: Observer> CacheModel for DirectMappedCache<O> {
             );
             simd::shr_and(&raw[..n], split.tag_shift, split.tag_mask, &mut tags[..n]);
             for (i, &(_, kind)) in group.iter().enumerate() {
-                step(
-                    lines,
-                    usage,
-                    &mut tally,
-                    observer,
-                    sets[i] as usize,
-                    tags[i],
-                    kind,
-                );
+                step(lines, usage, &mut tally, sets[i] as usize, tags[i], kind);
             }
         }
         tally.flush(&mut self.stats);
@@ -398,57 +325,6 @@ mod tests {
         assert_eq!(looped.stats(), batched.stats());
         assert_eq!(looped.usage, batched.usage);
         assert_eq!(looped.lines, batched.lines, "contents must match too");
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let mut looped =
-            DirectMappedCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            DirectMappedCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut x = 0x0F1E_2D3Cu64;
-        let accesses: Vec<(Addr, AccessKind)> = (0..3_000)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                (Addr::new(((x >> 16) % 128) * 32), kind)
-            })
-            .collect();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        assert_eq!(looped.stats(), batched.stats());
-        let a: Vec<_> = looped.observer().iter().collect();
-        let b: Vec<_> = batched.observer().iter().collect();
-        assert_eq!(a, b, "event sequences must be identical");
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn observer_event_counts_agree_with_stats() {
-        use telemetry::EventCounts;
-        let mut c = DirectMappedCache::with_observer(256, 32, EventCounts::new()).unwrap();
-        let mut x = 0x5A5A_A5A5u64;
-        for _ in 0..2_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            c.access(Addr::new(((x >> 16) % 64) * 32), AccessKind::Read);
-        }
-        let counts = *c.observer();
-        assert_eq!(counts.total_misses(), c.stats().total().misses());
-        assert_eq!(counts.tag_misses, c.stats().total().misses());
-        assert_eq!(counts.set_hits, c.stats().total().hits());
-        assert_eq!(counts.set_misses, c.stats().total().misses());
-        assert_eq!(counts.pd_reprograms, 0, "no PD in a conventional cache");
     }
 
     /// Differential hook: the fuzzer's reference model (`crate::oracle`)

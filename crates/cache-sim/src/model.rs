@@ -114,7 +114,8 @@ pub trait CacheModel {
     /// the one inlined step function their `access` also calls, with
     /// statistics tallied in registers and flushed once per batch, so
     /// the two paths agree by construction — statistics, set usage,
-    /// replacement state, contents and observer events. An override
+    /// replacement state and contents (and, for the B-Cache, its typed
+    /// events). An override
     /// must keep that shape; `harness`'s batch-equivalence suite
     /// checks the result against the loop and the oracles.
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {

@@ -9,8 +9,6 @@
 //! — a second cycle is needed. The B-Cache's counterargument: every
 //! B-Cache hit is one cycle, with a miss rate a 2-way cache cannot reach.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -28,7 +26,7 @@ use crate::stats::{CacheStats, SetUsage};
 ///
 /// Both access paths run one step — the PAD prediction, then the shared
 /// set-associative step — so the batched path is bit-identical to the
-/// per-access one, [`Observer`] events included.
+/// per-access one.
 ///
 /// # Examples
 ///
@@ -41,10 +39,10 @@ use crate::stats::{CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct PartialMatchCache<O: Observer = NullObserver> {
+pub struct PartialMatchCache {
     // The PAD is the low `pad_bits` of the tags the inner array's
     // packed words already hold.
-    inner: SetAssociativeCache<O>,
+    inner: SetAssociativeCache,
     pad_bits: u32,
     second_cycle_hits: u64,
 }
@@ -57,46 +55,12 @@ impl PartialMatchCache {
     ///
     /// Returns a [`GeometryError`] for invalid shapes.
     pub fn new(size_bytes: usize, line_bytes: usize, pad_bits: u32) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, pad_bits, NullObserver)
-    }
-}
-
-impl<O: Observer> PartialMatchCache<O> {
-    /// Like [`PartialMatchCache::new`], with an observer wired into both
-    /// access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        pad_bits: u32,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            2,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, 2, PolicyKind::Lru, 0)?;
         Ok(PartialMatchCache {
             inner,
             pad_bits,
             second_cycle_hits: 0,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     fn pad_mask(&self) -> u64 {
@@ -124,11 +88,10 @@ impl<O: Observer> PartialMatchCache<O> {
 /// set-associative step. Returns the step's outcome and whether a hit
 /// needed the corrective second cycle (the predicted way was a
 /// partial-tag alias, not the block's way). Shared by both access paths,
-/// so they agree by construction — statistics, prediction counters and
-/// [`Observer`] events.
+/// so they agree by construction — statistics and prediction counters.
 #[inline(always)]
-fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
-    parts: &mut Parts<'_, O>,
+fn step<P: ReplacementPolicy + ?Sized>(
+    parts: &mut Parts<'_>,
     policy: &mut P,
     pad_mask: u64,
     addr: Addr,
@@ -145,7 +108,7 @@ fn step<P: ReplacementPolicy + ?Sized, O: Observer>(
     (out, second_cycle)
 }
 
-impl<O: Observer> CacheModel for PartialMatchCache<O> {
+impl CacheModel for PartialMatchCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.inner.geometry();
         let pad_mask = self.pad_mask();
@@ -321,24 +284,6 @@ mod tests {
             looped.second_cycle_hits, batched.second_cycle_hits,
             "second-cycle hit counters"
         );
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 23);
-        let mut looped =
-            PartialMatchCache::with_observer(1024, 32, 3, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            PartialMatchCache::with_observer(1024, 32, 3, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

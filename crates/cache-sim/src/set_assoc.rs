@@ -1,7 +1,5 @@
 //! Conventional set-associative caches (2-way … fully associative).
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::cam;
 use crate::geometry::TagIndexSplit;
@@ -19,7 +17,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 ///
 /// Both access paths run through one shared step function, so
 /// per-access and batched replay are bit-identical — statistics,
-/// replacement state, and [`Observer`] events alike. The wrapper models
+/// and replacement state alike. The wrapper models
 /// (way-halting, PAM, difference-bit) wrap their own bookkeeping around
 /// the same step over this cache's destructured state.
 ///
@@ -34,7 +32,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct SetAssociativeCache<O: Observer = NullObserver> {
+pub struct SetAssociativeCache {
     geom: CacheGeometry,
     // One packed tag|dirty|valid word per line, way-major within each
     // set: slot = set * assoc + way.
@@ -42,7 +40,6 @@ pub struct SetAssociativeCache<O: Observer = NullObserver> {
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
     usage: SetUsage,
-    observer: O,
 }
 
 impl SetAssociativeCache {
@@ -62,7 +59,11 @@ impl SetAssociativeCache {
         policy: PolicyKind,
         seed: u64,
     ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, assoc, policy, seed, NullObserver)
+        Self::from_geometry(
+            CacheGeometry::new(size_bytes, line_bytes, assoc)?,
+            policy,
+            seed,
+        )
     }
 
     /// Creates a cache from an explicit geometry.
@@ -76,7 +77,19 @@ impl SetAssociativeCache {
         policy: PolicyKind,
         seed: u64,
     ) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(geom, policy, seed, NullObserver)
+        assert!(
+            geom.tag_bits() <= packed::MAX_TAG_BITS,
+            "tag field of {geom} does not fit a packed line word"
+        );
+        let sets = geom.sets();
+        let ways = geom.assoc();
+        Ok(SetAssociativeCache {
+            geom,
+            lines: vec![packed::EMPTY; sets * ways],
+            policy: make_policy(policy, sets, ways, seed),
+            stats: CacheStats::new(),
+            usage: SetUsage::new(sets),
+        })
     }
 
     /// Creates a fully-associative cache with `lines` blocks.
@@ -91,69 +104,6 @@ impl SetAssociativeCache {
         seed: u64,
     ) -> Result<Self, GeometryError> {
         Self::new(lines * line_bytes, line_bytes, lines, policy, seed)
-    }
-}
-
-impl<O: Observer> SetAssociativeCache<O> {
-    /// Like [`SetAssociativeCache::new`], but wiring `observer` into
-    /// both access paths. With the default [`NullObserver`] every
-    /// emission site compiles out.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        assoc: usize,
-        policy: PolicyKind,
-        seed: u64,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        Self::from_geometry_with_observer(
-            CacheGeometry::new(size_bytes, line_bytes, assoc)?,
-            policy,
-            seed,
-            observer,
-        )
-    }
-
-    /// Like [`SetAssociativeCache::from_geometry`], with an observer.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a valid geometry; the `Result` mirrors
-    /// [`SetAssociativeCache::new`].
-    pub fn from_geometry_with_observer(
-        geom: CacheGeometry,
-        policy: PolicyKind,
-        seed: u64,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        assert!(
-            geom.tag_bits() <= packed::MAX_TAG_BITS,
-            "tag field of {geom} does not fit a packed line word"
-        );
-        let sets = geom.sets();
-        let ways = geom.assoc();
-        Ok(SetAssociativeCache {
-            geom,
-            lines: vec![packed::EMPTY; sets * ways],
-            policy: make_policy(policy, sets, ways, seed),
-            stats: CacheStats::new(),
-            usage: SetUsage::new(sets),
-            observer,
-        })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     fn slot(&self, set: usize, way: usize) -> usize {
@@ -246,16 +196,15 @@ impl<O: Observer> SetAssociativeCache<O> {
     }
 
     /// Destructures the cache for the shared step: [`Parts`] borrows
-    /// the line array, counters and observer disjointly, so wrapper
+    /// the line array and counters disjointly, so wrapper
     /// models keep their own state mutable alongside, and the policy
     /// comes back on its own so callers can devirtualize it.
-    pub(crate) fn parts(&mut self) -> (Parts<'_, O>, &mut dyn ReplacementPolicy) {
+    pub(crate) fn parts(&mut self) -> (Parts<'_>, &mut dyn ReplacementPolicy) {
         let parts = Parts {
             split: self.geom.split(),
             assoc: self.geom.assoc(),
             lines: &mut self.lines,
             usage: &mut self.usage,
-            observer: &mut self.observer,
             stats: &mut self.stats,
             tally: BatchTally::new(),
         };
@@ -290,17 +239,16 @@ impl StepOutcome {
 /// A set-associative array destructured by
 /// [`SetAssociativeCache::parts`], with the register tally its steps
 /// land their counts in until [`finish`](Self::finish).
-pub(crate) struct Parts<'a, O> {
+pub(crate) struct Parts<'a> {
     pub(crate) split: TagIndexSplit,
     pub(crate) assoc: usize,
     pub(crate) lines: &'a mut [u64],
     usage: &'a mut SetUsage,
-    observer: &'a mut O,
     stats: &'a mut CacheStats,
     tally: BatchTally,
 }
 
-impl<O: Observer> Parts<'_, O> {
+impl Parts<'_> {
     /// The packed line words of `set`, in way order.
     #[inline(always)]
     pub(crate) fn set_words(&self, set: usize) -> &[u64] {
@@ -309,8 +257,7 @@ impl<O: Observer> Parts<'_, O> {
 
     /// One access. Shared by the per-access path, the batched kernel,
     /// and the wrapper models' steps, so every path is bit-identical by
-    /// construction — statistics, replacement state, and [`Observer`]
-    /// events alike.
+    /// construction — statistics and replacement state alike.
     ///
     /// Generic over the replacement policy so callers can pass either a
     /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
@@ -336,12 +283,6 @@ impl<O: Observer> Parts<'_, O> {
         if let Some(way) = cam::find_match::<A>(ways, tag) {
             self.tally.record(kind, true);
             self.usage.record(set, true);
-            if O::ENABLED {
-                self.observer.event(Event::SetTouch {
-                    set: set as u64,
-                    hit: true,
-                });
-            }
             policy.on_access(set, way);
             if kind.is_write() {
                 ways[way] = packed::set_dirty(ways[way]);
@@ -354,11 +295,6 @@ impl<O: Observer> Parts<'_, O> {
         }
         self.tally.record(kind, false);
         self.usage.record(set, false);
-        if O::ENABLED {
-            self.observer.event(Event::Miss {
-                kind: MissKind::Tag,
-            });
-        }
         let (way, evicted) = match cam::find_invalid::<A>(ways) {
             Some(w) => (w, None),
             None => {
@@ -367,18 +303,9 @@ impl<O: Observer> Parts<'_, O> {
                 let word = ways[w];
                 let dirty = packed::is_dirty(word);
                 self.tally.record_writeback_if(dirty);
-                if O::ENABLED && dirty {
-                    self.observer.event(Event::Writeback { set: set as u64 });
-                }
                 (w, Some((packed::tag(word), dirty)))
             }
         };
-        if O::ENABLED {
-            self.observer.event(Event::SetTouch {
-                set: set as u64,
-                hit: false,
-            });
-        }
         ways[way] = packed::fill(tag, kind.is_write());
         policy.on_fill(set, way);
         StepOutcome {
@@ -421,7 +348,7 @@ impl<O: Observer> Parts<'_, O> {
     }
 }
 
-impl<O: Observer> CacheModel for SetAssociativeCache<O> {
+impl CacheModel for SetAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.geom;
         let (mut parts, policy) = self.parts();
@@ -434,7 +361,7 @@ impl<O: Observer> CacheModel for SetAssociativeCache<O> {
         // LRU — the paper's default — runs the kernel with its stamp
         // updates inlined; other policies take the same kernel through
         // dynamic dispatch. Both paths call `step_one`, so the batch
-        // equals the `access` loop by construction, events included.
+        // equals the `access` loop by construction.
         let (mut parts, policy) = self.parts();
         if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
             parts.replay(lru, accesses);
@@ -634,38 +561,6 @@ mod tests {
             assert_eq!(looped.usage, batched.usage, "{policy:?}");
             assert_eq!(looped.lines, batched.lines, "{policy:?} contents");
         }
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 31);
-        let mut looped = SetAssociativeCache::with_observer(
-            2048,
-            32,
-            4,
-            PolicyKind::Lru,
-            0,
-            EventRing::new(64 * 1024),
-        )
-        .unwrap();
-        let mut batched = SetAssociativeCache::with_observer(
-            2048,
-            32,
-            4,
-            PolicyKind::Lru,
-            0,
-            EventRing::new(64 * 1024),
-        )
-        .unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: every replacement policy must track the

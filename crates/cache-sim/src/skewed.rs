@@ -6,8 +6,6 @@
 //! way are usually not conflicts in the other, which gives a 2-way skewed
 //! cache the miss rate of roughly a conventional 4-way cache.
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
@@ -26,8 +24,8 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// valid bits. A line's block address is recoverable from its way, set
 /// and tag because the skewing functions are XOR-invertible. Both access
 /// paths run through one shared, always-inlined step, so per-access and
-/// [`CacheModel::access_batch`] are bit-identical — statistics,
-/// timestamps, and [`Observer`] events alike.
+/// [`CacheModel::access_batch`] are bit-identical — statistics and
+/// timestamps alike.
 ///
 /// # Examples
 ///
@@ -40,7 +38,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct SkewedAssociativeCache<O: Observer = NullObserver> {
+pub struct SkewedAssociativeCache {
     geom: CacheGeometry,
     sets_per_way: usize,
     // Packed `tag | dirty | valid` words and access stamps, per way.
@@ -49,7 +47,6 @@ pub struct SkewedAssociativeCache<O: Observer = NullObserver> {
     clock: u64,
     stats: CacheStats,
     usage: SetUsage,
-    observer: O,
 }
 
 impl SkewedAssociativeCache {
@@ -61,22 +58,6 @@ impl SkewedAssociativeCache {
     /// Returns a [`GeometryError`] for invalid shapes (the cache must hold
     /// at least two lines).
     pub fn new(size_bytes: usize, line_bytes: usize) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, NullObserver)
-    }
-}
-
-impl<O: Observer> SkewedAssociativeCache<O> {
-    /// Like [`SkewedAssociativeCache::new`], with an observer wired into
-    /// both access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
         let geom = CacheGeometry::new(size_bytes, line_bytes, 2)?;
         if geom.index_bits() == 0 {
             // The skewing functions need at least one index bit per way.
@@ -102,18 +83,7 @@ impl<O: Observer> SkewedAssociativeCache<O> {
             clock: 0,
             stats: CacheStats::new(),
             usage: SetUsage::new(sets_per_way),
-            observer,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// The way-specific tag mix: the identity for way 0, a one-bit rotate
@@ -147,7 +117,7 @@ impl<O: Observer> SkewedAssociativeCache<O> {
     }
 
     /// One access. Shared verbatim by both paths, so their statistics,
-    /// usage counters and event sequences agree by construction.
+    /// usage counters and contents agree by construction.
     #[inline(always)]
     fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
         let idx_bits = self.geom.index_bits();
@@ -170,12 +140,6 @@ impl<O: Observer> SkewedAssociativeCache<O> {
         if hit_way < 2 {
             tally.record(kind, true);
             self.usage.record(hit_set, true);
-            if O::ENABLED {
-                self.observer.event(Event::SetTouch {
-                    set: hit_set as u64,
-                    hit: true,
-                });
-            }
             self.stamps[hit_way][hit_set] = self.clock;
             if kind.is_write() {
                 let w = self.words[hit_way][hit_set];
@@ -184,11 +148,6 @@ impl<O: Observer> SkewedAssociativeCache<O> {
             return AccessResult::hit();
         }
         tally.record(kind, false);
-        if O::ENABLED {
-            self.observer.event(Event::Miss {
-                kind: MissKind::Tag,
-            });
-        }
         // Prefer an invalid slot in either way; otherwise replace the
         // older of the two candidate lines.
         let way = if !packed::is_valid(w0) {
@@ -202,12 +161,6 @@ impl<O: Observer> SkewedAssociativeCache<O> {
         };
         let s = if way == 0 { s0 } else { s1 };
         self.usage.record(s, false);
-        if O::ENABLED {
-            self.observer.event(Event::SetTouch {
-                set: s as u64,
-                hit: false,
-            });
-        }
         let old = if way == 0 { w0 } else { w1 };
         let evicted = if packed::is_valid(old) {
             let ev = Eviction {
@@ -215,9 +168,6 @@ impl<O: Observer> SkewedAssociativeCache<O> {
                 dirty: packed::is_dirty(old),
             };
             tally.record_writeback_if(ev.dirty);
-            if O::ENABLED && ev.dirty {
-                self.observer.event(Event::Writeback { set: s as u64 });
-            }
             Some(ev)
         } else {
             None
@@ -228,7 +178,7 @@ impl<O: Observer> SkewedAssociativeCache<O> {
     }
 }
 
-impl<O: Observer> CacheModel for SkewedAssociativeCache<O> {
+impl CacheModel for SkewedAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let mut tally = BatchTally::new();
         let result = self.step(&mut tally, addr, kind);
@@ -239,7 +189,7 @@ impl<O: Observer> CacheModel for SkewedAssociativeCache<O> {
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         // Shared-step replay with register-tallied stats: `access` runs
         // the same `step`, so the batch equals the `access` loop by
-        // construction, events included.
+        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
             self.step(&mut tally, addr, kind);
@@ -443,23 +393,5 @@ mod tests {
         assert_eq!(looped.words, batched.words, "packed line words");
         assert_eq!(looped.stamps, batched.stamps, "timestamps");
         assert_eq!(looped.clock, batched.clock, "clocks");
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 47);
-        let mut looped =
-            SkewedAssociativeCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            SkewedAssociativeCache::with_observer(1024, 32, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 }

@@ -1,8 +1,6 @@
 //! A direct-mapped cache backed by a small fully-associative victim
 //! buffer (Jouppi), the paper's main prior-art comparator (Section 6.6).
 
-use telemetry::{Event, MissKind, NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::cam;
 use crate::geometry::{CacheGeometry, GeometryError, TagIndexSplit};
@@ -25,8 +23,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// [`crate::simd`] compare-mask probe per lane group (AVX2 when the
 /// CPU has it, the unrolled portable loop otherwise) — the same CAM
 /// primitive the B-Cache kernel uses. The per-access and
-/// batched paths share one step function and are bit-identical,
-/// including the [`Observer`] event sequence.
+/// batched paths share one step function and are bit-identical.
 ///
 /// # Examples
 ///
@@ -42,7 +39,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct VictimCache<O: Observer = NullObserver> {
+pub struct VictimCache {
     geom: CacheGeometry,
     // Packed main array, one word per set (the cache is direct-mapped).
     lines: Vec<u64>,
@@ -55,7 +52,6 @@ pub struct VictimCache<O: Observer = NullObserver> {
     usage: SetUsage,
     buffer_hits: u64,
     buffer_probes: u64,
-    observer: O,
 }
 
 impl VictimCache {
@@ -69,24 +65,6 @@ impl VictimCache {
         size_bytes: usize,
         line_bytes: usize,
         entries: usize,
-    ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, entries, NullObserver)
-    }
-}
-
-impl<O: Observer> VictimCache<O> {
-    /// Like [`VictimCache::new`], but wiring `observer` into both access
-    /// paths. With the default [`NullObserver`] every emission site
-    /// compiles out.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        entries: usize,
-        observer: O,
     ) -> Result<Self, GeometryError> {
         let geom = CacheGeometry::new(size_bytes, line_bytes, 1)?;
         // The buffer keeps the shape rules of its former incarnation as
@@ -109,18 +87,7 @@ impl<O: Observer> VictimCache<O> {
             usage: SetUsage::new(sets),
             buffer_hits: 0,
             buffer_probes: 0,
-            observer,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// Number of buffer entries.
@@ -185,10 +152,10 @@ fn buf_insert<const N: usize>(
 
 /// One access against the destructured cache state. Shared verbatim by
 /// the per-access and batched paths, so their statistics, set-usage
-/// counters and [`Observer`] event sequences agree by construction.
+/// counters and contents agree by construction.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn step<O: Observer, const N: usize>(
+fn step<const N: usize>(
     split: &TagIndexSplit,
     index_bits: u32,
     offset_bits: u32,
@@ -201,7 +168,6 @@ fn step<O: Observer, const N: usize>(
     tally: &mut BatchTally,
     buffer_hits: &mut u64,
     buffer_probes: &mut u64,
-    observer: &mut O,
     addr: Addr,
     kind: AccessKind,
 ) -> AccessResult {
@@ -211,12 +177,6 @@ fn step<O: Observer, const N: usize>(
     if packed::matches(word, tag) {
         tally.record(kind, true);
         usage.record(set, true);
-        if O::ENABLED {
-            observer.event(Event::SetTouch {
-                set: set as u64,
-                hit: true,
-            });
-        }
         if kind.is_write() {
             lines[set] = packed::set_dirty(word);
         }
@@ -231,12 +191,6 @@ fn step<O: Observer, const N: usize>(
         *buffer_hits += 1;
         tally.record(kind, true);
         usage.record(set, true);
-        if O::ENABLED {
-            observer.event(Event::SetTouch {
-                set: set as u64,
-                hit: true,
-            });
-        }
         let promoted_dirty = packed::is_dirty(buf_words[i]);
         buf_words[i] = packed::EMPTY;
         if packed::is_valid(word) {
@@ -256,15 +210,6 @@ fn step<O: Observer, const N: usize>(
     // Full miss: fill the main array, demote the old resident.
     tally.record(kind, false);
     usage.record(set, false);
-    if O::ENABLED {
-        observer.event(Event::Miss {
-            kind: MissKind::Tag,
-        });
-        observer.event(Event::SetTouch {
-            set: set as u64,
-            hit: false,
-        });
-    }
     let mut evicted = None;
     if packed::is_valid(word) {
         let old_id = (packed::tag(word) << index_bits) | set as u64;
@@ -276,12 +221,6 @@ fn step<O: Observer, const N: usize>(
             packed::is_dirty(word),
         ) {
             tally.record_writeback_if(out_dirty);
-            if O::ENABLED && out_dirty {
-                // The displaced block's home set in the main array.
-                observer.event(Event::Writeback {
-                    set: out_id & ((1 << index_bits) - 1),
-                });
-            }
             evicted = Some(Eviction {
                 block: Addr::new(out_id << offset_bits),
                 dirty: out_dirty,
@@ -310,7 +249,7 @@ macro_rules! dispatch_entries {
     };
 }
 
-impl<O: Observer> CacheModel for VictimCache<O> {
+impl CacheModel for VictimCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let split = self.geom.split();
         let index_bits = self.geom.index_bits();
@@ -320,7 +259,7 @@ impl<O: Observer> CacheModel for VictimCache<O> {
         let (mut hits, mut probes) = (0u64, 0u64);
         macro_rules! kernel {
             ($n:literal) => {
-                step::<O, $n>(
+                step::<$n>(
                     &split,
                     index_bits,
                     offset_bits,
@@ -333,7 +272,6 @@ impl<O: Observer> CacheModel for VictimCache<O> {
                     &mut tally,
                     &mut hits,
                     &mut probes,
-                    &mut self.observer,
                     addr,
                     kind,
                 )
@@ -350,8 +288,7 @@ impl<O: Observer> CacheModel for VictimCache<O> {
         // Monomorphized replay: state is hoisted into locals once, the
         // buffer scan unrolls for the common widths, and statistics are
         // tallied in registers. `access` runs the same `step`, so the
-        // batch equals the `access` loop by construction, events
-        // included.
+        // batch equals the `access` loop by construction.
         let split = self.geom.split();
         let index_bits = self.geom.index_bits();
         let offset_bits = self.geom.offset_bits();
@@ -361,7 +298,7 @@ impl<O: Observer> CacheModel for VictimCache<O> {
         macro_rules! kernel {
             ($n:literal) => {
                 for &(addr, kind) in accesses {
-                    step::<O, $n>(
+                    step::<$n>(
                         &split,
                         index_bits,
                         offset_bits,
@@ -374,7 +311,6 @@ impl<O: Observer> CacheModel for VictimCache<O> {
                         &mut tally,
                         &mut hits,
                         &mut probes,
-                        &mut self.observer,
                         addr,
                         kind,
                     );
@@ -599,35 +535,5 @@ mod tests {
                 "victim{entries} side counters"
             );
         }
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(6_000, 77);
-        let mut looped = VictimCache::with_observer(512, 32, 4, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            VictimCache::with_observer(512, 32, 4, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
-    }
-
-    #[test]
-    fn observer_event_counts_agree_with_stats() {
-        use telemetry::EventCounts;
-        let accesses = fuzz_accesses(6_000, 99);
-        let mut c = VictimCache::with_observer(512, 32, 4, EventCounts::default()).unwrap();
-        c.access_batch(&accesses);
-        let counts = *c.observer();
-        let total = c.stats().total();
-        assert_eq!(counts.tag_misses, total.misses());
-        assert_eq!(counts.set_hits, total.hits());
-        assert_eq!(counts.set_misses, total.misses());
     }
 }

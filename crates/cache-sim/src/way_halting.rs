@@ -9,8 +9,6 @@
 //! address bits before translation completes, which is why the paper
 //! discusses the two designs together.
 
-use telemetry::{NullObserver, Observer};
-
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
@@ -27,8 +25,7 @@ use crate::stats::{CacheStats, SetUsage};
 ///
 /// Both access paths run one step — the halt-tag scan, then the shared
 /// set-associative step — so the batched path is bit-identical to the
-/// per-access one: statistics, halt counters, and [`Observer`] events
-/// alike.
+/// per-access one: statistics and halt counters alike.
 ///
 /// # Examples
 ///
@@ -38,12 +35,12 @@ use crate::stats::{CacheStats, SetUsage};
 /// let mut c = WayHaltingCache::new(16 * 1024, 32, 4, 4)?;
 /// c.access(0x0u64.into(), AccessKind::Read);
 /// assert!(c.access(0x4u64.into(), AccessKind::Read).hit);
-/// telemetry::tele_info!("halted {:.0}% of way lookups", c.halted_fraction() * 100.0);
+/// assert!(c.halted_fraction() > 0.0); // empty ways halt too
 /// # Ok::<(), cache_sim::GeometryError>(())
 /// ```
 #[derive(Debug)]
-pub struct WayHaltingCache<O: Observer = NullObserver> {
-    inner: SetAssociativeCache<O>,
+pub struct WayHaltingCache {
+    inner: SetAssociativeCache,
     halt_bits: u32,
     ways_halted: u64,
 }
@@ -61,47 +58,12 @@ impl WayHaltingCache {
         assoc: usize,
         halt_bits: u32,
     ) -> Result<Self, GeometryError> {
-        Self::with_observer(size_bytes, line_bytes, assoc, halt_bits, NullObserver)
-    }
-}
-
-impl<O: Observer> WayHaltingCache<O> {
-    /// Like [`WayHaltingCache::new`], with an observer wired into both
-    /// access paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GeometryError`] for invalid shapes.
-    pub fn with_observer(
-        size_bytes: usize,
-        line_bytes: usize,
-        assoc: usize,
-        halt_bits: u32,
-        observer: O,
-    ) -> Result<Self, GeometryError> {
-        let inner = SetAssociativeCache::with_observer(
-            size_bytes,
-            line_bytes,
-            assoc,
-            PolicyKind::Lru,
-            0,
-            observer,
-        )?;
+        let inner = SetAssociativeCache::new(size_bytes, line_bytes, assoc, PolicyKind::Lru, 0)?;
         Ok(WayHaltingCache {
             inner,
             halt_bits,
             ways_halted: 0,
         })
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        self.inner.observer()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.inner.observer_mut()
     }
 
     /// Fraction of way lookups suppressed by the halt tags; the original
@@ -131,10 +93,10 @@ impl<O: Observer> WayHaltingCache<O> {
 /// exactly what the packed tag array already holds: a way halts when it
 /// is empty or its stored tag's low bits mismatch the incoming
 /// address's. Shared by both access paths, so they agree by
-/// construction — statistics, halt counters and [`Observer`] events.
+/// construction — statistics and halt counters.
 #[inline(always)]
-fn step<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
-    parts: &mut Parts<'_, O>,
+fn step<P: ReplacementPolicy + ?Sized, const A: usize>(
+    parts: &mut Parts<'_>,
     policy: &mut P,
     halt_mask: u64,
     halted: &mut u64,
@@ -149,12 +111,12 @@ fn step<P: ReplacementPolicy + ?Sized, O: Observer, const A: usize>(
     parts.step_one::<P, A>(policy, addr, kind)
 }
 
-impl<O: Observer> CacheModel for WayHaltingCache<O> {
+impl CacheModel for WayHaltingCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.inner.geometry();
         let halt_mask = self.halt_mask();
         let (mut parts, policy) = self.inner.parts();
-        let out = step::<_, _, 0>(
+        let out = step::<_, 0>(
             &mut parts,
             policy,
             halt_mask,
@@ -177,7 +139,7 @@ impl<O: Observer> CacheModel for WayHaltingCache<O> {
             ($policy:expr, $a:literal) => {{
                 let p = $policy;
                 for &(addr, kind) in accesses {
-                    step::<_, _, $a>(&mut parts, p, halt_mask, &mut halted, addr, kind);
+                    step::<_, $a>(&mut parts, p, halt_mask, &mut halted, addr, kind);
                 }
             }};
         }
@@ -327,24 +289,6 @@ mod tests {
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
         assert_eq!(looped.ways_halted, batched.ways_halted, "halt counters");
-    }
-
-    #[test]
-    fn observer_sees_identical_events_from_loop_and_batch() {
-        use telemetry::EventRing;
-        let accesses = fuzz_accesses(5_000, 13);
-        let mut looped =
-            WayHaltingCache::with_observer(2048, 32, 4, 4, EventRing::new(64 * 1024)).unwrap();
-        let mut batched =
-            WayHaltingCache::with_observer(2048, 32, 4, 4, EventRing::new(64 * 1024)).unwrap();
-        for &(addr, kind) in &accesses {
-            looped.access(addr, kind);
-        }
-        batched.access_batch(&accesses);
-        let a: Vec<_> = looped.observer().iter().map(|(_, e)| *e).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
-        assert!(!a.is_empty(), "the fuzz stream must generate events");
-        assert_eq!(a, b, "per-access and batched event sequences diverge");
     }
 
     /// Differential hook: this cache is contractually an n-way LRU array

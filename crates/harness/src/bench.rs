@@ -5,9 +5,8 @@
 //! The measured stream is a deterministic LCG address pattern (hits and
 //! conflicts, one store per four references) replayed through each
 //! model's [`CacheModel::access_batch`] hot path — the same path
-//! [`SideTrace`](crate::run::SideTrace) replay uses — or, with
-//! `--per-access`, through the one-at-a-time dispatched loop the batch
-//! API replaced. Each row records mega-accesses per second:
+//! [`SideTrace`](crate::run::SideTrace) replay uses. Each row records
+//! mega-accesses per second:
 //!
 //! ```json
 //! {"model": "direct-mapped", "maccesses_per_sec": 123.456,
@@ -81,9 +80,6 @@ pub struct BenchOptions {
     pub baseline: String,
     /// Reduced-length run that enforces the baseline gate (CI).
     pub smoke: bool,
-    /// Measure the dispatched per-access loop instead of
-    /// [`CacheModel::access_batch`] (the pre-batch-API hot path).
-    pub per_access: bool,
 }
 
 impl Default for BenchOptions {
@@ -94,7 +90,6 @@ impl Default for BenchOptions {
             out: "BENCH_repro.json".into(),
             baseline: "BENCH_baseline.json".into(),
             smoke: false,
-            per_access: false,
         }
     }
 }
@@ -113,7 +108,6 @@ impl BenchOptions {
             out: a.text(&cli::OUT).unwrap_or(d.out),
             baseline: a.text(&cli::BASELINE).unwrap_or(d.baseline),
             smoke,
-            per_access: a.has(&cli::PER_ACCESS),
         })
     }
 }
@@ -157,25 +151,12 @@ pub fn access_stream(records: u64, seed: u64) -> Vec<(Addr, AccessKind)> {
 /// Best-of-three wall-clock throughput of one model over `accesses`, in
 /// mega-accesses per second. One untimed warm pass populates the cache
 /// so every timed pass sees the same steady state.
-fn measure(
-    model: &mut Box<dyn CacheModel>,
-    accesses: &[(Addr, AccessKind)],
-    per_access: bool,
-) -> f64 {
-    let pass = |model: &mut Box<dyn CacheModel>| {
-        if per_access {
-            for &(addr, kind) in accesses {
-                std::hint::black_box(model.access(addr, kind));
-            }
-        } else {
-            model.access_batch(accesses);
-        }
-    };
-    pass(model);
+fn measure(model: &mut Box<dyn CacheModel>, accesses: &[(Addr, AccessKind)]) -> f64 {
+    model.access_batch(accesses);
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        pass(model);
+        model.access_batch(accesses);
         best = best.min(start.elapsed().as_secs_f64());
     }
     std::hint::black_box(model.stats().total().accesses());
@@ -253,7 +234,7 @@ pub fn run_recorded(
             .build(16 * 1024, opts.seed)
             .map_err(|e| format!("bench model {name} at 16 kB: {e}"))?;
         let maccesses_per_sec = rec.time(&format!("phase.measure.{name}"), || {
-            measure(&mut model, &accesses, opts.per_access)
+            measure(&mut model, &accesses)
         });
         rows.push(BenchRow {
             model: name.to_string(),
@@ -517,10 +498,10 @@ mod tests {
         assert_eq!(o.records, 5_000);
         assert_eq!(o.seed, 9);
         assert_eq!(o.out, "x.json");
-        assert!(!o.smoke && !o.per_access);
-        let o = BenchOptions::parse(&["--smoke", "--per-access"]).unwrap();
+        assert!(!o.smoke);
+        let o = BenchOptions::parse(&["--smoke"]).unwrap();
         assert_eq!(o.records, SMOKE_RECORDS);
-        assert!(o.smoke && o.per_access);
+        assert!(o.smoke);
         let o = BenchOptions::parse(&["--smoke", "--records", "77"]).unwrap();
         assert_eq!(o.records, 77, "--records overrides the smoke default");
         assert!(BenchOptions::parse(&["--records", "0"]).is_err());

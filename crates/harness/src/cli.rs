@@ -66,7 +66,6 @@ flags! {
     SMOKE          "--smoke"          Kind::Switch,            "shortened CI run that enforces the command's pass/fail gate";
     OUT            "--out"            Kind::Text("PATH"),      "output file (profile: path prefix of the three artifacts)";
     BASELINE       "--baseline"       Kind::Text("PATH"),      "committed throughput rows the --smoke gate compares against";
-    PER_ACCESS     "--per-access"     Kind::Switch,            "time the dispatched per-access loop instead of the batched kernels";
     MODEL          "--model"          Kind::Text("NAME"),      "cache model: a bench model name or dm, 8way, bcache (default bcache-mf8-bas8)";
     BENCHMARK      "--benchmark"      Kind::Text("NAME"),      "SPEC profile or synthetic family (default mcf)";
     WINDOW         "--window"         Kind::NonZero,           "window size in accesses";
@@ -96,10 +95,7 @@ pub(crate) const FUZZ_FLAGS: &[&[Flag]] = &[&[ITERS, SEED, JOBS, SCENARIO], TELE
 /// Flags of `oracle`.
 pub(crate) const ORACLE_FLAGS: &[&[Flag]] = &[&[SEED, JOBS, SMOKE, CSV], TELEMETRY];
 /// Flags of `bench`.
-pub(crate) const BENCH_FLAGS: &[&[Flag]] = &[
-    &[RECORDS, SEED, OUT, BASELINE, SMOKE, PER_ACCESS],
-    TELEMETRY,
-];
+pub(crate) const BENCH_FLAGS: &[&[Flag]] = &[&[RECORDS, SEED, OUT, BASELINE, SMOKE], TELEMETRY];
 /// Flags of `profile`.
 pub(crate) const PROFILE_FLAGS: &[&[Flag]] = &[
     &[MODEL, BENCHMARK, SIDE],

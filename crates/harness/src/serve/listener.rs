@@ -62,7 +62,7 @@ impl ServerShared {
     pub fn checkpoint_put(&self, key: &str, value: &str) {
         if let Some(ck) = recover(self.checkpoint.lock()).as_mut() {
             if let Err(e) = ck.put(key, value) {
-                eprintln!("warning: checkpoint write failed for {key}: {e}");
+                telemetry::tele_warn!("serve: cannot persist checkpoint entry {key}: {e}");
             }
         }
     }

@@ -17,20 +17,16 @@
 //!   ([`small_specs`]) and on drawn ones ([`ModelSpec::draw`]), plus
 //!   the lane-boundary batch lengths.
 //!
-//! The event-order tests and the event-count test at the end (on all
-//! twelve configurations, per access and batched, every model's
-//! `Writeback`, `Miss` and `SetTouch` events must add up to its
-//! writebacks, misses and accesses) are typed: the observer is a type
-//! parameter that a spec's trait object hides. A divergence here means
-//! an optimization changed simulation semantics, which no speedup
-//! justifies.
+//! The B-Cache is the one model that takes an observer, so the
+//! event-order test and the event-count test at the end are typed on
+//! it rather than on a spec's trait object: batched and per access,
+//! its event sequences must be equal, and its `Writeback`, `Miss` and
+//! `SetTouch` events must add up to its writebacks, misses and
+//! accesses. A divergence here means an optimization changed
+//! simulation semantics, which no speedup justifies.
 
-use bcache_core::{BCacheParams, BalancedCache, PiTagBits};
-use cache_sim::{
-    AccessKind, Addr, AgacCache, CacheGeometry, CacheModel, ColumnAssociativeCache,
-    DifferenceBitCache, DirectMappedCache, HighlyAssociativeCache, PartialMatchCache, PolicyKind,
-    SetAssociativeCache, SkewedAssociativeCache, VictimCache, WayHaltingCache,
-};
+use bcache_core::{BCacheParams, BalancedCache, PdHitPolicy, PiTagBits};
+use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
 use harness::models::{CaseRng, Drive, Family, ModelSpec};
 use proptest::prelude::*;
 
@@ -384,262 +380,91 @@ proptest! {
     }
 }
 
-/// Builds two instances from `make` (evaluated twice), runs one through
-/// the per-access loop and the other through one `access_batch` call,
-/// then asserts their observers recorded the same event sequence (and
-/// that the stream produced events at all, all of them retained by the
-/// ring).
-macro_rules! assert_event_streams_match {
-    ($name:expr, $accesses:expr, $make:expr) => {{
-        let mut scalar = $make;
-        let mut batched = $make;
-        for &(addr, kind) in $accesses.iter() {
-            scalar.access(addr, kind);
-        }
-        batched.access_batch(&$accesses);
-        let a: Vec<_> = scalar.observer().iter().map(|(_, e)| e.clone()).collect();
-        let b: Vec<_> = batched.observer().iter().map(|(_, e)| e.clone()).collect();
-        assert!(!a.is_empty(), "{}: the stream must generate events", $name);
-        assert_eq!(
-            scalar.observer().dropped(),
-            0,
-            "{}: the ring must hold the whole stream",
-            $name
-        );
-        assert_eq!(
-            a, b,
-            "{}: batched event order diverges from the per-access loop",
-            $name
-        );
-    }};
+/// A B-Cache of `size` bytes and 32-byte lines at MF8 with `bas` ways
+/// of BAS.
+fn bcache_params(size: usize, bas: usize) -> BCacheParams {
+    let geom = CacheGeometry::new(size, 32, 1).unwrap();
+    BCacheParams::new(geom, 8, bas, PolicyKind::Lru).unwrap()
+}
+
+/// Runs one B-Cache built from `params` through the per-access loop and
+/// another through one `access_batch` call, then asserts their rings
+/// recorded the same event sequence (and that the stream produced
+/// events at all, all of them retained by the ring).
+fn assert_event_streams_match(name: &str, accesses: &[(Addr, AccessKind)], params: BCacheParams) {
+    use telemetry::EventRing;
+    let ring = || EventRing::new(1 << 17);
+    let mut scalar = BalancedCache::with_observer(params, ring());
+    let mut batched = BalancedCache::with_observer(params, ring());
+    for &(addr, kind) in accesses {
+        scalar.access(addr, kind);
+    }
+    batched.access_batch(accesses);
+    let a: Vec<_> = scalar.observer().iter().map(|(_, e)| *e).collect();
+    let b: Vec<_> = batched.observer().iter().map(|(_, e)| *e).collect();
+    assert!(!a.is_empty(), "{name}: the stream must generate events");
+    assert_eq!(
+        scalar.observer().dropped(),
+        0,
+        "{name}: the ring must hold the whole stream"
+    );
+    assert_eq!(
+        a, b,
+        "{name}: batched event order diverges from the per-access loop"
+    );
 }
 
 #[test]
-fn batched_event_order_matches_per_access_on_every_model() {
-    use telemetry::EventRing;
+fn batched_bcache_event_order_matches_per_access() {
     // 20k accesses keep every stream inside the ring so the comparison
     // covers the whole run, not just the tail.
-    let accesses: Vec<(Addr, AccessKind)> = stream(2024).into_iter().take(20_000).collect();
-    let ring = || EventRing::new(1 << 17);
-    assert_event_streams_match!(
-        "direct-mapped",
-        accesses,
-        DirectMappedCache::with_observer(16 * 1024, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "8-way LRU",
-        accesses,
-        SetAssociativeCache::with_observer(16 * 1024, 32, 8, PolicyKind::Lru, 0, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "4-way random",
-        accesses,
-        SetAssociativeCache::with_observer(16 * 1024, 32, 4, PolicyKind::Random, 0xBEEF, ring())
-            .unwrap()
-    );
-    assert_event_streams_match!("B-Cache MF8/BAS8", accesses, {
-        let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-        let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-        BalancedCache::with_observer(params, ring())
-    });
-    assert_event_streams_match!(
-        "victim16",
-        accesses,
-        VictimCache::with_observer(16 * 1024, 32, 16, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "column-associative",
-        accesses,
-        ColumnAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "skewed",
-        accesses,
-        SkewedAssociativeCache::with_observer(16 * 1024, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "AGAC",
-        accesses,
-        AgacCache::with_observer(16 * 1024, 32, 8, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "HAC",
-        accesses,
-        HighlyAssociativeCache::with_observer(16 * 1024, 32, 1024, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "PAM",
-        accesses,
-        PartialMatchCache::with_observer(16 * 1024, 32, 4, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "difference-bit",
-        accesses,
-        DifferenceBitCache::with_observer(16 * 1024, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "way-halting",
-        accesses,
-        WayHaltingCache::with_observer(16 * 1024, 32, 4, 4, ring()).unwrap()
-    );
+    let take = |seed| -> Vec<_> { stream(seed).into_iter().take(20_000).collect() };
+    assert_event_streams_match("B-Cache MF8/BAS8", &take(2024), bcache_params(16 * 1024, 8));
+    assert_event_streams_match("B-Cache, one frame", &take(31337), bcache_params(32, 1));
 }
 
-#[test]
-fn batched_event_order_matches_per_access_on_degenerate_geometries() {
-    use telemetry::EventRing;
-    let accesses: Vec<(Addr, AccessKind)> = stream(31337).into_iter().take(20_000).collect();
-    let ring = || EventRing::new(1 << 17);
-    assert_event_streams_match!(
-        "DM, cache == line",
-        accesses,
-        DirectMappedCache::with_observer(32, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "1-set fully-associative",
-        accesses,
-        SetAssociativeCache::with_observer(256, 32, 8, PolicyKind::Lru, 0, ring()).unwrap()
-    );
-    assert_event_streams_match!("B-Cache, one frame", accesses, {
-        let geom = CacheGeometry::new(32, 32, 1).unwrap();
-        let params = BCacheParams::new(geom, 8, 1, PolicyKind::Lru).unwrap();
-        BalancedCache::with_observer(params, ring())
-    });
-    assert_event_streams_match!(
-        "victim, 1-entry buffer",
-        accesses,
-        VictimCache::with_observer(32, 32, 1, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "column, two lines",
-        accesses,
-        ColumnAssociativeCache::with_observer(64, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "skewed, one index bit",
-        accesses,
-        SkewedAssociativeCache::with_observer(128, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "AGAC, 1-entry directory",
-        accesses,
-        AgacCache::with_observer(32, 32, 1, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "HAC, 1-set",
-        accesses,
-        HighlyAssociativeCache::with_observer(256, 32, 256, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "PAM, 1-set 2-way",
-        accesses,
-        PartialMatchCache::with_observer(64, 32, 5, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "difference-bit, 1-set 2-way",
-        accesses,
-        DifferenceBitCache::with_observer(64, 32, ring()).unwrap()
-    );
-    assert_event_streams_match!(
-        "way-halting, 1-set",
-        accesses,
-        WayHaltingCache::with_observer(128, 32, 4, 4, ring()).unwrap()
-    );
-}
-
-/// Builds `$make()` twice, drives one copy access by access and the
-/// other through one `access_batch` call, and asserts that each copy's
+/// Under each PD-hit policy, drives one MF8/BAS8 B-Cache access by
+/// access and another through one `access_batch` call, and asserts that
+/// each copy's
 /// [`telemetry::EventCounts`] agree with its own counters: one
 /// `Writeback` per counted writeback, one `Miss` per miss and one
 /// `SetTouch` per access.
-macro_rules! assert_event_counts_match_stats {
-    ($name:expr, $accesses:expr, $make:expr) => {{
-        let make = $make;
-        let mut scalar = make();
-        for &(addr, kind) in $accesses.iter() {
+#[test]
+fn bcache_event_counts_match_stats_under_both_pd_hit_policies() {
+    use telemetry::EventCounts;
+    let accesses = stream(4242);
+    for (name, policy) in [
+        ("forced victim", PdHitPolicy::ForcedVictim),
+        ("evict both", PdHitPolicy::EvictBoth),
+    ] {
+        let params = bcache_params(16 * 1024, 8).with_pd_hit_policy(policy);
+        let mut scalar = BalancedCache::with_observer(params, EventCounts::new());
+        for &(addr, kind) in &accesses {
             scalar.access(addr, kind);
         }
-        let mut batched = make();
-        batched.access_batch(&$accesses);
+        let mut batched = BalancedCache::with_observer(params, EventCounts::new());
+        batched.access_batch(&accesses);
         for (drive, counts, stats) in [
             ("per-access", *scalar.observer(), scalar.stats()),
             ("batched", *batched.observer(), batched.stats()),
         ] {
             let total = stats.total();
-            assert!(stats.writebacks() > 0, "{} {drive}: no writebacks", $name);
+            assert!(stats.writebacks() > 0, "{name} {drive}: no writebacks");
             assert_eq!(
                 counts.writebacks,
                 stats.writebacks(),
-                "{} {drive}: Writeback events vs counted writebacks",
-                $name
+                "{name} {drive}: Writeback events vs counted writebacks"
             );
             assert_eq!(
                 counts.total_misses(),
                 total.misses(),
-                "{} {drive}: Miss events vs misses",
-                $name
+                "{name} {drive}: Miss events vs misses"
             );
             assert_eq!(
                 counts.set_hits + counts.set_misses,
                 total.accesses(),
-                "{} {drive}: SetTouch events vs accesses",
-                $name
+                "{name} {drive}: SetTouch events vs accesses"
             );
         }
-    }};
-}
-
-#[test]
-fn event_counts_match_stats_on_every_model() {
-    use bcache_core::PdHitPolicy;
-    use telemetry::EventCounts;
-    let accesses = stream(4242);
-    let (size, line) = (16 * 1024, 32);
-    let counts = EventCounts::new;
-    let bcache = |pd_hit_policy| {
-        let geom = CacheGeometry::new(size, line, 1).unwrap();
-        let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru)
-            .unwrap()
-            .with_pd_hit_policy(pd_hit_policy);
-        move || BalancedCache::with_observer(params, counts())
-    };
-    assert_event_counts_match_stats!("direct-mapped", accesses, || {
-        DirectMappedCache::with_observer(size, line, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("8-way LRU", accesses, || {
-        SetAssociativeCache::with_observer(size, line, 8, PolicyKind::Lru, 0, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!(
-        "B-Cache MF8/BAS8, forced victim",
-        accesses,
-        bcache(PdHitPolicy::ForcedVictim)
-    );
-    assert_event_counts_match_stats!(
-        "B-Cache MF8/BAS8, evict both",
-        accesses,
-        bcache(PdHitPolicy::EvictBoth)
-    );
-    assert_event_counts_match_stats!("victim16", accesses, || {
-        VictimCache::with_observer(size, line, 16, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("column-associative", accesses, || {
-        ColumnAssociativeCache::with_observer(size, line, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("skewed", accesses, || {
-        SkewedAssociativeCache::with_observer(size, line, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("AGAC", accesses, || {
-        AgacCache::with_observer(size, line, 8, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("HAC", accesses, || {
-        HighlyAssociativeCache::with_observer(size, line, 1024, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("PAM", accesses, || {
-        PartialMatchCache::with_observer(size, line, 4, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("difference-bit", accesses, || {
-        DifferenceBitCache::with_observer(size, line, counts()).unwrap()
-    });
-    assert_event_counts_match_stats!("way-halting", accesses, || {
-        WayHaltingCache::with_observer(size, line, 4, 4, counts()).unwrap()
-    });
+    }
 }

@@ -1,6 +1,7 @@
 //! `bcache-repro` under a reader that stops early
 //! (`bcache-repro all | head -1`): a closed stdout pipe ends the run
-//! with exit code 0, not a "Broken pipe" panic.
+//! with exit code 0, not a "Broken pipe" panic, and a closed stderr
+//! pipe drops the log lines the same way.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -41,4 +42,39 @@ fn reader_that_takes_one_line_exits_zero() {
         .unwrap();
     assert!(first.starts_with("Table 4"), "first line: {first:?}");
     assert_clean_exit(&child.wait_with_output().unwrap());
+}
+
+#[test]
+fn stderr_closed_before_the_log_lines_exits_zero() {
+    let metrics = std::env::temp_dir().join(format!("bcache-pipe-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&metrics);
+    let mut child = spawn(&[
+        "fig3",
+        "--records",
+        "3000",
+        "--jobs",
+        "1",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    // The stderr reader is gone before anything is logged, so the
+    // closing "wrote metrics" line fails with EPIPE.
+    drop(child.stderr.take());
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("Figure 3:"), "stdout:\n{stdout}");
+    // The whole figure: title, header, rule and one row per MF up to 512.
+    assert_eq!(stdout.lines().count(), 12, "stdout:\n{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .last()
+            .unwrap()
+            .trim_start()
+            .starts_with("MF512"),
+        "stdout:\n{stdout}"
+    );
+    assert!(std::fs::metadata(&metrics).unwrap().len() > 0);
+    std::fs::remove_file(&metrics).unwrap();
 }

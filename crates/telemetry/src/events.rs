@@ -1,11 +1,14 @@
 //! Typed simulator events, the zero-cost [`Observer`] trait, and the
 //! bounded [`EventRing`] buffer with JSONL rendering.
 //!
-//! Cache models take an observer as a generic parameter defaulting to
-//! [`NullObserver`]. Emission sites are guarded by `if O::ENABLED`, an
-//! associated `const`, so with the default observer the branch — and
-//! the event construction behind it — is compiled out of the batched
-//! replay kernels entirely.
+//! The events describe the B-Cache's own mechanism: its programmable
+//! decoder, BAS victim choice and miss classification. The B-Cache
+//! (`bcache_core::BalancedCache`) is the one model that takes an
+//! observer, as a generic parameter defaulting to [`NullObserver`].
+//! Its emission sites are guarded by `if O::ENABLED`, an associated
+//! `const`, so with the default observer the branch — and the event
+//! construction behind it — is compiled out of the batched replay
+//! kernel entirely.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -16,8 +19,6 @@ use crate::recorder::escape;
 /// The kind of a cache miss, as the B-Cache decoder classifies it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MissKind {
-    /// Plain tag mismatch in a conventional (non-PD) cache.
-    Tag,
     /// PD hit but tag mismatch: the matching line is the forced victim.
     PdForced,
     /// PD miss: the access is a predetermined miss before tag compare.
@@ -28,7 +29,6 @@ impl MissKind {
     /// Stable lowercase name used in JSONL output.
     pub fn name(self) -> &'static str {
         match self {
-            MissKind::Tag => "tag",
             MissKind::PdForced => "pd_forced",
             MissKind::Predetermined => "predetermined",
         }
@@ -248,8 +248,6 @@ pub struct EventCounts {
     pub pd_reprograms: u64,
     /// Number of `BasVictim` events seen.
     pub bas_victims: u64,
-    /// Misses classified as plain tag misses.
-    pub tag_misses: u64,
     /// Misses classified as PD-forced.
     pub pd_forced_misses: u64,
     /// Misses classified as predetermined.
@@ -270,7 +268,7 @@ impl EventCounts {
 
     /// Total misses of all kinds.
     pub fn total_misses(&self) -> u64 {
-        self.tag_misses + self.pd_forced_misses + self.predetermined_misses
+        self.pd_forced_misses + self.predetermined_misses
     }
 }
 
@@ -281,7 +279,6 @@ impl Observer for EventCounts {
             Event::PdReprogram { .. } => self.pd_reprograms += 1,
             Event::BasVictim { .. } => self.bas_victims += 1,
             Event::Miss { kind } => match kind {
-                MissKind::Tag => self.tag_misses += 1,
                 MissKind::PdForced => self.pd_forced_misses += 1,
                 MissKind::Predetermined => self.predetermined_misses += 1,
             },
@@ -338,7 +335,7 @@ mod tests {
         let mut ring = EventRing::new(0);
         assert_eq!(ring.capacity(), 1);
         ring.push(Event::Miss {
-            kind: MissKind::Tag,
+            kind: MissKind::PdForced,
         });
         ring.push(Event::Miss {
             kind: MissKind::Predetermined,
@@ -400,9 +397,6 @@ mod tests {
     fn event_counts_tally_by_type() {
         let mut c = EventCounts::new();
         c.event(Event::Miss {
-            kind: MissKind::Tag,
-        });
-        c.event(Event::Miss {
             kind: MissKind::Predetermined,
         });
         c.event(Event::Miss {
@@ -419,7 +413,7 @@ mod tests {
         });
         c.event(Event::SetTouch { set: 0, hit: true });
         c.event(Event::SetTouch { set: 1, hit: false });
-        assert_eq!(c.total_misses(), 3);
+        assert_eq!(c.total_misses(), 2);
         assert_eq!(c.pd_reprograms, 1);
         assert_eq!(c.bas_victims, 1);
         assert_eq!(c.set_hits, 1);

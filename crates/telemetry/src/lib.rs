@@ -11,11 +11,11 @@
 //!   be excluded from golden comparisons ([`Recorder::to_json`]).
 //! * [`Event`] / [`Observer`] — typed simulator events (PD
 //!   reprogramming, BAS victim selection, misses, set-index touches)
-//!   emitted by the cache models. The models take the observer as a
-//!   generic parameter defaulting to [`NullObserver`], whose
-//!   [`Observer::ENABLED`]` == false` compiles every emission site out
-//!   of the batched replay kernels — telemetry is provably zero-cost
-//!   when disabled.
+//!   emitted by the B-Cache, the one cache model that takes an
+//!   observer. It takes it as a generic parameter defaulting to
+//!   [`NullObserver`], whose [`Observer::ENABLED`]` == false` compiles
+//!   every emission site out of the batched replay kernel — telemetry
+//!   is provably zero-cost when disabled.
 //! * [`EventRing`] — a bounded ring buffer of events with overflow
 //!   (drop) accounting and a JSONL rendering for `--trace-events`.
 //! * [`WindowSeries`] — a time-resolved view: counters snapshotted

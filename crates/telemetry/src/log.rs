@@ -7,6 +7,7 @@
 //! [`log`] directly — they check [`enabled`] first so disabled levels
 //! skip formatting entirely.
 
+use std::io::{self, Write as _};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log severity, most severe first.
@@ -83,9 +84,12 @@ pub fn enabled(level: Level) -> bool {
 
 /// Emits one log line to stderr if `level` is enabled. Prefer the
 /// `tele_*!` macros, which avoid formatting when disabled.
+///
+/// A failed write (a closed stderr pipe, say) drops the line rather
+/// than panicking: a log line is never worth the run's results.
 pub fn log(level: Level, args: std::fmt::Arguments<'_>) {
     if enabled(level) {
-        eprintln!("[{}] {}", level.name(), args);
+        let _ = writeln!(io::stderr().lock(), "[{}] {}", level.name(), args);
     }
 }
 

@@ -49,7 +49,8 @@ pub struct WindowRow {
     pub hits: u64,
     /// Misses of all kinds.
     pub misses: u64,
-    /// Plain tag misses (conventional caches).
+    /// Plain tag misses (conventional caches; filled from stats deltas
+    /// only, since no observed model emits them).
     pub tag_misses: u64,
     /// PD-forced misses (B-Cache: PD hit, tag miss).
     pub pd_forced_misses: u64,
@@ -444,7 +445,6 @@ impl Observer for WindowSeries {
             Event::Miss { kind } => {
                 self.current.misses += 1;
                 match kind {
-                    MissKind::Tag => self.current.tag_misses += 1,
                     MissKind::PdForced => self.current.pd_forced_misses += 1,
                     MissKind::Predetermined => self.current.predetermined_misses += 1,
                 }
@@ -467,7 +467,7 @@ mod tests {
     fn touch(series: &mut WindowSeries, set: u64, hit: bool) {
         if !hit {
             series.event(Event::Miss {
-                kind: MissKind::Tag,
+                kind: MissKind::Predetermined,
             });
         }
         series.event(Event::SetTouch { set, hit });
