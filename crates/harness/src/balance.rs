@@ -20,23 +20,16 @@ pub struct BalanceRow {
     pub bcache: BalanceReport,
 }
 
-/// Runs the Table 7 analysis over the data caches of all 26 benchmarks.
+/// Runs the Table 7 analysis over the data caches of all 26 benchmarks
+/// on the caller's [`Engine`]: one job per benchmark over the shared
+/// cached traces.
 ///
 /// # Errors
 ///
 /// Returns a message when the fixed Table 7 cache configuration cannot
-/// be constructed (a build/configuration defect, not a data error).
-pub fn table7(len: RunLength) -> Result<Vec<BalanceRow>, String> {
-    table7_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`table7`] on a caller-owned [`Engine`]: one job per benchmark over
-/// the shared cached traces.
-///
-/// # Errors
-///
-/// See [`table7`]. Construction errors surface as `Err` instead of a
-/// worker panic so the CLI can report them cleanly.
+/// be constructed (a build/configuration defect, not a data error). It
+/// surfaces as `Err` instead of a worker panic so the CLI can report it
+/// cleanly.
 pub fn table7_with(engine: &Engine, len: RunLength) -> Result<Vec<BalanceRow>, String> {
     let benchmarks = profiles::all();
     let jobs: Vec<_> = benchmarks

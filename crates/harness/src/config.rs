@@ -21,13 +21,6 @@ pub enum CacheConfig {
         /// B-Cache associativity.
         bas: usize,
     },
-    /// The B-Cache with random replacement (Section 3.3 ablation).
-    BCacheRandom {
-        /// Memory address mapping factor.
-        mf: usize,
-        /// B-Cache associativity.
-        bas: usize,
-    },
     /// Column-associative cache (related work, Section 7.1).
     ColumnAssoc,
     /// 2-way skewed-associative cache (related work, Section 7.1).
@@ -124,9 +117,6 @@ impl CacheConfig {
             CacheConfig::BCache { mf, bas } => {
                 ModelSpec::bcache(size, mf, bas, PolicyKind::Lru, seed)
             }
-            CacheConfig::BCacheRandom { mf, bas } => {
-                ModelSpec::bcache(size, mf, bas, PolicyKind::Random, seed)
-            }
             CacheConfig::ColumnAssoc => ModelSpec::Column { size, line },
             CacheConfig::SkewedAssoc => ModelSpec::Skewed { size, line },
             CacheConfig::Hac => ModelSpec::Hac {
@@ -176,7 +166,6 @@ impl CacheConfig {
             CacheConfig::SetAssoc(n) => format!("{n}way"),
             CacheConfig::Victim(n) => format!("victim{n}"),
             CacheConfig::BCache { mf, bas } => format!("MF{mf}-BAS{bas}"),
-            CacheConfig::BCacheRandom { mf, bas } => format!("MF{mf}-BAS{bas}-rnd"),
             CacheConfig::ColumnAssoc => "column".into(),
             CacheConfig::SkewedAssoc => "skew2".into(),
             CacheConfig::Hac => "hac32".into(),

@@ -29,13 +29,9 @@ pub struct DesignPoint {
     pub avg_pd_hit_rate: f64,
 }
 
-/// Runs the MF × BAS grid: MF in {2, 4, 8, 16}, BAS in {4, 8}, averaged
-/// over all 26 benchmarks' data caches.
-pub fn design_space_grid(len: RunLength) -> Vec<DesignPoint> {
-    design_space_grid_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`design_space_grid`] on a caller-owned [`Engine`].
+/// Runs the MF × BAS grid on the caller's [`Engine`]: MF in
+/// {2, 4, 8, 16}, BAS in {4, 8}, averaged over all 26 benchmarks' data
+/// caches.
 ///
 /// The baseline is replayed once per benchmark and reused by every grid
 /// cell (the serial version recomputed it per cell — 8× the same
@@ -147,7 +143,8 @@ mod tests {
 
     fn grid() -> Vec<DesignPoint> {
         // Small but non-trivial run; reuse across assertions.
-        design_space_grid(RunLength::with_records(60_000))
+        let engine = Engine::new(crate::parallel::default_parallelism());
+        design_space_grid_with(&engine, RunLength::with_records(60_000))
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!   programmable decoder ([`render_hac_comparison`]);
 //! * Section 6.4 (last paragraph) — compatibility with drowsy/decay
 //!   leakage techniques: the B-Cache still leaves enough less-accessed
-//!   sets to put to sleep ([`drowsy_analysis`]);
+//!   sets to put to sleep ([`drowsy_analysis`], read off Table 7's rows,
+//!   so it simulates nothing of its own);
 //! * Section 6.8 — virtually/physically tagged caches: for which page
 //!   sizes are the PI's tag bits available before TLB translation?
 //!   ([`vp_tag_analysis`]).
@@ -12,11 +13,9 @@
 use bcache_core::BCacheParams;
 use cache_sim::CacheGeometry;
 use power_model::compare_hac;
-use trace_gen::profiles;
 
-use crate::balance::{table7, BalanceRow};
+use crate::balance::BalanceRow;
 use crate::report::{pct, TextTable};
-use crate::run::RunLength;
 
 /// Renders the Section 6.7 HAC-improvement analysis.
 pub fn render_hac_comparison() -> String {
@@ -61,20 +60,16 @@ pub const DROWSY_LEAKAGE_FACTOR: f64 = 0.10;
 
 /// Section 6.4: both caches' less-accessed sets could be put in a drowsy
 /// state; the B-Cache balances accesses yet keeps a substantial drowsy
-/// candidate pool.
-///
-/// # Errors
-///
-/// Propagates the Table 7 configuration error ([`table7`]).
-pub fn drowsy_analysis(len: RunLength) -> Result<Vec<DrowsyRow>, String> {
-    Ok(table7(len)?
-        .into_iter()
-        .map(|r: BalanceRow| DrowsyRow {
-            benchmark: r.benchmark,
+/// candidate pool. Projects the less-accessed-set columns of Table 7's
+/// rows ([`crate::balance::table7_with`]).
+pub fn drowsy_analysis(rows: &[BalanceRow]) -> Vec<DrowsyRow> {
+    rows.iter()
+        .map(|r| DrowsyRow {
+            benchmark: r.benchmark.clone(),
             baseline_sleepable: r.baseline.less_accessed_sets,
             bcache_sleepable: r.bcache.less_accessed_sets,
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the drowsy-compatibility table.
@@ -168,29 +163,12 @@ pub fn render_vp_analysis() -> String {
     )
 }
 
-/// Extension: the Figure 4 experiment rerun with the B-Cache's random
-/// replacement (Section 3.3's cheap alternative), reported as average
-/// reductions for LRU vs random.
-pub fn replacement_policy_comparison(len: RunLength) -> (f64, f64) {
-    use crate::config::CacheConfig;
-    use crate::run::{mean, run_miss_rates, Side};
-    let configs = [
-        CacheConfig::BCache { mf: 8, bas: 8 },
-        CacheConfig::BCacheRandom { mf: 8, bas: 8 },
-    ];
-    let rows: Vec<_> = profiles::all()
-        .iter()
-        .map(|p| run_miss_rates(p, &configs, 16 * 1024, Side::Data, len))
-        .collect();
-    (
-        mean(&rows, |r| r.reduction(0)),
-        mean(&rows, |r| r.reduction(1)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::table7_with;
+    use crate::parallel::{default_parallelism, Engine};
+    use crate::run::RunLength;
 
     #[test]
     fn hac_comparison_renders_the_26_bit_cam() {
@@ -201,7 +179,9 @@ mod tests {
 
     #[test]
     fn drowsy_pool_shrinks_but_survives_balancing() {
-        let rows = drowsy_analysis(RunLength::with_records(60_000)).unwrap();
+        let engine = Engine::new(default_parallelism());
+        let table7 = table7_with(&engine, RunLength::with_records(60_000)).unwrap();
+        let rows = drowsy_analysis(&table7);
         assert_eq!(rows.len(), 26);
         let ave_dm: f64 =
             rows.iter().map(|r| r.baseline_sleepable).sum::<f64>() / rows.len() as f64;
@@ -244,17 +224,5 @@ mod tests {
                 .pi_untranslated
         );
         assert!(render_vp_analysis().contains("bit 16"));
-    }
-
-    #[test]
-    fn lru_beats_random_but_not_by_much() {
-        // Section 3.3: random is the cheap alternative; LRU is better but
-        // the gap is modest.
-        let (lru, random) = replacement_policy_comparison(RunLength::with_records(60_000));
-        assert!(lru >= random - 0.02, "LRU {lru} vs random {random}");
-        assert!(
-            random > lru - 0.25,
-            "random must stay competitive: {lru} vs {random}"
-        );
     }
 }

@@ -25,15 +25,11 @@ pub struct Fig3Point {
     pub pd_hit_rate: f64,
 }
 
-/// Runs the Figure 3 sweep for a benchmark (the paper uses `wupwise`).
-pub fn figure3_for(benchmark: &str, len: RunLength) -> Vec<Fig3Point> {
-    figure3_for_with(&Engine::with_default_parallelism(), benchmark, len)
-}
-
-/// [`figure3_for`] on a caller-owned [`Engine`]: one job per MF point,
-/// all replaying the benchmark's cached trace. Jobs carry checkpoint
-/// identities (`fig3/<benchmark>/mf<N>`), so an engine with an attached
-/// checkpoint resumes an interrupted sweep from the finished points.
+/// Runs the Figure 3 sweep for a benchmark (the paper uses `wupwise`)
+/// on the caller's [`Engine`]: one job per MF point, all replaying the
+/// benchmark's cached trace. Jobs carry checkpoint identities
+/// (`fig3/<benchmark>/mf<N>`), so an engine with an attached checkpoint
+/// resumes an interrupted sweep from the finished points.
 pub fn figure3_for_with(engine: &Engine, benchmark: &str, len: RunLength) -> Vec<Fig3Point> {
     let profile = profiles::by_name(benchmark).expect("known benchmark");
     let mfs = [2usize, 4, 8, 16, 32, 64, 128, 256, 512];
@@ -65,12 +61,7 @@ pub fn figure3_for_with(engine: &Engine, benchmark: &str, len: RunLength) -> Vec
         .collect()
 }
 
-/// Runs and renders Figure 3 (wupwise).
-pub fn figure3(len: RunLength) -> (Vec<Fig3Point>, String) {
-    figure3_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`figure3`] on a caller-owned [`Engine`].
+/// Runs and renders Figure 3 (wupwise) on the caller's [`Engine`].
 pub fn figure3_with(engine: &Engine, len: RunLength) -> (Vec<Fig3Point>, String) {
     let points = figure3_for_with(engine, "wupwise", len);
     let mut t = TextTable::new(vec!["MF", "miss_rate", "PD_hit_rate"]);
@@ -119,9 +110,13 @@ pub fn figure3_recorded(
 mod tests {
     use super::*;
 
+    fn engine() -> Engine {
+        Engine::new(crate::parallel::default_parallelism())
+    }
+
     #[test]
     fn wupwise_pd_hit_rate_collapses_at_mf64() {
-        let points = figure3_for("wupwise", RunLength::with_records(150_000));
+        let points = figure3_for_with(&engine(), "wupwise", RunLength::with_records(150_000));
         let at = |mf: usize| points.iter().find(|p| p.mf == mf).unwrap();
         // High PD hit rate while the far-spaced arrays share PIs…
         assert!(
@@ -144,7 +139,7 @@ mod tests {
 
     #[test]
     fn rendering_contains_all_mf_points() {
-        let (points, text) = figure3(RunLength::with_records(60_000));
+        let (points, text) = figure3_with(&engine(), RunLength::with_records(60_000));
         assert_eq!(points.len(), 9);
         for mf in [2, 64, 512] {
             assert!(text.contains(&format!("MF{mf}")), "{text}");

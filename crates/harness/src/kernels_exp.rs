@@ -7,13 +7,13 @@
 //! actual program semantics — in particular `conflict_copy`, the
 //! programmatic version of the paper's Figure 1 thrash example.
 
-use cache_sim::{AccessKind, Addr, CacheModel};
+use cache_sim::CacheModel;
 use trace_gen::kernels::{run_kernel, suite};
-use trace_gen::Op;
 
 use crate::config::CacheConfig;
 use crate::parallel::Engine;
 use crate::report::{pct, pct2, TextTable};
+use crate::run::{replay_models, Side};
 
 /// One kernel's miss rates across configurations.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,14 +51,10 @@ pub fn kernel_configs() -> Vec<CacheConfig> {
 }
 
 /// Runs every kernel in the suite against the baseline plus
-/// [`kernel_configs`], feeding the data side of the trace.
-pub fn run_kernels(fuel: u64) -> Vec<KernelResult> {
-    run_kernels_with(&Engine::with_default_parallelism(), fuel)
-}
-
-/// [`run_kernels`] on a caller-owned [`Engine`]: one job per kernel
-/// (each job executes the kernel's VM program, then replays its trace
-/// into every configuration in one pass).
+/// [`kernel_configs`], feeding the data side of the trace, on the
+/// caller's [`Engine`]: one job per kernel (each job executes the
+/// kernel's VM program, then replays its trace into every configuration
+/// in one pass).
 pub fn run_kernels_with(engine: &Engine, fuel: u64) -> Vec<KernelResult> {
     let kernels = suite();
     let jobs: Vec<_> = kernels
@@ -72,31 +68,23 @@ fn run_one_kernel(k: &trace_gen::kernels::Kernel, fuel: u64) -> KernelResult {
     let configs = kernel_configs();
     let (m, trace) = run_kernel(k, fuel);
     debug_assert!(m.halted() || m.executed() == fuel);
-    let mut baseline = CacheConfig::DirectMapped.build(16 * 1024, 1).unwrap();
-    let mut models: Vec<Box<dyn CacheModel>> = configs
-        .iter()
+    // Column 0 is the baseline; no warm-up, the kernels start cold.
+    let mut models: Vec<Box<dyn CacheModel>> = std::iter::once(&CacheConfig::DirectMapped)
+        .chain(&configs)
         .map(|c| c.build(16 * 1024, 1).unwrap())
         .collect();
-    for r in &trace {
-        if let Some(a) = r.op.data_addr() {
-            let kind = if matches!(r.op, Op::Store(_)) {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            baseline.access(Addr::new(a), kind);
-            for model in models.iter_mut() {
-                model.access(Addr::new(a), kind);
-            }
-        }
-    }
+    let mut all: Vec<&mut dyn CacheModel> = models
+        .iter_mut()
+        .map(|m| m.as_mut() as &mut dyn CacheModel)
+        .collect();
+    replay_models(trace, &mut all, Side::Data, 0);
     KernelResult {
         kernel: k.name.to_string(),
         instructions: m.executed(),
-        baseline_miss_rate: baseline.stats().miss_rate(),
+        baseline_miss_rate: models[0].stats().miss_rate(),
         outcomes: configs
             .iter()
-            .zip(&models)
+            .zip(&models[1..])
             .map(|(c, m)| (c.label(), m.stats().miss_rate()))
             .collect(),
     }
@@ -130,9 +118,13 @@ pub fn render_kernels(results: &[KernelResult]) -> String {
 mod tests {
     use super::*;
 
+    fn engine() -> Engine {
+        Engine::new(crate::parallel::default_parallelism())
+    }
+
     #[test]
     fn conflict_copy_reproduces_figure1_on_a_real_program() {
-        let results = run_kernels(3_000_000);
+        let results = run_kernels_with(&engine(), 3_000_000);
         let cc = results
             .iter()
             .find(|r| r.kernel == "conflict_copy")
@@ -157,7 +149,7 @@ mod tests {
 
     #[test]
     fn list_walk_is_capacity_bound() {
-        let results = run_kernels(3_000_000);
+        let results = run_kernels_with(&engine(), 3_000_000);
         let lw = results.iter().find(|r| r.kernel == "list_walk").unwrap();
         // 4096 shuffled 16-byte nodes = 64 kB of pointer chasing: no
         // associativity saves it.
@@ -168,7 +160,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_kernel() {
-        let results = run_kernels(500_000);
+        let results = run_kernels_with(&engine(), 500_000);
         let s = render_kernels(&results);
         for name in [
             "matmul",

@@ -14,7 +14,7 @@
 //! | Tab. 1–4 | [`tables`] | `tab1`…`tab4` |
 //! | Tab. 5/6 (design space) | [`design_space`] | `tab5`, `tab6` |
 //! | Tab. 7 (balance) | [`balance`] | `tab7` |
-//! | §7.1 related work | [`missrate::related_work`] | `related` |
+//! | §7.1 related work | [`missrate::related_work_with`] | `related` |
 //! | Telemetry replay report | [`runcmd`] | `run` |
 //! | Set-pressure report | [`statscmd`] | `stats` |
 //! | Analytical oracle sweep | [`oraclecmd`] | `oracle` |
@@ -31,10 +31,11 @@
 //! ## Parallel execution
 //!
 //! Every driver shards its (benchmark × side × config) cross-product
-//! into jobs and runs them on the [`parallel::Engine`] — a std-only
-//! scoped-thread pool. `--jobs N` picks the worker count (default:
-//! available parallelism); the output is **bit-identical for every
-//! `N`** because job seeds are derived from the job identity
+//! into jobs and runs them on the caller's [`parallel::Engine`] — a
+//! std-only scoped-thread pool. No driver builds an engine of its own,
+//! so every experiment honours `--jobs N`, which picks the worker count
+//! (default: available parallelism); the output is **bit-identical for
+//! every `N`** because job seeds are derived from the job identity
 //! ([`parallel::job_seed`]), jobs are pure, and aggregation is
 //! positional. The engine's [`parallel::TraceCache`] memoizes each
 //! benchmark's per-side access stream ([`run::SideTrace`]) so the side
@@ -76,4 +77,4 @@ pub mod telemetry_io;
 pub use checkpoint::{Checkpoint, CheckpointMeta, CheckpointValue};
 pub use config::CacheConfig;
 pub use parallel::{default_parallelism, job_seed, Engine, TraceCache};
-pub use run::{run_bcache_pd_stats, run_miss_rates, RunLength, Side};
+pub use run::{run_miss_rates, RunLength, Side};

@@ -8,7 +8,9 @@
 //! accepts but does not act on draws a warning and is ignored.
 //!
 //! `--jobs N` sets the experiment engine's worker-thread count (default:
-//! available parallelism). Output is bit-identical for every `N`.
+//! available parallelism). Every table and figure runs on that one
+//! engine, `all` included, so every experiment honours it; output is
+//! bit-identical for every `N`.
 //! Diagnostics honor `BCACHE_LOG` (`off`/`error`/`warn`/`info`/`debug`,
 //! default `info`).
 //!
@@ -21,12 +23,15 @@
 //! resume from them (`--resume`). Jobs are pure, so a resumed run is
 //! byte-identical to an uninterrupted one.
 
+use std::cell::OnceCell;
 use std::env;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
 use harness::config::RunOptions;
 use harness::oraclecmd::{self, OracleOptions};
+use harness::parallel::Engine;
+use harness::run::RunLength;
 use harness::serve::{LoadgenOptions, ServeOptions};
 use harness::telemetry_io::{self, TelemetryFlags};
 use harness::{
@@ -89,10 +94,7 @@ fn write_events_file(path: &str, ring: &EventRing) -> bool {
 /// re-raises the first one) into a clean non-zero exit instead of an
 /// unwinding crash. When a checkpoint is attached the completed jobs
 /// were already flushed, so the error carries a resume hint.
-fn guarded<T>(
-    engine: Option<&harness::parallel::Engine>,
-    body: impl FnOnce() -> T,
-) -> Result<T, ExitCode> {
+fn guarded<T>(engine: Option<&Engine>, body: impl FnOnce() -> T) -> Result<T, ExitCode> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         Ok(v) => Ok(v),
         Err(payload) => {
@@ -335,18 +337,24 @@ fn loadgen(opts: &LoadgenOptions) -> ExitCode {
     }
 }
 
-/// Runs one table/figure experiment. `checkpoint` says whether the
-/// experiment honours the `--checkpoint`/`--resume` in `opts`.
+/// The experiments `all` prints, in order.
+const ALL: &[&str] = &[
+    "tab4", "fig4", "fig5", "fig3", "tab1", "tab2", "tab3", "fig8", "fig9", "tab5", "tab7",
+    "fig12", "related", "hac", "drowsy", "vp", "kernels",
+];
+
+/// Runs one table/figure experiment, or each of [`ALL`] for `all`.
+/// `checkpoint` says whether the experiment honours the
+/// `--checkpoint`/`--resume` in `opts`.
 fn run_experiment(
     experiment: &str,
     opts: &RunOptions,
     checkpoint: bool,
     tele: &TelemetryFlags,
 ) -> ExitCode {
-    let (len, csv) = (opts.len, opts.csv);
     let engine = opts.engine();
     if checkpoint {
-        match opts.setup.attach_checkpoint(&engine, experiment, len) {
+        match opts.setup.attach_checkpoint(&engine, experiment, opts.len) {
             Ok(_) => tele_info!("checkpointing {experiment}"),
             Err(msg) => {
                 tele_error!("{msg}");
@@ -356,165 +364,28 @@ fn run_experiment(
     }
 
     let drive = || {
-        match experiment {
-            "fig3" => {
-                if tele.any() {
-                    let mut rec = Recorder::new();
-                    let (_, text) = fig3::figure3_recorded(&engine, len, &mut rec);
-                    out!("{text}");
-                    rec.merge(&engine.timing_snapshot());
-                    let hits = engine.checkpoint_hits();
-                    if hits > 0 {
-                        rec.counter("engine.checkpoint_hits", hits);
-                    }
-                    if let Some(path) = &tele.metrics {
-                        if !write_metrics_file(path, &rec) {
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    if let Some(path) = &tele.trace_events {
-                        // The event trace documents the sweep's headline
-                        // point: wupwise data side at MF = 8, BAS = 8.
-                        let profile = trace_gen::profiles::by_name("wupwise")
-                            .expect("wupwise profile exists");
-                        let trace = engine.side_trace(&profile, len, run::Side::Data);
-                        let bc = run::replay_bcache_observed(
-                            &trace,
-                            8,
-                            8,
-                            16 * 1024,
-                            runcmd::EVENT_RING_CAPACITY,
-                        );
-                        if !write_events_file(path, bc.observer()) {
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    out!("{}", fig3::figure3_with(&engine, len).1);
-                }
+        if experiment == "fig3" && tele.any() {
+            return figure3_observed(&engine, opts.len, tele);
+        }
+        // `all` renders each experiment as its own command renders it
+        // without `--csv`.
+        let (names, csv) = if experiment == "all" {
+            (ALL, false)
+        } else {
+            (std::slice::from_ref(&experiment), opts.csv)
+        };
+        let experiments = Experiments {
+            engine: &engine,
+            len: opts.len,
+            csv,
+            perf: OnceCell::new(),
+            table7: OnceCell::new(),
+        };
+        for name in names {
+            if let Err(msg) = experiments.render(name) {
+                tele_error!("{msg}");
+                return ExitCode::FAILURE;
             }
-            "fig4" => {
-                let (fp, int) = missrate::figure4_with(&engine, len);
-                if csv {
-                    out!("{}{}", fp.render_csv(), int.render_csv());
-                } else {
-                    out!("{}\n{}", fp.render(), int.render());
-                }
-            }
-            "fig5" => {
-                let fig = missrate::figure5_with(&engine, len);
-                out!("{}", if csv { fig.render_csv() } else { fig.render() });
-            }
-            "fig8" => out!(
-                "{}",
-                perf::render_figure8(&perf::run_perf_with(&engine, len))
-            ),
-            "fig9" => out!(
-                "{}",
-                perf::render_figure9(&perf::run_perf_with(&engine, len))
-            ),
-            "fig12" => {
-                for fig in missrate::figure12_with(&engine, len) {
-                    if csv {
-                        out!("{}", fig.render_csv());
-                    } else {
-                        out!("{}\n", fig.render());
-                    }
-                }
-            }
-            "tab1" => out!("{}", tables::render_table1()),
-            "tab2" => out!("{}", tables::render_table2()),
-            "tab3" => out!("{}", tables::render_table3()),
-            "tab4" => out!("{}", tables::render_table4()),
-            "tab5" | "tab6" => {
-                let grid = design_space::design_space_grid_with(&engine, len);
-                out!("{}", design_space::render_tables_5_and_6(&grid));
-            }
-            "tab7" => match balance::table7_with(&engine, len) {
-                Ok(rows) => out!("{}", balance::render_table7(&rows)),
-                Err(msg) => {
-                    tele_error!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "related" => {
-                let fig = missrate::related_work_with(&engine, len);
-                out!("{}", if csv { fig.render_csv() } else { fig.render() });
-            }
-            "sweep" => {
-                let points = sensitivity::victim_sweep_with(&engine, len, &[2, 4, 8, 16, 32, 64]);
-                out!("{}", sensitivity::render_victim_sweep(&points));
-                let windows = sensitivity::cold_start("equake", 20_000, 8, len);
-                out!(
-                    "{}",
-                    sensitivity::render_cold_start("equake", &windows, 20_000)
-                );
-                out!(
-                    "{}",
-                    sensitivity::render_l2_bcache(&sensitivity::l2_bcache_with(&engine, len))
-                );
-            }
-            "kernels" => {
-                out!(
-                    "{}",
-                    kernels_exp::render_kernels(&kernels_exp::run_kernels_with(
-                        &engine,
-                        len.records
-                    ))
-                )
-            }
-            "hac" => out!("{}", extensions::render_hac_comparison()),
-            "drowsy" => match extensions::drowsy_analysis(len) {
-                Ok(rows) => out!("{}", extensions::render_drowsy(&rows)),
-                Err(msg) => {
-                    tele_error!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "vp" => out!("{}", extensions::render_vp_analysis()),
-            "all" => {
-                out!("{}", tables::render_table4());
-                let (fp, int) = missrate::figure4_with(&engine, len);
-                out!("{}\n{}", fp.render(), int.render());
-                out!("{}", missrate::figure5_with(&engine, len).render());
-                out!("{}", fig3::figure3_with(&engine, len).1);
-                out!("{}", tables::render_table1());
-                out!("{}", tables::render_table2());
-                out!("{}", tables::render_table3());
-                let rows = perf::run_perf_with(&engine, len);
-                out!("{}", perf::render_figure8(&rows));
-                out!("{}", perf::render_figure9(&rows));
-                let grid = design_space::design_space_grid_with(&engine, len);
-                out!("{}", design_space::render_tables_5_and_6(&grid));
-                match balance::table7_with(&engine, len) {
-                    Ok(rows) => out!("{}", balance::render_table7(&rows)),
-                    Err(msg) => {
-                        tele_error!("{msg}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                for fig in missrate::figure12_with(&engine, len) {
-                    out!("{}\n", fig.render());
-                }
-                out!("{}", missrate::related_work_with(&engine, len).render());
-                out!("{}", extensions::render_hac_comparison());
-                match extensions::drowsy_analysis(len) {
-                    Ok(rows) => out!("{}", extensions::render_drowsy(&rows)),
-                    Err(msg) => {
-                        tele_error!("{msg}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                out!("{}", extensions::render_vp_analysis());
-                out!(
-                    "{}",
-                    kernels_exp::render_kernels(&kernels_exp::run_kernels_with(
-                        &engine,
-                        len.records
-                    ))
-                );
-            }
-            other => unreachable!("{other} is in the command table but has no driver"),
         }
         ExitCode::SUCCESS
     };
@@ -529,4 +400,128 @@ fn run_experiment(
         }
         Err(code) => code,
     }
+}
+
+/// The table and figure drivers on one command's engine. Rows that two
+/// experiments render are computed once: fig8 and fig9 share the perf
+/// rows, and drowsy reads Table 7's rows.
+struct Experiments<'a> {
+    engine: &'a Engine,
+    len: RunLength,
+    csv: bool,
+    perf: OnceCell<Vec<perf::PerfRow>>,
+    table7: OnceCell<Result<Vec<balance::BalanceRow>, String>>,
+}
+
+impl Experiments<'_> {
+    fn perf(&self) -> &[perf::PerfRow] {
+        self.perf
+            .get_or_init(|| perf::run_perf_with(self.engine, self.len))
+    }
+
+    fn table7(&self) -> Result<&[balance::BalanceRow], String> {
+        self.table7
+            .get_or_init(|| balance::table7_with(self.engine, self.len))
+            .as_deref()
+            .map_err(String::clone)
+    }
+
+    /// Prints experiment `name`; `Err` carries the message to log.
+    fn render(&self, name: &str) -> Result<(), String> {
+        let (engine, len, csv) = (self.engine, self.len, self.csv);
+        match name {
+            "fig3" => out!("{}", fig3::figure3_with(engine, len).1),
+            "fig4" => {
+                let (fp, int) = missrate::figure4_with(engine, len);
+                if csv {
+                    out!("{}{}", fp.render_csv(), int.render_csv());
+                } else {
+                    out!("{}\n{}", fp.render(), int.render());
+                }
+            }
+            "fig5" => {
+                let fig = missrate::figure5_with(engine, len);
+                out!("{}", if csv { fig.render_csv() } else { fig.render() });
+            }
+            "fig8" => out!("{}", perf::render_figure8(self.perf())),
+            "fig9" => out!("{}", perf::render_figure9(self.perf())),
+            "fig12" => {
+                for fig in missrate::figure12_with(engine, len) {
+                    if csv {
+                        out!("{}", fig.render_csv());
+                    } else {
+                        out!("{}\n", fig.render());
+                    }
+                }
+            }
+            "tab1" => out!("{}", tables::render_table1()),
+            "tab2" => out!("{}", tables::render_table2()),
+            "tab3" => out!("{}", tables::render_table3()),
+            "tab4" => out!("{}", tables::render_table4()),
+            "tab5" | "tab6" => {
+                let grid = design_space::design_space_grid_with(engine, len);
+                out!("{}", design_space::render_tables_5_and_6(&grid));
+            }
+            "tab7" => out!("{}", balance::render_table7(self.table7()?)),
+            "related" => {
+                let fig = missrate::related_work_with(engine, len);
+                out!("{}", if csv { fig.render_csv() } else { fig.render() });
+            }
+            "sweep" => {
+                let points = sensitivity::victim_sweep_with(engine, len, &[2, 4, 8, 16, 32, 64]);
+                out!("{}", sensitivity::render_victim_sweep(&points));
+                let windows = sensitivity::cold_start("equake", 20_000, 8, len);
+                out!(
+                    "{}",
+                    sensitivity::render_cold_start("equake", &windows, 20_000)
+                );
+                out!(
+                    "{}",
+                    sensitivity::render_l2_bcache(&sensitivity::l2_bcache_with(engine, len))
+                );
+            }
+            "kernels" => out!(
+                "{}",
+                kernels_exp::render_kernels(&kernels_exp::run_kernels_with(engine, len.records))
+            ),
+            "hac" => out!("{}", extensions::render_hac_comparison()),
+            "drowsy" => out!(
+                "{}",
+                extensions::render_drowsy(&extensions::drowsy_analysis(self.table7()?))
+            ),
+            "vp" => out!("{}", extensions::render_vp_analysis()),
+            other => unreachable!("{other} is in the command table but has no driver"),
+        }
+        Ok(())
+    }
+}
+
+/// `fig3` with `--metrics` and/or `--trace-events`: the figure, plus
+/// its point counters and engine timing in the metrics file and the
+/// event trace of its headline point.
+fn figure3_observed(engine: &Engine, len: RunLength, tele: &TelemetryFlags) -> ExitCode {
+    let mut rec = Recorder::new();
+    let (_, text) = fig3::figure3_recorded(engine, len, &mut rec);
+    out!("{text}");
+    rec.merge(&engine.timing_snapshot());
+    let hits = engine.checkpoint_hits();
+    if hits > 0 {
+        rec.counter("engine.checkpoint_hits", hits);
+    }
+    if let Some(path) = &tele.metrics {
+        if !write_metrics_file(path, &rec) {
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Some(path) = &tele.trace_events {
+        // The event trace documents the sweep's headline point: wupwise
+        // data side at MF = 8, BAS = 8.
+        let profile = trace_gen::profiles::by_name("wupwise").expect("wupwise profile exists");
+        let trace = engine.side_trace(&profile, len, run::Side::Data);
+        let bc = run::replay_bcache_observed(&trace, 8, 8, 16 * 1024, runcmd::EVENT_RING_CAPACITY);
+        if !write_events_file(path, bc.observer()) {
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

@@ -1,9 +1,8 @@
 //! Miss-rate reduction experiments: Figures 4, 5 and 12.
 //!
 //! Each figure shards its (benchmark × config) cross-product into jobs
-//! on the [`Engine`]; the `*_with` variants accept a caller-owned engine
-//! (so several figures share one trace cache), the plain variants build
-//! a default one. Output is identical for any worker count.
+//! on the caller's [`Engine`], so several figures share one trace cache.
+//! Output is identical for any worker count.
 
 use trace_gen::{profiles, BenchmarkProfile, Suite};
 
@@ -120,11 +119,6 @@ fn run_figure(
 
 /// Figure 4: data-cache miss-rate reductions at 16 kB over the nine
 /// comparison configurations, grouped CFP2K then CINT2K like the paper.
-pub fn figure4(len: RunLength) -> (MissRateFigure, MissRateFigure) {
-    figure4_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`figure4`] on a caller-owned [`Engine`].
 pub fn figure4_with(engine: &Engine, len: RunLength) -> (MissRateFigure, MissRateFigure) {
     let configs = CacheConfig::figure4_set();
     let fp = run_figure(
@@ -150,11 +144,6 @@ pub fn figure4_with(engine: &Engine, len: RunLength) -> (MissRateFigure, MissRat
 
 /// Figure 5: instruction-cache miss-rate reductions at 16 kB on the
 /// fifteen reported benchmarks.
-pub fn figure5(len: RunLength) -> MissRateFigure {
-    figure5_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`figure5`] on a caller-owned [`Engine`].
 pub fn figure5_with(engine: &Engine, len: RunLength) -> MissRateFigure {
     run_figure(
         engine,
@@ -169,11 +158,6 @@ pub fn figure5_with(engine: &Engine, len: RunLength) -> MissRateFigure {
 
 /// Figure 12: miss-rate reductions at 8 kB and 32 kB over the twelve
 /// configurations (suite averages, as the paper plots aggregate bars).
-pub fn figure12(len: RunLength) -> Vec<MissRateFigure> {
-    figure12_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`figure12`] on a caller-owned [`Engine`].
 pub fn figure12_with(engine: &Engine, len: RunLength) -> Vec<MissRateFigure> {
     let configs = CacheConfig::figure12_set();
     let mut figures = Vec::new();
@@ -203,11 +187,6 @@ pub fn figure12_with(engine: &Engine, len: RunLength) -> Vec<MissRateFigure> {
 
 /// Related-work comparison (Section 7.1): the B-Cache against the
 /// column-associative and skewed-associative caches and the HAC.
-pub fn related_work(len: RunLength) -> MissRateFigure {
-    related_work_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`related_work`] on a caller-owned [`Engine`].
 pub fn related_work_with(engine: &Engine, len: RunLength) -> MissRateFigure {
     run_figure(
         engine,
@@ -228,14 +207,19 @@ pub fn suite_of(benchmark: &str) -> Option<Suite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::default_parallelism;
 
     fn quick() -> RunLength {
         RunLength::with_records(100_000)
     }
 
+    fn engine() -> Engine {
+        Engine::new(default_parallelism())
+    }
+
     #[test]
     fn figure4_has_all_benchmarks_and_configs() {
-        let (fp, int) = figure4(quick());
+        let (fp, int) = figure4_with(&engine(), quick());
         assert_eq!(fp.rows.len(), 14);
         assert_eq!(int.rows.len(), 12);
         assert_eq!(fp.labels.len(), 9);
@@ -244,7 +228,7 @@ mod tests {
 
     #[test]
     fn figure4_average_orderings_match_the_paper() {
-        let (fp, int) = figure4(quick());
+        let (fp, int) = figure4_with(&engine(), quick());
         for fig in [&fp, &int] {
             let red = |l: &str| fig.average_reduction(fig.column(l).unwrap());
             // Associativity staircase.
@@ -265,7 +249,7 @@ mod tests {
 
     #[test]
     fn figure5_reports_fifteen_benchmarks() {
-        let fig = figure5(quick());
+        let fig = figure5_with(&engine(), quick());
         assert_eq!(fig.rows.len(), 15);
         let red = |l: &str| fig.average_reduction(fig.column(l).unwrap());
         assert!(

@@ -838,19 +838,17 @@ mod tests {
     /// constructor directly: the reference the spec table must match.
     fn direct_build(c: CacheConfig, size: usize, seed: u64) -> Box<dyn CacheModel> {
         let lru = PolicyKind::Lru;
-        let bcache = |mf, bas, policy| {
-            let geom = CacheGeometry::new(size, 32, 1).unwrap();
-            let params = BCacheParams::new(geom, mf, bas, policy).unwrap();
-            Box::new(BalancedCache::new(params.with_seed(seed)))
-        };
         match c {
             CacheConfig::DirectMapped => Box::new(DirectMappedCache::new(size, 32).unwrap()),
             CacheConfig::SetAssoc(n) => {
                 Box::new(SetAssociativeCache::new(size, 32, n, lru, seed).unwrap())
             }
             CacheConfig::Victim(n) => Box::new(VictimCache::new(size, 32, n).unwrap()),
-            CacheConfig::BCache { mf, bas } => bcache(mf, bas, lru),
-            CacheConfig::BCacheRandom { mf, bas } => bcache(mf, bas, PolicyKind::Random),
+            CacheConfig::BCache { mf, bas } => {
+                let geom = CacheGeometry::new(size, 32, 1).unwrap();
+                let params = BCacheParams::new(geom, mf, bas, lru).unwrap();
+                Box::new(BalancedCache::new(params.with_seed(seed)))
+            }
             CacheConfig::ColumnAssoc => Box::new(ColumnAssociativeCache::new(size, 32).unwrap()),
             CacheConfig::SkewedAssoc => Box::new(SkewedAssociativeCache::new(size, 32).unwrap()),
             CacheConfig::Hac => Box::new(HighlyAssociativeCache::new(size, 32, 1024).unwrap()),
@@ -871,7 +869,6 @@ mod tests {
         configs.extend(CacheConfig::figure8_set());
         configs.extend(CacheConfig::figure12_set());
         configs.extend(CacheConfig::related_set());
-        configs.push(CacheConfig::BCacheRandom { mf: 8, bas: 8 });
         let stream = crate::bench::access_stream(4000, 3);
         for size in [8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024] {
             for &c in &configs {

@@ -327,12 +327,6 @@ pub struct Engine {
     spans: Mutex<SpanLog>,
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::with_default_parallelism()
-    }
-}
-
 impl Engine {
     /// Creates an engine running at most `jobs` worker threads
     /// (clamped to at least 1).
@@ -344,12 +338,6 @@ impl Engine {
             checkpoint: Mutex::new(None),
             spans: Mutex::new(SpanLog::new()),
         }
-    }
-
-    /// Creates an engine sized to the machine
-    /// ([`std::thread::available_parallelism`]).
-    pub fn with_default_parallelism() -> Self {
-        Engine::new(default_parallelism())
     }
 
     /// The worker-thread budget.

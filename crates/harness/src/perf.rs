@@ -83,7 +83,7 @@ fn l1_energy_pj(config: &CacheConfig, l1_miss_rate: f64) -> f64 {
             // rate is a close lower bound for the probe rate.
             victim_access_pj(&geom(1), entries, l1_miss_rate).total_pj()
         }
-        CacheConfig::BCache { mf, bas } | CacheConfig::BCacheRandom { mf, bas } => {
+        CacheConfig::BCache { mf, bas } => {
             let params = BCacheParams::new(geom(1), mf, bas, cache_sim::PolicyKind::Lru)
                 .expect("valid B-Cache point");
             bcache_access_pj(&params).total_pj()
@@ -161,13 +161,8 @@ fn run_config_on(
 }
 
 /// Runs Figures 8/9's simulations: all 26 benchmarks, baseline plus the
-/// five comparison configurations.
-pub fn run_perf(len: RunLength) -> Vec<PerfRow> {
-    run_perf_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`run_perf`] on a caller-owned [`Engine`]: one job per
-/// (benchmark, configuration), all replaying the benchmark's cached
+/// five comparison configurations, on the caller's [`Engine`]. One job
+/// per (benchmark, configuration), all replaying the benchmark's cached
 /// trace through the full CPU model. Each benchmark's records are
 /// declared for its `configs.len()` jobs, so the cache releases them
 /// once the last of those jobs has fetched them.

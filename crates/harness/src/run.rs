@@ -3,10 +3,9 @@
 //!
 //! Two replay paths exist and are guaranteed to agree bit-for-bit:
 //!
-//! * the **streaming** path ([`run_miss_rates`], [`run_bcache_pd_stats`])
-//!   generates the trace on the fly and replays every model in one pass
-//!   — used by callers that want a single benchmark/config without an
-//!   engine;
+//! * the **streaming** path ([`run_miss_rates`]) generates the trace on
+//!   the fly and replays every model in one pass — the independent
+//!   reference the engine's sweeps are cross-checked against;
 //! * the **sharded** path ([`replay_config_on`], [`replay_bcache_pd_on`])
 //!   replays one model over a pre-extracted [`SideTrace`] (normally an
 //!   [`Engine`](crate::parallel::Engine) trace-cache entry) — used by
@@ -332,7 +331,7 @@ pub fn run_miss_rates(
             miss_rate: m.stats().miss_rate(),
             // PD statistics need the concrete BalancedCache type; the
             // experiments that want them (Fig. 3, Table 6) use
-            // `run_bcache_pd_stats` instead.
+            // `replay_bcache_pd_on` instead.
             pd_hit_rate_on_miss: None,
         })
         .collect();
@@ -415,9 +414,9 @@ fn build_bcache(mf: usize, bas: usize, size_bytes: usize) -> BalancedCache {
         .expect("valid B-Cache point")
 }
 
-/// Sharded counterpart of [`run_bcache_pd_stats`]: replays one B-Cache
-/// point over a pre-extracted side stream. (No seed parameter: the
-/// B-Cache's LRU replacement draws no randomness.)
+/// Replays one B-Cache point over a pre-extracted side stream and
+/// reports both the miss rate and the PD hit rate during misses. (No
+/// seed parameter: the B-Cache's LRU replacement draws no randomness.)
 pub fn replay_bcache_pd_on(
     trace: &SideTrace,
     mf: usize,
@@ -454,29 +453,6 @@ pub fn replay_bcache_observed(
     let mut bc = BalancedCache::with_observer(params, telemetry::EventRing::new(ring_capacity));
     trace.replay(&mut bc);
     bc
-}
-
-/// Replays one benchmark against a single B-Cache (streaming) and
-/// reports both the miss rate and the PD hit rate during misses.
-pub fn run_bcache_pd_stats(
-    profile: &BenchmarkProfile,
-    mf: usize,
-    bas: usize,
-    size_bytes: usize,
-    side: Side,
-    len: RunLength,
-) -> BCachePdOutcome {
-    let mut bc = build_bcache(mf, bas, size_bytes);
-    replay(
-        Trace::new(profile, len.seed).take(record_count(len.records)),
-        &mut bc,
-        side,
-        len.warmup,
-    );
-    BCachePdOutcome {
-        miss_rate: bc.stats().miss_rate(),
-        pd_hit_rate_on_miss: bc.pd_stats().pd_hit_rate_on_miss(),
-    }
 }
 
 /// Arithmetic mean of `f` over a slice (used for the "Ave" bars).
@@ -546,18 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn pd_stats_runner_matches_missrate_runner() {
+    fn pd_replay_matches_record_replay() {
+        // The PD path against a record-level replay of the same B-Cache,
+        // the path the golden counters pin.
         let p = profiles::by_name("wupwise").unwrap();
         let len = quick();
-        let via_grid = run_miss_rates(
-            &p,
-            &[CacheConfig::BCache { mf: 8, bas: 8 }],
-            16 * 1024,
-            Side::Data,
-            len,
+        let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
+        let mut bc = build_bcache(8, 8, 16 * 1024);
+        replay(records.iter(), &mut bc, Side::Data, len.warmup);
+        let trace = SideTrace::extract(records.iter(), Side::Data, len.warmup);
+        let via_pd = replay_bcache_pd_on(&trace, 8, 8, 16 * 1024);
+        assert_eq!(via_pd.miss_rate, bc.stats().miss_rate());
+        assert_eq!(
+            via_pd.pd_hit_rate_on_miss,
+            bc.pd_stats().pd_hit_rate_on_miss()
         );
-        let via_pd = run_bcache_pd_stats(&p, 8, 8, 16 * 1024, Side::Data, len);
-        assert!((via_grid.outcomes[0].miss_rate - via_pd.miss_rate).abs() < 1e-12);
         // wupwise's far conflicts force PD hits on most conflict misses.
         assert!(
             via_pd.pd_hit_rate_on_miss > 0.3,
@@ -601,17 +580,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sharded_pd_replay_matches_streaming() {
-        let p = profiles::by_name("wupwise").unwrap();
-        let len = RunLength::with_records(50_000);
-        let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
-        let a = run_bcache_pd_stats(&p, 8, 8, 16 * 1024, Side::Data, len);
-        let trace = SideTrace::extract(records.iter(), Side::Data, len.warmup);
-        let b = replay_bcache_pd_on(&trace, 8, 8, 16 * 1024);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,33 +1,28 @@
 //! Sensitivity studies and extension experiments beyond the paper's
 //! figures:
 //!
-//! * [`victim_sweep`] — victim-buffer sizes (Section 6.6 claims more
+//! * [`victim_sweep_with`] — victim-buffer sizes (Section 6.6 claims more
 //!   than 16 entries stops paying);
 //! * [`cold_start`] — how fast the B-Cache's programmable decoders warm
 //!   up after a flush (context switches reprogram the PDs; the paper's
 //!   Figure 1 discusses the cold-start case);
-//! * [`l2_bcache`] — applying the B-Cache idea at the L2 (an extension:
+//! * [`l2_bcache_with`] — applying the B-Cache idea at the L2 (an extension:
 //!   a direct-mapped 256 kB L2 versus its balanced variant versus the
 //!   paper's 4-way L2).
 
 use bcache_core::{BCacheParams, BalancedCache};
 use cache_sim::{
-    AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind, SetAssociativeCache, VictimCache,
+    AccessKind, CacheGeometry, CacheModel, PolicyKind, SetAssociativeCache, VictimCache,
 };
-use trace_gen::{profiles, Op, Trace};
+use trace_gen::{profiles, Trace};
 
 use crate::parallel::Engine;
 use crate::report::{pct, pct2, TextTable};
-use crate::run::{mean, RunLength, Side};
+use crate::run::{mean, RunLength, Side, SideStream};
 
 /// Miss-rate reduction of victim buffers of several sizes, averaged over
-/// the 26 benchmarks' data caches.
-pub fn victim_sweep(len: RunLength, entries: &[usize]) -> Vec<(usize, f64)> {
-    victim_sweep_with(&Engine::with_default_parallelism(), len, entries)
-}
-
-/// [`victim_sweep`] on a caller-owned [`Engine`]: one job per
-/// (buffer size, benchmark) pair over the shared cached traces.
+/// the 26 benchmarks' data caches, on the caller's [`Engine`]: one job
+/// per (buffer size, benchmark) pair over the shared cached traces.
 pub fn victim_sweep_with(engine: &Engine, len: RunLength, entries: &[usize]) -> Vec<(usize, f64)> {
     let benchmarks = profiles::all();
     let jobs: Vec<_> = entries
@@ -89,32 +84,19 @@ pub fn cold_start(benchmark: &str, window: u64, windows: usize, len: RunLength) 
     let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
     let mut dm = cache_sim::DirectMappedCache::from_geometry(geom).unwrap();
     let mut bc = BalancedCache::new(BCacheParams::paper_default(geom).unwrap());
-    let mut out = Vec::new();
-    let mut seen = 0u64;
-    let mut dm_misses = 0u64;
-    let mut bc_misses = 0u64;
-    for rec in Trace::new(&profile, len.seed) {
-        if out.len() >= windows {
-            break;
-        }
-        if let Some(a) = rec.op.data_addr() {
-            let kind = if matches!(rec.op, Op::Store(_)) {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            dm_misses += u64::from(!dm.access(Addr::new(a), kind).hit);
-            bc_misses += u64::from(!bc.access(Addr::new(a), kind).hit);
-            seen += 1;
-            if seen == window {
-                out.push((
-                    dm_misses as f64 / window as f64,
-                    bc_misses as f64 / window as f64,
-                ));
-                seen = 0;
-                dm_misses = 0;
-                bc_misses = 0;
-            }
+    let mut stream = SideStream::new(Side::Data);
+    let accesses = Trace::new(&profile, len.seed).filter_map(|rec| stream.access(&rec));
+    let mut out = Vec::with_capacity(windows);
+    let (mut dm_misses, mut bc_misses) = (0u64, 0u64);
+    for (i, (addr, kind)) in (1..).zip(accesses.take(window as usize * windows)) {
+        dm_misses += u64::from(!dm.access(addr, kind).hit);
+        bc_misses += u64::from(!bc.access(addr, kind).hit);
+        if i % window == 0 {
+            out.push((
+                dm_misses as f64 / window as f64,
+                bc_misses as f64 / window as f64,
+            ));
+            (dm_misses, bc_misses) = (0, 0);
         }
     }
     out
@@ -139,14 +121,10 @@ pub fn render_cold_start(benchmark: &str, windows: &[(f64, f64)], window: u64) -
 
 /// Applies the B-Cache at the L2: direct-mapped 256 kB L2 vs its
 /// MF=8/BAS=8 balanced variant vs the paper's 4-way L2, fed by the L1
-/// miss stream of the baseline 16 kB L1.
-pub fn l2_bcache(len: RunLength) -> Vec<(String, f64)> {
-    l2_bcache_with(&Engine::with_default_parallelism(), len)
-}
-
-/// [`l2_bcache`] on a caller-owned [`Engine`]: one job per benchmark
-/// (each replays the L1 filter plus all three L2s); the suite aggregate
-/// sums per-benchmark counters in canonical order.
+/// miss stream of the baseline 16 kB L1. Runs on the caller's
+/// [`Engine`]: one job per benchmark (each replays the L1 filter plus
+/// all three L2s); the suite aggregate sums per-benchmark counters in
+/// canonical order.
 pub fn l2_bcache_with(engine: &Engine, len: RunLength) -> Vec<(String, f64)> {
     let l2_geom = CacheGeometry::new(256 * 1024, 128, 1).unwrap();
     let benchmarks = profiles::all();
@@ -227,9 +205,13 @@ mod tests {
         RunLength::with_records(80_000)
     }
 
+    fn engine() -> Engine {
+        Engine::new(crate::parallel::default_parallelism())
+    }
+
     #[test]
     fn victim_gains_grow_monotonically_with_size() {
-        let points = victim_sweep(quick(), &[4, 16, 64]);
+        let points = victim_sweep_with(&engine(), quick(), &[4, 16, 64]);
         let at = |n: usize| points.iter().find(|(e, _)| *e == n).unwrap().1;
         assert!(at(16) > at(4), "more entries must help");
         assert!(at(64) >= at(16), "and never hurt");
@@ -255,7 +237,7 @@ mod tests {
 
     #[test]
     fn l2_bcache_sits_between_dm_and_4way() {
-        let rows = l2_bcache(quick());
+        let rows = l2_bcache_with(&engine(), quick());
         let at = |label: &str| rows.iter().find(|(l, _)| l == label).unwrap().1;
         assert!(
             at("256k-bcache") <= at("256k-dm") + 1e-9,

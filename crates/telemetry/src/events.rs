@@ -144,15 +144,6 @@ impl Observer for NullObserver {
     fn event(&mut self, _event: Event) {}
 }
 
-impl<O: Observer> Observer for &mut O {
-    const ENABLED: bool = O::ENABLED;
-
-    #[inline(always)]
-    fn event(&mut self, event: Event) {
-        (**self).event(event);
-    }
-}
-
 /// A bounded ring buffer of events with drop accounting.
 ///
 /// When full, pushing overwrites the oldest event; [`EventRing::dropped`]
@@ -302,8 +293,6 @@ mod tests {
     fn null_observer_is_disabled() {
         const { assert!(!NullObserver::ENABLED) };
         const { assert!(EventRing::ENABLED) };
-        const { assert!(<&mut EventRing as Observer>::ENABLED) };
-        const { assert!(!<&mut NullObserver as Observer>::ENABLED) };
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use std::env;
 
-use harness::run::{run_bcache_pd_stats, run_miss_rates, RunLength, Side};
+use harness::run::{replay_bcache_pd_on, replay_config_on, RunLength, Side};
+use harness::{default_parallelism, CacheConfig, Engine};
 use trace_gen::profiles;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,8 +16,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!("unknown benchmark {benchmark:?}; try one of: equake, twolf, gcc")
     })?;
     let len = RunLength::with_records(1_000_000);
+    // Generate the data-side access stream once; every design point
+    // replays it.
+    let trace = Engine::new(default_parallelism()).side_trace(&profile, len, Side::Data);
 
-    let baseline = run_miss_rates(&profile, &[], 16 * 1024, Side::Data, len).baseline_miss_rate;
+    let dm = CacheConfig::DirectMapped;
+    let baseline = replay_config_on(profile.name, &trace, &dm, 16 * 1024, Side::Data, len);
     println!(
         "{benchmark}: 16 kB direct-mapped D$ baseline miss rate {:.2}%\n",
         baseline * 100.0
@@ -27,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for bas in [2usize, 4, 8, 16] {
         for mf in [1usize, 2, 4, 8, 16, 32] {
-            let o = run_bcache_pd_stats(&profile, mf, bas, 16 * 1024, Side::Data, len);
+            let o = replay_bcache_pd_on(&trace, mf, bas, 16 * 1024);
             let pd_bits = (mf as f64).log2() as u32 + (bas as f64).log2() as u32;
             println!(
                 "{:>6} {:>6} {:>8} {:>9.2}% {:>11.1}% {:>11.1}%",

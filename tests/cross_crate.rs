@@ -6,12 +6,16 @@ use bcache_core::{BCacheParams, BalancedCache};
 use cache_sim::{AccessKind, Addr, CacheGeometry, DirectMappedCache, MemoryHierarchy};
 use cpu_model::{Cpu, CpuConfig};
 use harness::run::RunLength;
-use harness::{balance, design_space, fig3, missrate, tables};
+use harness::{balance, default_parallelism, design_space, fig3, missrate, tables, Engine};
 use power_model::{bcache_access_pj, conventional_access_pj, table1_rows, table2};
 use trace_gen::{profiles, Trace};
 
 fn quick() -> RunLength {
     RunLength::with_records(60_000)
+}
+
+fn engine() -> Engine {
+    Engine::new(default_parallelism())
 }
 
 #[test]
@@ -76,23 +80,25 @@ fn every_table_renders_nonempty() {
     ] {
         assert!(text.lines().count() > 4, "{text}");
     }
-    let grid = design_space::design_space_grid(RunLength::with_records(20_000));
+    let grid = design_space::design_space_grid_with(&engine(), RunLength::with_records(20_000));
     assert!(design_space::render_tables_5_and_6(&grid).contains("Table 6"));
-    let rows = balance::table7(RunLength::with_records(20_000)).unwrap();
+    let rows = balance::table7_with(&engine(), RunLength::with_records(20_000)).unwrap();
     assert_eq!(rows.len(), 26);
     assert!(balance::render_table7(&rows).contains("wupwise"));
 }
 
 #[test]
 fn every_figure_renders_nonempty() {
-    let (fp, int) = missrate::figure4(quick());
+    let (fp, int) = missrate::figure4_with(&engine(), quick());
     assert!(fp.render().contains("equake"));
     assert!(int.render().contains("gcc"));
-    assert!(missrate::figure5(quick()).render().contains("crafty"));
-    let (points, text) = fig3::figure3(quick());
+    assert!(missrate::figure5_with(&engine(), quick())
+        .render()
+        .contains("crafty"));
+    let (points, text) = fig3::figure3_with(&engine(), quick());
     assert_eq!(points.len(), 9);
     assert!(text.contains("wupwise"));
-    let figs = missrate::figure12(RunLength::with_records(20_000));
+    let figs = missrate::figure12_with(&engine(), RunLength::with_records(20_000));
     assert_eq!(figs.len(), 4, "8k/32k x I$/D$");
 }
 
@@ -115,8 +121,8 @@ fn power_models_agree_on_the_papers_design_point() {
 
 #[test]
 fn deterministic_experiments_across_invocations() {
-    let a = missrate::figure5(quick());
-    let b = missrate::figure5(quick());
+    let a = missrate::figure5_with(&engine(), quick());
+    let b = missrate::figure5_with(&engine(), quick());
     for (ra, rb) in a.rows.iter().zip(&b.rows) {
         assert_eq!(ra.baseline_miss_rate, rb.baseline_miss_rate);
         for (oa, ob) in ra.outcomes.iter().zip(&rb.outcomes) {

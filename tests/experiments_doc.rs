@@ -1,19 +1,20 @@
-//! EXPERIMENTS.md against `results/all.txt`: every headline number the
-//! write-up quotes for Figures 3, 4, 5, 8, 9 and 12, Tables 5 and 6 and
-//! the Section 7.1 related-work comparison must be the cell the pinned
-//! full-length run printed.
+//! EXPERIMENTS.md against `results/all.txt` and `results/sweep.txt`:
+//! every headline number the write-up quotes for Figures 3, 4, 5, 8, 9
+//! and 12, Tables 5 and 6, the Section 7.1 related-work comparison and
+//! the victim-size and L2 sweeps must be the cell the pinned full-length
+//! runs printed.
 //!
 //! Each row of [`QUOTES`] is a quote from EXPERIMENTS.md with `{}`
-//! holes and the `results/all.txt` cells that fill them, named by
-//! (section title, row label, column header). The test renders the
+//! holes and the pinned cells that fill them, named by (section title,
+//! row label, column header). The test renders the
 //! quote from the cells and requires EXPERIMENTS.md to contain it. A
 //! doc edit that drifts from the output, or a re-blessed output the doc
 //! was not updated for, fails with the section and cells named.
 
 use std::ops::Range;
 
-/// A cell of `results/all.txt`: the section's title prefix, the row
-/// label and the column header.
+/// A cell of the pinned output: the prefix of the line just above the
+/// section's column header, the row label and the column header.
 type Cell = (&'static str, &'static str, &'static str);
 
 const FIG4_CINT: &str = "Figure 4 (bottom)";
@@ -29,6 +30,9 @@ const FIG12_I32: &str = "Figure 12: I$ miss-rate reductions, 32 kB";
 const FIG12_D8: &str = "Figure 12: D$ miss-rate reductions, 8 kB";
 const FIG12_I8: &str = "Figure 12: I$ miss-rate reductions, 8 kB";
 const SEC71: &str = "Section 7.1:";
+// `results/sweep.txt`.
+const VICTIM: &str = "continue past 16";
+const L2: &str = "stream, suite aggregate)";
 
 /// The quoted cells. In a quote, `{}` is a cell as printed and `{n}` the
 /// same cell without its `%` sign.
@@ -206,11 +210,32 @@ const QUOTES: &[(&str, &[Cell])] = &[
             (SEC71, "Ave", "MF8-BAS8"),
         ],
     ),
+    // The victim-buffer size sweep and the B-Cache at the L2.
+    (
+        "2: {}, 4: {}, 8: {}, 16: {}, 32: {}, 64: {}, monotone",
+        &[
+            (VICTIM, "2", "avg D$ reduction"),
+            (VICTIM, "4", "avg D$ reduction"),
+            (VICTIM, "8", "avg D$ reduction"),
+            (VICTIM, "16", "avg D$ reduction"),
+            (VICTIM, "32", "avg D$ reduction"),
+            (VICTIM, "64", "avg D$ reduction"),
+        ],
+    ),
+    (
+        "drops from {} direct-mapped to {} balanced, versus {} for",
+        &[
+            (L2, "256k-dm", "local miss rate"),
+            (L2, "256k-bcache", "local miss rate"),
+            (L2, "256k-4way", "local miss rate"),
+        ],
+    ),
 ];
 
 /// Finds one cell of `all`: its line number and byte range in that
-/// line. A section starts at the line beginning with its title prefix
-/// and its column header is the next line; the row is the first later
+/// line. A section starts at the line beginning with its prefix (its
+/// title, or the title's last line) and its column header is the next
+/// line; the row is the first later
 /// line whose text starts with the label, and the cell is the row's
 /// token ending where the header's column name ends (the report
 /// right-aligns every column under its name).
@@ -284,7 +309,7 @@ fn drifted(doc: &str, all: &str) -> Vec<String> {
             })
             .collect();
         match render(quote, cells, all) {
-            Err(e) => errors.push(format!("results/all.txt: {e}")),
+            Err(e) => errors.push(format!("pinned output: {e}")),
             Ok(text) if !doc.contains(&text) => {
                 let prefix = &quote[..quote.find('{').unwrap_or(quote.len())];
                 let now = doc
@@ -307,15 +332,21 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("reading {full}: {e}"))
 }
 
+/// The pinned full-length outputs, `all` then `sweep`: their section
+/// prefixes are distinct, so one text holds every quoted cell.
+fn pinned() -> String {
+    read("results/all.txt") + &read("results/sweep.txt")
+}
+
 #[test]
 fn experiments_quotes_match_the_pinned_output() {
-    let errors = drifted(&read("EXPERIMENTS.md"), &read("results/all.txt"));
+    let errors = drifted(&read("EXPERIMENTS.md"), &pinned());
     assert!(errors.is_empty(), "{}", errors.join("\n"));
 }
 
 #[test]
 fn a_drifted_doc_cell_is_named() {
-    let all = read("results/all.txt");
+    let all = pinned();
     let table5 = cell(&all, (TAB5, "BAS = 8", "MF=8")).unwrap();
     // Only the Table 5 quote: the Section 7.1 row, further down, bolds
     // the same value.
@@ -332,7 +363,7 @@ fn a_drifted_doc_cell_is_named() {
 #[test]
 fn every_quoted_cell_is_pinned() {
     let doc = read("EXPERIMENTS.md");
-    let all = read("results/all.txt");
+    let all = pinned();
     for &(quote, cells) in QUOTES {
         for &c in cells {
             // Overwrite the cell in place, as a hand edit would.

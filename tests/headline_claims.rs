@@ -9,19 +9,23 @@ use bcache_core::{BCacheParams, BalancedCache, PdHitPolicy, PiTagBits};
 use cache_sim::{AccessKind, Addr, CacheGeometry, CacheModel, PolicyKind};
 use harness::config::CacheConfig;
 use harness::run::{run_miss_rates, RunLength, Side};
-use harness::{fig3, missrate, perf};
+use harness::{default_parallelism, fig3, missrate, perf, Engine};
 use trace_gen::{profiles, Op, Trace};
 
 fn len() -> RunLength {
     RunLength::with_records(150_000)
 }
 
+fn engine() -> Engine {
+    Engine::new(default_parallelism())
+}
+
 /// Abstract of the paper: large average miss-rate reductions for both
 /// caches, with the instruction side gaining more than the data side.
 #[test]
 fn average_reductions_are_large_and_icache_gains_more() {
-    let (fp, int) = missrate::figure4(len());
-    let fig5 = missrate::figure5(len());
+    let (fp, int) = missrate::figure4_with(&engine(), len());
+    let fig5 = missrate::figure5_with(&engine(), len());
     let d_ave = (fp.average_reduction(fp.column("MF8-BAS8").unwrap())
         + int.average_reduction(int.column("MF8-BAS8").unwrap()))
         / 2.0;
@@ -41,7 +45,7 @@ fn average_reductions_are_large_and_icache_gains_more() {
 /// and at MF = 8 it performs at least as well as a 4-way cache.
 #[test]
 fn bcache_sits_between_4way_and_8way() {
-    let (fp, int) = missrate::figure4(len());
+    let (fp, int) = missrate::figure4_with(&engine(), len());
     for fig in [&fp, &int] {
         let red = |l: &str| fig.average_reduction(fig.column(l).unwrap());
         assert!(
@@ -65,7 +69,7 @@ fn bcache_sits_between_4way_and_8way() {
 /// measures +1.7% / +1.0% / +0.4%).
 #[test]
 fn mf16_adds_little_over_mf8() {
-    let (fp, int) = missrate::figure4(len());
+    let (fp, int) = missrate::figure4_with(&engine(), len());
     for fig in [&fp, &int] {
         let red = |l: &str| fig.average_reduction(fig.column(l).unwrap());
         let delta = red("MF16-BAS8") - red("MF8-BAS8");
@@ -81,7 +85,7 @@ fn mf16_adds_little_over_mf8() {
 /// the data side.
 #[test]
 fn victim_buffer_beats_bcache_only_on_wupwise() {
-    let (fp, int) = missrate::figure4(len());
+    let (fp, int) = missrate::figure4_with(&engine(), len());
     for fig in [&fp, &int] {
         let vi = fig.column("victim16").unwrap();
         let bi = fig.column("MF8-BAS8").unwrap();
@@ -108,7 +112,7 @@ fn victim_buffer_beats_bcache_only_on_wupwise() {
 /// and collapses at MF=64, taking the miss rate down with it.
 #[test]
 fn fig3_pd_collapse_at_mf64() {
-    let points = fig3::figure3_for("wupwise", len());
+    let points = fig3::figure3_for_with(&engine(), "wupwise", len());
     let at = |mf: usize| points.iter().find(|p| p.mf == mf).unwrap();
     assert!(at(32).pd_hit_rate > 0.5);
     assert!(at(64).pd_hit_rate < 0.2);
@@ -119,7 +123,7 @@ fn fig3_pd_collapse_at_mf64() {
 /// balancing cannot help them (their reductions are small in Figure 4).
 #[test]
 fn capacity_benchmarks_gain_little() {
-    let (fp, int) = missrate::figure4(len());
+    let (fp, int) = missrate::figure4_with(&engine(), len());
     let col = fp.column("MF8-BAS8").unwrap();
     for fig in [&fp, &int] {
         for row in &fig.rows {
@@ -214,7 +218,7 @@ fn design_point_works_at_8k_and_32k() {
 /// (a 4-way equivalent) on average.
 #[test]
 fn related_work_ordering() {
-    let fig = missrate::related_work(len());
+    let fig = missrate::related_work_with(&engine(), len());
     let red = |l: &str| fig.average_reduction(fig.column(l).unwrap());
     assert!(red("MF8-BAS8") > red("column"), "vs column-associative");
     assert!(
