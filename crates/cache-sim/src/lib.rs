@@ -76,6 +76,6 @@ pub use pam::PartialMatchCache;
 pub use replacement::{make_policy, Lru, PolicyKind, ReplacementPolicy};
 pub use set_assoc::SetAssociativeCache;
 pub use skewed::SkewedAssociativeCache;
-pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, SetUsage};
+pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, PdStats, SetUsage};
 pub use victim::VictimCache;
 pub use way_halting::WayHaltingCache;

@@ -3,7 +3,7 @@
 
 use crate::addr::Addr;
 use crate::geometry::CacheGeometry;
-use crate::stats::{CacheStats, SetUsage};
+use crate::stats::{CacheStats, PdStats, SetUsage};
 
 /// What kind of memory reference an access is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -82,6 +82,11 @@ impl AccessResult {
 /// resident and dirty, maintain replacement state, and count statistics.
 /// They do not store data bytes. All of them use write-back,
 /// write-allocate semantics, matching the paper's SimpleScalar setup.
+///
+/// Counters only some models keep are reported through accessors that
+/// default to `None`: [`set_usage`](Self::set_usage) and the B-Cache's
+/// [`decoder_stats`](Self::decoder_stats). A caller therefore reads
+/// every model, boxed or not, through this trait alone.
 pub trait CacheModel {
     /// Services one access and updates internal state and statistics.
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult;
@@ -100,6 +105,13 @@ pub trait CacheModel {
 
     /// Per-set usage counters, when the model tracks them.
     fn set_usage(&self) -> Option<&SetUsage> {
+        None
+    }
+
+    /// Programmable-decoder counters, when the model has decoders (the
+    /// B-Cache does; every other model reports `None`). They reset with
+    /// [`reset_stats`](Self::reset_stats).
+    fn decoder_stats(&self) -> Option<PdStats> {
         None
     }
 
@@ -145,6 +157,10 @@ impl CacheModel for Box<dyn CacheModel> {
 
     fn set_usage(&self) -> Option<&SetUsage> {
         (**self).set_usage()
+    }
+
+    fn decoder_stats(&self) -> Option<PdStats> {
+        (**self).decoder_stats()
     }
 
     fn label(&self) -> String {

@@ -1,5 +1,6 @@
 //! Access statistics: aggregate hit/miss counters, per-set usage counters,
-//! and the set-balance classification used by Table 7 of the paper.
+//! the B-Cache's programmable-decoder counters, and the set-balance
+//! classification used by Table 7 of the paper.
 
 use std::fmt;
 
@@ -222,6 +223,36 @@ impl BatchTally {
             stats.record_bulk(kind, hits, misses);
         }
         stats.record_writebacks(self.writebacks);
+    }
+}
+
+/// Statistics specific to the B-Cache's programmable decoders (PDs),
+/// reported through [`CacheModel::decoder_stats`].
+///
+/// The key quantity is the **PD hit rate during cache misses** (paper
+/// Figure 3, Table 6): a PD hit on a miss forces the victim (no
+/// replacement choice), so a *low* rate lets the replacement policy
+/// balance the sets.
+///
+/// [`CacheModel::decoder_stats`]: crate::CacheModel::decoder_stats
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct PdStats {
+    /// Cache misses on which the PD matched (victim forced).
+    pub misses_with_pd_hit: u64,
+    /// Cache misses on which the PD also missed (victim chosen by the
+    /// replacement policy; tag/data arrays were never read).
+    pub misses_with_pd_miss: u64,
+}
+
+impl PdStats {
+    /// PD hit rate during cache misses, in `[0, 1]`.
+    pub fn pd_hit_rate_on_miss(&self) -> f64 {
+        let total = self.misses_with_pd_hit + self.misses_with_pd_miss;
+        if total == 0 {
+            0.0
+        } else {
+            self.misses_with_pd_hit as f64 / total as f64
+        }
     }
 }
 
@@ -473,6 +504,16 @@ mod tests {
         s.reset();
         assert_eq!(s.writebacks(), 0);
         assert_eq!(s.total().accesses(), 0);
+    }
+
+    #[test]
+    fn pd_hit_rate_definition() {
+        let s = PdStats {
+            misses_with_pd_hit: 3,
+            misses_with_pd_miss: 1,
+        };
+        assert!((s.pd_hit_rate_on_miss() - 0.75).abs() < 1e-12);
+        assert_eq!(PdStats::default().pd_hit_rate_on_miss(), 0.0);
     }
 
     #[test]

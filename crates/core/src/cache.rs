@@ -3,39 +3,12 @@
 use cache_sim::replacement::{make_policy, Lru, ReplacementPolicy};
 use cache_sim::{
     packed, AccessKind, AccessResult, Addr, BatchTally, CacheGeometry, CacheModel, CacheStats,
-    Eviction, SetUsage,
+    Eviction, PdStats, SetUsage,
 };
 use telemetry::{Event, MissKind, NullObserver, Observer};
 
 use crate::decoder::ProgrammableDecoder;
 use crate::params::{BCacheParams, IndexLayout, PdHitPolicy};
-
-/// Statistics specific to the programmable decoders.
-///
-/// The key quantity is the **PD hit rate during cache misses** (paper
-/// Figure 3, Table 6): a PD hit on a miss forces the victim (no
-/// replacement choice), so a *low* rate lets the replacement policy
-/// balance the sets.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct PdStats {
-    /// Cache misses on which the PD matched (victim forced).
-    pub misses_with_pd_hit: u64,
-    /// Cache misses on which the PD also missed (victim chosen by the
-    /// replacement policy; tag/data arrays were never read).
-    pub misses_with_pd_miss: u64,
-}
-
-impl PdStats {
-    /// PD hit rate during cache misses, in `[0, 1]`.
-    pub fn pd_hit_rate_on_miss(&self) -> f64 {
-        let total = self.misses_with_pd_hit + self.misses_with_pd_miss;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses_with_pd_hit as f64 / total as f64
-        }
-    }
-}
 
 /// The Balanced Cache (B-Cache): a direct-mapped cache whose index is
 /// lengthened by `log2(MF) + log2(BAS) - log2(BAS) = log2(MF)` tag bits
@@ -504,6 +477,10 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
         Some(&self.usage)
     }
 
+    fn decoder_stats(&self) -> Option<PdStats> {
+        Some(self.pd_stats)
+    }
+
     fn label(&self) -> String {
         format!(
             "MF{}-BAS{}",
@@ -737,16 +714,6 @@ mod tests {
         assert_eq!(bc.stats().total().accesses(), 0);
         assert_eq!(bc.pd_stats(), PdStats::default());
         assert!(bc.access(Addr::new(0x1000), AccessKind::Read).hit);
-    }
-
-    #[test]
-    fn pd_hit_rate_definition() {
-        let s = PdStats {
-            misses_with_pd_hit: 3,
-            misses_with_pd_miss: 1,
-        };
-        assert!((s.pd_hit_rate_on_miss() - 0.75).abs() < 1e-12);
-        assert_eq!(PdStats::default().pd_hit_rate_on_miss(), 0.0);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub mod decoder;
 pub mod organization;
 pub mod params;
 
-pub use cache::{BalancedCache, PdStats};
+pub use cache::BalancedCache;
+pub use cache_sim::PdStats;
 pub use decoder::ProgrammableDecoder;
 pub use organization::{ArrayOrganization, BCacheOrganization};
 pub use params::{BCacheParams, IndexLayout, ParamError, PdHitPolicy, PiTagBits};

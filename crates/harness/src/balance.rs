@@ -1,7 +1,7 @@
 //! Table 7: the balance evaluation (Section 6.4) — frequent-hit sets,
 //! frequent-miss sets and less-accessed sets, baseline versus B-Cache.
 
-use cache_sim::BalanceReport;
+use cache_sim::{BalanceReport, CacheModel};
 use trace_gen::profiles;
 
 use crate::config::CacheConfig;
@@ -23,42 +23,33 @@ pub struct BalanceRow {
 /// Runs the Table 7 analysis over the data caches of all 26 benchmarks
 /// on the caller's [`Engine`]: one job per benchmark over the shared
 /// cached traces.
-///
-/// # Errors
-///
-/// Returns a message when the fixed Table 7 cache configuration cannot
-/// be constructed (a build/configuration defect, not a data error). It
-/// surfaces as `Err` instead of a worker panic so the CLI can report it
-/// cleanly.
-pub fn table7_with(engine: &Engine, len: RunLength) -> Result<Vec<BalanceRow>, String> {
+pub fn table7_with(engine: &Engine, len: RunLength) -> Vec<BalanceRow> {
     let benchmarks = profiles::all();
     let jobs: Vec<_> = benchmarks
         .iter()
         .map(|p| move || balance_on(p.name, &engine.side_trace(p, len, Side::Data)))
         .collect();
-    engine.run(jobs).into_iter().collect()
+    engine.run(jobs)
 }
 
-fn balance_on(benchmark: &str, trace: &SideTrace) -> Result<BalanceRow, String> {
-    let build = |config: CacheConfig| {
-        config
-            .build(16 * 1024, 0)
-            .map_err(|e| format!("table 7 {} model (16 kB): {e}", config.label()))
-    };
-    let mut dm = build(CacheConfig::DirectMapped)?;
-    let mut bc = build(CacheConfig::BCache { mf: 8, bas: 8 })?;
+/// The fixed Table 7 pair, a 16 kB direct-mapped cache and the MF8-BAS8
+/// B-Cache, on one benchmark's trace. Both always build and always
+/// count set usage.
+fn balance_on(benchmark: &str, trace: &SideTrace) -> BalanceRow {
+    let build = |config: CacheConfig| config.build(16 * 1024, 0).expect("table 7 models build");
+    let mut dm = build(CacheConfig::DirectMapped);
+    let mut bc = build(CacheConfig::BCache { mf: 8, bas: 8 });
     trace.replay_into(&mut [dm.as_mut(), bc.as_mut()]);
-    Ok(BalanceRow {
+    let balance = |m: &dyn CacheModel| {
+        m.set_usage()
+            .expect("table 7 models count set usage")
+            .balance()
+    };
+    BalanceRow {
         benchmark: benchmark.to_string(),
-        baseline: dm
-            .set_usage()
-            .ok_or("table 7 baseline reports no set usage")?
-            .balance(),
-        bcache: bc
-            .set_usage()
-            .ok_or("table 7 B-Cache reports no set usage")?
-            .balance(),
-    })
+        baseline: balance(dm.as_ref()),
+        bcache: balance(bc.as_ref()),
+    }
 }
 
 /// Averages the six balance statistics over rows.
@@ -134,7 +125,6 @@ mod tests {
             profile.name,
             &SideTrace::extract(records, Side::Data, len.warmup),
         )
-        .unwrap()
     }
 
     #[test]

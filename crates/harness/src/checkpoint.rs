@@ -31,6 +31,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::run::{BCachePdOutcome, RunLength};
+use crate::serve::protocol::{json_str_field, json_u64_field};
 
 /// A job result that can be persisted in a checkpoint and restored
 /// **bit-exactly**.
@@ -308,27 +309,6 @@ impl Checkpoint {
 /// One entry's log line.
 fn entry_line(key: &str, value: &str) -> String {
     format!("{{\"key\": \"{key}\", \"value\": \"{value}\"}}\n")
-}
-
-/// Extracts `"name": "value"` from a single-line JSON object. Values
-/// never contain escapes (keys are path-like identifiers, values are
-/// hex/decimal encodings), so scanning to the closing quote suffices.
-fn json_str_field(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts `"name": 123` from a single-line JSON object.
-fn json_u64_field(line: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]

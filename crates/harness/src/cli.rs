@@ -73,7 +73,6 @@ flags! {
     WORKERS        "--workers"        Kind::NonZero,           "threads executing jobs";
     QUEUE_CAP      "--queue-cap"      Kind::NonZero,           "per-tenant queue bound; a submit past it gets a busy frame";
     OUTBUF_CAP     "--outbuf-cap"     Kind::NonZero,           "per-session outbound row buffer bound (oldest dropped)";
-    FUZZ_FRAMES    "--fuzz-frames"    Kind::Switch,            "run the malformed-frame battery instead of serving";
     CONNECTIONS    "--connections"    Kind::NonZero,           "concurrent client connections";
     REQUESTS       "--requests"       Kind::NonZero,           "jobs per connection";
 }
@@ -105,7 +104,7 @@ pub(crate) const PROFILE_FLAGS: &[&[Flag]] = &[
 ];
 /// Flags of `serve`.
 pub(crate) const SERVE_FLAGS: &[&[Flag]] = &[
-    &[ADDR, WORKERS, QUEUE_CAP, OUTBUF_CAP, SMOKE, FUZZ_FRAMES],
+    &[ADDR, WORKERS, QUEUE_CAP, OUTBUF_CAP, SMOKE],
     CHECKPOINTS,
     TELEMETRY,
 ];
@@ -208,7 +207,7 @@ pub(crate) const COMMANDS: &[Command] = &[
     Command {
         names: &["serve"],
         about: "multi-tenant simulation server (line-delimited JSON over TCP); \
-                --smoke and --fuzz-frames run the CI batteries",
+                --smoke runs the CI battery",
         flags: SERVE_FLAGS,
         ignored: &[METRICS, TRACE_EVENTS],
     },

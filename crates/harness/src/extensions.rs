@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn drowsy_pool_shrinks_but_survives_balancing() {
         let engine = Engine::new(default_parallelism());
-        let table7 = table7_with(&engine, RunLength::with_records(60_000)).unwrap();
+        let table7 = table7_with(&engine, RunLength::with_records(60_000));
         let rows = drowsy_analysis(&table7);
         assert_eq!(rows.len(), 26);
         let ave_dm: f64 =

@@ -66,7 +66,7 @@ use std::fmt::Write as _;
 use cache_sim::{AccessKind, AccessResult, Addr, CacheModel, PolicyKind};
 
 use crate::cli;
-use crate::models::{Built, CaseRng, Drive, Family, ModelSpec};
+use crate::models::{CaseRng, Drive, Family, ModelSpec};
 use crate::parallel::{default_parallelism, Engine};
 
 /// One access of a fuzz trace: `(address, is_write)`.
@@ -502,9 +502,12 @@ const PAIR_BODY: &str = "    for &(addr, kind) in &accesses {\n\
      \x20       assert_eq!(a.hit, b.hit, \"divergence at {addr}\");\n\
      \x20   }\n";
 
+/// A case's left and right models.
+type Pair = (Box<dyn CacheModel>, Box<dyn CacheModel>);
+
 /// Builds both specs, or reports which failed to build.
-fn build_pair(left: &ModelSpec, right: &ModelSpec) -> Result<(Built, Built), (usize, String)> {
-    match (left.instantiate(), right.instantiate()) {
+fn build_pair(left: &ModelSpec, right: &ModelSpec) -> Result<Pair, (usize, String)> {
+    match (left.build(), right.build()) {
         (Ok(l), Ok(r)) => Ok((l, r)),
         (Err(e), _) | (_, Err(e)) => Err((0, format!("{left:?} / {right:?} do not build: {e}"))),
     }
@@ -519,7 +522,7 @@ fn pair_case(
     right: ModelSpec,
     broken: fn(&AccessResult, &AccessResult) -> bool,
     relation: &'static str,
-    finally: Option<fn(&Built) -> Option<String>>,
+    finally: Option<fn(&dyn CacheModel) -> Option<String>>,
 ) -> Case {
     let setup = format!(
         "    let mut left = {};\n    let mut right = {};\n",
@@ -544,7 +547,7 @@ fn pair_case(
             }
         }
         finally
-            .and_then(|f| f(&l))
+            .and_then(|f| f(l.as_ref()))
             .map(|what| (t.len().saturating_sub(1), format!("{left:?}: {what}")))
     };
     Case {
@@ -636,11 +639,10 @@ fn full_pi_equals_set_assoc(rng: &mut CaseRng) -> Case {
         right,
         |a, b| a.hit != b.hit,
         "must equal",
-        Some(|l| match l {
-            Built::BCache(bc) if bc.pd_stats().misses_with_pd_hit != 0 => {
-                Some("full-PI PD hit cannot be a tag miss".into())
-            }
-            _ => None,
+        Some(|l| {
+            l.decoder_stats()
+                .is_some_and(|pd| pd.misses_with_pd_hit != 0)
+                .then(|| "full-PI PD hit cannot be a tag miss".into())
         }),
     )
 }

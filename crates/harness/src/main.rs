@@ -382,10 +382,7 @@ fn run_experiment(
             table7: OnceCell::new(),
         };
         for name in names {
-            if let Err(msg) = experiments.render(name) {
-                tele_error!("{msg}");
-                return ExitCode::FAILURE;
-            }
+            experiments.render(name);
         }
         ExitCode::SUCCESS
     };
@@ -410,7 +407,7 @@ struct Experiments<'a> {
     len: RunLength,
     csv: bool,
     perf: OnceCell<Vec<perf::PerfRow>>,
-    table7: OnceCell<Result<Vec<balance::BalanceRow>, String>>,
+    table7: OnceCell<Vec<balance::BalanceRow>>,
 }
 
 impl Experiments<'_> {
@@ -419,15 +416,13 @@ impl Experiments<'_> {
             .get_or_init(|| perf::run_perf_with(self.engine, self.len))
     }
 
-    fn table7(&self) -> Result<&[balance::BalanceRow], String> {
+    fn table7(&self) -> &[balance::BalanceRow] {
         self.table7
             .get_or_init(|| balance::table7_with(self.engine, self.len))
-            .as_deref()
-            .map_err(String::clone)
     }
 
-    /// Prints experiment `name`; `Err` carries the message to log.
-    fn render(&self, name: &str) -> Result<(), String> {
+    /// Prints experiment `name`.
+    fn render(&self, name: &str) {
         let (engine, len, csv) = (self.engine, self.len, self.csv);
         match name {
             "fig3" => out!("{}", fig3::figure3_with(engine, len).1),
@@ -462,7 +457,7 @@ impl Experiments<'_> {
                 let grid = design_space::design_space_grid_with(engine, len);
                 out!("{}", design_space::render_tables_5_and_6(&grid));
             }
-            "tab7" => out!("{}", balance::render_table7(self.table7()?)),
+            "tab7" => out!("{}", balance::render_table7(self.table7())),
             "related" => {
                 let fig = missrate::related_work_with(engine, len);
                 out!("{}", if csv { fig.render_csv() } else { fig.render() });
@@ -487,12 +482,11 @@ impl Experiments<'_> {
             "hac" => out!("{}", extensions::render_hac_comparison()),
             "drowsy" => out!(
                 "{}",
-                extensions::render_drowsy(&extensions::drowsy_analysis(self.table7()?))
+                extensions::render_drowsy(&extensions::drowsy_analysis(self.table7()))
             ),
             "vp" => out!("{}", extensions::render_vp_analysis()),
             other => unreachable!("{other} is in the command table but has no driver"),
         }
-        Ok(())
     }
 }
 

@@ -105,7 +105,6 @@ fn run_figure(
                 .map(|(c, &miss_rate)| ConfigOutcome {
                     label: c.label(),
                     miss_rate,
-                    pd_hit_rate_on_miss: None,
                 })
                 .collect(),
         })

@@ -198,8 +198,8 @@ pub enum Drive {
     Batched(usize),
 }
 
-/// A built model. The B-Cache stays concrete because its PD counters and
-/// decoder invariants are not part of [`CacheModel`].
+/// A built model. The B-Cache stays concrete because its decoder
+/// invariants and index layout are not part of [`CacheModel`].
 pub(crate) enum Built {
     Model(Box<dyn CacheModel>),
     BCache(Box<BalancedCache>),
@@ -233,20 +233,14 @@ impl Built {
     /// Final hits, misses and writebacks, then the PD-hit and PD-miss
     /// miss counts (zero off the B-Cache).
     fn counters(&self) -> [u64; 5] {
-        let (pd_hit, pd_miss) = match self {
-            Built::BCache(b) => (
-                b.pd_stats().misses_with_pd_hit,
-                b.pd_stats().misses_with_pd_miss,
-            ),
-            Built::Model(_) => (0, 0),
-        };
+        let pd = self.decoder_stats().unwrap_or_default();
         let total = self.stats().total();
         [
             total.hits(),
             total.misses(),
             self.stats().writebacks(),
-            pd_hit,
-            pd_miss,
+            pd.misses_with_pd_hit,
+            pd.misses_with_pd_miss,
         ]
     }
 }
@@ -387,8 +381,8 @@ impl ModelSpec {
         })
     }
 
-    /// Builds a B-Cache spec as the concrete [`BalancedCache`], whose PD
-    /// counters the trait object hides.
+    /// Builds a B-Cache spec as the concrete [`BalancedCache`], for the
+    /// callers that need its index layout.
     ///
     /// # Errors
     ///
@@ -404,7 +398,7 @@ impl ModelSpec {
         }
     }
 
-    pub(crate) fn instantiate(&self) -> Result<Built, GeometryError> {
+    fn instantiate(&self) -> Result<Built, GeometryError> {
         self.construct().0
     }
 
@@ -832,6 +826,18 @@ mod tests {
                 assert_eq!(spec.has_oracle(), !own_loop, "{spec:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_boxed_model_reports_decoder_stats_only_for_the_b_cache() {
+        // Called on the box itself: a `Box<dyn CacheModel>` that did not
+        // forward the accessor would report `None` for the B-Cache.
+        let bcache = ModelSpec::bcache(1024, 8, 8, PolicyKind::Lru, 0)
+            .build()
+            .unwrap();
+        assert!(<Box<dyn CacheModel> as CacheModel>::decoder_stats(&bcache).is_some());
+        let lru = ModelSpec::lru(1024, 2).build().unwrap();
+        assert!(<Box<dyn CacheModel> as CacheModel>::decoder_stats(&lru).is_none());
     }
 
     /// Each paper configuration built by calling its model's

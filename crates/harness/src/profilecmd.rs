@@ -268,30 +268,19 @@ pub(crate) fn profile_replay(
 ) -> (WindowSeries, Recorder, f64) {
     let mut frag = Recorder::new();
     let t = SpanTimer::start("phase.replay");
-    let (series, miss_rate) = if let CacheConfig::BCache { .. } = config {
-        // Built concretely so the PD statistics are reachable — the
-        // trait object hides them.
-        let mut bc = config
-            .spec(SIZE_BYTES, seed)
-            .build_bcache()
-            .expect("valid B-Cache point");
-        let series = replay_windowed(&mut bc, trace.accesses(), window, |m| {
-            let pd = m.pd_stats();
-            (pd.misses_with_pd_hit, pd.misses_with_pd_miss)
-        });
-        record_model(&mut frag, model_name, &bc);
-        let pd = bc.pd_stats();
+    let mut model = config
+        .build(SIZE_BYTES, seed)
+        .expect("profile model builds at 16 kB");
+    let series = replay_windowed(model.as_mut(), trace.accesses(), window, |m| {
+        let pd = m.decoder_stats().unwrap_or_default();
+        (pd.misses_with_pd_hit, pd.misses_with_pd_miss)
+    });
+    record_model(&mut frag, model_name, model.as_ref());
+    if let Some(pd) = model.decoder_stats() {
         frag.counter("profile.pd_reprograms", pd.misses_with_pd_miss);
         frag.counter("profile.pd_forced_misses", pd.misses_with_pd_hit);
-        (series, bc.stats().miss_rate())
-    } else {
-        let mut model = config
-            .build(SIZE_BYTES, seed)
-            .expect("profile model builds at 16 kB");
-        let series = replay_windowed(&mut *model, trace.accesses(), window, |_| (0, 0));
-        record_model(&mut frag, model_name, model.as_ref());
-        (series, model.stats().miss_rate())
-    };
+    }
+    let miss_rate = model.stats().miss_rate();
     t.stop(&mut frag);
     frag.counter("profile.windows", series.completed());
     frag.counter("profile.windows_dropped", series.dropped());

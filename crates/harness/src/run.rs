@@ -256,8 +256,6 @@ pub struct ConfigOutcome {
     pub label: String,
     /// Post-warm-up miss rate.
     pub miss_rate: f64,
-    /// PD hit rate during misses (B-Cache only).
-    pub pd_hit_rate_on_miss: Option<f64>,
 }
 
 /// Miss rates of one benchmark across configurations, baseline first.
@@ -329,10 +327,6 @@ pub fn run_miss_rates(
         .map(|(m, c)| ConfigOutcome {
             label: c.label(),
             miss_rate: m.stats().miss_rate(),
-            // PD statistics need the concrete BalancedCache type; the
-            // experiments that want them (Fig. 3, Table 6) use
-            // `replay_bcache_pd_on` instead.
-            pd_hit_rate_on_miss: None,
         })
         .collect();
     BenchmarkMissRates {
@@ -407,13 +401,6 @@ pub struct BCachePdOutcome {
     pub pd_hit_rate_on_miss: f64,
 }
 
-fn build_bcache(mf: usize, bas: usize, size_bytes: usize) -> BalancedCache {
-    CacheConfig::BCache { mf, bas }
-        .spec(size_bytes, 0)
-        .build_bcache()
-        .expect("valid B-Cache point")
-}
-
 /// Replays one B-Cache point over a pre-extracted side stream and
 /// reports both the miss rate and the PD hit rate during misses. (No
 /// seed parameter: the B-Cache's LRU replacement draws no randomness.)
@@ -423,11 +410,16 @@ pub fn replay_bcache_pd_on(
     bas: usize,
     size_bytes: usize,
 ) -> BCachePdOutcome {
-    let mut bc = build_bcache(mf, bas, size_bytes);
-    trace.replay(&mut bc);
+    let mut bc = CacheConfig::BCache { mf, bas }
+        .build(size_bytes, 0)
+        .expect("valid B-Cache point");
+    trace.replay(bc.as_mut());
     BCachePdOutcome {
         miss_rate: bc.stats().miss_rate(),
-        pd_hit_rate_on_miss: bc.pd_stats().pd_hit_rate_on_miss(),
+        pd_hit_rate_on_miss: bc
+            .decoder_stats()
+            .expect("a B-Cache has decoders")
+            .pd_hit_rate_on_miss(),
     }
 }
 
@@ -528,14 +520,16 @@ mod tests {
         let p = profiles::by_name("wupwise").unwrap();
         let len = quick();
         let records = Trace::new(&p, len.seed).take_buffer(len.records as usize);
-        let mut bc = build_bcache(8, 8, 16 * 1024);
-        replay(records.iter(), &mut bc, Side::Data, len.warmup);
+        let mut bc = CacheConfig::BCache { mf: 8, bas: 8 }
+            .build(16 * 1024, 0)
+            .unwrap();
+        replay(records.iter(), bc.as_mut(), Side::Data, len.warmup);
         let trace = SideTrace::extract(records.iter(), Side::Data, len.warmup);
         let via_pd = replay_bcache_pd_on(&trace, 8, 8, 16 * 1024);
         assert_eq!(via_pd.miss_rate, bc.stats().miss_rate());
         assert_eq!(
             via_pd.pd_hit_rate_on_miss,
-            bc.pd_stats().pd_hit_rate_on_miss()
+            bc.decoder_stats().unwrap().pd_hit_rate_on_miss()
         );
         // wupwise's far conflicts force PD hits on most conflict misses.
         assert!(
@@ -594,7 +588,7 @@ mod tests {
         // Instrumentation must not perturb the simulation.
         assert_eq!(observed.stats().miss_rate(), plain.miss_rate);
         assert_eq!(
-            observed.pd_stats().pd_hit_rate_on_miss(),
+            observed.decoder_stats().unwrap().pd_hit_rate_on_miss(),
             plain.pd_hit_rate_on_miss
         );
         let ring = observed.observer();

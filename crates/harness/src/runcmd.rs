@@ -154,27 +154,16 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
                 let trace = engine.side_trace(&profile, len, side);
                 let seed = job_seed(len.seed, &benchmark, side);
                 let mut frag = Recorder::new();
-                let miss_rate = if let CacheConfig::BCache { .. } = config {
-                    // Built concretely so the PD statistics are
-                    // reachable — the trait object hides them.
-                    let mut bc = config
-                        .spec(SIZE_BYTES, seed)
-                        .build_bcache()
-                        .expect("valid B-Cache point");
-                    replay_timed(&trace, &mut bc, &mut frag);
-                    record_model(&mut frag, name, &bc);
-                    let pd = bc.pd_stats();
+                let mut model = config
+                    .build(SIZE_BYTES, seed)
+                    .expect("run model set builds at 16 kB");
+                replay_timed(&trace, model.as_mut(), &mut frag);
+                record_model(&mut frag, name, model.as_ref());
+                if let Some(pd) = model.decoder_stats() {
                     frag.counter("bcache.pd_reprograms", pd.misses_with_pd_miss);
                     frag.counter("bcache.pd_forced_misses", pd.misses_with_pd_hit);
-                    bc.stats().miss_rate()
-                } else {
-                    let mut model = config
-                        .build(SIZE_BYTES, seed)
-                        .expect("run model set builds at 16 kB");
-                    replay_timed(&trace, model.as_mut(), &mut frag);
-                    record_model(&mut frag, name, model.as_ref());
-                    model.stats().miss_rate()
-                };
+                }
+                let miss_rate = model.stats().miss_rate();
                 (name, miss_rate, frag)
             }
         })

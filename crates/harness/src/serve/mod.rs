@@ -51,8 +51,6 @@ pub struct ServeOptions {
     pub outbuf_cap: usize,
     /// Run the self-contained smoke battery instead of serving.
     pub smoke: bool,
-    /// Run the malformed-frame fuzz battery instead of serving.
-    pub fuzz_frames: bool,
     /// `--checkpoint`/`--resume`, shared with the sweep experiments.
     pub setup: EngineSetup,
 }
@@ -65,7 +63,6 @@ impl Default for ServeOptions {
             queue_cap: 16,
             outbuf_cap: 4096,
             smoke: false,
-            fuzz_frames: false,
             setup: EngineSetup::default(),
         }
     }
@@ -86,16 +83,14 @@ impl ServeOptions {
             queue_cap: a.count(&cli::QUEUE_CAP).unwrap_or(d.queue_cap),
             outbuf_cap: a.count(&cli::OUTBUF_CAP).unwrap_or(d.outbuf_cap),
             smoke: a.has(&cli::SMOKE),
-            fuzz_frames: a.has(&cli::FUZZ_FRAMES),
             setup: a.setup(),
         })
     }
 }
 
-/// Entry point of the `serve` subcommand. `--smoke` and
-/// `--fuzz-frames` run self-contained batteries on an in-process
-/// server and return a report; otherwise the server runs in the
-/// foreground until killed.
+/// Entry point of the `serve` subcommand. `--smoke` runs the
+/// self-contained battery on an in-process server and returns a report;
+/// otherwise the server runs in the foreground until killed.
 ///
 /// # Errors
 ///
@@ -104,9 +99,6 @@ impl ServeOptions {
 pub fn serve_cmd(opts: ServeOptions) -> Result<String, String> {
     if opts.smoke {
         return smoke(opts);
-    }
-    if opts.fuzz_frames {
-        return fuzz_frames(opts);
     }
     let server = Server::start(opts)?;
     println!("bcache-repro serve: listening on {}", server.local_addr());
@@ -123,15 +115,23 @@ pub fn serve_cmd(opts: ServeOptions) -> Result<String, String> {
 fn start_ephemeral(mut opts: ServeOptions) -> Result<(Server, String), String> {
     opts.addr = "127.0.0.1:0".into();
     opts.smoke = false;
-    opts.fuzz_frames = false;
     let server = Server::start(opts)?;
     let addr = server.local_addr().to_string();
     Ok((server, addr))
 }
 
-/// The CI smoke battery: a short loadgen burst plus the malformed-frame
-/// checks, asserting clean shutdown, non-zero completed jobs, and one
-/// first-sighting extraction per distinct stream the burst requested.
+/// A replay job whose submit frame asks for an injected panic, and a
+/// plain job on the same stream submitted after it.
+const PANIC_JOB: &str = "{\"type\": \"submit\", \"id\": \"boom\", \"job\": \"replay\", \
+                         \"records\": 10000, \"fault\": \"panic\"}";
+const AFTER_PANIC_JOB: &str = "{\"type\": \"submit\", \"id\": \"ok\", \"job\": \"replay\", \
+                               \"records\": 10000}";
+
+/// The CI smoke battery: a short loadgen burst, the malformed-frame
+/// checks and a panic-injected job, asserting that the panic comes
+/// back as an error frame and a later job still completes, clean
+/// shutdown, non-zero completed jobs, and one first-sighting extraction
+/// per distinct stream the jobs requested.
 fn smoke(opts: ServeOptions) -> Result<String, String> {
     let (server, addr) = start_ephemeral(opts)?;
 
@@ -146,24 +146,42 @@ fn smoke(opts: ServeOptions) -> Result<String, String> {
         ..LoadgenOptions::default()
     };
     let report = run_loadgen(&lg)?;
-    // Each distinct stream the burst asked for is a first sighting once.
-    let mut streams = Vec::new();
-    for conn in 0..lg.connections {
-        for req in 0..lg.requests {
-            let (_, frame) = loadgen::job_frame(conn, req, &lg);
-            if let Ok(Request::Submit(job)) = protocol::parse_request(&frame) {
-                let (benchmark, len, side) = job.spec.stream();
-                let key = (benchmark.to_string(), len, side);
-                if !streams.contains(&key) {
-                    streams.push(key);
-                }
-            }
-        }
-    }
 
     // Hostile input on a fresh session must produce error frames and
     // leave the session (and server) serving.
     let malformed_errors = run_malformed_battery(&addr)?;
+
+    // A panicking job must come back as a structured error frame, and
+    // the server must keep serving normal jobs.
+    let mut client = Client::connect(&addr)?;
+    let (end, _) = client.run_job(PANIC_JOB, "boom")?;
+    if !matches!(end, JobEnd::Error(_)) {
+        return Err(format!(
+            "smoke: panic-injected job ended as {end:?}, expected error"
+        ));
+    }
+    let (end, _) = client.run_job(AFTER_PANIC_JOB, "ok")?;
+    if !matches!(end, JobEnd::Done { .. }) {
+        return Err(format!(
+            "smoke: post-panic job ended as {end:?}, expected done"
+        ));
+    }
+
+    // Each distinct stream the jobs asked for is a first sighting once
+    // (the panic is injected after the stream is fetched).
+    let burst = (0..lg.connections)
+        .flat_map(|conn| (0..lg.requests).map(move |req| (conn, req)))
+        .map(|(conn, req)| loadgen::job_frame(conn, req, &lg).1);
+    let mut streams = Vec::new();
+    for frame in burst.chain([PANIC_JOB.into(), AFTER_PANIC_JOB.into()]) {
+        if let Ok(Request::Submit(job)) = protocol::parse_request(&frame) {
+            let (benchmark, len, side) = job.spec.stream();
+            let key = (benchmark.to_string(), len, side);
+            if !streams.contains(&key) {
+                streams.push(key);
+            }
+        }
+    }
 
     let summary = server.shutdown();
     if summary.jobs_completed == 0 {
@@ -248,40 +266,6 @@ fn run_malformed_battery(addr: &str) -> Result<u64, String> {
     Ok(errors)
 }
 
-/// The fuzz battery: the malformed set plus a panic-injected job, all
-/// against one in-process server, asserting the server survives and a
-/// normal job still completes afterwards.
-fn fuzz_frames(opts: ServeOptions) -> Result<String, String> {
-    let (server, addr) = start_ephemeral(opts)?;
-    let errors = run_malformed_battery(&addr)?;
-
-    // A panic-injected job must come back as a structured error frame.
-    let mut client = Client::connect(&addr)?;
-    let frame = "{\"type\": \"submit\", \"id\": \"boom\", \"job\": \"replay\", \
-                 \"records\": 10000, \"fault\": \"panic\"}";
-    let (end, _) = client.run_job(frame, "boom")?;
-    if !matches!(end, JobEnd::Error(_)) {
-        return Err(format!(
-            "panic-injected job ended as {end:?}, expected error"
-        ));
-    }
-
-    // ...and the server keeps serving normal jobs.
-    let frame = "{\"type\": \"submit\", \"id\": \"ok\", \"job\": \"replay\", \
-                 \"records\": 10000}";
-    let (end, _) = client.run_job(frame, "ok")?;
-    if !matches!(end, JobEnd::Done { .. }) {
-        return Err(format!("post-panic job ended as {end:?}, expected done"));
-    }
-
-    let summary = server.shutdown();
-    Ok(format!(
-        "SERVE FUZZ OK: {errors} hostile frames answered with error frames, \
-         panic-injected job isolated, {} jobs completed after",
-        summary.jobs_completed
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,13 +297,7 @@ mod tests {
         assert!(ServeOptions::parse(&["--addr", ""]).is_err());
         assert!(ServeOptions::parse(&["--workers"]).is_err());
         assert!(ServeOptions::parse(&["--mystery"]).is_err());
-    }
-
-    #[test]
-    fn smoke_and_fuzz_flags_parse() {
-        let o = ServeOptions::parse(&["--smoke"]).unwrap();
-        assert!(o.smoke && !o.fuzz_frames);
-        let o = ServeOptions::parse(&["--fuzz-frames"]).unwrap();
-        assert!(o.fuzz_frames && !o.smoke);
+        assert!(ServeOptions::parse(&["--fuzz-frames"]).is_err());
+        assert!(ServeOptions::parse(&["--smoke"]).unwrap().smoke);
     }
 }

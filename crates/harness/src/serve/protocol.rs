@@ -133,9 +133,9 @@ impl JobSpec {
     }
 }
 
-/// Extracts a string field from a single-line JSON object — the same
-/// scan the checkpoint store uses (field names are trusted, values are
-/// read to the closing quote, so values must not contain `"`).
+/// Extracts a string field from a single-line JSON object — a frame,
+/// or a checkpoint log line (field names are trusted, values are read
+/// to the closing quote, so values must not contain `"`).
 pub fn json_str_field(line: &str, name: &str) -> Option<String> {
     let pat = format!("\"{name}\": \"");
     let start = line.find(&pat)? + pat.len();

@@ -26,10 +26,9 @@ use super::protocol::{
 };
 use super::session::Outbox;
 use crate::checkpoint::CheckpointValue;
-use crate::config::CacheConfig;
 use crate::parallel::{job_seed, panic_message};
 use crate::profilecmd::{self, profile_replay};
-use crate::run::{replay_bcache_pd_on, replay_config_on, RunLength};
+use crate::run::{replay_bcache_pd_on, RunLength};
 
 /// L1 size every serve job replays (the paper's headline 16 kB point).
 const SIZE_BYTES: usize = 16 * 1024;
@@ -228,24 +227,23 @@ fn run_replay(
     let (label, config) = profilecmd::resolve_model(model)?;
     let trace = shared.streams.side(&profile, len, side);
     maybe_inject(job, "");
-    let data = if let CacheConfig::BCache { mf, bas } = config {
-        let outcome = replay_bcache_pd_on(&trace, mf, bas, SIZE_BYTES);
-        format!(
-            "{{\"model\": \"{label}\", \"miss_rate\": {:.6}, \"miss_rate_bits\": \"{}\", \
-             \"pd_hit_rate_on_miss\": {:.6}, \"pd_hit_bits\": \"{}\"}}",
-            outcome.miss_rate,
-            f64_bits(outcome.miss_rate),
-            outcome.pd_hit_rate_on_miss,
-            f64_bits(outcome.pd_hit_rate_on_miss),
-        )
-    } else {
-        let miss_rate = replay_config_on(benchmark, &trace, &config, SIZE_BYTES, side, len);
-        format!(
-            "{{\"model\": \"{label}\", \"miss_rate\": {:.6}, \"miss_rate_bits\": \"{}\"}}",
-            miss_rate,
-            f64_bits(miss_rate),
-        )
-    };
+    let mut model = config
+        .build(SIZE_BYTES, job_seed(len.seed, benchmark, side))
+        .expect("served models build at 16 kB");
+    trace.replay(model.as_mut());
+    let miss_rate = model.stats().miss_rate();
+    let mut data = format!(
+        "{{\"model\": \"{label}\", \"miss_rate\": {miss_rate:.6}, \"miss_rate_bits\": \"{}\"",
+        f64_bits(miss_rate),
+    );
+    if let Some(pd) = model.decoder_stats() {
+        let rate = pd.pd_hit_rate_on_miss();
+        data.push_str(&format!(
+            ", \"pd_hit_rate_on_miss\": {rate:.6}, \"pd_hit_bits\": \"{}\"",
+            f64_bits(rate)
+        ));
+    }
+    data.push('}');
     job.outbox.push_row(row_frame(&job.request.id, 0, &data));
     Ok(JobDone { rows: 1, cached: 0 })
 }

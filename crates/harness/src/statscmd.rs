@@ -74,14 +74,12 @@ pub fn stats_cmd(opts: &RunOptions) -> StatsOutcome {
                 replay_timed(&trace, dm.as_mut(), &mut frag);
                 record_model(&mut frag, &format!("stats.{bench}.dm"), dm.as_ref());
 
-                // Built concretely so the PD statistics are reachable.
                 let mut bc = CacheConfig::BCache { mf: 8, bas: 8 }
-                    .spec(SIZE_BYTES, seed)
-                    .build_bcache()
+                    .build(SIZE_BYTES, seed)
                     .expect("valid B-Cache point");
-                replay_timed(&trace, &mut bc, &mut frag);
-                record_model(&mut frag, &format!("stats.{bench}.bcache"), &bc);
-                let pd = bc.pd_stats();
+                replay_timed(&trace, bc.as_mut(), &mut frag);
+                record_model(&mut frag, &format!("stats.{bench}.bcache"), bc.as_ref());
+                let pd = bc.decoder_stats().expect("a B-Cache has decoders");
                 frag.counter(
                     &format!("stats.{bench}.bcache.pd_reprograms"),
                     pd.misses_with_pd_miss,

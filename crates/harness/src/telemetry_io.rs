@@ -1,12 +1,12 @@
 //! Command-line plumbing for the telemetry subsystem: the shared
 //! `--metrics <path>` / `--trace-events <path>` destinations (parsed by
-//! [`crate::cli`]), metric-file writers, and the per-set-usage
-//! histogram builder the `run` and `stats` reports share.
+//! [`crate::cli`]), metric-file writers, and [`record_model`], which
+//! lands one model's aggregates (and its per-set usage histogram) in a
+//! recorder for `run`, `stats` and `profile`.
 
 use std::io;
 
-use cache_sim::SetUsage;
-use telemetry::{EventRing, Histogram, Recorder};
+use telemetry::{EventRing, Recorder};
 
 /// The telemetry output destinations requested on the command line.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -37,22 +37,13 @@ pub fn write_events(path: &str, ring: &EventRing) -> io::Result<()> {
     std::fs::write(path, ring.to_jsonl())
 }
 
-/// Builds the log2 histogram of per-set access counts — the
+/// Records one model's post-replay aggregates into `rec` under
+/// `prefix`: access/miss/writeback counters plus, when the model tracks
+/// set usage, the log2 histogram of per-set access counts — the
 /// set-pressure distribution behind the paper's balance argument
 /// (Table 7): a direct-mapped cache shows a wide spread (hot sets many
 /// buckets above cold ones), a balanced cache concentrates every set
 /// into a few adjacent buckets.
-pub fn usage_histogram(usage: &SetUsage) -> Histogram {
-    let mut h = Histogram::new();
-    for set in 0..usage.sets() {
-        h.record(usage.accesses(set));
-    }
-    h
-}
-
-/// Records one model's post-replay aggregates into `rec` under
-/// `prefix`: access/miss/writeback counters plus the per-set usage
-/// histogram when the model tracks one.
 pub fn record_model(rec: &mut Recorder, prefix: &str, model: &dyn cache_sim::CacheModel) {
     let total = model.stats().total();
     rec.counter(&format!("{prefix}.accesses"), total.accesses());
@@ -70,30 +61,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn usage_histogram_counts_every_set() {
+    fn record_model_writes_counters_and_histogram() {
         use cache_sim::{AccessKind, Addr, CacheModel, DirectMappedCache};
+        use telemetry::Histogram;
         let mut dm = DirectMappedCache::new(256, 32).unwrap();
-        for _ in 0..10 {
+        dm.access(Addr::new(0), AccessKind::Write);
+        for _ in 0..9 {
             dm.access(Addr::new(0), AccessKind::Read); // set 0: 10 accesses
         }
         dm.access(Addr::new(32), AccessKind::Read); // set 1: 1 access
-        let h = usage_histogram(dm.set_usage().unwrap());
+        let mut rec = Recorder::new();
+        record_model(&mut rec, "dm", &dm);
+        assert_eq!(rec.counter_value("dm.accesses"), 11);
+        assert_eq!(rec.counter_value("dm.misses"), 2);
+        let h = rec.histogram("dm.set_accesses").unwrap();
         assert_eq!(h.count(), 8, "one sample per set");
         assert_eq!(h.bucket(Histogram::bucket_index(10)), 1);
         assert_eq!(h.bucket(1), 1); // the single-access set
         assert_eq!(h.bucket(0), 6); // six untouched sets
-    }
-
-    #[test]
-    fn record_model_writes_counters_and_histogram() {
-        use cache_sim::{AccessKind, Addr, CacheModel, DirectMappedCache};
-        let mut dm = DirectMappedCache::new(256, 32).unwrap();
-        dm.access(Addr::new(0), AccessKind::Write);
-        dm.access(Addr::new(0), AccessKind::Read);
-        let mut rec = Recorder::new();
-        record_model(&mut rec, "dm", &dm);
-        assert_eq!(rec.counter_value("dm.accesses"), 2);
-        assert_eq!(rec.counter_value("dm.misses"), 1);
-        assert_eq!(rec.histogram("dm.set_accesses").unwrap().count(), 8);
     }
 }

@@ -5,13 +5,12 @@
 //! `mcf` is capacity-bound, `gzip` is cache-friendly, `equake` is the
 //! conflict-heavy headline case; `ammp`, `art`, `gcc`, `parser` and
 //! `vpr` spread the coverage across the remaining Figure 4/5 behaviour
-//! classes so figure drift is caught per-benchmark. If a deliberate
-//! model change moves these numbers, regenerate the tables with
-//! `cargo run --example golden_dump`, paste them in the same commit,
-//! and say why in the commit message.
+//! classes so figure drift is caught per-benchmark. When a cell moves,
+//! the failing test prints every row of its table regenerated from the
+//! current models, in the table's own syntax. If the change was
+//! deliberate, paste those rows over the table's in the same commit and
+//! say why in the commit message.
 
-use bcache_core::{BCacheParams, BalancedCache};
-use cache_sim::{CacheGeometry, PolicyKind};
 use harness::config::CacheConfig;
 use harness::parallel::{job_seed, TraceCache};
 use harness::run::{replay, replay_config_counts, ExactCounts, RunLength, Side, SideTrace};
@@ -36,28 +35,73 @@ fn counts(traces: &TraceCache, benchmark: &str, config: CacheConfig, side: Side)
 fn pd_counts(traces: &TraceCache, benchmark: &str) -> (u64, u64) {
     let p = profiles::by_name(benchmark).expect("known benchmark");
     let records = traces.get(&p, len());
-    let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-    let params = BCacheParams::new(geom, 8, 8, PolicyKind::Lru).unwrap();
-    let mut bc = BalancedCache::new(params);
-    replay(records.iter(), &mut bc, Side::Data, len().warmup);
-    let pd = bc.pd_stats();
+    let mut bc = BC.build(16 * 1024, 0).expect("the design point builds");
+    replay(records.iter(), bc.as_mut(), Side::Data, len().warmup);
+    let pd = bc.decoder_stats().expect("a B-Cache has decoders");
     (pd.misses_with_pd_hit, pd.misses_with_pd_miss)
 }
 
-const DM: CacheConfig = CacheConfig::DirectMapped;
-const W8: CacheConfig = CacheConfig::SetAssoc(8);
-const BC: CacheConfig = CacheConfig::BCache { mf: 8, bas: 8 };
-// The remaining batched-kernel models, pinned on the data side only:
-// their instruction-side rows are near-duplicates of the core configs'
-// and add bulk without discriminating power.
-const V16: CacheConfig = CacheConfig::Victim(16);
-const CA: CacheConfig = CacheConfig::ColumnAssoc;
-const SK2: CacheConfig = CacheConfig::SkewedAssoc;
-const HAC: CacheConfig = CacheConfig::Hac;
-const WH4: CacheConfig = CacheConfig::WayHalting;
-const AGC: CacheConfig = CacheConfig::Agac;
-const PAM: CacheConfig = CacheConfig::Pam;
-const DFB: CacheConfig = CacheConfig::DiffBit;
+/// `n` as the tables write it: `_` between groups of three digits.
+fn lit(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push('_');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// One `GOLDEN` row, as the table spells it.
+fn golden_row(benchmark: &str, config: CacheConfig, side: Side, c: ExactCounts) -> String {
+    let name = NAMES
+        .iter()
+        .find(|n| n.0 == config)
+        .expect("every pinned config has a name")
+        .1;
+    format!(
+        "    (\"{benchmark}\", {name}, Side::{side:?}, {}, {}),\n",
+        lit(c.accesses),
+        lit(c.misses)
+    )
+}
+
+/// One `GOLDEN_PD` row, as the table spells it.
+fn pd_row(benchmark: &str, (pd_hits, pd_misses): (u64, u64)) -> String {
+    format!(
+        "    (\"{benchmark}\", {}, {}),\n",
+        lit(pd_hits),
+        lit(pd_misses)
+    )
+}
+
+/// Declares each pinned config as a const named as the tables spell it,
+/// plus `NAMES`, which spells it back for regenerated rows.
+macro_rules! configs {
+    ($($name:ident = $config:expr;)*) => {
+        $(const $name: CacheConfig = $config;)*
+        const NAMES: &[(CacheConfig, &str)] = &[$(($name, stringify!($name))),*];
+    };
+}
+
+configs! {
+    DM = CacheConfig::DirectMapped;
+    W8 = CacheConfig::SetAssoc(8);
+    BC = CacheConfig::BCache { mf: 8, bas: 8 };
+    // The remaining batched-kernel models, pinned on the data side only:
+    // their instruction-side rows are near-duplicates of the core configs'
+    // and add bulk without discriminating power.
+    V16 = CacheConfig::Victim(16);
+    CA = CacheConfig::ColumnAssoc;
+    SK2 = CacheConfig::SkewedAssoc;
+    HAC = CacheConfig::Hac;
+    WH4 = CacheConfig::WayHalting;
+    AGC = CacheConfig::Agac;
+    PAM = CacheConfig::Pam;
+    DFB = CacheConfig::DiffBit;
+}
 
 /// `(benchmark, config, side, accesses, misses)` — every pinned cell.
 /// Values measured at the fixed [`len`] above; they are exact, not
@@ -200,30 +244,49 @@ const GOLDEN_PD: &[(&str, u64, u64)] = &[
 #[test]
 fn miss_counts_match_the_golden_table() {
     let traces = TraceCache::new();
+    let (mut moved, mut rows) = (Vec::new(), String::new());
     for &(benchmark, config, side, accesses, misses) in GOLDEN {
         let got = counts(&traces, benchmark, config, side);
-        assert_eq!(
-            got,
-            ExactCounts { accesses, misses },
-            "{benchmark} {:?} {side:?}: expected {accesses} accesses / {misses} misses, \
-             got {} / {}",
-            config,
-            got.accesses,
-            got.misses,
-        );
+        if got != (ExactCounts { accesses, misses }) {
+            moved.push(format!("{benchmark} {config:?} {side:?}"));
+        }
+        rows += &golden_row(benchmark, config, side, got);
     }
+    assert!(
+        moved.is_empty(),
+        "pinned cells moved: {moved:?}\nregenerated GOLDEN rows:\n{rows}"
+    );
 }
 
 #[test]
 fn pd_hit_stats_match_the_golden_table() {
     let traces = TraceCache::new();
+    let (mut moved, mut rows) = (Vec::new(), String::new());
     for &(benchmark, pd_hits, pd_misses) in GOLDEN_PD {
         let got = pd_counts(&traces, benchmark);
-        assert_eq!(
-            got,
-            (pd_hits, pd_misses),
-            "{benchmark} PD counters moved: expected ({pd_hits}, {pd_misses}), got {got:?}"
-        );
+        if got != (pd_hits, pd_misses) {
+            moved.push(benchmark);
+        }
+        rows += &pd_row(benchmark, got);
+    }
+    assert!(
+        moved.is_empty(),
+        "PD counters moved: {moved:?}\nregenerated GOLDEN_PD rows:\n{rows}"
+    );
+}
+
+#[test]
+fn regenerated_rows_are_the_tables_own_lines() {
+    // What a failing comparison prints must paste back verbatim: every
+    // pinned row, regenerated from its own values, is a line of this file.
+    let source = include_str!("golden_stats.rs");
+    for &(benchmark, config, side, accesses, misses) in GOLDEN {
+        let row = golden_row(benchmark, config, side, ExactCounts { accesses, misses });
+        assert!(source.contains(&row), "{row}");
+    }
+    for &(benchmark, pd_hits, pd_misses) in GOLDEN_PD {
+        let row = pd_row(benchmark, (pd_hits, pd_misses));
+        assert!(source.contains(&row), "{row}");
     }
 }
 

@@ -5,11 +5,12 @@
 //! runs printed.
 //!
 //! Each row of [`QUOTES`] is a quote from EXPERIMENTS.md with `{}`
-//! holes and the pinned cells that fill them, named by (section title,
-//! row label, column header). The test renders the
-//! quote from the cells and requires EXPERIMENTS.md to contain it. A
-//! doc edit that drifts from the output, or a re-blessed output the doc
-//! was not updated for, fails with the section and cells named.
+//! holes, the `## ` heading it sits under, and the pinned cells that
+//! fill the holes, named by (section title, row label, column header).
+//! The test renders the quote from the cells and requires that
+//! section of EXPERIMENTS.md, up to the next `## ` heading, to contain
+//! it. A doc edit that drifts from the output, or a re-blessed output
+//! the doc was not updated for, fails with the section and cells named.
 
 use std::ops::Range;
 
@@ -34,27 +35,33 @@ const SEC71: &str = "Section 7.1:";
 const VICTIM: &str = "continue past 16";
 const L2: &str = "stream, suite aggregate)";
 
-/// The quoted cells. In a quote, `{}` is a cell as printed and `{n}` the
-/// same cell without its `%` sign.
-const QUOTES: &[(&str, &[Cell])] = &[
+/// The quoted cells under their EXPERIMENTS.md headings (line
+/// prefixes). In a quote, `{}` is a cell as printed and `{n}` the same
+/// cell without its `%` sign.
+const QUOTES: &[(&str, &str, &[Cell])] = &[
     // Figure 4: the `Ave` rows, CINT then CFP.
     (
+        "## Figure 4 —",
         "| 2-way | ~15–20% | {} / {} |",
         &[(FIG4_CINT, "Ave", "2way"), (FIG4_CFP, "Ave", "2way")],
     ),
     (
+        "## Figure 4 —",
         "| 4-way | ~30% | {} / {} |",
         &[(FIG4_CINT, "Ave", "4way"), (FIG4_CFP, "Ave", "4way")],
     ),
     (
+        "## Figure 4 —",
         "| 8-way | ~38–40% | {} / {} |",
         &[(FIG4_CINT, "Ave", "8way"), (FIG4_CFP, "Ave", "8way")],
     ),
     (
+        "## Figure 4 —",
         "| 32-way | +1% over 8-way (perlbmk +20%) | {} / {} (",
         &[(FIG4_CINT, "Ave", "32way"), (FIG4_CFP, "Ave", "32way")],
     ),
     (
+        "## Figure 4 —",
         "| victim16 | B-Cache beats it by 13.6% / 20.7% | {} / {} (",
         &[
             (FIG4_CINT, "Ave", "victim16"),
@@ -62,6 +69,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Figure 4 —",
         "| {n}→{n}→{} / {n}→{n}→{} |",
         &[
             (FIG4_CINT, "Ave", "MF2-BAS8"),
@@ -74,6 +82,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
     // Figure 5: the `Ave` staircase.
     (
+        "## Figure 5 —",
         "| B-Cache MF2→4→8 | 33.2→53.4→64.7% | {n}→{n}→{} |",
         &[
             (FIG5, "Ave", "MF2-BAS8"),
@@ -83,6 +92,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
     // Figure 3: the wupwise plateau, the MF32→MF64 collapse, the floor.
     (
+        "## Figure 3 —",
         "| 2–32 | miss ~3–4%, PD hit ~80–90%, flat | {n}→{} miss, {n}→{} PD hit, flat |",
         &[
             (FIG3, "MF2", "miss_rate"),
@@ -92,6 +102,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Figure 3 —",
         "| 32→64 | sharp simultaneous collapse | {n}→{} miss, {n}→{} PD hit |",
         &[
             (FIG3, "MF32", "miss_rate"),
@@ -101,34 +112,45 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Figure 3 —",
         "| 64–512 | flat at the floor | flat at {} / {} |",
         &[(FIG3, "MF64", "miss_rate"), (FIG3, "MF64", "PD_hit_rate")],
     ),
     // Figure 8: the `Ave` IPC improvements.
     (
+        "## Figure 8 —",
         "| 8-way | ~6.2% (B-Cache + 0.3%) | {} |",
         &[(FIG8, "Ave", "8way")],
     ),
     (
+        "## Figure 8 —",
         "| B-Cache | 5.9% (max equake 27.1%) | {} (max equake ",
         &[(FIG8, "Ave", "MF8-BAS8")],
     ),
     (
+        "## Figure 8 —",
         "| victim16 | B-Cache +3.7% | {} (B-Cache ",
         &[(FIG8, "Ave", "victim16")],
     ),
     // Figure 9: the `Ave` normalized energies.
     (
+        "## Figure 9 —",
         "| B-Cache | 0.98 (best; crafty best-case 0.86) | {} (best of all configs) |",
         &[(FIG9, "Ave", "MF8-BAS8")],
     ),
     (
+        "## Figure 9 —",
         "| 8-way | >1 on several benchmarks | {} (worst ",
         &[(FIG9, "Ave", "8way")],
     ),
-    ("| victim16 | between | {} |", &[(FIG9, "Ave", "victim16")]),
+    (
+        "## Figure 9 —",
+        "| victim16 | between | {} |",
+        &[(FIG9, "Ave", "victim16")],
+    ),
     // Tables 5 and 6: the MF x BAS grid.
     (
+        "## Tables 5 & 6 —",
         "| reduction BAS=4 | {} | {} | {} | {} |",
         &[
             (TAB5, "BAS = 4", "MF=2"),
@@ -138,6 +160,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Tables 5 & 6 —",
         "| reduction BAS=8 | {} | {} | **{}** | {} |",
         &[
             (TAB5, "BAS = 8", "MF=2"),
@@ -147,6 +170,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Tables 5 & 6 —",
         "| PD-hit BAS=4 | {} | {} | {} | {} |",
         &[
             (TAB6, "BAS = 4", "MF=2"),
@@ -156,6 +180,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Tables 5 & 6 —",
         "| PD-hit BAS=8 | {} | {} | {} | {} |",
         &[
             (TAB6, "BAS = 8", "MF=2"),
@@ -166,6 +191,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
     // Figure 12: best conventional, MF8-BAS8 and design A vs B.
     (
+        "## Figure 12 —",
         "| 32 kB D$ | 8-way {} | {} | {} vs {} ",
         &[
             (FIG12_D32, "Ave", "8way"),
@@ -175,6 +201,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Figure 12 —",
         "| 8 kB D$ | 8-way {} | {} | {} vs {} ",
         &[
             (FIG12_D8, "Ave", "8way"),
@@ -184,10 +211,12 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Figure 12 —",
         "| 32 kB I$ | 8-way {} | {} | equal ",
         &[(FIG12_I32, "Ave", "8way"), (FIG12_I32, "Ave", "MF8-BAS8")],
     ),
     (
+        "## Figure 12 —",
         "| 8 kB I$ | 8-way {} | {} | {} vs {} ",
         &[
             (FIG12_I8, "Ave", "8way"),
@@ -198,6 +227,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
     // Section 7.1: the `Ave` related-work reductions.
     (
+        "## Section 7.1/7.2 —",
         "| {} | {} | {} | {} | {} | {} | {} | **{}** |",
         &[
             (SEC71, "Ave", "column"),
@@ -212,6 +242,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
     ),
     // The victim-buffer size sweep and the B-Cache at the L2.
     (
+        "## Sensitivity & extensions",
         "2: {}, 4: {}, 8: {}, 16: {}, 32: {}, 64: {}, monotone",
         &[
             (VICTIM, "2", "avg D$ reduction"),
@@ -223,6 +254,7 @@ const QUOTES: &[(&str, &[Cell])] = &[
         ],
     ),
     (
+        "## Sensitivity & extensions",
         "drops from {} direct-mapped to {} balanced, versus {} for",
         &[
             (L2, "256k-dm", "local miss rate"),
@@ -296,11 +328,26 @@ fn render(quote: &str, cells: &[Cell], all: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// The byte range of `doc`'s section under the heading line starting
+/// with `heading`, up to the next `## ` heading.
+fn section(doc: &str, heading: &str) -> Option<Range<usize>> {
+    let start = doc.find(&format!("\n{heading}"))? + 1;
+    let end = doc[start..]
+        .find("\n## ")
+        .map_or(doc.len(), |i| start + i + 1);
+    Some(start..end)
+}
+
 /// Every quote `doc` gets wrong, each naming its cells and the doc
 /// line it expected.
 fn drifted(doc: &str, all: &str) -> Vec<String> {
     let mut errors = Vec::new();
-    for &(quote, cells) in QUOTES {
+    for &(heading, quote, cells) in QUOTES {
+        let Some(range) = section(doc, heading) else {
+            errors.push(format!("EXPERIMENTS.md has no heading `{heading}`"));
+            continue;
+        };
+        let body = &doc[range];
         let named: Vec<String> = cells
             .iter()
             .map(|&c| {
@@ -310,14 +357,15 @@ fn drifted(doc: &str, all: &str) -> Vec<String> {
             .collect();
         match render(quote, cells, all) {
             Err(e) => errors.push(format!("pinned output: {e}")),
-            Ok(text) if !doc.contains(&text) => {
+            Ok(text) if !body.contains(&text) => {
                 let prefix = &quote[..quote.find('{').unwrap_or(quote.len())];
-                let now = doc
+                let now = body
                     .lines()
                     .find(|l| l.contains(prefix))
                     .unwrap_or("(no such line)");
                 errors.push(format!(
-                    "EXPERIMENTS.md does not quote `{text}`\n  cells: {}\n  doc line: {now}",
+                    "EXPERIMENTS.md `{heading}` does not quote `{text}`\n  cells: {}\n  \
+                     doc line: {now}",
                     named.join("; ")
                 ));
             }
@@ -348,9 +396,12 @@ fn experiments_quotes_match_the_pinned_output() {
 fn a_drifted_doc_cell_is_named() {
     let all = pinned();
     let table5 = cell(&all, (TAB5, "BAS = 8", "MF=8")).unwrap();
-    // Only the Table 5 quote: the Section 7.1 row, further down, bolds
-    // the same value.
-    let doc = read("EXPERIMENTS.md").replacen(&format!("**{table5}**"), "**99.9%**", 1);
+    // Edited inside its own section only: the Section 7.1 row bolds the
+    // same value.
+    let mut doc = read("EXPERIMENTS.md");
+    let range = section(&doc, "## Tables 5 & 6 —").unwrap();
+    let edited = doc[range.clone()].replace(&format!("**{table5}**"), "**99.9%**");
+    doc.replace_range(range, &edited);
     let errors = drifted(&doc, &all);
     assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(
@@ -361,10 +412,28 @@ fn a_drifted_doc_cell_is_named() {
 }
 
 #[test]
+fn a_quote_under_another_heading_is_reported() {
+    let all = pinned();
+    let doc = read("EXPERIMENTS.md");
+    let &(heading, quote, cells) = QUOTES
+        .iter()
+        .find(|q| q.1.starts_with("| reduction BAS=8 |"))
+        .unwrap();
+    let text = render(quote, cells, &all).unwrap();
+    let line = doc.lines().find(|l| l.contains(&text)).unwrap();
+    // Still in the file, but moved to the last section.
+    let moved = doc.replacen(&format!("{line}\n"), "", 1) + line + "\n";
+    assert!(moved.contains(&text));
+    let errors = drifted(&moved, &all);
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains(heading), "{}", errors[0]);
+}
+
+#[test]
 fn every_quoted_cell_is_pinned() {
     let doc = read("EXPERIMENTS.md");
     let all = pinned();
-    for &(quote, cells) in QUOTES {
+    for &(_, quote, cells) in QUOTES {
         for &c in cells {
             // Overwrite the cell in place, as a hand edit would.
             let (n, range) = locate(&all, c).unwrap();
