@@ -5,6 +5,10 @@ use cache_sim::{CacheModel, GeometryError, PolicyKind};
 use crate::cli;
 use crate::models::ModelSpec;
 
+/// L1 capacity of the paper's headline design point, 16 kB: the size
+/// every experiment that does not sweep it simulates.
+pub const L1_BYTES: usize = 16 * 1024;
+
 /// A named L1 configuration from the paper's figures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CacheConfig {

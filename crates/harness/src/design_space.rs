@@ -9,7 +9,7 @@
 
 use trace_gen::profiles;
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::Engine;
 use crate::report::{pct, TextTable};
 use crate::run::{mean, replay_bcache_pd_on, replay_config_on, RunLength, Side};
@@ -47,7 +47,7 @@ pub fn design_space_grid_with(engine: &Engine, len: RunLength) -> Vec<DesignPoin
                     p.name,
                     &trace,
                     &CacheConfig::DirectMapped,
-                    16 * 1024,
+                    L1_BYTES,
                     Side::Data,
                     len,
                 )
@@ -66,7 +66,7 @@ pub fn design_space_grid_with(engine: &Engine, len: RunLength) -> Vec<DesignPoin
             benchmarks.iter().map(move |p| {
                 move || {
                     let trace = engine.side_trace(p, len, Side::Data);
-                    replay_bcache_pd_on(&trace, mf, bas, 16 * 1024)
+                    replay_bcache_pd_on(&trace, mf, bas, L1_BYTES)
                 }
             })
         })

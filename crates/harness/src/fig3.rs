@@ -8,6 +8,7 @@
 //! reach bit 19 the PD hit rate collapses and the miss rate falls with
 //! it.
 
+use crate::config::L1_BYTES;
 use crate::parallel::Engine;
 use crate::report::{pct2, TextTable};
 use crate::run::{replay_bcache_pd_on, BCachePdOutcome, RunLength, Side};
@@ -39,7 +40,7 @@ pub fn figure3_for_with(engine: &Engine, benchmark: &str, len: RunLength) -> Vec
             let profile = profile.clone();
             (format!("mf{mf}"), move || {
                 let trace = engine.side_trace(&profile, len, Side::Data);
-                replay_bcache_pd_on(&trace, mf, 8, 16 * 1024)
+                replay_bcache_pd_on(&trace, mf, 8, L1_BYTES)
             })
         })
         .collect();

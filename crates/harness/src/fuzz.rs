@@ -57,8 +57,10 @@
 //!
 //! On divergence the trace is shrunk to a minimal repro — the failing
 //! prefix is bisected into chunks whose removal is retried at widening
-//! strides (ddmin-style) — and emitted as a re-runnable Rust test whose
-//! header names the `fuzz` command that replays the case.
+//! strides (ddmin-style) — and emitted as a `#[test]` whose header names
+//! the `fuzz` command that replays the case and whose body runs the
+//! case's own check over the shrunk trace through [`check_case`]. Pasted
+//! into `crates/harness/tests/`, it fails until the model is fixed.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -66,6 +68,7 @@ use std::fmt::Write as _;
 use cache_sim::{AccessKind, AccessResult, Addr, CacheModel, PolicyKind};
 
 use crate::cli;
+use crate::config::L1_BYTES;
 use crate::models::{CaseRng, Drive, Family, ModelSpec};
 use crate::parallel::{default_parallelism, Engine};
 
@@ -210,7 +213,8 @@ pub struct Divergence {
     pub detail: String,
     /// Length of the shrunk trace.
     pub shrunk_len: usize,
-    /// A re-runnable Rust test snippet reproducing the divergence.
+    /// A `#[test]` that replays the shrunk trace through [`check_case`]
+    /// and fails while the divergence stands.
     pub repro: String,
 }
 
@@ -333,14 +337,10 @@ fn accesses(trace: &[FuzzRecord]) -> Vec<(Addr, AccessKind)> {
 
 type Check = dyn Fn(&[FuzzRecord]) -> Option<(usize, String)>;
 
-/// One generated case: its trace, the check the trace must pass, and
-/// the Rust that replays it (`setup` builds the models, `body` drives
-/// them over `accesses`).
+/// One generated case: its trace and the check the trace must pass.
 struct Case {
     trace: Vec<FuzzRecord>,
     check: Box<Check>,
-    setup: String,
-    body: String,
 }
 
 fn shrink(trace: &mut Vec<FuzzRecord>, check: &Check) {
@@ -374,35 +374,36 @@ fn shrink(trace: &mut Vec<FuzzRecord>, check: &Check) {
 fn render_trace(trace: &[FuzzRecord]) -> String {
     let mut s = String::from("&[");
     for (i, (addr, w)) in trace.iter().enumerate() {
-        if i % 4 == 0 {
-            s.push_str("\n        ");
-        }
-        write!(s, "({addr:#x}, {w}), ").unwrap();
+        s.push_str(if i % 4 == 0 { "\n        " } else { " " });
+        write!(s, "({addr:#x}, {w}),").unwrap();
     }
     s.push_str("\n    ]");
     s
 }
 
 /// The one repro renderer: a test whose header names the command that
-/// replays the case (`--iters case+1` so the run reaches it).
-fn render_repro(scenario: &str, case: u64, seed: u64, c: &Case, trace: &[FuzzRecord]) -> String {
+/// replays the case (`--iters case+1` so the run reaches it), followed
+/// by what diverged, and whose body runs the case's own check.
+fn render_repro(
+    scenario: &str,
+    case: u64,
+    seed: u64,
+    detail: &str,
+    trace: &[FuzzRecord],
+) -> String {
     format!(
         "// Shrunk repro: `bcache-repro fuzz --seed {seed} --iters {} --scenario {scenario}` (case {case}).\n\
+         // {detail}\n\
          #[test]\n\
          fn fuzz_repro_{scenario}_{case}() {{\n\
-         \x20   use cache_sim::CacheModel as _;\n\
-         {}\
          \x20   let trace: &[(u64, bool)] = {};\n\
-         \x20   let accesses: Vec<_> = trace\n\
-         \x20       .iter()\n\
-         \x20       .map(|&(a, w)| (cache_sim::Addr::new(a), if w {{ cache_sim::AccessKind::Write }} else {{ cache_sim::AccessKind::Read }}))\n\
-         \x20       .collect();\n\
-         {}\
+         \x20   assert_eq!(\n\
+         \x20       harness::fuzz::check_case({seed}, {case}, \"{scenario}\", trace),\n\
+         \x20       None\n\
+         \x20   );\n\
          }}",
         case + 1,
-        c.setup,
         render_trace(trace),
-        c.body
     )
 }
 
@@ -414,23 +415,47 @@ fn diverge(scenario: &'static str, case: u64, seed: u64, c: Case) -> Option<Dive
     Some(Divergence {
         case,
         scenario,
-        detail,
         shrunk_len: shrunk.len(),
-        repro: render_repro(scenario, case, seed, &c, &shrunk),
+        repro: render_repro(scenario, case, seed, &detail, &shrunk),
+        detail,
     })
 }
 
 // ---------------------------------------------------------------------
 // Scenarios.
 
-fn run_case_in(seed: u64, case: u64, scenario: Option<usize>) -> Option<Divergence> {
+/// Case `case` of `row`, drawn from `(seed, case)` alone.
+fn draw_case(seed: u64, case: u64, row: Scenario) -> Case {
     let mut rng = CaseRng::new(seed, case);
-    let row = SCENARIOS[scenario.unwrap_or((case % SCENARIOS.len() as u64) as usize)];
-    let c = match row.run {
+    match row.run {
         Run::Differential(families, drive) => differential_case(&mut rng, families, drive),
         Run::Property(f) => f(&mut rng),
-    };
-    diverge(row.name, case, seed, c)
+    }
+}
+
+fn run_case_in(seed: u64, case: u64, scenario: Option<usize>) -> Option<Divergence> {
+    let row = SCENARIOS[scenario.unwrap_or((case % SCENARIOS.len() as u64) as usize)];
+    diverge(row.name, case, seed, draw_case(seed, case, row))
+}
+
+/// Runs the check of case `case` of row `scenario` under base seed
+/// `seed` over `trace`: the models and the property are rebuilt from
+/// `(seed, case)` exactly as the fuzz run drew them, and only the trace
+/// is the caller's. Returns the index of the first failing access and
+/// what failed, or `None` if the trace passes. A repro printed by
+/// [`run`] calls this with its shrunk trace.
+///
+/// # Panics
+///
+/// Panics if `scenario` names no row of [`SCENARIOS`].
+pub fn check_case(
+    seed: u64,
+    case: u64,
+    scenario: &str,
+    trace: &[FuzzRecord],
+) -> Option<(usize, String)> {
+    let row = resolve_scenario(scenario).unwrap_or_else(|e| panic!("{e}"));
+    (draw_case(seed, case, SCENARIOS[row]).check)(trace)
 }
 
 /// A differential row's case: a drawn spec, a drawn chunk size for the
@@ -450,57 +475,11 @@ fn differential_case(rng: &mut CaseRng, families: &[Family], drive: Drive) -> Ca
         _ => 32 * size as u64,
     };
     let trace = gen_trace(rng, line as u64, 2 * (size / line) as u64, addr_span);
-    let (model, oracle) = spec.rust();
-    let mut setup = format!("    let mut model = {model};\n");
-    let mut body = String::new();
-    match drive {
-        Drive::PerAccess => body.push_str(
-            "    for &(addr, kind) in &accesses {\n\
-             \x20       let got = model.access(addr, kind);\n\
-             \x20       assert_eq!(oracle.access(addr, kind).diff(&got), None, \"divergence at {addr}\");\n\
-             \x20   }\n",
-        ),
-        Drive::Batched(chunk) => {
-            setup.push_str(&format!("    let mut scalar = {model};\n"));
-            let replay_oracle = if oracle.is_some() { " oracle.access(addr, kind);" } else { "" };
-            body.push_str(&format!(
-                "    for chunk in accesses.chunks({chunk}) {{\n\
-                 \x20       model.access_batch(chunk);\n\
-                 \x20   }}\n\
-                 \x20   for &(addr, kind) in &accesses {{\n\
-                 \x20       scalar.access(addr, kind);{replay_oracle}\n\
-                 \x20   }}\n\
-                 \x20   assert_eq!(model.stats(), scalar.stats());\n\
-                 \x20   assert_eq!(model.set_usage(), scalar.set_usage());\n"
-            ));
-        }
-    }
-    if let Some(oracle) = oracle {
-        setup.push_str(&format!("    let mut oracle = {oracle};\n"));
-        body.push_str(
-            "    let t = model.stats().total();\n\
-             \x20   assert_eq!((t.hits(), t.misses(), model.stats().writebacks()), (oracle.hits(), oracle.misses(), oracle.writebacks()));\n",
-        );
-    }
-    if spec.family() == Family::BCache {
-        body.push_str(
-            "    let pd = model.pd_stats();\n\
-             \x20   assert_eq!((pd.misses_with_pd_hit, pd.misses_with_pd_miss), (oracle.pd_hit_misses(), oracle.pd_miss_misses()));\n\
-             \x20   assert!(model.invariants_hold());\n",
-        );
-    }
     Case {
         check: Box::new(move |t| spec.differential(drive, &accesses(t))),
         trace,
-        setup,
-        body,
     }
 }
-
-const PAIR_BODY: &str = "    for &(addr, kind) in &accesses {\n\
-     \x20       let (a, b) = (left.access(addr, kind), right.access(addr, kind));\n\
-     \x20       assert_eq!(a.hit, b.hit, \"divergence at {addr}\");\n\
-     \x20   }\n";
 
 /// A case's left and right models.
 type Pair = (Box<dyn CacheModel>, Box<dyn CacheModel>);
@@ -524,11 +503,6 @@ fn pair_case(
     relation: &'static str,
     finally: Option<fn(&dyn CacheModel) -> Option<String>>,
 ) -> Case {
-    let setup = format!(
-        "    let mut left = {};\n    let mut right = {};\n",
-        left.rust().0,
-        right.rust().0
-    );
     let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
         let (mut l, mut r) = match build_pair(&left, &right) {
             Ok(pair) => pair,
@@ -553,8 +527,6 @@ fn pair_case(
     Case {
         trace,
         check: Box::new(check),
-        setup,
-        body: PAIR_BODY.into(),
     }
 }
 
@@ -705,12 +677,6 @@ fn demand_fill_sanity(rng: &mut CaseRng) -> Case {
     Case {
         trace,
         check: Box::new(check),
-        setup: format!("    let mut model = {};\n", spec.rust().0),
-        body: "    for &(addr, kind) in &accesses {\n\
-               \x20       let _ = model.access(addr, kind);\n\
-               \x20       // Re-check the demand-fill invariants (see harness::fuzz).\n\
-               \x20   }\n"
-            .into(),
     }
 }
 
@@ -722,7 +688,6 @@ fn birthday_adversarial(rng: &mut CaseRng) -> Case {
     // pathwise oracle is then "hit iff the block repeats back-to-back",
     // whose expectation over a uniform draw is the closed-form
     // 1 − 1/k of `analytic::birthday::aligned_adversary_miss_rate`.
-    let size = 16 * 1024usize;
     let line = 32usize;
     let k = rng.pick(&[8u64, 16, 32, 64]);
     let base = Addr::new(0x1000_0000);
@@ -731,8 +696,11 @@ fn birthday_adversarial(rng: &mut CaseRng) -> Case {
     let trace: Vec<FuzzRecord> = (0..len)
         .map(|_| (base.raw() + rng.below(k) * spacing, rng.below(4) == 0))
         .collect();
-    let left = ModelSpec::bcache(size, 8, 8, PolicyKind::Lru, 0);
-    let right = ModelSpec::DirectMapped { size, line };
+    let left = ModelSpec::bcache(L1_BYTES, 8, 8, PolicyKind::Lru, 0);
+    let right = ModelSpec::DirectMapped {
+        size: L1_BYTES,
+        line,
+    };
     let check = move |t: &[FuzzRecord]| -> Option<(usize, String)> {
         let (mut bc, mut dm) = match (left.build_bcache(), right.build()) {
             (Ok(bc), Ok(dm)) => (bc, dm),
@@ -775,12 +743,6 @@ fn birthday_adversarial(rng: &mut CaseRng) -> Case {
     Case {
         trace,
         check: Box::new(check),
-        setup: format!(
-            "    let mut left = {};\n    let mut right = {};\n",
-            left.rust().0,
-            right.rust().0
-        ),
-        body: PAIR_BODY.into(),
     }
 }
 
@@ -842,8 +804,6 @@ mod tests {
         let planted = Case {
             trace: vec![(0x40, false); 8],
             check: Box::new(|t| Some((t.len() - 1, "planted".into()))),
-            setup: String::new(),
-            body: String::new(),
         };
         let d = diverge("wrapper_vs_oracle", case, 7, planted).unwrap();
         let header = d.repro.lines().next().unwrap();
@@ -855,6 +815,31 @@ mod tests {
         assert_eq!(arg("--scenario"), d.scenario);
         assert!(arg("--iters").parse::<u64>().unwrap() > case, "{header}");
         assert_eq!(arg("--seed"), "7");
+        let header_case = header.rsplit_once("(case ").unwrap().1;
+        let header_case = header_case.trim_end_matches(").");
+        assert_eq!(header_case.parse::<u64>(), Ok(case), "{header}");
+        assert_eq!(d.repro.lines().nth(1), Some("// planted"));
+        let call = format!(
+            "harness::fuzz::check_case({}, {header_case}, \"{}\", trace),",
+            arg("--seed"),
+            arg("--scenario"),
+        );
+        assert!(d.repro.contains(&call), "{}", d.repro);
+    }
+
+    #[test]
+    fn check_case_runs_the_rows_own_check() {
+        // Every birthday-adversary block shares the set of 0x1000_0000; the
+        // next block over does not. Only the row's own check sees that: both
+        // caches miss on it, so a hit comparison would pass.
+        let base = 0x1000_0000;
+        let inside = [(base, false), (base, true), (base + (3 << 19), false)];
+        assert_eq!(check_case(7, 11, "birthday_adversarial", &inside), None);
+        let mut outside = inside.to_vec();
+        outside.push((base + 32, false));
+        let (at, what) = check_case(7, 11, "birthday_adversarial", &outside).unwrap();
+        assert_eq!(at, 3);
+        assert!(what.contains("left the shared set"), "{what}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use cache_sim::CacheModel;
 use trace_gen::kernels::{run_kernel, suite};
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::Engine;
 use crate::report::{pct, pct2, TextTable};
 use crate::run::{replay_models, Side};
@@ -71,7 +71,7 @@ fn run_one_kernel(k: &trace_gen::kernels::Kernel, fuel: u64) -> KernelResult {
     // Column 0 is the baseline; no warm-up, the kernels start cold.
     let mut models: Vec<Box<dyn CacheModel>> = std::iter::once(&CacheConfig::DirectMapped)
         .chain(&configs)
-        .map(|c| c.build(16 * 1024, 1).unwrap())
+        .map(|c| c.build(L1_BYTES, 1).unwrap())
         .collect();
     let mut all: Vec<&mut dyn CacheModel> = models
         .iter_mut()

@@ -28,7 +28,7 @@ use std::env;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use harness::config::RunOptions;
+use harness::config::{RunOptions, L1_BYTES};
 use harness::oraclecmd::{self, OracleOptions};
 use harness::parallel::Engine;
 use harness::run::RunLength;
@@ -512,7 +512,7 @@ fn figure3_observed(engine: &Engine, len: RunLength, tele: &TelemetryFlags) -> E
         // data side at MF = 8, BAS = 8.
         let profile = trace_gen::profiles::by_name("wupwise").expect("wupwise profile exists");
         let trace = engine.side_trace(&profile, len, run::Side::Data);
-        let bc = run::replay_bcache_observed(&trace, 8, 8, 16 * 1024, runcmd::EVENT_RING_CAPACITY);
+        let bc = run::replay_bcache_observed(&trace, 8, 8, L1_BYTES, runcmd::EVENT_RING_CAPACITY);
         if !write_events_file(path, bc.observer()) {
             return ExitCode::FAILURE;
         }

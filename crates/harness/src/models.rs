@@ -17,8 +17,6 @@
 //! * [`ModelSpec::differential`]: the one differential check, per access
 //!   or batched, shared by the fuzzer's table rows and the
 //!   batch-equivalence suite;
-//! * `ModelSpec::rust`: the Rust source of the model and reference
-//!   constructors, for the fuzzer's shrunk repros;
 //! * [`ModelSpec::draw`]: random small and degenerate geometries of the
 //!   chosen families, for the fuzzer and the property tests.
 
@@ -375,7 +373,7 @@ impl ModelSpec {
     /// Returns a [`GeometryError`] if the shape is invalid for the
     /// family, e.g. a BAS larger than the set count.
     pub fn build(&self) -> Result<Box<dyn CacheModel>, GeometryError> {
-        Ok(match self.construct().0? {
+        Ok(match self.construct()? {
             Built::Model(m) => m,
             Built::BCache(b) => b,
         })
@@ -392,43 +390,23 @@ impl ModelSpec {
     ///
     /// Panics if the spec is not a [`ModelSpec::BCache`].
     pub(crate) fn build_bcache(&self) -> Result<BalancedCache, GeometryError> {
-        match self.instantiate()? {
+        match self.construct()? {
             Built::BCache(b) => Ok(*b),
             Built::Model(m) => panic!("{} is not a B-Cache", m.label()),
         }
     }
 
-    fn instantiate(&self) -> Result<Built, GeometryError> {
-        self.construct().0
-    }
-
-    /// The Rust source of the model's constructor and, for the
-    /// oracle-checked families, of its oracle's.
-    pub(crate) fn rust(&self) -> (String, Option<String>) {
-        (self.construct().1, self.reference().1)
-    }
-
-    /// The one constructor table: each arm builds the model and spells
-    /// the same call as Rust source.
-    fn construct(&self) -> (Result<Built, GeometryError>, String) {
+    /// The one constructor table.
+    fn construct(&self) -> Result<Built, GeometryError> {
         match *self {
-            ModelSpec::DirectMapped { size, line } => (
-                DirectMappedCache::new(size, line).map(boxed),
-                format!("cache_sim::DirectMappedCache::new({size}, {line}).unwrap()"),
-            ),
+            ModelSpec::DirectMapped { size, line } => DirectMappedCache::new(size, line).map(boxed),
             ModelSpec::SetAssoc {
                 size,
                 line,
                 ways,
                 policy,
                 seed,
-            } => (
-                SetAssociativeCache::new(size, line, ways, policy, seed).map(boxed),
-                format!(
-                    "cache_sim::SetAssociativeCache::new({size}, {line}, {ways}, \
-                     cache_sim::PolicyKind::{policy:?}, {seed}).unwrap()"
-                ),
-            ),
+            } => SetAssociativeCache::new(size, line, ways, policy, seed).map(boxed),
             ModelSpec::BCache {
                 size,
                 line,
@@ -438,87 +416,51 @@ impl ModelSpec {
                 seed,
                 pi_tag_bits,
                 addr_bits,
-            } => (
-                CacheGeometry::with_addr_bits(size, line, 1, addr_bits).and_then(|geom| {
-                    let params = BCacheParams::new(geom, mf, bas, policy)
-                        .map_err(|e| param_error(e, geom))?
-                        .with_seed(seed)
-                        .with_pi_tag_bits(pi_tag_bits);
-                    Ok(Built::BCache(Box::new(BalancedCache::new(params))))
-                }),
-                format!(
-                    "bcache_core::BalancedCache::new(bcache_core::BCacheParams::new(\
-                     cache_sim::CacheGeometry::with_addr_bits({size}, {line}, 1, {addr_bits}).unwrap(), \
-                     {mf}, {bas}, cache_sim::PolicyKind::{policy:?}).unwrap()\
-                     .with_seed({seed}).with_pi_tag_bits(bcache_core::PiTagBits::{pi_tag_bits:?}))"
-                ),
-            ),
+            } => {
+                let geom = CacheGeometry::with_addr_bits(size, line, 1, addr_bits)?;
+                let params = BCacheParams::new(geom, mf, bas, policy)
+                    .map_err(|e| param_error(e, geom))?
+                    .with_seed(seed)
+                    .with_pi_tag_bits(pi_tag_bits);
+                Ok(Built::BCache(Box::new(BalancedCache::new(params))))
+            }
             ModelSpec::Victim {
                 size,
                 line,
                 entries,
-            } => (
-                VictimCache::new(size, line, entries).map(boxed),
-                format!("cache_sim::VictimCache::new({size}, {line}, {entries}).unwrap()"),
-            ),
-            ModelSpec::Column { size, line } => (
-                ColumnAssociativeCache::new(size, line).map(boxed),
-                format!("cache_sim::ColumnAssociativeCache::new({size}, {line}).unwrap()"),
-            ),
-            ModelSpec::Skewed { size, line } => (
-                SkewedAssociativeCache::new(size, line).map(boxed),
-                format!("cache_sim::SkewedAssociativeCache::new({size}, {line}).unwrap()"),
-            ),
+            } => VictimCache::new(size, line, entries).map(boxed),
+            ModelSpec::Column { size, line } => ColumnAssociativeCache::new(size, line).map(boxed),
+            ModelSpec::Skewed { size, line } => SkewedAssociativeCache::new(size, line).map(boxed),
             ModelSpec::Agac {
                 size,
                 line,
                 entries,
-            } => (
-                AgacCache::new(size, line, entries).map(boxed),
-                format!("cache_sim::AgacCache::new({size}, {line}, {entries}).unwrap()"),
-            ),
+            } => AgacCache::new(size, line, entries).map(boxed),
             ModelSpec::Hac {
                 size,
                 line,
                 subarray_bytes,
-            } => (
-                HighlyAssociativeCache::new(size, line, subarray_bytes).map(boxed),
-                format!(
-                    "cache_sim::HighlyAssociativeCache::new({size}, {line}, {subarray_bytes}).unwrap()"
-                ),
-            ),
+            } => HighlyAssociativeCache::new(size, line, subarray_bytes).map(boxed),
             ModelSpec::Pam {
                 size,
                 line,
                 pad_bits,
-            } => (
-                PartialMatchCache::new(size, line, pad_bits).map(boxed),
-                format!("cache_sim::PartialMatchCache::new({size}, {line}, {pad_bits}).unwrap()"),
-            ),
-            ModelSpec::DiffBit { size, line } => (
-                DifferenceBitCache::new(size, line).map(boxed),
-                format!("cache_sim::DifferenceBitCache::new({size}, {line}).unwrap()"),
-            ),
+            } => PartialMatchCache::new(size, line, pad_bits).map(boxed),
+            ModelSpec::DiffBit { size, line } => DifferenceBitCache::new(size, line).map(boxed),
             ModelSpec::WayHalting {
                 size,
                 line,
                 ways,
                 pad_bits,
-            } => (
-                WayHaltingCache::new(size, line, ways, pad_bits).map(boxed),
-                format!(
-                    "cache_sim::WayHaltingCache::new({size}, {line}, {ways}, {pad_bits}).unwrap()"
-                ),
-            ),
+            } => WayHaltingCache::new(size, line, ways, pad_bits).map(boxed),
         }
     }
 
-    /// The reference the model is checked against, and its constructor
-    /// as Rust source. The direct-mapped and set-associative caches and
-    /// the four wrappers are contractually n-way arrays (the wrappers LRU,
-    /// seed 0): they may add latency or energy metadata but never change
-    /// hits, misses or evictions.
-    fn reference(&self) -> (Reference, Option<String>) {
+    /// The reference the model is checked against. The direct-mapped and
+    /// set-associative caches and the four wrappers are contractually
+    /// n-way arrays (the wrappers LRU, seed 0): they may add latency or
+    /// energy metadata but never change hits, misses or evictions.
+    fn reference(&self) -> Reference {
         let nway = match *self {
             ModelSpec::DirectMapped { .. } => Some((1, PolicyKind::Lru, 0)),
             ModelSpec::SetAssoc {
@@ -536,18 +478,10 @@ impl ModelSpec {
         let (size, line) = self.size_line();
         if let Some((ways, policy, seed)) = nway {
             let oracle = OracleCache::new(size, line, ways, policy, seed, DEFAULT_ADDR_BITS);
-            let src = format!(
-                "cache_sim::OracleCache::new({size}, {line}, {ways}, \
-                 cache_sim::PolicyKind::{policy:?}, {seed}, {DEFAULT_ADDR_BITS})"
-            );
-            return (Reference::Oracle(oracle), Some(src));
+            return Reference::Oracle(oracle);
         }
         if let ModelSpec::Victim { entries, .. } = *self {
-            let oracle = VictimOracle::new(size, line, entries, DEFAULT_ADDR_BITS);
-            let src = format!(
-                "cache_sim::VictimOracle::new({size}, {line}, {entries}, {DEFAULT_ADDR_BITS})"
-            );
-            return (Reference::Victim(oracle), Some(src));
+            return Reference::Victim(VictimOracle::new(size, line, entries, DEFAULT_ADDR_BITS));
         }
         let ModelSpec::BCache {
             mf,
@@ -559,27 +493,20 @@ impl ModelSpec {
             ..
         } = *self
         else {
-            return (Reference::OwnLoop, None);
+            return Reference::OwnLoop;
         };
         // NPI = OI - log2(BAS), PI = log2(BAS) + log2(MF) (paper Section 3.1).
         let (bas_bits, mf_bits) = (bas.trailing_zeros(), mf.trailing_zeros());
         let npi_bits = (size / line).trailing_zeros().saturating_sub(bas_bits);
-        let pi_bits = bas_bits + mf_bits;
-        let high = pi_tag_bits == PiTagBits::High;
-        let oracle = BCacheOracle::new(
+        Reference::BCacheOracle(BCacheOracle::new(
             line as u64,
             addr_bits,
             npi_bits,
-            pi_bits,
+            bas_bits + mf_bits,
             mf_bits,
-            high,
+            pi_tag_bits == PiTagBits::High,
             (policy, seed),
-        );
-        let src = format!(
-            "cache_sim::BCacheOracle::new({line}, {addr_bits}, {npi_bits}, {pi_bits}, {mf_bits}, \
-             {high}, (cache_sim::PolicyKind::{policy:?}, {seed}))"
-        );
-        (Reference::BCacheOracle(oracle), Some(src))
+        ))
     }
 
     /// Whether the spec has an independent oracle, so it can be driven
@@ -612,11 +539,11 @@ impl ModelSpec {
         if drive == Drive::PerAccess && !self.has_oracle() {
             return fail(0, "has no oracle to check per access against".into());
         }
-        let mut model = match self.instantiate() {
+        let mut model = match self.construct() {
             Ok(model) => model,
             Err(e) => return fail(0, format!("does not build: {e}")),
         };
-        let mut reference = self.reference().0;
+        let mut reference = self.reference();
         let last = accesses.len().saturating_sub(1);
         match drive {
             Drive::PerAccess => {
@@ -629,7 +556,7 @@ impl ModelSpec {
             }
             Drive::Batched(chunk) => {
                 // Builds whenever `model` did: the same spec.
-                let mut scalar = self.instantiate().ok()?;
+                let mut scalar = self.construct().ok()?;
                 for slice in accesses.chunks(chunk.max(1)) {
                     model.access_batch(slice);
                 }
@@ -822,7 +749,7 @@ mod tests {
                 let spec = ModelSpec::draw(&mut CaseRng::new(case, 0), &[family]);
                 assert_eq!(spec.family(), family);
                 assert!(spec.build().is_ok(), "{spec:?} does not build");
-                let own_loop = matches!(spec.reference().0, Reference::OwnLoop);
+                let own_loop = matches!(spec.reference(), Reference::OwnLoop);
                 assert_eq!(spec.has_oracle(), !own_loop, "{spec:?}");
             }
         }

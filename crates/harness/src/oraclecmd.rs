@@ -35,12 +35,9 @@ use cache_sim::{CacheGeometry, PolicyKind};
 use trace_gen::synthetic;
 
 use crate::cli;
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side};
-
-/// Cache size shared by every oracle cell (the paper's L1 baseline).
-pub const ORACLE_SIZE: usize = 16 * 1024;
 
 const LINE: usize = 32;
 
@@ -233,7 +230,7 @@ impl OracleReport {
     }
 }
 
-/// Closed-form expected miss rate of `config` (at [`ORACLE_SIZE`]) over
+/// Closed-form expected miss rate of `config` (at [`L1_BYTES`]) over
 /// the named synthetic family, plus the model's resident-state count
 /// (the mixing-scale term of the tolerance band).
 ///
@@ -257,13 +254,13 @@ pub fn analytic_miss(config: &CacheConfig, dist: &str) -> Result<(f64, u64), Ana
     let blocks = BlockDist::new(blocks)?;
     let spec = match *config {
         CacheConfig::DirectMapped => {
-            conventional_model(&CacheGeometry::new(ORACLE_SIZE, LINE, 1).unwrap(), &blocks)
+            conventional_model(&CacheGeometry::new(L1_BYTES, LINE, 1).unwrap(), &blocks)
         }
         CacheConfig::SetAssoc(n) => {
-            conventional_model(&CacheGeometry::new(ORACLE_SIZE, LINE, n).unwrap(), &blocks)
+            conventional_model(&CacheGeometry::new(L1_BYTES, LINE, n).unwrap(), &blocks)
         }
         CacheConfig::BCache { mf, bas } => {
-            let geom = CacheGeometry::new(ORACLE_SIZE, LINE, 1).unwrap();
+            let geom = CacheGeometry::new(L1_BYTES, LINE, 1).unwrap();
             bcache_model(
                 &BCacheParams::new(geom, mf, bas, PolicyKind::Lru).unwrap(),
                 &blocks,
@@ -314,7 +311,7 @@ pub fn oracle_report_with(engine: &Engine, opts: &OracleOptions) -> OracleReport
                 let name = profile.name;
                 jobs.push(Box::new(move || {
                     let seed = job_seed(len.seed, name, Side::Data);
-                    let mut model = config.build(ORACLE_SIZE, seed).expect("config must build");
+                    let mut model = config.build(L1_BYTES, seed).expect("config must build");
                     trace.replay(model.as_mut());
                     let total = model.stats().total();
                     (total.accesses(), total.misses())

@@ -48,13 +48,14 @@ use crate::run::{record_count, RunLength, Side, SideTrace};
 
 /// Locks a mutex, recovering from poisoning.
 ///
-/// Every engine mutex only guards data that stays consistent across a
-/// panic (memoization maps, result slots written in one assignment,
-/// append-only recorders), so a poisoned lock is safe to enter. Using
+/// Every engine and server mutex only guards data that stays
+/// consistent across a panic (memoization maps, result slots written
+/// in one assignment, append-only recorders, the server's job queues,
+/// outboxes and checkpoint store), so a poisoned lock is safe to enter. Using
 /// this instead of `.expect("… lock")` means a panicking job surfaces
 /// *its own* message rather than cascading "lock poisoned" panics
 /// through every other worker.
-fn recover<T>(result: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
+pub(crate) fn recover<T>(result: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
     result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

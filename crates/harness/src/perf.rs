@@ -10,13 +10,10 @@ use power_model::{
 };
 use trace_gen::{profiles, Trace};
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::{job_seed, Engine};
 use crate::report::{pct, TextTable};
 use crate::run::{mean, RunLength, Side};
-
-/// L1 size used by Figures 8 and 9.
-const L1_BYTES: usize = 16 * 1024;
 
 /// One configuration's simulation outcome on one benchmark.
 #[derive(Clone, Debug, PartialEq)]

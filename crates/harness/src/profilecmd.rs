@@ -34,13 +34,10 @@ use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
 use crate::bench;
 use crate::cli;
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side, SideTrace};
 use crate::telemetry_io::record_model;
-
-/// L1 size the profile replays (the paper's headline 16 kB point).
-const SIZE_BYTES: usize = 16 * 1024;
 
 /// Default window size in accesses.
 pub const DEFAULT_WINDOW: u64 = 4096;
@@ -269,7 +266,7 @@ pub(crate) fn profile_replay(
     let mut frag = Recorder::new();
     let t = SpanTimer::start("phase.replay");
     let mut model = config
-        .build(SIZE_BYTES, seed)
+        .build(L1_BYTES, seed)
         .expect("profile model builds at 16 kB");
     let series = replay_windowed(model.as_mut(), trace.accesses(), window, |m| {
         let pd = m.decoder_stats().unwrap_or_default();
@@ -305,7 +302,7 @@ fn measure_overhead(window: u64) -> f64 {
     let mut best_windowed = f64::INFINITY;
     for _ in 0..OVERHEAD_PASSES {
         let mut dm = CacheConfig::DirectMapped
-            .build(SIZE_BYTES, 0)
+            .build(L1_BYTES, 0)
             .expect("direct-mapped builds at 16 kB");
         let start = Instant::now();
         dm.access_batch(&accesses);
@@ -313,7 +310,7 @@ fn measure_overhead(window: u64) -> f64 {
         std::hint::black_box(dm.stats().total().misses());
 
         let mut dm = CacheConfig::DirectMapped
-            .build(SIZE_BYTES, 0)
+            .build(L1_BYTES, 0)
             .expect("direct-mapped builds at 16 kB");
         let start = Instant::now();
         let series = replay_windowed(&mut *dm, &accesses, window, |_| (0, 0));

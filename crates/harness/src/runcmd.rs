@@ -15,7 +15,7 @@ use telemetry::{EventRing, Recorder, SpanTimer};
 use trace_gen::profiles;
 
 use crate::cli;
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, L1_BYTES};
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::profilecmd::resolve_model;
 use crate::run::{replay_bcache_observed, RunLength, Side, SideTrace};
@@ -25,9 +25,6 @@ use crate::telemetry_io::record_model;
 /// overrides it): enough to keep the miss activity of a default-length
 /// replay's tail while bounding memory.
 pub const EVENT_RING_CAPACITY: usize = 1 << 16;
-
-/// L1 size the `run` report uses (the paper's headline 16 kB point).
-const SIZE_BYTES: usize = 16 * 1024;
 
 /// Options of the `run` subcommand.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,7 +152,7 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
                 let seed = job_seed(len.seed, &benchmark, side);
                 let mut frag = Recorder::new();
                 let mut model = config
-                    .build(SIZE_BYTES, seed)
+                    .build(L1_BYTES, seed)
                     .expect("run model set builds at 16 kB");
                 replay_timed(&trace, model.as_mut(), &mut frag);
                 record_model(&mut frag, name, model.as_ref());
@@ -180,7 +177,7 @@ pub fn run_cmd(opts: &RunCmdOptions, want_events: bool) -> RunCmdOutcome {
     // cached stream — instrumentation the timed jobs never pay.
     let events = want_events.then(|| {
         let trace = engine.side_trace(&profile, len, side);
-        let bc = replay_bcache_observed(&trace, 8, 8, SIZE_BYTES, opts.event_ring_cap);
+        let bc = replay_bcache_observed(&trace, 8, 8, L1_BYTES, opts.event_ring_cap);
         bc.observer().clone()
     });
     metrics.merge(&engine.timing_snapshot());

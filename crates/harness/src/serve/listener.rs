@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -15,13 +15,8 @@ use super::session;
 use super::streams::StreamCache;
 use super::ServeOptions;
 use crate::checkpoint::{Checkpoint, CheckpointMeta};
+use crate::parallel::recover;
 use crate::run::RunLength;
-
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(|e| e.into_inner())
-}
 
 /// State shared by the accept loop, every session, and every worker.
 pub(crate) struct ServerShared {

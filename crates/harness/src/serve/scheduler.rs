@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
 use super::listener::ServerShared;
 use super::protocol::{
@@ -26,12 +26,10 @@ use super::protocol::{
 };
 use super::session::Outbox;
 use crate::checkpoint::CheckpointValue;
-use crate::parallel::{job_seed, panic_message};
+use crate::config::L1_BYTES;
+use crate::parallel::{job_seed, panic_message, recover};
 use crate::profilecmd::{self, profile_replay};
 use crate::run::{replay_bcache_pd_on, RunLength};
-
-/// L1 size every serve job replays (the paper's headline 16 kB point).
-const SIZE_BYTES: usize = 16 * 1024;
 
 /// The MF points of a `sweep` job (the Figure 3 grid, BAS = 8).
 pub const SWEEP_MFS: [usize; 9] = [2, 4, 8, 16, 32, 64, 128, 256, 512];
@@ -40,12 +38,6 @@ pub const SWEEP_MFS: [usize; 9] = [2, 4, 8, 16, 32, 64, 128, 256, 512];
 /// mid-sweep, so the checkpoint holds the earlier points when the job
 /// dies (the restart-resume test drives exactly this).
 pub const SWEEP_FAULT_POINT: usize = 4;
-
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(|e| e.into_inner())
-}
 
 /// A queued unit of work: the validated request plus the session's
 /// outbox to stream results into.
@@ -228,7 +220,7 @@ fn run_replay(
     let trace = shared.streams.side(&profile, len, side);
     maybe_inject(job, "");
     let mut model = config
-        .build(SIZE_BYTES, job_seed(len.seed, benchmark, side))
+        .build(L1_BYTES, job_seed(len.seed, benchmark, side))
         .expect("served models build at 16 kB");
     trace.replay(model.as_mut());
     let miss_rate = model.stats().miss_rate();
@@ -280,7 +272,7 @@ fn run_sweep(
                 let trace = trace.get_or_insert_with(|| {
                     shared.streams.side(&profile, len, crate::run::Side::Data)
                 });
-                let v = replay_bcache_pd_on(trace, mf, 8, SIZE_BYTES);
+                let v = replay_bcache_pd_on(trace, mf, 8, L1_BYTES);
                 shared.checkpoint_put(&key, &v.encode());
                 v
             }

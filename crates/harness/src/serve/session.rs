@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use super::listener::ServerShared;
@@ -20,14 +20,7 @@ use super::protocol::{
     busy_frame, error_frame, json_str_field, parse_request, pong_frame, Request, MAX_LINE_BYTES,
 };
 use super::scheduler::Job;
-
-/// Recovers a poisoned lock: outbox state is a plain queue, always
-/// valid between mutations (same convention as the engine's locks).
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(|e| e.into_inner())
-}
+use crate::parallel::recover;
 
 struct OutboxState {
     /// `(is_control, frame)` in send order.

@@ -8,10 +8,6 @@
 //! B-Cache concentrates them), PD reprogram counts, and the PD churn
 //! rate per thousand post-warm-up accesses.
 //!
-//! ```text
-//! bcache-repro stats [--records N] [--seed S] [--jobs N] [--metrics PATH]
-//! ```
-//!
 //! One engine job per benchmark; fragments merge in input order, so the
 //! deterministic metrics section is byte-identical for any `--jobs N`.
 
@@ -19,7 +15,7 @@ use cache_sim::CacheModel;
 use telemetry::{Recorder, SpanTimer};
 use trace_gen::profiles;
 
-use crate::config::{CacheConfig, RunOptions};
+use crate::config::{CacheConfig, RunOptions, L1_BYTES};
 use crate::parallel::job_seed;
 use crate::run::Side;
 use crate::runcmd::replay_timed;
@@ -29,9 +25,6 @@ use crate::telemetry_io::record_model;
 pub const GOLDEN_BENCHMARKS: [&str; 8] = [
     "mcf", "gzip", "equake", "ammp", "art", "gcc", "parser", "vpr",
 ];
-
-/// L1 size of the comparison (the paper's headline 16 kB point).
-const SIZE_BYTES: usize = 16 * 1024;
 
 /// One benchmark's row of the report.
 #[derive(Copy, Clone, Debug)]
@@ -69,13 +62,13 @@ pub fn stats_cmd(opts: &RunOptions) -> StatsOutcome {
                 let mut frag = Recorder::new();
 
                 let mut dm = CacheConfig::DirectMapped
-                    .build(SIZE_BYTES, seed)
+                    .build(L1_BYTES, seed)
                     .expect("baseline builds at 16 kB");
                 replay_timed(&trace, dm.as_mut(), &mut frag);
                 record_model(&mut frag, &format!("stats.{bench}.dm"), dm.as_ref());
 
                 let mut bc = CacheConfig::BCache { mf: 8, bas: 8 }
-                    .build(SIZE_BYTES, seed)
+                    .build(L1_BYTES, seed)
                     .expect("valid B-Cache point");
                 replay_timed(&trace, bc.as_mut(), &mut frag);
                 record_model(&mut frag, &format!("stats.{bench}.bcache"), bc.as_ref());

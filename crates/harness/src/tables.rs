@@ -6,10 +6,11 @@ use cache_sim::{CacheGeometry, PolicyKind};
 use cpu_model::table4_rows;
 use power_model::{bcache_access_pj, conventional_access_pj, table1_rows, table2, EnergyBreakdown};
 
+use crate::config::L1_BYTES;
 use crate::report::TextTable;
 
 fn paper_params() -> BCacheParams {
-    let geom = CacheGeometry::new(16 * 1024, 32, 1).expect("valid geometry");
+    let geom = CacheGeometry::new(L1_BYTES, 32, 1).expect("valid geometry");
     BCacheParams::new(geom, 8, 8, PolicyKind::Lru).expect("paper design point")
 }
 
@@ -77,7 +78,7 @@ pub fn render_table2() -> String {
 
 /// Computes the Table 3 rows: per-access energy breakdowns.
 pub fn table3_breakdowns() -> Vec<(String, EnergyBreakdown)> {
-    let geom = |assoc| CacheGeometry::new(16 * 1024, 32, assoc).expect("valid geometry");
+    let geom = |assoc| CacheGeometry::new(L1_BYTES, 32, assoc).expect("valid geometry");
     let mut rows = vec![
         ("Baseline".to_string(), conventional_access_pj(&geom(1))),
         ("B-Cache".to_string(), bcache_access_pj(&paper_params())),

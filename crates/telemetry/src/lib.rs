@@ -21,9 +21,8 @@
 //! * [`WindowSeries`] — a time-resolved view: counters snapshotted
 //!   every N accesses into a bounded ring of [`WindowRow`]s (miss
 //!   rate, PD churn, writebacks, per-set occupancy heat), fed either
-//!   from stats deltas or as an [`Observer`], with an additive
-//!   window-aligned merge. Rows are deterministic and render as
-//!   JSONL/CSV (`bcache-repro profile`).
+//!   from stats deltas or as an [`Observer`]. Rows are deterministic
+//!   and render as JSONL/CSV (`bcache-repro profile`).
 //! * [`SpanLog`] / [`chrome_trace_json`] — hierarchical wall-clock
 //!   spans (parent/child with [`SpanId`]s) exported as Chrome Trace
 //!   Event JSON that opens directly in `ui.perfetto.dev`. Wall-clock,

@@ -6,9 +6,7 @@
 //! PD churn, writebacks, and a per-set occupancy heat row, one
 //! [`WindowRow`] per `window` accesses. Rows are pure functions of the
 //! access stream, so a series built from a deterministic replay is
-//! byte-identical for any worker count, and [`WindowSeries::merge`]
-//! combines per-shard series additively (window-aligned) for callers
-//! that split one stream across recorders.
+//! byte-identical for any worker count.
 //!
 //! Two producers feed a series:
 //!
@@ -91,28 +89,6 @@ impl WindowRow {
             0.0
         } else {
             self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Adds every count of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows sit on different window indices — merging is
-    /// only defined between shards of the same access grid.
-    pub fn merge(&mut self, other: &WindowRow) {
-        assert_eq!(self.index, other.index, "merging misaligned window rows");
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.tag_misses += other.tag_misses;
-        self.pd_forced_misses += other.pd_forced_misses;
-        self.predetermined_misses += other.predetermined_misses;
-        self.pd_reprograms += other.pd_reprograms;
-        self.bas_victims += other.bas_victims;
-        self.writebacks += other.writebacks;
-        for (h, o) in self.heat.iter_mut().zip(other.heat.iter()) {
-            *h += o;
         }
     }
 
@@ -263,13 +239,9 @@ impl WindowSeries {
         self.completed
     }
 
-    /// Completed rows lost to the retention bound. Saturating: a
-    /// series assembled from externally-pushed rows (or a merge of
-    /// shards with disjoint index coverage) can retain more rows than
-    /// its own completion counter saw, and that must read as zero
-    /// drops, not an underflow.
+    /// Completed rows lost to the retention bound.
     pub fn dropped(&self) -> u64 {
-        self.completed.saturating_sub(self.rows.len() as u64)
+        self.completed - self.rows.len() as u64
     }
 
     /// Total accesses attributed to the series, including the open
@@ -351,58 +323,6 @@ impl WindowSeries {
             let index = self.current.index;
             let partial = std::mem::replace(&mut self.current, WindowRow::zero(index + 1));
             self.commit(partial);
-        }
-    }
-
-    /// Merges another series over the same grid: rows with equal
-    /// window indices add together, rows only one side retained are
-    /// kept as-is. Open (unfinished) windows also merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &WindowSeries) {
-        assert_eq!(
-            self.window, other.window,
-            "merging series with different window sizes"
-        );
-        let mut merged: Vec<WindowRow> = Vec::new();
-        let mut mine: VecDeque<WindowRow> = std::mem::take(&mut self.rows);
-        let mut theirs: VecDeque<WindowRow> = other.rows.clone();
-        while let (Some(a), Some(b)) = (mine.front(), theirs.front()) {
-            match a.index.cmp(&b.index) {
-                std::cmp::Ordering::Less => merged.push(mine.pop_front().expect("front exists")),
-                std::cmp::Ordering::Greater => {
-                    merged.push(theirs.pop_front().expect("front exists"))
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut a = mine.pop_front().expect("front exists");
-                    a.merge(&theirs.pop_front().expect("front exists"));
-                    merged.push(a);
-                }
-            }
-        }
-        merged.extend(mine);
-        merged.extend(theirs);
-        let distinct = merged.len() as u64;
-        // Re-apply the retention bound from the front (oldest drop).
-        let overflow = merged.len().saturating_sub(self.capacity);
-        self.rows = merged.into_iter().skip(overflow).collect();
-        // Both producers emit contiguous indices from 0, so the number
-        // of distinct completed windows across shards is the larger
-        // count — two shards of one split stream cover the same grid.
-        // Shards with disjoint index coverage (external push_row
-        // producers) can hold more distinct windows than either
-        // counter saw; clamp so the completed ≥ retained invariant
-        // behind `dropped` holds and merge-time evictions are counted.
-        self.completed = self.completed.max(other.completed).max(distinct);
-        self.total_accesses += other.total_accesses;
-        if other.current.accesses > 0 {
-            if self.current.index == other.current.index {
-                self.current.merge(&other.current);
-            } else if self.current.accesses == 0 {
-                self.current = other.current.clone();
-            }
         }
     }
 
@@ -586,67 +506,6 @@ mod tests {
         assert_eq!(row.pd_reprograms, 1);
         assert_eq!(row.bas_victims, 1);
         assert_eq!(row.writebacks, 1);
-    }
-
-    #[test]
-    fn merge_is_additive_and_window_aligned() {
-        let mut a = WindowSeries::new(2, 4);
-        let mut b = WindowSeries::new(2, 4);
-        for i in 0..4u64 {
-            touch(&mut a, i % 4, true);
-            touch(&mut b, i % 4, false);
-        }
-        a.finish();
-        b.finish();
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.total_accesses(), 8);
-        assert_eq!(merged.completed(), 2, "aligned shards share the grid");
-        assert_eq!(merged.dropped(), 0);
-        let rows: Vec<&WindowRow> = merged.rows().collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].accesses, 4);
-        assert_eq!(rows[0].hits, 2);
-        assert_eq!(rows[0].misses, 2);
-    }
-
-    #[test]
-    fn merge_past_capacity_never_underflows_drop_accounting() {
-        // Regression: `dropped()` computed `completed - rows.len()`
-        // unchecked. Merging shards with disjoint window indices
-        // retains more rows than either shard's completion counter,
-        // which used to underflow (panic in debug, bogus huge count in
-        // release).
-        let mut a = WindowSeries::new(2, 4);
-        let mut b = WindowSeries::new(2, 4);
-        for i in 0..3u64 {
-            a.push_row(WindowRow::zero(i)); // indices 0, 1, 2
-            b.push_row(WindowRow::zero(i + 5)); // indices 5, 6, 7
-        }
-        assert_eq!(a.completed(), 3);
-        a.merge(&b);
-        assert_eq!(a.len(), 6, "disjoint shards concatenate");
-        assert!(a.completed() >= a.len() as u64);
-        assert_eq!(a.dropped(), 0, "no retention eviction happened");
-        // And when the merge itself evicts past capacity, the drop
-        // count stays consistent instead of underflowing.
-        let mut small = WindowSeries::with_capacity(2, 4, 2);
-        let mut other = WindowSeries::with_capacity(2, 4, 2);
-        for i in 0..2u64 {
-            small.push_row(WindowRow::zero(i));
-            other.push_row(WindowRow::zero(i + 10));
-        }
-        small.merge(&other);
-        assert_eq!(small.len(), 2, "retention bound re-applied");
-        assert_eq!(small.dropped(), 2, "evicted rows are accounted");
-    }
-
-    #[test]
-    #[should_panic(expected = "different window sizes")]
-    fn merge_rejects_mismatched_grids() {
-        let mut a = WindowSeries::new(2, 4);
-        let b = WindowSeries::new(4, 4);
-        a.merge(&b);
     }
 
     #[test]
