@@ -5,7 +5,7 @@
 //! packed `u64` words compiles to straight-line, branch-free compares.
 //! This module generalizes that trick so every model with a CAM-style
 //! structure — the victim buffer's 16-entry FA search, AGAC's
-//! out-of-position directory, the HAC subarrays — shares one
+//! out-of-position directory, the set-associative way scans — shares one
 //! implementation, now built on the [`crate::simd`] lane operations:
 //! each probe is a compare-mask (AVX2 when the CPU reports it, portable
 //! otherwise) followed by a `trailing_zeros` priority encode.

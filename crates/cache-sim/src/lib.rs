@@ -8,8 +8,8 @@
 //! * the paper's baseline and comparison caches: [`DirectMappedCache`],
 //!   [`SetAssociativeCache`] (2-way … 32-way, LRU/FIFO/random/PLRU),
 //!   [`VictimCache`] (Jouppi), [`ColumnAssociativeCache`],
-//!   [`SkewedAssociativeCache`], and the CAM-tag
-//!   [`HighlyAssociativeCache`];
+//!   [`SkewedAssociativeCache`], [`AgacCache`] and
+//!   [`PartialMatchCache`];
 //! * the Table 4 [`MemoryHierarchy`] (split L1, unified 4-way 256 kB L2,
 //!   infinite memory);
 //! * statistics, including the per-set usage counters behind the paper's
@@ -45,10 +45,8 @@ pub mod addr;
 pub mod agac;
 mod cam;
 pub mod column;
-pub mod difference_bit;
 pub mod direct;
 pub mod geometry;
-pub mod hac;
 pub mod hierarchy;
 pub mod model;
 pub mod oracle;
@@ -60,15 +58,12 @@ pub mod simd;
 pub mod skewed;
 pub mod stats;
 pub mod victim;
-pub mod way_halting;
 
 pub use addr::Addr;
 pub use agac::AgacCache;
 pub use column::ColumnAssociativeCache;
-pub use difference_bit::DifferenceBitCache;
 pub use direct::DirectMappedCache;
 pub use geometry::{CacheGeometry, GeometryError, TagIndexSplit, DEFAULT_ADDR_BITS};
-pub use hac::HighlyAssociativeCache;
 pub use hierarchy::{LatencyConfig, MemoryHierarchy};
 pub use model::{AccessKind, AccessResult, CacheModel, Eviction};
 pub use oracle::{BCacheOracle, OracleCache, OracleOutcome, VictimOracle};
@@ -78,4 +73,3 @@ pub use set_assoc::SetAssociativeCache;
 pub use skewed::SkewedAssociativeCache;
 pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, PdStats, SetUsage};
 pub use victim::VictimCache;
-pub use way_halting::WayHaltingCache;

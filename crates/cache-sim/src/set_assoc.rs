@@ -17,9 +17,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 ///
 /// Both access paths run through one shared step function, so
 /// per-access and batched replay are bit-identical — statistics,
-/// and replacement state alike. The wrapper models
-/// (way-halting, PAM, difference-bit) wrap their own bookkeeping around
-/// the same step over this cache's destructured state.
+/// and replacement state alike. The partial-address-matching cache
+/// ([`crate::PartialMatchCache`]) wraps its prediction around the same
+/// step over this cache's destructured state.
 ///
 /// # Examples
 ///
@@ -125,79 +125,9 @@ impl SetAssociativeCache {
             .is_some()
     }
 
-    /// The replacement policy in use.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
-    /// Removes the block containing `addr` (if resident) and returns it.
-    ///
-    /// Used by wrappers to migrate blocks between arrays. Does not touch
-    /// hit/miss statistics.
-    pub fn extract(&mut self, addr: Addr) -> Option<Eviction> {
-        let set = self.geom.set_index(addr);
-        let tag = self.geom.tag(addr);
-        let way = self.find_way(set, tag)?;
-        let s = self.slot(set, way);
-        let dirty = packed::is_dirty(self.lines[s]);
-        self.lines[s] = packed::EMPTY;
-        Some(Eviction {
-            block: self.geom.reconstruct(tag, set),
-            dirty,
-        })
-    }
-
-    /// Inserts a block without counting an access, evicting if necessary.
-    ///
-    /// Returns the displaced block, if any. Wrappers use this for
-    /// swap/demote traffic that the paper does not count as references.
-    pub fn insert(&mut self, addr: Addr, dirty: bool) -> Option<Eviction> {
-        let set = self.geom.set_index(addr);
-        let tag = self.geom.tag(addr);
-        if let Some(way) = self.find_way(set, tag) {
-            // Already resident: refresh recency and merge dirtiness.
-            let s = self.slot(set, way);
-            if dirty {
-                self.lines[s] = packed::set_dirty(self.lines[s]);
-            }
-            self.policy.on_access(set, way);
-            return None;
-        }
-        let (way, evicted) = self.choose_fill_slot(set);
-        let s = self.slot(set, way);
-        self.lines[s] = packed::fill(tag, dirty);
-        self.policy.on_fill(set, way);
-        evicted
-    }
-
-    fn choose_fill_slot(&mut self, set: usize) -> (usize, Option<Eviction>) {
-        if let Some(way) =
-            (0..self.geom.assoc()).find(|&w| !packed::is_valid(self.lines[self.slot(set, w)]))
-        {
-            return (way, None);
-        }
-        let way = self.policy.victim(set);
-        debug_assert!(way < self.geom.assoc(), "policy returned out-of-range way");
-        let s = self.slot(set, way);
-        let word = self.lines[s];
-        let block = self.geom.reconstruct(packed::tag(word), set);
-        let dirty = packed::is_dirty(word);
-        if dirty {
-            self.stats.record_writeback();
-        }
-        (way, Some(Eviction { block, dirty }))
-    }
-
-    /// The packed line words of `set`, in way order (the difference-bit
-    /// decoder reads these outside an access).
-    pub(crate) fn set_words(&self, set: usize) -> &[u64] {
-        let assoc = self.geom.assoc();
-        &self.lines[set * assoc..(set + 1) * assoc]
-    }
-
     /// Destructures the cache for the shared step: [`Parts`] borrows
-    /// the line array and counters disjointly, so wrapper
-    /// models keep their own state mutable alongside, and the policy
+    /// the line array and counters disjointly, so the PAM wrapper keeps
+    /// its own state mutable alongside, and the policy
     /// comes back on its own so callers can devirtualize it.
     pub(crate) fn parts(&mut self) -> (Parts<'_>, &mut dyn ReplacementPolicy) {
         let parts = Parts {
@@ -256,7 +186,7 @@ impl Parts<'_> {
     }
 
     /// One access. Shared by the per-access path, the batched kernel,
-    /// and the wrapper models' steps, so every path is bit-identical by
+    /// and the PAM wrapper's step, so every path is bit-identical by
     /// construction — statistics and replacement state alike.
     ///
     /// Generic over the replacement policy so callers can pass either a
@@ -475,34 +405,6 @@ mod tests {
         assert_eq!(ev.block, set0(0));
         assert!(ev.dirty);
         assert_eq!(c.stats().writebacks(), 1);
-    }
-
-    #[test]
-    fn extract_removes_block_silently() {
-        let mut c = tiny(2);
-        c.access(Addr::new(0x40), AccessKind::Write);
-        let accesses_before = c.stats().total().accesses();
-        let ev = c.extract(Addr::new(0x40)).unwrap();
-        assert_eq!(ev.block, Addr::new(0x40));
-        assert!(ev.dirty);
-        assert!(!c.probe(Addr::new(0x40)));
-        assert_eq!(c.stats().total().accesses(), accesses_before);
-        assert!(c.extract(Addr::new(0x40)).is_none());
-    }
-
-    #[test]
-    fn insert_fills_and_displaces() {
-        let mut c = tiny(2);
-        assert!(c.insert(Addr::new(0x000), false).is_none());
-        assert!(c.insert(Addr::new(0x100), true).is_none());
-        // Third block in set 0 displaces the LRU (0x000).
-        let ev = c.insert(Addr::new(0x200), false).unwrap();
-        assert_eq!(ev.block, Addr::new(0x000));
-        assert!(!ev.dirty);
-        // Re-inserting a resident block merges dirtiness instead.
-        assert!(c.insert(Addr::new(0x100), false).is_none());
-        let ev2 = c.extract(Addr::new(0x100)).unwrap();
-        assert!(ev2.dirty, "dirtiness must be sticky across insert");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every hot probe in the simulator is a data-parallel sweep over a
 //! small `u64` array: the packed tag compare of the set-associative
-//! arrays, the CAM probes of the crate's `cam` module (the victim buffer,
-//! AGAC's directory, the HAC subarrays), the B-Cache's
-//! programmable-decoder entry match in `bcache-core`, and the LRU
+//! arrays (32 ways wide for the HAC configuration), the CAM probes of
+//! the crate's `cam` module (the victim buffer, AGAC's directory), the
+//! B-Cache's programmable-decoder entry match in `bcache-core`, and the LRU
 //! stamp scan. This module factors those sweeps into a handful of
 //! *lane operations* — first-match, dual compare-mask, first-set-lane,
 //! popcount tally, min-index, and a shift-and-mask used for address
@@ -15,8 +15,9 @@
 //! 64-bit lanes per vector) next to the portable one. They pick it from
 //! the platform alone: x86-64 and `is_x86_feature_detected!("avx2")`
 //! (std caches the answer), with no override. Measured on traced
-//! `replay-hit`, the portable bodies cost the 8-way, B-Cache and HAC
-//! kernels 17–46% more per access (EXPERIMENTS.md, "Lane operations").
+//! `replay-hit`, the portable bodies cost the 8-way, B-Cache and 32-way
+//! (HAC) kernels 17–46% more per access (EXPERIMENTS.md, "Lane
+//! operations").
 //! Every other operation is a single portable pure-`u64` loop:
 //! straight-line and branch-free, the shape LLVM unrolls and
 //! auto-vectorizes on any target.

@@ -123,17 +123,11 @@ impl CacheConfig {
             }
             CacheConfig::ColumnAssoc => ModelSpec::Column { size, line },
             CacheConfig::SkewedAssoc => ModelSpec::Skewed { size, line },
-            CacheConfig::Hac => ModelSpec::Hac {
-                size,
-                line,
-                subarray_bytes: 1024,
-            },
-            CacheConfig::WayHalting => ModelSpec::WayHalting {
-                size,
-                line,
-                ways: 4,
-                pad_bits: 4,
-            },
+            // The HAC (32-way CAM subarrays), way-halting and
+            // difference-bit caches hit and miss as LRU n-way arrays;
+            // their energy and latency are priced analytically.
+            CacheConfig::Hac => ModelSpec::lru(size, 32),
+            CacheConfig::WayHalting => ModelSpec::lru(size, 4),
             CacheConfig::Agac => ModelSpec::Agac {
                 size,
                 line,
@@ -144,7 +138,7 @@ impl CacheConfig {
                 line,
                 pad_bits: 5,
             },
-            CacheConfig::DiffBit => ModelSpec::DiffBit { size, line },
+            CacheConfig::DiffBit => ModelSpec::lru(size, 2),
         }
     }
 

@@ -14,7 +14,7 @@
 //! of its families ([`ModelSpec::draw`]) and runs the one check,
 //! [`ModelSpec::differential`], against the spec's reference —
 //! [`OracleCache`](cache_sim::OracleCache) for the direct-mapped,
-//! set-associative and n-way-LRU wrapper caches,
+//! set-associative and 2-way-LRU PAM caches,
 //! [`BCacheOracle`](cache_sim::BCacheOracle) for the B-Cache,
 //! [`VictimOracle`](cache_sim::VictimOracle) for the victim cache, and
 //! the model's own per-access loop for the column, skewed and AGAC
@@ -27,9 +27,9 @@
 //! | `dm_vs_oracle` | direct-mapped | per access |
 //! | `set_assoc_vs_oracle` | set-associative, every policy | per access |
 //! | `bcache_vs_oracle` | B-Cache, random MF/BAS/policy/PI tag bits | per access |
-//! | `wrapper_vs_oracle` | HAC, PAM, difference-bit, way-halting | per access |
-//! | `batch_equivalence` | all eleven | batched, chunks up to 512 |
-//! | `batched_vs_oracle` | direct-mapped, set-associative, the four wrappers, victim | batched, chunks up to 64 |
+//! | `wrapper_vs_oracle` | PAM, the one wrapper model | per access |
+//! | `batch_equivalence` | all eight | batched, chunks up to 512 |
+//! | `batched_vs_oracle` | direct-mapped, set-associative, PAM, victim | batched, chunks up to 64 |
 //! | `simd_vs_oracle` | B-Cache (the heaviest user of the `cache_sim::simd` lanes) | batched, chunks up to 64 |
 //! | `victim_vs_oracle` | victim cache, 1- to 16-entry buffers | per access |
 //!
@@ -107,19 +107,11 @@ const fn property(name: &'static str, f: fn(&mut CaseRng) -> Case) -> Scenario {
     }
 }
 
-const WRAPPERS: &[Family] = &[
-    Family::Hac,
-    Family::Pam,
-    Family::DiffBit,
-    Family::WayHalting,
-];
+const WRAPPERS: &[Family] = &[Family::Pam];
 const ORACLE_BATCHED: &[Family] = &[
     Family::DirectMapped,
     Family::SetAssoc,
-    Family::Hac,
     Family::Pam,
-    Family::DiffBit,
-    Family::WayHalting,
     Family::Victim,
 ];
 

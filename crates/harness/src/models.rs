@@ -10,7 +10,7 @@
 //!   maps each paper configuration to a spec);
 //! * the reference the model is differentially checked against:
 //!   [`OracleCache`] for the direct-mapped and set-associative caches and
-//!   the four n-way-LRU wrappers (HAC, PAM, difference-bit, way-halting),
+//!   the 2-way-LRU partial-address-matching (PAM) wrapper,
 //!   [`BCacheOracle`] for the B-Cache, [`VictimOracle`] for the victim
 //!   cache, and the model's own per-access loop for the column, skewed
 //!   and AGAC caches, which have no independent oracle;
@@ -24,10 +24,10 @@ use std::ops::{Deref, DerefMut};
 
 use bcache_core::{BCacheParams, BalancedCache, ParamError, PiTagBits};
 use cache_sim::{
-    AccessKind, Addr, AgacCache, BCacheOracle, CacheGeometry, CacheModel, ColumnAssociativeCache,
-    DifferenceBitCache, DirectMappedCache, GeometryError, HighlyAssociativeCache, OracleCache,
-    OracleOutcome, PartialMatchCache, PolicyKind, SetAssociativeCache, SkewedAssociativeCache,
-    VictimCache, VictimOracle, WayHaltingCache, DEFAULT_ADDR_BITS,
+    AccessKind, Addr, AgacCache, BCacheOracle, CacheGeometry, CacheModel, CacheStats,
+    ColumnAssociativeCache, DirectMappedCache, GeometryError, OracleCache, OracleOutcome,
+    PartialMatchCache, PolicyKind, SetAssociativeCache, SetUsage, SkewedAssociativeCache,
+    VictimCache, VictimOracle, DEFAULT_ADDR_BITS,
 };
 
 /// A cache family: a [`ModelSpec`] variant without its geometry.
@@ -47,14 +47,8 @@ pub enum Family {
     Skewed,
     /// [`ModelSpec::Agac`].
     Agac,
-    /// [`ModelSpec::Hac`].
-    Hac,
     /// [`ModelSpec::Pam`].
     Pam,
-    /// [`ModelSpec::DiffBit`].
-    DiffBit,
-    /// [`ModelSpec::WayHalting`].
-    WayHalting,
 }
 
 impl Family {
@@ -67,10 +61,7 @@ impl Family {
         Family::Column,
         Family::Skewed,
         Family::Agac,
-        Family::Hac,
         Family::Pam,
-        Family::DiffBit,
-        Family::WayHalting,
     ];
 }
 
@@ -149,15 +140,6 @@ pub enum ModelSpec {
         /// Out-of-position directory entries.
         entries: usize,
     },
-    /// Highly-associative CAM-tag cache.
-    Hac {
-        /// Capacity in bytes.
-        size: usize,
-        /// Line size in bytes.
-        line: usize,
-        /// Bytes per fully-associative subarray.
-        subarray_bytes: usize,
-    },
     /// Partial-address-matching 2-way cache.
     Pam {
         /// Capacity in bytes.
@@ -165,24 +147,6 @@ pub enum ModelSpec {
         /// Line size in bytes.
         line: usize,
         /// Partial-tag bits.
-        pad_bits: u32,
-    },
-    /// Difference-bit 2-way cache.
-    DiffBit {
-        /// Capacity in bytes.
-        size: usize,
-        /// Line size in bytes.
-        line: usize,
-    },
-    /// Way-halting cache.
-    WayHalting {
-        /// Capacity in bytes.
-        size: usize,
-        /// Line size in bytes.
-        line: usize,
-        /// Ways per set.
-        ways: usize,
-        /// Halt-tag bits per way.
         pad_bits: u32,
     },
 }
@@ -342,10 +306,7 @@ impl ModelSpec {
             ModelSpec::Column { .. } => Family::Column,
             ModelSpec::Skewed { .. } => Family::Skewed,
             ModelSpec::Agac { .. } => Family::Agac,
-            ModelSpec::Hac { .. } => Family::Hac,
             ModelSpec::Pam { .. } => Family::Pam,
-            ModelSpec::DiffBit { .. } => Family::DiffBit,
-            ModelSpec::WayHalting { .. } => Family::WayHalting,
         }
     }
 
@@ -359,10 +320,7 @@ impl ModelSpec {
             | ModelSpec::Column { size, line }
             | ModelSpec::Skewed { size, line }
             | ModelSpec::Agac { size, line, .. }
-            | ModelSpec::Hac { size, line, .. }
-            | ModelSpec::Pam { size, line, .. }
-            | ModelSpec::DiffBit { size, line }
-            | ModelSpec::WayHalting { size, line, .. } => (size, line),
+            | ModelSpec::Pam { size, line, .. } => (size, line),
         }
     }
 
@@ -436,43 +394,25 @@ impl ModelSpec {
                 line,
                 entries,
             } => AgacCache::new(size, line, entries).map(boxed),
-            ModelSpec::Hac {
-                size,
-                line,
-                subarray_bytes,
-            } => HighlyAssociativeCache::new(size, line, subarray_bytes).map(boxed),
             ModelSpec::Pam {
                 size,
                 line,
                 pad_bits,
             } => PartialMatchCache::new(size, line, pad_bits).map(boxed),
-            ModelSpec::DiffBit { size, line } => DifferenceBitCache::new(size, line).map(boxed),
-            ModelSpec::WayHalting {
-                size,
-                line,
-                ways,
-                pad_bits,
-            } => WayHaltingCache::new(size, line, ways, pad_bits).map(boxed),
         }
     }
 
     /// The reference the model is checked against. The direct-mapped and
-    /// set-associative caches and the four wrappers are contractually
-    /// n-way arrays (the wrappers LRU, seed 0): they may add latency or
-    /// energy metadata but never change hits, misses or evictions.
+    /// set-associative caches and the PAM wrapper are contractually
+    /// n-way arrays (PAM 2-way LRU, seed 0): PAM may add latency but
+    /// never changes hits, misses or evictions.
     fn reference(&self) -> Reference {
         let nway = match *self {
             ModelSpec::DirectMapped { .. } => Some((1, PolicyKind::Lru, 0)),
             ModelSpec::SetAssoc {
                 ways, policy, seed, ..
             } => Some((ways, policy, seed)),
-            ModelSpec::Hac {
-                line,
-                subarray_bytes,
-                ..
-            } => Some((subarray_bytes / line, PolicyKind::Lru, 0)),
-            ModelSpec::Pam { .. } | ModelSpec::DiffBit { .. } => Some((2, PolicyKind::Lru, 0)),
-            ModelSpec::WayHalting { ways, .. } => Some((ways, PolicyKind::Lru, 0)),
+            ModelSpec::Pam { .. } => Some((2, PolicyKind::Lru, 0)),
             _ => None,
         };
         let (size, line) = self.size_line();
@@ -521,8 +461,9 @@ impl ModelSpec {
 
     /// Replays `accesses` through the model, driven as `drive`, and
     /// through its reference. A spec without an oracle driven per access
-    /// fails at once: there would be nothing to check it against. Returns the index of the access at which
-    /// they first disagree and what disagreed, or `None` if they agree.
+    /// fails at once: there would be nothing to check it against.
+    /// Returns the index of the access at which they first disagree and
+    /// what disagreed, or `None` if they agree.
     ///
     /// Per access, every [`AccessResult`](cache_sim::AccessResult) must
     /// equal the oracle's. Batched, the model's `stats()` and
@@ -564,16 +505,11 @@ impl ModelSpec {
                     scalar.access(addr, kind);
                     reference.access(addr, kind);
                 }
-                if (model.stats(), model.set_usage()) != (scalar.stats(), scalar.set_usage()) {
-                    return fail(
-                        last,
-                        format!(
-                            "batched in {chunk}-chunks, stats or set usage diverge from the \
-                             per-access loop ({:?} vs {:?})",
-                            model.stats().total(),
-                            scalar.stats().total()
-                        ),
-                    );
+                let batched = (model.stats(), model.set_usage());
+                let per_access = (scalar.stats(), scalar.set_usage());
+                if batched != per_access {
+                    let what = batch_divergence(batched, per_access);
+                    return fail(last, format!("batched in {chunk}-chunks, {what}"));
                 }
             }
         }
@@ -609,7 +545,6 @@ impl ModelSpec {
         let sets = 1usize << rng.below(7);
         let policy = rng.pick(&POLICIES);
         let seed = rng.next_u64();
-        let pad_bits = 1 + rng.below(5) as u32;
         match family {
             Family::DirectMapped => ModelSpec::DirectMapped {
                 size: sets * line,
@@ -660,34 +595,37 @@ impl ModelSpec {
                 line,
                 entries: 1 + rng.below(32) as usize,
             },
-            Family::Hac => {
-                let subarray_lines = 1 << rng.below(6);
-                ModelSpec::Hac {
-                    size: sets * subarray_lines * line,
-                    line,
-                    subarray_bytes: subarray_lines * line,
-                }
-            }
             Family::Pam => ModelSpec::Pam {
                 size: sets * 2 * line,
                 line,
-                pad_bits,
+                pad_bits: 1 + rng.below(5) as u32,
             },
-            Family::DiffBit => ModelSpec::DiffBit {
-                size: sets * 2 * line,
-                line,
-            },
-            Family::WayHalting => {
-                let ways = 1 << rng.below(4);
-                ModelSpec::WayHalting {
-                    size: sets * ways * line,
-                    line,
-                    ways,
-                    pad_bits,
-                }
-            }
         }
     }
+}
+
+/// Says what differs between a batched run's statistics and set usage
+/// and its per-access loop's: both full [`CacheStats`] when they differ
+/// (the read/write/fetch split and the writebacks, not only the total),
+/// else the first set whose usage differs.
+fn batch_divergence(
+    (stats, usage): (&CacheStats, Option<&SetUsage>),
+    (loop_stats, loop_usage): (&CacheStats, Option<&SetUsage>),
+) -> String {
+    if stats != loop_stats {
+        return format!("stats {stats:?} vs per-access {loop_stats:?}");
+    }
+    if let (Some(u), Some(l)) = (usage, loop_usage) {
+        let counts = |u: &SetUsage, set| (u.hits(set), u.misses(set));
+        if let Some(set) = (0..u.sets().min(l.sets())).find(|&s| counts(u, s) != counts(l, s)) {
+            return format!(
+                "set {set} (hits, misses) {:?} vs per-access {:?}",
+                counts(u, set),
+                counts(l, set)
+            );
+        }
+    }
+    format!("set usage {usage:?} vs per-access {loop_usage:?}")
 }
 
 /// Deterministic per-case randomness (SplitMix64, like the shims).
@@ -734,9 +672,10 @@ mod tests {
 
     #[test]
     fn the_all_families_row_draws_every_family_and_each_draw_builds() {
-        // The paper compares eleven families; dropping one from the
-        // table must fail here, not silently shrink the fuzz coverage.
-        assert_eq!(Family::ALL.len(), 11);
+        // Eight families build every paper configuration; dropping one
+        // from the table must fail here, not silently shrink the fuzz
+        // coverage.
+        assert_eq!(Family::ALL.len(), 8);
         let mut seen = HashSet::new();
         for case in 0..300 {
             let spec = ModelSpec::draw(&mut CaseRng::new(7, case), Family::ALL);
@@ -753,6 +692,25 @@ mod tests {
                 assert_eq!(spec.has_oracle(), !own_loop, "{spec:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_batch_divergence_names_what_differed() {
+        let (mut a, mut b) = (CacheStats::new(), CacheStats::new());
+        a.record(AccessKind::Read, false);
+        b.record(AccessKind::Write, false);
+        assert_eq!(a.total(), b.total());
+        let what = batch_divergence((&a, None), (&b, None));
+        assert!(what.contains(&format!("{a:?}")), "{what}");
+        assert!(what.contains(&format!("{b:?}")), "{what}");
+
+        let (mut u, mut v) = (SetUsage::new(4), SetUsage::new(4));
+        u.record(2, true);
+        v.record(2, false);
+        assert_eq!(
+            batch_divergence((&a, Some(&u)), (&a, Some(&v))),
+            "set 2 (hits, misses) (1, 0) vs per-access (0, 1)"
+        );
     }
 
     #[test]
@@ -784,11 +742,15 @@ mod tests {
             }
             CacheConfig::ColumnAssoc => Box::new(ColumnAssociativeCache::new(size, 32).unwrap()),
             CacheConfig::SkewedAssoc => Box::new(SkewedAssociativeCache::new(size, 32).unwrap()),
-            CacheConfig::Hac => Box::new(HighlyAssociativeCache::new(size, 32, 1024).unwrap()),
-            CacheConfig::WayHalting => Box::new(WayHaltingCache::new(size, 32, 4, 4).unwrap()),
+            CacheConfig::Hac => Box::new(SetAssociativeCache::new(size, 32, 32, lru, 0).unwrap()),
+            CacheConfig::WayHalting => {
+                Box::new(SetAssociativeCache::new(size, 32, 4, lru, 0).unwrap())
+            }
             CacheConfig::Agac => Box::new(AgacCache::new(size, 32, 64).unwrap()),
             CacheConfig::Pam => Box::new(PartialMatchCache::new(size, 32, 5).unwrap()),
-            CacheConfig::DiffBit => Box::new(DifferenceBitCache::new(size, 32).unwrap()),
+            CacheConfig::DiffBit => {
+                Box::new(SetAssociativeCache::new(size, 32, 2, lru, 0).unwrap())
+            }
         }
     }
 

@@ -107,10 +107,10 @@ const BCACHE_16BIT: ModelSpec = ModelSpec::BCache {
 /// every const-dispatched CAM width: victim buffers at each
 /// monomorphized power-of-two width (its geometry rejects other
 /// counts), AGAC directories from 1 to 32 including non-powers of two
-/// (the `cam` runtime fallback), and set-assoc LRU / HAC subarrays at
-/// every width their scans monomorphize. The raw cam-vs-const pinning
-/// at widths 1..=33 lives in `cache_sim::cam`'s unit tests; these rows
-/// drive the same widths through whole models.
+/// (the `cam` runtime fallback), and set-assoc LRU at every width its
+/// scans monomorphize, both at eight sets and at a fixed 2 kB. The raw
+/// cam-vs-const pinning at widths 1..=33 lives in `cache_sim::cam`'s
+/// unit tests; these rows drive the same widths through whole models.
 fn model_specs() -> Vec<ModelSpec> {
     let (size, line) = (16 * 1024, 32);
     let mut specs: Vec<ModelSpec> = harness::bench::model_set()
@@ -150,11 +150,7 @@ fn model_specs() -> Vec<ModelSpec> {
         }),
     );
     specs.extend([1, 2, 4, 8, 16, 32].map(|ways| ModelSpec::lru(ways * 256, ways)));
-    specs.extend([1, 2, 4, 8, 16, 32].map(|lines| ModelSpec::Hac {
-        size: 2048,
-        line,
-        subarray_bytes: lines * line,
-    }));
+    specs.extend([1, 2, 4, 8, 16, 32].map(|ways| ModelSpec::lru(2048, ways)));
     specs
 }
 
@@ -194,35 +190,14 @@ fn degenerate_specs() -> Vec<ModelSpec> {
             line,
             entries: 1,
         },
-        // One single-line subarray, then one subarray == the cache.
-        ModelSpec::Hac {
-            size: 32,
-            line,
-            subarray_bytes: 32,
-        },
-        ModelSpec::Hac {
-            size: 256,
-            line,
-            subarray_bytes: 256,
-        },
         ModelSpec::Pam {
             size: 64,
             line,
             pad_bits: 5,
         },
-        ModelSpec::DiffBit { size: 64, line },
-        ModelSpec::WayHalting {
-            size: 32,
-            line,
-            ways: 1,
-            pad_bits: 4,
-        },
-        ModelSpec::WayHalting {
-            size: 128,
-            line,
-            ways: 4,
-            pad_bits: 4,
-        },
+        // One set of 2 and of 4 ways.
+        ModelSpec::lru(64, 2),
+        ModelSpec::lru(128, 4),
     ]
 }
 

@@ -90,9 +90,10 @@ configs! {
     DM = CacheConfig::DirectMapped;
     W8 = CacheConfig::SetAssoc(8);
     BC = CacheConfig::BCache { mf: 8, bas: 8 };
-    // The remaining batched-kernel models, pinned on the data side only:
+    // The remaining paper configurations, pinned on the data side only:
     // their instruction-side rows are near-duplicates of the core configs'
-    // and add bulk without discriminating power.
+    // and add bulk without discriminating power. HAC, WH4 and DFB run the
+    // 32-, 4- and 2-way LRU set-associative kernel.
     V16 = CacheConfig::Victim(16);
     CA = CacheConfig::ColumnAssoc;
     SK2 = CacheConfig::SkewedAssoc;

@@ -1,6 +1,6 @@
 //! EXPERIMENTS.md against `results/all.txt` and `results/sweep.txt`:
 //! every headline number the write-up quotes for Figures 3, 4, 5, 8, 9
-//! and 12, Tables 5 and 6, the Section 7.1 related-work comparison and
+//! and 12, Tables 5, 6 and 7, the Section 7.1 related-work comparison and
 //! the victim-size and L2 sweeps must be the cell the pinned full-length
 //! runs printed.
 //!
@@ -15,7 +15,9 @@
 use std::ops::Range;
 
 /// A cell of the pinned output: the prefix of the line just above the
-/// section's column header, the row label and the column header.
+/// section's column header, the row label and the column header. A row
+/// label `a > b` names the first row labelled `b` after the row `a`
+/// (Table 7's `bc` line under a benchmark's `dm` line).
 type Cell = (&'static str, &'static str, &'static str);
 
 const FIG4_CINT: &str = "Figure 4 (bottom)";
@@ -26,6 +28,8 @@ const FIG8: &str = "Figure 8:";
 const FIG9: &str = "Figure 9:";
 const TAB5: &str = "Table 5:";
 const TAB6: &str = "Table 6:";
+// The title's second line.
+const TAB7: &str = "fms: frequent-miss sets";
 const FIG12_D32: &str = "Figure 12: D$ miss-rate reductions, 32 kB";
 const FIG12_I32: &str = "Figure 12: I$ miss-rate reductions, 32 kB";
 const FIG12_D8: &str = "Figure 12: D$ miss-rate reductions, 8 kB";
@@ -189,6 +193,32 @@ const QUOTES: &[(&str, &str, &[Cell])] = &[
             (TAB6, "BAS = 8", "MF=16"),
         ],
     ),
+    // Table 7: the `Ave` dm → bc pairs, then equake's miss concentration.
+    (
+        "## Table 7 —",
+        "| hits in frequent-hit sets | 57.2% → 39.8% | {} → {} |",
+        &[(TAB7, "Ave", "ch"), (TAB7, "Ave > bc", "ch")],
+    ),
+    (
+        "## Table 7 —",
+        "| frequent-miss sets | 5.6% → 2.2% | {} → {} |",
+        &[(TAB7, "Ave", "fms"), (TAB7, "Ave > bc", "fms")],
+    ),
+    (
+        "## Table 7 —",
+        "| misses in frequent-miss sets | 36.5% → 15.7% | {} → {} |",
+        &[(TAB7, "Ave", "cm"), (TAB7, "Ave > bc", "cm")],
+    ),
+    (
+        "## Table 7 —",
+        "| less-accessed sets | 50.2% → 32.4% | {} → {} |",
+        &[(TAB7, "Ave", "las"), (TAB7, "Ave > bc", "las")],
+    ),
+    (
+        "## Table 7 —",
+        "`cm` falls {} → {} (paper: 76.9% → 7.0%)",
+        &[(TAB7, "equake", "cm"), (TAB7, "equake > bc", "cm")],
+    ),
     // Figure 12: best conventional, MF8-BAS8 and design A vs B.
     (
         "## Figure 12 —",
@@ -267,9 +297,9 @@ const QUOTES: &[(&str, &str, &[Cell])] = &[
 /// Finds one cell of `all`: its line number and byte range in that
 /// line. A section starts at the line beginning with its prefix (its
 /// title, or the title's last line) and its column header is the next
-/// line; the row is the first later
-/// line whose text starts with the label, and the cell is the row's
-/// token ending where the header's column name ends (the report
+/// line; the row is the first later line whose text starts with the
+/// label (each label of an `a > b` path in turn), and the cell is the
+/// row's token ending where the header's column name ends (the report
 /// right-aligns every column under its name).
 fn locate(all: &str, (section, row, column): Cell) -> Result<(usize, Range<usize>), String> {
     let mut lines = all
@@ -287,9 +317,11 @@ fn locate(all: &str, (section, row, column): Cell) -> Result<(usize, Range<usize
         .map(|(i, _)| i + column.len())
         .find(|&e| header[e..].starts_with(' ') || e == header.len())
         .ok_or_else(|| format!("`{section}` has no column `{column}`"))?;
-    let (n, line) = lines
-        .find(|(_, l)| l.trim_start().starts_with(row))
-        .ok_or_else(|| format!("`{section}` has no row `{row}`"))?;
+    let mut found = None;
+    for label in row.split(" > ") {
+        found = lines.find(|(_, l)| l.trim_start().starts_with(label));
+    }
+    let (n, line) = found.ok_or_else(|| format!("`{section}` has no row `{row}`"))?;
     let start = line[..end.min(line.len())].rfind(' ').map_or(0, |i| i + 1);
     match line.get(start..end) {
         Some(text) if !text.is_empty() && line[end..].chars().next().is_none_or(|c| c == ' ') => {
@@ -467,7 +499,9 @@ fn cells_are_read_by_column_alignment() {
         "benchmark  dm-miss   2way",
         "-------------------------",
         "     ammp   40.07%   9.9%",
+        "       bc   39.00%   8.8%",
         &format!("      Ave{}21.8%", " ".repeat(11)),
+        "       bc   20.00%  19.9%",
     ]
     .join("\n");
     let all = all.as_str();
@@ -476,6 +510,12 @@ fn cells_are_read_by_column_alignment() {
         "40.07%"
     );
     assert_eq!(cell(all, ("Figure X", "Ave", "2way")).unwrap(), "21.8%");
+    assert_eq!(cell(all, ("Figure X", "bc", "2way")).unwrap(), "8.8%");
+    assert_eq!(
+        cell(all, ("Figure X", "Ave > bc", "2way")).unwrap(),
+        "19.9%"
+    );
+    assert!(cell(all, ("Figure X", "Ave > ammp", "2way")).is_err());
     assert!(cell(all, ("Figure X", "Ave", "dm-miss")).is_err());
     assert!(cell(all, ("Figure Y", "Ave", "2way")).is_err());
 }
