@@ -333,10 +333,6 @@ impl CacheModel for AgacCache {
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
     }
-
-    fn label(&self) -> String {
-        format!("{}k-agac", self.geom.size_bytes() / 1024)
-    }
 }
 
 #[cfg(test)]
@@ -427,14 +423,6 @@ mod tests {
             c.access(Addr::new(k * 256), AccessKind::Read);
         }
         assert!(c.out_dir.len() <= 2);
-    }
-
-    #[test]
-    fn label_is_descriptive() {
-        assert_eq!(
-            AgacCache::new(16 * 1024, 32, 64).unwrap().label(),
-            "16k-agac"
-        );
     }
 
     /// Fuzz-subsystem hook: demand-fill sanity — never a hit on a block

@@ -214,10 +214,6 @@ impl CacheModel for ColumnAssociativeCache {
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
     }
-
-    fn label(&self) -> String {
-        format!("{}k-column", self.geom.size_bytes() / 1024)
-    }
 }
 
 #[cfg(test)]
@@ -297,14 +293,6 @@ mod tests {
     #[test]
     fn rejects_single_set_geometry() {
         assert!(ColumnAssociativeCache::new(32, 32).is_err());
-    }
-
-    #[test]
-    fn label_is_descriptive() {
-        assert_eq!(
-            ColumnAssociativeCache::new(16 * 1024, 32).unwrap().label(),
-            "16k-column"
-        );
     }
 
     /// Fuzz-subsystem hook: demand-fill sanity — never a hit on a block

@@ -181,10 +181,6 @@ impl CacheModel for DirectMappedCache {
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
     }
-
-    fn label(&self) -> String {
-        format!("{}k-dm", self.geom.size_bytes() / 1024)
-    }
 }
 
 #[cfg(test)]
@@ -290,14 +286,6 @@ mod tests {
     fn from_geometry_rejects_set_associative_shapes() {
         let g = CacheGeometry::new(1024, 32, 2).unwrap();
         assert!(DirectMappedCache::from_geometry(g).is_err());
-    }
-
-    #[test]
-    fn label_mentions_size() {
-        assert_eq!(
-            DirectMappedCache::new(16 * 1024, 32).unwrap().label(),
-            "16k-dm"
-        );
     }
 
     #[test]

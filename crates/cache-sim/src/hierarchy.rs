@@ -196,9 +196,9 @@ impl MemoryHierarchy {
 impl std::fmt::Debug for MemoryHierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryHierarchy")
-            .field("l1i", &self.l1i.label())
-            .field("l1d", &self.l1d.label())
-            .field("l2", &self.l2.label())
+            .field("l1i", &self.l1i.geometry())
+            .field("l1d", &self.l1d.geometry())
+            .field("l2", &self.l2.geometry())
             .field("latency", &self.latency)
             .finish()
     }

@@ -8,8 +8,7 @@
 //! * the paper's baseline and comparison caches: [`DirectMappedCache`],
 //!   [`SetAssociativeCache`] (2-way … 32-way, LRU/FIFO/random/PLRU),
 //!   [`VictimCache`] (Jouppi), [`ColumnAssociativeCache`],
-//!   [`SkewedAssociativeCache`], [`AgacCache`] and
-//!   [`PartialMatchCache`];
+//!   [`SkewedAssociativeCache`] and [`AgacCache`];
 //! * the Table 4 [`MemoryHierarchy`] (split L1, unified 4-way 256 kB L2,
 //!   infinite memory);
 //! * statistics, including the per-set usage counters behind the paper's
@@ -51,7 +50,6 @@ pub mod hierarchy;
 pub mod model;
 pub mod oracle;
 pub mod packed;
-pub mod pam;
 pub mod replacement;
 pub mod set_assoc;
 pub mod simd;
@@ -67,7 +65,6 @@ pub use geometry::{CacheGeometry, GeometryError, TagIndexSplit, DEFAULT_ADDR_BIT
 pub use hierarchy::{LatencyConfig, MemoryHierarchy};
 pub use model::{AccessKind, AccessResult, CacheModel, Eviction};
 pub use oracle::{BCacheOracle, OracleCache, OracleOutcome, VictimOracle};
-pub use pam::PartialMatchCache;
 pub use replacement::{make_policy, Lru, PolicyKind, ReplacementPolicy};
 pub use set_assoc::SetAssociativeCache;
 pub use skewed::SkewedAssociativeCache;

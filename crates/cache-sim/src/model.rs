@@ -115,9 +115,6 @@ pub trait CacheModel {
         None
     }
 
-    /// Short human-readable configuration label, e.g. `"16k8way"`.
-    fn label(&self) -> String;
-
     /// Services a batch of accesses, updating state and statistics
     /// exactly as the equivalent [`access`](Self::access) loop would.
     ///
@@ -161,10 +158,6 @@ impl CacheModel for Box<dyn CacheModel> {
 
     fn decoder_stats(&self) -> Option<PdStats> {
         (**self).decoder_stats()
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {

@@ -16,10 +16,8 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// of this model (all LRU), and the unified L2 is a 4-way instance.
 ///
 /// Both access paths run through one shared step function, so
-/// per-access and batched replay are bit-identical — statistics,
-/// and replacement state alike. The partial-address-matching cache
-/// ([`crate::PartialMatchCache`]) wraps its prediction around the same
-/// step over this cache's destructured state.
+/// per-access and batched replay are bit-identical — statistics
+/// and replacement state alike.
 ///
 /// # Examples
 ///
@@ -126,10 +124,9 @@ impl SetAssociativeCache {
     }
 
     /// Destructures the cache for the shared step: [`Parts`] borrows
-    /// the line array and counters disjointly, so the PAM wrapper keeps
-    /// its own state mutable alongside, and the policy
-    /// comes back on its own so callers can devirtualize it.
-    pub(crate) fn parts(&mut self) -> (Parts<'_>, &mut dyn ReplacementPolicy) {
+    /// the line array and counters disjointly, and the policy comes
+    /// back on its own so callers can devirtualize it.
+    fn parts(&mut self) -> (Parts<'_>, &mut dyn ReplacementPolicy) {
         let parts = Parts {
             split: self.geom.split(),
             assoc: self.geom.assoc(),
@@ -169,25 +166,19 @@ impl StepOutcome {
 /// A set-associative array destructured by
 /// [`SetAssociativeCache::parts`], with the register tally its steps
 /// land their counts in until [`finish`](Self::finish).
-pub(crate) struct Parts<'a> {
-    pub(crate) split: TagIndexSplit,
-    pub(crate) assoc: usize,
-    pub(crate) lines: &'a mut [u64],
+struct Parts<'a> {
+    split: TagIndexSplit,
+    assoc: usize,
+    lines: &'a mut [u64],
     usage: &'a mut SetUsage,
     stats: &'a mut CacheStats,
     tally: BatchTally,
 }
 
 impl Parts<'_> {
-    /// The packed line words of `set`, in way order.
-    #[inline(always)]
-    pub(crate) fn set_words(&self, set: usize) -> &[u64] {
-        &self.lines[set * self.assoc..(set + 1) * self.assoc]
-    }
-
-    /// One access. Shared by the per-access path, the batched kernel,
-    /// and the PAM wrapper's step, so every path is bit-identical by
-    /// construction — statistics and replacement state alike.
+    /// One access. Shared by the per-access path and the batched
+    /// kernel, so both are bit-identical by construction — statistics
+    /// and replacement state alike.
     ///
     /// Generic over the replacement policy so callers can pass either a
     /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
@@ -198,7 +189,7 @@ impl Parts<'_> {
     /// falls back to runtime-width scans with identical first-match
     /// semantics.
     #[inline(always)]
-    pub(crate) fn step_one<P: ReplacementPolicy + ?Sized, const A: usize>(
+    fn step_one<P: ReplacementPolicy + ?Sized, const A: usize>(
         &mut self,
         policy: &mut P,
         addr: Addr,
@@ -273,7 +264,7 @@ impl Parts<'_> {
     }
 
     /// Lands the tally in the cache's statistics.
-    pub(crate) fn finish(self) {
+    fn finish(self) {
         self.tally.flush(self.stats);
     }
 }
@@ -316,10 +307,6 @@ impl CacheModel for SetAssociativeCache {
 
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
-    }
-
-    fn label(&self) -> String {
-        format!("{}k{}way", self.geom.size_bytes() / 1024, self.geom.assoc())
     }
 }
 
@@ -415,16 +402,6 @@ mod tests {
         }
         // 2 sets * 4 ways = 8 lines; all still addressable without panic.
         assert!(c.stats().total().accesses() == 4000);
-    }
-
-    #[test]
-    fn label_shows_ways() {
-        assert_eq!(
-            SetAssociativeCache::new(16 * 1024, 32, 8, PolicyKind::Lru, 0)
-                .unwrap()
-                .label(),
-            "16k8way"
-        );
     }
 
     fn fuzz_accesses(records: usize, seed: u64) -> Vec<(Addr, AccessKind)> {

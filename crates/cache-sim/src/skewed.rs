@@ -213,10 +213,6 @@ impl CacheModel for SkewedAssociativeCache {
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
     }
-
-    fn label(&self) -> String {
-        format!("{}k-skew2", self.geom.size_bytes() / 1024)
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +323,6 @@ mod tests {
     #[test]
     fn rejects_single_set_geometry() {
         assert!(SkewedAssociativeCache::new(64, 32).is_err());
-    }
-
-    #[test]
-    fn label_is_descriptive() {
-        assert_eq!(
-            SkewedAssociativeCache::new(16 * 1024, 32).unwrap().label(),
-            "16k-skew2"
-        );
     }
 
     /// Fuzz-subsystem hook: demand-fill sanity — never a hit on a block

@@ -341,10 +341,6 @@ impl CacheModel for VictimCache {
     fn set_usage(&self) -> Option<&SetUsage> {
         Some(&self.usage)
     }
-
-    fn label(&self) -> String {
-        format!("victim{}", self.buffer_entries())
-    }
 }
 
 #[cfg(test)]
@@ -452,14 +448,6 @@ mod tests {
         assert_eq!(c.buffer_hits(), 0);
         assert_eq!(c.buffer_probes(), 0);
         assert_eq!(c.stats().total().accesses(), 0);
-    }
-
-    #[test]
-    fn label_shows_entries() {
-        assert_eq!(
-            VictimCache::new(16 * 1024, 32, 16).unwrap().label(),
-            "victim16"
-        );
     }
 
     /// Fuzz-subsystem hook: the main array mirrors a plain DM cache, so

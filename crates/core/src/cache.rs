@@ -480,14 +480,6 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
     fn decoder_stats(&self) -> Option<PdStats> {
         Some(self.pd_stats)
     }
-
-    fn label(&self) -> String {
-        format!(
-            "MF{}-BAS{}",
-            self.params.mapping_factor(),
-            self.params.bas()
-        )
-    }
 }
 
 impl<O: Observer> std::fmt::Debug for BalancedCache<O> {
@@ -714,11 +706,6 @@ mod tests {
         assert_eq!(bc.stats().total().accesses(), 0);
         assert_eq!(bc.pd_stats(), PdStats::default());
         assert!(bc.access(Addr::new(0x1000), AccessKind::Read).hit);
-    }
-
-    #[test]
-    fn label_shows_design_point() {
-        assert_eq!(paper_bcache().label(), "MF8-BAS8");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! for every `--jobs` value.
 //!
 //! Case `c` runs scenario `c % SCENARIOS.len()` of the [`SCENARIOS`]
-//! table. Eight rows are differential: each is a `(name, families,
+//! table. Seven rows are differential: each is a `(name, families,
 //! drive)` triple that draws a small or degenerate [`ModelSpec`] of one
 //! of its families ([`ModelSpec::draw`]) and runs the one check,
 //! [`ModelSpec::differential`], against the spec's reference —
-//! [`OracleCache`](cache_sim::OracleCache) for the direct-mapped,
-//! set-associative and 2-way-LRU PAM caches,
+//! [`OracleCache`](cache_sim::OracleCache) for the direct-mapped and
+//! set-associative caches,
 //! [`BCacheOracle`](cache_sim::BCacheOracle) for the B-Cache,
 //! [`VictimOracle`](cache_sim::VictimOracle) for the victim cache, and
 //! the model's own per-access loop for the column, skewed and AGAC
@@ -27,9 +27,8 @@
 //! | `dm_vs_oracle` | direct-mapped | per access |
 //! | `set_assoc_vs_oracle` | set-associative, every policy | per access |
 //! | `bcache_vs_oracle` | B-Cache, random MF/BAS/policy/PI tag bits | per access |
-//! | `wrapper_vs_oracle` | PAM, the one wrapper model | per access |
-//! | `batch_equivalence` | all eight | batched, chunks up to 512 |
-//! | `batched_vs_oracle` | direct-mapped, set-associative, PAM, victim | batched, chunks up to 64 |
+//! | `batch_equivalence` | all seven | batched, chunks up to 512 |
+//! | `batched_vs_oracle` | direct-mapped, set-associative, victim | batched, chunks up to 64 |
 //! | `simd_vs_oracle` | B-Cache (the heaviest user of the `cache_sim::simd` lanes) | batched, chunks up to 64 |
 //! | `victim_vs_oracle` | victim cache, 1- to 16-entry buffers | per access |
 //!
@@ -107,13 +106,7 @@ const fn property(name: &'static str, f: fn(&mut CaseRng) -> Case) -> Scenario {
     }
 }
 
-const WRAPPERS: &[Family] = &[Family::Pam];
-const ORACLE_BATCHED: &[Family] = &[
-    Family::DirectMapped,
-    Family::SetAssoc,
-    Family::Pam,
-    Family::Victim,
-];
+const ORACLE_BATCHED: &[Family] = &[Family::DirectMapped, Family::SetAssoc, Family::Victim];
 
 /// The scenario table, in dispatch order: case `c` runs row
 /// `c % SCENARIOS.len()` unless `--scenario` pins one.
@@ -121,7 +114,6 @@ pub const SCENARIOS: &[Scenario] = &[
     differential("dm_vs_oracle", &[Family::DirectMapped], Drive::PerAccess),
     differential("set_assoc_vs_oracle", &[Family::SetAssoc], Drive::PerAccess),
     differential("bcache_vs_oracle", &[Family::BCache], Drive::PerAccess),
-    differential("wrapper_vs_oracle", WRAPPERS, Drive::PerAccess),
     property("degenerate_equals_dm", degenerate_equals_dm),
     property("full_pi_equals_set_assoc", full_pi_equals_set_assoc),
     property("lru_ways_inclusion", lru_ways_inclusion),
@@ -775,7 +767,6 @@ mod tests {
                 "dm_vs_oracle",
                 "set_assoc_vs_oracle",
                 "bcache_vs_oracle",
-                "wrapper_vs_oracle",
                 "degenerate_equals_dm",
                 "full_pi_equals_set_assoc",
                 "lru_ways_inclusion",
@@ -797,7 +788,7 @@ mod tests {
             trace: vec![(0x40, false); 8],
             check: Box::new(|t| Some((t.len() - 1, "planted".into()))),
         };
-        let d = diverge("wrapper_vs_oracle", case, 7, planted).unwrap();
+        let d = diverge("victim_vs_oracle", case, 7, planted).unwrap();
         let header = d.repro.lines().next().unwrap();
         let arg = |flag: &str| {
             let mut words = header.split(['`', ' ']).skip_while(|w| *w != flag);

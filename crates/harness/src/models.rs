@@ -9,8 +9,7 @@
 //!   experiment replays ([`CacheConfig::build`](crate::CacheConfig::build)
 //!   maps each paper configuration to a spec);
 //! * the reference the model is differentially checked against:
-//!   [`OracleCache`] for the direct-mapped and set-associative caches and
-//!   the 2-way-LRU partial-address-matching (PAM) wrapper,
+//!   [`OracleCache`] for the direct-mapped and set-associative caches,
 //!   [`BCacheOracle`] for the B-Cache, [`VictimOracle`] for the victim
 //!   cache, and the model's own per-access loop for the column, skewed
 //!   and AGAC caches, which have no independent oracle;
@@ -26,8 +25,8 @@ use bcache_core::{BCacheParams, BalancedCache, ParamError, PiTagBits};
 use cache_sim::{
     AccessKind, Addr, AgacCache, BCacheOracle, CacheGeometry, CacheModel, CacheStats,
     ColumnAssociativeCache, DirectMappedCache, GeometryError, OracleCache, OracleOutcome,
-    PartialMatchCache, PolicyKind, SetAssociativeCache, SetUsage, SkewedAssociativeCache,
-    VictimCache, VictimOracle, DEFAULT_ADDR_BITS,
+    PolicyKind, SetAssociativeCache, SetUsage, SkewedAssociativeCache, VictimCache, VictimOracle,
+    DEFAULT_ADDR_BITS,
 };
 
 /// A cache family: a [`ModelSpec`] variant without its geometry.
@@ -47,8 +46,6 @@ pub enum Family {
     Skewed,
     /// [`ModelSpec::Agac`].
     Agac,
-    /// [`ModelSpec::Pam`].
-    Pam,
 }
 
 impl Family {
@@ -61,7 +58,6 @@ impl Family {
         Family::Column,
         Family::Skewed,
         Family::Agac,
-        Family::Pam,
     ];
 }
 
@@ -139,15 +135,6 @@ pub enum ModelSpec {
         line: usize,
         /// Out-of-position directory entries.
         entries: usize,
-    },
-    /// Partial-address-matching 2-way cache.
-    Pam {
-        /// Capacity in bytes.
-        size: usize,
-        /// Line size in bytes.
-        line: usize,
-        /// Partial-tag bits.
-        pad_bits: u32,
     },
 }
 
@@ -306,7 +293,6 @@ impl ModelSpec {
             ModelSpec::Column { .. } => Family::Column,
             ModelSpec::Skewed { .. } => Family::Skewed,
             ModelSpec::Agac { .. } => Family::Agac,
-            ModelSpec::Pam { .. } => Family::Pam,
         }
     }
 
@@ -319,8 +305,7 @@ impl ModelSpec {
             | ModelSpec::Victim { size, line, .. }
             | ModelSpec::Column { size, line }
             | ModelSpec::Skewed { size, line }
-            | ModelSpec::Agac { size, line, .. }
-            | ModelSpec::Pam { size, line, .. } => (size, line),
+            | ModelSpec::Agac { size, line, .. } => (size, line),
         }
     }
 
@@ -350,7 +335,7 @@ impl ModelSpec {
     pub(crate) fn build_bcache(&self) -> Result<BalancedCache, GeometryError> {
         match self.construct()? {
             Built::BCache(b) => Ok(*b),
-            Built::Model(m) => panic!("{} is not a B-Cache", m.label()),
+            Built::Model(_) => panic!("{self:?} is not a B-Cache"),
         }
     }
 
@@ -394,25 +379,16 @@ impl ModelSpec {
                 line,
                 entries,
             } => AgacCache::new(size, line, entries).map(boxed),
-            ModelSpec::Pam {
-                size,
-                line,
-                pad_bits,
-            } => PartialMatchCache::new(size, line, pad_bits).map(boxed),
         }
     }
 
-    /// The reference the model is checked against. The direct-mapped and
-    /// set-associative caches and the PAM wrapper are contractually
-    /// n-way arrays (PAM 2-way LRU, seed 0): PAM may add latency but
-    /// never changes hits, misses or evictions.
+    /// The reference the model is checked against.
     fn reference(&self) -> Reference {
         let nway = match *self {
             ModelSpec::DirectMapped { .. } => Some((1, PolicyKind::Lru, 0)),
             ModelSpec::SetAssoc {
                 ways, policy, seed, ..
             } => Some((ways, policy, seed)),
-            ModelSpec::Pam { .. } => Some((2, PolicyKind::Lru, 0)),
             _ => None,
         };
         let (size, line) = self.size_line();
@@ -595,11 +571,6 @@ impl ModelSpec {
                 line,
                 entries: 1 + rng.below(32) as usize,
             },
-            Family::Pam => ModelSpec::Pam {
-                size: sets * 2 * line,
-                line,
-                pad_bits: 1 + rng.below(5) as u32,
-            },
         }
     }
 }
@@ -672,10 +643,10 @@ mod tests {
 
     #[test]
     fn the_all_families_row_draws_every_family_and_each_draw_builds() {
-        // Eight families build every paper configuration; dropping one
+        // Seven families build every paper configuration; dropping one
         // from the table must fail here, not silently shrink the fuzz
         // coverage.
-        assert_eq!(Family::ALL.len(), 8);
+        assert_eq!(Family::ALL.len(), 7);
         let mut seen = HashSet::new();
         for case in 0..300 {
             let spec = ModelSpec::draw(&mut CaseRng::new(7, case), Family::ALL);
@@ -732,7 +703,7 @@ mod tests {
         match c {
             CacheConfig::DirectMapped => Box::new(DirectMappedCache::new(size, 32).unwrap()),
             CacheConfig::SetAssoc(n) => {
-                Box::new(SetAssociativeCache::new(size, 32, n, lru, seed).unwrap())
+                Box::new(SetAssociativeCache::new(size, 32, n, lru, 0).unwrap())
             }
             CacheConfig::Victim(n) => Box::new(VictimCache::new(size, 32, n).unwrap()),
             CacheConfig::BCache { mf, bas } => {
@@ -747,8 +718,7 @@ mod tests {
                 Box::new(SetAssociativeCache::new(size, 32, 4, lru, 0).unwrap())
             }
             CacheConfig::Agac => Box::new(AgacCache::new(size, 32, 64).unwrap()),
-            CacheConfig::Pam => Box::new(PartialMatchCache::new(size, 32, 5).unwrap()),
-            CacheConfig::DiffBit => {
+            CacheConfig::Pam | CacheConfig::DiffBit => {
                 Box::new(SetAssociativeCache::new(size, 32, 2, lru, 0).unwrap())
             }
         }
@@ -770,7 +740,6 @@ mod tests {
                 let mut got = c.build(size, 5).unwrap();
                 let mut want = direct_build(c, size, 5);
                 let what = format!("{} at {size}", c.label());
-                assert_eq!(got.label(), want.label(), "{what}");
                 assert_eq!(got.geometry(), want.geometry(), "{what}");
                 got.access_batch(&stream);
                 want.access_batch(&stream);

@@ -85,9 +85,11 @@ fn l1_energy_pj(config: &CacheConfig, l1_miss_rate: f64) -> f64 {
                 .expect("valid B-Cache point");
             bcache_access_pj(&params).total_pj()
         }
-        // Related-work configs: approximate with a same-sized 2-way
-        // (column-associative and AGAC keep single-way data accesses but
-        // pay extra probes; PAM reads both ways' data).
+        // Related-work configs: approximate with a same-sized 2-way.
+        // PAM and the difference-bit cache are simulated as that 2-way
+        // LRU array, so what their way prediction saves, and what PAM's
+        // second-cycle corrections cost, is not priced. Column-associative
+        // and AGAC keep single-way data accesses but pay extra probes.
         CacheConfig::ColumnAssoc
         | CacheConfig::SkewedAssoc
         | CacheConfig::Agac
@@ -120,7 +122,8 @@ fn run_config_on(
     len: RunLength,
 ) -> PerfOutcome {
     // Both L1s get job-derived seeds (one per side), like every other
-    // driver; only random-replacement configs consume them.
+    // driver; no paper configuration's model reads them (see
+    // `CacheConfig::spec`).
     let l1i = config
         .build(
             L1_BYTES,

@@ -4,8 +4,8 @@
 //! `stats()` and `set_usage()` must equal its own per-access loop's, and
 //! its final hit/miss/writeback counters — plus the B-Cache's PD
 //! counters and decoder invariants — must equal its oracle's
-//! (`OracleCache` for the direct-mapped, set-associative and n-way-LRU
-//! wrapper caches, `BCacheOracle` for the B-Cache, `VictimOracle` for
+//! (`OracleCache` for the direct-mapped and set-associative caches,
+//! `BCacheOracle` for the B-Cache, `VictimOracle` for
 //! the victim cache; the column, skewed and AGAC caches have only their
 //! own loop). The rows:
 //!
@@ -103,7 +103,7 @@ const BCACHE_16BIT: ModelSpec = ModelSpec::BCache {
 };
 
 /// The benchmarked fleet at the paper's 16 kB working geometry, a
-/// random-policy set-assoc cache and a second AGAC and PAM width, then
+/// random-policy set-assoc cache and a second AGAC width, then
 /// every const-dispatched CAM width: victim buffers at each
 /// monomorphized power-of-two width (its geometry rejects other
 /// counts), AGAC directories from 1 to 32 including non-powers of two
@@ -129,11 +129,6 @@ fn model_specs() -> Vec<ModelSpec> {
             size,
             line,
             entries: 8,
-        },
-        ModelSpec::Pam {
-            size,
-            line,
-            pad_bits: 4,
         },
     ]);
     let size = 1024;
@@ -189,11 +184,6 @@ fn degenerate_specs() -> Vec<ModelSpec> {
             size: 32,
             line,
             entries: 1,
-        },
-        ModelSpec::Pam {
-            size: 64,
-            line,
-            pad_bits: 5,
         },
         // One set of 2 and of 4 ways.
         ModelSpec::lru(64, 2),
