@@ -10,6 +10,8 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::packed;
+
 /// Which replacement policy to instantiate.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum PolicyKind {
@@ -39,11 +41,13 @@ impl fmt::Display for PolicyKind {
 ///
 /// Callers must route events consistently: [`on_access`] on every hit,
 /// [`on_fill`] on every fill, and [`victim`] only when all ways of the set
-/// hold valid blocks (invalid ways should be filled first).
+/// hold valid blocks (invalid ways should be filled first), or
+/// [`fill_way`] to make both choices in one call.
 ///
 /// [`on_access`]: ReplacementPolicy::on_access
 /// [`on_fill`]: ReplacementPolicy::on_fill
 /// [`victim`]: ReplacementPolicy::victim
+/// [`fill_way`]: ReplacementPolicy::fill_way
 pub trait ReplacementPolicy: fmt::Debug {
     /// Notes a hit on `(set, way)`.
     fn on_access(&mut self, set: usize, way: usize);
@@ -53,6 +57,19 @@ pub trait ReplacementPolicy: fmt::Debug {
 
     /// Chooses the way to evict from a full `set`.
     fn victim(&mut self, set: usize) -> usize;
+
+    /// Chooses the way a miss in `set` fills, given the set's packed
+    /// line words: the first invalid way, else the [`victim`]. The
+    /// array must never invalidate a line it has filled.
+    ///
+    /// [`victim`]: ReplacementPolicy::victim
+    #[inline]
+    fn fill_way(&mut self, set: usize, lines: &[u64]) -> usize {
+        match crate::simd::first_match(lines, packed::VALID_MASK, 0) {
+            Some(way) => way,
+            None => self.victim(set),
+        }
+    }
 
     /// The policy's kind.
     fn kind(&self) -> PolicyKind;
@@ -88,9 +105,19 @@ pub fn make_policy(
 }
 
 /// True LRU via monotonic access stamps.
-#[derive(Debug)]
+///
+/// Each stamp is `clock << shift | way`, with `shift` the bit length of
+/// `assoc - 1`, and a never-touched way's stamp is its bare index. One
+/// unsigned minimum over a set's stamps therefore names its own way:
+/// the lowest never-touched way if there is one, else the least
+/// recently used — the first minimum over plain per-way stamps.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Lru {
     assoc: usize,
+    // `1 << shift`. The clock is kept shifted and advances by one tick
+    // per touch, so a touch adds and ORs where a shift by a runtime
+    // count would cost more.
+    tick: u64,
     stamps: Vec<u64>,
     clock: u64,
 }
@@ -100,15 +127,16 @@ impl Lru {
     pub fn new(sets: usize, assoc: usize) -> Self {
         Lru {
             assoc,
-            stamps: vec![0; sets * assoc],
+            tick: assoc.next_power_of_two() as u64,
+            stamps: (0..sets).flat_map(|_| 0..assoc as u64).collect(),
             clock: 0,
         }
     }
 
     #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.assoc + way] = self.clock;
+        self.clock += self.tick;
+        self.stamps[set * self.assoc + way] = self.clock | way as u64;
     }
 }
 
@@ -126,12 +154,28 @@ impl ReplacementPolicy for Lru {
     #[inline]
     fn victim(&mut self, set: usize) -> usize {
         let base = set * self.assoc;
-        // First minimal stamp via the lane-sliced min reduction: the
-        // iterator min_by_key compiles to a serial compare chain that
-        // dominates wide-associativity miss paths, while `min_index`
-        // runs four stamps per compare when the CPU has AVX2 (identical
-        // lowest-index tie-break either way).
-        crate::simd::min_index(&self.stamps[base..base + self.assoc])
+        // One lane-sliced min (four stamps per compare with AVX2); the
+        // minimum stamp's low bits are its way.
+        let min = crate::simd::min_word(&self.stamps[base..base + self.assoc]);
+        (min & (self.tick - 1)) as usize
+    }
+
+    /// The [`victim`](ReplacementPolicy::victim) alone: in an array
+    /// that never invalidates a line, "never touched" is "invalid", so
+    /// the one minimum is already the first invalid way when there is
+    /// one.
+    #[inline]
+    fn fill_way(&mut self, set: usize, lines: &[u64]) -> usize {
+        let way = self.victim(set);
+        debug_assert_eq!(
+            lines
+                .iter()
+                .position(|&w| !packed::is_valid(w))
+                .unwrap_or(way),
+            way,
+            "an LRU array invalidated a line it had filled"
+        );
+        way
     }
 
     fn kind(&self) -> PolicyKind {
@@ -465,10 +509,51 @@ mod tests {
 
     #[test]
     fn lru_cold_set_victim_is_way_zero() {
-        // All stamps equal: min_by_key ties break to the lowest way.
+        // No way touched: every stamp is its bare way index, way 0 lowest.
         let mut p = Lru::new(2, 4);
         assert_eq!(p.victim(0), 0);
         assert_eq!(p.victim(1), 0);
+    }
+
+    /// The encoded stamps pick exactly the first minimum over plain
+    /// per-way stamps (0 = never touched), kept here as the reference,
+    /// for every width 1..=64 and one fully-associative width above 64.
+    /// Random hits, random fills and victim fills leave some ways of
+    /// every set never touched for most of the run.
+    #[test]
+    fn encoded_lru_victim_is_the_first_minimum_of_plain_stamps() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = move |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % n as u64) as usize
+        };
+        let sets = 3;
+        for assoc in (1..=64).chain([200]) {
+            let mut lru = Lru::new(sets, assoc);
+            let mut plain = vec![0u64; sets * assoc];
+            for clock in 1..=(4 * assoc as u64) {
+                let set = below(sets);
+                // Set 0 only ever touches its lower half at random.
+                let reach = if set == 0 { assoc.div_ceil(2) } else { assoc };
+                let way = match below(3) {
+                    0 => lru.victim(set),
+                    _ => below(reach),
+                };
+                plain[set * assoc + way] = clock;
+                if below(2) == 0 {
+                    lru.on_access(set, way);
+                } else {
+                    lru.on_fill(set, way);
+                }
+                for s in 0..sets {
+                    let stamps = &plain[s * assoc..(s + 1) * assoc];
+                    let want = (0..assoc).min_by_key(|&w| stamps[w]).unwrap();
+                    assert_eq!(lru.victim(s), want, "assoc {assoc} set {s} {stamps:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -183,11 +183,13 @@ impl Parts<'_> {
     /// Generic over the replacement policy so callers can pass either a
     /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
     /// `dyn` policy, and over the associativity: `A > 0` monomorphizes
-    /// the way scans into the fused CAM probe — a [`crate::simd`]
+    /// the tag probe into the fused CAM probe — a [`crate::simd`]
     /// compare-mask over whole lane groups, AVX2 when the CPU reports
     /// it, portable otherwise (`A` must equal `assoc`) — while `A == 0`
-    /// falls back to runtime-width scans with identical first-match
-    /// semantics.
+    /// falls back to a runtime-width probe with identical first-match
+    /// semantics. A miss asks the policy for the way to fill
+    /// ([`ReplacementPolicy::fill_way`]), so it scans the set once more
+    /// at most.
     #[inline(always)]
     fn step_one<P: ReplacementPolicy + ?Sized, const A: usize>(
         &mut self,
@@ -216,17 +218,16 @@ impl Parts<'_> {
         }
         self.tally.record(kind, false);
         self.usage.record(set, false);
-        let (way, evicted) = match cam::find_invalid::<A>(ways) {
-            Some(w) => (w, None),
-            None => {
-                let w = policy.victim(set);
-                debug_assert!(w < assoc, "policy returned out-of-range way");
-                let word = ways[w];
-                let dirty = packed::is_dirty(word);
-                self.tally.record_writeback_if(dirty);
-                (w, Some((packed::tag(word), dirty)))
-            }
-        };
+        // The policy picks the first invalid way or the victim in one
+        // call (for LRU, one stamp minimum).
+        let way = policy.fill_way(set, ways);
+        debug_assert!(way < assoc, "policy returned out-of-range way");
+        let word = ways[way];
+        let evicted = packed::is_valid(word).then(|| {
+            let dirty = packed::is_dirty(word);
+            self.tally.record_writeback_if(dirty);
+            (packed::tag(word), dirty)
+        });
         ways[way] = packed::fill(tag, kind.is_write());
         policy.on_fill(set, way);
         StepOutcome {

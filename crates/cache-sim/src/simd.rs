@@ -7,11 +7,11 @@
 //! B-Cache's programmable-decoder entry match in `bcache-core`, and the LRU
 //! stamp scan. This module factors those sweeps into a handful of
 //! *lane operations* — first-match, dual compare-mask, first-set-lane,
-//! popcount tally, min-index, and a shift-and-mask used for address
-//! field decode.
+//! popcount tally, one-pass minimum, and a shift-and-mask used for
+//! address field decode.
 //!
 //! The three per-access probes — [`first_match`], [`dual_eq_masks`] and
-//! [`min_index`] — have an **AVX2** body (`core::arch::x86_64`, four
+//! [`min_word`] — have an **AVX2** body (`core::arch::x86_64`, four
 //! 64-bit lanes per vector) next to the portable one. They pick it from
 //! the platform alone: x86-64 and `is_x86_feature_detected!("avx2")`
 //! (std caches the answer), with no override. Measured on traced
@@ -22,9 +22,9 @@
 //! straight-line and branch-free, the shape LLVM unrolls and
 //! auto-vectorizes on any target.
 //!
-//! Both bodies of a probe return the same first-match, first-cold and
-//! first-minimum index, bit for bit; the tests below check each body
-//! against a plain iterator.
+//! Both bodies of a probe return the same first-match index, masks and
+//! minimum, bit for bit; the tests below check each body against a
+//! plain iterator.
 
 /// Lanes the batched kernels consume per iteration (the u64×8 group:
 /// two AVX2 vectors, or one unrolled portable block).
@@ -93,27 +93,24 @@ pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
     n
 }
 
-/// Index of the first minimum of `stamps` — exactly the victim LRU's
-/// `min_by_key` picks (ties break to the lowest index). Returns 0 for
-/// an empty slice.
+/// The unsigned minimum of `words`, in one pass (`u64::MAX` for an
+/// empty slice).
+///
+/// The LRU victim scan: [`crate::replacement::Lru`] stores each stamp
+/// as `clock << shift | way`, so the minimum word carries its own way
+/// in the low bits and no second, first-equal pass is needed.
 #[inline(always)]
-pub fn min_index(stamps: &[u64]) -> usize {
+pub fn min_word(words: &[u64]) -> u64 {
     // Below one vector the serial compare chain wins.
-    if stamps.len() < 4 {
-        let mut best = 0;
-        for (i, &s) in stamps.iter().enumerate().skip(1) {
-            if s < stamps[best] {
-                best = i;
-            }
-        }
-        return best;
+    if words.len() < 4 {
+        return words.iter().fold(u64::MAX, |m, &w| m.min(w));
     }
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: the CPU reports AVX2.
-        return unsafe { avx2::min_index(stamps) };
+        return unsafe { avx2::min_word(words) };
     }
-    portable::min_index(stamps)
+    portable::min_word(words)
 }
 
 /// Field decode: `out[i] = (src[i] >> shift) & mask`.
@@ -176,26 +173,18 @@ mod portable {
     }
 
     #[inline(always)]
-    pub fn min_index(stamps: &[u64]) -> usize {
-        // Two passes: a lane-sliced running minimum (vectorizable),
-        // then the priority encoder over lanes equal to the global
-        // minimum — which is exactly "first index of the minimum".
+    pub fn min_word(words: &[u64]) -> u64 {
+        // A lane-sliced running minimum (vectorizable), then the fold
+        // of its lanes and the tail.
         let mut vmin = [u64::MAX; LANES];
-        let mut chunks = stamps.chunks_exact(LANES);
+        let mut chunks = words.chunks_exact(LANES);
         for c in &mut chunks {
             for i in 0..LANES {
-                // Branch-free blend: all-ones where the new stamp is lower.
-                let lt = 0u64.wrapping_sub((c[i] < vmin[i]) as u64);
-                vmin[i] = (c[i] & lt) | (vmin[i] & !lt);
+                vmin[i] = vmin[i].min(c[i]);
             }
         }
-        let mut m = u64::MAX;
-        for &s in vmin.iter().chain(chunks.remainder()) {
-            if s < m {
-                m = s;
-            }
-        }
-        first_match(stamps, !0, m).expect("the minimum is present")
+        let tail = chunks.remainder();
+        vmin.iter().chain(tail).fold(u64::MAX, |m, &w| m.min(w))
     }
 }
 
@@ -259,31 +248,26 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn min_index(stamps: &[u64]) -> usize {
-        // AVX2 has no unsigned 64-bit min, so compare in the sign-
-        // biased domain (x ^ 1<<63 makes unsigned order signed) and
-        // blend, then resolve the first lane equal to the global min.
+    pub unsafe fn min_word(words: &[u64]) -> u64 {
+        // AVX2 has no unsigned 64-bit min, so the running minimum lives
+        // in the sign-biased domain (x ^ 1<<63 makes unsigned order
+        // signed): one bias, one compare and one blend per vector.
         let bias = _mm256_set1_epi64x(i64::MIN);
-        let mut vmin = _mm256_set1_epi64x(-1);
-        let mut chunks = stamps.chunks_exact(4);
+        let mut vmin = _mm256_set1_epi64x(i64::MAX);
+        let mut chunks = words.chunks_exact(4);
         for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(vmin, bias), _mm256_xor_si256(v, bias));
-            vmin = _mm256_blendv_epi8(vmin, v, gt);
+            let v = _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), bias);
+            vmin = _mm256_blendv_epi8(vmin, v, _mm256_cmpgt_epi64(vmin, v));
         }
+        let vmin = _mm256_xor_si256(vmin, bias);
         let lanes = [
             _mm256_extract_epi64::<0>(vmin) as u64,
             _mm256_extract_epi64::<1>(vmin) as u64,
             _mm256_extract_epi64::<2>(vmin) as u64,
             _mm256_extract_epi64::<3>(vmin) as u64,
         ];
-        let mut m = u64::MAX;
-        for &s in lanes.iter().chain(chunks.remainder()) {
-            if s < m {
-                m = s;
-            }
-        }
-        first_match(stamps, !0, m).expect("the minimum is present")
+        let tail = chunks.remainder();
+        lanes.iter().chain(tail).fold(u64::MAX, |m, &w| m.min(w))
     }
 }
 
@@ -310,7 +294,7 @@ mod tests {
         name: &'static str,
         first_match: fn(&[u64], u64, u64) -> Option<usize>,
         dual_eq_masks: fn(&[u64], u64, u64) -> (u64, u64),
-        min_index: fn(&[u64]) -> usize,
+        min_word: fn(&[u64]) -> u64,
     }
 
     fn bodies() -> Vec<Body> {
@@ -319,13 +303,13 @@ mod tests {
                 name: "portable",
                 first_match: portable::first_match,
                 dual_eq_masks: portable::dual_eq_masks,
-                min_index: portable::min_index,
+                min_word: portable::min_word,
             },
             Body {
                 name: "dispatched",
                 first_match,
                 dual_eq_masks,
-                min_index,
+                min_word,
             },
         ];
         #[cfg(target_arch = "x86_64")]
@@ -335,7 +319,7 @@ mod tests {
                 name: "avx2",
                 first_match: |w, m, n| unsafe { avx2::first_match(w, m, n) },
                 dual_eq_masks: |w, a, b| unsafe { avx2::dual_eq_masks(w, a, b) },
-                min_index: |s| unsafe { avx2::min_index(s) },
+                min_word: |s| unsafe { avx2::min_word(s) },
             });
         }
         out
@@ -373,11 +357,10 @@ mod tests {
                             assert_eq!(got, want, "{} dual_eq_masks len {len}", b.name);
                         }
                     }
-                    if let Some((want, _)) = words.iter().enumerate().min_by_key(|&(_, s)| *s) {
-                        for b in &bodies {
-                            let got = (b.min_index)(words);
-                            assert_eq!(got, want, "{} min_index len {len} {words:?}", b.name);
-                        }
+                    let want = words.iter().copied().min().unwrap_or(u64::MAX);
+                    for b in &bodies {
+                        let got = (b.min_word)(words);
+                        assert_eq!(got, want, "{} min_word len {len} {words:?}", b.name);
                     }
                 }
             }
@@ -385,23 +368,27 @@ mod tests {
     }
 
     #[test]
-    fn min_index_breaks_ties_to_the_lowest_lane() {
+    fn min_word_finds_the_minimum_at_lane_boundaries_and_ties() {
         for b in bodies() {
-            let min_index = b.min_index;
-            assert_eq!(min_index(&[5, 2, 2, 9]), 1, "{}", b.name);
-            assert_eq!(min_index(&[0; 32]), 0, "{}", b.name);
-            // The tie at a lane-group boundary: lanes 3 and 4 equal.
-            let mut s = vec![9u64; 11];
-            s[3] = 1;
-            s[4] = 1;
-            assert_eq!(min_index(&s), 3, "{}", b.name);
+            let min_word = b.min_word;
+            assert_eq!(min_word(&[5, 2, 2, 9]), 2, "{}", b.name);
+            assert_eq!(min_word(&[0; 32]), 0, "{}", b.name);
+            // The minimum on either side of a lane-group boundary.
+            for lane in [3, 4, 7, 8] {
+                let mut s = vec![9u64; 11];
+                s[lane] = 1;
+                assert_eq!(min_word(&s), 1, "{} lane {lane}", b.name);
+            }
             // Minimum only in the scalar tail.
             let mut t = vec![7u64; 9];
             t[8] = 0;
-            assert_eq!(min_index(&t), 8, "{}", b.name);
+            assert_eq!(min_word(&t), 0, "{}", b.name);
+            // Unsigned order across the sign bit the AVX2 body biases.
+            let signed = [u64::MAX, 1 << 63, (1 << 63) - 1, 1 << 63];
+            assert_eq!(min_word(&signed), (1 << 63) - 1, "{}", b.name);
         }
-        assert_eq!(min_index(&[3]), 0);
-        assert_eq!(min_index(&[]), 0);
+        assert_eq!(min_word(&[3]), 3);
+        assert_eq!(min_word(&[]), u64::MAX);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::cam;
 use crate::geometry::{CacheGeometry, GeometryError, TagIndexSplit};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
 use crate::packed;
+use crate::replacement::{Lru, ReplacementPolicy};
 use crate::stats::{BatchTally, CacheStats, SetUsage};
 
 /// Direct-mapped cache plus an `N`-entry fully-associative victim buffer.
@@ -17,7 +18,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// the buffer is probed sequentially after the main array.
 ///
 /// Both the main array and the buffer live in packed `u64` SoA arrays
-/// (`tag|dirty|valid` words plus LRU stamps for the buffer), and
+/// (`tag|dirty|valid` words, with an [`Lru`] over the buffer slots), and
 /// [`CacheModel::access_batch`] replays through a kernel monomorphized
 /// on the buffer width, so the 16-entry FA search runs as one
 /// [`crate::simd`] compare-mask probe per lane group (AVX2 when the
@@ -44,10 +45,9 @@ pub struct VictimCache {
     // Packed main array, one word per set (the cache is direct-mapped).
     lines: Vec<u64>,
     // The FA buffer: packed words whose tag field is the block id
-    // (`addr >> offset_bits`), plus exact-LRU stamps.
+    // (`addr >> offset_bits`), plus exact LRU over its slots (one set).
     buf_words: Vec<u64>,
-    buf_stamps: Vec<u64>,
-    buf_clock: u64,
+    buf_lru: Lru,
     stats: CacheStats,
     usage: SetUsage,
     buffer_hits: u64,
@@ -81,8 +81,7 @@ impl VictimCache {
             geom,
             lines: vec![packed::EMPTY; sets],
             buf_words: vec![packed::EMPTY; entries],
-            buf_stamps: vec![0; entries],
-            buf_clock: 0,
+            buf_lru: Lru::new(1, entries),
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
             buffer_hits: 0,
@@ -118,8 +117,9 @@ impl VictimCache {
 }
 
 /// Inserts a freshly demoted block `id` into the buffer with exact
-/// FA-LRU semantics: the first invalid slot (or the LRU victim) is
-/// filled. Returns the displaced `(block id, dirty)`, if any.
+/// FA-LRU semantics: one stamp minimum picks the first never-filled
+/// slot, else the LRU one (slots are never emptied, so "never filled"
+/// is "invalid"). Returns the displaced `(block id, dirty)`, if any.
 ///
 /// The caller only ever demotes the main array's old resident, which
 /// cannot also live in the buffer (a block is in exactly one of the
@@ -127,8 +127,7 @@ impl VictimCache {
 #[inline(always)]
 fn buf_insert<const N: usize>(
     words: &mut [u64],
-    stamps: &mut [u64],
-    clock: &mut u64,
+    lru: &mut Lru,
     id: u64,
     dirty: bool,
 ) -> Option<(u64, bool)> {
@@ -136,18 +135,11 @@ fn buf_insert<const N: usize>(
         cam::find_match::<N>(words, id).is_none(),
         "main array and victim buffer must stay exclusive"
     );
-    let (slot, displaced) = match cam::find_invalid::<N>(words) {
-        Some(i) => (i, None),
-        None => {
-            let v = cam::min_stamp::<N>(stamps);
-            let w = words[v];
-            (v, Some((packed::tag(w), packed::is_dirty(w))))
-        }
-    };
+    let slot = lru.fill_way(0, words);
+    let out = words[slot];
     words[slot] = packed::fill(id, dirty);
-    *clock += 1;
-    stamps[slot] = *clock;
-    displaced
+    lru.on_fill(0, slot);
+    packed::is_valid(out).then(|| (packed::tag(out), packed::is_dirty(out)))
 }
 
 /// One access against the destructured cache state. Shared verbatim by
@@ -162,8 +154,7 @@ fn step<const N: usize>(
     id_mask: u64,
     lines: &mut [u64],
     buf_words: &mut [u64],
-    buf_stamps: &mut [u64],
-    buf_clock: &mut u64,
+    buf_lru: &mut Lru,
     usage: &mut SetUsage,
     tally: &mut BatchTally,
     buffer_hits: &mut u64,
@@ -187,23 +178,18 @@ fn step<const N: usize>(
     let id = (addr.raw() >> offset_bits) & id_mask;
     if let Some(i) = cam::find_match::<N>(buf_words, id) {
         // Swap: promoted block enters the main array, the resident
-        // block is demoted into the slot just vacated.
+        // block is demoted straight into the promoted block's slot.
         *buffer_hits += 1;
         tally.record(kind, true);
         usage.record(set, true);
+        debug_assert!(
+            packed::is_valid(word),
+            "a buffered block's set is resident in the main array"
+        );
         let promoted_dirty = packed::is_dirty(buf_words[i]);
-        buf_words[i] = packed::EMPTY;
-        if packed::is_valid(word) {
-            let old_id = (packed::tag(word) << index_bits) | set as u64;
-            let displaced = buf_insert::<N>(
-                buf_words,
-                buf_stamps,
-                buf_clock,
-                old_id,
-                packed::is_dirty(word),
-            );
-            debug_assert!(displaced.is_none(), "buffer cannot overflow during a swap");
-        }
+        let old_id = (packed::tag(word) << index_bits) | set as u64;
+        buf_words[i] = packed::fill(old_id, packed::is_dirty(word));
+        buf_lru.on_fill(0, i);
         lines[set] = packed::fill(tag, promoted_dirty || kind.is_write());
         return AccessResult::slow_hit(1);
     }
@@ -213,13 +199,9 @@ fn step<const N: usize>(
     let mut evicted = None;
     if packed::is_valid(word) {
         let old_id = (packed::tag(word) << index_bits) | set as u64;
-        if let Some((out_id, out_dirty)) = buf_insert::<N>(
-            buf_words,
-            buf_stamps,
-            buf_clock,
-            old_id,
-            packed::is_dirty(word),
-        ) {
+        if let Some((out_id, out_dirty)) =
+            buf_insert::<N>(buf_words, buf_lru, old_id, packed::is_dirty(word))
+        {
             tally.record_writeback_if(out_dirty);
             evicted = Some(Eviction {
                 block: Addr::new(out_id << offset_bits),
@@ -266,8 +248,7 @@ impl CacheModel for VictimCache {
                     id_mask,
                     &mut self.lines,
                     &mut self.buf_words,
-                    &mut self.buf_stamps,
-                    &mut self.buf_clock,
+                    &mut self.buf_lru,
                     &mut self.usage,
                     &mut tally,
                     &mut hits,
@@ -305,8 +286,7 @@ impl CacheModel for VictimCache {
                         id_mask,
                         &mut self.lines,
                         &mut self.buf_words,
-                        &mut self.buf_stamps,
-                        &mut self.buf_clock,
+                        &mut self.buf_lru,
                         &mut self.usage,
                         &mut tally,
                         &mut hits,
@@ -496,8 +476,8 @@ mod tests {
 
     #[test]
     fn access_batch_is_bit_identical_to_the_loop() {
-        // Covers a monomorphized width (4) and the runtime fallback is
-        // exercised indirectly by min_stamp/find_match tests in `cam`.
+        // Every width here is monomorphized; the runtime-width probe is
+        // pinned against them by the `find_match` tests in `cam`.
         for entries in [1usize, 2, 4, 16] {
             let mut looped = VictimCache::new(512, 32, entries).unwrap();
             let mut batched = VictimCache::new(512, 32, entries).unwrap();
@@ -513,10 +493,7 @@ mod tests {
                 looped.buf_words, batched.buf_words,
                 "victim{entries} buffer"
             );
-            assert_eq!(
-                looped.buf_stamps, batched.buf_stamps,
-                "victim{entries} LRU stamps"
-            );
+            assert_eq!(looped.buf_lru, batched.buf_lru, "victim{entries} LRU");
             assert_eq!(
                 (looped.buffer_hits, looped.buffer_probes),
                 (batched.buffer_hits, batched.buffer_probes),
