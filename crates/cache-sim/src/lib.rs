@@ -6,7 +6,7 @@
 //!
 //! * the [`CacheModel`] trait and access types shared by every cache;
 //! * the paper's baseline and comparison caches: [`DirectMappedCache`],
-//!   [`SetAssociativeCache`] (2-way … 32-way, LRU/FIFO/random/PLRU),
+//!   [`SetAssociativeCache`] (2-way … 32-way, LRU or random),
 //!   [`VictimCache`] (Jouppi), [`ColumnAssociativeCache`],
 //!   [`SkewedAssociativeCache`] and [`AgacCache`];
 //! * the Table 4 [`MemoryHierarchy`] (split L1, unified 4-way 256 kB L2,

@@ -10,7 +10,7 @@
 //! * [`OracleCache`] models any (capacity, block, associativity,
 //!   replacement) organization as an explicit tag map. Address fields
 //!   come from plain integer division/modulo, never bit slicing; LRU
-//!   and FIFO victims are found by scanning exact per-line timestamps.
+//!   victims are found by scanning exact per-line timestamps.
 //! * [`BCacheOracle`] models the Balanced Cache with the programmable-
 //!   decoder contents tracked symbolically — each resident line carries
 //!   its programmed PI — and the BAS candidate set recomputed from
@@ -19,14 +19,14 @@
 //!   map of resident blocks plus a demotion-ordered queue of buffered
 //!   ones, with no packed words, lane probes or LRU stamps.
 //!
-//! For [`PolicyKind::Random`] and [`PolicyKind::TreePlru`] the victim
-//! *choice* is mirrored through [`make_policy`] with the same seed
-//! (re-deriving a PRNG stream or PLRU tree independently would just
-//! duplicate the code under test); everything else — residency, way
-//! assignment, dirtiness, eviction reporting, statistics — is
-//! recomputed independently, so the oracle still catches any
-//! bookkeeping bug, including calling the policy at the wrong moment
-//! (the mirrored streams desynchronize and the divergence surfaces).
+//! For [`PolicyKind::Random`] the victim *choice* is mirrored through
+//! [`make_policy`] with the same seed (re-deriving the PRNG stream
+//! independently would just duplicate the code under test); everything
+//! else — residency, way assignment, dirtiness, eviction reporting,
+//! statistics — is recomputed independently, so the oracle still
+//! catches any bookkeeping bug, including calling the policy at the
+//! wrong moment (the mirrored streams desynchronize and the divergence
+//! surfaces).
 //!
 //! The `bcache-repro fuzz` subcommand (crate `harness`) drives every
 //! registered model against these oracles on randomized configurations
@@ -70,12 +70,11 @@ struct OracleLine {
     block: u64,
     dirty: bool,
     last_use: u64,
-    filled: u64,
 }
 
 /// An explicit tag-map reference cache: any (capacity, block size,
 /// associativity, replacement) organization, write-back/write-allocate,
-/// with exact LRU/FIFO bookkeeping via per-line timestamps.
+/// with exact LRU bookkeeping via per-line timestamps.
 ///
 /// # Examples
 ///
@@ -99,10 +98,9 @@ pub struct OracleCache {
     assoc: usize,
     line_bytes: u64,
     addr_mask: u64,
-    kind: PolicyKind,
     // slot = set * assoc + way; `None` is an invalid way.
     lines: Vec<Option<OracleLine>>,
-    // Mirrored victim chooser for Random / tree-PLRU (see module docs).
+    // Mirrored victim chooser for Random (see module docs); `None` is LRU.
     mirrored: Option<Box<dyn ReplacementPolicy>>,
     clock: u64,
     hits: u64,
@@ -132,10 +130,8 @@ impl OracleCache {
         assert_eq!(total_lines % assoc, 0, "lines must divide into sets");
         let sets = (total_lines / assoc) as u64;
         let mirrored = match kind {
-            PolicyKind::Random | PolicyKind::TreePlru => {
-                Some(make_policy(kind, sets as usize, assoc, seed))
-            }
-            PolicyKind::Lru | PolicyKind::Fifo => None,
+            PolicyKind::Random => Some(make_policy(kind, sets as usize, assoc, seed)),
+            PolicyKind::Lru => None,
         };
         OracleCache {
             sets,
@@ -146,7 +142,6 @@ impl OracleCache {
             } else {
                 (1u64 << addr_bits) - 1
             },
-            kind,
             lines: (0..total_lines).map(|_| None).collect(),
             mirrored,
             clock: 0,
@@ -173,19 +168,12 @@ impl OracleCache {
 
     fn choose_victim(&mut self, set: usize) -> usize {
         let base = set * self.assoc;
-        match self.kind {
-            // Exact recency / fill order from the per-line timestamps.
-            PolicyKind::Lru => (0..self.assoc)
+        match self.mirrored.as_mut() {
+            Some(p) => p.victim(set),
+            // Exact recency from the per-line timestamps.
+            None => (0..self.assoc)
                 .min_by_key(|&w| self.lines[base + w].as_ref().map_or(0, |l| l.last_use))
                 .expect("nonzero associativity"),
-            PolicyKind::Fifo => (0..self.assoc)
-                .min_by_key(|&w| self.lines[base + w].as_ref().map_or(0, |l| l.filled))
-                .expect("nonzero associativity"),
-            PolicyKind::Random | PolicyKind::TreePlru => self
-                .mirrored
-                .as_mut()
-                .expect("mirrored policy present")
-                .victim(set),
         }
     }
 
@@ -239,7 +227,6 @@ impl OracleCache {
             block,
             dirty: kind.is_write(),
             last_use: self.clock,
-            filled: self.clock,
         });
         if let Some(p) = self.mirrored.as_mut() {
             p.on_fill(set, way);
@@ -258,7 +245,6 @@ struct BEntry {
     block: u64,
     dirty: bool,
     last_use: u64,
-    filled: u64,
 }
 
 /// A reference Balanced Cache that tracks programmable-decoder contents
@@ -287,10 +273,10 @@ pub struct BCacheOracle {
     mf_bits: u32,
     high_tag_pi: bool,
     bas: usize,
-    kind: PolicyKind,
     // slot = group * bas + way; `None` is a cold decoder entry (which by
     // the unique-decoding invariant is exactly an invalid block).
     entries: Vec<Option<BEntry>>,
+    // Mirrored victim chooser for Random; `None` is LRU.
     mirrored: Option<Box<dyn ReplacementPolicy>>,
     clock: u64,
     hits: u64,
@@ -325,8 +311,8 @@ impl BCacheOracle {
         let groups = 1usize << npi_bits;
         let bas = 1usize << (pi_bits - mf_bits);
         let mirrored = match kind {
-            PolicyKind::Random | PolicyKind::TreePlru => Some(make_policy(kind, groups, bas, seed)),
-            PolicyKind::Lru | PolicyKind::Fifo => None,
+            PolicyKind::Random => Some(make_policy(kind, groups, bas, seed)),
+            PolicyKind::Lru => None,
         };
         BCacheOracle {
             line_bytes,
@@ -336,7 +322,6 @@ impl BCacheOracle {
             mf_bits,
             high_tag_pi,
             bas,
-            kind,
             entries: (0..groups * bas).map(|_| None).collect(),
             mirrored,
             clock: 0,
@@ -425,18 +410,11 @@ impl BCacheOracle {
 
     fn choose_victim(&mut self, group: usize) -> usize {
         let base = group * self.bas;
-        match self.kind {
-            PolicyKind::Lru => (0..self.bas)
+        match self.mirrored.as_mut() {
+            Some(p) => p.victim(group),
+            None => (0..self.bas)
                 .min_by_key(|&w| self.entries[base + w].as_ref().map_or(0, |e| e.last_use))
                 .expect("nonzero BAS"),
-            PolicyKind::Fifo => (0..self.bas)
-                .min_by_key(|&w| self.entries[base + w].as_ref().map_or(0, |e| e.filled))
-                .expect("nonzero BAS"),
-            PolicyKind::Random | PolicyKind::TreePlru => self
-                .mirrored
-                .as_mut()
-                .expect("mirrored policy present")
-                .victim(group),
         }
     }
 
@@ -457,7 +435,6 @@ impl BCacheOracle {
             block,
             dirty,
             last_use: self.clock,
-            filled: self.clock,
         });
         if let Some(p) = self.mirrored.as_mut() {
             p.on_fill(group, way);
@@ -718,15 +695,10 @@ mod tests {
 
     #[test]
     fn oracle_matches_set_assoc_for_every_policy() {
-        for kind_ in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::TreePlru,
-        ] {
+        for (kind_, stream_seed) in [(PolicyKind::Lru, 2), (PolicyKind::Random, 4)] {
             let mut sa = SetAssociativeCache::new(1024, 32, 4, kind_, 77).unwrap();
             let mut oracle = OracleCache::new(1024, 32, 4, kind_, 77, 32);
-            for (addr, w) in lcg_stream(kind_ as u64 + 2, 5000, 1 << 13) {
+            for (addr, w) in lcg_stream(stream_seed, 5000, 1 << 13) {
                 let got = sa.access(Addr::new(addr), kind(w));
                 let want = oracle.access(Addr::new(addr), kind(w));
                 assert_eq!(want.diff(&got), None, "{kind_:?} at {addr:#x}");

@@ -18,21 +18,15 @@ pub enum PolicyKind {
     /// Least-recently-used, the paper's default for every figure.
     #[default]
     Lru,
-    /// First-in-first-out (fill order).
-    Fifo,
     /// Uniform random victim, the paper's low-cost alternative.
     Random,
-    /// Tree pseudo-LRU (requires power-of-two associativity).
-    TreePlru,
 }
 
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Fifo => "FIFO",
             PolicyKind::Random => "random",
-            PolicyKind::TreePlru => "tree-PLRU",
         })
     }
 }
@@ -71,9 +65,6 @@ pub trait ReplacementPolicy: fmt::Debug {
         }
     }
 
-    /// The policy's kind.
-    fn kind(&self) -> PolicyKind;
-
     /// The concrete policy as [`Any`], so batch kernels can specialize
     /// on a known type (inlining its updates) instead of paying a
     /// virtual call per access.
@@ -87,8 +78,7 @@ pub trait ReplacementPolicy: fmt::Debug {
 ///
 /// # Panics
 ///
-/// Panics if `sets` or `assoc` is zero, or if `TreePlru` is requested with
-/// a non-power-of-two associativity.
+/// Panics if `sets` or `assoc` is zero.
 pub fn make_policy(
     kind: PolicyKind,
     sets: usize,
@@ -98,9 +88,7 @@ pub fn make_policy(
     assert!(sets > 0 && assoc > 0, "policy grid must be non-empty");
     match kind {
         PolicyKind::Lru => Box::new(Lru::new(sets, assoc)),
-        PolicyKind::Fifo => Box::new(Fifo::new(sets, assoc)),
         PolicyKind::Random => Box::new(RandomPolicy::new(sets, assoc, seed)),
-        PolicyKind::TreePlru => Box::new(TreePlru::new(sets, assoc)),
     }
 }
 
@@ -178,57 +166,6 @@ impl ReplacementPolicy for Lru {
         way
     }
 
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// FIFO: the way filled longest ago is evicted; hits do not refresh.
-#[derive(Debug)]
-pub struct Fifo {
-    assoc: usize,
-    fill_stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl Fifo {
-    /// Creates FIFO state for a `(sets, assoc)` grid.
-    pub fn new(sets: usize, assoc: usize) -> Self {
-        Fifo {
-            assoc,
-            fill_stamps: vec![0; sets * assoc],
-            clock: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn on_access(&mut self, _set: usize, _way: usize) {}
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.fill_stamps[set * self.assoc + way] = self.clock;
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.assoc;
-        let slice = &self.fill_stamps[base..base + self.assoc];
-        slice
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, stamp)| *stamp)
-            .map(|(way, _)| way)
-            .expect("associativity is nonzero")
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Fifo
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -268,103 +205,6 @@ impl ReplacementPolicy for RandomPolicy {
         self.rng.gen_range(0..self.assoc)
     }
 
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Random
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Tree pseudo-LRU over a power-of-two associativity.
-///
-/// Each set keeps `assoc - 1` direction bits arranged as an implicit
-/// binary tree; an access flips the bits along its path to point away from
-/// the touched way, and the victim walk follows the bits.
-#[derive(Debug)]
-pub struct TreePlru {
-    assoc: usize,
-    // assoc - 1 bits per set, flattened. bits[0] is the root.
-    bits: Vec<bool>,
-}
-
-impl TreePlru {
-    /// Creates tree-PLRU state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc` is not a power of two.
-    pub fn new(sets: usize, assoc: usize) -> Self {
-        assert!(
-            assoc.is_power_of_two(),
-            "tree-PLRU requires power-of-two associativity"
-        );
-        TreePlru {
-            assoc,
-            bits: vec![false; sets * (assoc.max(2) - 1)],
-        }
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        if self.assoc == 1 {
-            return;
-        }
-        let base = set * (self.assoc - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way >= mid;
-            // Point the bit at the *other* half so the victim walk avoids
-            // the recently used way.
-            self.bits[base + node] = !go_right;
-            if go_right {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for TreePlru {
-    fn on_access(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        if self.assoc == 1 {
-            return 0;
-        }
-        let base = set * (self.assoc - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[base + node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::TreePlru
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -398,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits() {
-        let mut p = Fifo::new(1, 3);
-        p.on_fill(0, 0);
-        p.on_fill(0, 1);
-        p.on_fill(0, 2);
-        p.on_access(0, 0); // must not refresh way 0
-        assert_eq!(p.victim(0), 0);
-        p.on_fill(0, 0);
-        assert_eq!(p.victim(0), 1);
-    }
-
-    #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
         let mut a = RandomPolicy::new(1, 8, 42);
         let mut b = RandomPolicy::new(1, 8, 42);
@@ -432,54 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn tree_plru_never_evicts_most_recent() {
-        let mut p = TreePlru::new(1, 8);
-        for way in 0..8 {
-            p.on_fill(0, way);
-        }
-        for way in 0..8 {
-            p.on_access(0, way);
-            assert_ne!(p.victim(0), way, "PLRU must not pick the just-touched way");
-        }
-    }
-
-    #[test]
-    fn tree_plru_matches_lru_for_two_ways() {
-        // For assoc=2 tree-PLRU is exact LRU.
-        let mut plru = TreePlru::new(1, 2);
-        let mut lru = Lru::new(1, 2);
-        let pattern = [0usize, 1, 0, 0, 1, 1, 0, 1, 1, 0];
-        for &w in &pattern {
-            plru.on_access(0, w);
-            lru.on_access(0, w);
-            assert_eq!(plru.victim(0), lru.victim(0));
-        }
-    }
-
-    #[test]
-    fn tree_plru_handles_assoc_one() {
-        let mut p = TreePlru::new(4, 1);
-        p.on_fill(3, 0);
-        assert_eq!(p.victim(3), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn tree_plru_rejects_odd_assoc() {
-        TreePlru::new(1, 3);
-    }
-
-    #[test]
     fn make_policy_dispatches() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::TreePlru,
-        ] {
-            let p = make_policy(kind, 4, 4, 7);
-            assert_eq!(p.kind(), kind);
-        }
+        assert!(make_policy(PolicyKind::Lru, 4, 4, 7)
+            .as_any_mut()
+            .is::<Lru>());
+        assert!(make_policy(PolicyKind::Random, 4, 4, 7)
+            .as_any_mut()
+            .is::<RandomPolicy>());
     }
 
     #[test]
@@ -490,12 +277,7 @@ mod tests {
 
     #[test]
     fn single_way_victim_is_always_zero_for_every_policy() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::TreePlru,
-        ] {
+        for kind in [PolicyKind::Lru, PolicyKind::Random] {
             let mut p = make_policy(kind, 4, 1, 9);
             for set in 0..4 {
                 p.on_fill(set, 0);
@@ -584,38 +366,6 @@ mod tests {
                 assert_eq!(p.victim(0), (way + 1) % 4, "round {round} way {way}");
             }
         }
-    }
-
-    #[test]
-    fn fifo_eviction_order_wraps_in_fill_order() {
-        let mut p = Fifo::new(1, 3);
-        for way in 0..3 {
-            p.on_fill(0, way);
-        }
-        // Refilling the victim each time walks the ways in fill order and
-        // wraps around indefinitely.
-        for expect in [0usize, 1, 2, 0, 1, 2, 0] {
-            let v = p.victim(0);
-            assert_eq!(v, expect);
-            p.on_fill(0, v);
-        }
-    }
-
-    #[test]
-    fn tree_plru_victim_fill_cycle_covers_every_way() {
-        // With the victim refilled each time (the miss path), tree-PLRU
-        // walks a fixed permutation of the ways: 0, 2, 1, 3 for assoc 4.
-        let mut p = TreePlru::new(1, 4);
-        for way in 0..4 {
-            p.on_fill(0, way);
-        }
-        let mut victims = Vec::new();
-        for _ in 0..8 {
-            let v = p.victim(0);
-            victims.push(v);
-            p.on_fill(0, v);
-        }
-        assert_eq!(victims, [0, 2, 1, 3, 0, 2, 1, 3]);
     }
 
     #[test]

@@ -448,7 +448,7 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
         // Specialize the kernel on the concrete policy where it pays:
         // LRU is the paper default (and the benchmarked configuration),
         // so its stamp updates inline into the loop instead of costing
-        // two virtual calls per miss. Other policies take the same
+        // two virtual calls per miss. Random replacement takes the same
         // kernel through dynamic dispatch.
         let (mut parts, policy) = self.parts();
         if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
@@ -791,8 +791,8 @@ mod tests {
     fn access_batch_is_bit_identical_to_the_loop() {
         for (mf, bas, policy) in [
             (8usize, 8usize, PolicyKind::Lru),
-            (4, 4, PolicyKind::Fifo),
-            (2, 8, PolicyKind::TreePlru),
+            (4, 4, PolicyKind::Random),
+            (2, 8, PolicyKind::Lru),
             (8, 2, PolicyKind::Random),
         ] {
             let params = BCacheParams::new(geom_16k(), mf, bas, policy)
@@ -902,8 +902,8 @@ mod tests {
         use cache_sim::oracle::BCacheOracle;
         for (mf, mf_bits, bas, policy) in [
             (4usize, 2u32, 4usize, PolicyKind::Lru),
-            (8, 3, 2, PolicyKind::Fifo),
-            (2, 1, 8, PolicyKind::TreePlru),
+            (8, 3, 2, PolicyKind::Random),
+            (2, 1, 8, PolicyKind::Lru),
         ] {
             let geom = CacheGeometry::with_addr_bits(1024, 32, 1, 16).unwrap();
             let params = BCacheParams::new(geom, mf, bas, policy)

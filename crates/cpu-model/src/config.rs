@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::tlb::TlbConfig;
-
 /// Configuration of the out-of-order timing model.
 ///
 /// Defaults reproduce the paper's Table 4: a 4-wide machine with a
@@ -26,11 +24,6 @@ pub struct CpuConfig {
     pub mispredict_penalty: u64,
     /// Latency of long operations (multiplies, FP arithmetic).
     pub long_op_latency: u64,
-    /// Instruction TLB; `None` models perfect translation (the paper's
-    /// setup, which does not charge TLB latency).
-    pub itlb: Option<TlbConfig>,
-    /// Data TLB; `None` models perfect translation.
-    pub dtlb: Option<TlbConfig>,
 }
 
 impl Default for CpuConfig {
@@ -43,8 +36,6 @@ impl Default for CpuConfig {
             frontend_depth: 3,
             mispredict_penalty: 3,
             long_op_latency: 4,
-            itlb: None,
-            dtlb: None,
         }
     }
 }
@@ -83,12 +74,6 @@ pub fn table4_rows() -> Vec<(&'static str, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tlbs_default_off_like_the_paper() {
-        let c = CpuConfig::default();
-        assert!(c.itlb.is_none() && c.dtlb.is_none());
-    }
 
     #[test]
     fn defaults_match_table4() {

@@ -14,7 +14,6 @@ use trace_gen::{Op, TraceRecord};
 
 use crate::bandwidth::BandwidthLimiter;
 use crate::config::CpuConfig;
-use crate::tlb::Tlb;
 
 /// The result of one simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,10 +26,6 @@ pub struct CpuReport {
     pub memory_ops: u64,
     /// Mispredicted branches encountered.
     pub mispredicts: u64,
-    /// Instruction-TLB misses (0 when no iTLB is configured).
-    pub itlb_misses: u64,
-    /// Data-TLB misses (0 when no dTLB is configured).
-    pub dtlb_misses: u64,
 }
 
 impl CpuReport {
@@ -97,8 +92,6 @@ impl Cpu {
         I: IntoIterator<Item = TraceRecord>,
     {
         let cfg = self.config;
-        let mut itlb = cfg.itlb.map(Tlb::new);
-        let mut dtlb = cfg.dtlb.map(Tlb::new);
         let mut fetch_bw = BandwidthLimiter::new(cfg.fetch_width);
         let mut issue_bw = BandwidthLimiter::new(cfg.issue_width);
         let mut retire_bw = BandwidthLimiter::new(cfg.retire_width);
@@ -132,10 +125,7 @@ impl Cpu {
                 let start = fetch_block_ready
                     .max(redirect_until)
                     .max(fetch_bw.current_cycle());
-                let mut latency = self.hierarchy.fetch(Addr::new(rec.pc));
-                if let Some(t) = itlb.as_mut() {
-                    latency += t.translate(Addr::new(rec.pc));
-                }
+                let latency = self.hierarchy.fetch(Addr::new(rec.pc));
                 fetch_block_ready = start + latency - 1;
             }
             let fetch_t = fetch_bw.slot(fetch_block_ready.max(redirect_until));
@@ -162,17 +152,11 @@ impl Cpu {
                 Op::Long => cfg.long_op_latency,
                 Op::Load(addr) => {
                     memory_ops += 1;
-                    let tlb_lat = dtlb.as_mut().map_or(0, |t| t.translate(Addr::new(addr)));
-                    tlb_lat
-                        + self
-                            .hierarchy
-                            .data_access(Addr::new(addr), AccessKind::Read)
+                    self.hierarchy
+                        .data_access(Addr::new(addr), AccessKind::Read)
                 }
                 Op::Store(addr) => {
                     memory_ops += 1;
-                    if let Some(t) = dtlb.as_mut() {
-                        t.translate(Addr::new(addr));
-                    }
                     // The store buffer hides the store's miss latency, but
                     // the access still updates the cache state (write-
                     // allocate) and the L2/memory traffic counters.
@@ -207,8 +191,6 @@ impl Cpu {
             cycles: last_retire + 1,
             memory_ops,
             mispredicts,
-            itlb_misses: itlb.map_or(0, |t| t.misses()),
-            dtlb_misses: dtlb.map_or(0, |t| t.misses()),
         }
     }
 }
@@ -394,38 +376,6 @@ mod tests {
         let mut c = cpu();
         c.run(alu_trace(100));
         assert!(c.hierarchy().l1i().stats().total().accesses() > 0);
-    }
-
-    #[test]
-    fn tlb_misses_cost_cycles() {
-        use crate::tlb::TlbConfig;
-        // Loads striding across many pages versus one page.
-        let wide: Vec<TraceRecord> = (0..3_000)
-            .map(|i| TraceRecord {
-                pc: 0x1000 + (i % 4) * 4,
-                op: Op::Load((i % 512) * 8192),
-            })
-            .collect();
-        let mut with_tlb = Cpu::new(
-            CpuConfig {
-                dtlb: Some(TlbConfig {
-                    entries: 8,
-                    page_bytes: 8192,
-                    miss_penalty: 30,
-                }),
-                ..CpuConfig::default()
-            },
-            dm_hierarchy(),
-        );
-        let mut without = cpu();
-        let r_tlb = with_tlb.run(wide.clone());
-        let r_no = without.run(wide);
-        assert!(
-            r_tlb.dtlb_misses > 1_000,
-            "512 pages overwhelm an 8-entry TLB"
-        );
-        assert!(r_tlb.cycles > r_no.cycles, "page walks must cost cycles");
-        assert_eq!(r_no.dtlb_misses, 0);
     }
 
     #[test]

@@ -35,9 +35,7 @@
 pub mod bandwidth;
 pub mod config;
 pub mod cpu;
-pub mod tlb;
 
 pub use bandwidth::BandwidthLimiter;
 pub use config::{table4_rows, CpuConfig};
 pub use cpu::{Cpu, CpuReport};
-pub use tlb::{Tlb, TlbConfig};

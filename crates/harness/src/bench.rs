@@ -1,6 +1,6 @@
 //! Simulator micro-benchmarks behind the `bcache-repro bench`
 //! subcommand: raw model throughput at a pinned record count, written to
-//! `BENCH_repro.json` so every PR leaves a comparable perf point.
+//! `BENCH_repro.json`, regenerated when a change targets kernel speed.
 //!
 //! The measured stream is a deterministic LCG address pattern (hits and
 //! conflicts, one store per four references) replayed through each
@@ -258,10 +258,19 @@ pub fn run_recorded(
     Ok(rows)
 }
 
-/// The short git revision, or `"unknown"` outside a work tree.
+/// The short git revision of `HEAD`, suffixed `-dirty` when tracked
+/// files differ from it (the measured code is not that commit's), or
+/// `"unknown"` outside a work tree.
 pub fn git_rev() -> String {
+    // `--exclude=*` matches no tag, so the name is always the hash.
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=7",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|o| o.status.success())

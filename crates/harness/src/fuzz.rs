@@ -25,7 +25,7 @@
 //! | row | families | drive |
 //! |---|---|---|
 //! | `dm_vs_oracle` | direct-mapped | per access |
-//! | `set_assoc_vs_oracle` | set-associative, every policy | per access |
+//! | `set_assoc_vs_oracle` | set-associative, LRU and random | per access |
 //! | `bcache_vs_oracle` | B-Cache, random MF/BAS/policy/PI tag bits | per access |
 //! | `batch_equivalence` | all seven | batched, chunks up to 512 |
 //! | `batched_vs_oracle` | direct-mapped, set-associative, victim | batched, chunks up to 64 |
@@ -37,7 +37,7 @@
 //! * `degenerate_equals_dm`: `SetAssoc(ways=1)` and `BCache(MF=1,
 //!   BAS=1)` equal a direct-mapped cache, access by access;
 //! * `full_pi_equals_set_assoc`: a full-PI B-Cache equals a BAS-way
-//!   set-associative cache;
+//!   set-associative cache under LRU or random replacement;
 //! * `lru_ways_inclusion`: at a fixed set count, a hit in `w` LRU ways
 //!   implies a hit in `2w` ways on every access;
 //! * `fa_lru_stack`: a hit in a fully-associative LRU cache of `L` lines
@@ -570,7 +570,7 @@ fn full_pi_equals_set_assoc(rng: &mut CaseRng) -> Case {
     let size = 1024usize;
     let addr_bits = 16u32;
     let bas = rng.pick(&[2usize, 4, 8]);
-    let policy = rng.pick(&[PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::TreePlru]);
+    let policy = rng.pick(&[PolicyKind::Lru, PolicyKind::Random]);
     let trace = gen_trace(rng, line as u64, 64, 1 << addr_bits);
     let left = ModelSpec::BCache {
         size,

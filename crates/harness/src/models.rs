@@ -249,12 +249,7 @@ fn param_error(e: ParamError, geom: CacheGeometry) -> GeometryError {
     }
 }
 
-const POLICIES: [PolicyKind; 4] = [
-    PolicyKind::Lru,
-    PolicyKind::Fifo,
-    PolicyKind::Random,
-    PolicyKind::TreePlru,
-];
+const POLICIES: [PolicyKind; 2] = [PolicyKind::Lru, PolicyKind::Random];
 
 impl ModelSpec {
     /// A B-Cache at `(mf, bas)` as the paper configures it: 32-byte

@@ -193,7 +193,7 @@ fn degenerate_specs() -> Vec<ModelSpec> {
 
 /// Small geometries where random 300-access traces conflict often:
 /// the benchmarked fleet at 1 kB, set-assoc LRU at every
-/// const-dispatched width (8 sets), the 4-way non-LRU policies (the
+/// const-dispatched width (8 sets), 4-way random replacement (the
 /// dynamic-dispatch branch) and the 16-bit B-Cache.
 fn small_specs(seed: u64) -> Vec<ModelSpec> {
     let mut specs: Vec<ModelSpec> = harness::bench::model_set()
@@ -201,17 +201,13 @@ fn small_specs(seed: u64) -> Vec<ModelSpec> {
         .map(|(_, config)| config.spec(1024, seed))
         .collect();
     specs.extend([1, 2, 4, 8, 16, 32].map(|ways| ModelSpec::lru(ways * 256, ways)));
-    specs.extend(
-        [PolicyKind::Fifo, PolicyKind::Random, PolicyKind::TreePlru].map(|policy| {
-            ModelSpec::SetAssoc {
-                size: 1024,
-                line: 32,
-                ways: 4,
-                policy,
-                seed,
-            }
-        }),
-    );
+    specs.push(ModelSpec::SetAssoc {
+        size: 1024,
+        line: 32,
+        ways: 4,
+        policy: PolicyKind::Random,
+        seed,
+    });
     specs.push(BCACHE_16BIT);
     specs
 }
