@@ -3,24 +3,43 @@
 //! The B-Cache kernel's fused programmable-decoder probe showed the
 //! pattern: a fully-associative search over a const-width array of
 //! packed `u64` words compiles to straight-line, branch-free compares.
-//! This module generalizes that trick so every model with a CAM-style
-//! structure — the victim buffer's 16-entry FA search, AGAC's
-//! out-of-position directory, the set-associative way scans — shares one
-//! tag probe, built on the [`crate::simd`] lane operations: a
-//! compare-mask (AVX2 when the CPU reports it, portable otherwise)
-//! followed by a `trailing_zeros` priority encode. Choosing a way to
+//! This module generalizes that trick so the victim buffer's 16-entry
+//! FA search and the set-associative way scans share one tag probe,
+//! built on the [`crate::simd`] lane operations: a compare-mask on the
+//! kernel's lane backend followed by a `trailing_zeros` priority
+//! encode. Choosing a way to
 //! fill is the replacement policy's job (one stamp minimum for
 //! [`crate::replacement::Lru`]), not a second scan here.
 //!
 //! [`find_match`] takes a const generic width `N`; `N == 0` selects a
 //! runtime-width fallback with identical first-match semantics, so
-//! callers dispatch on the common power-of-two widths and fall back for
-//! exotic shapes. With `N > 0` the slice length is known to the
-//! compiler, so the portable body unrolls the lane loop like a
-//! hand-written kernel.
+//! callers dispatch on the common power-of-two widths with
+//! [`const_width!`](crate::const_width) and fall back for exotic
+//! shapes. With `N > 0` the slice length is known to the compiler, so
+//! the probe body unrolls the lane loop like a hand-written kernel.
 
 use crate::packed;
-use crate::simd;
+use crate::simd::Lanes;
+
+/// Expands to a `match` running `$kernel!(N)` with the const width `N`
+/// equal to `$width` for the widths worth monomorphizing (powers of two
+/// up to 32: the paper's widest CAM, and Table 5's widest BAS); any
+/// other width runs `$kernel!(0)`, the runtime-width probe. Shared by
+/// the set-associative, victim-buffer and B-Cache kernels.
+#[macro_export]
+macro_rules! const_width {
+    ($width:expr, $kernel:ident) => {
+        match $width {
+            1 => $kernel!(1),
+            2 => $kernel!(2),
+            4 => $kernel!(4),
+            8 => $kernel!(8),
+            16 => $kernel!(16),
+            32 => $kernel!(32),
+            _ => $kernel!(0),
+        }
+    };
+}
 
 /// Reborrows the slice with its length visible to the compiler when a
 /// const width is given (the `N == 0` fallback passes it through).
@@ -44,8 +63,12 @@ fn fixed<const N: usize>(words: &[u64]) -> &[u64] {
 /// by a single `trailing_zeros`; `N == 0` degrades to a runtime-width
 /// scan with the same first-match semantics.
 #[inline(always)]
-pub(crate) fn find_match<const N: usize>(words: &[u64], tag: u64) -> Option<usize> {
-    simd::first_match(
+pub(crate) fn find_match<L: Lanes, const N: usize>(
+    lanes: L,
+    words: &[u64],
+    tag: u64,
+) -> Option<usize> {
+    lanes.first_match(
         fixed::<N>(words),
         packed::MATCH_MASK,
         packed::search_key(tag),
@@ -55,6 +78,19 @@ pub(crate) fn find_match<const N: usize>(words: &[u64], tag: u64) -> Option<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Portable;
+
+    /// [`find_match`] on the portable backend, checked against the
+    /// AVX2 one when the CPU has it.
+    fn find_match<const N: usize>(words: &[u64], tag: u64) -> Option<usize> {
+        let got = super::find_match::<_, N>(Portable, words, tag);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(lanes) = crate::simd::Avx2::new() {
+            let avx2 = super::find_match::<_, N>(lanes, words, tag);
+            assert_eq!(avx2, got, "backends disagree at width {}", words.len());
+        }
+        got
+    }
 
     #[test]
     fn const_and_runtime_widths_agree() {

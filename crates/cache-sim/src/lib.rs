@@ -47,6 +47,8 @@ pub mod column;
 pub mod direct;
 pub mod geometry;
 pub mod hierarchy;
+#[cfg(test)]
+mod lane_backends;
 pub mod model;
 pub mod oracle;
 pub mod packed;
@@ -63,10 +65,10 @@ pub use column::ColumnAssociativeCache;
 pub use direct::DirectMappedCache;
 pub use geometry::{CacheGeometry, GeometryError, TagIndexSplit, DEFAULT_ADDR_BITS};
 pub use hierarchy::{LatencyConfig, MemoryHierarchy};
-pub use model::{AccessKind, AccessResult, CacheModel, Eviction};
+pub use model::{AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel};
 pub use oracle::{BCacheOracle, OracleCache, OracleOutcome, VictimOracle};
-pub use replacement::{make_policy, Lru, PolicyKind, ReplacementPolicy};
+pub use replacement::{make_policy, LanePolicy, Lru, PolicyKind, ReplacementPolicy};
 pub use set_assoc::SetAssociativeCache;
 pub use skewed::SkewedAssociativeCache;
-pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, PdStats, SetUsage};
+pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, PdStats, SetUsage, Tally};
 pub use victim::VictimCache;

@@ -3,6 +3,7 @@
 
 use crate::addr::Addr;
 use crate::geometry::CacheGeometry;
+use crate::simd::{LaneKernel, Lanes};
 use crate::stats::{CacheStats, PdStats, SetUsage};
 
 /// What kind of memory reference an access is.
@@ -162,6 +163,47 @@ impl CacheModel for Box<dyn CacheModel> {
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
         (**self).access_batch(accesses)
+    }
+}
+
+/// A cache whose probing access paths are generic over the lane
+/// backend ([`Lanes`]).
+///
+/// Its [`CacheModel::access`] and [`CacheModel::access_batch`] each
+/// enter [`crate::simd::dispatch`] once, with [`LaneAccess`] or
+/// [`LaneBatch`]: the backend is chosen once per call, and every probe
+/// of the call runs inlined in the backend's frame.
+pub trait LaneModel {
+    /// [`CacheModel::access`] with its probes on `lanes`.
+    fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult;
+
+    /// [`CacheModel::access_batch`] with its probes on `lanes`.
+    fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]);
+}
+
+/// One [`LaneModel::access_on`] call as a [`LaneKernel`].
+#[derive(Debug)]
+pub struct LaneAccess<'a, M>(pub &'a mut M, pub Addr, pub AccessKind);
+
+impl<M: LaneModel> LaneKernel for LaneAccess<'_, M> {
+    type Output = AccessResult;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> AccessResult {
+        self.0.access_on(lanes, self.1, self.2)
+    }
+}
+
+/// One [`LaneModel::access_batch_on`] call as a [`LaneKernel`].
+#[derive(Debug)]
+pub struct LaneBatch<'a, M>(pub &'a mut M, pub &'a [(Addr, AccessKind)]);
+
+impl<M: LaneModel> LaneKernel for LaneBatch<'_, M> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) {
+        self.0.access_batch_on(lanes, self.1)
     }
 }
 

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::packed;
+use crate::simd::{self, Lanes};
 
 /// Which replacement policy to instantiate.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -59,7 +60,7 @@ pub trait ReplacementPolicy: fmt::Debug {
     /// [`victim`]: ReplacementPolicy::victim
     #[inline]
     fn fill_way(&mut self, set: usize, lines: &[u64]) -> usize {
-        match crate::simd::first_match(lines, packed::VALID_MASK, 0) {
+        match simd::first_match(lines, packed::VALID_MASK, 0) {
             Some(way) => way,
             None => self.victim(set),
         }
@@ -69,6 +70,32 @@ pub trait ReplacementPolicy: fmt::Debug {
     /// on a known type (inlining its updates) instead of paying a
     /// virtual call per access.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// A replacement policy as the lane kernels drive it: the victim
+/// choices run on the kernel's lane backend `L`.
+///
+/// [`Lru`] runs its stamp minimum on `L`, inlined into the kernel; the
+/// `dyn` policy (random replacement) keeps bodies that pick their
+/// backend per call.
+pub trait LanePolicy: ReplacementPolicy {
+    /// [`ReplacementPolicy::victim`] on `lanes`.
+    fn victim_on<L: Lanes>(&mut self, lanes: L, set: usize) -> usize;
+
+    /// [`ReplacementPolicy::fill_way`] on `lanes`.
+    fn fill_way_on<L: Lanes>(&mut self, lanes: L, set: usize, lines: &[u64]) -> usize;
+}
+
+impl LanePolicy for dyn ReplacementPolicy + '_ {
+    #[inline(always)]
+    fn victim_on<L: Lanes>(&mut self, _lanes: L, set: usize) -> usize {
+        self.victim(set)
+    }
+
+    #[inline(always)]
+    fn fill_way_on<L: Lanes>(&mut self, _lanes: L, set: usize, lines: &[u64]) -> usize {
+        self.fill_way(set, lines)
+    }
 }
 
 /// Creates a boxed policy for a `(sets, assoc)` grid.
@@ -121,40 +148,60 @@ impl Lru {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, set: usize, way: usize) {
         self.clock += self.tick;
         self.stamps[set * self.assoc + way] = self.clock | way as u64;
     }
+
+    #[inline(always)]
+    fn stamps_of(&self, set: usize) -> &[u64] {
+        let base = set * self.assoc;
+        &self.stamps[base..base + self.assoc]
+    }
+
+    /// The way a set's minimum stamp names: its low bits.
+    #[inline(always)]
+    fn way_of(&self, min: u64) -> usize {
+        (min & (self.tick - 1)) as usize
+    }
 }
 
 impl ReplacementPolicy for Lru {
-    #[inline]
+    #[inline(always)]
     fn on_access(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_fill(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
 
     #[inline]
     fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.assoc;
-        // One lane-sliced min (four stamps per compare with AVX2); the
-        // minimum stamp's low bits are its way.
-        let min = crate::simd::min_word(&self.stamps[base..base + self.assoc]);
-        (min & (self.tick - 1)) as usize
+        self.way_of(simd::min_word(self.stamps_of(set)))
     }
 
-    /// The [`victim`](ReplacementPolicy::victim) alone: in an array
-    /// that never invalidates a line, "never touched" is "invalid", so
-    /// the one minimum is already the first invalid way when there is
-    /// one.
-    #[inline]
-    fn fill_way(&mut self, set: usize, lines: &[u64]) -> usize {
-        let way = self.victim(set);
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+impl LanePolicy for Lru {
+    #[inline(always)]
+    fn victim_on<L: Lanes>(&mut self, lanes: L, set: usize) -> usize {
+        // One lane-sliced min (four stamps per compare with AVX2); the
+        // minimum stamp's low bits are its way.
+        self.way_of(lanes.min_word(self.stamps_of(set)))
+    }
+
+    /// The [`victim_on`](LanePolicy::victim_on) alone: in an array that
+    /// never invalidates a line, "never touched" is "invalid", so the
+    /// one minimum is already the first invalid way when there is one.
+    #[inline(always)]
+    fn fill_way_on<L: Lanes>(&mut self, lanes: L, set: usize, lines: &[u64]) -> usize {
+        let way = self.victim_on(lanes, set);
         debug_assert_eq!(
             lines
                 .iter()
@@ -164,10 +211,6 @@ impl ReplacementPolicy for Lru {
             "an LRU array invalidated a line it had filled"
         );
         way
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

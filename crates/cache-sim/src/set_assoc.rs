@@ -4,10 +4,13 @@ use crate::addr::Addr;
 use crate::cam;
 use crate::geometry::TagIndexSplit;
 use crate::geometry::{CacheGeometry, GeometryError};
-use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
+use crate::model::{
+    AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel,
+};
 use crate::packed;
-use crate::replacement::{make_policy, Lru, PolicyKind, ReplacementPolicy};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::replacement::{make_policy, LanePolicy, Lru, PolicyKind, ReplacementPolicy};
+use crate::simd::{self, Lanes};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A set-associative, write-back, write-allocate cache with a pluggable
 /// replacement policy.
@@ -122,19 +125,23 @@ impl SetAssociativeCache {
             .is_some()
     }
 
-    /// Destructures the cache for the shared step: [`Parts`] borrows
-    /// the line array and counters disjointly, and the policy comes
-    /// back on its own so callers can devirtualize it.
-    fn parts(&mut self) -> (Parts<'_>, &mut dyn ReplacementPolicy) {
+    /// Destructures the cache for the shared step on `lanes`: [`Parts`]
+    /// borrows the line array and set usage disjointly, and the policy
+    /// and statistics come back on their own, so callers can
+    /// devirtualize the one and count a batch in a tally before the
+    /// other.
+    fn parts<L: Lanes>(
+        &mut self,
+        lanes: L,
+    ) -> (Parts<'_, L>, &mut dyn ReplacementPolicy, &mut CacheStats) {
         let parts = Parts {
+            lanes,
             split: self.geom.split(),
             assoc: self.geom.assoc(),
             lines: &mut self.lines,
             usage: &mut self.usage,
-            stats: &mut self.stats,
-            tally: BatchTally::new(),
         };
-        (parts, self.policy.as_mut())
+        (parts, self.policy.as_mut(), &mut self.stats)
     }
 }
 
@@ -163,18 +170,17 @@ impl StepOutcome {
 }
 
 /// A set-associative array destructured by
-/// [`SetAssociativeCache::parts`], with the register tally its steps
-/// land their counts in until [`finish`](Self::finish).
-struct Parts<'a> {
+/// [`SetAssociativeCache::parts`], with the lane backend its probes run
+/// on.
+struct Parts<'a, L> {
+    lanes: L,
     split: TagIndexSplit,
     assoc: usize,
     lines: &'a mut [u64],
     usage: &'a mut SetUsage,
-    stats: &'a mut CacheStats,
-    tally: BatchTally,
 }
 
-impl Parts<'_> {
+impl<L: Lanes> Parts<'_, L> {
     /// One access. Shared by the per-access path and the batched
     /// kernel, so both are bit-identical by construction — statistics
     /// and replacement state alike.
@@ -182,17 +188,17 @@ impl Parts<'_> {
     /// Generic over the replacement policy so callers can pass either a
     /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
     /// `dyn` policy, and over the associativity: `A > 0` monomorphizes
-    /// the tag probe into the fused CAM probe — a [`crate::simd`]
-    /// compare-mask over whole lane groups, AVX2 when the CPU reports
-    /// it, portable otherwise (`A` must equal `assoc`) — while `A == 0`
-    /// falls back to a runtime-width probe with identical first-match
-    /// semantics. A miss asks the policy for the way to fill
-    /// ([`ReplacementPolicy::fill_way`]), so it scans the set once more
-    /// at most.
+    /// the tag probe into the fused CAM probe — a compare-mask over
+    /// whole lane groups on the backend `L` (`A` must equal `assoc`) —
+    /// while `A == 0` falls back to a runtime-width probe with identical
+    /// first-match semantics. A miss asks the policy for the way to fill
+    /// ([`LanePolicy::fill_way_on`]), so it scans the set once more at
+    /// most. The counts land in `tally`.
     #[inline(always)]
-    fn step_one<P: ReplacementPolicy + ?Sized, const A: usize>(
+    fn step_one<P: LanePolicy + ?Sized, T: Tally, const A: usize>(
         &mut self,
         policy: &mut P,
+        tally: &mut T,
         addr: Addr,
         kind: AccessKind,
     ) -> StepOutcome {
@@ -202,8 +208,8 @@ impl Parts<'_> {
         let tag = self.split.tag(addr);
         let base = set * assoc;
         let ways = &mut self.lines[base..base + assoc];
-        if let Some(way) = cam::find_match::<A>(ways, tag) {
-            self.tally.record(kind, true);
+        if let Some(way) = cam::find_match::<L, A>(self.lanes, ways, tag) {
+            tally.record(kind, true);
             self.usage.record(set, true);
             policy.on_access(set, way);
             if kind.is_write() {
@@ -215,16 +221,16 @@ impl Parts<'_> {
                 evicted: None,
             };
         }
-        self.tally.record(kind, false);
+        tally.record(kind, false);
         self.usage.record(set, false);
         // The policy picks the first invalid way or the victim in one
         // call (for LRU, one stamp minimum).
-        let way = policy.fill_way(set, ways);
+        let way = policy.fill_way_on(self.lanes, set, ways);
         debug_assert!(way < assoc, "policy returned out-of-range way");
         let word = ways[way];
         let evicted = packed::is_valid(word).then(|| {
             let dirty = packed::is_dirty(word);
-            self.tally.record_writeback_if(dirty);
+            tally.record_writeback_if(dirty);
             (packed::tag(word), dirty)
         });
         ways[way] = packed::fill(tag, kind.is_write());
@@ -236,60 +242,74 @@ impl Parts<'_> {
         }
     }
 
-    /// [`step_one`](Self::step_one) over a whole batch, monomorphized
-    /// for the common associativities (anything else takes the
-    /// runtime-width fallback).
+    /// [`step_one`](Self::step_one) over a whole batch, counting in a
+    /// register tally that lands in `stats` once.
     #[inline(always)]
-    fn replay<P: ReplacementPolicy + ?Sized>(
+    fn replay<P: LanePolicy + ?Sized, const A: usize>(
         &mut self,
         policy: &mut P,
+        stats: &mut CacheStats,
         accesses: &[(Addr, AccessKind)],
     ) {
-        macro_rules! kernel {
-            ($a:literal) => {
-                for &(addr, kind) in accesses {
-                    self.step_one::<P, $a>(policy, addr, kind);
+        let mut tally = BatchTally::new();
+        for &(addr, kind) in accesses {
+            self.step_one::<P, _, A>(policy, &mut tally, addr, kind);
+        }
+        tally.flush(stats);
+    }
+}
+
+impl LaneModel for SetAssociativeCache {
+    // LRU — the paper's default — runs the step with its stamp updates
+    // inlined, at the cache's const width (anything but the common
+    // associativities takes the runtime-width probe); random
+    // replacement takes the runtime-width step through dynamic dispatch.
+    // Both paths call `step_one`, so the batch equals the `access` loop
+    // by construction. One access counts in the statistics directly.
+
+    #[inline(always)]
+    fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult {
+        let geom = self.geom;
+        let (mut parts, policy, stats) = self.parts(lanes);
+        let out = match policy.as_any_mut().downcast_mut::<Lru>() {
+            Some(lru) => {
+                macro_rules! kernel {
+                    ($a:literal) => {
+                        parts.step_one::<_, _, $a>(lru, stats, addr, kind)
+                    };
                 }
-            };
-        }
-        match self.assoc {
-            1 => kernel!(1),
-            2 => kernel!(2),
-            4 => kernel!(4),
-            8 => kernel!(8),
-            16 => kernel!(16),
-            32 => kernel!(32),
-            _ => kernel!(0),
-        }
+                crate::const_width!(geom.assoc(), kernel)
+            }
+            None => parts.step_one::<_, _, 0>(policy, stats, addr, kind),
+        };
+        out.result(&geom)
     }
 
-    /// Lands the tally in the cache's statistics.
-    fn finish(self) {
-        self.tally.flush(self.stats);
+    #[inline(always)]
+    fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]) {
+        let assoc = self.geom.assoc();
+        let (mut parts, policy, stats) = self.parts(lanes);
+        match policy.as_any_mut().downcast_mut::<Lru>() {
+            Some(lru) => {
+                macro_rules! kernel {
+                    ($a:literal) => {
+                        parts.replay::<_, $a>(lru, stats, accesses)
+                    };
+                }
+                crate::const_width!(assoc, kernel)
+            }
+            None => parts.replay::<_, 0>(policy, stats, accesses),
+        }
     }
 }
 
 impl CacheModel for SetAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let geom = self.geom;
-        let (mut parts, policy) = self.parts();
-        let out = parts.step_one::<_, 0>(policy, addr, kind);
-        parts.finish();
-        out.result(&geom)
+        simd::dispatch(LaneAccess(self, addr, kind))
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // LRU — the paper's default — runs the kernel with its stamp
-        // updates inlined; random replacement takes the same kernel
-        // through dynamic dispatch. Both paths call `step_one`, so the batch
-        // equals the `access` loop by construction.
-        let (mut parts, policy) = self.parts();
-        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            parts.replay(lru, accesses);
-        } else {
-            parts.replay(policy, accesses);
-        }
-        parts.finish();
+        simd::dispatch(LaneBatch(self, accesses))
     }
 
     fn stats(&self) -> &CacheStats {
@@ -435,6 +455,35 @@ mod tests {
             assert_eq!(looped.usage, batched.usage, "{policy:?}");
             assert_eq!(looped.lines, batched.lines, "{policy:?} contents");
         }
+    }
+
+    /// The paper's set-associative kernels (2-, 4-, 8- and 32-way L1s,
+    /// the 256 kB 4-way L2) and random replacement's dynamic-dispatch
+    /// path leave the same statistics, set usage, lines and LRU stamps
+    /// on every lane backend, per access and batched.
+    #[test]
+    fn every_lane_backend_replays_identically() {
+        let shapes = [
+            (16 * 1024, 32, 2, PolicyKind::Lru),
+            (16 * 1024, 32, 4, PolicyKind::Lru),
+            (16 * 1024, 32, 8, PolicyKind::Lru),
+            (16 * 1024, 32, 32, PolicyKind::Lru),
+            (256 * 1024, 128, 4, PolicyKind::Lru),
+            (16 * 1024, 32, 4, PolicyKind::Random),
+        ];
+        let mut avx2_checked = false;
+        for (size, line, ways, policy) in shapes {
+            avx2_checked = crate::lane_backends::check(
+                &format!("{size} B {ways}-way {policy}"),
+                || SetAssociativeCache::new(size, line, ways, policy, 5).unwrap(),
+                |c| {
+                    let lru = c.policy.as_any_mut().downcast_mut::<Lru>();
+                    let stamps = lru.map(|l| format!("{l:?}"));
+                    (c.stats.clone(), c.usage.clone(), c.lines.clone(), stamps)
+                },
+            );
+        }
+        crate::lane_backends::report(avx2_checked);
     }
 
     /// Differential hook: every replacement policy must track the

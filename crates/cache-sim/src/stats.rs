@@ -51,12 +51,10 @@ impl Counter {
         }
     }
 
+    #[inline(always)]
     fn record(&mut self, hit: bool) {
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
+        self.hits += hit as u64;
+        self.misses += !hit as u64;
     }
 
     fn merge(&mut self, other: &Counter) {
@@ -72,6 +70,7 @@ impl CacheStats {
     }
 
     /// Records one access of the given kind.
+    #[inline(always)]
     pub fn record(&mut self, kind: AccessKind, hit: bool) {
         match kind {
             AccessKind::Read => self.reads.record(hit),
@@ -226,6 +225,46 @@ impl BatchTally {
     }
 }
 
+/// Where an access step lands its counts: a batch's [`BatchTally`],
+/// flushed once per batch, or the [`CacheStats`] of a single access,
+/// counted in place.
+///
+/// A single access counts in place because a fresh tally costs it more
+/// than the counting: zeroed with wide stores and read back by the
+/// flush in other widths, it defeats store-to-load forwarding.
+pub trait Tally {
+    /// Tallies one access of `kind`.
+    fn record(&mut self, kind: AccessKind, hit: bool);
+
+    /// Tallies a dirty eviction when `dirty` holds (branchless; see
+    /// [`BatchTally::record_writeback_if`]).
+    fn record_writeback_if(&mut self, dirty: bool);
+}
+
+impl Tally for BatchTally {
+    #[inline(always)]
+    fn record(&mut self, kind: AccessKind, hit: bool) {
+        BatchTally::record(self, kind, hit);
+    }
+
+    #[inline(always)]
+    fn record_writeback_if(&mut self, dirty: bool) {
+        BatchTally::record_writeback_if(self, dirty);
+    }
+}
+
+impl Tally for CacheStats {
+    #[inline(always)]
+    fn record(&mut self, kind: AccessKind, hit: bool) {
+        CacheStats::record(self, kind, hit);
+    }
+
+    #[inline(always)]
+    fn record_writeback_if(&mut self, dirty: bool) {
+        self.writebacks += dirty as u64;
+    }
+}
+
 /// Statistics specific to the B-Cache's programmable decoders (PDs),
 /// reported through [`CacheModel::decoder_stats`].
 ///
@@ -282,7 +321,7 @@ impl SetUsage {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn record(&mut self, set: usize, hit: bool) {
         if hit {
             self.hits[set] += 1;

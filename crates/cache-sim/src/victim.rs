@@ -4,10 +4,13 @@
 use crate::addr::Addr;
 use crate::cam;
 use crate::geometry::{CacheGeometry, GeometryError, TagIndexSplit};
-use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
+use crate::model::{
+    AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel,
+};
 use crate::packed;
-use crate::replacement::{Lru, ReplacementPolicy};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::replacement::{LanePolicy, Lru, ReplacementPolicy};
+use crate::simd::{self, Lanes};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// Direct-mapped cache plus an `N`-entry fully-associative victim buffer.
 ///
@@ -20,10 +23,9 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// Both the main array and the buffer live in packed `u64` SoA arrays
 /// (`tag|dirty|valid` words, with an [`Lru`] over the buffer slots), and
 /// [`CacheModel::access_batch`] replays through a kernel monomorphized
-/// on the buffer width, so the 16-entry FA search runs as one
-/// [`crate::simd`] compare-mask probe per lane group (AVX2 when the
-/// CPU has it, the unrolled portable loop otherwise) — the same CAM
-/// primitive the B-Cache kernel uses. The per-access and
+/// on the buffer width and the lane backend, so the 16-entry FA search
+/// runs as one [`crate::simd`] compare-mask probe per lane group — the
+/// same CAM primitive the B-Cache kernel uses. The per-access and
 /// batched paths share one step function and are bit-identical.
 ///
 /// # Examples
@@ -125,17 +127,18 @@ impl VictimCache {
 /// cannot also live in the buffer (a block is in exactly one of the
 /// two structures), so no merge scan is needed.
 #[inline(always)]
-fn buf_insert<const N: usize>(
+fn buf_insert<L: Lanes, const N: usize>(
+    lanes: L,
     words: &mut [u64],
     lru: &mut Lru,
     id: u64,
     dirty: bool,
 ) -> Option<(u64, bool)> {
     debug_assert!(
-        cam::find_match::<N>(words, id).is_none(),
+        cam::find_match::<L, N>(lanes, words, id).is_none(),
         "main array and victim buffer must stay exclusive"
     );
-    let slot = lru.fill_way(0, words);
+    let slot = lru.fill_way_on(lanes, 0, words);
     let out = words[slot];
     words[slot] = packed::fill(id, dirty);
     lru.on_fill(0, slot);
@@ -144,10 +147,13 @@ fn buf_insert<const N: usize>(
 
 /// One access against the destructured cache state. Shared verbatim by
 /// the per-access and batched paths, so their statistics, set-usage
-/// counters and contents agree by construction.
+/// counters and contents agree by construction. The counts land in
+/// `tally`: the cache's statistics for one access, a register tally for
+/// a batch.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn step<const N: usize>(
+fn step<L: Lanes, T: Tally, const N: usize>(
+    lanes: L,
     split: &TagIndexSplit,
     index_bits: u32,
     offset_bits: u32,
@@ -156,7 +162,7 @@ fn step<const N: usize>(
     buf_words: &mut [u64],
     buf_lru: &mut Lru,
     usage: &mut SetUsage,
-    tally: &mut BatchTally,
+    tally: &mut T,
     buffer_hits: &mut u64,
     buffer_probes: &mut u64,
     addr: Addr,
@@ -176,7 +182,7 @@ fn step<const N: usize>(
     // Main-array miss: probe the buffer with the fused CAM search.
     *buffer_probes += 1;
     let id = (addr.raw() >> offset_bits) & id_mask;
-    if let Some(i) = cam::find_match::<N>(buf_words, id) {
+    if let Some(i) = cam::find_match::<L, N>(lanes, buf_words, id) {
         // Swap: promoted block enters the main array, the resident
         // block is demoted straight into the promoted block's slot.
         *buffer_hits += 1;
@@ -200,7 +206,7 @@ fn step<const N: usize>(
     if packed::is_valid(word) {
         let old_id = (packed::tag(word) << index_bits) | set as u64;
         if let Some((out_id, out_dirty)) =
-            buf_insert::<N>(buf_words, buf_lru, old_id, packed::is_dirty(word))
+            buf_insert::<L, N>(lanes, buf_words, buf_lru, old_id, packed::is_dirty(word))
         {
             tally.record_writeback_if(out_dirty);
             evicted = Some(Eviction {
@@ -213,35 +219,17 @@ fn step<const N: usize>(
     AccessResult::miss(evicted)
 }
 
-/// Expands to a `match` dispatching `$entries` to a monomorphized
-/// invocation of `$kernel!(N)` for the buffer widths worth specializing
-/// (powers of two up to 32; the paper evaluates 16). `0` selects the
-/// runtime-width fallback.
-macro_rules! dispatch_entries {
-    ($entries:expr, $kernel:ident) => {
-        match $entries {
-            1 => $kernel!(1),
-            2 => $kernel!(2),
-            4 => $kernel!(4),
-            8 => $kernel!(8),
-            16 => $kernel!(16),
-            32 => $kernel!(32),
-            _ => $kernel!(0),
-        }
-    };
-}
-
-impl CacheModel for VictimCache {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+impl LaneModel for VictimCache {
+    #[inline(always)]
+    fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult {
         let split = self.geom.split();
         let index_bits = self.geom.index_bits();
         let offset_bits = self.geom.offset_bits();
         let id_mask = self.id_mask();
-        let mut tally = BatchTally::new();
-        let (mut hits, mut probes) = (0u64, 0u64);
         macro_rules! kernel {
             ($n:literal) => {
-                step::<$n>(
+                step::<L, _, $n>(
+                    lanes,
                     &split,
                     index_bits,
                     offset_bits,
@@ -250,22 +238,19 @@ impl CacheModel for VictimCache {
                     &mut self.buf_words,
                     &mut self.buf_lru,
                     &mut self.usage,
-                    &mut tally,
-                    &mut hits,
-                    &mut probes,
+                    &mut self.stats,
+                    &mut self.buffer_hits,
+                    &mut self.buffer_probes,
                     addr,
                     kind,
                 )
             };
         }
-        let result = dispatch_entries!(self.buf_words.len(), kernel);
-        tally.flush(&mut self.stats);
-        self.buffer_hits += hits;
-        self.buffer_probes += probes;
-        result
+        crate::const_width!(self.buf_words.len(), kernel)
     }
 
-    fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
+    #[inline(always)]
+    fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]) {
         // Monomorphized replay: state is hoisted into locals once, the
         // buffer scan unrolls for the common widths, and statistics are
         // tallied in registers. `access` runs the same `step`, so the
@@ -279,7 +264,8 @@ impl CacheModel for VictimCache {
         macro_rules! kernel {
             ($n:literal) => {
                 for &(addr, kind) in accesses {
-                    step::<$n>(
+                    step::<L, _, $n>(
+                        lanes,
                         &split,
                         index_bits,
                         offset_bits,
@@ -297,10 +283,20 @@ impl CacheModel for VictimCache {
                 }
             };
         }
-        dispatch_entries!(self.buf_words.len(), kernel);
+        crate::const_width!(self.buf_words.len(), kernel);
         tally.flush(&mut self.stats);
         self.buffer_hits += hits;
         self.buffer_probes += probes;
+    }
+}
+
+impl CacheModel for VictimCache {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        simd::dispatch(LaneAccess(self, addr, kind))
+    }
+
+    fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
+        simd::dispatch(LaneBatch(self, accesses))
     }
 
     fn stats(&self) -> &CacheStats {
@@ -500,5 +496,27 @@ mod tests {
                 "victim{entries} side counters"
             );
         }
+    }
+
+    /// Victim16 leaves the same statistics, set usage, main-array and
+    /// buffer words, buffer LRU stamps and buffer counters on every
+    /// lane backend, per access and batched.
+    #[test]
+    fn every_lane_backend_replays_identically() {
+        let avx2_checked = crate::lane_backends::check(
+            "victim16",
+            || VictimCache::new(16 * 1024, 32, 16).unwrap(),
+            |c| {
+                (
+                    c.stats.clone(),
+                    c.usage.clone(),
+                    c.lines.clone(),
+                    c.buf_words.clone(),
+                    format!("{:?}", c.buf_lru),
+                    (c.buffer_hits, c.buffer_probes),
+                )
+            },
+        );
+        crate::lane_backends::report(avx2_checked);
     }
 }

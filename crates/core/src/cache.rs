@@ -1,9 +1,10 @@
 //! The Balanced Cache functional model.
 
-use cache_sim::replacement::{make_policy, Lru, ReplacementPolicy};
+use cache_sim::replacement::{make_policy, LanePolicy, Lru, ReplacementPolicy};
+use cache_sim::simd::{self, Lanes};
 use cache_sim::{
     packed, AccessKind, AccessResult, Addr, BatchTally, CacheGeometry, CacheModel, CacheStats,
-    Eviction, PdStats, SetUsage,
+    Eviction, LaneAccess, LaneBatch, LaneModel, PdStats, SetUsage, Tally,
 };
 use telemetry::{Event, MissKind, NullObserver, Observer};
 
@@ -136,23 +137,36 @@ impl<O: Observer> BalancedCache<O> {
         })
     }
 
-    /// Destructures the cache for the shared step; the policy comes
-    /// back on its own so callers can devirtualize it.
-    fn parts(&mut self) -> (Parts<'_, O>, &mut dyn ReplacementPolicy) {
+    /// Destructures the cache for the shared step on `lanes`; the
+    /// policy and the counters come back on their own, so callers can
+    /// devirtualize the one and count a batch in tallies before the
+    /// others.
+    #[allow(clippy::type_complexity)]
+    fn parts<L: Lanes>(
+        &mut self,
+        lanes: L,
+    ) -> (
+        Parts<'_, O, L>,
+        &mut dyn ReplacementPolicy,
+        &mut CacheStats,
+        &mut PdStats,
+    ) {
         let parts = Parts {
-            layout: self.layout,
+            lanes,
+            layout: &self.layout,
             offset_bits: self.params.geometry().offset_bits(),
             pd_hit_policy: self.params.pd_hit_policy(),
             pd: &mut self.pd,
             lines: &mut self.lines,
             usage: &mut self.usage,
             observer: &mut self.observer,
-            stats: &mut self.stats,
-            pd_stats: &mut self.pd_stats,
-            tally: BatchTally::new(),
-            pd_tally: PdStats::default(),
         };
-        (parts, self.policy.as_mut())
+        (
+            parts,
+            self.policy.as_mut(),
+            &mut self.stats,
+            &mut self.pd_stats,
+        )
     }
 
     /// Checks every internal invariant; linear in the cache size.
@@ -189,34 +203,30 @@ struct StepOutcome {
 }
 
 /// A B-Cache destructured by [`BalancedCache::parts`]: disjoint borrows
-/// of the decoders, line array, counters and observer, with the
-/// register tallies its steps land their counts in until
-/// [`finish`](Self::finish).
-struct Parts<'a, O> {
-    layout: IndexLayout,
+/// of the decoders, line array, set usage and observer, with the lane
+/// backend its probes run on.
+struct Parts<'a, O, L> {
+    lanes: L,
+    layout: &'a IndexLayout,
     offset_bits: u32,
     pd_hit_policy: PdHitPolicy,
     pd: &'a mut ProgrammableDecoder,
     lines: &'a mut [u64],
     usage: &'a mut SetUsage,
     observer: &'a mut O,
-    stats: &'a mut CacheStats,
-    pd_stats: &'a mut PdStats,
-    tally: BatchTally,
-    pd_tally: PdStats,
 }
 
-impl<O: Observer> Parts<'_, O> {
+impl<O: Observer, L: Lanes> Parts<'_, O, L> {
     /// Tallies the eviction of the line `word` from physical set `set`,
     /// if it holds a block, and reports it as a raw `(block id, dirty)`
     /// pair.
     #[inline(always)]
-    fn evict(&mut self, word: u64, set: usize) -> Option<(u64, bool)> {
+    fn evict<T: Tally>(&mut self, tally: &mut T, word: u64, set: usize) -> Option<(u64, bool)> {
         if !packed::is_valid(word) {
             return None;
         }
         let dirty = packed::is_dirty(word);
-        self.tally.record_writeback_if(dirty);
+        tally.record_writeback_if(dirty);
         if O::ENABLED && dirty {
             self.observer.event(Event::Writeback { set: set as u64 });
         }
@@ -229,16 +239,17 @@ impl<O: Observer> Parts<'_, O> {
     /// batched kernel, so both agree by construction — statistics, PD
     /// state and [`Observer`] events alike.
     ///
-    /// Generic over the replacement policy so the batched caller can
-    /// pass a concrete [`Lru`] (updates inlined, no virtual dispatch) or
-    /// the `dyn` policy, and over the CAM width: `BAS > 0` unrolls the
+    /// Generic over the replacement policy so callers can pass a
+    /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
+    /// `dyn` policy, and over the CAM width: `BAS > 0` unrolls the
     /// fused [`ProgrammableDecoder::probe`] into straight-line compares
-    /// (`BAS` must equal the decoder's width), `BAS == 0` takes the
-    /// runtime-width [`ProgrammableDecoder::probe_any`].
+    /// (`BAS` must equal the decoder's width), `BAS == 0` takes its
+    /// runtime-width probe. The counts land in `tally` and `pd_tally`.
     #[inline(always)]
-    fn step<P: ReplacementPolicy + ?Sized, const BAS: usize>(
+    fn step<P: LanePolicy + ?Sized, T: Tally, const BAS: usize>(
         &mut self,
         policy: &mut P,
+        (tally, pd_tally): (&mut T, &mut PdStats),
         addr: Addr,
         kind: AccessKind,
     ) -> StepOutcome {
@@ -253,11 +264,7 @@ impl<O: Observer> Parts<'_, O> {
         // Physical set numbers are cluster-major, mirroring the paper's
         // Figure 2 (cluster `way` spans all groups).
         let physical = |way: usize| way * groups + group;
-        let (matched, cold) = if BAS == 0 {
-            self.pd.probe_any(group, pi)
-        } else {
-            self.pd.probe::<BAS>(group, pi)
-        };
+        let (matched, cold) = self.pd.probe::<L, BAS>(self.lanes, group, pi);
         let (way, evicted) = match matched {
             Some(way) => {
                 let set = physical(way);
@@ -275,7 +282,7 @@ impl<O: Observer> Parts<'_, O> {
                     "resident block belongs to a different NPI group"
                 );
                 let hit = packed::matches(word, id);
-                self.tally.record(kind, hit);
+                tally.record(kind, hit);
                 self.usage.record(set, hit);
                 if hit {
                     // PD hit + tag hit: a plain one-cycle hit.
@@ -294,13 +301,13 @@ impl<O: Observer> Parts<'_, O> {
                 // PD hit + tag miss: the victim is forced to this set;
                 // choosing any other would leave two identical PIs in
                 // the group (paper Section 2.3, address-25 case).
-                self.pd_tally.misses_with_pd_hit += 1;
+                pd_tally.misses_with_pd_hit += 1;
                 if O::ENABLED {
                     self.observer.event(Event::Miss {
                         kind: MissKind::PdForced,
                     });
                 }
-                let forced = self.evict(word, set);
+                let forced = self.evict(tally, word, set);
                 if O::ENABLED {
                     self.observer.event(Event::SetTouch {
                         set: set as u64,
@@ -317,13 +324,14 @@ impl<O: Observer> Parts<'_, O> {
                         // avoids. Only the policy victim's eviction
                         // propagates; the collateral one is counted in
                         // the stats.
-                        let victim = policy.victim(group);
+                        let victim = policy.victim_on(self.lanes, group);
                         let evicted = if victim == way {
                             forced
                         } else {
                             self.lines[s] = packed::EMPTY;
                             self.pd.invalidate(group, way);
-                            self.evict(self.lines[group * bas + victim], physical(victim))
+                            let word = self.lines[group * bas + victim];
+                            self.evict(tally, word, physical(victim))
                         };
                         if O::ENABLED {
                             self.observer.event(Event::PdReprogram {
@@ -341,11 +349,11 @@ impl<O: Observer> Parts<'_, O> {
                 // PD miss: the miss is predetermined before any tag/data
                 // read. The victim comes from the replacement policy,
                 // fully exploiting the BAS candidate sets.
-                self.tally.record(kind, false);
-                self.pd_tally.misses_with_pd_miss += 1;
+                tally.record(kind, false);
+                pd_tally.misses_with_pd_miss += 1;
                 let way = match cold {
                     Some(w) => w,
-                    None => policy.victim(group),
+                    None => policy.victim_on(self.lanes, group),
                 };
                 let set = physical(way);
                 self.usage.record(set, false);
@@ -354,7 +362,8 @@ impl<O: Observer> Parts<'_, O> {
                         kind: MissKind::Predetermined,
                     });
                 }
-                let evicted = self.evict(self.lines[group * bas + way], set);
+                let word = self.lines[group * bas + way];
+                let evicted = self.evict(tally, word, set);
                 if O::ENABLED {
                     self.observer.event(Event::BasVictim {
                         candidates: bas as u32,
@@ -394,46 +403,50 @@ impl<O: Observer> Parts<'_, O> {
         }
     }
 
-    /// [`step`](Self::step) over a whole batch, monomorphized for the
-    /// paper's BAS values (Table 5 sweeps powers of two up to 32);
-    /// anything else takes the runtime-width probe.
+    /// [`step`](Self::step) over a whole batch, counting in
+    /// register tallies that land in the cache's statistics once.
     #[inline(always)]
-    fn replay<P: ReplacementPolicy + ?Sized>(
+    fn replay<P: LanePolicy + ?Sized, const BAS: usize>(
         &mut self,
         policy: &mut P,
+        (stats, pd_stats): (&mut CacheStats, &mut PdStats),
         accesses: &[(Addr, AccessKind)],
     ) {
-        macro_rules! kernel {
-            ($w:literal) => {
-                for &(addr, kind) in accesses {
-                    self.step::<P, $w>(policy, addr, kind);
-                }
-            };
+        let mut tally = BatchTally::new();
+        let mut pd_tally = PdStats::default();
+        for &(addr, kind) in accesses {
+            self.step::<P, _, BAS>(policy, (&mut tally, &mut pd_tally), addr, kind);
         }
-        match self.pd.bas() {
-            1 => kernel!(1),
-            2 => kernel!(2),
-            4 => kernel!(4),
-            8 => kernel!(8),
-            16 => kernel!(16),
-            32 => kernel!(32),
-            _ => kernel!(0),
-        }
-    }
-
-    /// Lands the tallies in the cache's statistics.
-    fn finish(self) {
-        self.tally.flush(self.stats);
-        self.pd_stats.misses_with_pd_hit += self.pd_tally.misses_with_pd_hit;
-        self.pd_stats.misses_with_pd_miss += self.pd_tally.misses_with_pd_miss;
+        tally.flush(stats);
+        pd_stats.misses_with_pd_hit += pd_tally.misses_with_pd_hit;
+        pd_stats.misses_with_pd_miss += pd_tally.misses_with_pd_miss;
     }
 }
 
-impl<O: Observer> CacheModel for BalancedCache<O> {
-    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let (mut parts, policy) = self.parts();
-        let out = parts.step::<_, 0>(policy, addr, kind);
-        parts.finish();
+impl<O: Observer> LaneModel for BalancedCache<O> {
+    // LRU is the paper default (and the benchmarked configuration), so
+    // both paths run its step with the stamp updates inlined, at the
+    // decoder's const width (a BAS outside the paper's powers of two
+    // takes the runtime-width probe) — instead of two virtual calls per
+    // miss. Random replacement takes the runtime-width step through
+    // dynamic dispatch. One access counts in the statistics directly.
+
+    #[inline(always)]
+    fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult {
+        let bas = self.pd.bas();
+        let (mut parts, policy, stats, pd_stats) = self.parts(lanes);
+        let counts = (stats, pd_stats);
+        let out = match policy.as_any_mut().downcast_mut::<Lru>() {
+            Some(lru) => {
+                macro_rules! kernel {
+                    ($w:literal) => {
+                        parts.step::<_, _, $w>(lru, counts, addr, kind)
+                    };
+                }
+                cache_sim::const_width!(bas, kernel)
+            }
+            None => parts.step::<_, _, 0>(policy, counts, addr, kind),
+        };
         if out.hit {
             AccessResult::hit()
         } else {
@@ -444,19 +457,32 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
         }
     }
 
-    fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Specialize the kernel on the concrete policy where it pays:
-        // LRU is the paper default (and the benchmarked configuration),
-        // so its stamp updates inline into the loop instead of costing
-        // two virtual calls per miss. Random replacement takes the same
-        // kernel through dynamic dispatch.
-        let (mut parts, policy) = self.parts();
-        if let Some(lru) = policy.as_any_mut().downcast_mut::<Lru>() {
-            parts.replay(lru, accesses);
-        } else {
-            parts.replay(policy, accesses);
+    #[inline(always)]
+    fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]) {
+        let bas = self.pd.bas();
+        let (mut parts, policy, stats, pd_stats) = self.parts(lanes);
+        let counts = (stats, pd_stats);
+        match policy.as_any_mut().downcast_mut::<Lru>() {
+            Some(lru) => {
+                macro_rules! kernel {
+                    ($w:literal) => {
+                        parts.replay::<_, $w>(lru, counts, accesses)
+                    };
+                }
+                cache_sim::const_width!(bas, kernel)
+            }
+            None => parts.replay::<_, 0>(policy, counts, accesses),
         }
-        parts.finish();
+    }
+}
+
+impl<O: Observer> CacheModel for BalancedCache<O> {
+    fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
+        simd::dispatch(LaneAccess(self, addr, kind))
+    }
+
+    fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
+        simd::dispatch(LaneBatch(self, accesses))
     }
 
     fn stats(&self) -> &CacheStats {
@@ -945,6 +971,94 @@ mod tests {
                 model.pd_stats().misses_with_pd_miss
             );
             assert!(model.invariants_hold());
+        }
+    }
+
+    /// The data side of `profile`'s first records: 6,000 accesses at
+    /// most, enough to fill, evict and reprogram every configuration.
+    fn data_side(profile: &trace_gen::BenchmarkProfile) -> Vec<(Addr, AccessKind)> {
+        let records = trace_gen::Trace::new(profile, 1).take_buffer(24_000);
+        let accesses = records.iter().filter_map(|r| match r.op {
+            trace_gen::Op::Load(a) => Some((Addr::new(a), AccessKind::Read)),
+            trace_gen::Op::Store(a) => Some((Addr::new(a), AccessKind::Write)),
+            _ => None,
+        });
+        accesses.take(6_000).collect()
+    }
+
+    /// Replays `stream` on `lanes`, one access per frame or in batches
+    /// of uneven length; returns the per-access results (empty when
+    /// batched).
+    fn replay_on<L: Lanes>(
+        lanes: L,
+        bc: &mut BalancedCache,
+        stream: &[(Addr, AccessKind)],
+        batched: bool,
+    ) -> Vec<AccessResult> {
+        if batched {
+            for batch in stream.chunks(993) {
+                lanes.run(LaneBatch(bc, batch));
+            }
+            return Vec::new();
+        }
+        let one = |&(addr, kind): &(Addr, AccessKind)| lanes.run(LaneAccess(&mut *bc, addr, kind));
+        stream.iter().map(one).collect()
+    }
+
+    /// Every B-Cache point of Figure 3 and Table 5 (MF 2–512 × BAS
+    /// 4/8/16), under both PD-hit policies, leaves the same statistics,
+    /// set usage, PD counters, lines, PD entries and LRU stamps on every
+    /// lane backend, per access and batched, over a uniform stream, the
+    /// birthday adversary and a SPEC data side.
+    #[test]
+    fn every_lane_backend_replays_identically() {
+        use cache_sim::simd::Portable;
+        use trace_gen::{profiles, synthetic};
+        let streams = [
+            ("uniform64k", data_side(&synthetic::uniform64k())),
+            ("birthday32", data_side(&synthetic::birthday(32))),
+            ("mcf", data_side(&profiles::by_name("mcf").unwrap())),
+        ];
+        let state = |bc: &mut BalancedCache| {
+            let lru = bc.policy.as_any_mut().downcast_mut::<Lru>();
+            let stamps = lru.map(|l| format!("{l:?}"));
+            let counts = (bc.stats.clone(), bc.usage.clone(), bc.pd_stats);
+            (counts, bc.lines.clone(), bc.pd.clone(), stamps)
+        };
+        let mut avx2_checked = false;
+        for mf in (1..=9).map(|k| 1usize << k) {
+            for bas in [4usize, 8, 16] {
+                for pd_hit in [PdHitPolicy::ForcedVictim, PdHitPolicy::EvictBoth] {
+                    let params = BCacheParams::new(geom_16k(), mf, bas, PolicyKind::Lru)
+                        .unwrap()
+                        .with_pd_hit_policy(pd_hit);
+                    for (name, stream) in &streams {
+                        let at = format!("MF{mf} BAS{bas} {pd_hit:?} {name}");
+                        let mut reference = BalancedCache::new(params);
+                        let results = replay_on(Portable, &mut reference, stream, false);
+                        let want = state(&mut reference);
+                        let mut batched = BalancedCache::new(params);
+                        replay_on(Portable, &mut batched, stream, true);
+                        assert_eq!(state(&mut batched), want, "{at}: portable batch");
+                        #[cfg(target_arch = "x86_64")]
+                        if let Some(lanes) = cache_sim::simd::Avx2::new() {
+                            let mut bc = BalancedCache::new(params);
+                            let got = replay_on(lanes, &mut bc, stream, false);
+                            assert_eq!(got, results, "{at}: AVX2 per-access results");
+                            assert_eq!(state(&mut bc), want, "{at}: AVX2 access");
+                            let mut bc = BalancedCache::new(params);
+                            replay_on(lanes, &mut bc, stream, true);
+                            assert_eq!(state(&mut bc), want, "{at}: AVX2 batch");
+                            avx2_checked = true;
+                        }
+                    }
+                }
+            }
+        }
+        if avx2_checked {
+            println!("checked the portable and avx2 backends");
+        } else {
+            println!("this CPU lacks the AVX2 frame's features: checked the portable path only");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! organization (how the entries split across subarrays, Table 1/2) is
 //! described by [`crate::organization`].
 
-use cache_sim::simd;
+use cache_sim::simd::{self, Lanes, Portable};
 
 use crate::params::IndexLayout;
 
@@ -59,22 +59,34 @@ impl ProgrammableDecoder {
     /// One fused CAM probe: the way matching `pi` and the first cold
     /// way of `group`, from a single pass over the entries.
     ///
-    /// `BAS` must equal [`bas`](Self::bas). Monomorphizing on it gives
-    /// the [`simd::dual_eq_masks`] lane compare a compile-time width —
-    /// one entry load feeds both the PI match and the cold-sentinel
-    /// compare, four entries per AVX2 vector when the CPU has it (the
-    /// unrolled portable loop otherwise) — the software analogue of the
-    /// CAM's parallel match lines. The batched replay kernels dispatch
-    /// to it per configuration.
+    /// `BAS` must equal [`bas`](Self::bas), or be 0 for a runtime-width
+    /// probe with the same result. Monomorphizing on it gives the
+    /// [`Lanes::dual_eq_masks`] lane compare a compile-time width — one
+    /// entry load feeds both the PI match and the cold-sentinel compare,
+    /// four entries per vector on the AVX2 backend (the unrolled loop
+    /// on the portable one) — the software analogue of the CAM's
+    /// parallel match lines. The B-Cache's step calls it at the
+    /// configuration's width on the replay's backend.
     #[inline(always)]
-    pub fn probe<const BAS: usize>(&self, group: usize, pi: u64) -> (Option<usize>, Option<usize>) {
-        debug_assert_eq!(BAS, self.bas, "probe width must match the decoder");
+    pub fn probe<L: Lanes, const BAS: usize>(
+        &self,
+        lanes: L,
+        group: usize,
+        pi: u64,
+    ) -> (Option<usize>, Option<usize>) {
+        debug_assert!(
+            BAS == 0 || BAS == self.bas,
+            "probe width must match the decoder"
+        );
         debug_assert_ne!(pi, INVALID, "PI collides with the cold sentinel");
-        let base = group * BAS;
-        let entries: &[u64; BAS] = self.entries[base..base + BAS]
-            .try_into()
-            .expect("slice length is BAS");
-        let (matched, cold) = simd::dual_eq_masks(entries, pi, INVALID);
+        let bas = if BAS == 0 { self.bas } else { BAS };
+        let entries = &self.entries[group * bas..(group + 1) * bas];
+        let (matched, cold) = if BAS == 0 {
+            lanes.dual_eq_masks(entries, pi, INVALID)
+        } else {
+            let entries: &[u64; BAS] = entries.try_into().expect("slice length is BAS");
+            lanes.dual_eq_masks(entries, pi, INVALID)
+        };
         debug_assert!(
             matched.count_ones() <= 1,
             "unique-decoding invariant violated in group {group}"
@@ -82,20 +94,11 @@ impl ProgrammableDecoder {
         (simd::first_set_lane(matched), simd::first_set_lane(cold))
     }
 
-    /// [`probe`](Self::probe) for a runtime `BAS`: the per-access path,
-    /// and the batched kernels' fallback when no monomorphized width
-    /// matches.
-    #[inline]
+    /// [`probe`](Self::probe) at the runtime `BAS` on the portable
+    /// backend: for lookups outside a replay (every backend returns the
+    /// same ways).
     pub fn probe_any(&self, group: usize, pi: u64) -> (Option<usize>, Option<usize>) {
-        let base = group * self.bas;
-        let entries = &self.entries[base..base + self.bas];
-        let (matched, cold) = simd::dual_eq_masks(entries, pi, INVALID);
-        debug_assert_ne!(pi, INVALID, "PI collides with the cold sentinel");
-        debug_assert!(
-            matched.count_ones() <= 1,
-            "unique-decoding invariant violated in group {group}"
-        );
-        (simd::first_set_lane(matched), simd::first_set_lane(cold))
+        self.probe::<_, 0>(Portable, group, pi)
     }
 
     /// Programs `(group, way)` with `pi` during a refill.

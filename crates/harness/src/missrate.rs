@@ -7,7 +7,8 @@
 use trace_gen::{profiles, BenchmarkProfile, Suite};
 
 use crate::config::CacheConfig;
-use crate::parallel::Engine;
+use crate::models::ModelSpec;
+use crate::parallel::{job_seed, Engine};
 use crate::report::{pct, pct2, TextTable};
 use crate::run::{mean, replay_config_on, BenchmarkMissRates, ConfigOutcome, RunLength, Side};
 
@@ -70,41 +71,52 @@ fn run_figure(
     (size_bytes, side): (usize, Side),
     len: RunLength,
 ) -> MissRateFigure {
-    // One job per (benchmark, column); column 0 is the baseline. The
-    // engine returns miss rates in submission order, so rows rebuild
-    // canonically however the jobs interleaved. Each job carries a
-    // checkpoint identity (`scope/benchmark/label`) so interrupted
-    // sweeps resume from the finished cells.
+    // One job per distinct model of a row; column 0 is the baseline.
+    // Columns whose configurations build the same model (PAM,
+    // difference-bit and 2-way are each a 2-way LRU array) share the
+    // job of the first such column. The engine returns miss rates in
+    // submission order, so rows rebuild canonically however the jobs
+    // interleaved. Each job carries a checkpoint identity
+    // (`scope/benchmark/label`, the label of the first column it
+    // serves) so interrupted sweeps resume from the finished cells.
     let mut cols = Vec::with_capacity(configs.len() + 1);
     cols.push(CacheConfig::DirectMapped);
     cols.extend_from_slice(configs);
     type Job<'a> = Box<dyn Fn() -> f64 + Send + Sync + 'a>;
-    let jobs: Vec<(String, Job<'_>)> = benchmarks
-        .iter()
-        .flat_map(|p| {
-            cols.iter().map(move |&c| {
-                let key = format!("{}/{}", p.name, c.label());
-                let job: Job<'_> = Box::new(move || {
-                    let trace = engine.side_trace(p, len, side);
-                    replay_config_on(p.name, &trace, &c, size_bytes, side, len)
-                });
-                (key, job)
-            })
-        })
-        .collect();
+    let mut jobs: Vec<(String, Job<'_>)> = Vec::new();
+    // Per benchmark, the job index of each column.
+    let mut job_of: Vec<Vec<usize>> = Vec::with_capacity(benchmarks.len());
+    for p in benchmarks {
+        let seed = job_seed(len.seed, p.name, side);
+        let specs: Vec<ModelSpec> = cols.iter().map(|c| c.spec(size_bytes, seed)).collect();
+        let mut row = Vec::with_capacity(cols.len());
+        for (i, &c) in cols.iter().enumerate() {
+            if let Some(first) = specs[..i].iter().position(|s| *s == specs[i]) {
+                row.push(row[first]);
+                continue;
+            }
+            row.push(jobs.len());
+            let job: Job<'_> = Box::new(move || {
+                let trace = engine.side_trace(p, len, side);
+                replay_config_on(p.name, &trace, &c, size_bytes, side, len)
+            });
+            jobs.push((format!("{}/{}", p.name, c.label()), job));
+        }
+        job_of.push(row);
+    }
     let rates = engine.run_checkpointed(scope, jobs);
     let rows = benchmarks
         .iter()
-        .zip(rates.chunks(cols.len()))
-        .map(|(p, chunk)| BenchmarkMissRates {
+        .zip(&job_of)
+        .map(|(p, row)| BenchmarkMissRates {
             benchmark: p.name.to_string(),
-            baseline_miss_rate: chunk[0],
+            baseline_miss_rate: rates[row[0]],
             outcomes: configs
                 .iter()
-                .zip(&chunk[1..])
-                .map(|(c, &miss_rate)| ConfigOutcome {
+                .zip(&row[1..])
+                .map(|(c, &job)| ConfigOutcome {
                     label: c.label(),
-                    miss_rate,
+                    miss_rate: rates[job],
                 })
                 .collect(),
         })
@@ -206,6 +218,7 @@ pub fn suite_of(benchmark: &str) -> Option<Suite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, CheckpointMeta};
     use crate::parallel::default_parallelism;
 
     fn quick() -> RunLength {
@@ -255,6 +268,41 @@ mod tests {
             red("MF8-BAS8") > red("victim16") + 0.3,
             "I$ B-Cache crushes the victim buffer"
         );
+    }
+
+    /// The related-work row has ten columns but eight distinct models:
+    /// PAM, difference-bit and 2-way are all a 2-way LRU array. One job
+    /// runs per distinct model (208 for 26 benchmarks, not 260), keyed
+    /// by the first column it serves, and the equal columns read the
+    /// same miss rate.
+    #[test]
+    fn a_figure_row_runs_one_job_per_distinct_model() {
+        let len = RunLength::with_records(2_000);
+        let path =
+            std::env::temp_dir().join(format!("bcache-related-jobs-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let engine = Engine::new(2);
+        let meta = CheckpointMeta::new("related", len);
+        engine.attach_checkpoint(Checkpoint::create(&path, meta).unwrap());
+        let fig = related_work_with(&engine, len);
+        drop(engine);
+        let log = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let keys: Vec<&str> = log.lines().skip(1).collect();
+        assert_eq!(keys.len(), 26 * 8, "one job per distinct model");
+        assert!(keys.iter().any(|k| k.contains("/gcc/pam5")));
+        assert!(!keys
+            .iter()
+            .any(|k| k.contains("/diffbit") || k.contains("/2way")));
+        let (pam, diff, two) = (
+            fig.column("pam5").unwrap(),
+            fig.column("diffbit").unwrap(),
+            fig.column("2way").unwrap(),
+        );
+        for row in &fig.rows {
+            assert_eq!(row.reduction(pam), row.reduction(diff), "{}", row.benchmark);
+            assert_eq!(row.reduction(pam), row.reduction(two), "{}", row.benchmark);
+        }
     }
 
     #[test]
