@@ -11,7 +11,7 @@
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// The adaptive group-associative cache.
 ///
@@ -31,6 +31,14 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// ```
 #[derive(Debug)]
 pub struct AgacCache {
+    frames: Frames,
+    stats: CacheStats,
+}
+
+/// Everything but the statistics, so a single access counts into those
+/// in place while its step borrows this.
+#[derive(Debug, PartialEq)]
+struct Frames {
     geom: CacheGeometry,
     // Per frame: resident block id (addr >> offset), validity, dirtiness,
     // and a reference bit that decays periodically. The reference bits
@@ -54,7 +62,6 @@ pub struct AgacCache {
     decay_period: u64,
     accesses_since_decay: u64,
     hole_scan: usize,
-    stats: CacheStats,
     usage: SetUsage,
     relocated_hits: u64,
 }
@@ -82,25 +89,34 @@ impl AgacCache {
         let mut referenced = vec![0u64; ref_words];
         referenced[ref_words - 1] |= ref_tail_mask;
         Ok(AgacCache {
-            geom,
-            blocks: vec![0; frames],
-            valid: vec![false; frames],
-            dirty: vec![false; frames],
-            referenced,
-            ref_tail_mask,
-            out_dir: Vec::with_capacity(out_entries),
-            out_filter: vec![0; 256],
-            out_capacity: out_entries.max(1),
-            out_next: 0,
-            decay_period: (frames as u64) * 4,
-            accesses_since_decay: 0,
-            hole_scan: 0,
+            frames: Frames {
+                geom,
+                blocks: vec![0; frames],
+                valid: vec![false; frames],
+                dirty: vec![false; frames],
+                referenced,
+                ref_tail_mask,
+                out_dir: Vec::with_capacity(out_entries),
+                out_filter: vec![0; 256],
+                out_capacity: out_entries.max(1),
+                out_next: 0,
+                decay_period: (frames as u64) * 4,
+                accesses_since_decay: 0,
+                hole_scan: 0,
+                usage: SetUsage::new(frames),
+                relocated_hits: 0,
+            },
             stats: CacheStats::new(),
-            usage: SetUsage::new(frames),
-            relocated_hits: 0,
         })
     }
 
+    /// Hits served from relocated (out-of-position) lines.
+    pub fn relocated_hits(&self) -> u64 {
+        self.frames.relocated_hits
+    }
+}
+
+impl Frames {
     fn block_id(&self, addr: Addr) -> u64 {
         addr.raw() >> self.geom.offset_bits()
     }
@@ -111,11 +127,6 @@ impl AgacCache {
 
     fn home_frame(&self, id: u64) -> usize {
         (id as usize) & (self.geom.sets() - 1)
-    }
-
-    /// Hits served from relocated (out-of-position) lines.
-    pub fn relocated_hits(&self) -> u64 {
-        self.relocated_hits
     }
 
     #[inline(always)]
@@ -181,7 +192,7 @@ impl AgacCache {
         found
     }
 
-    fn evict_frame(&mut self, tally: &mut BatchTally, frame: usize) -> Option<Eviction> {
+    fn evict_frame<T: Tally>(&mut self, tally: &mut T, frame: usize) -> Option<Eviction> {
         if !self.valid[frame] {
             return None;
         }
@@ -224,7 +235,7 @@ impl AgacCache {
     /// One access. Shared verbatim by both paths, so their statistics,
     /// directory state and contents agree by construction.
     #[inline(always)]
-    fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
+    fn step<T: Tally>(&mut self, tally: &mut T, addr: Addr, kind: AccessKind) -> AccessResult {
         self.decay_tick();
         let id = self.block_id(addr);
         let home = self.home_frame(id);
@@ -299,19 +310,13 @@ impl AgacCache {
 
 impl CacheModel for AgacCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let mut tally = BatchTally::new();
-        let result = self.step(&mut tally, addr, kind);
-        tally.flush(&mut self.stats);
-        result
+        self.frames.step(&mut self.stats, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats: `access` runs
-        // the same `step`, so the batch equals the `access` loop by
-        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
-            self.step(&mut tally, addr, kind);
+            self.frames.step(&mut tally, addr, kind);
         }
         tally.flush(&mut self.stats);
     }
@@ -322,16 +327,16 @@ impl CacheModel for AgacCache {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.usage.reset();
-        self.relocated_hits = 0;
+        self.frames.usage.reset();
+        self.frames.relocated_hits = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        self.frames.geom
     }
 
     fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+        Some(&self.frames.usage)
     }
 }
 
@@ -375,7 +380,7 @@ mod tests {
         let mut c = tiny();
         c.access(Addr::new(0), AccessKind::Read);
         // Decay all reference bits.
-        for i in 0..c.decay_period {
+        for i in 0..c.frames.decay_period {
             c.access(Addr::new(0x20 + (i % 2) * 0x20), AccessKind::Read);
         }
         // Block 0's ref bit is now clear: a conflicting fill evicts it.
@@ -422,7 +427,7 @@ mod tests {
             c.access(Addr::new(k * 256), AccessKind::Read);
             c.access(Addr::new(k * 256), AccessKind::Read);
         }
-        assert!(c.out_dir.len() <= 2);
+        assert!(c.frames.out_dir.len() <= 2);
     }
 
     /// Fuzz-subsystem hook: demand-fill sanity — never a hit on a block
@@ -477,14 +482,9 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.blocks, batched.blocks, "block ids");
-        assert_eq!(looped.valid, batched.valid, "valid bits");
-        assert_eq!(looped.dirty, batched.dirty, "dirty bits");
-        assert_eq!(looped.referenced, batched.referenced, "reference bits");
-        assert_eq!(looped.out_dir, batched.out_dir, "out-of-position dir");
-        assert_eq!(looped.out_next, batched.out_next, "FIFO cursors");
-        assert_eq!(looped.hole_scan, batched.hole_scan, "hole scan cursors");
-        assert_eq!(looped.relocated_hits, batched.relocated_hits);
+        assert_eq!(
+            looped.frames, batched.frames,
+            "everything but the statistics"
+        );
     }
 }

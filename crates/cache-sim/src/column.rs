@@ -11,7 +11,7 @@
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A column-associative cache.
 ///
@@ -19,7 +19,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// through one shared, always-inlined step covering the primary probe,
 /// the rehash probe, and the swap/displace bookkeeping, so they are
 /// bit-identical: statistics and rehash counters alike. The batched
-/// path hoists the geometry split and tallies stats in registers.
+/// path tallies stats in registers.
 ///
 /// # Examples
 ///
@@ -34,6 +34,14 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// ```
 #[derive(Debug)]
 pub struct ColumnAssociativeCache {
+    slots: Slots,
+    stats: CacheStats,
+}
+
+/// Everything but the statistics, so a single access counts into those
+/// in place while its step borrows this.
+#[derive(Debug, PartialEq)]
+struct Slots {
     geom: CacheGeometry,
     // Full block-identifying tags: tag | index, so a block can sit in
     // either of its two slots without ambiguity.
@@ -41,7 +49,6 @@ pub struct ColumnAssociativeCache {
     valid: Vec<bool>,
     dirty: Vec<bool>,
     rehash: Vec<bool>,
-    stats: CacheStats,
     usage: SetUsage,
     rehash_hits: u64,
 }
@@ -62,17 +69,26 @@ impl ColumnAssociativeCache {
         }
         let sets = geom.sets();
         Ok(ColumnAssociativeCache {
-            geom,
-            blocks: vec![0; sets],
-            valid: vec![false; sets],
-            dirty: vec![false; sets],
-            rehash: vec![false; sets],
+            slots: Slots {
+                geom,
+                blocks: vec![0; sets],
+                valid: vec![false; sets],
+                dirty: vec![false; sets],
+                rehash: vec![false; sets],
+                usage: SetUsage::new(sets),
+                rehash_hits: 0,
+            },
             stats: CacheStats::new(),
-            usage: SetUsage::new(sets),
-            rehash_hits: 0,
         })
     }
 
+    /// Hits served from the rehash location (second probe, +1 cycle).
+    pub fn rehash_hits(&self) -> u64 {
+        self.slots.rehash_hits
+    }
+}
+
+impl Slots {
     /// The block identifier stored per line: tag and index bits together.
     fn block_id(&self, addr: Addr) -> u64 {
         addr.raw() >> self.geom.offset_bits()
@@ -92,12 +108,7 @@ impl ColumnAssociativeCache {
         self.h1(addr) ^ (self.geom.sets() >> 1)
     }
 
-    /// Hits served from the rehash location (second probe, +1 cycle).
-    pub fn rehash_hits(&self) -> u64 {
-        self.rehash_hits
-    }
-
-    fn evict(&mut self, tally: &mut BatchTally, slot: usize) -> Option<Eviction> {
+    fn evict<T: Tally>(&mut self, tally: &mut T, slot: usize) -> Option<Eviction> {
         if !self.valid[slot] {
             return None;
         }
@@ -120,7 +131,7 @@ impl ColumnAssociativeCache {
     /// One access. Shared verbatim by both paths, so their statistics,
     /// usage counters and contents agree by construction.
     #[inline(always)]
-    fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
+    fn step<T: Tally>(&mut self, tally: &mut T, addr: Addr, kind: AccessKind) -> AccessResult {
         let id = self.block_id(addr);
         let i1 = self.h1(addr);
         let i2 = self.h2(addr);
@@ -180,19 +191,13 @@ impl ColumnAssociativeCache {
 
 impl CacheModel for ColumnAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let mut tally = BatchTally::new();
-        let result = self.step(&mut tally, addr, kind);
-        tally.flush(&mut self.stats);
-        result
+        self.slots.step(&mut self.stats, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats: `access` runs
-        // the same `step`, so the batch equals the `access` loop by
-        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
-            self.step(&mut tally, addr, kind);
+            self.slots.step(&mut tally, addr, kind);
         }
         tally.flush(&mut self.stats);
     }
@@ -203,16 +208,16 @@ impl CacheModel for ColumnAssociativeCache {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.usage.reset();
-        self.rehash_hits = 0;
+        self.slots.usage.reset();
+        self.slots.rehash_hits = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        self.slots.geom
     }
 
     fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+        Some(&self.slots.usage)
     }
 }
 
@@ -347,11 +352,6 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.blocks, batched.blocks, "block ids");
-        assert_eq!(looped.valid, batched.valid, "valid bits");
-        assert_eq!(looped.dirty, batched.dirty, "dirty bits");
-        assert_eq!(looped.rehash, batched.rehash, "rehash bits");
-        assert_eq!(looped.rehash_hits, batched.rehash_hits, "rehash hits");
+        assert_eq!(looped.slots, batched.slots, "everything but the statistics");
     }
 }

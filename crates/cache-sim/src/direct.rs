@@ -6,7 +6,7 @@ use crate::model::{AccessKind, AccessResult, CacheModel};
 use crate::packed;
 use crate::set_assoc::StepOutcome;
 use crate::simd;
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A direct-mapped, write-back, write-allocate cache.
 ///
@@ -82,12 +82,14 @@ impl DirectMappedCache {
 /// One access against the destructured line array, on an address already
 /// split into `(set, tag)`. Shared by [`DirectMappedCache::access`] and
 /// the batched kernel (which decodes a lane group ahead), so the two
-/// paths agree by construction — statistics and contents alike.
+/// paths agree by construction — statistics and contents alike. The
+/// counts land in `tally`: a batch's register tally, or the cache's own
+/// statistics for a single access.
 #[inline(always)]
-fn step(
+fn step<T: Tally>(
     lines: &mut [u64],
     usage: &mut SetUsage,
-    tally: &mut BatchTally,
+    tally: &mut T,
     set: usize,
     tag: u64,
     kind: AccessKind,
@@ -119,16 +121,14 @@ fn step(
 
 impl CacheModel for DirectMappedCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let mut tally = BatchTally::new();
         let out = step(
             &mut self.lines,
             &mut self.usage,
-            &mut tally,
+            &mut self.stats,
             self.geom.set_index(addr),
             self.geom.tag(addr),
             kind,
         );
-        tally.flush(&mut self.stats);
         out.result(&self.geom)
     }
 

@@ -10,7 +10,7 @@ use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
 use crate::packed;
-use crate::stats::{BatchTally, CacheStats, SetUsage};
+use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A 2-way skewed-associative, write-back, write-allocate cache.
 ///
@@ -39,13 +39,20 @@ use crate::stats::{BatchTally, CacheStats, SetUsage};
 /// ```
 #[derive(Debug)]
 pub struct SkewedAssociativeCache {
+    ways: Ways,
+    stats: CacheStats,
+}
+
+/// Everything but the statistics, so a single access counts into those
+/// in place while its step borrows this.
+#[derive(Debug, PartialEq)]
+struct Ways {
     geom: CacheGeometry,
     sets_per_way: usize,
     // Packed `tag | dirty | valid` words and access stamps, per way.
     words: [Vec<u64>; 2],
     stamps: [Vec<u64>; 2],
     clock: u64,
-    stats: CacheStats,
     usage: SetUsage,
 }
 
@@ -73,19 +80,23 @@ impl SkewedAssociativeCache {
         );
         let sets_per_way = geom.sets();
         Ok(SkewedAssociativeCache {
-            geom,
-            sets_per_way,
-            words: [
-                vec![packed::EMPTY; sets_per_way],
-                vec![packed::EMPTY; sets_per_way],
-            ],
-            stamps: [vec![0; sets_per_way], vec![0; sets_per_way]],
-            clock: 0,
+            ways: Ways {
+                geom,
+                sets_per_way,
+                words: [
+                    vec![packed::EMPTY; sets_per_way],
+                    vec![packed::EMPTY; sets_per_way],
+                ],
+                stamps: [vec![0; sets_per_way], vec![0; sets_per_way]],
+                clock: 0,
+                usage: SetUsage::new(sets_per_way),
+            },
             stats: CacheStats::new(),
-            usage: SetUsage::new(sets_per_way),
         })
     }
+}
 
+impl Ways {
     /// The way-specific tag mix: the identity for way 0, a one-bit rotate
     /// within the index width for way 1.
     #[inline(always)]
@@ -119,7 +130,7 @@ impl SkewedAssociativeCache {
     /// One access. Shared verbatim by both paths, so their statistics,
     /// usage counters and contents agree by construction.
     #[inline(always)]
-    fn step(&mut self, tally: &mut BatchTally, addr: Addr, kind: AccessKind) -> AccessResult {
+    fn step<T: Tally>(&mut self, tally: &mut T, addr: Addr, kind: AccessKind) -> AccessResult {
         let idx_bits = self.geom.index_bits();
         let mask = (self.sets_per_way - 1) as u64;
         let idx = addr.bits(self.geom.offset_bits(), idx_bits);
@@ -180,19 +191,13 @@ impl SkewedAssociativeCache {
 
 impl CacheModel for SkewedAssociativeCache {
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult {
-        let mut tally = BatchTally::new();
-        let result = self.step(&mut tally, addr, kind);
-        tally.flush(&mut self.stats);
-        result
+        self.ways.step(&mut self.stats, addr, kind)
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // Shared-step replay with register-tallied stats: `access` runs
-        // the same `step`, so the batch equals the `access` loop by
-        // construction.
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
-            self.step(&mut tally, addr, kind);
+            self.ways.step(&mut tally, addr, kind);
         }
         tally.flush(&mut self.stats);
     }
@@ -203,15 +208,15 @@ impl CacheModel for SkewedAssociativeCache {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.usage.reset();
+        self.ways.usage.reset();
     }
 
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        self.ways.geom
     }
 
     fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+        Some(&self.ways.usage)
     }
 }
 
@@ -258,9 +263,8 @@ mod tests {
         for k in 0..64u64 {
             c.access(Addr::new(k * 32), AccessKind::Read);
         }
-        let used0 = c.words[0].iter().filter(|w| packed::is_valid(**w)).count();
-        let used1 = c.words[1].iter().filter(|w| packed::is_valid(**w)).count();
-        assert!(used0 > 0 && used1 > 0);
+        let used = |way: &[u64]| way.iter().filter(|w| packed::is_valid(**w)).count();
+        assert!(used(&c.ways.words[0]) > 0 && used(&c.ways.words[1]) > 0);
     }
 
     #[test]
@@ -305,7 +309,7 @@ mod tests {
         for _ in 0..1000 {
             x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
             for w in 0..2 {
-                assert!(c.index(Addr::new(x), w) < c.sets_per_way);
+                assert!(c.ways.index(Addr::new(x), w) < c.ways.sets_per_way);
             }
         }
     }
@@ -315,7 +319,7 @@ mod tests {
         let c = tiny();
         let differs = (0..256u64)
             .map(|k| Addr::new(k * 256))
-            .filter(|&a| c.index(a, 0) != c.index(a, 1))
+            .filter(|&a| c.ways.index(a, 0) != c.ways.index(a, 1))
             .count();
         assert!(differs > 0, "the two skewing functions must not coincide");
     }
@@ -377,9 +381,6 @@ mod tests {
         }
         batched.access_batch(&accesses);
         assert_eq!(looped.stats(), batched.stats());
-        assert_eq!(looped.usage, batched.usage, "usage counters");
-        assert_eq!(looped.words, batched.words, "packed line words");
-        assert_eq!(looped.stamps, batched.stamps, "timestamps");
-        assert_eq!(looped.clock, batched.clock, "clocks");
+        assert_eq!(looped.ways, batched.ways, "everything but the statistics");
     }
 }

@@ -24,7 +24,7 @@ use std::time::Instant;
 use cache_sim::{AccessKind, Addr, CacheModel};
 
 use crate::cli;
-use crate::config::CacheConfig;
+use crate::config::{self, CacheConfig};
 
 /// Record count of a full `bench` run.
 pub const DEFAULT_RECORDS: u64 = 1_000_000;
@@ -50,21 +50,13 @@ pub fn smoke_floor(baseline_maccesses: f64) -> f64 {
 }
 
 /// The benchmarked models: the whole fleet, one row per model, so
-/// `BENCH_repro.json` tracks every batched kernel.
+/// `BENCH_repro.json` tracks every batched kernel: the rows of
+/// [`config::MODELS`], under their names.
 pub fn model_set() -> Vec<(&'static str, CacheConfig)> {
-    vec![
-        ("direct-mapped", CacheConfig::DirectMapped),
-        ("8-way-lru", CacheConfig::SetAssoc(8)),
-        ("victim16", CacheConfig::Victim(16)),
-        ("bcache-mf8-bas8", CacheConfig::BCache { mf: 8, bas: 8 }),
-        ("column-assoc", CacheConfig::ColumnAssoc),
-        ("skewed-2way", CacheConfig::SkewedAssoc),
-        ("way-halting4", CacheConfig::WayHalting),
-        ("hac32", CacheConfig::Hac),
-        ("agac", CacheConfig::Agac),
-        ("pam5", CacheConfig::Pam),
-        ("diff-bit", CacheConfig::DiffBit),
-    ]
+    config::MODELS
+        .iter()
+        .map(|&(name, _, _, config)| (name, config))
+        .collect()
 }
 
 /// Options of the `bench` subcommand.

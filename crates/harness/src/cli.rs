@@ -66,7 +66,7 @@ flags! {
     SMOKE          "--smoke"          Kind::Switch,            "shortened CI run that enforces the command's pass/fail gate";
     OUT            "--out"            Kind::Text("PATH"),      "output file (profile: path prefix of the three artifacts)";
     BASELINE       "--baseline"       Kind::Text("PATH"),      "committed throughput rows the --smoke gate compares against";
-    MODEL          "--model"          Kind::Text("NAME"),      "cache model: a bench model name or dm, 8way, bcache (default bcache-mf8-bas8)";
+    MODEL          "--model"          Kind::Text("NAME"),      "cache model by name or alias; an unknown one lists them all (default bcache-mf8-bas8)";
     BENCHMARK      "--benchmark"      Kind::Text("NAME"),      "SPEC profile or synthetic family (default mcf)";
     WINDOW         "--window"         Kind::NonZero,           "window size in accesses";
     ADDR           "--addr"           Kind::Text("HOST:PORT"), "serve: bind address; loadgen: server to load (default: an in-process one)";

@@ -29,16 +29,49 @@ pub enum CacheConfig {
     ColumnAssoc,
     /// 2-way skewed-associative cache (related work, Section 7.1).
     SkewedAssoc,
-    /// Highly-associative CAM-tag cache (Section 6.7).
-    Hac,
-    /// Way-halting 4-way cache (related work, Section 7.2).
-    WayHalting,
     /// Adaptive group-associative cache (related work, Section 7.1).
     Agac,
-    /// Partial-address-matching 2-way cache (related work, Section 7.2).
-    Pam,
-    /// Difference-bit 2-way cache (related work, Section 7.2).
-    DiffBit,
+}
+
+/// A [`MODELS`] row: `(name, aliases, label, config)`.
+pub type Named = (
+    &'static str,
+    &'static [&'static str],
+    &'static str,
+    CacheConfig,
+);
+
+/// Every named configuration, one row per bench model: the name
+/// [`crate::bench::model_set`] lists it under (in this order) and that
+/// `profile` and `serve` report, the aliases they also accept, its
+/// column label in a figure, and the configuration.
+#[rustfmt::skip]
+pub const MODELS: &[Named] = &[
+    ("direct-mapped",   &["dm"],                "baseline", CacheConfig::DirectMapped),
+    ("8-way-lru",       &["8way", "8-way"],     "8way",     CacheConfig::SetAssoc(8)),
+    ("victim16",        &[],                    "victim16", CacheConfig::Victim(16)),
+    ("bcache-mf8-bas8", &["bcache", "b-cache"], "MF8-BAS8", CacheConfig::BCache { mf: 8, bas: 8 }),
+    ("column-assoc",    &[],                    "column",   CacheConfig::ColumnAssoc),
+    ("skewed-2way",     &[],                    "skew2",    CacheConfig::SkewedAssoc),
+    // The way-halting, highly-associative CAM-tag (HAC, Section 6.7),
+    // partial-address-matching and difference-bit (Section 7.2) caches
+    // hit and miss as LRU n-way arrays; their lookup energy and latency
+    // are not simulated.
+    ("way-halting4",    &[],                    "halt4",    CacheConfig::SetAssoc(4)),
+    ("hac32",           &[],                    "hac32",    CacheConfig::SetAssoc(32)),
+    ("agac",            &[],                    "agac",     CacheConfig::Agac),
+    ("pam5",            &[],                    "pam5",     CacheConfig::SetAssoc(2)),
+    ("diff-bit",        &[],                    "diffbit",  CacheConfig::SetAssoc(2)),
+];
+
+/// The [`MODELS`] row that `name` names or aliases.
+pub fn named(name: &str) -> Option<&'static Named> {
+    MODELS.iter().find(|r| r.0 == name || r.1.contains(&name))
+}
+
+/// Every name [`named`] accepts: each row's name, then its aliases.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    MODELS.iter().flat_map(|r| [&[r.0], r.1].concat())
 }
 
 impl CacheConfig {
@@ -84,19 +117,26 @@ impl CacheConfig {
         ]
     }
 
-    /// The nine configurations of the Section 7.1 related-work
-    /// comparison.
-    pub fn related_set() -> Vec<CacheConfig> {
+    /// The nine `(label, config)` columns of the Section 7.1
+    /// related-work comparison. The related designs print their
+    /// [`MODELS`] label; the 2-way column runs the same array as `pam5`
+    /// and `diffbit`.
+    pub fn related_set() -> Vec<(String, CacheConfig)> {
+        let row = |name| {
+            let &(_, _, label, config) = named(name).expect("related-work models are named");
+            (label.to_string(), config)
+        };
+        let family = |c: CacheConfig| (c.label(), c);
         vec![
-            CacheConfig::ColumnAssoc,
-            CacheConfig::SkewedAssoc,
-            CacheConfig::Agac,
-            CacheConfig::Pam,
-            CacheConfig::DiffBit,
-            CacheConfig::SetAssoc(2),
-            CacheConfig::SetAssoc(4),
-            CacheConfig::Hac,
-            CacheConfig::BCache { mf: 8, bas: 8 },
+            row("column-assoc"),
+            row("skewed-2way"),
+            row("agac"),
+            row("pam5"),
+            row("diff-bit"),
+            family(CacheConfig::SetAssoc(2)),
+            family(CacheConfig::SetAssoc(4)),
+            row("hac32"),
+            row("bcache-mf8-bas8"),
         ]
     }
 
@@ -121,18 +161,11 @@ impl CacheConfig {
             }
             CacheConfig::ColumnAssoc => ModelSpec::Column { size, line },
             CacheConfig::SkewedAssoc => ModelSpec::Skewed { size, line },
-            // The HAC (32-way CAM subarrays), way-halting,
-            // partial-address-matching and difference-bit caches hit and
-            // miss as LRU n-way arrays. What sets them apart is a
-            // lookup's energy or latency, which the replay does not time.
-            CacheConfig::Hac => ModelSpec::lru(size, 32),
-            CacheConfig::WayHalting => ModelSpec::lru(size, 4),
             CacheConfig::Agac => ModelSpec::Agac {
                 size,
                 line,
                 entries: 64,
             },
-            CacheConfig::Pam | CacheConfig::DiffBit => ModelSpec::lru(size, 2),
         }
     }
 
@@ -155,7 +188,9 @@ impl CacheConfig {
         self.spec(size_bytes, seed).build()
     }
 
-    /// Short label matching the paper's figure legends.
+    /// Short label matching the paper's figure legends: the family's
+    /// format. A named related design prints its [`MODELS`] label
+    /// instead.
     pub fn label(&self) -> String {
         match *self {
             CacheConfig::DirectMapped => "baseline".into(),
@@ -164,11 +199,7 @@ impl CacheConfig {
             CacheConfig::BCache { mf, bas } => format!("MF{mf}-BAS{bas}"),
             CacheConfig::ColumnAssoc => "column".into(),
             CacheConfig::SkewedAssoc => "skew2".into(),
-            CacheConfig::Hac => "hac32".into(),
-            CacheConfig::WayHalting => "halt4".into(),
             CacheConfig::Agac => "agac".into(),
-            CacheConfig::Pam => "pam5".into(),
-            CacheConfig::DiffBit => "diffbit".into(),
         }
     }
 }
@@ -307,26 +338,25 @@ mod tests {
     }
 
     #[test]
-    fn the_related_work_arrays_are_the_set_associative_configs() {
-        for seed in [0, 5] {
-            for (config, ways) in [
-                (CacheConfig::Hac, 32),
-                (CacheConfig::WayHalting, 4),
-                (CacheConfig::Pam, 2),
-                (CacheConfig::DiffBit, 2),
-            ] {
-                let spec = config.spec(L1_BYTES, seed);
-                assert_eq!(spec, CacheConfig::SetAssoc(ways).spec(L1_BYTES, seed));
-                assert_eq!(spec, ModelSpec::lru(L1_BYTES, ways), "{}", config.label());
+    fn the_model_table_names_each_configuration_once() {
+        let names: Vec<&str> = names().collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} twice");
+        }
+        for &(bench, aliases, label, config) in MODELS {
+            for name in [&[bench], aliases].concat() {
+                let resolved = crate::profilecmd::resolve_model(name);
+                assert_eq!(resolved, Ok((bench, config)), "{name}");
+            }
+            // The related designs are LRU set-associative arrays under
+            // labels of their own; every other row prints its family's.
+            match bench {
+                "hac32" => assert_eq!(config, CacheConfig::SetAssoc(32)),
+                "way-halting4" => assert_eq!(config, CacheConfig::SetAssoc(4)),
+                "pam5" | "diff-bit" => assert_eq!(config, CacheConfig::SetAssoc(2), "{bench}"),
+                _ => assert_eq!(config.label(), label, "{bench}"),
             }
         }
-    }
-
-    #[test]
-    fn labels_match_figure_legends() {
-        assert_eq!(CacheConfig::SetAssoc(8).label(), "8way");
-        assert_eq!(CacheConfig::Victim(16).label(), "victim16");
-        assert_eq!(CacheConfig::BCache { mf: 8, bas: 8 }.label(), "MF8-BAS8");
     }
 
     #[test]

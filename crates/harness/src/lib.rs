@@ -35,11 +35,13 @@
 //! std-only scoped-thread pool. No driver builds an engine of its own,
 //! so every experiment honours `--jobs N`, which picks the worker count
 //! (default: available parallelism); the output is **bit-identical for
-//! every `N`** because job seeds are derived from the job identity
-//! ([`parallel::job_seed`]), jobs are pure, and aggregation is
-//! positional. The engine's [`parallel::TraceCache`] memoizes each
-//! benchmark's per-side access stream ([`run::SideTrace`]) so the side
-//! filtering runs once and every config job is pure model work; raw
+//! every `N`** because jobs are pure (no paper configuration's model
+//! reads its seed) and aggregation is positional.
+//! [`parallel::job_seed`] still derives each job's model seed from its
+//! identity; it is kept for the benchmark crate. The engine's
+//! [`parallel::TraceCache`] memoizes each benchmark's per-side access
+//! stream ([`run::SideTrace`]) so the side filtering runs once and
+//! every config job is pure model work; raw
 //! record buffers are memoized separately for the callers that need
 //! them (the CPU model, the golden-stats tests), and released after
 //! their last declared use.

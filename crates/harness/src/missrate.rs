@@ -7,8 +7,7 @@
 use trace_gen::{profiles, BenchmarkProfile, Suite};
 
 use crate::config::CacheConfig;
-use crate::models::ModelSpec;
-use crate::parallel::{job_seed, Engine};
+use crate::parallel::Engine;
 use crate::report::{pct, pct2, TextTable};
 use crate::run::{mean, replay_config_on, BenchmarkMissRates, ConfigOutcome, RunLength, Side};
 
@@ -62,45 +61,49 @@ impl MissRateFigure {
     }
 }
 
+/// The `(label, config)` columns that print each configuration under
+/// its family label.
+fn labelled(configs: Vec<CacheConfig>) -> Vec<(String, CacheConfig)> {
+    configs.into_iter().map(|c| (c.label(), c)).collect()
+}
+
 fn run_figure(
     engine: &Engine,
     scope: &str,
     title: String,
     benchmarks: &[BenchmarkProfile],
-    configs: &[CacheConfig],
+    columns: &[(String, CacheConfig)],
     (size_bytes, side): (usize, Side),
     len: RunLength,
 ) -> MissRateFigure {
-    // One job per distinct model of a row; column 0 is the baseline.
-    // Columns whose configurations build the same model (PAM,
-    // difference-bit and 2-way are each a 2-way LRU array) share the
-    // job of the first such column. The engine returns miss rates in
-    // submission order, so rows rebuild canonically however the jobs
-    // interleaved. Each job carries a checkpoint identity
-    // (`scope/benchmark/label`, the label of the first column it
-    // serves) so interrupted sweeps resume from the finished cells.
-    let mut cols = Vec::with_capacity(configs.len() + 1);
-    cols.push(CacheConfig::DirectMapped);
-    cols.extend_from_slice(configs);
+    // One job per distinct configuration of a row; column 0 is the
+    // baseline. Equal columns (`pam5`, `diffbit` and `2way` are each
+    // `SetAssoc(2)`) share the job of the first such column. The engine
+    // returns miss rates in submission order, so rows rebuild
+    // canonically however the jobs interleaved. Each job carries a
+    // checkpoint identity (`scope/benchmark/label`, the label of the
+    // first column it serves) so interrupted sweeps resume from the
+    // finished cells.
+    let mut cols = labelled(vec![CacheConfig::DirectMapped]);
+    cols.extend_from_slice(columns);
     type Job<'a> = Box<dyn Fn() -> f64 + Send + Sync + 'a>;
     let mut jobs: Vec<(String, Job<'_>)> = Vec::new();
     // Per benchmark, the job index of each column.
     let mut job_of: Vec<Vec<usize>> = Vec::with_capacity(benchmarks.len());
     for p in benchmarks {
-        let seed = job_seed(len.seed, p.name, side);
-        let specs: Vec<ModelSpec> = cols.iter().map(|c| c.spec(size_bytes, seed)).collect();
         let mut row = Vec::with_capacity(cols.len());
-        for (i, &c) in cols.iter().enumerate() {
-            if let Some(first) = specs[..i].iter().position(|s| *s == specs[i]) {
+        for (i, (label, c)) in cols.iter().enumerate() {
+            if let Some(first) = cols[..i].iter().position(|(_, d)| d == c) {
                 row.push(row[first]);
                 continue;
             }
             row.push(jobs.len());
+            let c = *c;
             let job: Job<'_> = Box::new(move || {
                 let trace = engine.side_trace(p, len, side);
                 replay_config_on(p.name, &trace, &c, size_bytes, side, len)
             });
-            jobs.push((format!("{}/{}", p.name, c.label()), job));
+            jobs.push((format!("{}/{label}", p.name), job));
         }
         job_of.push(row);
     }
@@ -111,11 +114,11 @@ fn run_figure(
         .map(|(p, row)| BenchmarkMissRates {
             benchmark: p.name.to_string(),
             baseline_miss_rate: rates[row[0]],
-            outcomes: configs
+            outcomes: columns
                 .iter()
                 .zip(&row[1..])
-                .map(|(c, &job)| ConfigOutcome {
-                    label: c.label(),
+                .map(|((label, _), &job)| ConfigOutcome {
+                    label: label.clone(),
                     miss_rate: rates[job],
                 })
                 .collect(),
@@ -123,7 +126,7 @@ fn run_figure(
         .collect();
     MissRateFigure {
         title,
-        labels: configs.iter().map(CacheConfig::label).collect(),
+        labels: columns.iter().map(|(label, _)| label.clone()).collect(),
         rows,
     }
 }
@@ -131,7 +134,7 @@ fn run_figure(
 /// Figure 4: data-cache miss-rate reductions at 16 kB over the nine
 /// comparison configurations, grouped CFP2K then CINT2K like the paper.
 pub fn figure4_with(engine: &Engine, len: RunLength) -> (MissRateFigure, MissRateFigure) {
-    let configs = CacheConfig::figure4_set();
+    let configs = labelled(CacheConfig::figure4_set());
     let fp = run_figure(
         engine,
         "fig4/cfp",
@@ -161,7 +164,7 @@ pub fn figure5_with(engine: &Engine, len: RunLength) -> MissRateFigure {
         "fig5",
         "Figure 5: I$ miss-rate reductions, reported benchmarks, 16 kB".into(),
         &profiles::icache_reported(),
-        &CacheConfig::figure4_set(),
+        &labelled(CacheConfig::figure4_set()),
         (16 * 1024, Side::Instruction),
         len,
     )
@@ -170,7 +173,7 @@ pub fn figure5_with(engine: &Engine, len: RunLength) -> MissRateFigure {
 /// Figure 12: miss-rate reductions at 8 kB and 32 kB over the twelve
 /// configurations (suite averages, as the paper plots aggregate bars).
 pub fn figure12_with(engine: &Engine, len: RunLength) -> Vec<MissRateFigure> {
-    let configs = CacheConfig::figure12_set();
+    let configs = labelled(CacheConfig::figure12_set());
     let mut figures = Vec::new();
     for size in [32 * 1024usize, 8 * 1024] {
         let kb = size / 1024;
@@ -270,11 +273,11 @@ mod tests {
         );
     }
 
-    /// The related-work row has ten columns but eight distinct models:
-    /// PAM, difference-bit and 2-way are all a 2-way LRU array. One job
-    /// runs per distinct model (208 for 26 benchmarks, not 260), keyed
-    /// by the first column it serves, and the equal columns read the
-    /// same miss rate.
+    /// The related-work row has ten columns but eight distinct
+    /// configurations: `pam5`, `diffbit` and `2way` are all
+    /// `SetAssoc(2)`. One job runs per distinct configuration (208 for
+    /// 26 benchmarks, not 260), keyed by the first column it serves, and
+    /// the equal columns read the same miss rate.
     #[test]
     fn a_figure_row_runs_one_job_per_distinct_model() {
         let len = RunLength::with_records(2_000);

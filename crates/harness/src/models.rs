@@ -708,14 +708,7 @@ mod tests {
             }
             CacheConfig::ColumnAssoc => Box::new(ColumnAssociativeCache::new(size, 32).unwrap()),
             CacheConfig::SkewedAssoc => Box::new(SkewedAssociativeCache::new(size, 32).unwrap()),
-            CacheConfig::Hac => Box::new(SetAssociativeCache::new(size, 32, 32, lru, 0).unwrap()),
-            CacheConfig::WayHalting => {
-                Box::new(SetAssociativeCache::new(size, 32, 4, lru, 0).unwrap())
-            }
             CacheConfig::Agac => Box::new(AgacCache::new(size, 32, 64).unwrap()),
-            CacheConfig::Pam | CacheConfig::DiffBit => {
-                Box::new(SetAssociativeCache::new(size, 32, 2, lru, 0).unwrap())
-            }
         }
     }
 
@@ -728,7 +721,7 @@ mod tests {
         configs.extend(CacheConfig::figure4_set());
         configs.extend(CacheConfig::figure8_set());
         configs.extend(CacheConfig::figure12_set());
-        configs.extend(CacheConfig::related_set());
+        configs.extend(CacheConfig::related_set().into_iter().map(|(_, c)| c));
         let stream = crate::bench::access_stream(4000, 3);
         for size in [8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024] {
             for &c in &configs {

@@ -1,5 +1,5 @@
-//! The parallel experiment engine: a scoped-thread job pool, a shared
-//! trace cache, and deterministic per-job seed derivation.
+//! The parallel experiment engine: a scoped-thread job pool and a shared
+//! trace cache.
 //!
 //! Every figure and table of the reproduction is a cross-product of
 //! (benchmark profile × reference side × cache configuration). The
@@ -9,17 +9,18 @@
 //! is canonical and the output is bit-identical regardless of thread
 //! count or scheduling.
 //!
-//! Three properties make the engine deterministic:
+//! Two properties make the engine deterministic:
 //!
 //! 1. **Jobs are pure.** A job reads its inputs (profile, config, run
 //!    length) and a shared immutable trace; it never touches mutable
-//!    shared state.
-//! 2. **Seeds are derived, not drawn.** Each job's model seed comes
-//!    from [`job_seed`]`(RunLength.seed, benchmark, side)` — a pure
-//!    hash of the job's identity — never from a shared RNG or from
-//!    scheduling order.
-//! 3. **Aggregation is positional.** [`Engine::run`] returns results
+//!    shared state, and no paper configuration's model draws a random
+//!    number (see [`CacheConfig::spec`](crate::config::CacheConfig::spec)).
+//! 2. **Aggregation is positional.** [`Engine::run`] returns results
 //!    in the order jobs were submitted, however they interleaved.
+//!
+//! The drivers still hand each model a seed derived from the job's
+//! identity ([`job_seed`]), which no paper configuration reads; it is
+//! kept because the benchmark crate builds its models with it.
 //!
 //! Each job runs once. Since a job is a deterministic simulation, one
 //! that panics would panic again on any rerun, so a panic is a finding:

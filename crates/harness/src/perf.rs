@@ -86,19 +86,13 @@ fn l1_energy_pj(config: &CacheConfig, l1_miss_rate: f64) -> f64 {
             bcache_access_pj(&params).total_pj()
         }
         // Related-work configs: approximate with a same-sized 2-way.
-        // PAM and the difference-bit cache are simulated as that 2-way
-        // LRU array, so what their way prediction saves, and what PAM's
-        // second-cycle corrections cost, is not priced. Column-associative
-        // and AGAC keep single-way data accesses but pay extra probes.
-        CacheConfig::ColumnAssoc
-        | CacheConfig::SkewedAssoc
-        | CacheConfig::Agac
-        | CacheConfig::Pam
-        | CacheConfig::DiffBit => conventional_access_pj(&geom(2)).total_pj(),
-        // Way halting skips most non-matching ways; its upper bound is
-        // its full associativity.
-        CacheConfig::WayHalting => conventional_access_pj(&geom(4)).total_pj(),
-        CacheConfig::Hac => conventional_access_pj(&geom(32)).total_pj(),
+        // Column-associative and AGAC keep single-way data accesses but
+        // pay extra probes. The HAC, way-halting, PAM and difference-bit
+        // configurations are `SetAssoc(n)`, priced as a conventional
+        // n-way read: what their lookup tricks save is not priced.
+        CacheConfig::ColumnAssoc | CacheConfig::SkewedAssoc | CacheConfig::Agac => {
+            conventional_access_pj(&geom(2)).total_pj()
+        }
     }
 }
 

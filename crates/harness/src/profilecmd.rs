@@ -34,7 +34,7 @@ use trace_gen::{profiles, synthetic, BenchmarkProfile};
 
 use crate::bench;
 use crate::cli;
-use crate::config::{CacheConfig, L1_BYTES};
+use crate::config::{self, CacheConfig, L1_BYTES};
 use crate::parallel::{default_parallelism, job_seed, Engine};
 use crate::run::{RunLength, Side, SideTrace};
 use crate::telemetry_io::record_model;
@@ -91,26 +91,19 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Resolves a model name (with the common aliases) against the bench
-/// model set.
+/// Resolves a model name or alias through [`config::MODELS`] to its
+/// bench name and configuration.
 ///
 /// # Errors
 ///
-/// Returns a message listing the known names when `name` matches none.
+/// Returns a message listing every accepted name when `name` matches
+/// none.
 pub fn resolve_model(name: &str) -> Result<(&'static str, CacheConfig), String> {
-    let canonical = match name {
-        "dm" => "direct-mapped",
-        "8way" | "8-way" => "8-way-lru",
-        "bcache" | "b-cache" => "bcache-mf8-bas8",
-        other => other,
-    };
-    bench::model_set()
-        .into_iter()
-        .find(|(n, _)| *n == canonical)
-        .ok_or_else(|| {
-            let known: Vec<&str> = bench::model_set().iter().map(|(n, _)| *n).collect();
-            format!("unknown model: {name} (known: {})", known.join(", "))
-        })
+    let &(bench, _, _, config) = config::named(name).ok_or_else(|| {
+        let known: Vec<&str> = config::names().collect();
+        format!("unknown model: {name} (known: {})", known.join(", "))
+    })?;
+    Ok((bench, config))
 }
 
 /// Resolves a benchmark name: the SPEC profiles first, then the

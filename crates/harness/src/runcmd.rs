@@ -15,9 +15,8 @@ use telemetry::{EventRing, Recorder, SpanTimer};
 use trace_gen::profiles;
 
 use crate::cli;
-use crate::config::{CacheConfig, L1_BYTES};
+use crate::config::{self, CacheConfig, L1_BYTES};
 use crate::parallel::{default_parallelism, job_seed, Engine};
-use crate::profilecmd::resolve_model;
 use crate::run::{replay_bcache_observed, RunLength, Side, SideTrace};
 use crate::telemetry_io::record_model;
 
@@ -92,14 +91,11 @@ pub struct RunCmdOutcome {
 }
 
 /// The models a `run` replays, in report order, under their short
-/// names (which key the report rows and metrics).
+/// [`config::MODELS`] names (which key the report rows and metrics).
 fn run_model_set() -> Vec<(&'static str, CacheConfig)> {
     ["dm", "8way", "victim16", "bcache"]
         .into_iter()
-        .map(|name| {
-            let (_, config) = resolve_model(name).expect("run models resolve");
-            (name, config)
-        })
+        .map(|name| (name, config::named(name).expect("run models are named").3))
         .collect()
 }
 

@@ -24,10 +24,10 @@ fn len() -> RunLength {
     }
 }
 
-fn counts(traces: &TraceCache, benchmark: &str, config: CacheConfig, side: Side) -> ExactCounts {
+fn counts(traces: &TraceCache, benchmark: &str, pin: Pin, side: Side) -> ExactCounts {
     let p = profiles::by_name(benchmark).expect("known benchmark");
     let records = traces.get(&p, len());
-    replay_config_counts(benchmark, &records, &config, 16 * 1024, side, len())
+    replay_config_counts(benchmark, &records, &pin.config, 16 * 1024, side, len())
 }
 
 /// Exact PD counters (misses with a PD hit, misses with a PD miss) of
@@ -35,7 +35,7 @@ fn counts(traces: &TraceCache, benchmark: &str, config: CacheConfig, side: Side)
 fn pd_counts(traces: &TraceCache, benchmark: &str) -> (u64, u64) {
     let p = profiles::by_name(benchmark).expect("known benchmark");
     let records = traces.get(&p, len());
-    let mut bc = BC.build(16 * 1024, 0).expect("the design point builds");
+    let mut bc = BC.config.build(16 * 1024, 0).expect("MF8-BAS8 builds");
     replay(records.iter(), bc.as_mut(), Side::Data, len().warmup);
     let pd = bc.decoder_stats().expect("a B-Cache has decoders");
     (pd.misses_with_pd_hit, pd.misses_with_pd_miss)
@@ -55,14 +55,10 @@ fn lit(n: u64) -> String {
 }
 
 /// One `GOLDEN` row, as the table spells it.
-fn golden_row(benchmark: &str, config: CacheConfig, side: Side, c: ExactCounts) -> String {
-    let name = NAMES
-        .iter()
-        .find(|n| n.0 == config)
-        .expect("every pinned config has a name")
-        .1;
+fn golden_row(benchmark: &str, pin: Pin, side: Side, c: ExactCounts) -> String {
     format!(
-        "    (\"{benchmark}\", {name}, Side::{side:?}, {}, {}),\n",
+        "    (\"{benchmark}\", {}, Side::{side:?}, {}, {}),\n",
+        pin.name,
         lit(c.accesses),
         lit(c.misses)
     )
@@ -77,12 +73,18 @@ fn pd_row(benchmark: &str, (pd_hits, pd_misses): (u64, u64)) -> String {
     )
 }
 
-/// Declares each pinned config as a const named as the tables spell it,
-/// plus `NAMES`, which spells it back for regenerated rows.
+/// A pinned configuration under the const name the tables spell it by,
+/// which regenerated rows print: `PAM` and `DFB` are equal configurations.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Pin {
+    name: &'static str,
+    config: CacheConfig,
+}
+
+/// Declares each pin as a const named as the tables spell it.
 macro_rules! configs {
     ($($name:ident = $config:expr;)*) => {
-        $(const $name: CacheConfig = $config;)*
-        const NAMES: &[(CacheConfig, &str)] = &[$(($name, stringify!($name))),*];
+        $(const $name: Pin = Pin { name: stringify!($name), config: $config };)*
     };
 }
 
@@ -92,22 +94,23 @@ configs! {
     BC = CacheConfig::BCache { mf: 8, bas: 8 };
     // The remaining paper configurations, pinned on the data side only:
     // their instruction-side rows are near-duplicates of the core configs'
-    // and add bulk without discriminating power. HAC, WH4 and DFB run the
-    // 32-, 4- and 2-way LRU set-associative kernel.
+    // and add bulk without discriminating power. HAC, WH4, PAM and DFB
+    // are the configurations the `hac32`, `way-halting4`, `pam5` and
+    // `diff-bit` models name: the 32-, 4-, 2- and 2-way LRU arrays.
     V16 = CacheConfig::Victim(16);
     CA = CacheConfig::ColumnAssoc;
     SK2 = CacheConfig::SkewedAssoc;
-    HAC = CacheConfig::Hac;
-    WH4 = CacheConfig::WayHalting;
+    HAC = CacheConfig::SetAssoc(32);
+    WH4 = CacheConfig::SetAssoc(4);
     AGC = CacheConfig::Agac;
-    PAM = CacheConfig::Pam;
-    DFB = CacheConfig::DiffBit;
+    PAM = CacheConfig::SetAssoc(2);
+    DFB = CacheConfig::SetAssoc(2);
 }
 
 /// `(benchmark, config, side, accesses, misses)` — every pinned cell.
 /// Values measured at the fixed [`len`] above; they are exact, not
 /// tolerances.
-const GOLDEN: &[(&str, CacheConfig, Side, u64, u64)] = &[
+const GOLDEN: &[(&str, Pin, Side, u64, u64)] = &[
     // mcf: capacity-bound — associativity barely dents the D$ misses.
     ("mcf", DM, Side::Data, 17_975, 13_592),
     ("mcf", W8, Side::Data, 17_975, 13_315),
@@ -246,12 +249,12 @@ const GOLDEN_PD: &[(&str, u64, u64)] = &[
 fn miss_counts_match_the_golden_table() {
     let traces = TraceCache::new();
     let (mut moved, mut rows) = (Vec::new(), String::new());
-    for &(benchmark, config, side, accesses, misses) in GOLDEN {
-        let got = counts(&traces, benchmark, config, side);
+    for &(benchmark, pin, side, accesses, misses) in GOLDEN {
+        let got = counts(&traces, benchmark, pin, side);
         if got != (ExactCounts { accesses, misses }) {
-            moved.push(format!("{benchmark} {config:?} {side:?}"));
+            moved.push(format!("{benchmark} {} {side:?}", pin.name));
         }
-        rows += &golden_row(benchmark, config, side, got);
+        rows += &golden_row(benchmark, pin, side, got);
     }
     assert!(
         moved.is_empty(),
@@ -281,8 +284,8 @@ fn regenerated_rows_are_the_tables_own_lines() {
     // What a failing comparison prints must paste back verbatim: every
     // pinned row, regenerated from its own values, is a line of this file.
     let source = include_str!("golden_stats.rs");
-    for &(benchmark, config, side, accesses, misses) in GOLDEN {
-        let row = golden_row(benchmark, config, side, ExactCounts { accesses, misses });
+    for &(benchmark, pin, side, accesses, misses) in GOLDEN {
+        let row = golden_row(benchmark, pin, side, ExactCounts { accesses, misses });
         assert!(source.contains(&row), "{row}");
     }
     for &(benchmark, pd_hits, pd_misses) in GOLDEN_PD {
@@ -300,18 +303,22 @@ fn batched_replay_reproduces_the_golden_table() {
     // batch-path optimization that shifts any counter fails here while
     // the scalar path still passes (and vice versa).
     let traces = TraceCache::new();
-    for &(benchmark, config, side, accesses, misses) in GOLDEN {
+    for &(benchmark, pin, side, accesses, misses) in GOLDEN {
         let p = profiles::by_name(benchmark).expect("known benchmark");
         let records = traces.get(&p, len());
         let seed = job_seed(len().seed, benchmark, side);
-        let mut model = config.build(16 * 1024, seed).expect("config must build");
+        let mut model = pin
+            .config
+            .build(16 * 1024, seed)
+            .expect("config must build");
         let batched = SideTrace::extract(records.iter(), side, len().warmup);
         batched.replay(model.as_mut());
         let total = model.stats().total();
         assert_eq!(
             (total.accesses(), total.misses()),
             (accesses, misses),
-            "{benchmark} {config:?} {side:?}: the batched path moved a pinned cell"
+            "{benchmark} {} {side:?}: the batched path moved a pinned cell",
+            pin.name
         );
     }
 }
@@ -329,19 +336,6 @@ fn golden_cells_are_internally_consistent() {
             .map(|g| g.3)
             .collect();
         assert!(same.iter().all(|&a| a == accesses), "{benchmark} {side:?}");
-    }
-    // PAM and difference-bit are both contractually 2-way LRU caches
-    // (their tricks change lookup energy, not placement), so their
-    // pinned miss counts must be identical cell for cell.
-    for &(benchmark, config, side, _, misses) in GOLDEN {
-        if config == PAM {
-            let dfb = GOLDEN
-                .iter()
-                .find(|g| g.0 == benchmark && g.1 == DFB && g.2 == side)
-                .unwrap()
-                .4;
-            assert_eq!(misses, dfb, "{benchmark}: PAM and diff-bit diverged");
-        }
     }
     // The PD splits sum to no more than the B-Cache's total misses.
     for &(benchmark, pd_hits, pd_misses) in GOLDEN_PD {
