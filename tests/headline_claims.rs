@@ -236,21 +236,29 @@ fn related_work_ordering() {
     );
 }
 
-/// Data-side miss rate of one B-Cache variant over the first 200k
-/// records of `benchmark` (seed 1, no warm-up reset) — the replay the
-/// design-choice ablations below compare.
-fn ablation_miss_rate(benchmark: &str, params: BCacheParams) -> f64 {
+/// The data accesses of the first 200k records of `benchmark` (seed 1)
+/// — the stream the design-choice ablations below replay.
+fn ablation_accesses(benchmark: &str) -> Vec<(Addr, AccessKind)> {
     let profile = profiles::by_name(benchmark).unwrap();
-    let mut bc = BalancedCache::new(params);
-    for r in Trace::new(&profile, 1).take(200_000) {
-        if let Some(a) = r.op.data_addr() {
+    Trace::new(&profile, 1)
+        .take(200_000)
+        .filter_map(|r| {
             let kind = if matches!(r.op, Op::Store(_)) {
                 AccessKind::Write
             } else {
                 AccessKind::Read
             };
-            bc.access(Addr::new(a), kind);
-        }
+            r.op.data_addr().map(|a| (Addr::new(a), kind))
+        })
+        .collect()
+}
+
+/// Data-side miss rate of one B-Cache variant over
+/// [`ablation_accesses`] (no warm-up reset).
+fn ablation_miss_rate(benchmark: &str, params: BCacheParams) -> f64 {
+    let mut bc = BalancedCache::new(params);
+    for (addr, kind) in ablation_accesses(benchmark) {
+        bc.access(addr, kind);
     }
     bc.stats().miss_rate()
 }
@@ -273,6 +281,62 @@ fn ablation_lru_beats_random_replacement() {
         ablation_miss_rate("equake", random),
     );
     assert!(lru < random, "equake: LRU {lru:.5} vs random {random:.5}");
+}
+
+/// `(hits, misses, writebacks)` of `cache` after replaying `accesses`
+/// one `access` at a time, and after one `access_batch` on a twin.
+fn loop_and_batch_counts<C: CacheModel>(
+    mut make: impl FnMut() -> C,
+    accesses: &[(Addr, AccessKind)],
+) -> [(u64, u64, u64); 2] {
+    let counts = |c: &C| {
+        let s = c.stats();
+        (s.total().hits(), s.total().misses(), s.writebacks())
+    };
+    let mut looped = make();
+    for &(addr, kind) in accesses {
+        looped.access(addr, kind);
+    }
+    let mut batched = make();
+    batched.access_batch(accesses);
+    [counts(&looped), counts(&batched)]
+}
+
+/// Random replacement's exact counts, per access and batched: a 4 kB
+/// 4-way set-associative cache (seed 5) over a fixed LCG stream, and
+/// the random MF8-BAS8 B-Cache of the LRU-vs-random ablation (equake
+/// D$, seed 7: the 2.708% of EXPERIMENTS.md). The ablation above only
+/// orders the two policies; these pin random's victim draws exactly.
+#[test]
+fn random_replacement_counts_are_pinned() {
+    let mut x = 0x5EED_0005u64;
+    let stream: Vec<(Addr, AccessKind)> = (0..20_000)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let kind = if (x >> 61) == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            (Addr::new(((x >> 20) % 512) * 32), kind)
+        })
+        .collect();
+    let set_assoc = loop_and_batch_counts(
+        || cache_sim::SetAssociativeCache::new(4096, 32, 4, PolicyKind::Random, 5).unwrap(),
+        &stream,
+    );
+    assert_eq!(set_assoc, [(4_937, 15_063, 2_383); 2], "random 4-way");
+    let params = BCacheParams::new(ablation_geometry(), 8, 8, PolicyKind::Random)
+        .unwrap()
+        .with_seed(7);
+    let bcache = loop_and_batch_counts(|| BalancedCache::new(params), &ablation_accesses("equake"));
+    assert_eq!(
+        bcache,
+        [(71_770, 1_998, 1_127); 2],
+        "random MF8-BAS8 on equake"
+    );
 }
 
 /// Section 2.3: on a PD hit with a tag miss, evicting the forced victim
