@@ -46,5 +46,5 @@ pub mod model;
 pub mod tolerance;
 
 pub use dist::BlockDist;
-pub use model::{bcache_model, conventional_model, AnalyticError, ModelSpec};
+pub use model::{bcache_model, conventional_model, AnalyticError, IrmModel};
 pub use tolerance::convergence_tolerance;

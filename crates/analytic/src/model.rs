@@ -14,8 +14,9 @@
 //! * **capacity** — how many classes a group keeps resident at once: the
 //!   associativity of a conventional cache, `BAS` for a B-Cache. The
 //!   resident classes are managed by LRU — in the B-Cache every
-//!   reference promotes its PI class (`on_access` on hits, `on_fill` on
-//!   both miss paths), so group dynamics are exactly LRU over classes.
+//!   reference promotes its PI class (its way's stamp is touched on hits
+//!   and on both miss paths), so group dynamics are exactly LRU over
+//!   classes.
 //!
 //! The steady-state hit rate is then exact, not approximate. Two
 //! independent factors multiply:
@@ -137,9 +138,10 @@ struct GroupSpec {
     classes: Vec<ClassSpec>,
 }
 
-/// A cache reduced to its analytic structure (see the module docs).
+/// A cache reduced to its IRM structure: groups of classes with a
+/// resident capacity each (see the module docs).
 #[derive(Clone, Debug)]
-pub struct ModelSpec {
+pub struct IrmModel {
     groups: Vec<GroupSpec>,
 }
 
@@ -147,7 +149,7 @@ pub struct ModelSpec {
 /// operations summed over all groups of one evaluation.
 const MAX_DP_OPS: u128 = 50_000_000;
 
-impl ModelSpec {
+impl IrmModel {
     /// The exact steady-state expected hit rate under IRM.
     ///
     /// # Errors
@@ -169,7 +171,7 @@ impl ModelSpec {
     ///
     /// # Errors
     ///
-    /// See [`ModelSpec::expected_hit_rate`].
+    /// See [`IrmModel::expected_hit_rate`].
     pub fn expected_miss_rate(&self) -> Result<f64, AnalyticError> {
         Ok(1.0 - self.expected_hit_rate()?)
     }
@@ -273,7 +275,7 @@ fn group_hit(g: &GroupSpec, budget: &mut u128) -> Result<f64, AnalyticError> {
 ///
 /// Groups are sets, every block is its own class (`h_j = 1`), capacity
 /// is the associativity.
-pub fn conventional_model(geom: &CacheGeometry, dist: &BlockDist) -> ModelSpec {
+pub fn conventional_model(geom: &CacheGeometry, dist: &BlockDist) -> IrmModel {
     let mut groups: BTreeMap<usize, BTreeMap<u64, f64>> = BTreeMap::new();
     for &(addr, p) in dist.entries() {
         let a = Addr::new(addr);
@@ -283,7 +285,7 @@ pub fn conventional_model(geom: &CacheGeometry, dist: &BlockDist) -> ModelSpec {
             .entry(geom.block_base(a).raw())
             .or_insert(0.0) += p;
     }
-    ModelSpec {
+    IrmModel {
         groups: groups
             .into_values()
             .map(|blocks| {
@@ -315,7 +317,7 @@ pub fn conventional_model(geom: &CacheGeometry, dist: &BlockDist) -> ModelSpec {
 /// [`AnalyticError::UnsupportedPolicy`] for non-LRU replacement and
 /// [`AnalyticError::UnsupportedConfig`] for the `EvictBoth` ablation,
 /// both of which fall outside the closed form.
-pub fn bcache_model(params: &BCacheParams, dist: &BlockDist) -> Result<ModelSpec, AnalyticError> {
+pub fn bcache_model(params: &BCacheParams, dist: &BlockDist) -> Result<IrmModel, AnalyticError> {
     if params.policy() != PolicyKind::Lru {
         return Err(AnalyticError::UnsupportedPolicy {
             policy: params.policy(),
@@ -339,7 +341,7 @@ pub fn bcache_model(params: &BCacheParams, dist: &BlockDist) -> Result<ModelSpec
             .entry(geom.block_base(a).raw())
             .or_insert(0.0) += p;
     }
-    Ok(ModelSpec {
+    Ok(IrmModel {
         groups: groups
             .into_values()
             .map(|classes| {

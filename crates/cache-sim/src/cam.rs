@@ -7,9 +7,9 @@
 //! FA search and the set-associative way scans share one tag probe,
 //! built on the [`crate::simd`] lane operations: a compare-mask on the
 //! kernel's lane backend followed by a `trailing_zeros` priority
-//! encode. Choosing a way to
-//! fill is the replacement policy's job (one stamp minimum for
-//! [`crate::replacement::Lru`]), not a second scan here.
+//! encode. Choosing a way to fill is the replacement state's job (one
+//! stamp minimum in [`crate::replacement::Replacement`]), not a second
+//! scan here.
 //!
 //! [`find_match`] takes a const generic width `N`; `N == 0` selects a
 //! runtime-width fallback with identical first-match semantics, so

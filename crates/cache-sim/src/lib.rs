@@ -9,6 +9,8 @@
 //!   [`SetAssociativeCache`] (2-way … 32-way, LRU or random),
 //!   [`VictimCache`] (Jouppi), [`ColumnAssociativeCache`],
 //!   [`SkewedAssociativeCache`] and [`AgacCache`];
+//! * [`Replacement`], the LRU or random victim choice shared by the
+//!   set-associative arrays, the victim buffer and the B-Cache;
 //! * the Table 4 [`MemoryHierarchy`] (split L1, unified 4-way 256 kB L2,
 //!   infinite memory);
 //! * statistics, including the per-set usage counters behind the paper's
@@ -67,7 +69,7 @@ pub use geometry::{CacheGeometry, GeometryError, TagIndexSplit, DEFAULT_ADDR_BIT
 pub use hierarchy::{LatencyConfig, MemoryHierarchy};
 pub use model::{AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel};
 pub use oracle::{BCacheOracle, OracleCache, OracleOutcome, VictimOracle};
-pub use replacement::{make_policy, LanePolicy, Lru, PolicyKind, ReplacementPolicy};
+pub use replacement::{PolicyKind, Replacement};
 pub use set_assoc::SetAssociativeCache;
 pub use skewed::SkewedAssociativeCache;
 pub use stats::{BalanceReport, BatchTally, CacheStats, Counter, PdStats, SetUsage, Tally};

@@ -19,14 +19,14 @@
 //!   map of resident blocks plus a demotion-ordered queue of buffered
 //!   ones, with no packed words, lane probes or LRU stamps.
 //!
-//! For [`PolicyKind::Random`] the victim *choice* is mirrored through
-//! [`make_policy`] with the same seed (re-deriving the PRNG stream
-//! independently would just duplicate the code under test); everything
-//! else — residency, way assignment, dirtiness, eviction reporting,
-//! statistics — is recomputed independently, so the oracle still
-//! catches any bookkeeping bug, including calling the policy at the
-//! wrong moment (the mirrored streams desynchronize and the divergence
-//! surfaces).
+//! For [`PolicyKind::Random`] an oracle draws its victims from its own
+//! generator, seeded as the model's: `gen_range(0..ways)` whenever a
+//! full set (or, in the B-Cache, a group with no cold way) needs one.
+//! It shares no replacement code with the models, and everything else —
+//! residency, way assignment, dirtiness, eviction reporting, statistics
+//! — is recomputed independently, so the oracle catches any bookkeeping
+//! bug, including a draw at the wrong moment (the two streams
+//! desynchronize and the divergence surfaces).
 //!
 //! The `bcache-repro fuzz` subcommand (crate `harness`) drives every
 //! registered model against these oracles on randomized configurations
@@ -35,9 +35,12 @@
 
 use std::collections::VecDeque;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use crate::addr::Addr;
 use crate::model::{AccessKind, AccessResult, Eviction};
-use crate::replacement::{make_policy, PolicyKind, ReplacementPolicy};
+use crate::replacement::PolicyKind;
 
 /// What the oracle says one access must do.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,6 +65,15 @@ impl OracleOutcome {
             ));
         }
         None
+    }
+}
+
+/// An oracle's victim generator: seeded as the model's for random
+/// replacement, none for LRU.
+fn random(kind: PolicyKind, seed: u64) -> Option<StdRng> {
+    match kind {
+        PolicyKind::Lru => None,
+        PolicyKind::Random => Some(StdRng::seed_from_u64(seed)),
     }
 }
 
@@ -100,8 +112,8 @@ pub struct OracleCache {
     addr_mask: u64,
     // slot = set * assoc + way; `None` is an invalid way.
     lines: Vec<Option<OracleLine>>,
-    // Mirrored victim chooser for Random (see module docs); `None` is LRU.
-    mirrored: Option<Box<dyn ReplacementPolicy>>,
+    // Random's victim draws (see module docs); `None` is LRU.
+    random: Option<StdRng>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -129,10 +141,6 @@ impl OracleCache {
         let total_lines = size_bytes / line_bytes;
         assert_eq!(total_lines % assoc, 0, "lines must divide into sets");
         let sets = (total_lines / assoc) as u64;
-        let mirrored = match kind {
-            PolicyKind::Random => Some(make_policy(kind, sets as usize, assoc, seed)),
-            PolicyKind::Lru => None,
-        };
         OracleCache {
             sets,
             assoc,
@@ -143,7 +151,7 @@ impl OracleCache {
                 (1u64 << addr_bits) - 1
             },
             lines: (0..total_lines).map(|_| None).collect(),
-            mirrored,
+            random: random(kind, seed),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -168,8 +176,8 @@ impl OracleCache {
 
     fn choose_victim(&mut self, set: usize) -> usize {
         let base = set * self.assoc;
-        match self.mirrored.as_mut() {
-            Some(p) => p.victim(set),
+        match self.random.as_mut() {
+            Some(rng) => rng.gen_range(0..self.assoc),
             // Exact recency from the per-line timestamps.
             None => (0..self.assoc)
                 .min_by_key(|&w| self.lines[base + w].as_ref().map_or(0, |l| l.last_use))
@@ -193,9 +201,6 @@ impl OracleCache {
             line.last_use = self.clock;
             if kind.is_write() {
                 line.dirty = true;
-            }
-            if let Some(p) = self.mirrored.as_mut() {
-                p.on_access(set, way);
             }
             self.hits += 1;
             return OracleOutcome {
@@ -228,9 +233,6 @@ impl OracleCache {
             dirty: kind.is_write(),
             last_use: self.clock,
         });
-        if let Some(p) = self.mirrored.as_mut() {
-            p.on_fill(set, way);
-        }
         OracleOutcome {
             hit: false,
             evicted,
@@ -276,8 +278,8 @@ pub struct BCacheOracle {
     // slot = group * bas + way; `None` is a cold decoder entry (which by
     // the unique-decoding invariant is exactly an invalid block).
     entries: Vec<Option<BEntry>>,
-    // Mirrored victim chooser for Random; `None` is LRU.
-    mirrored: Option<Box<dyn ReplacementPolicy>>,
+    // Random's victim draws; `None` is LRU.
+    random: Option<StdRng>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -288,8 +290,8 @@ pub struct BCacheOracle {
 
 impl BCacheOracle {
     /// Creates a cold B-Cache oracle. See the type docs for the field
-    /// meanings; `policy` is the replacement policy and the seed that
-    /// feeds its mirrored random variants.
+    /// meanings; `policy` is the replacement policy and the seed of its
+    /// random draws.
     ///
     /// # Panics
     ///
@@ -310,10 +312,6 @@ impl BCacheOracle {
         assert!(offset_bits + npi_bits + pi_bits <= addr_bits + mf_bits);
         let groups = 1usize << npi_bits;
         let bas = 1usize << (pi_bits - mf_bits);
-        let mirrored = match kind {
-            PolicyKind::Random => Some(make_policy(kind, groups, bas, seed)),
-            PolicyKind::Lru => None,
-        };
         BCacheOracle {
             line_bytes,
             addr_bits,
@@ -323,7 +321,7 @@ impl BCacheOracle {
             high_tag_pi,
             bas,
             entries: (0..groups * bas).map(|_| None).collect(),
-            mirrored,
+            random: random(kind, seed),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -410,8 +408,8 @@ impl BCacheOracle {
 
     fn choose_victim(&mut self, group: usize) -> usize {
         let base = group * self.bas;
-        match self.mirrored.as_mut() {
-            Some(p) => p.victim(group),
+        match self.random.as_mut() {
+            Some(rng) => rng.gen_range(0..self.bas),
             None => (0..self.bas)
                 .min_by_key(|&w| self.entries[base + w].as_ref().map_or(0, |e| e.last_use))
                 .expect("nonzero BAS"),
@@ -436,9 +434,6 @@ impl BCacheOracle {
             dirty,
             last_use: self.clock,
         });
-        if let Some(p) = self.mirrored.as_mut() {
-            p.on_fill(group, way);
-        }
     }
 
     /// Runs one access and returns what must happen.
@@ -455,9 +450,6 @@ impl BCacheOracle {
                     entry.last_use = self.clock;
                     if kind.is_write() {
                         entry.dirty = true;
-                    }
-                    if let Some(p) = self.mirrored.as_mut() {
-                        p.on_access(group, way);
                     }
                     self.hits += 1;
                     OracleOutcome {

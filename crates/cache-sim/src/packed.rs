@@ -52,10 +52,6 @@ pub const fn matches(word: u64, tag: u64) -> bool {
 /// generic `(word & mask) == key` form the SIMD lane compares consume.
 pub const MATCH_MASK: u64 = !2;
 
-/// The valid bit alone; `(word & VALID_MASK) == 0` is "invalid" in the
-/// same generic compare form.
-pub const VALID_MASK: u64 = 1;
-
 /// The search key [`matches()`] compares against: `tag` shifted into
 /// place with the valid bit set.
 #[inline(always)]

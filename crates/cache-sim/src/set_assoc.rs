@@ -8,12 +8,12 @@ use crate::model::{
     AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel,
 };
 use crate::packed;
-use crate::replacement::{make_policy, LanePolicy, Lru, PolicyKind, ReplacementPolicy};
+use crate::replacement::{PolicyKind, Replacement};
 use crate::simd::{self, Lanes};
 use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
-/// A set-associative, write-back, write-allocate cache with a pluggable
-/// replacement policy.
+/// A set-associative, write-back, write-allocate cache with LRU or
+/// random replacement.
 ///
 /// The paper compares the B-Cache against 2-, 4-, 8- and 32-way instances
 /// of this model (all LRU), and the unified L2 is a 4-way instance.
@@ -38,7 +38,7 @@ pub struct SetAssociativeCache {
     // One packed tag|dirty|valid word per line, way-major within each
     // set: slot = set * assoc + way.
     lines: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Replacement,
     stats: CacheStats,
     usage: SetUsage,
 }
@@ -86,7 +86,7 @@ impl SetAssociativeCache {
         Ok(SetAssociativeCache {
             geom,
             lines: vec![packed::EMPTY; sets * ways],
-            policy: make_policy(policy, sets, ways, seed),
+            policy: Replacement::new(policy, sets, ways, seed),
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
         })
@@ -126,22 +126,19 @@ impl SetAssociativeCache {
     }
 
     /// Destructures the cache for the shared step on `lanes`: [`Parts`]
-    /// borrows the line array and set usage disjointly, and the policy
-    /// and statistics come back on their own, so callers can
-    /// devirtualize the one and count a batch in a tally before the
-    /// other.
-    fn parts<L: Lanes>(
-        &mut self,
-        lanes: L,
-    ) -> (Parts<'_, L>, &mut dyn ReplacementPolicy, &mut CacheStats) {
+    /// borrows the line array, set usage and replacement state
+    /// disjointly, and the statistics come back on their own, so a batch
+    /// can count in a tally before it lands there.
+    fn parts<L: Lanes>(&mut self, lanes: L) -> (Parts<'_, L>, &mut CacheStats) {
         let parts = Parts {
             lanes,
             split: self.geom.split(),
             assoc: self.geom.assoc(),
             lines: &mut self.lines,
+            policy: &mut self.policy,
             usage: &mut self.usage,
         };
-        (parts, self.policy.as_mut(), &mut self.stats)
+        (parts, &mut self.stats)
     }
 }
 
@@ -177,6 +174,7 @@ struct Parts<'a, L> {
     split: TagIndexSplit,
     assoc: usize,
     lines: &'a mut [u64],
+    policy: &'a mut Replacement,
     usage: &'a mut SetUsage,
 }
 
@@ -185,19 +183,17 @@ impl<L: Lanes> Parts<'_, L> {
     /// kernel, so both are bit-identical by construction — statistics
     /// and replacement state alike.
     ///
-    /// Generic over the replacement policy so callers can pass either a
-    /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
-    /// `dyn` policy, and over the associativity: `A > 0` monomorphizes
-    /// the tag probe into the fused CAM probe — a compare-mask over
-    /// whole lane groups on the backend `L` (`A` must equal `assoc`) —
-    /// while `A == 0` falls back to a runtime-width probe with identical
-    /// first-match semantics. A miss asks the policy for the way to fill
-    /// ([`LanePolicy::fill_way_on`]), so it scans the set once more at
-    /// most. The counts land in `tally`.
+    /// Generic over the associativity: `A > 0` monomorphizes the tag
+    /// probe into the fused CAM probe — a compare-mask over whole lane
+    /// groups on the backend `L` (`A` must equal `assoc`) — while
+    /// `A == 0` falls back to a runtime-width probe with identical
+    /// first-match semantics. A miss asks the replacement state for the
+    /// way to fill ([`Replacement::fill_way_on`]): one stamp minimum,
+    /// and a draw if the policy is random and the set full. The counts
+    /// land in `tally`.
     #[inline(always)]
-    fn step_one<P: LanePolicy + ?Sized, T: Tally, const A: usize>(
+    fn step_one<T: Tally, const A: usize>(
         &mut self,
-        policy: &mut P,
         tally: &mut T,
         addr: Addr,
         kind: AccessKind,
@@ -211,7 +207,7 @@ impl<L: Lanes> Parts<'_, L> {
         if let Some(way) = cam::find_match::<L, A>(self.lanes, ways, tag) {
             tally.record(kind, true);
             self.usage.record(set, true);
-            policy.on_access(set, way);
+            self.policy.touch(set, way);
             if kind.is_write() {
                 ways[way] = packed::set_dirty(ways[way]);
             }
@@ -223,9 +219,7 @@ impl<L: Lanes> Parts<'_, L> {
         }
         tally.record(kind, false);
         self.usage.record(set, false);
-        // The policy picks the first invalid way or the victim in one
-        // call (for LRU, one stamp minimum).
-        let way = policy.fill_way_on(self.lanes, set, ways);
+        let way = self.policy.fill_way_on(self.lanes, set, ways);
         debug_assert!(way < assoc, "policy returned out-of-range way");
         let word = ways[way];
         let evicted = packed::is_valid(word).then(|| {
@@ -234,7 +228,7 @@ impl<L: Lanes> Parts<'_, L> {
             (packed::tag(word), dirty)
         });
         ways[way] = packed::fill(tag, kind.is_write());
-        policy.on_fill(set, way);
+        self.policy.touch(set, way);
         StepOutcome {
             hit: false,
             set,
@@ -245,61 +239,43 @@ impl<L: Lanes> Parts<'_, L> {
     /// [`step_one`](Self::step_one) over a whole batch, counting in a
     /// register tally that lands in `stats` once.
     #[inline(always)]
-    fn replay<P: LanePolicy + ?Sized, const A: usize>(
-        &mut self,
-        policy: &mut P,
-        stats: &mut CacheStats,
-        accesses: &[(Addr, AccessKind)],
-    ) {
+    fn replay<const A: usize>(&mut self, stats: &mut CacheStats, accesses: &[(Addr, AccessKind)]) {
         let mut tally = BatchTally::new();
         for &(addr, kind) in accesses {
-            self.step_one::<P, _, A>(policy, &mut tally, addr, kind);
+            self.step_one::<_, A>(&mut tally, addr, kind);
         }
         tally.flush(stats);
     }
 }
 
 impl LaneModel for SetAssociativeCache {
-    // LRU — the paper's default — runs the step with its stamp updates
-    // inlined, at the cache's const width (anything but the common
-    // associativities takes the runtime-width probe); random
-    // replacement takes the runtime-width step through dynamic dispatch.
-    // Both paths call `step_one`, so the batch equals the `access` loop
-    // by construction. One access counts in the statistics directly.
+    // Both paths run `step_one` at the cache's const width (anything but
+    // the common associativities takes the runtime-width probe), so the
+    // batch equals the `access` loop by construction. One access counts
+    // in the statistics directly.
 
     #[inline(always)]
     fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult {
         let geom = self.geom;
-        let (mut parts, policy, stats) = self.parts(lanes);
-        let out = match policy.as_any_mut().downcast_mut::<Lru>() {
-            Some(lru) => {
-                macro_rules! kernel {
-                    ($a:literal) => {
-                        parts.step_one::<_, _, $a>(lru, stats, addr, kind)
-                    };
-                }
-                crate::const_width!(geom.assoc(), kernel)
-            }
-            None => parts.step_one::<_, _, 0>(policy, stats, addr, kind),
-        };
-        out.result(&geom)
+        let (mut parts, stats) = self.parts(lanes);
+        macro_rules! kernel {
+            ($a:literal) => {
+                parts.step_one::<_, $a>(stats, addr, kind)
+            };
+        }
+        crate::const_width!(geom.assoc(), kernel).result(&geom)
     }
 
     #[inline(always)]
     fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]) {
         let assoc = self.geom.assoc();
-        let (mut parts, policy, stats) = self.parts(lanes);
-        match policy.as_any_mut().downcast_mut::<Lru>() {
-            Some(lru) => {
-                macro_rules! kernel {
-                    ($a:literal) => {
-                        parts.replay::<_, $a>(lru, stats, accesses)
-                    };
-                }
-                crate::const_width!(assoc, kernel)
-            }
-            None => parts.replay::<_, 0>(policy, stats, accesses),
+        let (mut parts, stats) = self.parts(lanes);
+        macro_rules! kernel {
+            ($a:literal) => {
+                parts.replay::<$a>(stats, accesses)
+            };
         }
+        crate::const_width!(assoc, kernel)
     }
 }
 
@@ -454,13 +430,14 @@ mod tests {
             assert_eq!(looped.stats(), batched.stats(), "{policy:?}");
             assert_eq!(looped.usage, batched.usage, "{policy:?}");
             assert_eq!(looped.lines, batched.lines, "{policy:?} contents");
+            assert_eq!(looped.policy, batched.policy, "{policy:?} replacement");
         }
     }
 
     /// The paper's set-associative kernels (2-, 4-, 8- and 32-way L1s,
-    /// the 256 kB 4-way L2) and random replacement's dynamic-dispatch
-    /// path leave the same statistics, set usage, lines and LRU stamps
-    /// on every lane backend, per access and batched.
+    /// the 256 kB 4-way L2) and a random 4-way array leave the same
+    /// statistics, set usage, lines and replacement state on every lane
+    /// backend, per access and batched.
     #[test]
     fn every_lane_backend_replays_identically() {
         let shapes = [
@@ -477,9 +454,8 @@ mod tests {
                 &format!("{size} B {ways}-way {policy}"),
                 || SetAssociativeCache::new(size, line, ways, policy, 5).unwrap(),
                 |c| {
-                    let lru = c.policy.as_any_mut().downcast_mut::<Lru>();
-                    let stamps = lru.map(|l| format!("{l:?}"));
-                    (c.stats.clone(), c.usage.clone(), c.lines.clone(), stamps)
+                    let policy = format!("{:?}", c.policy);
+                    (c.stats.clone(), c.usage.clone(), c.lines.clone(), policy)
                 },
             );
         }

@@ -54,7 +54,7 @@ pub trait Lanes: Copy {
     ///
     /// The compare behind the tag and CAM probes: packed tag-match is
     /// `and_mask = !2` (dirty bit ignored) against the `tag<<2|1` search
-    /// key, and first-invalid is `and_mask = 1` against 0.
+    /// key.
     fn first_match(self, words: &[u64], and_mask: u64, needle: u64) -> Option<usize>;
 
     /// One pass, two needles: returns the lane masks of
@@ -68,8 +68,8 @@ pub trait Lanes: Copy {
     /// The unsigned minimum of `words`, in one pass (`u64::MAX` for an
     /// empty slice).
     ///
-    /// The LRU victim scan: [`crate::replacement::Lru`] stores each
-    /// stamp as `clock << shift | way`, so the minimum word carries its
+    /// The LRU victim scan: [`crate::replacement::Replacement`] stores
+    /// each stamp as `clock << shift | way`, so the minimum word carries its
     /// own way in the low bits and no second, first-equal pass is
     /// needed.
     fn min_word(self, words: &[u64]) -> u64;
@@ -246,37 +246,6 @@ impl Lanes for Avx2 {
         // SAFETY: an `Avx2` value exists only if the CPU has AVX2.
         unsafe { avx2::min_word(words) }
     }
-}
-
-/// [`Lanes::first_match`] through [`dispatch`], for the `dyn`
-/// replacement-policy path, which runs outside the kernels' frames.
-#[inline]
-pub fn first_match(words: &[u64], and_mask: u64, needle: u64) -> Option<usize> {
-    struct Probe<'a>(&'a [u64], u64, u64);
-    impl LaneKernel for Probe<'_> {
-        type Output = Option<usize>;
-
-        #[inline(always)]
-        fn run<L: Lanes>(self, lanes: L) -> Option<usize> {
-            lanes.first_match(self.0, self.1, self.2)
-        }
-    }
-    dispatch(Probe(words, and_mask, needle))
-}
-
-/// [`Lanes::min_word`] through [`dispatch`] (see [`first_match`]).
-#[inline]
-pub fn min_word(words: &[u64]) -> u64 {
-    struct Probe<'a>(&'a [u64]);
-    impl LaneKernel for Probe<'_> {
-        type Output = u64;
-
-        #[inline(always)]
-        fn run<L: Lanes>(self, lanes: L) -> u64 {
-            lanes.min_word(self.0)
-        }
-    }
-    dispatch(Probe(words))
 }
 
 /// The first set lane of a compare mask, i.e. the CAM's priority
@@ -540,8 +509,6 @@ mod tests {
                                 let got = (b.first_match)(words, and_mask, needle);
                                 assert_eq!(got, want, "{} first_match len {len}", b.name);
                             }
-                            let got = first_match(words, and_mask, needle);
-                            assert_eq!(got, want, "dispatched first_match len {len}");
                         }
                         let mask_of = |n: u64| -> u64 {
                             let hits = words.iter().enumerate().filter(|&(_, &w)| w == n);
@@ -558,7 +525,6 @@ mod tests {
                         let got = (b.min_word)(words);
                         assert_eq!(got, want, "{} min_word len {len} {words:?}", b.name);
                     }
-                    assert_eq!(min_word(words), want, "dispatched min_word len {len}");
                 }
             }
         }
@@ -584,8 +550,6 @@ mod tests {
             let signed = [u64::MAX, 1 << 63, (1 << 63) - 1, 1 << 63];
             assert_eq!(min_word(&signed), (1 << 63) - 1, "{}", b.name);
         }
-        assert_eq!(min_word(&[3]), 3);
-        assert_eq!(min_word(&[]), u64::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::model::{
     AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel,
 };
 use crate::packed;
-use crate::replacement::{LanePolicy, Lru, ReplacementPolicy};
+use crate::replacement::{PolicyKind, Replacement};
 use crate::simd::{self, Lanes};
 use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
@@ -21,11 +21,11 @@ use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 /// the buffer is probed sequentially after the main array.
 ///
 /// Both the main array and the buffer live in packed `u64` SoA arrays
-/// (`tag|dirty|valid` words, with an [`Lru`] over the buffer slots), and
-/// [`CacheModel::access_batch`] replays through a kernel monomorphized
-/// on the buffer width and the lane backend, so the 16-entry FA search
-/// runs as one [`crate::simd`] compare-mask probe per lane group — the
-/// same CAM primitive the B-Cache kernel uses. The per-access and
+/// (`tag|dirty|valid` words, with LRU [`Replacement`] over the buffer
+/// slots), and [`CacheModel::access_batch`] replays through a kernel
+/// monomorphized on the buffer width and the lane backend, so the
+/// 16-entry FA search runs as one [`crate::simd`] compare-mask probe per
+/// lane group — the same CAM primitive the B-Cache kernel uses. The per-access and
 /// batched paths share one step function and are bit-identical.
 ///
 /// # Examples
@@ -49,7 +49,7 @@ pub struct VictimCache {
     // The FA buffer: packed words whose tag field is the block id
     // (`addr >> offset_bits`), plus exact LRU over its slots (one set).
     buf_words: Vec<u64>,
-    buf_lru: Lru,
+    buf_lru: Replacement,
     stats: CacheStats,
     usage: SetUsage,
     buffer_hits: u64,
@@ -83,17 +83,12 @@ impl VictimCache {
             geom,
             lines: vec![packed::EMPTY; sets],
             buf_words: vec![packed::EMPTY; entries],
-            buf_lru: Lru::new(1, entries),
+            buf_lru: Replacement::new(PolicyKind::Lru, 1, entries, 0),
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
             buffer_hits: 0,
             buffer_probes: 0,
         })
-    }
-
-    /// Number of buffer entries.
-    pub fn buffer_entries(&self) -> usize {
-        self.buf_words.len()
     }
 
     /// How many main-array misses were recovered by the buffer.
@@ -130,7 +125,7 @@ impl VictimCache {
 fn buf_insert<L: Lanes, const N: usize>(
     lanes: L,
     words: &mut [u64],
-    lru: &mut Lru,
+    lru: &mut Replacement,
     id: u64,
     dirty: bool,
 ) -> Option<(u64, bool)> {
@@ -141,7 +136,7 @@ fn buf_insert<L: Lanes, const N: usize>(
     let slot = lru.fill_way_on(lanes, 0, words);
     let out = words[slot];
     words[slot] = packed::fill(id, dirty);
-    lru.on_fill(0, slot);
+    lru.touch(0, slot);
     packed::is_valid(out).then(|| (packed::tag(out), packed::is_dirty(out)))
 }
 
@@ -160,7 +155,7 @@ fn step<L: Lanes, T: Tally, const N: usize>(
     id_mask: u64,
     lines: &mut [u64],
     buf_words: &mut [u64],
-    buf_lru: &mut Lru,
+    buf_lru: &mut Replacement,
     usage: &mut SetUsage,
     tally: &mut T,
     buffer_hits: &mut u64,
@@ -195,7 +190,7 @@ fn step<L: Lanes, T: Tally, const N: usize>(
         let promoted_dirty = packed::is_dirty(buf_words[i]);
         let old_id = (packed::tag(word) << index_bits) | set as u64;
         buf_words[i] = packed::fill(old_id, packed::is_dirty(word));
-        buf_lru.on_fill(0, i);
+        buf_lru.touch(0, i);
         lines[set] = packed::fill(tag, promoted_dirty || kind.is_write());
         return AccessResult::slow_hit(1);
     }

@@ -1,6 +1,6 @@
 //! The Balanced Cache functional model.
 
-use cache_sim::replacement::{make_policy, LanePolicy, Lru, ReplacementPolicy};
+use cache_sim::replacement::Replacement;
 use cache_sim::simd::{self, Lanes};
 use cache_sim::{
     packed, AccessKind, AccessResult, Addr, BatchTally, CacheGeometry, CacheModel, CacheStats,
@@ -47,7 +47,7 @@ pub struct BalancedCache<O: Observer = NullObserver> {
     // identifier (addr >> offset_bits) in the tag field plus the
     // dirty/valid flags.
     lines: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Replacement,
     stats: CacheStats,
     usage: SetUsage,
     pd_stats: PdStats,
@@ -77,7 +77,7 @@ impl<O: Observer> BalancedCache<O> {
             layout,
             pd: ProgrammableDecoder::new(&layout, bas),
             lines: vec![packed::EMPTY; groups * bas],
-            policy: make_policy(params.policy(), groups, bas, params.seed()),
+            policy: Replacement::new(params.policy(), groups, bas, params.seed()),
             stats: CacheStats::new(),
             usage: SetUsage::new(groups * bas),
             pd_stats: PdStats::default(),
@@ -138,19 +138,9 @@ impl<O: Observer> BalancedCache<O> {
     }
 
     /// Destructures the cache for the shared step on `lanes`; the
-    /// policy and the counters come back on their own, so callers can
-    /// devirtualize the one and count a batch in tallies before the
-    /// others.
-    #[allow(clippy::type_complexity)]
-    fn parts<L: Lanes>(
-        &mut self,
-        lanes: L,
-    ) -> (
-        Parts<'_, O, L>,
-        &mut dyn ReplacementPolicy,
-        &mut CacheStats,
-        &mut PdStats,
-    ) {
+    /// counters come back on their own, so a batch can count in tallies
+    /// before it lands in them.
+    fn parts<L: Lanes>(&mut self, lanes: L) -> (Parts<'_, O, L>, &mut CacheStats, &mut PdStats) {
         let parts = Parts {
             lanes,
             layout: &self.layout,
@@ -158,15 +148,11 @@ impl<O: Observer> BalancedCache<O> {
             pd_hit_policy: self.params.pd_hit_policy(),
             pd: &mut self.pd,
             lines: &mut self.lines,
+            policy: &mut self.policy,
             usage: &mut self.usage,
             observer: &mut self.observer,
         };
-        (
-            parts,
-            self.policy.as_mut(),
-            &mut self.stats,
-            &mut self.pd_stats,
-        )
+        (parts, &mut self.stats, &mut self.pd_stats)
     }
 
     /// Checks every internal invariant; linear in the cache size.
@@ -203,8 +189,8 @@ struct StepOutcome {
 }
 
 /// A B-Cache destructured by [`BalancedCache::parts`]: disjoint borrows
-/// of the decoders, line array, set usage and observer, with the lane
-/// backend its probes run on.
+/// of the decoders, line array, replacement state, set usage and
+/// observer, with the lane backend its probes run on.
 struct Parts<'a, O, L> {
     lanes: L,
     layout: &'a IndexLayout,
@@ -212,6 +198,7 @@ struct Parts<'a, O, L> {
     pd_hit_policy: PdHitPolicy,
     pd: &'a mut ProgrammableDecoder,
     lines: &'a mut [u64],
+    policy: &'a mut Replacement,
     usage: &'a mut SetUsage,
     observer: &'a mut O,
 }
@@ -239,16 +226,13 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
     /// batched kernel, so both agree by construction — statistics, PD
     /// state and [`Observer`] events alike.
     ///
-    /// Generic over the replacement policy so callers can pass a
-    /// concrete [`Lru`] (updates inlined, no virtual dispatch) or the
-    /// `dyn` policy, and over the CAM width: `BAS > 0` unrolls the
-    /// fused [`ProgrammableDecoder::probe`] into straight-line compares
-    /// (`BAS` must equal the decoder's width), `BAS == 0` takes its
+    /// Generic over the CAM width: `BAS > 0` unrolls the fused
+    /// [`ProgrammableDecoder::probe`] into straight-line compares (`BAS`
+    /// must equal the decoder's width), `BAS == 0` takes its
     /// runtime-width probe. The counts land in `tally` and `pd_tally`.
     #[inline(always)]
-    fn step<P: LanePolicy + ?Sized, T: Tally, const BAS: usize>(
+    fn step<T: Tally, const BAS: usize>(
         &mut self,
-        policy: &mut P,
         (tally, pd_tally): (&mut T, &mut PdStats),
         addr: Addr,
         kind: AccessKind,
@@ -292,7 +276,7 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
                             hit,
                         });
                     }
-                    policy.on_access(group, way);
+                    self.policy.touch(group, way);
                     if kind.is_write() {
                         self.lines[s] = packed::set_dirty(word);
                     }
@@ -324,7 +308,7 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
                         // avoids. Only the policy victim's eviction
                         // propagates; the collateral one is counted in
                         // the stats.
-                        let victim = policy.victim_on(self.lanes, group);
+                        let victim = self.policy.victim_on(self.lanes, group);
                         let evicted = if victim == way {
                             forced
                         } else {
@@ -353,7 +337,7 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
                 pd_tally.misses_with_pd_miss += 1;
                 let way = match cold {
                     Some(w) => w,
-                    None => policy.victim_on(self.lanes, group),
+                    None => self.policy.victim_on(self.lanes, group),
                 };
                 let set = physical(way);
                 self.usage.record(set, false);
@@ -396,7 +380,7 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
             "filled block is not decodable by its PD entry"
         );
         self.lines[group * bas + way] = packed::fill(id, kind.is_write());
-        policy.on_fill(group, way);
+        self.policy.touch(group, way);
         StepOutcome {
             hit: false,
             evicted,
@@ -406,16 +390,15 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
     /// [`step`](Self::step) over a whole batch, counting in
     /// register tallies that land in the cache's statistics once.
     #[inline(always)]
-    fn replay<P: LanePolicy + ?Sized, const BAS: usize>(
+    fn replay<const BAS: usize>(
         &mut self,
-        policy: &mut P,
         (stats, pd_stats): (&mut CacheStats, &mut PdStats),
         accesses: &[(Addr, AccessKind)],
     ) {
         let mut tally = BatchTally::new();
         let mut pd_tally = PdStats::default();
         for &(addr, kind) in accesses {
-            self.step::<P, _, BAS>(policy, (&mut tally, &mut pd_tally), addr, kind);
+            self.step::<_, BAS>((&mut tally, &mut pd_tally), addr, kind);
         }
         tally.flush(stats);
         pd_stats.misses_with_pd_hit += pd_tally.misses_with_pd_hit;
@@ -424,29 +407,21 @@ impl<O: Observer, L: Lanes> Parts<'_, O, L> {
 }
 
 impl<O: Observer> LaneModel for BalancedCache<O> {
-    // LRU is the paper default (and the benchmarked configuration), so
-    // both paths run its step with the stamp updates inlined, at the
-    // decoder's const width (a BAS outside the paper's powers of two
-    // takes the runtime-width probe) — instead of two virtual calls per
-    // miss. Random replacement takes the runtime-width step through
-    // dynamic dispatch. One access counts in the statistics directly.
+    // Both paths run `step` at the decoder's const width (a BAS outside
+    // the paper's powers of two takes the runtime-width probe). One
+    // access counts in the statistics directly.
 
     #[inline(always)]
     fn access_on<L: Lanes>(&mut self, lanes: L, addr: Addr, kind: AccessKind) -> AccessResult {
         let bas = self.pd.bas();
-        let (mut parts, policy, stats, pd_stats) = self.parts(lanes);
+        let (mut parts, stats, pd_stats) = self.parts(lanes);
         let counts = (stats, pd_stats);
-        let out = match policy.as_any_mut().downcast_mut::<Lru>() {
-            Some(lru) => {
-                macro_rules! kernel {
-                    ($w:literal) => {
-                        parts.step::<_, _, $w>(lru, counts, addr, kind)
-                    };
-                }
-                cache_sim::const_width!(bas, kernel)
-            }
-            None => parts.step::<_, _, 0>(policy, counts, addr, kind),
-        };
+        macro_rules! kernel {
+            ($w:literal) => {
+                parts.step::<_, $w>(counts, addr, kind)
+            };
+        }
+        let out = cache_sim::const_width!(bas, kernel);
         if out.hit {
             AccessResult::hit()
         } else {
@@ -460,19 +435,14 @@ impl<O: Observer> LaneModel for BalancedCache<O> {
     #[inline(always)]
     fn access_batch_on<L: Lanes>(&mut self, lanes: L, accesses: &[(Addr, AccessKind)]) {
         let bas = self.pd.bas();
-        let (mut parts, policy, stats, pd_stats) = self.parts(lanes);
+        let (mut parts, stats, pd_stats) = self.parts(lanes);
         let counts = (stats, pd_stats);
-        match policy.as_any_mut().downcast_mut::<Lru>() {
-            Some(lru) => {
-                macro_rules! kernel {
-                    ($w:literal) => {
-                        parts.replay::<_, $w>(lru, counts, accesses)
-                    };
-                }
-                cache_sim::const_width!(bas, kernel)
-            }
-            None => parts.replay::<_, 0>(policy, counts, accesses),
+        macro_rules! kernel {
+            ($w:literal) => {
+                parts.replay::<$w>(counts, accesses)
+            };
         }
+        cache_sim::const_width!(bas, kernel)
     }
 }
 
@@ -1006,9 +976,10 @@ mod tests {
     }
 
     /// Every B-Cache point of Figure 3 and Table 5 (MF 2–512 × BAS
-    /// 4/8/16), under both PD-hit policies, leaves the same statistics,
-    /// set usage, PD counters, lines, PD entries and LRU stamps on every
-    /// lane backend, per access and batched, over a uniform stream, the
+    /// 4/8/16, LRU) and the random-replacement design point, under both
+    /// PD-hit policies, leaves the same statistics, set usage, PD
+    /// counters, lines, PD entries and replacement state on every lane
+    /// backend, per access and batched, over a uniform stream, the
     /// birthday adversary and a SPEC data side.
     #[test]
     fn every_lane_backend_replays_identically() {
@@ -1020,37 +991,38 @@ mod tests {
             ("mcf", data_side(&profiles::by_name("mcf").unwrap())),
         ];
         let state = |bc: &mut BalancedCache| {
-            let lru = bc.policy.as_any_mut().downcast_mut::<Lru>();
-            let stamps = lru.map(|l| format!("{l:?}"));
+            let policy = format!("{:?}", bc.policy);
             let counts = (bc.stats.clone(), bc.usage.clone(), bc.pd_stats);
-            (counts, bc.lines.clone(), bc.pd.clone(), stamps)
+            (counts, bc.lines.clone(), bc.pd.clone(), policy)
         };
         let mut avx2_checked = false;
-        for mf in (1..=9).map(|k| 1usize << k) {
-            for bas in [4usize, 8, 16] {
-                for pd_hit in [PdHitPolicy::ForcedVictim, PdHitPolicy::EvictBoth] {
-                    let params = BCacheParams::new(geom_16k(), mf, bas, PolicyKind::Lru)
-                        .unwrap()
-                        .with_pd_hit_policy(pd_hit);
-                    for (name, stream) in &streams {
-                        let at = format!("MF{mf} BAS{bas} {pd_hit:?} {name}");
-                        let mut reference = BalancedCache::new(params);
-                        let results = replay_on(Portable, &mut reference, stream, false);
-                        let want = state(&mut reference);
-                        let mut batched = BalancedCache::new(params);
-                        replay_on(Portable, &mut batched, stream, true);
-                        assert_eq!(state(&mut batched), want, "{at}: portable batch");
-                        #[cfg(target_arch = "x86_64")]
-                        if let Some(lanes) = cache_sim::simd::Avx2::new() {
-                            let mut bc = BalancedCache::new(params);
-                            let got = replay_on(lanes, &mut bc, stream, false);
-                            assert_eq!(got, results, "{at}: AVX2 per-access results");
-                            assert_eq!(state(&mut bc), want, "{at}: AVX2 access");
-                            let mut bc = BalancedCache::new(params);
-                            replay_on(lanes, &mut bc, stream, true);
-                            assert_eq!(state(&mut bc), want, "{at}: AVX2 batch");
-                            avx2_checked = true;
-                        }
+        let lru_points = (1..=9).flat_map(|k| [4usize, 8, 16].map(|bas| (1usize << k, bas)));
+        let points = lru_points
+            .map(|(mf, bas)| (mf, bas, PolicyKind::Lru))
+            .chain([(8, 8, PolicyKind::Random)]);
+        for (mf, bas, policy) in points {
+            for pd_hit in [PdHitPolicy::ForcedVictim, PdHitPolicy::EvictBoth] {
+                let params = BCacheParams::new(geom_16k(), mf, bas, policy)
+                    .unwrap()
+                    .with_pd_hit_policy(pd_hit);
+                for (name, stream) in &streams {
+                    let at = format!("MF{mf} BAS{bas} {policy} {pd_hit:?} {name}");
+                    let mut reference = BalancedCache::new(params);
+                    let results = replay_on(Portable, &mut reference, stream, false);
+                    let want = state(&mut reference);
+                    let mut batched = BalancedCache::new(params);
+                    replay_on(Portable, &mut batched, stream, true);
+                    assert_eq!(state(&mut batched), want, "{at}: portable batch");
+                    #[cfg(target_arch = "x86_64")]
+                    if let Some(lanes) = cache_sim::simd::Avx2::new() {
+                        let mut bc = BalancedCache::new(params);
+                        let got = replay_on(lanes, &mut bc, stream, false);
+                        assert_eq!(got, results, "{at}: AVX2 per-access results");
+                        assert_eq!(state(&mut bc), want, "{at}: AVX2 access");
+                        let mut bc = BalancedCache::new(params);
+                        replay_on(lanes, &mut bc, stream, true);
+                        assert_eq!(state(&mut bc), want, "{at}: AVX2 batch");
+                        avx2_checked = true;
                     }
                 }
             }

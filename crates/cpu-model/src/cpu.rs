@@ -75,12 +75,6 @@ impl Cpu {
         &self.hierarchy
     }
 
-    /// Mutable access to the hierarchy (e.g. to reset statistics between
-    /// a warm-up prefix and the measured run).
-    pub fn hierarchy_mut(&mut self) -> &mut MemoryHierarchy {
-        &mut self.hierarchy
-    }
-
     /// The configuration.
     pub fn config(&self) -> CpuConfig {
         self.config

@@ -11,6 +11,8 @@
 //! The kernels run in rotation and each cell keeps its fastest
 //! rotation.
 
+use std::io::{self, Write};
+
 use cache_sim::{AccessKind, Addr, CacheModel};
 use harness::bench::model_set;
 use harness::run::SideTrace;
@@ -53,6 +55,23 @@ fn thread_cpu_ns() -> u64 {
         .as_nanos() as u64
 }
 
+/// `println!` that ends the run with exit 0 once stdout is closed
+/// (`kernel_cpu_time | head -1`), as `bcache-repro` does.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
+fn write_line(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(io::stdout(), "{args}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// The `side` streams of `names`, `records` records each.
 fn streams(names: &[&str], side: Side, records: usize) -> Vec<Vec<(Addr, AccessKind)>> {
     names
@@ -81,7 +100,7 @@ fn main() {
         ),
         ("miss", streams(&["mcf", "equake"], Side::Data, records)),
     ];
-    println!("stream\tpath\tkernel\tns/access");
+    out!("stream\tpath\tkernel\tns/access");
     for (side, traces) in &sides {
         let accesses: usize = traces.iter().map(Vec::len).sum();
         for batched in [true, false] {
@@ -105,7 +124,7 @@ fn main() {
             }
             let path = if batched { "batch" } else { "access" };
             for ((name, _), ns) in kernels.iter().zip(best) {
-                println!("{side}\t{path}\t{name}\t{:.2}", ns as f64 / accesses as f64);
+                out!("{side}\t{path}\t{name}\t{:.2}", ns as f64 / accesses as f64);
             }
         }
     }
