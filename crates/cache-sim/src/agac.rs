@@ -11,6 +11,7 @@
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
+use crate::packed;
 use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// The adaptive group-associative cache.
@@ -40,14 +41,13 @@ pub struct AgacCache {
 #[derive(Debug, PartialEq)]
 struct Frames {
     geom: CacheGeometry,
-    // Per frame: resident block id (addr >> offset), validity, dirtiness,
-    // and a reference bit that decays periodically. The reference bits
-    // live in a bitmap so hole scans run a word at a time; bits past
-    // `frames` in the last word stay permanently set so the scan never
-    // reports a frame that does not exist.
-    blocks: Vec<u64>,
-    valid: Vec<bool>,
-    dirty: Vec<bool>,
+    // Per frame: one [`packed`] word whose tag field is the resident
+    // block id (tag | index), and a reference bit that decays
+    // periodically. The reference bits live in a bitmap so hole scans
+    // run a word at a time; bits past `frames` in the last word stay
+    // permanently set so the scan never reports a frame that does not
+    // exist.
+    words: Vec<u64>,
     referenced: Vec<u64>,
     ref_tail_mask: u64,
     // Out-of-position directory: (block id, frame) pairs, FIFO-replaced.
@@ -63,7 +63,6 @@ struct Frames {
     accesses_since_decay: u64,
     hole_scan: usize,
     usage: SetUsage,
-    relocated_hits: u64,
 }
 
 impl AgacCache {
@@ -79,6 +78,10 @@ impl AgacCache {
         out_entries: usize,
     ) -> Result<Self, GeometryError> {
         let geom = CacheGeometry::new(size_bytes, line_bytes, 1)?;
+        assert!(
+            geom.block_id_bits() <= packed::MAX_TAG_BITS,
+            "block id of {geom} does not fit a packed line word"
+        );
         let frames = geom.sets();
         let ref_words = frames.div_ceil(64);
         let ref_tail_mask = if frames % 64 == 0 {
@@ -91,9 +94,7 @@ impl AgacCache {
         Ok(AgacCache {
             frames: Frames {
                 geom,
-                blocks: vec![0; frames],
-                valid: vec![false; frames],
-                dirty: vec![false; frames],
+                words: vec![packed::EMPTY; frames],
                 referenced,
                 ref_tail_mask,
                 out_dir: Vec::with_capacity(out_entries),
@@ -104,23 +105,13 @@ impl AgacCache {
                 accesses_since_decay: 0,
                 hole_scan: 0,
                 usage: SetUsage::new(frames),
-                relocated_hits: 0,
             },
             stats: CacheStats::new(),
         })
     }
-
-    /// Hits served from relocated (out-of-position) lines.
-    pub fn relocated_hits(&self) -> u64 {
-        self.frames.relocated_hits
-    }
 }
 
 impl Frames {
-    fn block_id(&self, addr: Addr) -> u64 {
-        addr.raw() >> self.geom.offset_bits()
-    }
-
     fn block_addr(&self, id: u64) -> Addr {
         Addr::new(id << self.geom.offset_bits())
     }
@@ -193,10 +184,11 @@ impl Frames {
     }
 
     fn evict_frame<T: Tally>(&mut self, tally: &mut T, frame: usize) -> Option<Eviction> {
-        if !self.valid[frame] {
+        let word = self.words[frame];
+        if !packed::is_valid(word) {
             return None;
         }
-        let id = self.blocks[frame];
+        let id = packed::tag(word);
         // Drop any out-of-position mapping for the evicted line.
         if self.out_filter[Self::filter_bucket(id)] > 0 {
             let before = self.out_dir.len();
@@ -205,17 +197,15 @@ impl Frames {
         }
         let ev = Eviction {
             block: self.block_addr(id),
-            dirty: self.dirty[frame],
+            dirty: packed::is_dirty(word),
         };
         tally.record_writeback_if(ev.dirty);
-        self.valid[frame] = false;
+        self.words[frame] = packed::EMPTY;
         Some(ev)
     }
 
-    fn install(&mut self, frame: usize, id: u64, dirty: bool) {
-        self.blocks[frame] = id;
-        self.valid[frame] = true;
-        self.dirty[frame] = dirty;
+    fn install(&mut self, frame: usize, word: u64) {
+        self.words[frame] = word;
         self.set_referenced(frame);
     }
 
@@ -237,16 +227,17 @@ impl Frames {
     #[inline(always)]
     fn step<T: Tally>(&mut self, tally: &mut T, addr: Addr, kind: AccessKind) -> AccessResult {
         self.decay_tick();
-        let id = self.block_id(addr);
+        let id = self.geom.block_id(addr);
         let home = self.home_frame(id);
+        let resident = self.words[home];
 
         // In-position hit: one cycle.
-        if self.valid[home] && self.blocks[home] == id {
+        if packed::matches(resident, id) {
             tally.record(kind, true);
             self.usage.record(home, true);
             self.set_referenced(home);
             if kind.is_write() {
-                self.dirty[home] = true;
+                self.words[home] = packed::set_dirty(resident);
             }
             return AccessResult::hit();
         }
@@ -257,15 +248,14 @@ impl Frames {
             if let Some(pos) = self
                 .out_dir
                 .iter()
-                .position(|&(b, f)| b == id && self.valid[f] && self.blocks[f] == id)
+                .position(|&(b, f)| b == id && packed::matches(self.words[f], id))
             {
                 let (_, frame) = self.out_dir[pos];
                 tally.record(kind, true);
                 self.usage.record(frame, true);
-                self.relocated_hits += 1;
                 self.set_referenced(frame);
                 if kind.is_write() {
-                    self.dirty[frame] = true;
+                    self.words[frame] = packed::set_dirty(self.words[frame]);
                 }
                 return AccessResult::slow_hit(2);
             }
@@ -276,12 +266,11 @@ impl Frames {
         tally.record(kind, false);
         self.usage.record(home, false);
         let mut evicted = None;
-        if self.valid[home] {
+        if packed::is_valid(resident) {
             if self.is_referenced(home) {
                 if let Some(hole) = self.find_hole(home) {
                     let displaced_ev = self.evict_frame(tally, hole);
-                    let moved_id = self.blocks[home];
-                    let moved_dirty = self.dirty[home];
+                    let moved_id = packed::tag(resident);
                     // Remove a stale out-dir entry for the moved line (it
                     // may itself have been out of position) and re-record.
                     if self.out_filter[Self::filter_bucket(moved_id)] > 0 {
@@ -290,11 +279,10 @@ impl Frames {
                         self.out_filter[Self::filter_bucket(moved_id)] -=
                             (before - self.out_dir.len()) as u32;
                     }
-                    self.install(hole, moved_id, moved_dirty);
+                    self.install(hole, resident);
                     if self.home_frame(moved_id) != hole {
                         self.record_out_of_position(moved_id, hole);
                     }
-                    self.valid[home] = false;
                     evicted = displaced_ev;
                 } else {
                     evicted = self.evict_frame(tally, home);
@@ -303,7 +291,7 @@ impl Frames {
                 evicted = self.evict_frame(tally, home);
             }
         }
-        self.install(home, id, kind.is_write());
+        self.install(home, packed::fill(id, kind.is_write()));
         AccessResult::miss(evicted)
     }
 }
@@ -328,15 +316,14 @@ impl CacheModel for AgacCache {
     fn reset_stats(&mut self) {
         self.stats.reset();
         self.frames.usage.reset();
-        self.frames.relocated_hits = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
         self.frames.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.frames.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.frames.usage
     }
 }
 
@@ -372,7 +359,6 @@ mod tests {
             r.extra_latency, 2,
             "out-of-position hits take 3 cycles total"
         );
-        assert_eq!(c.relocated_hits(), 1);
     }
 
     #[test]

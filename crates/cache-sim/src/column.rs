@@ -11,6 +11,7 @@
 use crate::addr::Addr;
 use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel, Eviction};
+use crate::packed;
 use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A column-associative cache.
@@ -18,7 +19,7 @@ use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 /// Both access paths — per-access and [`CacheModel::access_batch`] — run
 /// through one shared, always-inlined step covering the primary probe,
 /// the rehash probe, and the swap/displace bookkeeping, so they are
-/// bit-identical: statistics and rehash counters alike. The batched
+/// bit-identical: statistics, set usage and contents alike. The batched
 /// path tallies stats in registers.
 ///
 /// # Examples
@@ -43,14 +44,12 @@ pub struct ColumnAssociativeCache {
 #[derive(Debug, PartialEq)]
 struct Slots {
     geom: CacheGeometry,
-    // Full block-identifying tags: tag | index, so a block can sit in
-    // either of its two slots without ambiguity.
-    blocks: Vec<u64>,
-    valid: Vec<bool>,
-    dirty: Vec<bool>,
+    // One [`packed`] word per slot whose tag field is the full block id
+    // (tag | index), so a block can sit in either of its two slots
+    // without ambiguity.
+    words: Vec<u64>,
     rehash: Vec<bool>,
     usage: SetUsage,
-    rehash_hits: u64,
 }
 
 impl ColumnAssociativeCache {
@@ -67,64 +66,54 @@ impl ColumnAssociativeCache {
         if geom.index_bits() == 0 {
             return Err(GeometryError::AssocLargerThanLines { assoc: 1, lines: 1 });
         }
+        assert!(
+            geom.block_id_bits() <= packed::MAX_TAG_BITS,
+            "block id of {geom} does not fit a packed line word"
+        );
         let sets = geom.sets();
         Ok(ColumnAssociativeCache {
             slots: Slots {
                 geom,
-                blocks: vec![0; sets],
-                valid: vec![false; sets],
-                dirty: vec![false; sets],
+                words: vec![packed::EMPTY; sets],
                 rehash: vec![false; sets],
                 usage: SetUsage::new(sets),
-                rehash_hits: 0,
             },
             stats: CacheStats::new(),
         })
     }
-
-    /// Hits served from the rehash location (second probe, +1 cycle).
-    pub fn rehash_hits(&self) -> u64 {
-        self.slots.rehash_hits
-    }
 }
 
 impl Slots {
-    /// The block identifier stored per line: tag and index bits together.
-    fn block_id(&self, addr: Addr) -> u64 {
-        addr.raw() >> self.geom.offset_bits()
-    }
-
     fn block_addr(&self, id: u64) -> Addr {
         Addr::new(id << self.geom.offset_bits())
     }
 
-    /// Primary index: the conventional one.
-    fn h1(&self, addr: Addr) -> usize {
-        self.geom.set_index(addr)
+    /// Primary index: the conventional one, the block id's index bits.
+    fn h1(&self, id: u64) -> usize {
+        id as usize & (self.geom.sets() - 1)
     }
 
     /// Rehash index: primary with the MSB of the index flipped.
-    fn h2(&self, addr: Addr) -> usize {
-        self.h1(addr) ^ (self.geom.sets() >> 1)
+    fn h2(&self, id: u64) -> usize {
+        self.h1(id) ^ (self.geom.sets() >> 1)
     }
 
     fn evict<T: Tally>(&mut self, tally: &mut T, slot: usize) -> Option<Eviction> {
-        if !self.valid[slot] {
+        let word = self.words[slot];
+        if !packed::is_valid(word) {
             return None;
         }
         let ev = Eviction {
-            block: self.block_addr(self.blocks[slot]),
-            dirty: self.dirty[slot],
+            block: self.block_addr(packed::tag(word)),
+            dirty: packed::is_dirty(word),
         };
         tally.record_writeback_if(ev.dirty);
-        self.valid[slot] = false;
+        self.words[slot] = packed::EMPTY;
         Some(ev)
     }
 
-    fn fill(&mut self, slot: usize, id: u64, dirty: bool, rehashed: bool) {
-        self.blocks[slot] = id;
-        self.valid[slot] = true;
-        self.dirty[slot] = dirty;
+    fn fill(&mut self, slot: usize, word: u64, rehashed: bool) {
+        self.words[slot] = word;
         self.rehash[slot] = rehashed;
     }
 
@@ -132,16 +121,17 @@ impl Slots {
     /// usage counters and contents agree by construction.
     #[inline(always)]
     fn step<T: Tally>(&mut self, tally: &mut T, addr: Addr, kind: AccessKind) -> AccessResult {
-        let id = self.block_id(addr);
-        let i1 = self.h1(addr);
-        let i2 = self.h2(addr);
+        let id = self.geom.block_id(addr);
+        let i1 = self.h1(id);
+        let i2 = self.h2(id);
+        let w1 = self.words[i1];
 
         // First probe: the primary location.
-        if self.valid[i1] && self.blocks[i1] == id {
+        if packed::matches(w1, id) {
             tally.record(kind, true);
             self.usage.record(i1, true);
             if kind.is_write() {
-                self.dirty[i1] = true;
+                self.words[i1] = packed::set_dirty(w1);
             }
             return AccessResult::hit();
         }
@@ -149,27 +139,24 @@ impl Slots {
         // The primary slot holds some other address's *rehashed* block:
         // per the column-associative algorithm, do not probe further —
         // claim the primary slot immediately (the rehashed occupant loses).
-        if self.valid[i1] && self.rehash[i1] {
+        if packed::is_valid(w1) && self.rehash[i1] {
             tally.record(kind, false);
             self.usage.record(i1, false);
             let ev = self.evict(tally, i1);
-            self.fill(i1, id, kind.is_write(), false);
+            self.fill(i1, packed::fill(id, kind.is_write()), false);
             return AccessResult::miss(ev);
         }
 
         // Second probe: the rehash location.
-        if self.valid[i2] && self.blocks[i2] == id {
+        if packed::matches(self.words[i2], id) {
             tally.record(kind, true);
             self.usage.record(i2, true);
-            self.rehash_hits += 1;
             // Swap so the MRU block sits in its primary slot.
-            self.blocks.swap(i1, i2);
-            self.dirty.swap(i1, i2);
-            self.valid.swap(i1, i2);
+            self.words.swap(i1, i2);
             self.rehash[i1] = false;
-            self.rehash[i2] = self.valid[i2];
+            self.rehash[i2] = packed::is_valid(w1);
             if kind.is_write() {
-                self.dirty[i1] = true;
+                self.words[i1] = packed::set_dirty(self.words[i1]);
             }
             return AccessResult::slow_hit(1);
         }
@@ -179,12 +166,10 @@ impl Slots {
         tally.record(kind, false);
         self.usage.record(i1, false);
         let ev = self.evict(tally, i2);
-        if self.valid[i1] {
-            let moved_id = self.blocks[i1];
-            let moved_dirty = self.dirty[i1];
-            self.fill(i2, moved_id, moved_dirty, true);
+        if packed::is_valid(w1) {
+            self.fill(i2, w1, true);
         }
-        self.fill(i1, id, kind.is_write(), false);
+        self.fill(i1, packed::fill(id, kind.is_write()), false);
         AccessResult::miss(ev)
     }
 }
@@ -209,15 +194,14 @@ impl CacheModel for ColumnAssociativeCache {
     fn reset_stats(&mut self) {
         self.stats.reset();
         self.slots.usage.reset();
-        self.slots.rehash_hits = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
         self.slots.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.slots.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.slots.usage
     }
 }
 
@@ -240,7 +224,7 @@ mod tests {
         assert!(r0.hit);
         let r8 = c.access(Addr::new(256), AccessKind::Read);
         assert!(r8.hit);
-        assert!(c.rehash_hits() >= 1);
+        assert_eq!(r8.extra_latency, 1, "8 was found in its rehash slot");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::geometry::{CacheGeometry, GeometryError};
 use crate::model::{AccessKind, AccessResult, CacheModel};
 use crate::packed;
 use crate::set_assoc::StepOutcome;
-use crate::simd;
 use crate::stats::{BatchTally, CacheStats, SetUsage, Tally};
 
 /// A direct-mapped, write-back, write-allocate cache.
@@ -81,10 +80,10 @@ impl DirectMappedCache {
 
 /// One access against the destructured line array, on an address already
 /// split into `(set, tag)`. Shared by [`DirectMappedCache::access`] and
-/// the batched kernel (which decodes a lane group ahead), so the two
-/// paths agree by construction — statistics and contents alike. The
-/// counts land in `tally`: a batch's register tally, or the cache's own
-/// statistics for a single access.
+/// [`DirectMappedCache::access_batch`], so the two paths agree by
+/// construction — statistics and contents alike. The counts land in
+/// `tally`: a batch's register tally, or the cache's own statistics for
+/// a single access.
 #[inline(always)]
 fn step<T: Tally>(
     lines: &mut [u64],
@@ -133,34 +132,12 @@ impl CacheModel for DirectMappedCache {
     }
 
     fn access_batch(&mut self, accesses: &[(Addr, AccessKind)]) {
-        // The address decode (set/tag split) is the pure, state-
-        // independent half of an access, so it runs a whole lane group
-        // ahead of the serial `step`s: eight addresses are split
-        // through the portable `simd::shr_and` per iteration, then
-        // resolved in order against the line array, with statistics
-        // tallied in registers and flushed once.
+        // Statistics are tallied in registers and flushed once.
         let split = self.geom.split();
-        let lines = &mut self.lines[..];
-        let usage = &mut self.usage;
         let mut tally = BatchTally::new();
-        let mut raw = [0u64; simd::LANES];
-        let mut sets = [0u64; simd::LANES];
-        let mut tags = [0u64; simd::LANES];
-        for group in accesses.chunks(simd::LANES) {
-            let n = group.len();
-            for (i, &(addr, _)) in group.iter().enumerate() {
-                raw[i] = addr.raw();
-            }
-            simd::shr_and(
-                &raw[..n],
-                split.index_shift,
-                split.index_mask,
-                &mut sets[..n],
-            );
-            simd::shr_and(&raw[..n], split.tag_shift, split.tag_mask, &mut tags[..n]);
-            for (i, &(_, kind)) in group.iter().enumerate() {
-                step(lines, usage, &mut tally, sets[i] as usize, tags[i], kind);
-            }
+        for &(addr, kind) in accesses {
+            let (set, tag) = (split.set_index(addr), split.tag(addr));
+            step(&mut self.lines, &mut self.usage, &mut tally, set, tag, kind);
         }
         tally.flush(&mut self.stats);
     }
@@ -178,8 +155,8 @@ impl CacheModel for DirectMappedCache {
         self.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.usage
     }
 }
 
@@ -264,7 +241,7 @@ mod tests {
         let mut c = tiny();
         c.access(Addr::new(0x20), AccessKind::Read); // set 1
         c.access(Addr::new(0x20), AccessKind::Read);
-        let u = c.set_usage().unwrap();
+        let u = c.set_usage();
         assert_eq!(u.misses(1), 1);
         assert_eq!(u.hits(1), 1);
         assert_eq!(u.accesses(0), 0);

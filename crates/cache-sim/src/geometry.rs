@@ -203,7 +203,20 @@ impl CacheGeometry {
 
     /// Width of the tag field (`addr_bits - index - offset`).
     pub const fn tag_bits(&self) -> u32 {
-        self.addr_bits - self.index_bits() - self.offset_bits()
+        self.block_id_bits() - self.index_bits()
+    }
+
+    /// Width of the block id (`addr_bits - offset`: tag and index).
+    pub const fn block_id_bits(&self) -> u32 {
+        self.addr_bits - self.offset_bits()
+    }
+
+    /// Extracts the block id of `addr`: its tag and index fields
+    /// together, so addresses that differ only above `addr_bits` name
+    /// the same block.
+    #[inline]
+    pub fn block_id(&self, addr: Addr) -> u64 {
+        (addr.raw() >> self.offset_bits) & field_mask(self.block_id_bits())
     }
 
     /// Extracts the set index of `addr`.
@@ -257,7 +270,7 @@ impl CacheGeometry {
 }
 
 /// A right-aligned bit mask of `width` bits (0 ≤ width ≤ 64).
-const fn field_mask(width: u32) -> u64 {
+pub(crate) const fn field_mask(width: u32) -> u64 {
     if width == 0 {
         0
     } else {

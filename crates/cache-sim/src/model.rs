@@ -84,10 +84,11 @@ impl AccessResult {
 /// They do not store data bytes. All of them use write-back,
 /// write-allocate semantics, matching the paper's SimpleScalar setup.
 ///
-/// Counters only some models keep are reported through accessors that
-/// default to `None`: [`set_usage`](Self::set_usage) and the B-Cache's
-/// [`decoder_stats`](Self::decoder_stats). A caller therefore reads
-/// every model, boxed or not, through this trait alone.
+/// Every model counts [`stats`](Self::stats) and
+/// [`set_usage`](Self::set_usage); the B-Cache alone also reports
+/// [`decoder_stats`](Self::decoder_stats), which defaults to `None`. A
+/// caller therefore reads every model, boxed or not, through this trait
+/// alone.
 pub trait CacheModel {
     /// Services one access and updates internal state and statistics.
     fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessResult;
@@ -104,10 +105,9 @@ pub trait CacheModel {
     /// The nominal geometry (capacity / line / associativity).
     fn geometry(&self) -> CacheGeometry;
 
-    /// Per-set usage counters, when the model tracks them.
-    fn set_usage(&self) -> Option<&SetUsage> {
-        None
-    }
+    /// Per-set usage counters; they reset with
+    /// [`reset_stats`](Self::reset_stats).
+    fn set_usage(&self) -> &SetUsage;
 
     /// Programmable-decoder counters, when the model has decoders (the
     /// B-Cache does; every other model reports `None`). They reset with
@@ -153,7 +153,7 @@ impl CacheModel for Box<dyn CacheModel> {
         (**self).geometry()
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
+    fn set_usage(&self) -> &SetUsage {
         (**self).set_usage()
     }
 

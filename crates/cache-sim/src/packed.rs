@@ -4,10 +4,11 @@
 //! The hot replay paths keep each line's tag, valid and dirty state in a
 //! single `Vec<u64>` word instead of three parallel arrays, so a lookup
 //! is one load and one compare. An empty (invalid) line is the all-zero
-//! word, which makes `vec![0; lines]` a cold cache. The same layout is
-//! shared by the direct-mapped and set-associative arrays here and by
-//! the B-Cache in `bcache-core` (which stores a block id in the tag
-//! field).
+//! word, which makes `vec![0; lines]` a cold cache. All seven model
+//! families share the layout: the direct-mapped, set-associative and
+//! skewed arrays store a tag; the victim buffer, the column-associative
+//! and AGAC caches here and the B-Cache in `bcache-core` store a block
+//! id (tag and index bits together) in the tag field.
 
 /// An empty (invalid, clean) line.
 pub const EMPTY: u64 = 0;

@@ -301,8 +301,8 @@ impl CacheModel for SetAssociativeCache {
         self.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.usage
     }
 }
 

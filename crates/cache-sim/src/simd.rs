@@ -6,9 +6,8 @@
 //! crate's `cam` module (the victim buffer), the B-Cache's
 //! programmable-decoder entry match in `bcache-core`, and the LRU stamp
 //! scan. This module factors those sweeps into a handful of *lane
-//! operations* — first-match, dual compare-mask, first-set-lane,
-//! popcount tally, one-pass minimum, and a shift-and-mask used for
-//! address field decode.
+//! operations* — first-match, dual compare-mask, first-set-lane and
+//! one-pass minimum.
 //!
 //! The three per-access probes — [`Lanes::first_match`],
 //! [`Lanes::dual_eq_masks`] and [`Lanes::min_word`] — belong to a *lane
@@ -23,16 +22,15 @@
 //! no probe checks the CPU or calls out of the kernel. Measured in
 //! process CPU time, that took the B-Cache's batched hit path from 9.0
 //! to 5.8 ns per access (EXPERIMENTS.md, "Lane operations").
-//! Every other operation is a single portable pure-`u64` loop:
-//! straight-line and branch-free, the shape LLVM unrolls and
-//! auto-vectorizes on any target.
+//! The one other operation, [`first_set_lane`], is a portable
+//! priority encoder over a compare mask.
 //!
 //! Both backends return the same first-match index, masks and minimum,
 //! bit for bit; the tests below check each body against a plain
 //! iterator, and each probing model's tests replay streams on both.
 
-/// Lanes the batched kernels consume per iteration (the u64×8 group:
-/// two AVX2 vectors, or one unrolled portable block).
+/// Words per lane group of the portable probes (the u64×8 group: two
+/// AVX2 vectors, or one unrolled portable block).
 pub const LANES: usize = 8;
 
 /// A lane backend: one body for each of the three per-access probes.
@@ -253,31 +251,6 @@ impl Lanes for Avx2 {
 #[inline(always)]
 pub fn first_set_lane(mask: u64) -> Option<usize> {
     (mask != 0).then(|| mask.trailing_zeros() as usize)
-}
-
-/// How many words satisfy `(word & and_mask) == needle` (popcount
-/// tally over the compares); any slice length.
-#[inline(always)]
-pub fn count_matching(words: &[u64], and_mask: u64, needle: u64) -> usize {
-    let mut n = 0usize;
-    for &w in words {
-        n += ((w & and_mask) == needle) as usize;
-    }
-    n
-}
-
-/// Field decode: `out[i] = (src[i] >> shift) & mask`.
-///
-/// The pure (state-independent) half of an access — splitting a lane
-/// group of addresses into set indices or tags — which the batched
-/// kernels hoist out of the serial hit/miss resolution loop.
-#[inline(always)]
-pub fn shr_and(src: &[u64], shift: u32, mask: u64, out: &mut [u64]) {
-    assert_eq!(src.len(), out.len(), "shr_and needs equal slices");
-    debug_assert!(shift < 64, "shift must stay in range");
-    for i in 0..src.len() {
-        out[i] = (src[i] >> shift) & mask;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -549,24 +522,6 @@ mod tests {
             // Unsigned order across the sign bit the AVX2 body biases.
             let signed = [u64::MAX, 1 << 63, (1 << 63) - 1, 1 << 63];
             assert_eq!(min_word(&signed), (1 << 63) - 1, "{}", b.name);
-        }
-    }
-
-    #[test]
-    fn portable_ops_follow_their_scalar_laws() {
-        let mut next = rng(7);
-        for len in 0..=64usize {
-            let words: Vec<u64> = (0..len).map(|_| next() % 8).collect();
-            let off: Vec<u64> = (0..len).map(|_| next()).collect();
-            let want = words.iter().filter(|&&w| w & !2 == 1).count();
-            assert_eq!(count_matching(&words, !2, 1), want, "len {len}");
-            let mut out = vec![0u64; len];
-            for shift in [0u32, 5, 31, 63] {
-                shr_and(&off, shift, 0x3FF, &mut out);
-                for i in 0..len {
-                    assert_eq!(out[i], (off[i] >> shift) & 0x3FF);
-                }
-            }
         }
     }
 

@@ -215,8 +215,8 @@ impl CacheModel for SkewedAssociativeCache {
         self.ways.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.ways.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.ways.usage
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::addr::Addr;
 use crate::cam;
-use crate::geometry::{CacheGeometry, GeometryError, TagIndexSplit};
+use crate::geometry::{field_mask, CacheGeometry, GeometryError, TagIndexSplit};
 use crate::model::{
     AccessKind, AccessResult, CacheModel, Eviction, LaneAccess, LaneBatch, LaneModel,
 };
@@ -52,8 +52,6 @@ pub struct VictimCache {
     buf_lru: Replacement,
     stats: CacheStats,
     usage: SetUsage,
-    buffer_hits: u64,
-    buffer_probes: u64,
 }
 
 impl VictimCache {
@@ -74,9 +72,8 @@ impl VictimCache {
         // valid (power-of-two) single-set geometry.
         CacheGeometry::new(entries * line_bytes, line_bytes, entries)?;
         assert!(
-            geom.tag_bits() <= packed::MAX_TAG_BITS
-                && (geom.addr_bits() - geom.offset_bits()) <= packed::MAX_TAG_BITS,
-            "tag field of {geom} does not fit a packed line word"
+            geom.block_id_bits() <= packed::MAX_TAG_BITS,
+            "block id of {geom} does not fit a packed line word"
         );
         let sets = geom.sets();
         Ok(VictimCache {
@@ -86,30 +83,13 @@ impl VictimCache {
             buf_lru: Replacement::new(PolicyKind::Lru, 1, entries, 0),
             stats: CacheStats::new(),
             usage: SetUsage::new(sets),
-            buffer_hits: 0,
-            buffer_probes: 0,
         })
     }
 
-    /// How many main-array misses were recovered by the buffer.
-    pub fn buffer_hits(&self) -> u64 {
-        self.buffer_hits
-    }
-
-    /// How many times the buffer was probed (= main-array misses).
-    pub fn buffer_probes(&self) -> u64 {
-        self.buffer_probes
-    }
-
     /// Mask selecting the block-id field (`addr >> offset_bits` within
-    /// the geometry's address width).
+    /// the geometry's address width, as [`CacheGeometry::block_id`]).
     fn id_mask(&self) -> u64 {
-        let bits = self.geom.addr_bits() - self.geom.offset_bits();
-        if bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        }
+        field_mask(self.geom.block_id_bits())
     }
 }
 
@@ -158,8 +138,6 @@ fn step<L: Lanes, T: Tally, const N: usize>(
     buf_lru: &mut Replacement,
     usage: &mut SetUsage,
     tally: &mut T,
-    buffer_hits: &mut u64,
-    buffer_probes: &mut u64,
     addr: Addr,
     kind: AccessKind,
 ) -> AccessResult {
@@ -175,12 +153,10 @@ fn step<L: Lanes, T: Tally, const N: usize>(
         return AccessResult::hit();
     }
     // Main-array miss: probe the buffer with the fused CAM search.
-    *buffer_probes += 1;
     let id = (addr.raw() >> offset_bits) & id_mask;
     if let Some(i) = cam::find_match::<L, N>(lanes, buf_words, id) {
         // Swap: promoted block enters the main array, the resident
         // block is demoted straight into the promoted block's slot.
-        *buffer_hits += 1;
         tally.record(kind, true);
         usage.record(set, true);
         debug_assert!(
@@ -234,8 +210,6 @@ impl LaneModel for VictimCache {
                     &mut self.buf_lru,
                     &mut self.usage,
                     &mut self.stats,
-                    &mut self.buffer_hits,
-                    &mut self.buffer_probes,
                     addr,
                     kind,
                 )
@@ -255,7 +229,6 @@ impl LaneModel for VictimCache {
         let offset_bits = self.geom.offset_bits();
         let id_mask = self.id_mask();
         let mut tally = BatchTally::new();
-        let (mut hits, mut probes) = (0u64, 0u64);
         macro_rules! kernel {
             ($n:literal) => {
                 for &(addr, kind) in accesses {
@@ -270,8 +243,6 @@ impl LaneModel for VictimCache {
                         &mut self.buf_lru,
                         &mut self.usage,
                         &mut tally,
-                        &mut hits,
-                        &mut probes,
                         addr,
                         kind,
                     );
@@ -280,8 +251,6 @@ impl LaneModel for VictimCache {
         }
         crate::const_width!(self.buf_words.len(), kernel);
         tally.flush(&mut self.stats);
-        self.buffer_hits += hits;
-        self.buffer_probes += probes;
     }
 }
 
@@ -301,16 +270,14 @@ impl CacheModel for VictimCache {
     fn reset_stats(&mut self) {
         self.stats.reset();
         self.usage.reset();
-        self.buffer_hits = 0;
-        self.buffer_probes = 0;
     }
 
     fn geometry(&self) -> CacheGeometry {
         self.geom
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.usage
     }
 }
 
@@ -333,7 +300,6 @@ mod tests {
         let r = c.access(Addr::new(0), AccessKind::Read);
         assert!(r.hit);
         assert_eq!(r.extra_latency, 1);
-        assert_eq!(c.buffer_hits(), 1);
         // And 256 is now in the buffer.
         assert!(c.access(Addr::new(256), AccessKind::Read).hit);
     }
@@ -400,27 +366,6 @@ mod tests {
         assert!(vc.stats().total().misses() <= dm.stats().total().misses());
     }
 
-    #[test]
-    fn probes_count_main_misses() {
-        let mut c = tiny();
-        c.access(Addr::new(0), AccessKind::Read); // probe (cold miss)
-        c.access(Addr::new(0), AccessKind::Read); // main hit, no probe
-        c.access(Addr::new(256), AccessKind::Read); // probe
-        assert_eq!(c.buffer_probes(), 2);
-    }
-
-    #[test]
-    fn reset_clears_buffer_counters() {
-        let mut c = tiny();
-        c.access(Addr::new(0), AccessKind::Read);
-        c.access(Addr::new(256), AccessKind::Read);
-        c.access(Addr::new(0), AccessKind::Read);
-        c.reset_stats();
-        assert_eq!(c.buffer_hits(), 0);
-        assert_eq!(c.buffer_probes(), 0);
-        assert_eq!(c.stats().total().accesses(), 0);
-    }
-
     /// Fuzz-subsystem hook: the main array mirrors a plain DM cache, so
     /// a DM hit is always a victim-cache hit, and the cache is
     /// demand-fill (it never hits a block it has not seen).
@@ -485,17 +430,12 @@ mod tests {
                 "victim{entries} buffer"
             );
             assert_eq!(looped.buf_lru, batched.buf_lru, "victim{entries} LRU");
-            assert_eq!(
-                (looped.buffer_hits, looped.buffer_probes),
-                (batched.buffer_hits, batched.buffer_probes),
-                "victim{entries} side counters"
-            );
         }
     }
 
     /// Victim16 leaves the same statistics, set usage, main-array and
-    /// buffer words, buffer LRU stamps and buffer counters on every
-    /// lane backend, per access and batched.
+    /// buffer words and buffer LRU stamps on every lane backend, per
+    /// access and batched.
     #[test]
     fn every_lane_backend_replays_identically() {
         let avx2_checked = crate::lane_backends::check(
@@ -508,7 +448,6 @@ mod tests {
                     c.lines.clone(),
                     c.buf_words.clone(),
                     format!("{:?}", c.buf_lru),
-                    (c.buffer_hits, c.buffer_probes),
                 )
             },
         );

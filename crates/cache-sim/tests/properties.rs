@@ -1,7 +1,8 @@
 //! Property-based tests for the cache substrate.
 
 use cache_sim::{
-    AccessKind, Addr, CacheModel, DirectMappedCache, PolicyKind, SetAssociativeCache, VictimCache,
+    AccessKind, Addr, AgacCache, CacheModel, ColumnAssociativeCache, DirectMappedCache, PolicyKind,
+    SetAssociativeCache, VictimCache,
 };
 use proptest::prelude::*;
 
@@ -104,7 +105,7 @@ proptest! {
         }
         let total = c.stats().total();
         prop_assert_eq!(total.accesses(), trace.len() as u64);
-        let usage = c.set_usage().unwrap();
+        let usage = c.set_usage();
         let hits: u64 = (0..usage.sets()).map(|s| usage.hits(s)).sum();
         let misses: u64 = (0..usage.sets()).map(|s| usage.misses(s)).sum();
         prop_assert_eq!(hits, total.hits());
@@ -151,5 +152,30 @@ proptest! {
                 prop_assert_ne!(ev.block, addr.align_down(32));
             }
         }
+    }
+}
+
+/// The direct-mapped, column-associative and AGAC caches key a line on
+/// the address's low 32 bits (the default address width), so `x` and
+/// `x + 2^32` are one block: the second access is a fast hit.
+#[test]
+fn bits_above_the_address_width_name_the_same_block() {
+    let models: [(&str, Box<dyn CacheModel>); 3] = [
+        (
+            "direct-mapped",
+            Box::new(DirectMappedCache::new(1024, 32).unwrap()),
+        ),
+        (
+            "column",
+            Box::new(ColumnAssociativeCache::new(1024, 32).unwrap()),
+        ),
+        ("agac", Box::new(AgacCache::new(1024, 32, 8).unwrap())),
+    ];
+    for (name, mut model) in models {
+        let x = 0x1234_5660u64;
+        model.access(Addr::new(x), AccessKind::Write);
+        let r = model.access(Addr::new(x + (1 << 32)), AccessKind::Read);
+        assert!(r.hit, "{name}: x + 2^32 missed");
+        assert_eq!(r.extra_latency, 0, "{name}: x + 2^32 hit slowly");
     }
 }

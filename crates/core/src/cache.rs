@@ -469,8 +469,8 @@ impl<O: Observer> CacheModel for BalancedCache<O> {
         self.params.geometry()
     }
 
-    fn set_usage(&self) -> Option<&SetUsage> {
-        Some(&self.usage)
+    fn set_usage(&self) -> &SetUsage {
+        &self.usage
     }
 
     fn decoder_stats(&self) -> Option<PdStats> {
@@ -688,7 +688,7 @@ mod tests {
         for blk in 0..2048u64 {
             bc.access(Addr::new(blk * 32), AccessKind::Read);
         }
-        let usage = bc.set_usage().unwrap();
+        let usage = bc.set_usage();
         assert_eq!(usage.sets(), 512);
         let total: u64 = (0..512).map(|s| usage.accesses(s)).sum();
         assert_eq!(total, 2048);

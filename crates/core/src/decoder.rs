@@ -142,16 +142,6 @@ impl ProgrammableDecoder {
                 .all(|(i, &a)| a == INVALID || group[..i].iter().all(|&b| b != a))
         })
     }
-
-    /// Fraction of entries still cold; 1.0 right after construction.
-    pub fn cold_fraction(&self) -> f64 {
-        if self.entries.is_empty() {
-            return 1.0;
-        }
-        // Portable popcount tally over the whole table (any length, not
-        // mask-bound); only tests call this.
-        simd::count_matching(&self.entries, !0, INVALID) as f64 / self.entries.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +162,6 @@ mod tests {
         let pd = ProgrammableDecoder::new(&layout(), 8);
         assert_eq!(pd.groups(), 64);
         assert_eq!(pd.bas(), 8);
-        assert_eq!(pd.cold_fraction(), 1.0);
         assert_eq!(pd.probe_any(0, 0).0, None);
         assert_eq!(pd.probe_any(0, 0).1, Some(0));
     }
@@ -226,14 +215,5 @@ mod tests {
         // Forge a duplicate directly.
         pd.entries[1] = 5;
         assert!(!pd.invariant_holds());
-    }
-
-    #[test]
-    fn cold_fraction_decreases() {
-        let mut pd = ProgrammableDecoder::new(&layout(), 8);
-        let total = (pd.groups() * pd.bas()) as f64;
-        pd.program(0, 0, 1);
-        pd.program(5, 3, 2);
-        assert!((pd.cold_fraction() - (total - 2.0) / total).abs() < 1e-12);
     }
 }

@@ -115,7 +115,7 @@ proptest! {
         for &(block, w) in &trace {
             bc.access(Addr::new(block * 32), kind(w));
         }
-        let usage = bc.set_usage().unwrap();
+        let usage = bc.set_usage();
         let hits: u64 = (0..usage.sets()).map(|s| usage.hits(s)).sum();
         let misses: u64 = (0..usage.sets()).map(|s| usage.misses(s)).sum();
         prop_assert_eq!(hits, bc.stats().total().hits());

@@ -33,18 +33,13 @@ pub fn table7_with(engine: &Engine, len: RunLength) -> Vec<BalanceRow> {
 }
 
 /// The fixed Table 7 pair, a 16 kB direct-mapped cache and the MF8-BAS8
-/// B-Cache, on one benchmark's trace. Both always build and always
-/// count set usage.
+/// B-Cache, on one benchmark's trace. Both always build.
 fn balance_on(benchmark: &str, trace: &SideTrace) -> BalanceRow {
     let build = |config: CacheConfig| config.build(16 * 1024, 0).expect("table 7 models build");
     let mut dm = build(CacheConfig::DirectMapped);
     let mut bc = build(CacheConfig::BCache { mf: 8, bas: 8 });
     trace.replay_into(&mut [dm.as_mut(), bc.as_mut()]);
-    let balance = |m: &dyn CacheModel| {
-        m.set_usage()
-            .expect("table 7 models count set usage")
-            .balance()
-    };
+    let balance = |m: &dyn CacheModel| m.set_usage().balance();
     BalanceRow {
         benchmark: benchmark.to_string(),
         baseline: balance(dm.as_ref()),

@@ -575,21 +575,20 @@ impl ModelSpec {
 /// (the read/write/fetch split and the writebacks, not only the total),
 /// else the first set whose usage differs.
 fn batch_divergence(
-    (stats, usage): (&CacheStats, Option<&SetUsage>),
-    (loop_stats, loop_usage): (&CacheStats, Option<&SetUsage>),
+    (stats, usage): (&CacheStats, &SetUsage),
+    (loop_stats, loop_usage): (&CacheStats, &SetUsage),
 ) -> String {
     if stats != loop_stats {
         return format!("stats {stats:?} vs per-access {loop_stats:?}");
     }
-    if let (Some(u), Some(l)) = (usage, loop_usage) {
-        let counts = |u: &SetUsage, set| (u.hits(set), u.misses(set));
-        if let Some(set) = (0..u.sets().min(l.sets())).find(|&s| counts(u, s) != counts(l, s)) {
-            return format!(
-                "set {set} (hits, misses) {:?} vs per-access {:?}",
-                counts(u, set),
-                counts(l, set)
-            );
-        }
+    let counts = |u: &SetUsage, set| (u.hits(set), u.misses(set));
+    let sets = usage.sets().min(loop_usage.sets());
+    if let Some(set) = (0..sets).find(|&s| counts(usage, s) != counts(loop_usage, s)) {
+        return format!(
+            "set {set} (hits, misses) {:?} vs per-access {:?}",
+            counts(usage, set),
+            counts(loop_usage, set)
+        );
     }
     format!("set usage {usage:?} vs per-access {loop_usage:?}")
 }
@@ -666,15 +665,15 @@ mod tests {
         a.record(AccessKind::Read, false);
         b.record(AccessKind::Write, false);
         assert_eq!(a.total(), b.total());
-        let what = batch_divergence((&a, None), (&b, None));
+        let (mut u, mut v) = (SetUsage::new(4), SetUsage::new(4));
+        let what = batch_divergence((&a, &u), (&b, &u));
         assert!(what.contains(&format!("{a:?}")), "{what}");
         assert!(what.contains(&format!("{b:?}")), "{what}");
 
-        let (mut u, mut v) = (SetUsage::new(4), SetUsage::new(4));
         u.record(2, true);
         v.record(2, false);
         assert_eq!(
-            batch_divergence((&a, Some(&u)), (&a, Some(&v))),
+            batch_divergence((&a, &u), (&a, &v)),
             "set 2 (hits, misses) (1, 0) vs per-access (0, 1)"
         );
     }

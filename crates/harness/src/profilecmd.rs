@@ -181,10 +181,7 @@ pub fn replay_windowed<M: CacheModel + ?Sized>(
     window: u64,
     mut pd_snapshot: impl FnMut(&M) -> (u64, u64),
 ) -> WindowSeries {
-    let sets = model
-        .set_usage()
-        .map(|u| u.sets())
-        .unwrap_or_else(|| model.geometry().sets());
+    let sets = model.set_usage().sets();
     let mut series = WindowSeries::new(window, sets as u64);
     // Heat columns cover contiguous set ranges, so the per-window scan
     // sums each range as a slice (auto-vectorized) instead of mapping
@@ -229,14 +226,12 @@ pub fn replay_windowed<M: CacheModel + ?Sized>(
         row.tag_misses = row
             .misses
             .saturating_sub(row.pd_forced_misses + row.predetermined_misses);
-        if let Some(usage) = model.set_usage() {
-            let (hits, misses) = (usage.hit_counts(), usage.miss_counts());
-            for &(bucket, start, end) in &bucket_ranges {
-                let now =
-                    hits[start..end].iter().sum::<u64>() + misses[start..end].iter().sum::<u64>();
-                row.heat[bucket] = now - prev_heat[bucket];
-                prev_heat[bucket] = now;
-            }
+        let usage = model.set_usage();
+        let (hits, misses) = (usage.hit_counts(), usage.miss_counts());
+        for &(bucket, start, end) in &bucket_ranges {
+            let now = hits[start..end].iter().sum::<u64>() + misses[start..end].iter().sum::<u64>();
+            row.heat[bucket] = now - prev_heat[bucket];
+            prev_heat[bucket] = now;
         }
         (prev_accesses, prev_hits, prev_writebacks) = (total.accesses(), total.hits(), writebacks);
         (prev_forced, prev_predet) = (forced, predet);

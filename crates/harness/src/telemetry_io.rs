@@ -38,21 +38,19 @@ pub fn write_events(path: &str, ring: &EventRing) -> io::Result<()> {
 }
 
 /// Records one model's post-replay aggregates into `rec` under
-/// `prefix`: access/miss/writeback counters plus, when the model tracks
-/// set usage, the log2 histogram of per-set access counts — the
-/// set-pressure distribution behind the paper's balance argument
-/// (Table 7): a direct-mapped cache shows a wide spread (hot sets many
-/// buckets above cold ones), a balanced cache concentrates every set
-/// into a few adjacent buckets.
+/// `prefix`: access/miss/writeback counters plus the log2 histogram of
+/// per-set access counts — the set-pressure distribution behind the
+/// paper's balance argument (Table 7): a direct-mapped cache shows a
+/// wide spread (hot sets many buckets above cold ones), a balanced
+/// cache concentrates every set into a few adjacent buckets.
 pub fn record_model(rec: &mut Recorder, prefix: &str, model: &dyn cache_sim::CacheModel) {
     let total = model.stats().total();
     rec.counter(&format!("{prefix}.accesses"), total.accesses());
     rec.counter(&format!("{prefix}.misses"), total.misses());
     rec.counter(&format!("{prefix}.writebacks"), model.stats().writebacks());
-    if let Some(usage) = model.set_usage() {
-        for set in 0..usage.sets() {
-            rec.observe(&format!("{prefix}.set_accesses"), usage.accesses(set));
-        }
+    let usage = model.set_usage();
+    for set in 0..usage.sets() {
+        rec.observe(&format!("{prefix}.set_accesses"), usage.accesses(set));
     }
 }
 

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bcache.pd_stats().pd_hit_rate_on_miss() * 100.0
     );
     println!("\nset balance (Table 7 classification):");
-    println!("  baseline: {}", baseline.set_usage().unwrap().balance());
-    println!("  B-Cache:  {}", bcache.set_usage().unwrap().balance());
+    println!("  baseline: {}", baseline.set_usage().balance());
+    println!("  B-Cache:  {}", bcache.set_usage().balance());
 
     assert!(
         reduction > 0.5,
